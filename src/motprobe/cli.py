@@ -19,12 +19,13 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config
+from .config import RunConfig, load_config
 from .gillespie import (
     PHOTON_STREAM,
     TRAJECTORY_STREAM,
@@ -39,14 +40,12 @@ from .inference import (
     classify_steady_state,
     fit_beta,
     fit_loading_rate,
-    group_by_bin,
     propagate_systematics,
 )
-from .photon import build_histogram, synthesize_counts
+from .photon import synthesize_counts
 from .physics import steady_state_mean
 from .oracles import overlap_checks, poisson_end_state_check, transient_checks
 from .traceio import (
-    TraceFileError,
     bin_to_row,
     BIN_CSV_COLUMNS,
     read_bins_csv,
@@ -119,33 +118,23 @@ def cmd_simulate(args) -> int:
         dump=args.dump_trajectories,
     )
     t0 = time.perf_counter()
-    traj_fh = open(traj_path, "w") if traj_path else None
     n = 0
-    try:
-        with open(out_path, "w") as fh:
-            if args.workers > 1:
-                chunk = max(1, len(jobs) // (args.workers * 8))
-                with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                    results = pool.map(worker, jobs, chunksize=chunk)
-                    for trace_obj, traj_obj in results:
-                        fh.write(json.dumps(trace_obj))
-                        fh.write("\n")
-                        if traj_fh:
-                            traj_fh.write(json.dumps(traj_obj))
-                            traj_fh.write("\n")
-                        n += 1
-            else:
-                for job in jobs:
-                    trace_obj, traj_obj = worker(job)
-                    fh.write(json.dumps(trace_obj))
-                    fh.write("\n")
-                    if traj_fh:
-                        traj_fh.write(json.dumps(traj_obj))
-                        traj_fh.write("\n")
-                    n += 1
-    finally:
-        if traj_fh:
-            traj_fh.close()
+    with ExitStack() as stack:
+        traj_fh = stack.enter_context(open(traj_path, "w")) if traj_path else None
+        fh = stack.enter_context(open(out_path, "w"))
+        if args.workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.workers))
+            chunk = max(1, len(jobs) // (args.workers * 8))
+            results = pool.map(worker, jobs, chunksize=chunk)
+        else:
+            results = map(worker, jobs)
+        for trace_obj, traj_obj in results:
+            fh.write(json.dumps(trace_obj))
+            fh.write("\n")
+            if traj_fh:
+                traj_fh.write(json.dumps(traj_obj))
+                traj_fh.write("\n")
+            n += 1
     elapsed = time.perf_counter() - t0
 
     if not args.quiet:
@@ -162,15 +151,15 @@ def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
     cal = cfg.detection_calibration()
     traces = read_traces_jsonl(args.traces)
-    width = float(cfg.grid.step)
-    binned = bin_by_nrb(traces, cal, width=width)
+    binned = bin_by_nrb(
+        traces, cal, width=float(cfg.grid.step), origin=float(cfg.grid.min)
+    )
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_bins_csv(out_dir / "bins.csv", binned)
-    for center, members in group_by_bin(traces, width).items():
-        hist = build_histogram(members, cal)
-        write_histogram_csv(out_dir / f"hist_nrb{int(round(center)):05d}.csv", hist)
+    for b in binned.bins:
+        write_histogram_csv(out_dir / f"hist_nrb{int(round(b.center)):05d}.csv", b.histogram)
 
     header = (
         f"{'n_rb':>6} {'traces':>6} {'mean':>8} {'se':>8} "
@@ -193,7 +182,10 @@ def _load_binned(input_path: str, cfg: RunConfig):
     path = Path(input_path)
     if path.suffix == ".jsonl":
         traces = read_traces_jsonl(path)
-        return bin_by_nrb(traces, cfg.detection_calibration(), width=float(cfg.grid.step))
+        return bin_by_nrb(
+            traces, cfg.detection_calibration(),
+            width=float(cfg.grid.step), origin=float(cfg.grid.min),
+        )
     if path.suffix == ".csv":
         return read_bins_csv(path)
     return None
@@ -389,16 +381,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (ConfigError, TraceFileError, InferenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ZeroDivisionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    # ConfigError and TraceFileError are ValueErrors.
+    except (InferenceError, ZeroDivisionError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,13 @@ from itertools import product
 import numpy as np
 from scipy import optimize
 
-from .photon import DetectionCalibration, FluorescenceTrace, build_histogram, estimate_staircase
+from .photon import (
+    DetectionCalibration,
+    FluorescenceTrace,
+    TraceHistogram,
+    build_histogram,
+    estimate_staircase,
+)
 from .physics import PhysicalParams, pair_overlap_volume
 
 __all__ = [
@@ -70,6 +76,7 @@ class NrbBin:
     detect_time_s: float
     poisson_lambda: float
     trace_means: np.ndarray | None = None
+    histogram: TraceHistogram | None = None
 
     @property
     def load_loss_ratio(self) -> float:
@@ -111,14 +118,14 @@ class BetaFit:
 
 
 def group_by_bin(
-    traces: "list[FluorescenceTrace]", width: float = 220.0
+    traces: "list[FluorescenceTrace]", width: float = 220.0, origin: float = 0.0
 ) -> dict[float, list[FluorescenceTrace]]:
-    """Assign each trace to the nearest multiple of the bin width."""
+    """Assign each trace to the nearest grid point origin + k * width."""
     if not width > 0:
         raise ValueError(f"bin width must be positive, got {width!r}")
     groups: dict[float, list[FluorescenceTrace]] = {}
     for t in traces:
-        center = math.floor(t.n_rb / width + 0.5) * width
+        center = origin + math.floor((t.n_rb - origin) / width + 0.5) * width
         groups.setdefault(center, []).append(t)
     return dict(sorted(groups.items()))
 
@@ -127,19 +134,22 @@ def bin_by_nrb(
     traces: "list[FluorescenceTrace]",
     cal: DetectionCalibration,
     width: float = 220.0,
+    origin: float = 0.0,
 ) -> BinnedDataset:
     """Build per-bin aggregates from the recovered staircases.
 
-    For every bin: the mean recovered atom number over all detect bins, its
-    standard error from the trace-to-trace spread, the loading rate as
-    up-steps per detection time, the loss rate as lost atoms per detection
-    time, and the Poisson rate fitted to the pooled count-rate histogram
-    (NaN when fewer than two peaks are resolvable).
+    Traces are grouped on the grid points origin + k * width. For every
+    bin: the mean recovered atom number over all detect bins, its standard
+    error from the trace-to-trace spread, the loading rate as up-steps per
+    detection time, the loss rate as lost atoms per detection time, and the
+    Poisson rate fitted to the pooled count-rate histogram (NaN when fewer
+    than two peaks are resolvable). The histogram itself is kept on the bin
+    for writing out.
     """
     if not traces:
         raise ValueError("need at least one trace")
     bins: list[NrbBin] = []
-    for center, members in group_by_bin(traces, width).items():
+    for center, members in group_by_bin(traces, width, origin).items():
         means = []
         loads = 0
         loss_atoms = 0
@@ -168,6 +178,7 @@ def bin_by_nrb(
                 detect_time_s=detect_time,
                 poisson_lambda=float(lam),
                 trace_means=means,
+                histogram=hist,
             )
         )
     return BinnedDataset(width=float(width), bins=bins)
@@ -338,7 +349,16 @@ def fit_beta(
     steady bins enter the fit; each is weighted by the inverse variance of
     its mean. The statistical error comes from the curvature of the
     objective at the minimum.
+
+    The model has no intra-species pair-loss term, so params_known must have
+    beta_cscs = 0; fitting pair-loss data with it would return a biased beta
+    with no warning.
     """
+    if params_known.beta_cscs != 0.0:
+        raise InferenceError(
+            f"cannot fit beta with beta_cscs = {params_known.beta_cscs:g} cm^3/s: "
+            "the steady-state model has no pair-loss term and requires beta_cscs = 0"
+        )
     if labels is None:
         labels = classify_steady_state(binned, tol)
     steady = [b for b, lab in zip(binned.bins, labels) if lab == "steady"]

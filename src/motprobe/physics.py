@@ -179,9 +179,11 @@ def rates(n_cs: int, n_rb: float, params: PhysicalParams) -> RateSet:
 def steady_state_mean(n_rb: float, params: PhysicalParams) -> float:
     """Mean trapped probe number once loading balances one-body-equivalent loss.
 
-    Valid for beta_cscs = 0 (the default operating point); for a single
-    probe atom the intra-species term vanishes anyway.
+    Requires beta_cscs = 0 (the default operating point); the pair-loss term
+    makes the mean equation nonlinear, so this form would overstate the mean.
     """
+    if params.beta_cscs != 0.0:
+        raise ValueError("closed-form steady-state mean requires beta_cscs = 0")
     load = loading_rate(n_rb, params)
     v_pair = pair_overlap_volume(params.w_cs, params.w_rb)
     denom = params.gamma + params.beta_rbcs * n_rb / v_pair

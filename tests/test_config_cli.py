@@ -278,6 +278,48 @@ class TestFit:
         err = capsys.readouterr().err
         assert "division by zero while tabulating the model curve" in err
 
+    def test_refuses_pair_loss_physics(self, tmp_path, capsys):
+        params = PhysicalParams(
+            r0=1.48, alpha=2.3e-4, gamma=0.03, beta_rbcs=1.6e-10,
+            beta_cscs=0.0, w_cs=6.6 * UM, w_rb=26.4 * UM,
+        )
+        csv_path = tmp_path / "bins.csv"
+        crafted_bins_csv(csv_path, params)
+        cfg = write_config(tmp_path, {"physics": {"beta_cscs_cm3_per_s": 2e-9}})
+        out_dir = tmp_path / "fit"
+        rc = main(["fit", str(csv_path), "--config", str(cfg), "--out", str(out_dir)])
+        assert rc == 1
+        assert "beta_cscs" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_off_origin_grid_bins_stay_on_the_grid(self, tmp_path):
+        payload = {
+            "grid": {"min": 110, "max": 3410, "step": 220},
+            "traces_per_bin": 40,
+            "master_seed": 5,
+        }
+        cfg = write_config(tmp_path, payload)
+        traces_path = tmp_path / "traces.jsonl"
+        assert main([
+            "simulate", "--config", str(cfg), "--out", str(traces_path), "--quiet",
+        ]) == 0
+        grid = [float(v) for v in range(110, 3411, 220)]
+        assert main([
+            "analyze", str(traces_path), "--config", str(cfg),
+            "--out", str(tmp_path / "analysis"),
+        ]) == 0
+        binned = read_bins_csv(tmp_path / "analysis" / "bins.csv")
+        assert binned.centers().tolist() == grid
+        for center in grid:
+            assert (tmp_path / "analysis" / f"hist_nrb{int(center):05d}.csv").exists()
+        out_dir = tmp_path / "fit"
+        assert main([
+            "fit", str(traces_path), "--config", str(cfg), "--out", str(out_dir),
+        ]) == 0
+        steady = json.loads((out_dir / "report.json").read_text())["steady_bins"]
+        assert steady and set(steady) <= set(grid)
+        assert max(steady) <= 3410.0
+
     def test_unknown_suffix_is_usage_error(self, tmp_path, capsys):
         stray = tmp_path / "data.txt"
         stray.write_text("whatever")

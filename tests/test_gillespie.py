@@ -45,6 +45,17 @@ SILENT = PhysicalParams(
     w_cs=6.6 * UM, w_rb=26.4 * UM,
 )
 
+PAIR_LOSS = PhysicalParams(
+    r0=10.0, alpha=2.3e-4, gamma=0.03,
+    beta_rbcs=1.6e-10, beta_cscs=2e-9,
+    w_cs=6.6 * UM, w_rb=26.4 * UM,
+)
+
+ABSORBING = PhysicalParams(
+    r0=0.0, alpha=0.0, gamma=0.0, beta_rbcs=0.0, beta_cscs=0.0,
+    w_cs=6.6 * UM, w_rb=26.4 * UM,
+)
+
 
 class TestSeedDerivation:
     def test_deterministic(self):
@@ -123,6 +134,54 @@ class TestSimulateTrajectory:
         traj.validate()
         ns = [n for _, _, n in traj.events]
         assert all(n >= 0 for n in ns)
+
+
+def replay_next_event(n_rb, params, schedule, seed):
+    """Reference trajectory: step next_event from an empty trap."""
+    rng = np.random.default_rng(seed)
+    t, n, events = 0.0, 0, []
+    while True:
+        step = next_event(n, n_rb, params, rng)
+        if step is None:
+            break
+        dt, kind = step
+        t = t + dt
+        if t > schedule.detect_s:
+            break
+        n += kind.delta
+        events.append((t, kind, n))
+    return events
+
+
+class TestMatchesStepwiseReplay:
+    """simulate_trajectory reads rates from shared per-state rows; it must
+    reproduce the single-step reference float for float."""
+
+    @pytest.mark.parametrize("n_rb", [0.0, 1100.0, 3300.0])
+    @pytest.mark.parametrize(
+        "params",
+        [DEFAULTS, PAIR_LOSS, ABSORBING, LOAD_ONLY],
+        ids=["default", "pair_loss", "absorbing", "load_only"],
+    )
+    def test_identical_events(self, params, n_rb):
+        schedule = ExperimentSchedule()
+        for seed in range(200):
+            traj = simulate_trajectory(n_rb, params, schedule, seed)
+            assert traj.events == replay_next_event(n_rb, params, schedule, seed), seed
+
+    def test_pair_losses_are_replayed(self):
+        kinds = {
+            kind
+            for seed in range(50)
+            for _, kind, _ in simulate_trajectory(0.0, PAIR_LOSS, ExperimentSchedule(), seed).events
+        }
+        assert EventKind.LOSS_CSCS_PAIR in kinds
+
+    def test_negative_companion_number_rejected(self):
+        # Twice: a rejected companion number must not leave a cached table.
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                simulate_trajectory(-1.0, DEFAULTS, ExperimentSchedule(), seed=3)
 
 
 class TestEnsemble:

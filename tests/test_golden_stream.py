@@ -1,0 +1,50 @@
+"""Golden seeded streams: the exact bytes `simulate` writes for two small
+configs at master seed 1234.
+
+Both files are pinned: the traces (photon counts) and the trajectory dump,
+whose event times expose a change of even one unit in the last place of
+any rate sum. Any change to the seeded stream (draw order, rate arithmetic,
+photon synthesis, serialization) changes these hashes. Such a change must
+be deliberate: update the pinned hashes in the same change and say why in
+CHANGES.md. A speed-up that keeps the stream must leave them alone.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from motprobe.cli import main
+
+GOLDEN = {
+    # built-in defaults, 16 bins x 5 traces
+    "defaults": (
+        {},
+        "e6b8358e8be8be890eec94c2744941861a5a56a3c1867066f37ce0048c8be0b3",
+        "f7f4d67c1c6bd31d0a6cd685235fd254ca3206c97900dafa1ca338f9a3ab8a34",
+    ),
+    # few-atom regime with Cs-Cs pair loss, 16 bins x 5 traces
+    "pair_loss": (
+        {"physics": {"r0_per_s": 10.0, "beta_cscs_cm3_per_s": 2e-9}},
+        "e542ce3f3ffc6e3486a861a7e8ee2c92cb62f623f897976fdcfd633fa512327d",
+        "5f4fa1e15d9ef23e789df6de3871a88011bd8fa29c1fa42054f59a94d94f29b6",
+    ),
+}
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_simulate_stream_is_pinned(tmp_path, name):
+    payload, traces_hash, trajectories_hash = GOLDEN[name]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(payload))
+    out = tmp_path / "traces.jsonl"
+    assert main([
+        "simulate", "--config", str(cfg), "--out", str(out),
+        "--traces", "5", "--seed", "1234", "--quiet", "--dump-trajectories",
+    ]) == 0
+    assert sha256(out) == traces_hash
+    assert sha256(tmp_path / "trajectories.jsonl") == trajectories_hash

@@ -72,6 +72,14 @@ class TestGrouping:
         assert [t.n_rb for t in groups[220.0]] == [110.0, 329.9]
         assert [t.n_rb for t in groups[440.0]] == [330.0]
 
+    def test_off_origin_grid_keeps_grid_points(self):
+        grid = np.arange(110, 3411, 220)
+        traces = [flat_trace(v) for v in grid]
+        groups = group_by_bin(traces, width=220.0, origin=110.0)
+        assert list(groups) == [float(v) for v in grid]
+        binned = bin_by_nrb(traces, CAL, width=220.0, origin=110.0)
+        assert binned.centers().tolist() == [float(v) for v in grid]
+
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError):
             group_by_bin([flat_trace(0.0)], width=0.0)
@@ -209,6 +217,16 @@ class TestBetaFit:
         binned = BinnedDataset(220.0, noiseless_bins(p, centers))
         fit = fit_beta(binned, p, EXACT_LINE)
         assert fit.beta == 0.0
+
+    def test_refuses_pair_loss_physics(self):
+        centers = np.arange(1100, 3301, 220.0)
+        binned = BinnedDataset(220.0, noiseless_bins(DEFAULTS, centers))
+        pair = PhysicalParams(
+            r0=1.48, alpha=2.3e-4, gamma=0.03, beta_rbcs=1.6e-10, beta_cscs=2e-9,
+            w_cs=6.6 * UM, w_rb=26.4 * UM,
+        )
+        with pytest.raises(InferenceError, match="beta_cscs"):
+            fit_beta(binned, pair, EXACT_LINE)
 
     def test_needs_two_steady_bins(self):
         bins = [make_bin(c, loading=1.0, loss_rate=0.0) for c in (0.0, 220.0, 440.0)]

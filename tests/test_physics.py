@@ -157,6 +157,14 @@ class TestSteadyStateMean:
         with pytest.raises(ZeroDivisionError):
             steady_state_mean(0.0, p)
 
+    def test_requires_no_pair_loss_term(self):
+        p = PhysicalParams(
+            r0=10.0, alpha=0.0, gamma=0.03, beta_rbcs=0.0, beta_cscs=2e-9,
+            w_cs=6.6 * UM, w_rb=26.4 * UM,
+        )
+        with pytest.raises(ValueError, match="beta_cscs"):
+            steady_state_mean(0.0, p)
+
 
 class TestTransientMean:
     def test_starts_empty(self):
