@@ -16,6 +16,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -26,12 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, load_config
-from .gillespie import (
-    PHOTON_STREAM,
-    TRAJECTORY_STREAM,
-    derive_seed,
-    simulate_trajectory,
-)
+from .gillespie import PHOTON_STREAM, derive_seeds, seeded_generators, simulate_bin
 from .inference import (
     DEFAULT_STEADY_TOL,
     InferenceError,
@@ -61,25 +57,28 @@ from .traceio import (
 __all__ = ["main"]
 
 
-def _simulate_job(job, params, cal, schedule, master_seed, dump):
-    """One shot: trajectory plus photon counts, as JSON-ready dicts.
+def _simulate_bin_job(job, params, cal, schedule, master_seed, dump):
+    """One companion-number bin: a JSON line per trace, and per trajectory
+    when dump is set, in trace order.
 
     Top-level so process pools can pickle it; all randomness flows from seeds
     derived from (master_seed, stream, bin_index, trace_index), making the
     output identical for any worker count or evaluation order.
     """
-    bi, ti, n_rb = job
-    traj = simulate_trajectory(
-        n_rb, params, schedule, derive_seed(master_seed, TRAJECTORY_STREAM, bi, ti)
-    )
-    trace_id = f"b{bi:02d}t{ti:04d}"
-    trace = synthesize_counts(
-        traj, cal, schedule,
-        derive_seed(master_seed, PHOTON_STREAM, bi, ti),
-        trace_id=trace_id,
-    )
-    traj_obj = trajectory_to_dict(trace_id, traj) if dump else None
-    return trace_to_dict(trace), traj_obj
+    bi, n_rb, traces = job
+    trajectories = simulate_bin(n_rb, params, schedule, master_seed, bi, traces)
+    seeds = derive_seeds(master_seed, PHOTON_STREAM, bi, count=traces)
+    lines = []
+    for ti, (traj, seed, rng) in enumerate(
+        zip(trajectories, seeds, seeded_generators(seeds))
+    ):
+        trace_id = f"b{bi:02d}t{ti:04d}"
+        trace = synthesize_counts(
+            traj, cal, schedule, int(seed), trace_id=trace_id, rng=rng
+        )
+        traj_line = json.dumps(trajectory_to_dict(trace_id, traj)) if dump else None
+        lines.append((json.dumps(trace_to_dict(trace)), traj_line))
+    return lines
 
 
 def cmd_simulate(args) -> int:
@@ -99,18 +98,23 @@ def cmd_simulate(args) -> int:
     cal = cfg.detection_calibration()
     schedule = cfg.experiment_schedule()
     values = cfg.grid.values()
-    jobs = [
-        (bi, ti, float(n_rb))
-        for bi, n_rb in enumerate(values)
-        for ti in range(cfg.traces_per_bin)
-    ]
+    jobs = [(bi, float(n_rb), cfg.traces_per_bin) for bi, n_rb in enumerate(values)]
+    # A pool starts all its processes up front, and a job is one bin.
+    cpus = os.cpu_count() or 1
+    workers = min(args.workers, cpus, len(jobs))
+    if workers < args.workers:
+        print(
+            f"note: --workers {args.workers} reduced to {workers} "
+            f"({cpus} CPUs, {len(jobs)} bins)",
+            file=sys.stderr,
+        )
 
     out_path = Path(args.out) if args.out else Path(cfg.out_dir) / "traces.jsonl"
     out_path.parent.mkdir(parents=True, exist_ok=True)
     traj_path = out_path.with_name("trajectories.jsonl") if args.dump_trajectories else None
 
     worker = functools.partial(
-        _simulate_job,
+        _simulate_bin_job,
         params=params,
         cal=cal,
         schedule=schedule,
@@ -122,19 +126,19 @@ def cmd_simulate(args) -> int:
     with ExitStack() as stack:
         traj_fh = stack.enter_context(open(traj_path, "w")) if traj_path else None
         fh = stack.enter_context(open(out_path, "w"))
-        if args.workers > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.workers))
-            chunk = max(1, len(jobs) // (args.workers * 8))
-            results = pool.map(worker, jobs, chunksize=chunk)
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            results = pool.map(worker, jobs)
         else:
             results = map(worker, jobs)
-        for trace_obj, traj_obj in results:
-            fh.write(json.dumps(trace_obj))
-            fh.write("\n")
-            if traj_fh:
-                traj_fh.write(json.dumps(traj_obj))
-                traj_fh.write("\n")
-            n += 1
+        for lines in results:
+            for trace_line, traj_line in lines:
+                fh.write(trace_line)
+                fh.write("\n")
+                if traj_fh:
+                    traj_fh.write(traj_line)
+                    traj_fh.write("\n")
+                n += 1
     elapsed = time.perf_counter() - t0
 
     if not args.quiet:

@@ -9,6 +9,7 @@ the physics layer.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -33,6 +34,14 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
 
 
+def _require_int(value, key: str) -> int:
+    """value itself if it is an integer; a float or a bool is refused, not
+    truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Companion-number grid: min, min+step, ... up to and including max."""
@@ -42,6 +51,8 @@ class GridSpec:
     step: int = 220
 
     def __post_init__(self) -> None:
+        for key in ("min", "max", "step"):
+            _require_int(getattr(self, key), f"grid.{key}")
         if self.min < 0 or self.max < self.min or self.step <= 0:
             raise ConfigError(f"invalid grid spec {self!r}")
 
@@ -83,10 +94,10 @@ class RunConfig:
         grid_raw = raw.get("grid", {})
         _check_keys(grid_raw, {"min", "max", "step"}, "grid")
         grid = GridSpec(**{**_DEFAULT_GRID, **grid_raw})
-        traces = int(raw.get("traces_per_bin", 200))
+        traces = _require_int(raw.get("traces_per_bin", 200), "traces_per_bin")
         if traces < 1:
             raise ConfigError(f"traces_per_bin must be >= 1, got {traces}")
-        seed = int(raw.get("master_seed", 1234))
+        seed = _require_int(raw.get("master_seed", 1234), "master_seed")
         if seed < 0:
             raise ConfigError(f"master_seed must be non-negative, got {seed}")
         cfg = cls(

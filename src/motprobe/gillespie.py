@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import enum
 import functools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +24,11 @@ __all__ = [
     "ExperimentSchedule",
     "Trajectory",
     "derive_seed",
+    "derive_seeds",
+    "seeded_generators",
     "next_event",
     "simulate_trajectory",
+    "simulate_bin",
     "simulate_ensemble",
     "TRAJECTORY_STREAM",
     "PHOTON_STREAM",
@@ -146,6 +150,135 @@ def derive_seed(master_seed: int, *path: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+# Constants of numpy's SeedSequence pool hash (numpy/random/bit_generator.pyx).
+# derive_seeds and seeded_generators run that hash on columns of uint32 words,
+# one column per seed sequence; derive_seed stays the scalar reference the
+# tests hold them to.
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+
+def _int_words(value: int) -> list[int]:
+    """Little-endian uint32 words of a non-negative integer, split the way
+    SeedSequence splits each entry of its entropy."""
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"seed entropy must be non-negative, got {value}")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _seed_state(entropy: list, n_words: int) -> list[np.ndarray]:
+    """SeedSequence(entropy).generate_state(n_words) on columns of words.
+
+    entropy holds uint32 words, each a scalar or a 1-D array; they broadcast,
+    and every column is one seed sequence. Returns n_words uint32 arrays.
+    Entropy shorter than the pool is padded with zero words, which is what
+    SeedSequence hashes into the unfilled pool slots when it has no spawn key.
+    """
+    words = [np.asarray(w, dtype=np.uint32) for w in entropy]
+    words += [np.zeros((), dtype=np.uint32)] * (_POOL_SIZE - len(words))
+    words = np.broadcast_arrays(*words)
+    hash_a = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_a
+        value = value ^ hash_a
+        hash_a = (hash_a * _MULT_A) & _MASK32
+        value = value * hash_a
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in words[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    hash_b = _INIT_B
+    out = []
+    for i in range(n_words):
+        value = pool[i % _POOL_SIZE] ^ hash_b
+        hash_b = (hash_b * _MULT_B) & _MASK32
+        value = value * hash_b
+        out.append(value ^ (value >> _XSHIFT))
+    return out
+
+
+def _join_words(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """uint64 words from little-endian pairs of uint32 words."""
+    return lo.astype(np.uint64) | (hi.astype(np.uint64) << 32)
+
+
+def derive_seeds(master_seed: int, *prefix: int, count: int) -> np.ndarray:
+    """derive_seed(master_seed, *prefix, i) for i in range(count), as uint64.
+
+    Hashes all count seed sequences at once, with the same uint32 arithmetic
+    as SeedSequence, so every element equals the scalar derive_seed.
+    """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count!r}")
+    words = _int_words(master_seed)
+    for p in prefix:
+        words += _int_words(p)
+    index = np.arange(count, dtype=np.uint32)
+    return _join_words(*_seed_state([*words, index], 2))
+
+
+class _FixedSeedSequence(np.random.bit_generator.ISeedSequence):
+    """Seed sequence that hands a bit generator state words computed ahead."""
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != len(self._words) or np.dtype(dtype) != self._words.dtype:
+            raise ValueError(
+                f"state holds {len(self._words)} {self._words.dtype} words, "
+                f"asked for {n_words} {np.dtype(dtype)}"
+            )
+        return self._words
+
+
+def _pcg64_states(seeds: np.ndarray) -> np.ndarray:
+    """SeedSequence(seed).generate_state(4, np.uint64) for each seed, one row
+    per seed."""
+    # A seed below 2**32 is one entropy word for SeedSequence; a zero high
+    # word hashes exactly like the pool padding, so one path serves both.
+    w = _seed_state([seeds & _MASK32, seeds >> 32], 8)
+    return np.stack([_join_words(w[k], w[k + 1]) for k in range(0, 8, 2)], axis=1)
+
+
+def seeded_generators(seeds: "np.ndarray | list[int]") -> Iterator[np.random.Generator]:
+    """Yield np.random.default_rng(seed) for each seed, in order.
+
+    default_rng seeds PCG64 with SeedSequence(seed).generate_state(4,
+    np.uint64). Those words are hashed for all seeds at once here and handed
+    to PCG64, whose own seeding then runs, so every Generator starts in the
+    same state as default_rng(seed). Generators are built one at a time as
+    the caller asks for them.
+    """
+    for row in _pcg64_states(np.asarray(seeds, dtype=np.uint64)):
+        yield np.random.Generator(np.random.PCG64(_FixedSeedSequence(row)))
+
+
 _Row = tuple[float, float, float, float]
 
 
@@ -210,6 +343,8 @@ def simulate_trajectory(
     params: PhysicalParams,
     schedule: ExperimentSchedule,
     seed: int,
+    *,
+    rng: np.random.Generator | None = None,
 ) -> Trajectory:
     """Simulate one shot from an empty trap over the detection window.
 
@@ -217,8 +352,12 @@ def simulate_trajectory(
     window, but reads each state's rates from the shared row table. The
     event draw of the step that leaves the window is skipped; no result
     depends on it, because the generator is private to the shot.
+
+    rng, when given, must be np.random.default_rng(seed), fresh (as built by
+    seeded_generators); by default it is built here.
     """
-    rng = np.random.default_rng(int(seed))
+    if rng is None:
+        rng = np.random.default_rng(int(seed))
     exponential = rng.exponential
     uniform = rng.random
     rows = _rate_rows(n_rb, params)
@@ -253,6 +392,25 @@ def simulate_trajectory(
     return Trajectory(events=events, t_end=t_end, n_rb=n_rb, seed=int(seed))
 
 
+def simulate_bin(
+    n_rb: float,
+    params: PhysicalParams,
+    schedule: ExperimentSchedule,
+    master_seed: int,
+    bin_index: int,
+    traces: int,
+) -> Iterator[Trajectory]:
+    """Simulate the traces of one companion-number bin, in trace order.
+
+    Trace ti uses the seed derive_seed(master_seed, TRAJECTORY_STREAM,
+    bin_index, ti). Seeds are derived for the whole bin at once; each
+    trajectory is simulated when the caller asks for it.
+    """
+    seeds = derive_seeds(master_seed, TRAJECTORY_STREAM, bin_index, count=traces)
+    for seed, rng in zip(seeds, seeded_generators(seeds)):
+        yield simulate_trajectory(n_rb, params, schedule, int(seed), rng=rng)
+
+
 def simulate_ensemble(
     grid: "np.ndarray | list[float]",
     traces_per_bin: int,
@@ -262,16 +420,15 @@ def simulate_ensemble(
 ) -> list[Trajectory]:
     """Simulate traces_per_bin trajectories at every companion-number grid point.
 
-    Per-trace seeds come from derive_seed(master_seed, TRAJECTORY_STREAM,
-    bin_index, trace_index), so the ensemble is reproducible trace by trace
-    and the result is independent of evaluation order. Output is ordered by
-    (grid point, trace index).
+    Each bin comes from simulate_bin, so the ensemble is reproducible trace
+    by trace and the result is independent of evaluation order. Output is
+    ordered by (grid point, trace index).
     """
     if traces_per_bin < 1:
         raise ValueError(f"traces_per_bin must be >= 1, got {traces_per_bin!r}")
     out: list[Trajectory] = []
     for bi, n_rb in enumerate(grid):
-        for ti in range(traces_per_bin):
-            seed = derive_seed(master_seed, TRAJECTORY_STREAM, bi, ti)
-            out.append(simulate_trajectory(float(n_rb), params, schedule, seed))
+        out.extend(
+            simulate_bin(float(n_rb), params, schedule, master_seed, bi, traces_per_bin)
+        )
     return out

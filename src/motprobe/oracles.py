@@ -15,7 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .gillespie import ExperimentSchedule, derive_seed, simulate_trajectory
+from .gillespie import (
+    ExperimentSchedule,
+    derive_seeds,
+    seeded_generators,
+    simulate_trajectory,
+)
 from .physics import CloudModel, PhysicalParams, transient_mean
 
 __all__ = [
@@ -113,10 +118,9 @@ def transient_mean_ensemble(
     checkpoints = np.asarray(checkpoints, dtype=float)
     schedule = ExperimentSchedule(detect_s=float(checkpoints.max()))
     samples = np.empty((runs, len(checkpoints)))
-    for i in range(runs):
-        traj = simulate_trajectory(
-            n_rb, params, schedule, derive_seed(master_seed, 2, i)
-        )
+    seeds = derive_seeds(master_seed, 2, count=runs)
+    for i, (seed, rng) in enumerate(zip(seeds, seeded_generators(seeds))):
+        traj = simulate_trajectory(n_rb, params, schedule, int(seed), rng=rng)
         samples[i] = [traj.n_at(t) for t in checkpoints]
     mean = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / math.sqrt(runs)
@@ -169,9 +173,10 @@ def poisson_end_state_check(
         w_cs=1e-4, w_rb=1e-4,
     )
     schedule = ExperimentSchedule(detect_s=detect_s)
+    seeds = derive_seeds(master_seed, 3, count=runs)
     finals = np.array([
-        simulate_trajectory(0.0, params, schedule, derive_seed(master_seed, 3, i)).n_final
-        for i in range(runs)
+        simulate_trajectory(0.0, params, schedule, int(seed), rng=rng).n_final
+        for seed, rng in zip(seeds, seeded_generators(seeds))
     ])
     lam = load / gamma
     chi2, dof, p = poisson_chi2(finals, lam)

@@ -213,18 +213,23 @@ def synthesize_counts(
     schedule: ExperimentSchedule,
     seed: int,
     trace_id: str | None = None,
+    *,
+    rng: np.random.Generator | None = None,
 ) -> FluorescenceTrace:
     """Draw Poisson photon counts for one shot.
 
     Detect bins see the occupancy-weighted atom signal plus background, the
     off segment only the dark rate, the background segment only background.
+    rng, when given, must be np.random.default_rng(seed), fresh; by default
+    it is built here.
     """
     seg = segment_map_for(schedule, cal.bin_s)
     nd = seg.detect[1] - seg.detect[0]
     no = seg.off[1] - seg.off[0]
     nb = seg.background[1] - seg.background[0]
     occ = occupancy_profile(traj, nd, cal.bin_s)
-    rng = np.random.default_rng(int(seed))
+    if rng is None:
+        rng = np.random.default_rng(int(seed))
     lam_detect = (occ * cal.rate_per_atom + cal.background_rate) * cal.bin_s
     counts = np.concatenate(
         [

@@ -6,6 +6,7 @@ stays fast; reproducibility checks compare output files byte for byte.
 
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -351,3 +352,78 @@ class TestOracleCommand:
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["oracle", "bogus"]) == 2
+
+
+class TestIntegerKeys:
+    """Integer keys refuse floats and booleans instead of truncating them."""
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"traces_per_bin": 2.7}, "traces_per_bin"),
+        ({"traces_per_bin": True}, "traces_per_bin"),
+        ({"master_seed": 1.9}, "master_seed"),
+        ({"grid": {"step": 220.5}}, "grid.step"),
+        ({"grid": {"min": True}}, "grid.min"),
+    ])
+    def test_rejected_with_key_named(self, tmp_path, capsys, payload, key):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig.from_dict(payload)
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "traces.jsonl"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestWorkerCap:
+    """--workers is capped at the CPU and bin counts; the pool is replaced
+    by a recorder, so no process is ever started."""
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        import motprobe.cli as cli
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        return sizes
+
+    def _simulate(self, tmp_path, payload, workers):
+        cfg = write_config(tmp_path, payload, name=f"config-{workers}.json")
+        out = tmp_path / f"traces-{workers}.jsonl"
+        assert main([
+            "simulate", "--config", str(cfg), "--out", str(out),
+            "--quiet", "--workers", str(workers),
+        ]) == 0
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("grid, workers, expected", [
+        ({"min": 0, "max": 3300, "step": 220}, 100_000, 4),  # CPU bound
+        ({"min": 0, "max": 440, "step": 220}, 100_000, 3),  # bin bound
+        ({"min": 0, "max": 440, "step": 220}, 2, 2),
+    ])
+    def test_pool_size(self, tmp_path, capsys, pool_sizes, grid, workers, expected):
+        payload = {"grid": grid, "traces_per_bin": 2, "master_seed": 5}
+        pooled = self._simulate(tmp_path, payload, workers)
+        assert pool_sizes == [expected]
+        err = capsys.readouterr().err
+        if expected < workers:
+            assert err.count("\n") == 1
+            assert f"--workers {workers} reduced to {expected}" in err
+        else:
+            assert err == ""
+        assert pooled == self._simulate(tmp_path, payload, 1)
+        assert pool_sizes == [expected]

@@ -48,3 +48,26 @@ def test_simulate_stream_is_pinned(tmp_path, name):
     ]) == 0
     assert sha256(out) == traces_hash
     assert sha256(tmp_path / "trajectories.jsonl") == trajectories_hash
+
+
+# The oracle seed paths (2, i) and (3, i), pinned by the exact stdout and
+# exit code of `oracle` at 300 runs. At this run count the Poisson check
+# fails at its default seed (p 0.007); the pin is of the bytes, not a verdict.
+GOLDEN_ORACLE = {
+    "transient": (0, (
+        "PASS transient_mean[default-1100]: worst |z| 2.13 over 10 checkpoints, 300 runs (limit 3)\n"
+        "PASS transient_mean[default-2200]: worst |z| 1.97 over 10 checkpoints, 300 runs (limit 3)\n"
+        "PASS transient_mean[no-companion]: worst |z| 0.62 over 10 checkpoints, 300 runs (limit 3)\n"
+    )),
+    "poisson": (1, (
+        "FAIL stationary_occupancy_poisson: chi2 15.85 with 5 dof, p 0.007 against rate 2 "
+        "(300 runs, need p > 0.01)\n"
+    )),
+}
+
+
+@pytest.mark.parametrize("which", sorted(GOLDEN_ORACLE))
+def test_oracle_stream_is_pinned(capsys, which):
+    code, stdout = GOLDEN_ORACLE[which]
+    assert main(["oracle", which, "--runs", "300"]) == code
+    assert capsys.readouterr().out == stdout
