@@ -84,6 +84,9 @@ def _simulate_bin_job(job, params, cal, schedule, master_seed, dump):
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
+        if args.seed < 0:
+            print("error: --seed must be >= 0", file=sys.stderr)
+            return 2
         cfg.master_seed = int(args.seed)
     if args.traces is not None:
         if args.traces < 1:
@@ -214,6 +217,9 @@ def _curve_rows(cfg: RunConfig, params_fit, fitted_bins, width):
 
 
 def cmd_fit(args) -> int:
+    if args.bootstrap < 0 or args.bootstrap == 1:
+        print("error: --bootstrap must be 0 (skip) or >= 2", file=sys.stderr)
+        return 2
     cfg = load_config(args.config)
     binned = _load_binned(args.input, cfg)
     if binned is None:

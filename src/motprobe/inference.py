@@ -17,7 +17,7 @@ from .photon import (
     FluorescenceTrace,
     TraceHistogram,
     build_histogram,
-    estimate_staircase,
+    summarize_staircases,
 )
 from .physics import PhysicalParams, pair_overlap_volume
 
@@ -150,17 +150,10 @@ def bin_by_nrb(
         raise ValueError("need at least one trace")
     bins: list[NrbBin] = []
     for center, members in group_by_bin(traces, width, origin).items():
-        means = []
-        loads = 0
-        loss_atoms = 0
+        means, loads, loss_atoms = summarize_staircases(members, cal)
         detect_time = 0.0
         for t in members:
-            est = estimate_staircase(t, cal)
-            means.append(float(est.staircase.mean()))
-            loads += len(est.load_events)
-            loss_atoms += sum(mult for _, mult in est.loss_events)
-            detect_time += len(est.staircase) * t.bin_s
-        means = np.array(means)
+            detect_time += (t.segments.detect[1] - t.segments.detect[0]) * t.bin_s
         n = len(means)
         se = float(means.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         hist = build_histogram(members, cal)

@@ -4,7 +4,9 @@ Forward direction: turn a simulated trajectory into Poisson photon counts in
 fixed time bins, including the light-off and background segments of the shot.
 Inverse direction: background subtraction, integer staircase estimation with
 a short median filter, pooled count-rate histograms with per-peak Gaussian
-fits, and a Poisson fit to the peak weights.
+fits, and a Poisson fit to the peak weights. The inverse steps run on a
+(traces x bins) count matrix, one per segment layout, so a whole bin of
+traces is processed at once; the single-trace functions are the one-row case.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize, stats
-from scipy.ndimage import median_filter
 
 from .gillespie import ExperimentSchedule, Trajectory
 
@@ -32,6 +33,7 @@ __all__ = [
     "synthesize_counts",
     "subtract_background",
     "estimate_staircase",
+    "summarize_staircases",
     "build_histogram",
     "fit_poisson",
 ]
@@ -75,6 +77,8 @@ class SegmentMap:
         )
         if not ok:
             raise ValueError(f"segments must tile the trace in order, got {self!r}")
+        if d[1] == d[0]:
+            raise ValueError(f"the detect segment must hold at least one bin, got {self!r}")
 
     @property
     def n_bins(self) -> int:
@@ -182,29 +186,31 @@ def occupancy_profile(traj: Trajectory, n_bins: int, bin_s: float) -> np.ndarray
     """Time-averaged atom number in each detection bin.
 
     The trajectory is piecewise constant; the last level persists to the end
-    of the detection window.
+    of the detection window. Every (constant segment, bin) overlap is built
+    at once and summed per bin in segment order.
     """
-    occ = np.zeros(n_bins)
     horizon = n_bins * bin_s
-    t_prev = 0.0
-    level = 0
-    for t, _, n_after in traj.events:
-        _accumulate(occ, t_prev, min(t, horizon), level, bin_s)
-        t_prev, level = t, n_after
-    _accumulate(occ, t_prev, horizon, level, bin_s)
+    n = len(traj.events)
+    t = np.fromiter((e[0] for e in traj.events), float, n)
+    # Segment k runs from start[k] to stop[k] at level[k]; the first starts
+    # empty at 0, the last runs to the horizon.
+    start = np.concatenate(([0.0], t))
+    stop = np.concatenate((np.minimum(t, horizon), [horizon]))
+    level = np.concatenate(([0], np.fromiter((e[2] for e in traj.events), np.int64, n)))
+    live = (level != 0) & (stop > start)
+    start, stop, level = start[live], stop[live], level[live]
+    first = (start / bin_s).astype(np.int64)
+    last = np.minimum(np.ceil(stop / bin_s).astype(np.int64) - 1, n_bins - 1)
+    span = np.maximum(last - first + 1, 0)
+    seg = np.repeat(np.arange(len(span)), span)
+    idx = first[seg] + np.arange(len(seg)) - np.repeat(np.cumsum(span) - span, span)
+    lo = np.maximum(start[seg], idx * bin_s)
+    hi = np.minimum(stop[seg], (idx + 1) * bin_s)
+    keep = hi > lo
+    occ = np.bincount(
+        idx[keep], weights=level[seg][keep] * (hi - lo)[keep], minlength=n_bins
+    )
     return occ / bin_s
-
-
-def _accumulate(occ: np.ndarray, a: float, b: float, level: int, bin_s: float) -> None:
-    if level == 0 or b <= a:
-        return
-    first = int(a / bin_s)
-    last = min(int(math.ceil(b / bin_s)) - 1, len(occ) - 1)
-    for i in range(first, last + 1):
-        lo = max(a, i * bin_s)
-        hi = min(b, (i + 1) * bin_s)
-        if hi > lo:
-            occ[i] += level * (hi - lo)
 
 
 def synthesize_counts(
@@ -249,6 +255,50 @@ def synthesize_counts(
     )
 
 
+def _detect_rates(
+    counts: np.ndarray, seg: SegmentMap, bin_s: float, trace_id: str
+) -> np.ndarray:
+    """Detect-bin rates minus each row's mean background-segment rate (1/s),
+    for counts stacked one trace per row."""
+    b0, b1 = seg.background
+    if b1 == b0:
+        raise ValueError(f"trace {trace_id!r} has an empty background segment")
+    bg_rate = counts[:, b0:b1].mean(axis=1) / bin_s
+    d0, d1 = seg.detect
+    rates = counts[:, d0:d1] / bin_s
+    rates -= bg_rate[:, None]
+    return rates
+
+
+def _rates_by_layout(traces: "list[FluorescenceTrace]"):
+    """Background-subtracted detect rates, one matrix per (segments, bin_s).
+
+    Yields (positions, rates): the positions in traces of the rows, in
+    order, and their rates one trace per row. Layouts come in order of first
+    appearance.
+    """
+    groups: dict[tuple[SegmentMap, float], list[int]] = {}
+    for i, t in enumerate(traces):
+        groups.setdefault((t.segments, t.bin_s), []).append(i)
+    for (seg, bin_s), positions in groups.items():
+        counts = np.stack([traces[i].counts for i in positions])
+        yield positions, _detect_rates(counts, seg, bin_s, traces[positions[0]].trace_id)
+
+
+def _staircase_rows(rates: np.ndarray, rate_per_atom: float) -> np.ndarray:
+    """Whole-atom staircase of every row of rates: rounding to the nearest
+    non-negative integer, then a 3-bin median with edges replicated, the
+    median of (l, x, r) taken as max(min(l, x), min(max(l, x), r)).
+    """
+    raw = np.rint(rates / rate_per_atom).astype(int)
+    np.clip(raw, 0, None, out=raw)
+    padded = np.pad(raw, ((0, 0), (1, 1)), mode="edge")
+    left, mid, right = padded[:, :-2], padded[:, 1:-1], padded[:, 2:]
+    return np.maximum(
+        np.minimum(left, mid), np.minimum(np.maximum(left, mid), right)
+    )
+
+
 def subtract_background(trace: FluorescenceTrace) -> np.ndarray:
     """Count rates of the detect bins minus the mean background-segment rate.
 
@@ -256,11 +306,9 @@ def subtract_background(trace: FluorescenceTrace) -> np.ndarray:
     shot noise. Any constant stray-light offset present in both segments
     cancels exactly at the expectation level.
     """
-    bg = trace.background_counts
-    if len(bg) == 0:
-        raise ValueError(f"trace {trace.trace_id!r} has an empty background segment")
-    bg_rate = bg.mean() / trace.bin_s
-    return trace.detect_counts / trace.bin_s - bg_rate
+    return _detect_rates(
+        trace.counts[None, :], trace.segments, trace.bin_s, trace.trace_id
+    )[0]
 
 
 def estimate_staircase(
@@ -276,11 +324,8 @@ def estimate_staircase(
     """
     if cal.rate_per_atom <= 0:
         raise ValueError("rate_per_atom must be positive to quantize occupancy")
-    rates_corr = subtract_background(trace)
-    raw = np.rint(rates_corr / cal.rate_per_atom).astype(int)
-    np.clip(raw, 0, None, out=raw)
-    stair = median_filter(raw, size=3, mode="nearest")
-    steps = np.diff(np.concatenate(([0], stair)))
+    stair = _staircase_rows(subtract_background(trace)[None, :], cal.rate_per_atom)[0]
+    steps = np.diff(stair, prepend=0)
     load_events: list[int] = []
     loss_events: list[tuple[int, int]] = []
     for i in np.nonzero(steps)[0]:
@@ -297,6 +342,38 @@ def estimate_staircase(
             if k == 1:
                 loss_events.append((int(i), 1))
     return AtomNumberEstimate(staircase=stair, load_events=load_events, loss_events=loss_events)
+
+
+def summarize_staircases(
+    traces: "list[FluorescenceTrace]", cal: DetectionCalibration
+) -> tuple[np.ndarray, int, int]:
+    """Staircase totals of a set of traces, one count matrix per layout.
+
+    Returns each trace's mean recovered atom number (in the order of traces),
+    the number of up-steps and the number of atoms lost over all traces: the
+    same figures estimate_staircase gives trace by trace.
+    """
+    if cal.rate_per_atom <= 0:
+        raise ValueError("rate_per_atom must be positive to quantize occupancy")
+    means = np.empty(len(traces))
+    loads = 0
+    lost = 0
+    for positions, rates in _rates_by_layout(traces):
+        stair = _staircase_rows(rates, cal.rate_per_atom)
+        means[positions] = stair.mean(axis=1)
+        steps = np.diff(stair, axis=1, prepend=0)
+        loads += int(steps[steps > 0].sum())
+        lost -= int(steps[steps < 0].sum())
+    return means, loads, lost
+
+
+def _pooled_rates(traces: "list[FluorescenceTrace]") -> np.ndarray:
+    """Background-subtracted detect rates of all traces, concatenated in order."""
+    rows: list[np.ndarray | None] = [None] * len(traces)
+    for positions, rates in _rates_by_layout(traces):
+        for i, row in zip(positions, rates):
+            rows[i] = row
+    return np.concatenate(rows)
 
 
 def _gaussian(x, amp, mu, sigma):
@@ -325,7 +402,7 @@ def build_histogram(
         raise ValueError("need at least one trace")
     if cal.rate_per_atom <= 0:
         raise ValueError("rate_per_atom must be positive")
-    pooled = np.concatenate([subtract_background(t) for t in traces])
+    pooled = _pooled_rates(traces)
     width = cal.rate_per_atom / 20.0
     lo = math.floor(pooled.min() / width) * width
     hi = math.ceil(pooled.max() / width) * width

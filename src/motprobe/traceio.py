@@ -56,7 +56,7 @@ def trace_to_dict(trace: FluorescenceTrace) -> dict:
             "off": list(seg.off),
             "background": list(seg.background),
         },
-        "counts": [int(c) for c in trace.counts],
+        "counts": trace.counts.tolist(),
     }
 
 

@@ -17,7 +17,13 @@ from motprobe.config import ConfigError, GridSpec, RunConfig, load_config
 from motprobe.inference import BinnedDataset, NrbBin, bin_by_nrb
 from motprobe.photon import estimate_staircase
 from motprobe.physics import PhysicalParams, steady_state_mean
-from motprobe.traceio import read_bins_csv, read_traces_jsonl, write_bins_csv
+from motprobe.traceio import (
+    TraceFileError,
+    read_bins_csv,
+    read_traces_jsonl,
+    trace_from_dict,
+    write_bins_csv,
+)
 
 UM = 1e-4
 
@@ -144,6 +150,15 @@ class TestSimulateDeterminism:
         assert main(["simulate", "--config", str(cfg), "--traces", "0"]) == 2
         assert main(["simulate", "--config", str(cfg), "--workers", "0"]) == 2
 
+    def test_negative_seed_is_usage_error_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "neg" / "traces.jsonl"
+        assert main([
+            "simulate", "--seed", "-1", "--traces", "1", "--out", str(out),
+            "--dump-trajectories",
+        ]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.parent.exists()
+
 
 class TestQuietSource:
     def test_all_rates_zero_gives_one_background_trace(self, tmp_path):
@@ -227,6 +242,25 @@ class TestAnalyze:
         bad.write_text('{"trace_id": "x"\n')
         assert main(["analyze", str(bad), "--out", str(tmp_path / "x")]) == 1
         assert "line 1" in capsys.readouterr().err
+
+    def test_empty_detect_segment_is_located(self, tmp_path, capsys, recwarn):
+        good = {
+            "trace_id": "good", "n_rb": 0.0, "bin_s": 0.02,
+            "segments": {"detect": [0, 2], "off": [2, 3], "background": [3, 5]},
+            "counts": [100, 100, 0, 100, 100],
+        }
+        empty = dict(
+            good, trace_id="empty", counts=[0, 100, 100],
+            segments={"detect": [0, 0], "off": [0, 1], "background": [1, 3]},
+        )
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(good) + "\n" + json.dumps(empty) + "\n")
+        assert main(["analyze", str(bad), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert "line 2" in err and "detect" in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        with pytest.raises(TraceFileError, match="line 7"):
+            trace_from_dict(empty, 7)
 
 
 def crafted_bins_csv(path, params, gamma_zero=False):
@@ -320,6 +354,23 @@ class TestFit:
         steady = json.loads((out_dir / "report.json").read_text())["steady_bins"]
         assert steady and set(steady) <= set(grid)
         assert max(steady) <= 3410.0
+
+    @pytest.mark.parametrize("count", ["-5", "1"])
+    def test_bootstrap_count_is_checked_up_front(self, tmp_path, capsys, count):
+        params = PhysicalParams(
+            r0=1.48, alpha=2.3e-4, gamma=0.03, beta_rbcs=1.6e-10,
+            beta_cscs=0.0, w_cs=6.6 * UM, w_rb=26.4 * UM,
+        )
+        csv_path = tmp_path / "bins.csv"
+        crafted_bins_csv(csv_path, params)
+        out_dir = tmp_path / "fit"
+        assert main([
+            "fit", str(csv_path), "--out", str(out_dir), "--bootstrap", count,
+        ]) == 2
+        assert "--bootstrap" in capsys.readouterr().err
+        assert not out_dir.exists()
+        # Checked before the input is even read.
+        assert main(["fit", str(tmp_path / "missing.jsonl"), "--bootstrap", count]) == 2
 
     def test_unknown_suffix_is_usage_error(self, tmp_path, capsys):
         stray = tmp_path / "data.txt"

@@ -1,0 +1,307 @@
+"""Exactness of the batched photon layer against trace-by-trace references.
+
+The staircase, the pooled rates and the occupancy profile run on whole
+arrays. The references below are the loop forms they replace: a per-trace
+staircase through scipy's median filter and the per-segment, per-bin
+occupancy accumulation. The arithmetic is the same operation for operation,
+so every comparison here asks for equality, not closeness.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.ndimage import median_filter
+
+from motprobe.gillespie import (
+    EventKind,
+    ExperimentSchedule,
+    Trajectory,
+    derive_seed,
+    simulate_trajectory,
+)
+from motprobe.inference import bin_by_nrb
+from motprobe.photon import (
+    DetectionCalibration,
+    FluorescenceTrace,
+    SegmentMap,
+    _pooled_rates,
+    build_histogram,
+    estimate_staircase,
+    occupancy_profile,
+    subtract_background,
+    summarize_staircases,
+    synthesize_counts,
+)
+from motprobe.physics import PhysicalParams
+
+UM = 1e-4
+
+DEFAULTS = PhysicalParams(
+    r0=1.48, alpha=2.3e-4, gamma=0.03,
+    beta_rbcs=1.6e-10, beta_cscs=0.0,
+    w_cs=6.6 * UM, w_rb=26.4 * UM,
+)
+PAIR_LOSS = PhysicalParams(
+    r0=10.0, alpha=2.3e-4, gamma=0.03,
+    beta_rbcs=1.6e-10, beta_cscs=2e-9,
+    w_cs=6.6 * UM, w_rb=26.4 * UM,
+)
+
+CAL = DetectionCalibration(
+    rate_per_atom=1e4, background_rate=5e3, dark_rate=0.0, bin_s=0.02
+)
+
+
+# ----------------------------------------------------------------------------
+# References: the trace-by-trace loops
+# ----------------------------------------------------------------------------
+
+def reference_rates(trace):
+    bg_rate = trace.background_counts.mean() / trace.bin_s
+    return trace.detect_counts / trace.bin_s - bg_rate
+
+
+def reference_staircase(trace, cal):
+    """Staircase, load events and loss events, one trace at a time."""
+    raw = np.rint(reference_rates(trace) / cal.rate_per_atom).astype(int)
+    np.clip(raw, 0, None, out=raw)
+    stair = median_filter(raw, size=3, mode="nearest")
+    steps = np.diff(np.concatenate(([0], stair)))
+    loads, losses = [], []
+    for i in np.nonzero(steps)[0]:
+        d = int(steps[i])
+        if d > 0:
+            loads.extend([int(i)] * d)
+        else:
+            k = -d
+            while k >= 2:
+                losses.append((int(i), 2))
+                k -= 2
+            if k == 1:
+                losses.append((int(i), 1))
+    return stair, loads, losses
+
+
+def reference_occupancy(traj, n_bins, bin_s):
+    """Per-segment, per-bin accumulation of the piecewise-constant level."""
+    occ = np.zeros(n_bins)
+    horizon = n_bins * bin_s
+
+    def accumulate(a, b, level):
+        if level == 0 or b <= a:
+            return
+        first = int(a / bin_s)
+        last = min(int(math.ceil(b / bin_s)) - 1, n_bins - 1)
+        for i in range(first, last + 1):
+            lo = max(a, i * bin_s)
+            hi = min(b, (i + 1) * bin_s)
+            if hi > lo:
+                occ[i] += level * (hi - lo)
+
+    t_prev, level = 0.0, 0
+    for t, _, n_after in traj.events:
+        accumulate(t_prev, min(t, horizon), level)
+        t_prev, level = t, n_after
+    accumulate(t_prev, horizon, level)
+    return occ / bin_s
+
+
+# ----------------------------------------------------------------------------
+# Crafted count traces
+# ----------------------------------------------------------------------------
+
+def random_trace(rng, n_detect, trace_id, *, bin_s=0.02, bg_rate=5e3):
+    """Poisson counts over a random piecewise level of 0-5 atoms.
+
+    Levels change at random bins (drops of several atoms included) and some
+    bins flicker, so the median filter and the event read-out see every case.
+    """
+    n_off, n_bg = 3, 5
+    levels = np.empty(n_detect, dtype=int)
+    level = int(rng.integers(0, 6))
+    for i in range(n_detect):
+        if rng.random() < 0.08:
+            level = int(rng.integers(0, 6))
+        levels[i] = level
+    flicker = rng.random(n_detect) < 0.05
+    levels[flicker] = rng.integers(0, 6, flicker.sum())
+    lam = (levels * CAL.rate_per_atom + bg_rate) * bin_s
+    counts = np.concatenate([
+        rng.poisson(lam),
+        rng.poisson(0.0, n_off),
+        # A brighter background segment drives the subtracted rates negative.
+        rng.poisson(bg_rate * bin_s * rng.choice([1.0, 1.0, 3.0]), n_bg),
+    ])
+    return FluorescenceTrace(
+        trace_id=trace_id, n_rb=0.0, bin_s=bin_s,
+        segments=SegmentMap(
+            detect=(0, n_detect),
+            off=(n_detect, n_detect + n_off),
+            background=(n_detect + n_off, n_detect + n_off + n_bg),
+        ),
+        counts=counts,
+    )
+
+
+@pytest.fixture(scope="module")
+def mixed_traces():
+    """Traces of detect length 1, 2, 3 and 150, interleaved."""
+    rng = np.random.default_rng(20240611)
+    lengths = [1, 2, 3, 150] * 40
+    rng.shuffle(lengths)
+    return [random_trace(rng, n, f"t{i:03d}") for i, n in enumerate(lengths)]
+
+
+class TestStaircaseKernel:
+    @pytest.mark.parametrize("n_detect", [1, 2, 3, 150])
+    def test_single_trace_matches_median_filter(self, n_detect):
+        rng = np.random.default_rng(n_detect)
+        for k in range(60):
+            trace = random_trace(rng, n_detect, f"t{k}")
+            stair, loads, losses = reference_staircase(trace, CAL)
+            est = estimate_staircase(trace, CAL)
+            assert est.staircase.dtype.kind == "i"
+            assert np.array_equal(est.staircase, stair)
+            assert est.load_events == loads
+            assert est.loss_events == losses
+            assert np.array_equal(subtract_background(trace), reference_rates(trace))
+
+    def test_cases_are_covered(self, mixed_traces):
+        # The crafted traces do reach negative rates and multi-atom drops.
+        rates = np.concatenate([reference_rates(t) for t in mixed_traces])
+        assert (rates < -0.5 * CAL.rate_per_atom).any()
+        drops = [
+            mult
+            for t in mixed_traces
+            for _, mult in reference_staircase(t, CAL)[2]
+        ]
+        assert 2 in drops
+
+    def test_summary_matches_trace_by_trace(self, mixed_traces):
+        means, loads, lost = summarize_staircases(mixed_traces, CAL)
+        ref_means, ref_loads, ref_lost = [], 0, 0
+        for t in mixed_traces:
+            stair, up, down = reference_staircase(t, CAL)
+            ref_means.append(float(stair.mean()))
+            ref_loads += len(up)
+            ref_lost += sum(mult for _, mult in down)
+        assert np.array_equal(means, np.array(ref_means))
+        assert (loads, lost) == (ref_loads, ref_lost)
+
+    def test_pooled_rates_keep_trace_order(self, mixed_traces):
+        pooled = _pooled_rates(mixed_traces)
+        assert np.array_equal(
+            pooled, np.concatenate([reference_rates(t) for t in mixed_traces])
+        )
+
+    def test_errors_name_the_first_failing_trace(self):
+        good = random_trace(np.random.default_rng(1), 5, "good")
+        lone = FluorescenceTrace(
+            trace_id="lone", n_rb=0.0, bin_s=0.02,
+            segments=SegmentMap(detect=(0, 4), off=(4, 6), background=(6, 6)),
+            counts=np.zeros(6, dtype=int),
+        )
+        with pytest.raises(ValueError, match="'lone'"):
+            summarize_staircases([good, lone, good], CAL)
+        with pytest.raises(ValueError, match="'lone'"):
+            build_histogram([good, lone], CAL)
+        dark = DetectionCalibration(rate_per_atom=0.0)
+        with pytest.raises(ValueError, match="rate_per_atom"):
+            summarize_staircases([lone], dark)
+
+
+class TestMixedLayoutBin:
+    def test_bin_fields_match_trace_by_trace(self):
+        """One bin mixing two detect lengths (and a second bin width)."""
+        layouts = [
+            (ExperimentSchedule(detect_s=3.0), CAL),
+            (ExperimentSchedule(detect_s=1.5), CAL),
+            (
+                ExperimentSchedule(detect_s=1.0, off_s=0.5, background_s=0.2),
+                DetectionCalibration(bin_s=0.01),
+            ),
+        ]
+        traces = []
+        for ti in range(30):
+            sched, cal = layouts[ti % len(layouts)]
+            traj = simulate_trajectory(1100.0, DEFAULTS, sched, derive_seed(5, 0, ti))
+            traces.append(synthesize_counts(
+                traj, cal, sched, derive_seed(5, 1, ti), trace_id=f"m{ti:02d}"
+            ))
+        (b,) = bin_by_nrb(traces, CAL).bins
+
+        ref_means, loads, lost, detect_time = [], 0, 0, 0.0
+        for t in traces:
+            stair, up, down = reference_staircase(t, CAL)
+            ref_means.append(float(stair.mean()))
+            loads += len(up)
+            lost += sum(mult for _, mult in down)
+            detect_time += len(stair) * t.bin_s
+        ref_means = np.array(ref_means)
+        assert np.array_equal(b.trace_means, ref_means)
+        assert b.n_traces == len(traces)
+        assert b.mean_n_cs == float(ref_means.mean())
+        assert b.se_mean_n_cs == float(ref_means.std(ddof=1) / math.sqrt(len(traces)))
+        assert (b.load_count, b.loss_atoms) == (loads, lost)
+        assert b.detect_time_s == detect_time
+        assert b.loading_rate == loads / detect_time
+        assert b.loss_counts_per_time == lost / detect_time
+        hist = build_histogram(traces, CAL)
+        assert np.array_equal(b.histogram.occurrences, hist.occurrences)
+        assert b.histogram.peaks == hist.peaks
+
+
+# ----------------------------------------------------------------------------
+# Occupancy profile
+# ----------------------------------------------------------------------------
+
+def assert_same_occupancy(traj, n_bins, bin_s):
+    got = occupancy_profile(traj, n_bins, bin_s)
+    assert np.array_equal(got, reference_occupancy(traj, n_bins, bin_s))
+
+
+class TestOccupancyKernel:
+    @pytest.mark.parametrize("params", [DEFAULTS, PAIR_LOSS], ids=["default", "pair_loss"])
+    @pytest.mark.parametrize("n_rb", [0.0, 1100.0, 3300.0])
+    def test_simulated_trajectories(self, params, n_rb):
+        sched = ExperimentSchedule()
+        for seed in range(40):
+            traj = simulate_trajectory(n_rb, params, sched, derive_seed(77, seed))
+            assert_same_occupancy(traj, 150, 0.02)
+            # A horizon shorter than the window leaves events past it.
+            assert_same_occupancy(traj, 70, 0.02)
+
+    def test_events_on_bin_edges_and_past_the_horizon(self):
+        bin_s = 0.02
+        edge = [k * bin_s for k in (1, 2, 5, 7, 10)]
+        events = [
+            (edge[0], EventKind.LOAD, 1),
+            (edge[1], EventKind.LOAD, 2),
+            (0.1, EventKind.LOSS_CSCS_PAIR, 0),  # 0.1 as a literal, near edge 5
+            (edge[3], EventKind.LOAD, 1),
+            (edge[4], EventKind.LOAD, 2),
+            (0.2, EventKind.LOAD, 3),  # exactly on the horizon of 10 bins
+            (0.25, EventKind.LOSS_BG, 2),  # past it
+        ]
+        traj = Trajectory(events=events, t_end=3.0, n_rb=0.0, seed=0)
+        for n_bins in (3, 7, 10, 12, 150):
+            assert_same_occupancy(traj, n_bins, bin_s)
+
+    def test_random_piecewise_levels(self):
+        # Dense events put many segments into one bin, where the order of
+        # the additions shows in the last bits.
+        rng = np.random.default_rng(99)
+        bin_s = 0.02
+        for _ in range(300):
+            m = int(rng.integers(0, 30))
+            on_edge = rng.integers(1, 40, m) * bin_s
+            anywhere = rng.uniform(0.0, rng.choice([0.05, 0.8]), m)
+            times = np.sort(np.where(rng.random(m) < 0.5, on_edge, anywhere))
+            times = np.unique(times[times > 0.0])
+            levels = rng.integers(0, 5, len(times))
+            events = [
+                (float(t), EventKind.LOAD, int(n)) for t, n in zip(times, levels)
+            ]
+            traj = Trajectory(events=events, t_end=1.0, n_rb=0.0, seed=0)
+            assert_same_occupancy(traj, int(rng.integers(1, 40)), bin_s)
