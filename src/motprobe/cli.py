@@ -16,6 +16,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -220,6 +221,9 @@ def cmd_fit(args) -> int:
     if args.bootstrap < 0 or args.bootstrap == 1:
         print("error: --bootstrap must be 0 (skip) or >= 2", file=sys.stderr)
         return 2
+    if not 0 <= args.tol < math.inf:
+        print("error: --tol must be finite and >= 0", file=sys.stderr)
+        return 2
     cfg = load_config(args.config)
     binned = _load_binned(args.input, cfg)
     if binned is None:
@@ -305,6 +309,12 @@ def cmd_fit(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    kwargs = {"master_seed": args.seed}
+    if args.runs is not None:
+        if args.runs < 2:
+            print("error: --runs must be >= 2", file=sys.stderr)
+            return 2
+        kwargs["runs"] = args.runs
     checks = []
     if args.which in ("overlap", "all"):
         checks.extend(overlap_checks())
@@ -315,14 +325,8 @@ def cmd_oracle(args) -> int:
             ("default-2200", 2200.0, params),
             ("no-companion", 0.0, params),
         ]
-        kwargs = {"master_seed": args.seed}
-        if args.runs is not None:
-            kwargs["runs"] = args.runs
         checks.extend(transient_checks(sets, **kwargs))
     if args.which in ("poisson", "all"):
-        kwargs = {"master_seed": args.seed}
-        if args.runs is not None:
-            kwargs["runs"] = args.runs
         checks.append(poisson_end_state_check(**kwargs))
 
     for c in checks:

@@ -226,8 +226,8 @@ def classify_steady_state(
     run of such bins taken from the high-companion-number side; anything
     below the first failure stays transient.
     """
-    if tol < 0:
-        raise ValueError(f"tol must be non-negative, got {tol!r}")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     order = np.argsort([b.center for b in binned.bins])
     labels = ["transient"] * len(binned.bins)
     for i in reversed(order):

@@ -127,6 +127,12 @@ def transient_mean_ensemble(
     return mean, se
 
 
+def _check_runs(runs: int) -> None:
+    # One run gives no standard error and no spread to test against.
+    if runs < 2:
+        raise ValueError(f"runs must be >= 2, got {runs!r}")
+
+
 def transient_checks(
     param_sets: "list[tuple[str, float, PhysicalParams]]",
     runs: int = 10000,
@@ -139,6 +145,7 @@ def transient_checks(
     param_sets holds (label, n_rb, params) entries; each is checked at
     n_checkpoints times spread over the detection window.
     """
+    _check_runs(runs)
     checks = []
     for label, n_rb, params in param_sets:
         checkpoints = np.linspace(0.3, 3.0, n_checkpoints)
@@ -168,6 +175,7 @@ def poisson_end_state_check(
 ) -> OracleCheck:
     """End-of-window occupancy of a pure immigration-death trap against the
     Poisson law with rate load/gamma, via chi-square with tail pooling."""
+    _check_runs(runs)
     params = PhysicalParams(
         r0=load, alpha=0.0, gamma=gamma, beta_rbcs=0.0, beta_cscs=0.0,
         w_cs=1e-4, w_rb=1e-4,

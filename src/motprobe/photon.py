@@ -3,20 +3,20 @@
 Forward direction: turn a simulated trajectory into Poisson photon counts in
 fixed time bins, including the light-off and background segments of the shot.
 Inverse direction: background subtraction, integer staircase estimation with
-a short median filter, pooled count-rate histograms with per-peak Gaussian
-fits, and a Poisson fit to the peak weights. The inverse steps run on a
-(traces x bins) count matrix, one per segment layout, so a whole bin of
-traces is processed at once; the single-trace functions are the one-row case.
+a short median filter, pooled count-rate histograms whose integer-atom peaks
+are counted in rounding cells, and a Poisson fit to the peak weights. The
+inverse steps run on a (traces x bins) count matrix, one per segment layout,
+so a whole bin of traces is processed at once; the single-trace functions are
+the one-row case.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import stats
 
 from .gillespie import ExperimentSchedule, Trajectory
 
@@ -153,6 +153,12 @@ class AtomNumberEstimate:
 
 @dataclass(frozen=True)
 class GaussianPeak:
+    """One integer-atom peak: the pooled rates that round to n_atoms.
+
+    weight and sample_count are the number of those rates, center and width
+    their mean and standard deviation (1/s).
+    """
+
     n_atoms: int
     center: float
     width: float
@@ -162,7 +168,12 @@ class GaussianPeak:
 
 @dataclass
 class TraceHistogram:
-    """Histogram of background-subtracted count rates pooled over traces."""
+    """Histogram of background-subtracted count rates pooled over traces.
+
+    peaks are the rounding cells with at least _MIN_PEAK_SAMPLES rates, in
+    order of atom number; poisson_lambda is their weight-weighted mean atom
+    number, None when fewer than two peaks are found.
+    """
 
     bin_edges: np.ndarray
     occurrences: np.ndarray
@@ -285,13 +296,19 @@ def _rates_by_layout(traces: "list[FluorescenceTrace]"):
         yield positions, _detect_rates(counts, seg, bin_s, traces[positions[0]].trace_id)
 
 
+def _whole_atoms(rates: np.ndarray, rate_per_atom: float) -> np.ndarray:
+    """Rates rounded to the nearest non-negative whole atom number."""
+    atoms = np.rint(rates / rate_per_atom).astype(int)
+    np.clip(atoms, 0, None, out=atoms)
+    return atoms
+
+
 def _staircase_rows(rates: np.ndarray, rate_per_atom: float) -> np.ndarray:
     """Whole-atom staircase of every row of rates: rounding to the nearest
     non-negative integer, then a 3-bin median with edges replicated, the
     median of (l, x, r) taken as max(min(l, x), min(max(l, x), r)).
     """
-    raw = np.rint(rates / rate_per_atom).astype(int)
-    np.clip(raw, 0, None, out=raw)
+    raw = _whole_atoms(rates, rate_per_atom)
     padded = np.pad(raw, ((0, 0), (1, 1)), mode="edge")
     left, mid, right = padded[:, :-2], padded[:, 1:-1], padded[:, 2:]
     return np.maximum(
@@ -376,27 +393,20 @@ def _pooled_rates(traces: "list[FluorescenceTrace]") -> np.ndarray:
     return np.concatenate(rows)
 
 
-def _gaussian(x, amp, mu, sigma):
-    return amp * np.exp(-((x - mu) ** 2) / (2.0 * sigma ** 2))
-
-
-# Half-width of the rate window claimed by each integer-atom peak, as a
-# fraction of the per-atom rate. Windows of adjacent peaks stay disjoint.
-_PEAK_WINDOW_FRAC = 0.35
-# Minimum pooled samples inside a window before a peak is fitted.
+# Minimum pooled samples rounding to an atom number before it is a peak.
 _MIN_PEAK_SAMPLES = 5
 
 
 def build_histogram(
     traces: "list[FluorescenceTrace]", cal: DetectionCalibration
 ) -> TraceHistogram:
-    """Pool background-subtracted detect rates and fit the integer-atom peaks.
+    """Pool background-subtracted detect rates and count the integer-atom peaks.
 
-    The histogram uses a fixed bin width of rate_per_atom / 20. For every
-    candidate atom number k, histogram bars within k*rate_per_atom times
-    (1 +- 0.35) are fitted with a local Gaussian; the peak weight is the
-    fitted area in units of samples, capped at the window occupancy so the
-    summed weights can never exceed the pooled bin count.
+    The histogram uses a fixed bin width of rate_per_atom / 20. Every pooled
+    rate is rounded to the nearest non-negative whole atom number, as the
+    staircase does before its median filter; atom number k is a peak when at
+    least _MIN_PEAK_SAMPLES rates round to it, with those samples' count as
+    its weight and their mean and standard deviation as its center and width.
     """
     if not traces:
         raise ValueError("need at least one trace")
@@ -410,61 +420,25 @@ def build_histogram(
         hi = lo + width
     edges = np.arange(lo, hi + 0.5 * width, width)
     occurrences, _ = np.histogram(pooled, bins=edges)
-    centers = 0.5 * (edges[:-1] + edges[1:])
 
+    cells = _whole_atoms(pooled, cal.rate_per_atom)
+    sizes = np.bincount(cells)
     peaks: list[GaussianPeak] = []
-    half = _PEAK_WINDOW_FRAC * cal.rate_per_atom
-    k_max = int(math.ceil(max(pooled.max(), 0.0) / cal.rate_per_atom))
-    for k in range(k_max + 1):
-        c0 = k * cal.rate_per_atom
-        samples = pooled[np.abs(pooled - c0) <= half]
-        n_k = len(samples)
-        if n_k < _MIN_PEAK_SAMPLES:
-            continue
-        sel = (centers >= c0 - half) & (centers <= c0 + half)
-        xs, ys = centers[sel], occurrences[sel].astype(float)
-        sigma0 = math.sqrt((c0 + cal.background_rate) * cal.bin_s) / cal.bin_s
-        sigma0 = min(max(sigma0, width), half)
-        try:
-            with warnings.catch_warnings():
-                # Only the optimum is used, so an inestimable covariance on a
-                # degenerate window is not worth a warning.
-                warnings.simplefilter("ignore", optimize.OptimizeWarning)
-                popt, _ = optimize.curve_fit(
-                    _gaussian,
-                    xs,
-                    ys,
-                    p0=(max(ys.max(), 1.0), float(np.mean(samples)), sigma0),
-                    bounds=(
-                        [0.0, c0 - half, width / 4.0],
-                        [np.inf, c0 + half, 2.0 * half],
-                    ),
-                    maxfev=10000,
-                )
-            amp, mu, sigma = popt
-            area = amp * abs(sigma) * math.sqrt(2.0 * math.pi) / width
-        except (RuntimeError, ValueError):
-            # Degenerate window (for example a single occupied bar); fall back
-            # to sample moments.
-            mu = float(np.mean(samples))
-            sigma = float(np.std(samples))
-            area = float(n_k)
+    for k in np.flatnonzero(sizes >= _MIN_PEAK_SAMPLES):
+        samples = pooled[cells == k]
         peaks.append(
             GaussianPeak(
-                n_atoms=k,
-                center=float(mu),
-                width=float(abs(sigma)),
-                weight=float(min(area, n_k)),
-                sample_count=n_k,
+                n_atoms=int(k),
+                center=float(samples.mean()),
+                width=float(samples.std()),
+                weight=float(sizes[k]),
+                sample_count=int(sizes[k]),
             )
         )
 
     hist = TraceHistogram(bin_edges=edges, occurrences=occurrences, peaks=peaks)
     if len(peaks) >= 2:
-        try:
-            hist.poisson_lambda = fit_poisson(hist).lam
-        except ValueError:
-            pass
+        hist.poisson_lambda = fit_poisson(hist).lam
     return hist
 
 

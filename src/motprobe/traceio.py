@@ -16,7 +16,7 @@ import numpy as np
 
 from .gillespie import Trajectory
 from .inference import BinnedDataset, NrbBin
-from .photon import AtomNumberEstimate, FluorescenceTrace, SegmentMap, TraceHistogram
+from .photon import FluorescenceTrace, SegmentMap, TraceHistogram
 
 __all__ = [
     "TraceFileError",
@@ -27,7 +27,6 @@ __all__ = [
     "trajectory_to_dict",
     "write_trajectories_jsonl",
     "write_histogram_csv",
-    "write_staircase_csv",
     "BIN_CSV_COLUMNS",
     "bin_to_row",
     "write_bins_csv",
@@ -75,6 +74,11 @@ def trace_from_dict(obj: dict, line_number: int | None = None) -> FluorescenceTr
             off=tuple(int(v) for v in seg_raw["off"]),
             background=tuple(int(v) for v in seg_raw["background"]),
         )
+        # SegmentMap allows it, but background subtraction needs one bin.
+        if segments.background[1] == segments.background[0]:
+            raise ValueError(
+                f"the background segment must hold at least one bin, got {segments!r}"
+            )
         return FluorescenceTrace(
             trace_id=str(obj["trace_id"]),
             n_rb=float(obj["n_rb"]),
@@ -139,14 +143,6 @@ def write_histogram_csv(path: "str | Path", hist: TraceHistogram) -> None:
         writer.writerow(["bin_center", "occurrences"])
         for center, occ in zip(hist.bin_centers, hist.occurrences):
             writer.writerow([repr(float(center)), int(occ)])
-
-
-def write_staircase_csv(path: "str | Path", estimate: AtomNumberEstimate) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_index", "n_cs"])
-        for i, n in enumerate(estimate.staircase):
-            writer.writerow([i, int(n)])
 
 
 BIN_CSV_COLUMNS = [

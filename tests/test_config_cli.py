@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from motprobe import cli
 from motprobe.cli import main
 from motprobe.config import ConfigError, GridSpec, RunConfig, load_config
 from motprobe.inference import BinnedDataset, NrbBin, bin_by_nrb
@@ -262,6 +263,26 @@ class TestAnalyze:
         with pytest.raises(TraceFileError, match="line 7"):
             trace_from_dict(empty, 7)
 
+    def test_empty_background_segment_is_located(self, tmp_path, capsys, recwarn):
+        good = {
+            "trace_id": "good", "n_rb": 0.0, "bin_s": 0.02,
+            "segments": {"detect": [0, 2], "off": [2, 3], "background": [3, 5]},
+            "counts": [100, 100, 0, 100, 100],
+        }
+        nobg = dict(
+            good, trace_id="nobg", counts=[100, 100, 0],
+            segments={"detect": [0, 2], "off": [2, 3], "background": [3, 3]},
+        )
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(good) + "\n" + json.dumps(nobg) + "\n")
+        assert main(["analyze", str(bad), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert "line 2" in err and "background" in err
+        assert not (tmp_path / "x").exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        with pytest.raises(TraceFileError, match="line 7"):
+            trace_from_dict(nobg, 7)
+
 
 def crafted_bins_csv(path, params, gamma_zero=False):
     """Noiseless bins on the default grid: exact loading line, balanced
@@ -372,6 +393,24 @@ class TestFit:
         # Checked before the input is even read.
         assert main(["fit", str(tmp_path / "missing.jsonl"), "--bootstrap", count]) == 2
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_tol_is_checked_up_front(self, tmp_path, capsys, tol):
+        params = PhysicalParams(
+            r0=1.48, alpha=2.3e-4, gamma=0.03, beta_rbcs=1.6e-10,
+            beta_cscs=0.0, w_cs=6.6 * UM, w_rb=26.4 * UM,
+        )
+        csv_path = tmp_path / "bins.csv"
+        crafted_bins_csv(csv_path, params)
+        out_dir = tmp_path / "fit"
+        assert main(["fit", str(csv_path), "--out", str(out_dir), "--tol", tol]) == 2
+        assert "--tol" in capsys.readouterr().err
+        assert not out_dir.exists()
+        # Checked before the config or the input is even read.
+        assert main([
+            "fit", str(tmp_path / "missing.jsonl"),
+            "--config", str(tmp_path / "missing.json"), "--tol", tol,
+        ]) == 2
+
     def test_unknown_suffix_is_usage_error(self, tmp_path, capsys):
         stray = tmp_path / "data.txt"
         stray.write_text("whatever")
@@ -403,6 +442,22 @@ class TestOracleCommand:
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["oracle", "bogus"]) == 2
+
+    @pytest.mark.parametrize(
+        "which, runs",
+        [("poisson", "0"), ("poisson", "1"), ("transient", "-3"), ("transient", "1"),
+         ("all", "1")],
+    )
+    def test_runs_below_two_is_usage_error(self, monkeypatch, capsys, which, runs):
+        def never(*args, **kwargs):
+            raise AssertionError("simulated before --runs was checked")
+
+        monkeypatch.setattr(cli, "transient_checks", never)
+        monkeypatch.setattr(cli, "poisson_end_state_check", never)
+        assert main(["oracle", which, "--runs", runs]) == 2
+        captured = capsys.readouterr()
+        assert "--runs" in captured.err
+        assert captured.out == ""
 
 
 class TestIntegerKeys:

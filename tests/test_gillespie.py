@@ -23,6 +23,7 @@ from motprobe.gillespie import (
 from motprobe.oracles import (
     poisson_chi2,
     poisson_end_state_check,
+    transient_checks,
     transient_mean_ensemble,
 )
 from motprobe.physics import PhysicalParams, transient_mean
@@ -236,6 +237,14 @@ class TestAgainstClosedForms:
     def test_stationary_occupancy_is_poisson(self):
         check = poisson_end_state_check()
         assert check.passed, check.detail
+
+    @pytest.mark.parametrize("runs", [1, 0, -3])
+    def test_checks_refuse_fewer_than_two_runs(self, runs):
+        # One run has no standard error: it must not read as |z| 0 or chi2 0.
+        with pytest.raises(ValueError, match="runs"):
+            transient_checks([("x", 0.0, DEFAULTS)], runs=runs)
+        with pytest.raises(ValueError, match="runs"):
+            poisson_end_state_check(runs=runs)
 
     def test_poisson_chi2_flags_wrong_rate(self):
         rng = np.random.default_rng(8)

@@ -78,7 +78,7 @@ def test_oracle_stream_is_pinned(capsys, which):
 # seed 1234. The staircase, the histograms, the loading and beta fits, the
 # bootstrap and the CSV/JSON formatting all feed these bytes.
 GOLDEN_ANALYSIS = {
-    "analysis/bins.csv": "9194657c26470feff91b45190cf5f61dfb39176dd75064de95ad1ff0d21b2dc0",
+    "analysis/bins.csv": "66f9b8826ecc70cb451edccece26765a8d3248f8305d228f10504ec18412208a",
     "analysis/hist_nrb00000.csv": "4778c4f9d040d91919a4a48893ef0cb13613995eb5576e1c7179dade178e75c0",
     "analysis/hist_nrb00220.csv": "3a26ace06384e4235559fabf435f52e008168b2ca2445b51b8178437cfa74346",
     "analysis/hist_nrb00440.csv": "7d1ff8f8fbaba5d55c8920846e743d096ff6d562c7f7457611812210b2e1164f",
@@ -95,7 +95,7 @@ GOLDEN_ANALYSIS = {
     "analysis/hist_nrb02860.csv": "ec594743f4f43d3b16b117693d18e6ba47727cbbc86b759108bf64d461bcc42d",
     "analysis/hist_nrb03080.csv": "453ffc22341fc194e3fe9510ac9d5c560c023e40450c677272964d17a39c48d7",
     "analysis/hist_nrb03300.csv": "b32c80122a4b4fde40dd86d6fcba74b6c013166de7861ceb3914f601d33375c6",
-    "fit/fit_bins.csv": "fd0f475ac63a5532dd567dcdbff5db8a9b5f00e38b58f34e9ec4f3b6e1f1d0ad",
+    "fit/fit_bins.csv": "4daced4e67d0e5ad4e5315309134af79d77f26b0a396cd51aa99599c80bcd63a",
     "fit/report.json": "67dc4a1423ce724400b4b0239b2c99233fd585505afc2bff3ef808d392381b97",
     "fit/steady_state_curve.csv": "570a6672d6de9ba088f1100179f0f4db7094a23f6d470c2f1f8c56fa38e73ee6",
 }

@@ -1,10 +1,11 @@
 """Exactness of the batched photon layer against trace-by-trace references.
 
-The staircase, the pooled rates and the occupancy profile run on whole
-arrays. The references below are the loop forms they replace: a per-trace
-staircase through scipy's median filter and the per-segment, per-bin
-occupancy accumulation. The arithmetic is the same operation for operation,
-so every comparison here asks for equality, not closeness.
+The staircase, the pooled rates, the histogram peaks and the occupancy
+profile run on whole arrays. The references below are the loop forms they
+replace: a per-trace staircase through scipy's median filter, one rounding
+cell per atom number, and the per-segment, per-bin occupancy accumulation.
+The arithmetic is the same operation for operation, so every comparison
+here asks for equality, not closeness.
 """
 
 import math
@@ -209,6 +210,50 @@ class TestStaircaseKernel:
         dark = DetectionCalibration(rate_per_atom=0.0)
         with pytest.raises(ValueError, match="rate_per_atom"):
             summarize_staircases([lone], dark)
+
+
+def steady_trace(level, n_detect, trace_id):
+    """Noise-free counts at a fixed whole-atom level over a 5e3 /s background."""
+    bg = 5e3 * CAL.bin_s
+    counts = np.concatenate([
+        np.full(n_detect, level * CAL.rate_per_atom * CAL.bin_s + bg),
+        np.zeros(2),
+        np.full(4, bg),
+    ]).astype(int)
+    return FluorescenceTrace(
+        trace_id=trace_id, n_rb=0.0, bin_s=CAL.bin_s,
+        segments=SegmentMap(
+            detect=(0, n_detect),
+            off=(n_detect, n_detect + 2),
+            background=(n_detect + 2, n_detect + 6),
+        ),
+        counts=counts,
+    )
+
+
+class TestHistogramCells:
+    def test_peaks_are_rounding_cells(self, mixed_traces):
+        # Five rates at 7 atoms make a peak, three at 9 do not.
+        traces = mixed_traces + [steady_trace(7, 5, "seven"), steady_trace(9, 3, "nine")]
+        rates = np.concatenate([reference_rates(t) for t in traces])
+        cells = np.clip(np.rint(rates / CAL.rate_per_atom).astype(int), 0, None)
+        sizes = np.bincount(cells)
+        assert (sizes[7], sizes[9]) == (5, 3)
+        expected = [
+            (k, float(sizes[k]), int(sizes[k]),
+             float(rates[cells == k].mean()), float(rates[cells == k].std()))
+            for k in range(len(sizes))
+            if sizes[k] >= 5
+        ]
+        hist = build_histogram(traces, CAL)
+        got = [
+            (p.n_atoms, p.weight, p.sample_count, p.center, p.width)
+            for p in hist.peaks
+        ]
+        assert got == expected
+        ks = [k for k, *_ in expected]
+        ns = [n for _, n, *_ in expected]
+        assert hist.poisson_lambda == sum(k * n for k, n in zip(ks, ns)) / sum(ns)
 
 
 class TestMixedLayoutBin:
