@@ -21,7 +21,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -39,7 +39,7 @@ from .inference import (
     fit_loading_rate,
     propagate_systematics,
 )
-from .photon import synthesize_counts
+from .photon import segment_map_for, synthesize_bin
 from .physics import steady_state_mean
 from .oracles import overlap_checks, poisson_end_state_check, transient_checks
 from .traceio import (
@@ -47,7 +47,7 @@ from .traceio import (
     BIN_CSV_COLUMNS,
     read_bins_csv,
     read_traces_jsonl,
-    trace_to_dict,
+    trace_record,
     trajectory_to_dict,
     write_bins_csv,
     write_curve_csv,
@@ -59,27 +59,45 @@ __all__ = ["main"]
 
 
 def _simulate_bin_job(job, params, cal, schedule, master_seed, dump):
-    """One companion-number bin: a JSON line per trace, and per trajectory
-    when dump is set, in trace order.
+    """One companion-number bin: its JSON lines of traces, and of
+    trajectories when dump is set (else None), in trace order.
 
     Top-level so process pools can pickle it; all randomness flows from seeds
     derived from (master_seed, stream, bin_index, trace_index), making the
     output identical for any worker count or evaluation order.
     """
     bi, n_rb, traces = job
-    trajectories = simulate_bin(n_rb, params, schedule, master_seed, bi, traces)
+    seg = segment_map_for(schedule, cal.bin_s)
+    trajectories = list(simulate_bin(n_rb, params, schedule, master_seed, bi, traces))
     seeds = derive_seeds(master_seed, PHOTON_STREAM, bi, count=traces)
-    lines = []
-    for ti, (traj, seed, rng) in enumerate(
-        zip(trajectories, seeds, seeded_generators(seeds))
-    ):
-        trace_id = f"b{bi:02d}t{ti:04d}"
-        trace = synthesize_counts(
-            traj, cal, schedule, int(seed), trace_id=trace_id, rng=rng
+    counts = synthesize_bin(trajectories, cal, seg, seeded_generators(seeds))
+    trace_ids = [f"b{bi:02d}t{ti:04d}" for ti in range(traces)]
+    trace_text = "".join(
+        json.dumps(trace_record(trace_id, traj.n_rb, cal.bin_s, seg, row)) + "\n"
+        for trace_id, traj, row in zip(trace_ids, trajectories, counts.tolist())
+    )
+    traj_text = None
+    if dump:
+        traj_text = "".join(
+            json.dumps(trajectory_to_dict(trace_id, traj)) + "\n"
+            for trace_id, traj in zip(trace_ids, trajectories)
         )
-        traj_line = json.dumps(trajectory_to_dict(trace_id, traj)) if dump else None
-        lines.append((json.dumps(trace_to_dict(trace)), traj_line))
-    return lines
+    return trace_text, traj_text
+
+
+@contextmanager
+def _replaced_on_success(path: Path):
+    """Write to a temporary file beside path; move it onto path when the
+    block succeeds and remove it when the block fails, so path never holds
+    a partial file."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def cmd_simulate(args) -> int:
@@ -126,23 +144,21 @@ def cmd_simulate(args) -> int:
         dump=args.dump_trajectories,
     )
     t0 = time.perf_counter()
-    n = 0
     with ExitStack() as stack:
-        traj_fh = stack.enter_context(open(traj_path, "w")) if traj_path else None
-        fh = stack.enter_context(open(out_path, "w"))
+        traj_fh = None
+        if traj_path:
+            traj_fh = stack.enter_context(_replaced_on_success(traj_path))
+        fh = stack.enter_context(_replaced_on_success(out_path))
         if workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             results = pool.map(worker, jobs)
         else:
             results = map(worker, jobs)
-        for lines in results:
-            for trace_line, traj_line in lines:
-                fh.write(trace_line)
-                fh.write("\n")
-                if traj_fh:
-                    traj_fh.write(traj_line)
-                    traj_fh.write("\n")
-                n += 1
+        for trace_text, traj_text in results:
+            fh.write(trace_text)
+            if traj_fh:
+                traj_fh.write(traj_text)
+    n = len(jobs) * cfg.traces_per_bin
     elapsed = time.perf_counter() - t0
 
     if not args.quiet:

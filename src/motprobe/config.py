@@ -9,6 +9,7 @@ the physics layer.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -40,6 +41,22 @@ def _require_int(value, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return value
+
+
+def _finite_values(section: dict, keys: set[str], where: str) -> dict[str, float]:
+    """The section's values of keys as floats; anything but a finite number
+    is refused, naming its key."""
+    out = {}
+    for key in sorted(keys):
+        value = section[key]
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            number = math.nan
+        if isinstance(value, bool) or not math.isfinite(number):
+            raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
+        out[key] = number
+    return out
 
 
 @dataclass(frozen=True)
@@ -127,39 +144,39 @@ class RunConfig:
         }
 
     def physical_params(self) -> PhysicalParams:
-        p = self.physics
+        p = _finite_values(self.physics, self._PHYSICS_KEYS, "physics")
         try:
             return PhysicalParams(
-                r0=float(p["r0_per_s"]),
-                alpha=float(p["alpha_per_s_per_rb"]),
-                gamma=float(p["gamma_per_s"]),
-                beta_rbcs=float(p["beta_rbcs_cm3_per_s"]),
-                beta_cscs=float(p["beta_cscs_cm3_per_s"]),
-                w_cs=float(p["w_cs_um"]) * _UM_TO_CM,
-                w_rb=float(p["w_rb_um"]) * _UM_TO_CM,
+                r0=p["r0_per_s"],
+                alpha=p["alpha_per_s_per_rb"],
+                gamma=p["gamma_per_s"],
+                beta_rbcs=p["beta_rbcs_cm3_per_s"],
+                beta_cscs=p["beta_cscs_cm3_per_s"],
+                w_cs=p["w_cs_um"] * _UM_TO_CM,
+                w_rb=p["w_rb_um"] * _UM_TO_CM,
             )
         except ValueError as exc:
             raise ConfigError(f"invalid physics section: {exc}") from exc
 
     def detection_calibration(self) -> DetectionCalibration:
-        c = self.calibration
+        c = _finite_values(self.calibration, self._CAL_KEYS, "calibration")
         try:
             return DetectionCalibration(
-                rate_per_atom=float(c["rate_per_atom_per_s"]),
-                background_rate=float(c["background_rate_per_s"]),
-                dark_rate=float(c["dark_rate_per_s"]),
-                bin_s=float(c["bin_s"]),
+                rate_per_atom=c["rate_per_atom_per_s"],
+                background_rate=c["background_rate_per_s"],
+                dark_rate=c["dark_rate_per_s"],
+                bin_s=c["bin_s"],
             )
         except ValueError as exc:
             raise ConfigError(f"invalid calibration section: {exc}") from exc
 
     def experiment_schedule(self) -> ExperimentSchedule:
-        s = self.schedule
+        s = _finite_values(self.schedule, self._SCHED_KEYS, "schedule")
         try:
             return ExperimentSchedule(
-                detect_s=float(s["detect_s"]),
-                off_s=float(s["off_s"]),
-                background_s=float(s["background_s"]),
+                detect_s=s["detect_s"],
+                off_s=s["off_s"],
+                background_s=s["background_s"],
             )
         except ValueError as exc:
             raise ConfigError(f"invalid schedule section: {exc}") from exc

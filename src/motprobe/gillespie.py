@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import enum
 import functools
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -83,8 +84,8 @@ class ExperimentSchedule:
     def __post_init__(self) -> None:
         for name in ("detect_s", "off_s", "background_s"):
             value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
     @property
     def total_s(self) -> float:

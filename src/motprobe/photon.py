@@ -1,18 +1,21 @@
 """Photon-count synthesis and atom-number recovery.
 
-Forward direction: turn a simulated trajectory into Poisson photon counts in
-fixed time bins, including the light-off and background segments of the shot.
-Inverse direction: background subtraction, integer staircase estimation with
-a short median filter, pooled count-rate histograms whose integer-atom peaks
-are counted in rounding cells, and a Poisson fit to the peak weights. The
-inverse steps run on a (traces x bins) count matrix, one per segment layout,
-so a whole bin of traces is processed at once; the single-trace functions are
-the one-row case.
+Forward direction: turn simulated trajectories into Poisson photon counts in
+fixed time bins, including the light-off and background segments of each
+shot. A bin of shots is synthesized at once: one occupancy matrix, one
+matrix of Poisson means and one draw per shot on its own generator.
+Inverse direction: background subtraction, integer staircase estimation
+with a short median filter, pooled count-rate histograms whose integer-atom
+peaks are counted in rounding cells, and a Poisson fit to the peak weights.
+The inverse steps run on a (traces x bins) count matrix, one per segment
+layout. In both directions a whole bin of traces is processed at once and
+the single-trace functions are the one-row case.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +33,8 @@ __all__ = [
     "PoissonFit",
     "segment_map_for",
     "occupancy_profile",
+    "count_means",
+    "synthesize_bin",
     "synthesize_counts",
     "subtract_background",
     "estimate_staircase",
@@ -55,10 +60,12 @@ class DetectionCalibration:
     bin_s: float = 0.02
 
     def __post_init__(self) -> None:
-        if self.rate_per_atom < 0 or self.background_rate < 0 or self.dark_rate < 0:
-            raise ValueError("count rates must be non-negative")
-        if not self.bin_s > 0:
-            raise ValueError(f"bin_s must be positive, got {self.bin_s!r}")
+        for name in ("rate_per_atom", "background_rate", "dark_rate"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+        if not (math.isfinite(self.bin_s) and self.bin_s > 0):
+            raise ValueError(f"bin_s must be finite and positive, got {self.bin_s!r}")
 
 
 @dataclass(frozen=True)
@@ -193,23 +200,31 @@ class PoissonFit:
     p_value: float
 
 
-def occupancy_profile(traj: Trajectory, n_bins: int, bin_s: float) -> np.ndarray:
-    """Time-averaged atom number in each detection bin.
+def _occupancy_rows(
+    trajectories: "Sequence[Trajectory]", n_bins: int, bin_s: float
+) -> np.ndarray:
+    """Time-averaged atom number in each detection bin, one row per trajectory.
 
-    The trajectory is piecewise constant; the last level persists to the end
-    of the detection window. Every (constant segment, bin) overlap is built
-    at once and summed per bin in segment order.
+    Each trajectory is piecewise constant from an empty trap at 0; its last
+    level persists to the end of the detection window. Segment e runs from
+    event e to the trajectory's next event (or to the horizon) at that
+    event's level. Every (segment, bin) overlap of all trajectories is built
+    at once and summed by one bincount over trace * n_bins + bin, in trace
+    then segment order, so each row is summed exactly as it would be alone.
     """
+    n_rows = len(trajectories)
     horizon = n_bins * bin_s
-    n = len(traj.events)
-    t = np.fromiter((e[0] for e in traj.events), float, n)
-    # Segment k runs from start[k] to stop[k] at level[k]; the first starts
-    # empty at 0, the last runs to the horizon.
-    start = np.concatenate(([0.0], t))
-    stop = np.concatenate((np.minimum(t, horizon), [horizon]))
-    level = np.concatenate(([0], np.fromiter((e[2] for e in traj.events), np.int64, n)))
+    sizes = np.fromiter((len(traj.events) for traj in trajectories), np.int64, n_rows)
+    n = int(sizes.sum())
+    start = np.fromiter((e[0] for traj in trajectories for e in traj.events), float, n)
+    level = np.fromiter((e[2] for traj in trajectories for e in traj.events), np.int64, n)
+    row = np.repeat(np.arange(n_rows), sizes)
+    stop = np.empty(n)
+    stop[:-1] = start[1:]
+    stop[np.cumsum(sizes)[sizes > 0] - 1] = horizon
+    np.minimum(stop, horizon, out=stop)
     live = (level != 0) & (stop > start)
-    start, stop, level = start[live], stop[live], level[live]
+    start, stop, level, row = start[live], stop[live], level[live], row[live]
     first = (start / bin_s).astype(np.int64)
     last = np.minimum(np.ceil(stop / bin_s).astype(np.int64) - 1, n_bins - 1)
     span = np.maximum(last - first + 1, 0)
@@ -219,9 +234,57 @@ def occupancy_profile(traj: Trajectory, n_bins: int, bin_s: float) -> np.ndarray
     hi = np.minimum(stop[seg], (idx + 1) * bin_s)
     keep = hi > lo
     occ = np.bincount(
-        idx[keep], weights=level[seg][keep] * (hi - lo)[keep], minlength=n_bins
+        (row[seg] * n_bins + idx)[keep],
+        weights=level[seg][keep] * (hi - lo)[keep],
+        minlength=n_rows * n_bins,
     )
-    return occ / bin_s
+    return occ.reshape(n_rows, n_bins) / bin_s
+
+
+def occupancy_profile(traj: Trajectory, n_bins: int, bin_s: float) -> np.ndarray:
+    """Time-averaged atom number in each detection bin of one trajectory.
+
+    The trajectory is piecewise constant; the last level persists to the end
+    of the detection window.
+    """
+    return _occupancy_rows([traj], n_bins, bin_s)[0]
+
+
+def count_means(
+    trajectories: "Sequence[Trajectory]", cal: DetectionCalibration, seg: SegmentMap
+) -> np.ndarray:
+    """Poisson mean of every count of every shot, one row per trajectory.
+
+    Detect bins see the occupancy-weighted atom signal plus background, the
+    off segment only the dark rate, the background segment only background.
+    """
+    means = np.empty((len(trajectories), seg.n_bins))
+    d0, d1 = seg.detect
+    occ = _occupancy_rows(trajectories, d1 - d0, cal.bin_s)
+    means[:, d0:d1] = (occ * cal.rate_per_atom + cal.background_rate) * cal.bin_s
+    means[:, seg.off[0]:seg.off[1]] = cal.dark_rate * cal.bin_s
+    means[:, seg.background[0]:seg.background[1]] = cal.background_rate * cal.bin_s
+    return means
+
+
+def synthesize_bin(
+    trajectories: "Sequence[Trajectory]",
+    cal: DetectionCalibration,
+    seg: SegmentMap,
+    rngs: "Iterable[np.random.Generator]",
+) -> np.ndarray:
+    """Photon counts of a set of shots, one row per trajectory.
+
+    The Poisson means of all shots form one matrix (count_means); each row
+    is drawn by one rng.poisson call on that shot's own generator, taken
+    from rngs in order. The draws are those of one poisson call per segment
+    in segment order, since numpy draws an array of means element by element.
+    """
+    means = count_means(trajectories, cal, seg)
+    counts = np.empty(means.shape, dtype=np.int64)
+    for out, mean, rng in zip(counts, means, rngs, strict=True):
+        out[:] = rng.poisson(mean)
+    return counts
 
 
 def synthesize_counts(
@@ -233,28 +296,15 @@ def synthesize_counts(
     *,
     rng: np.random.Generator | None = None,
 ) -> FluorescenceTrace:
-    """Draw Poisson photon counts for one shot.
+    """Draw Poisson photon counts for one shot: the one-row synthesize_bin.
 
-    Detect bins see the occupancy-weighted atom signal plus background, the
-    off segment only the dark rate, the background segment only background.
     rng, when given, must be np.random.default_rng(seed), fresh; by default
     it is built here.
     """
     seg = segment_map_for(schedule, cal.bin_s)
-    nd = seg.detect[1] - seg.detect[0]
-    no = seg.off[1] - seg.off[0]
-    nb = seg.background[1] - seg.background[0]
-    occ = occupancy_profile(traj, nd, cal.bin_s)
     if rng is None:
         rng = np.random.default_rng(int(seed))
-    lam_detect = (occ * cal.rate_per_atom + cal.background_rate) * cal.bin_s
-    counts = np.concatenate(
-        [
-            rng.poisson(lam_detect),
-            rng.poisson(cal.dark_rate * cal.bin_s, size=no),
-            rng.poisson(cal.background_rate * cal.bin_s, size=nb),
-        ]
-    )
+    (counts,) = synthesize_bin([traj], cal, seg, [rng])
     if trace_id is None:
         trace_id = f"seed{traj.seed:020d}"
     return FluorescenceTrace(

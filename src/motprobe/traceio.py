@@ -20,6 +20,7 @@ from .photon import FluorescenceTrace, SegmentMap, TraceHistogram
 
 __all__ = [
     "TraceFileError",
+    "trace_record",
     "trace_to_dict",
     "trace_from_dict",
     "write_traces_jsonl",
@@ -44,19 +45,48 @@ class TraceFileError(ValueError):
         self.line_number = line_number
 
 
-def trace_to_dict(trace: FluorescenceTrace) -> dict:
-    seg = trace.segments
+def trace_record(
+    trace_id: str, n_rb: float, bin_s: float, segments: SegmentMap, counts: list
+) -> dict:
+    """The JSON object of one trace line; counts is a list of ints.
+
+    trace_to_dict and the simulate stage both serialize through it, so the
+    key order of the file has one definition.
+    """
     return {
-        "trace_id": trace.trace_id,
-        "n_rb": trace.n_rb,
-        "bin_s": trace.bin_s,
+        "trace_id": trace_id,
+        "n_rb": n_rb,
+        "bin_s": bin_s,
         "segments": {
-            "detect": list(seg.detect),
-            "off": list(seg.off),
-            "background": list(seg.background),
+            "detect": list(segments.detect),
+            "off": list(segments.off),
+            "background": list(segments.background),
         },
-        "counts": trace.counts.tolist(),
+        "counts": counts,
     }
+
+
+def trace_to_dict(trace: FluorescenceTrace) -> dict:
+    return trace_record(
+        trace.trace_id, trace.n_rb, trace.bin_s, trace.segments, trace.counts.tolist()
+    )
+
+
+def _counts_array(raw) -> np.ndarray:
+    """counts as int64, refusing what a cast would truncate, wrap or reshape.
+
+    The dtype numpy infers for the list tells it all: floats, booleans,
+    unsigned (past int64) and object (past uint64, or mixed) arrays are
+    refused, as is any shape but one dimension.
+    """
+    counts = np.asarray(raw)
+    if counts.ndim != 1:
+        raise ValueError(f"counts must be a flat list, got shape {counts.shape}")
+    if counts.dtype.kind != "i" and counts.size:
+        raise ValueError(
+            f"counts must be integers within int64, got {counts.dtype} values"
+        )
+    return counts.astype(np.int64, copy=False)
 
 
 def trace_from_dict(obj: dict, line_number: int | None = None) -> FluorescenceTrace:
@@ -64,29 +94,41 @@ def trace_from_dict(obj: dict, line_number: int | None = None) -> FluorescenceTr
     missing = required - set(obj)
     if missing:
         raise TraceFileError(f"missing key(s): {', '.join(sorted(missing))}", line_number)
-    seg_raw = obj["segments"]
-    for key in ("detect", "off", "background"):
-        if key not in seg_raw or len(seg_raw[key]) != 2:
-            raise TraceFileError(f"segments.{key} must be a [start, stop] pair", line_number)
     try:
-        segments = SegmentMap(
-            detect=tuple(int(v) for v in seg_raw["detect"]),
-            off=tuple(int(v) for v in seg_raw["off"]),
-            background=tuple(int(v) for v in seg_raw["background"]),
-        )
+        seg_raw = obj["segments"]
+        if not isinstance(seg_raw, dict):
+            raise ValueError(f"segments must be an object, got {seg_raw!r}")
+        bounds = []
+        for key in ("detect", "off", "background"):
+            if key not in seg_raw or len(seg_raw[key]) != 2:
+                raise ValueError(f"segments.{key} must be a [start, stop] pair")
+            start, stop = seg_raw[key]
+            # type(), not isinstance(): a bool is an int too.
+            if type(start) is not int or type(stop) is not int:
+                raise ValueError(
+                    f"segments.{key} bounds must be integers, got {seg_raw[key]!r}"
+                )
+            bounds.append((start, stop))
+        segments = SegmentMap(*bounds)
         # SegmentMap allows it, but background subtraction needs one bin.
         if segments.background[1] == segments.background[0]:
             raise ValueError(
                 f"the background segment must hold at least one bin, got {segments!r}"
             )
+        n_rb = float(obj["n_rb"])
+        if not math.isfinite(n_rb):
+            raise ValueError(f"n_rb must be finite, got {n_rb!r}")
+        bin_s = float(obj["bin_s"])
+        if not (math.isfinite(bin_s) and bin_s > 0):
+            raise ValueError(f"bin_s must be finite and positive, got {bin_s!r}")
         return FluorescenceTrace(
             trace_id=str(obj["trace_id"]),
-            n_rb=float(obj["n_rb"]),
-            bin_s=float(obj["bin_s"]),
+            n_rb=n_rb,
+            bin_s=bin_s,
             segments=segments,
-            counts=np.asarray(obj["counts"], dtype=int),
+            counts=_counts_array(obj["counts"]),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise TraceFileError(str(exc), line_number) from exc
 
 

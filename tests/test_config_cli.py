@@ -15,8 +15,9 @@ import pytest
 from motprobe import cli
 from motprobe.cli import main
 from motprobe.config import ConfigError, GridSpec, RunConfig, load_config
+from motprobe.gillespie import ExperimentSchedule
 from motprobe.inference import BinnedDataset, NrbBin, bin_by_nrb
-from motprobe.photon import estimate_staircase
+from motprobe.photon import DetectionCalibration, estimate_staircase
 from motprobe.physics import PhysicalParams, steady_state_mean
 from motprobe.traceio import (
     TraceFileError,
@@ -533,3 +534,160 @@ class TestWorkerCap:
             assert err == ""
         assert pooled == self._simulate(tmp_path, payload, 1)
         assert pool_sizes == [expected]
+
+
+class TestFiniteValues:
+    """Non-finite config values are refused, naming the key. Only objects
+    and configs are built here: a simulation over an infinite window would
+    never end."""
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"schedule": {"detect_s": math.inf}}, "schedule.detect_s"),
+        ({"schedule": {"off_s": math.nan}}, "schedule.off_s"),
+        ({"calibration": {"rate_per_atom_per_s": math.nan}}, "calibration.rate_per_atom_per_s"),
+        ({"calibration": {"background_rate_per_s": math.inf}}, "calibration.background_rate_per_s"),
+        ({"calibration": {"dark_rate_per_s": -math.inf}}, "calibration.dark_rate_per_s"),
+        ({"calibration": {"bin_s": math.inf}}, "calibration.bin_s"),
+        ({"physics": {"r0_per_s": math.nan}}, "physics.r0_per_s"),
+        ({"physics": {"w_rb_um": math.inf}}, "physics.w_rb_um"),
+        ({"calibration": {"bin_s": True}}, "calibration.bin_s"),
+    ])
+    def test_rejected_with_key_named(self, tmp_path, payload, key):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig.from_dict(payload)
+        # json writes Infinity and NaN, and json reads them back as floats.
+        with pytest.raises(ConfigError, match=key):
+            load_config(write_config(tmp_path, payload))
+
+    def test_json_infinity_literal(self, tmp_path):
+        path = tmp_path / "inf.json"
+        path.write_text('{"schedule": {"detect_s": Infinity}}')
+        with pytest.raises(ConfigError, match="schedule.detect_s"):
+            load_config(path)
+
+    @pytest.mark.parametrize("name", ["detect_s", "off_s", "background_s"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_schedule_refuses(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ExperimentSchedule(**{name: value})
+
+    @pytest.mark.parametrize("name", ["rate_per_atom", "background_rate", "dark_rate", "bin_s"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_calibration_refuses(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            DetectionCalibration(**{name: value})
+
+
+GOOD_TRACE = {
+    "trace_id": "good", "n_rb": 220.0, "bin_s": 0.02,
+    "segments": {"detect": [0, 3], "off": [3, 4], "background": [4, 5]},
+    "counts": [100, 300, 200, 0, 100],
+}
+
+
+class TestTraceLoader:
+    """trace_from_dict refuses what it would otherwise truncate, wrap or
+    crash on, naming the line."""
+
+    def test_good_trace_loads_as_int64(self):
+        trace = trace_from_dict(GOOD_TRACE, 7)
+        assert trace.counts.dtype == np.int64
+        assert trace.counts.tolist() == GOOD_TRACE["counts"]
+        assert trace.segments.detect == (0, 3)
+
+    @pytest.mark.parametrize("change, match", [
+        ({"counts": [100, 300, 200.9, 0, 100]}, "integers"),
+        ({"counts": [100.0, 300.0, 200.0, 0.0, 100.0]}, "integers"),
+        ({"counts": [True, False, True, False, True]}, "integers"),
+        ({"counts": [100, 300, 2**63, 0, 100]}, "integers"),
+        ({"counts": [100, 300, 2**70, 0, 100]}, "integers"),
+        ({"counts": [100, 300, None, 0, 100]}, "integers"),
+        ({"counts": [[1, 2, 3, 4, 5]] * 5}, "flat list"),
+        ({"counts": 5}, "flat list"),
+        ({"counts": []}, "length 0"),
+        ({"n_rb": math.inf}, "n_rb"),
+        ({"n_rb": math.nan}, "n_rb"),
+        ({"n_rb": 10**400}, "n_rb|large"),
+        ({"bin_s": 0.0}, "bin_s"),
+        ({"bin_s": -0.02}, "bin_s"),
+        ({"bin_s": math.inf}, "bin_s"),
+        ({"bin_s": math.nan}, "bin_s"),
+        ({"segments": {"detect": [0, 3.9], "off": [3.9, 4], "background": [4, 5]}}, "segments.detect"),
+        ({"segments": {"detect": [0, 3], "off": [3, 4.0], "background": [4, 5]}}, "segments.off"),
+        ({"segments": {"detect": [0, 3], "off": [3, 4], "background": [4, True]}}, "segments.background"),
+        ({"segments": 3}, "segments"),
+    ])
+    def test_refused_with_line(self, change, match):
+        with pytest.raises(TraceFileError, match=f"^line 7: .*({match})"):
+            trace_from_dict({**GOOD_TRACE, **change}, 7)
+
+    def test_file_reader_names_the_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(
+            json.dumps(GOOD_TRACE) + "\n"
+            + json.dumps({**GOOD_TRACE, "counts": [100, 300, 200.9, 0, 100]}) + "\n"
+        )
+        with pytest.raises(TraceFileError, match="line 2"):
+            read_traces_jsonl(bad)
+        assert main(["analyze", str(bad), "--out", str(tmp_path / "x")]) == 1
+        assert "line 2" in capsys.readouterr().err
+
+
+class TestAtomicSimulateOutput:
+    """simulate writes beside its outputs and moves the files into place
+    only when every bin succeeded."""
+
+    def _fail_in_bin(self, monkeypatch, bin_index, exc):
+        real = cli.synthesize_bin
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > bin_index:
+                raise exc
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "synthesize_bin", failing)
+
+    def _simulate(self, tmp_path, out):
+        cfg = write_config(tmp_path, SMALL_CONFIG)
+        return main([
+            "simulate", "--config", str(cfg), "--out", str(out),
+            "--quiet", "--dump-trajectories",
+        ])
+
+    def test_success_leaves_only_the_outputs(self, tmp_path):
+        out = tmp_path / "run" / "traces.jsonl"
+        assert self._simulate(tmp_path, out) == 0
+        assert sorted(p.name for p in out.parent.iterdir()) == [
+            "traces.jsonl", "trajectories.jsonl",
+        ]
+        assert len(read_traces_jsonl(out)) == 12
+
+    def test_failure_leaves_no_partial_file(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "run" / "traces.jsonl"
+        self._fail_in_bin(monkeypatch, 2, ValueError("bin failed"))
+        assert self._simulate(tmp_path, out) == 1
+        assert "bin failed" in capsys.readouterr().err
+        assert list(out.parent.iterdir()) == []
+
+    def test_failure_keeps_the_previous_outputs(self, tmp_path, monkeypatch):
+        out = tmp_path / "run" / "traces.jsonl"
+        assert self._simulate(tmp_path, out) == 0
+        before = out.read_bytes(), out.with_name("trajectories.jsonl").read_bytes()
+        self._fail_in_bin(monkeypatch, 1, KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            self._simulate(tmp_path, out)
+        after = out.read_bytes(), out.with_name("trajectories.jsonl").read_bytes()
+        assert after == before
+        assert sorted(p.name for p in out.parent.iterdir()) == [
+            "traces.jsonl", "trajectories.jsonl",
+        ]
+
+    def test_failed_move_leaves_no_temporary_file(self, tmp_path):
+        target = tmp_path / "traces.jsonl"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError):
+            with cli._replaced_on_success(target) as fh:
+                fh.write("{}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["traces.jsonl"]

@@ -1,4 +1,4 @@
-"""Golden seeded streams: the exact bytes `simulate` writes for two small
+"""Golden seeded streams: the exact bytes `simulate` writes for three small
 configs at master seed 1234.
 
 Both files are pinned: the traces (photon counts) and the trajectory dump,
@@ -21,6 +21,13 @@ GOLDEN = {
     "defaults": (
         {},
         "e6b8358e8be8be890eec94c2744941861a5a56a3c1867066f37ce0048c8be0b3",
+        "f7f4d67c1c6bd31d0a6cd685235fd254ca3206c97900dafa1ca338f9a3ab8a34",
+    ),
+    # a dark rate in the off segment, 16 bins x 5 traces: the off counts
+    # are Poisson draws, not zeros, so their place in the draw order shows
+    "dark_rate": (
+        {"calibration": {"dark_rate_per_s": 2.0e3}},
+        "3c719e292e97a9a4ac90fb8b93ddaa6af6d5202207484536eecd9fab1407b51b",
         "f7f4d67c1c6bd31d0a6cd685235fd254ca3206c97900dafa1ca338f9a3ab8a34",
     ),
     # few-atom regime with Cs-Cs pair loss, 16 bins x 5 traces

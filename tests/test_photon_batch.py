@@ -1,9 +1,10 @@
 """Exactness of the batched photon layer against trace-by-trace references.
 
-The staircase, the pooled rates, the histogram peaks and the occupancy
-profile run on whole arrays. The references below are the loop forms they
-replace: a per-trace staircase through scipy's median filter, one rounding
-cell per atom number, and the per-segment, per-bin occupancy accumulation.
+The staircase, the pooled rates, the histogram peaks, the occupancy profile
+and the count synthesis run on whole arrays. The references below are the
+loop forms they replace: a per-trace staircase through scipy's median
+filter, one rounding cell per atom number, the per-segment, per-bin
+occupancy accumulation, and three Poisson draws per shot, one per segment.
 The arithmetic is the same operation for operation, so every comparison
 here asks for equality, not closeness.
 """
@@ -14,11 +15,14 @@ import numpy as np
 import pytest
 from scipy.ndimage import median_filter
 
+from motprobe import photon
 from motprobe.gillespie import (
     EventKind,
     ExperimentSchedule,
     Trajectory,
     derive_seed,
+    derive_seeds,
+    seeded_generators,
     simulate_trajectory,
 )
 from motprobe.inference import bin_by_nrb
@@ -28,10 +32,13 @@ from motprobe.photon import (
     SegmentMap,
     _pooled_rates,
     build_histogram,
+    count_means,
     estimate_staircase,
     occupancy_profile,
+    segment_map_for,
     subtract_background,
     summarize_staircases,
+    synthesize_bin,
     synthesize_counts,
 )
 from motprobe.physics import PhysicalParams
@@ -350,3 +357,158 @@ class TestOccupancyKernel:
             ]
             traj = Trajectory(events=events, t_end=1.0, n_rb=0.0, seed=0)
             assert_same_occupancy(traj, int(rng.integers(1, 40)), bin_s)
+
+
+# ----------------------------------------------------------------------------
+# Count synthesis per bin
+# ----------------------------------------------------------------------------
+
+def reference_counts(traj, cal, sched, seed):
+    """One shot's counts as three Poisson draws, detect then off then
+    background, on default_rng(seed)."""
+    seg = segment_map_for(sched, cal.bin_s)
+    nd = seg.detect[1] - seg.detect[0]
+    occ = reference_occupancy(traj, nd, cal.bin_s)
+    rng = np.random.default_rng(seed)
+    return np.concatenate([
+        rng.poisson((occ * cal.rate_per_atom + cal.background_rate) * cal.bin_s),
+        rng.poisson(cal.dark_rate * cal.bin_s, size=seg.off[1] - seg.off[0]),
+        rng.poisson(cal.background_rate * cal.bin_s, size=seg.background[1] - seg.background[0]),
+    ])
+
+
+def mismatched_shots(trajectories, cal, sched, seeds):
+    """Shots whose synthesize_bin row differs from synthesize_counts or from
+    the three-draw reference."""
+    seg = segment_map_for(sched, cal.bin_s)
+    rows = synthesize_bin(trajectories, cal, seg, seeded_generators(seeds))
+    assert rows.shape == (len(trajectories), seg.n_bins)
+    assert rows.dtype == np.int64
+    bad = []
+    for i, (traj, seed, row) in enumerate(zip(trajectories, seeds, rows)):
+        single = synthesize_counts(traj, cal, sched, int(seed)).counts
+        if not (
+            np.array_equal(row, single)
+            and np.array_equal(row, reference_counts(traj, cal, sched, int(seed)))
+        ):
+            bad.append(i)
+    return bad
+
+
+DARK_CAL = DetectionCalibration(
+    rate_per_atom=1e4, background_rate=5e3, dark_rate=2e3, bin_s=0.02
+)
+FINE_DARK_CAL = DetectionCalibration(
+    rate_per_atom=8e3, background_rate=3e3, dark_rate=750.0, bin_s=0.01
+)
+# No loading at this companion number: every trajectory is empty, the trap
+# sits in its absorbing state.
+ABSORBING_NRB = 7000.0
+
+
+def simulated(params, n_rb, sched, count=25, master=31):
+    seeds = derive_seeds(master, 0, int(n_rb), count=count)
+    return [
+        simulate_trajectory(n_rb, params, sched, int(s), rng=g)
+        for s, g in zip(seeds, seeded_generators(seeds))
+    ]
+
+
+def crafted_trajectories():
+    """Empty, on-edge, past-the-horizon and persistent-level trajectories."""
+    bin_s = 0.02
+    edge = [k * bin_s for k in (1, 2, 5, 7, 10)]
+    return [
+        Trajectory(events=[], t_end=3.0, n_rb=0.0, seed=0),
+        Trajectory(events=[
+            (edge[0], EventKind.LOAD, 1),
+            (edge[1], EventKind.LOAD, 2),
+            (0.1, EventKind.LOSS_CSCS_PAIR, 0),
+            (edge[3], EventKind.LOAD, 1),
+            (edge[4], EventKind.LOAD, 2),
+        ], t_end=3.0, n_rb=0.0, seed=0),
+        Trajectory(events=[(1.5, EventKind.LOAD, 1)], t_end=3.0, n_rb=0.0, seed=0),
+        Trajectory(events=[], t_end=3.0, n_rb=0.0, seed=0),
+        Trajectory(events=[
+            (0.01, EventKind.LOAD, 1), (2.999, EventKind.LOAD, 2),
+            (3.0, EventKind.LOSS_BG, 1),
+        ], t_end=3.0, n_rb=0.0, seed=0),
+    ]
+
+
+class TestBinSynthesis:
+    """synthesize_bin draws each shot with one poisson call on the shot's
+    generator; its rows must equal synthesize_counts and the three-draw
+    reference, shot by shot."""
+
+    @pytest.mark.parametrize("cal", [CAL, DARK_CAL, FINE_DARK_CAL], ids=["dark0", "dark", "fine_dark"])
+    @pytest.mark.parametrize("params, n_rb", [
+        (DEFAULTS, 1100.0),
+        (DEFAULTS, 3300.0),
+        (PAIR_LOSS, 0.0),
+        (PAIR_LOSS, 2200.0),
+        (DEFAULTS, ABSORBING_NRB),
+    ], ids=["default-1100", "default-3300", "pair_loss-0", "pair_loss-2200", "absorbing"])
+    def test_simulated_bin(self, cal, params, n_rb):
+        sched = ExperimentSchedule()
+        trajectories = simulated(params, n_rb, sched)
+        if n_rb == ABSORBING_NRB:
+            assert all(not t.events for t in trajectories)
+        seeds = derive_seeds(32, 1, int(n_rb), count=len(trajectories))
+        assert mismatched_shots(trajectories, cal, sched, seeds) == []
+
+    @pytest.mark.parametrize("cal", [CAL, DARK_CAL], ids=["dark0", "dark"])
+    def test_crafted_trajectories(self, cal):
+        sched = ExperimentSchedule()
+        trajectories = crafted_trajectories()
+        seeds = derive_seeds(33, 1, 0, count=len(trajectories))
+        assert mismatched_shots(trajectories, cal, sched, seeds) == []
+
+    def test_other_schedule(self):
+        sched = ExperimentSchedule(detect_s=1.0, off_s=0.3, background_s=0.1)
+        trajectories = simulated(DEFAULTS, 440.0, sched)
+        seeds = derive_seeds(34, 1, 0, count=len(trajectories))
+        assert mismatched_shots(trajectories, FINE_DARK_CAL, sched, seeds) == []
+
+    def test_means_by_segment(self):
+        sched = ExperimentSchedule()
+        seg = segment_map_for(sched, DARK_CAL.bin_s)
+        trajectories = crafted_trajectories()
+        means = count_means(trajectories, DARK_CAL, seg)
+        for traj, row in zip(trajectories, means):
+            occ = reference_occupancy(traj, seg.detect[1], DARK_CAL.bin_s)
+            assert np.array_equal(row[:seg.detect[1]], (occ * 1e4 + 5e3) * 0.02)
+        assert np.all(means[:, seg.off[0]:seg.off[1]] == 2e3 * 0.02)
+        assert np.all(means[:, seg.background[0]:seg.background[1]] == 5e3 * 0.02)
+
+    def test_empty_set(self):
+        seg = segment_map_for(ExperimentSchedule(), CAL.bin_s)
+        assert synthesize_bin([], CAL, seg, []).shape == (0, seg.n_bins)
+
+    def test_one_generator_per_shot(self):
+        seg = segment_map_for(ExperimentSchedule(), CAL.bin_s)
+        trajectories = crafted_trajectories()
+        with pytest.raises(ValueError):
+            synthesize_bin(trajectories, CAL, seg, seeded_generators([1, 2]))
+
+    @pytest.mark.parametrize("mutant", ["swap_off_background", "no_dark"])
+    def test_mutants_are_caught(self, monkeypatch, mutant):
+        real = photon.count_means
+
+        def mutated(trajectories, cal, seg):
+            means = real(trajectories, cal, seg)
+            off = slice(*seg.off)
+            bg = slice(*seg.background)
+            if mutant == "swap_off_background":
+                means[:, off] = cal.background_rate * cal.bin_s
+                means[:, bg] = cal.dark_rate * cal.bin_s
+            else:
+                means[:, off] = 0.0
+            return means
+
+        sched = ExperimentSchedule()
+        trajectories = simulated(DEFAULTS, 1100.0, sched, count=5)
+        seeds = derive_seeds(35, 1, 0, count=len(trajectories))
+        assert mismatched_shots(trajectories, DARK_CAL, sched, seeds) == []
+        monkeypatch.setattr(photon, "count_means", mutated)
+        assert mismatched_shots(trajectories, DARK_CAL, sched, seeds) == list(range(5))
