@@ -411,8 +411,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    # ConfigError and TraceFileError are ValueErrors.
-    except (InferenceError, ZeroDivisionError, FileNotFoundError, ValueError) as exc:
+    # ConfigError and TraceFileError are ValueErrors; OSError covers an
+    # input that is missing and an output that cannot be written.
+    except (InferenceError, ZeroDivisionError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,7 +10,6 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
-from scipy import optimize
 
 from .photon import (
     DetectionCalibration,
@@ -240,91 +239,200 @@ def classify_steady_state(
 
 
 def _weights_from_se(se: np.ndarray) -> np.ndarray:
+    """Inverse-variance weights per lane (row); an unusable error takes the
+    smallest usable one of its lane, and a lane with none is unweighted."""
     se = np.asarray(se, dtype=float)
     usable = np.isfinite(se) & (se > 0)
-    if not usable.any():
-        return np.ones_like(se)
-    filled = np.where(usable, se, se[usable].min())
-    return 1.0 / filled ** 2
+    floor = np.where(usable, se, np.inf).min(axis=-1, keepdims=True)
+    filled = np.where(usable, se, floor)
+    return np.where(usable.any(axis=-1, keepdims=True), 1.0 / filled ** 2, 1.0)
 
 
-def _mean_model(n_rb, beta, r0, alpha, gamma, v_pair):
-    """Steady-state mean with soft handling of a vanishing denominator.
+def _rough_scale(n, m, r0, alpha, gamma, v_pair):
+    """Per-lane beta scale: the median over points of the per-point inversion
+    of the steady-state mean, floored as explained below. Call it with
+    numpy's floating-point warnings off, as _minimize_beta does."""
+    num = np.maximum(r0[:, None] - alpha[:, None] * n, 0.0)
+    rough = np.maximum(v_pair[:, None] * (num / m - gamma) / n, 0.0)
+    positive = (m > 0) & (n > 0) & (rough > 0)
+    # np.median of each lane's positives: sort them to the front, then take
+    # the middle one or the mean of the middle two.
+    ranked = np.sort(np.where(positive, rough, np.inf), axis=1)
+    count = positive.sum(axis=1)
+    lanes = np.arange(len(count))
+    lo = ranked[lanes, np.maximum(count - 1, 0) // 2]
+    hi = ranked[lanes, count // 2]
+    scale = np.where(count % 2 == 1, hi, (lo + hi) / 2)
+    scale = np.where(count > 0, scale, 0.0)
+    # When the data are consistent with beta = 0 the inversions collapse to
+    # rounding residue; floor the scale at the value that would double the
+    # single-atom loss rate at the largest companion number so the curvature
+    # probe still perturbs the model.
+    n_max = n.max(axis=1)
+    if gamma > 0.0:
+        scale = np.where(n_max > 0.0, np.maximum(scale, gamma * v_pair / n_max), scale)
+    return np.where(scale <= 0.0, 1e-12, scale)
 
-    Returns +inf where the loss rate is zero but loading is not, which lets
-    the minimizer steer away instead of crashing mid-bracket.
+
+# The constants of scipy's minimize_scalar(method="bounded") and of
+# the options the fit has always asked of it.
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_U_BOUNDS = (0.0, 1e3)
+_XATOL = 1e-10
+_MAXITER = 2000
+
+
+def _bounded_brent(f, lanes: int):
+    """Minimize f over u in _U_BOUNDS for every lane at once.
+
+    f maps an (L,) array of abscissae to the (L,) objective values. This is
+    scipy's bounded Brent search (_minimize_scalar_bounded; Brent 1973,
+    "Algorithms for Minimization without Derivatives", ch. 5) run lane by
+    lane in lockstep: the same constants, the same parabolic/golden choice,
+    update order and stopping test, each written as an np.where over lanes.
+    A lane stops when its own test is met, or when the search has spent
+    _MAXITER evaluations. Returns (u_min, f_min) per lane. Call it with
+    numpy's floating-point warnings off: lanes that take a golden step still
+    form the parabola, which may divide by zero or overflow.
     """
-    n_rb = np.asarray(n_rb, dtype=float)
-    num = np.maximum(r0 - alpha * n_rb, 0.0)
-    den = gamma + beta * n_rb / v_pair
-    out = np.full_like(num, np.inf)
-    ok = den > 0
-    out[ok] = num[ok] / den[ok]
-    out[(~ok) & (num == 0.0)] = 0.0
-    return out
+    a = np.full(lanes, _U_BOUNDS[0])
+    b = np.full(lanes, _U_BOUNDS[1])
+    xf = a + _GOLDEN * (b - a)
+    fulc = nfc = xf
+    rat = e = np.zeros(lanes)
+    fx = f(xf)
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * np.abs(xf) + _XATOL / 3.0
+    tol2 = 2.0 * tol1
+    active = np.abs(xf - xm) > (tol2 - 0.5 * (b - a))
+    evaluations = 1
+    while evaluations < _MAXITER and active.any():
+        # Parabola through the three best points.
+        r = (xf - nfc) * (fx - ffulc)
+        q = (xf - fulc) * (fx - fnfc)
+        p = (xf - fulc) * q - (xf - nfc) * r
+        q = 2.0 * (q - r)
+        p = np.where(q > 0.0, -p, p)
+        q = np.abs(q)
+        parabolic = (
+            (np.abs(e) > tol1)
+            & (np.abs(p) < np.abs(0.5 * q * e))
+            & (p > q * (a - xf))
+            & (p < q * (b - xf))
+        )
+        rat_p = (p + 0.0) / q
+        x = xf + rat_p
+        toward_mid = np.sign(xm - xf) + ((xm - xf) == 0)
+        near_edge = ((x - a) < tol2) | ((b - x) < tol2)
+        rat_p = np.where(near_edge, tol1 * toward_mid, rat_p)
+        # Otherwise a golden-section step into the larger side.
+        e_golden = np.where(xf >= xm, a - xf, b - xf)
+        e_new = np.where(parabolic, rat, e_golden)
+        rat_new = np.where(parabolic, rat_p, _GOLDEN * e_golden)
+
+        si = np.sign(rat_new) + (rat_new == 0)
+        x = xf + si * np.maximum(np.abs(rat_new), tol1)
+        fu = f(x)
+        evaluations += 1
+
+        # Only active lanes move. scipy tests x >= xf when the trial point
+        # is better and x < xf when it is worse; both are kept, for NaN.
+        better = active & (fu <= fx)
+        worse = active & ~(fu <= fx)
+        # Where the trial point is worse: does it replace the second best
+        # point, or else the third?
+        second = worse & ((fu <= fnfc) | (nfc == xf))
+        third = worse & ~second & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
+        a = np.where(better & (x >= xf), xf, np.where(worse & (x < xf), x, a))
+        b = np.where(better & ~(x >= xf), xf, np.where(worse & ~(x < xf), x, b))
+        shift = better | second
+        fulc = np.where(shift, nfc, np.where(third, x, fulc))
+        ffulc = np.where(shift, fnfc, np.where(third, fu, ffulc))
+        nfc = np.where(better, xf, np.where(second, x, nfc))
+        fnfc = np.where(better, fx, np.where(second, fu, fnfc))
+        xf = np.where(better, x, xf)
+        fx = np.where(better, fu, fx)
+        e = np.where(active, e_new, e)
+        rat = np.where(active, rat_new, rat)
+
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * np.abs(xf) + _XATOL / 3.0
+        tol2 = 2.0 * tol1
+        active &= np.abs(xf - xm) > (tol2 - 0.5 * (b - a))
+    return xf, fx
 
 
 _BIG = 1e300
 
 
-def _beta_objective(beta, n, m, w, r0, alpha, gamma, v_pair):
-    model = _mean_model(n, beta, r0, alpha, gamma, v_pair)
-    if not np.all(np.isfinite(model)):
-        return _BIG
-    return float(np.sum(w * (m - model) ** 2))
-
-
 def _minimize_beta(n, m, se, r0, alpha, gamma, v_pair):
-    """Bracketed 1-D minimization of the weighted residual over beta >= 0.
+    """Weighted least-squares beta >= 0 for L independent lanes at once.
 
-    Works on beta rescaled by a rough per-bin inversion so the bounded Brent
-    search sees order-one numbers; converges far tighter than the 1e-4
-    relative tolerance asked of it. Returns (beta, stat_err, chi2_min) with
-    the error taken from the curvature at the minimum.
+    n, m and se are (L, k): the companion numbers, bin means and their
+    errors of each lane's k points; r0, alpha and v_pair are per lane (or
+    scalars shared by all), gamma is shared. Each lane minimizes the
+    inverse-variance weighted residual of the steady-state mean over beta
+    rescaled by its rough per-point inversion, so the bounded Brent search
+    sees order-one numbers, on u in [0, 1e3] with xatol 1e-10 and at most
+    2000 evaluations. A lane whose objective at beta = 0 is no worse than
+    at the search's minimum ends on the boundary.
+
+    Every lane gives bit for bit what scipy's minimize_scalar(
+    method="bounded") gives on that lane alone with the same options: the
+    search is _bounded_brent, and the objective's row sums reduce each
+    lane's k contiguous values as numpy sums a 1-D array.
+
+    Returns (beta, stat_err, chi2_min), each of shape (L,), with stat_err
+    from the curvature at the minimum. Raises IllConditionedFitError if any
+    lane's objective is flat there.
     """
-    n = np.asarray(n, dtype=float)
     m = np.asarray(m, dtype=float)
-    w = _weights_from_se(se)
-
-    rough = []
-    for ni, mi in zip(n, m):
-        num = max(r0 - alpha * ni, 0.0)
-        if mi > 0 and ni > 0:
-            rough.append(max(v_pair * (num / mi - gamma) / ni, 0.0))
-    positives = [r for r in rough if r > 0]
-    scale = float(np.median(positives)) if positives else 0.0
-    # When the data are consistent with beta = 0 the inversions collapse to
-    # rounding residue; floor the scale at the value that would double the
-    # single-atom loss rate at the largest companion number so the curvature
-    # probe still perturbs the model.
-    n_max = float(n.max()) if n.size else 0.0
-    if gamma > 0.0 and n_max > 0.0:
-        scale = max(scale, gamma * v_pair / n_max)
-    if scale <= 0.0:
-        scale = 1e-12
-
-    def f(u: float) -> float:
-        return _beta_objective(u * scale, n, m, w, r0, alpha, gamma, v_pair)
-
-    res = optimize.minimize_scalar(
-        f, bounds=(0.0, 1e3), method="bounded",
-        options={"xatol": 1e-10, "maxiter": 2000},
+    lanes = m.shape[0]
+    n = np.broadcast_to(np.asarray(n, dtype=float), m.shape)
+    r0, alpha, v_pair = (
+        np.broadcast_to(np.asarray(v, dtype=float), (lanes,)) for v in (r0, alpha, v_pair)
     )
-    u_hat = float(res.x)
-    if f(0.0) <= res.fun:
-        u_hat = 0.0
-    chi2_min = f(u_hat)
+    w = _weights_from_se(se)
+    with np.errstate(all="ignore"):
+        scale = _rough_scale(n, m, r0, alpha, gamma, v_pair)
 
-    h = max(1e-4 * u_hat, 1e-7)
-    if u_hat - h < 0.0:
-        curv = (f(u_hat + 2 * h) - 2.0 * f(u_hat + h) + chi2_min) / h ** 2
-    else:
-        curv = (f(u_hat + h) - 2.0 * chi2_min + f(u_hat - h)) / h ** 2
-    if not math.isfinite(curv) or curv <= 0.0:
+    # Steady-state mean: +inf where the loss rate is zero but loading is not,
+    # which lets the search steer away instead of crashing mid-bracket.
+    num = np.maximum(r0[:, None] - alpha[:, None] * n, 0.0)
+    unbounded = np.where(num == 0.0, 0.0, np.inf)
+    v_col = v_pair[:, None]
+
+    def f(u: np.ndarray) -> np.ndarray:
+        den = gamma + (u * scale)[:, None] * n / v_col
+        model = np.where(den > 0, num / den, unbounded)
+        chi2 = (w * (m - model) ** 2).sum(axis=1)
+        return np.where(np.isfinite(model).all(axis=1), chi2, _BIG)
+
+    with np.errstate(all="ignore"):
+        u_hat, fun = _bounded_brent(f, lanes)
+        u_hat = np.where(f(np.zeros(lanes)) <= fun, 0.0, u_hat)
+        chi2_min = f(u_hat)
+
+        h = np.maximum(1e-4 * u_hat, 1e-7)
+        low = u_hat - h < 0.0
+        # Python's float ** (C pow), as the scalar fit squared h; numpy
+        # squares by multiplication, which rounds differently about once in
+        # a thousand.
+        h2 = np.array([x ** 2 for x in h.tolist()])
+        f_far = f(u_hat + np.where(low, 2 * h, h))
+        f_near = f(np.where(low, u_hat + h, u_hat - h))
+        curv = np.where(
+            low,
+            (f_far - 2.0 * f_near + chi2_min) / h2,
+            (f_far - 2.0 * chi2_min + f_near) / h2,
+        )
+    if not np.all(np.isfinite(curv) & (curv > 0.0)):
         raise IllConditionedFitError(
             "objective is flat around the minimum; beta is unconstrained by these bins"
         )
-    stat_err = math.sqrt(2.0 / curv) * scale
+    stat_err = np.sqrt(2.0 / curv) * scale
     return u_hat * scale, stat_err, chi2_min
 
 
@@ -369,14 +477,15 @@ def fit_beta(
     m = np.array([b.mean_n_cs for b in steady])
     se = np.array([b.se_mean_n_cs for b in steady])
     beta, stat_err, chi2 = _minimize_beta(
-        n, m, se, loading_fit.r0, loading_fit.alpha, params_known.gamma, v_pair
+        n[None], m[None], se[None], loading_fit.r0, loading_fit.alpha,
+        params_known.gamma, v_pair,
     )
     return BetaFit(
-        beta=beta,
-        stat_err=stat_err,
+        beta=float(beta[0]),
+        stat_err=float(stat_err[0]),
         syst_err=None,
         fitted_bins=[b.center for b in steady],
-        goodness=chi2,
+        goodness=float(chi2[0]),
         n_points=len(steady),
     )
 
@@ -406,24 +515,33 @@ def propagate_systematics(
     radius scaled by (1 +- size_frac), all combinations, refitting beta on
     the same steady bins each time. Rescaling the abscissa of a straight-line
     fit by f leaves the intercept alone and divides the slope by f exactly,
-    so the corner loading line is obtained analytically.
+    so the corner loading line is obtained analytically. The eight corners
+    are the lanes of one _minimize_beta call.
     """
     if nrb_factor <= 0 or size_frac < 0 or size_frac >= 1:
         raise ValueError("nrb_factor must be positive and size_frac in [0, 1)")
     _, n, m, se = _steady_arrays(binned, beta_fit)
-    betas = []
-    for f, g_cs, g_rb in product(
+    corners = list(product(
         (nrb_factor, 1.0 / nrb_factor),
         (1.0 + size_frac, 1.0 - size_frac),
         (1.0 + size_frac, 1.0 - size_frac),
-    ):
-        v_pair = pair_overlap_volume(params_known.w_cs * g_cs, params_known.w_rb * g_rb)
-        beta_c, _, _ = _minimize_beta(
-            n * f, m, se, loading_fit.r0, loading_fit.alpha / f,
-            params_known.gamma, v_pair,
-        )
-        betas.append(beta_c)
-    return (max(betas) - min(betas)) / 2.0
+    ))
+    f = np.array([c[0] for c in corners])
+    v_pair = np.array([
+        pair_overlap_volume(params_known.w_cs * g_cs, params_known.w_rb * g_rb)
+        for _, g_cs, g_rb in corners
+    ])
+    shape = (len(corners), len(n))
+    betas, _, _ = _minimize_beta(
+        n * f[:, None], np.broadcast_to(m, shape), np.broadcast_to(se, shape),
+        loading_fit.r0, loading_fit.alpha / f, params_known.gamma, v_pair,
+    )
+    return float((betas.max() - betas.min()) / 2.0)
+
+
+# Resamples are drawn and summarized this many at a time, so the index and
+# sample buffers hold one block of every steady bin whatever the count.
+_BOOTSTRAP_BLOCK = 32
 
 
 def bootstrap_stat_error(
@@ -437,8 +555,13 @@ def bootstrap_stat_error(
     """Trace-level bootstrap of the beta fit.
 
     Resamples traces with replacement inside every steady bin, recomputes the
-    bin means and their errors, refits beta, and returns the standard
-    deviation over resamples. Deterministic for a given seed.
+    bin means and their errors (a bin of one trace keeps its original
+    error), refits beta, and returns the standard deviation over resamples.
+    Deterministic for a given seed: the draws are one rng.integers call per
+    resample and bin, resample-major. Resamples are drawn and reduced in
+    blocks of _BOOTSTRAP_BLOCK, so memory does not grow with their number;
+    all of them are then fitted as the lanes of one _minimize_beta call,
+    each lane exactly the scalar fit of that resample.
     """
     if resamples < 2:
         raise ValueError(f"resamples must be >= 2, got {resamples!r}")
@@ -447,23 +570,23 @@ def bootstrap_stat_error(
         raise InferenceError("bootstrap needs trace-level means; refit from traces")
     v_pair = pair_overlap_volume(params_known.w_cs, params_known.w_rb)
     rng = np.random.default_rng(int(seed))
-    betas = np.empty(resamples)
-    for r in range(resamples):
-        m_b = np.empty(len(steady))
-        se_b = np.empty(len(steady))
-        for j, b in enumerate(steady):
-            tm = b.trace_means
-            idx = rng.integers(0, len(tm), len(tm))
-            sample = tm[idx]
-            m_b[j] = sample.mean()
-            se_b[j] = (
-                sample.std(ddof=1) / math.sqrt(len(sample))
-                if len(sample) > 1
-                else se_orig[j]
+    sizes = [len(b.trace_means) for b in steady]
+    idx = [np.empty((_BOOTSTRAP_BLOCK, size), dtype=np.int64) for size in sizes]
+    m_b = np.empty((resamples, len(steady)))
+    se_b = np.empty((resamples, len(steady)))
+    for start in range(0, resamples, _BOOTSTRAP_BLOCK):
+        block = min(_BOOTSTRAP_BLOCK, resamples - start)
+        for r in range(block):
+            for j, size in enumerate(sizes):
+                idx[j][r] = rng.integers(0, size, size)
+        rows = slice(start, start + block)
+        for j, (b, size) in enumerate(zip(steady, sizes)):
+            sample = b.trace_means[idx[j][:block]]
+            m_b[rows, j] = sample.mean(axis=1)
+            se_b[rows, j] = (
+                sample.std(axis=1, ddof=1) / math.sqrt(size) if size > 1 else se_orig[j]
             )
-        beta_r, _, _ = _minimize_beta(
-            n, m_b, se_b, loading_fit.r0, loading_fit.alpha,
-            params_known.gamma, v_pair,
-        )
-        betas[r] = beta_r
+    betas, _, _ = _minimize_beta(
+        n, m_b, se_b, loading_fit.r0, loading_fit.alpha, params_known.gamma, v_pair
+    )
     return float(betas.std(ddof=1))

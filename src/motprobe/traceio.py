@@ -72,12 +72,14 @@ def trace_to_dict(trace: FluorescenceTrace) -> dict:
     )
 
 
-def _counts_array(raw) -> np.ndarray:
+def _counts_array(raw, may_hold_bools: bool = True) -> np.ndarray:
     """counts as int64, refusing what a cast would truncate, wrap or reshape.
 
-    The dtype numpy infers for the list tells it all: floats, booleans,
-    unsigned (past int64) and object (past uint64, or mixed) arrays are
-    refused, as is any shape but one dimension.
+    The dtype numpy infers for the list tells it almost all: floats,
+    booleans, unsigned (past int64) and object (past uint64, or mixed)
+    arrays are refused, as is any shape but one dimension. Booleans mixed
+    with integers infer int64, so an integer list is also scanned for them
+    unless the caller knows there are none (may_hold_bools false).
     """
     counts = np.asarray(raw)
     if counts.ndim != 1:
@@ -86,10 +88,18 @@ def _counts_array(raw) -> np.ndarray:
         raise ValueError(
             f"counts must be integers within int64, got {counts.dtype} values"
         )
+    if may_hold_bools and any(type(c) is bool for c in raw):
+        raise ValueError("counts must be integers within int64, got booleans")
     return counts.astype(np.int64, copy=False)
 
 
-def trace_from_dict(obj: dict, line_number: int | None = None) -> FluorescenceTrace:
+def trace_from_dict(
+    obj: dict, line_number: int | None = None, *, may_hold_bools: bool = True
+) -> FluorescenceTrace:
+    """Build a trace from its JSON object, refusing malformed fields with a
+    TraceFileError that names line_number. may_hold_bools false skips the
+    per-element scan for booleans among integer counts; pass it only when
+    the source cannot hold any (JSON text without true or false)."""
     required = {"trace_id", "n_rb", "bin_s", "segments", "counts"}
     missing = required - set(obj)
     if missing:
@@ -126,7 +136,7 @@ def trace_from_dict(obj: dict, line_number: int | None = None) -> FluorescenceTr
             n_rb=n_rb,
             bin_s=bin_s,
             segments=segments,
-            counts=_counts_array(obj["counts"]),
+            counts=_counts_array(obj["counts"], may_hold_bools),
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise TraceFileError(str(exc), line_number) from exc
@@ -152,7 +162,10 @@ def read_traces_jsonl(path: "str | Path") -> list[FluorescenceTrace]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise TraceFileError(f"not valid JSON ({exc.msg})", i) from exc
-            traces.append(trace_from_dict(obj, i))
+            # A JSON boolean is spelt true or false; most lines hold neither,
+            # and skip the per-count scan for one.
+            flagged = "true" in line or "false" in line
+            traces.append(trace_from_dict(obj, i, may_hold_bools=flagged))
     if not traces:
         raise TraceFileError(f"{path}: no traces found")
     return traces

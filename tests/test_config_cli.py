@@ -633,6 +633,38 @@ class TestTraceLoader:
         assert "line 2" in capsys.readouterr().err
 
 
+class TestBooleanCounts:
+    """Booleans among integer counts infer int64 in numpy; the loader still
+    refuses them, naming the line, and scans only lines that spell one."""
+
+    SHORT = {
+        "trace_id": "short", "n_rb": 220.0, "bin_s": 0.02,
+        "segments": {"detect": [0, 1], "off": [1, 2], "background": [2, 3]},
+        "counts": [1, 2, 3],
+    }
+
+    def test_mixed_booleans_refused_with_line(self, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(
+            json.dumps(self.SHORT) + "\n"
+            + json.dumps({**self.SHORT, "counts": [True, 2, 3]}) + "\n"
+        )
+        assert '[true, 2, 3]' in bad.read_text()
+        with pytest.raises(TraceFileError, match="^line 2: .*booleans"):
+            read_traces_jsonl(bad)
+
+    def test_mixed_booleans_refused_from_dict(self):
+        with pytest.raises(TraceFileError, match="^line 7: .*booleans"):
+            trace_from_dict({**self.SHORT, "counts": [2, False, 3]}, 7)
+
+    def test_true_in_trace_id_loads(self, tmp_path):
+        good = tmp_path / "good.jsonl"
+        good.write_text(json.dumps({**self.SHORT, "trace_id": "true-false"}) + "\n")
+        (trace,) = read_traces_jsonl(good)
+        assert trace.trace_id == "true-false"
+        assert trace.counts.tolist() == [1, 2, 3]
+
+
 class TestAtomicSimulateOutput:
     """simulate writes beside its outputs and moves the files into place
     only when every bin succeeded."""
@@ -691,3 +723,13 @@ class TestAtomicSimulateOutput:
             with cli._replaced_on_success(target) as fh:
                 fh.write("{}\n")
         assert [p.name for p in tmp_path.iterdir()] == ["traces.jsonl"]
+
+    def test_directory_as_out_is_an_error_line(self, tmp_path, capsys):
+        out = tmp_path / "traces.jsonl"
+        out.mkdir()
+        assert self._simulate(tmp_path, out) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "traces.jsonl",
+        ]
+        assert list(out.iterdir()) == []

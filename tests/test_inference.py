@@ -4,10 +4,14 @@ loss-coefficient fit, and both uncertainty estimates.
 
 import math
 
+from itertools import product
+
 import numpy as np
 import pytest
+from scipy import optimize
 
 from motprobe.inference import (
+    _BOOTSTRAP_BLOCK,
     BinnedDataset,
     IllConditionedFitError,
     InferenceError,
@@ -20,6 +24,7 @@ from motprobe.inference import (
     fit_beta,
     fit_loading_rate,
     group_by_bin,
+    _minimize_beta,
     propagate_systematics,
 )
 from motprobe.photon import DetectionCalibration, FluorescenceTrace, SegmentMap
@@ -352,3 +357,195 @@ class TestCampaignRecovery:
         curv = rep["stat_err_cm3_per_s"]
         boot = rep["stat_err_bootstrap_cm3_per_s"]
         assert abs(boot - curv) / curv < 0.5
+
+
+# The scalar fit that _minimize_beta replaced, one minimize_scalar call per
+# lane, kept here as the reference the batched search must equal bit for bit.
+def scalar_minimize_beta(n, m, se, r0, alpha, gamma, v_pair):
+    n = np.asarray(n, dtype=float)
+    m = np.asarray(m, dtype=float)
+    se = np.asarray(se, dtype=float)
+    usable = np.isfinite(se) & (se > 0)
+    if usable.any():
+        w = 1.0 / np.where(usable, se, se[usable].min()) ** 2
+    else:
+        w = np.ones_like(se)
+
+    def objective(beta):
+        num = np.maximum(r0 - alpha * n, 0.0)
+        den = gamma + beta * n / v_pair
+        model = np.full_like(num, np.inf)
+        ok = den > 0
+        model[ok] = num[ok] / den[ok]
+        model[(~ok) & (num == 0.0)] = 0.0
+        if not np.all(np.isfinite(model)):
+            return 1e300
+        return float(np.sum(w * (m - model) ** 2))
+
+    rough = []
+    for ni, mi in zip(n, m):
+        num = max(r0 - alpha * ni, 0.0)
+        if mi > 0 and ni > 0:
+            rough.append(max(v_pair * (num / mi - gamma) / ni, 0.0))
+    positives = [r for r in rough if r > 0]
+    scale = float(np.median(positives)) if positives else 0.0
+    n_max = float(n.max()) if n.size else 0.0
+    if gamma > 0.0 and n_max > 0.0:
+        scale = max(scale, gamma * v_pair / n_max)
+    if scale <= 0.0:
+        scale = 1e-12
+
+    def f(u):
+        return objective(u * scale)
+
+    res = optimize.minimize_scalar(
+        f, bounds=(0.0, 1e3), method="bounded",
+        options={"xatol": 1e-10, "maxiter": 2000},
+    )
+    u_hat = float(res.x)
+    if f(0.0) <= res.fun:
+        u_hat = 0.0
+    chi2_min = f(u_hat)
+    h = max(1e-4 * u_hat, 1e-7)
+    if u_hat - h < 0.0:
+        curv = (f(u_hat + 2 * h) - 2.0 * f(u_hat + h) + chi2_min) / h ** 2
+    else:
+        curv = (f(u_hat + h) - 2.0 * chi2_min + f(u_hat - h)) / h ** 2
+    if not math.isfinite(curv) or curv <= 0.0:
+        raise IllConditionedFitError("flat")
+    return u_hat * scale, math.sqrt(2.0 / curv) * scale, chi2_min
+
+
+V_PAIR = pair_overlap_volume(DEFAULTS.w_cs, DEFAULTS.w_rb)
+
+
+def noisy_lanes(k, lanes, seed, noise=0.03):
+    rng = np.random.default_rng(seed)
+    n = np.linspace(1100.0, 3300.0, k)
+    truth = np.array([steady_state_mean(c, DEFAULTS) for c in n])
+    m = truth * (1.0 + noise * rng.standard_normal((lanes, k)))
+    se = truth * noise * rng.uniform(0.5, 1.5, (lanes, k))
+    return np.broadcast_to(n, (lanes, k)), m, se
+
+
+def assert_lanes_equal(n, m, se, r0, alpha, v_pair, gamma=DEFAULTS.gamma):
+    lanes = len(m)
+    r0, alpha, v_pair = (np.broadcast_to(v, (lanes,)) for v in (r0, alpha, v_pair))
+    beta, err, chi2 = _minimize_beta(n, m, se, r0, alpha, gamma, v_pair)
+    for i in range(lanes):
+        want = scalar_minimize_beta(
+            n[i], m[i], se[i], float(r0[i]), float(alpha[i]), gamma, float(v_pair[i])
+        )
+        assert (beta[i], err[i], chi2[i]) == want, i
+    return beta
+
+
+class TestBatchedMinimizer:
+    """Every lane of _minimize_beta equals scipy's bounded Brent on that
+    lane alone: beta, curvature error and chi-square, exactly."""
+
+    # numpy sums fewer than 8 values one by one and more in 8 partial sums.
+    @pytest.mark.parametrize("k", range(2, 21))
+    def test_lanes_equal_scalar_fit(self, k):
+        n, m, se = noisy_lanes(k, lanes=12, seed=k)
+        assert_lanes_equal(n, m, se, 1.48, 2.3e-4, V_PAIR)
+
+    def test_single_lane(self):
+        n, m, se = noisy_lanes(11, lanes=1, seed=3)
+        assert_lanes_equal(n, m, se, 1.48, 2.3e-4, V_PAIR)
+
+    def test_lanes_on_the_zero_boundary(self):
+        n, m, se = noisy_lanes(10, lanes=8, seed=5)
+        m = m.copy()
+        # More atoms than one-body loss alone allows: beta = 0 fits best.
+        m[::2] = 1.2 * (1.48 - 2.3e-4 * n[::2]) / DEFAULTS.gamma
+        beta = assert_lanes_equal(n, m, se, 1.48, 2.3e-4, V_PAIR)
+        assert np.all(beta[::2] == 0.0)
+        assert np.all(beta[1::2] > 0.0)
+
+    def test_systematics_corners(self):
+        n, m, se = noisy_lanes(11, lanes=8, seed=7)
+        corners = list(product((1.3, 1 / 1.3), (1.15, 0.85), (1.15, 0.85)))
+        f = np.array([c[0] for c in corners])
+        v_pair = np.array([
+            pair_overlap_volume(DEFAULTS.w_cs * a, DEFAULTS.w_rb * b)
+            for _, a, b in corners
+        ])
+        assert_lanes_equal(n * f[:, None], m, se, 1.48, 2.3e-4 / f, v_pair)
+
+    def test_degenerate_points(self):
+        n, m, se = noisy_lanes(9, lanes=6, seed=9)
+        m, se = m.copy(), se.copy()
+        m[0, 2] = 0.0       # no rough inversion from this point
+        m[1, :3] = -0.1     # nor from these
+        se[2, 4] = 0.0      # unusable errors take the lane's smallest
+        se[3, 1] = np.nan
+        se[4] = 0.0         # no usable error: unweighted
+        assert_lanes_equal(n, m, se, 1.48, 2.3e-4, V_PAIR)
+
+    def test_flat_lane_raises(self):
+        n, m, se = noisy_lanes(10, lanes=4, seed=11)
+        r0 = np.array([1.48, 1.48, 0.0, 1.48])  # no loading: model is 0 for any beta
+        with pytest.raises(IllConditionedFitError):
+            scalar_minimize_beta(n[2], m[2], se[2], 0.0, 2.3e-4, DEFAULTS.gamma, V_PAIR)
+        with pytest.raises(IllConditionedFitError):
+            _minimize_beta(n, m, se, r0, 2.3e-4, DEFAULTS.gamma, V_PAIR)
+
+
+def loop_bootstrap(binned, params, loading, fit, resamples, seed):
+    """The per-resample loop that bootstrap_stat_error replaced."""
+    wanted = set(fit.fitted_bins)
+    steady = [b for b in binned.bins if b.center in wanted]
+    n = np.array([b.center for b in steady])
+    se_orig = np.array([b.se_mean_n_cs for b in steady])
+    v_pair = pair_overlap_volume(params.w_cs, params.w_rb)
+    rng = np.random.default_rng(int(seed))
+    betas = np.empty(resamples)
+    for r in range(resamples):
+        m_b = np.empty(len(steady))
+        se_b = np.empty(len(steady))
+        for j, b in enumerate(steady):
+            tm = b.trace_means
+            sample = tm[rng.integers(0, len(tm), len(tm))]
+            m_b[j] = sample.mean()
+            se_b[j] = (
+                sample.std(ddof=1) / math.sqrt(len(sample))
+                if len(sample) > 1
+                else se_orig[j]
+            )
+        betas[r], _, _ = scalar_minimize_beta(
+            n, m_b, se_b, loading.r0, loading.alpha, params.gamma, v_pair
+        )
+    return float(betas.std(ddof=1))
+
+
+class TestBootstrapEquivalence:
+    """bootstrap_stat_error returns exactly what the per-resample loop did."""
+
+    def _binned(self):
+        rng = np.random.default_rng(17)
+        centers = np.arange(1100, 3301, 220.0)
+        # unequal bins, one of a single trace, one past a pairwise-sum block
+        sizes = [37, 200, 5, 1, 64, 150, 9, 2, 300, 80, 13]
+        bins = []
+        for c, size in zip(centers, sizes):
+            mean = steady_state_mean(c, DEFAULTS)
+            tm = mean + 0.4 * mean * rng.standard_normal(size)
+            se = float(tm.std(ddof=1) / math.sqrt(size)) if size > 1 else 0.05
+            bins.append(make_bin(
+                c, mean=float(tm.mean()), se=se,
+                loading=1.48 - 2.3e-4 * c, loss_rate=1.48 - 2.3e-4 * c,
+                trace_means=tm,
+            ))
+        return BinnedDataset(220.0, bins)
+
+    @pytest.mark.parametrize("resamples", [2, 3, 2 * _BOOTSTRAP_BLOCK + 5])
+    def test_equals_per_resample_loop(self, resamples):
+        binned = self._binned()
+        fit = fit_beta(binned, DEFAULTS, EXACT_LINE)
+        assert len(fit.fitted_bins) == 11
+        got = bootstrap_stat_error(
+            binned, DEFAULTS, EXACT_LINE, fit, resamples=resamples, seed=4
+        )
+        want = loop_bootstrap(binned, DEFAULTS, EXACT_LINE, fit, resamples, seed=4)
+        assert got == want
