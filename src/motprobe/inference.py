@@ -6,6 +6,7 @@ coefficient with statistical and systematic uncertainties.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -15,6 +16,7 @@ from .photon import (
     DetectionCalibration,
     FluorescenceTrace,
     TraceHistogram,
+    TraceTable,
     build_histogram,
     summarize_staircases,
 )
@@ -129,30 +131,60 @@ def group_by_bin(
     return dict(sorted(groups.items()))
 
 
+def _grid_points(table: TraceTable, width: float, origin: float) -> np.ndarray:
+    """The grid point origin + k * width nearest to each trace's n_rb, by the
+    float operations group_by_bin makes trace by trace."""
+    if not width > 0:
+        raise ValueError(f"bin width must be positive, got {width!r}")
+    bad = np.flatnonzero(~np.isfinite(table.n_rb))
+    if len(bad):
+        i = bad[0]
+        raise ValueError(
+            f"trace {table.trace_ids[i]!r} has a non-finite n_rb {table.n_rb[i]!r}"
+        )
+    return origin + np.floor((table.n_rb - origin) / width + 0.5) * width
+
+
 def bin_by_nrb(
-    traces: "list[FluorescenceTrace]",
+    traces: "Sequence[FluorescenceTrace]",
     cal: DetectionCalibration,
     width: float = 220.0,
     origin: float = 0.0,
 ) -> BinnedDataset:
     """Build per-bin aggregates from the recovered staircases.
 
-    Traces are grouped on the grid points origin + k * width. For every
-    bin: the mean recovered atom number over all detect bins, its standard
-    error from the trace-to-trace spread, the loading rate as up-steps per
-    detection time, the loss rate as lost atoms per detection time, and the
-    Poisson rate fitted to the pooled count-rate histogram (NaN when fewer
-    than two peaks are resolvable). The histogram itself is kept on the bin
-    for writing out.
+    Traces are grouped on the grid points origin + k * width, as
+    group_by_bin groups them. For every bin: the mean recovered atom number
+    over all detect bins, its standard error from the trace-to-trace spread,
+    the loading rate as up-steps per detection time, the loss rate as lost
+    atoms per detection time, and the Poisson rate fitted to the pooled
+    count-rate histogram (NaN when fewer than two peaks are resolvable). The
+    histogram itself is kept on the bin for writing out.
+
+    traces may be a TraceTable (what read_traces_jsonl returns); any other
+    sequence is turned into one first. Each bin's rows are taken from it as
+    a table of their own, so the staircase and the histogram share one
+    computation of the bin's rates per layout.
     """
     if not traces:
         raise ValueError("need at least one trace")
+    table = TraceTable.from_traces(traces)
+    centers, inverse = np.unique(
+        _grid_points(table, width, origin), return_inverse=True
+    )
+    # Rows of each bin, in file order.
+    order = np.argsort(inverse, kind="stable")
+    groups = np.split(order, np.cumsum(np.bincount(inverse))[:-1])
     bins: list[NrbBin] = []
-    for center, members in group_by_bin(traces, width, origin).items():
+    for center, rows in zip(centers.tolist(), groups):
+        members = table.take(rows)
         means, loads, loss_atoms = summarize_staircases(members, cal)
-        detect_time = 0.0
-        for t in members:
-            detect_time += (t.segments.detect[1] - t.segments.detect[0]) * t.bin_s
+        durations = np.empty(len(members))
+        for layout in members.layouts:
+            d0, d1 = layout.segments.detect
+            durations[layout.positions] = (d1 - d0) * layout.bin_s
+        # cumsum adds left to right, as a trace-by-trace sum would.
+        detect_time = float(np.cumsum(durations)[-1])
         n = len(means)
         se = float(means.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         hist = build_histogram(members, cal)

@@ -7,14 +7,17 @@ matrix of Poisson means and one draw per shot on its own generator.
 Inverse direction: background subtraction, integer staircase estimation
 with a short median filter, pooled count-rate histograms whose integer-atom
 peaks are counted in rounding cells, and a Poisson fit to the peak weights.
-The inverse steps run on a (traces x bins) count matrix, one per segment
-layout. In both directions a whole bin of traces is processed at once and
-the single-trace functions are the one-row case.
+The inverse steps run on a TraceTable: trace ids, n_rb and one
+(traces x bins) count matrix per segment layout, whose detect rates are
+computed once and shared by the staircase and the histogram. In both
+directions a whole bin of traces is processed at once and the single-trace
+functions are the one-row case.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -27,6 +30,8 @@ __all__ = [
     "DetectionCalibration",
     "SegmentMap",
     "FluorescenceTrace",
+    "TraceLayout",
+    "TraceTable",
     "AtomNumberEstimate",
     "GaussianPeak",
     "TraceHistogram",
@@ -142,6 +147,126 @@ class FluorescenceTrace:
     def background_counts(self) -> np.ndarray:
         i0, i1 = self.segments.background
         return self.counts[i0:i1]
+
+
+@dataclass(frozen=True)
+class TraceLayout:
+    """The rows of a TraceTable that share one segment layout and bin width.
+
+    positions are the table rows held, ascending; counts holds them one per
+    row, in that order; line_numbers are their source lines, None when the
+    traces were not read from a file.
+    """
+
+    segments: SegmentMap
+    bin_s: float
+    positions: np.ndarray
+    counts: np.ndarray
+    line_numbers: np.ndarray | None = None
+
+
+class TraceTable(Sequence):
+    """Traces held as columns: ids, n_rb and one count matrix per layout.
+
+    It is also a read-only sequence of FluorescenceTrace: item i is a trace
+    whose counts are a read-only view of its matrix row, so code written for
+    a list of traces runs on a table unchanged. The background-subtracted
+    detect rates are computed on first use and kept (detect_rates).
+    """
+
+    def __init__(
+        self,
+        trace_ids: "Sequence[str]",
+        n_rb: "Sequence[float] | np.ndarray",
+        layouts: "Sequence[TraceLayout]",
+    ):
+        self.trace_ids = list(trace_ids)
+        self.n_rb = np.array(n_rb, dtype=float)
+        self.n_rb.flags.writeable = False
+        self.layouts = tuple(layouts)
+        self._layout_of = np.empty(len(self.trace_ids), dtype=np.intp)
+        self._row_of = np.empty(len(self.trace_ids), dtype=np.intp)
+        for k, layout in enumerate(self.layouts):
+            layout.counts.flags.writeable = False
+            self._layout_of[layout.positions] = k
+            self._row_of[layout.positions] = np.arange(len(layout.positions))
+        self._rates: list[tuple[np.ndarray, np.ndarray]] | None = None
+
+    @classmethod
+    def from_traces(cls, traces: "Sequence[FluorescenceTrace]") -> "TraceTable":
+        """The table of a sequence of traces (itself, if it is a table).
+
+        Layouts come in order of first appearance; each matrix is the
+        layout's counts stacked in trace order.
+        """
+        if isinstance(traces, TraceTable):
+            return traces
+        groups: dict[tuple[SegmentMap, float], list[int]] = {}
+        for i, t in enumerate(traces):
+            groups.setdefault((t.segments, t.bin_s), []).append(i)
+        layouts = [
+            TraceLayout(
+                segments=seg,
+                bin_s=bin_s,
+                positions=np.array(positions),
+                counts=np.stack([traces[i].counts for i in positions]),
+            )
+            for (seg, bin_s), positions in groups.items()
+        ]
+        return cls([t.trace_id for t in traces], [t.n_rb for t in traces], layouts)
+
+    def __len__(self) -> int:
+        return len(self.trace_ids)
+
+    def __getitem__(self, index: int) -> FluorescenceTrace:
+        i = range(len(self))[operator.index(index)]
+        layout = self.layouts[self._layout_of[i]]
+        return FluorescenceTrace(
+            trace_id=self.trace_ids[i],
+            n_rb=float(self.n_rb[i]),
+            bin_s=layout.bin_s,
+            segments=layout.segments,
+            counts=layout.counts[self._row_of[i]],
+        )
+
+    def take(self, rows: np.ndarray) -> "TraceTable":
+        """The table of the given rows, in the order given."""
+        rows = np.asarray(rows, dtype=np.intp)
+        layout_of = self._layout_of[rows]
+        layouts = []
+        for k, layout in enumerate(self.layouts):
+            positions = np.flatnonzero(layout_of == k)
+            if not len(positions):
+                continue
+            src = self._row_of[rows[positions]]
+            lines = layout.line_numbers
+            layouts.append(TraceLayout(
+                segments=layout.segments,
+                bin_s=layout.bin_s,
+                positions=positions,
+                counts=layout.counts[src],
+                line_numbers=None if lines is None else lines[src],
+            ))
+        return TraceTable([self.trace_ids[i] for i in rows], self.n_rb[rows], layouts)
+
+    def detect_rates(self) -> "list[tuple[np.ndarray, np.ndarray]]":
+        """Background-subtracted detect rates (1/s), one matrix per layout.
+
+        Returns (positions, rates) per layout, in layout order; computed on
+        the first call and kept.
+        """
+        if self._rates is None:
+            self._rates = [
+                (
+                    layout.positions,
+                    _detect_rates(
+                        layout.counts, layout.segments, layout.bin_s,
+                        self.trace_ids[layout.positions[0]],
+                    ),
+                )
+                for layout in self.layouts
+            ]
+        return self._rates
 
 
 @dataclass
@@ -331,21 +456,6 @@ def _detect_rates(
     return rates
 
 
-def _rates_by_layout(traces: "list[FluorescenceTrace]"):
-    """Background-subtracted detect rates, one matrix per (segments, bin_s).
-
-    Yields (positions, rates): the positions in traces of the rows, in
-    order, and their rates one trace per row. Layouts come in order of first
-    appearance.
-    """
-    groups: dict[tuple[SegmentMap, float], list[int]] = {}
-    for i, t in enumerate(traces):
-        groups.setdefault((t.segments, t.bin_s), []).append(i)
-    for (seg, bin_s), positions in groups.items():
-        counts = np.stack([traces[i].counts for i in positions])
-        yield positions, _detect_rates(counts, seg, bin_s, traces[positions[0]].trace_id)
-
-
 def _whole_atoms(rates: np.ndarray, rate_per_atom: float) -> np.ndarray:
     """Rates rounded to the nearest non-negative whole atom number."""
     atoms = np.rint(rates / rate_per_atom).astype(int)
@@ -412,9 +522,9 @@ def estimate_staircase(
 
 
 def summarize_staircases(
-    traces: "list[FluorescenceTrace]", cal: DetectionCalibration
+    traces: "Sequence[FluorescenceTrace]", cal: DetectionCalibration
 ) -> tuple[np.ndarray, int, int]:
-    """Staircase totals of a set of traces, one count matrix per layout.
+    """Staircase totals of a set of traces, one rate matrix per layout.
 
     Returns each trace's mean recovered atom number (in the order of traces),
     the number of up-steps and the number of atoms lost over all traces: the
@@ -422,10 +532,11 @@ def summarize_staircases(
     """
     if cal.rate_per_atom <= 0:
         raise ValueError("rate_per_atom must be positive to quantize occupancy")
-    means = np.empty(len(traces))
+    table = TraceTable.from_traces(traces)
+    means = np.empty(len(table))
     loads = 0
     lost = 0
-    for positions, rates in _rates_by_layout(traces):
+    for positions, rates in table.detect_rates():
         stair = _staircase_rows(rates, cal.rate_per_atom)
         means[positions] = stair.mean(axis=1)
         steps = np.diff(stair, axis=1, prepend=0)
@@ -434,13 +545,22 @@ def summarize_staircases(
     return means, loads, lost
 
 
-def _pooled_rates(traces: "list[FluorescenceTrace]") -> np.ndarray:
-    """Background-subtracted detect rates of all traces, concatenated in order."""
-    rows: list[np.ndarray | None] = [None] * len(traces)
-    for positions, rates in _rates_by_layout(traces):
-        for i, row in zip(positions, rates):
-            rows[i] = row
-    return np.concatenate(rows)
+def _pooled_rates(traces: "Sequence[FluorescenceTrace]") -> np.ndarray:
+    """Background-subtracted detect rates of all traces, concatenated in
+    trace order: each layout's rate rows are written to their offsets."""
+    table = TraceTable.from_traces(traces)
+    blocks = table.detect_rates()
+    if len(blocks) == 1:
+        # One layout holds every row, in order.
+        return blocks[0][1].ravel()
+    lengths = np.empty(len(table), dtype=np.intp)
+    for positions, rates in blocks:
+        lengths[positions] = rates.shape[1]
+    starts = np.cumsum(lengths) - lengths
+    pooled = np.empty(int(lengths.sum()))
+    for positions, rates in blocks:
+        pooled[starts[positions][:, None] + np.arange(rates.shape[1])] = rates
+    return pooled
 
 
 # Minimum pooled samples rounding to an atom number before it is a peak.
@@ -448,7 +568,7 @@ _MIN_PEAK_SAMPLES = 5
 
 
 def build_histogram(
-    traces: "list[FluorescenceTrace]", cal: DetectionCalibration
+    traces: "Sequence[FluorescenceTrace]", cal: DetectionCalibration
 ) -> TraceHistogram:
     """Pool background-subtracted detect rates and count the integer-atom peaks.
 

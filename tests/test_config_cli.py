@@ -632,6 +632,23 @@ class TestTraceLoader:
         assert main(["analyze", str(bad), "--out", str(tmp_path / "x")]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["5", "null", "[1, 2]", '"trace"', "true"])
+    def test_non_object_line_is_refused(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(GOOD_TRACE) + "\n" + text + "\n")
+        with pytest.raises(TraceFileError, match="^line 2: .*JSON object"):
+            read_traces_jsonl(bad)
+        with pytest.raises(TraceFileError, match="^line 7: .*JSON object"):
+            trace_from_dict(json.loads(text), 7)
+        for argv in (
+            ["analyze", str(bad), "--out", str(tmp_path / "x")],
+            ["fit", str(bad), "--out", str(tmp_path / "y")],
+        ):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: line 2: ") and "JSON object" in err
+        assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
+
 
 class TestBooleanCounts:
     """Booleans among integer counts infer int64 in numpy; the loader still
@@ -733,3 +750,60 @@ class TestAtomicSimulateOutput:
             "config.json", "traces.jsonl",
         ]
         assert list(out.iterdir()) == []
+
+
+class TestBinsCsvValues:
+    """read_bins_csv refuses NaN and infinite values in the columns the fits
+    read, naming the line and the column."""
+
+    PARAMS = PhysicalParams(
+        r0=1.48, alpha=2.3e-4, gamma=0.03, beta_rbcs=1.6e-10,
+        beta_cscs=0.0, w_cs=6.6 * UM, w_rb=26.4 * UM,
+    )
+
+    def _with_value(self, tmp_path, column, value, line=4):
+        path = tmp_path / "bins.csv"
+        crafted_bins_csv(path, self.PARAMS)
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        cells = lines[line - 1].split(",")
+        cells[header.index(column)] = value
+        lines[line - 1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("column", [
+        "n_rb_center", "mean_n_cs", "se_mean_n_cs", "loading_rate_per_s",
+        "loss_counts_per_time_per_s", "detect_time_s",
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_refused(self, tmp_path, capsys, recwarn, column, value):
+        path = self._with_value(tmp_path, column, value)
+        with pytest.raises(TraceFileError, match=f"^line 4: {column} must be finite"):
+            read_bins_csv(path)
+        assert main(["fit", str(path), "--out", str(tmp_path / "fit")]) == 1
+        err = capsys.readouterr().err
+        assert "line 4" in err and column in err
+        assert not (tmp_path / "fit").exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_unused_columns_stay_legal(self, tmp_path):
+        path = self._with_value(tmp_path, "ratio_load_loss", "inf")
+        binned = read_bins_csv(path)
+        assert all(math.isnan(b.poisson_lambda) for b in binned.bins)
+        assert len(binned.bins) == 16
+
+
+class TestModuleEntry:
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        import subprocess
+        import sys
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "motprobe", "oracle", "overlap"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("PASS pair_overlap_vs_quadrature")
