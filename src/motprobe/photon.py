@@ -154,15 +154,13 @@ class TraceLayout:
     """The rows of a TraceTable that share one segment layout and bin width.
 
     positions are the table rows held, ascending; counts holds them one per
-    row, in that order; line_numbers are their source lines, None when the
-    traces were not read from a file.
+    row, in that order.
     """
 
     segments: SegmentMap
     bin_s: float
     positions: np.ndarray
     counts: np.ndarray
-    line_numbers: np.ndarray | None = None
 
 
 class TraceTable(Sequence):
@@ -238,14 +236,11 @@ class TraceTable(Sequence):
             positions = np.flatnonzero(layout_of == k)
             if not len(positions):
                 continue
-            src = self._row_of[rows[positions]]
-            lines = layout.line_numbers
             layouts.append(TraceLayout(
                 segments=layout.segments,
                 bin_s=layout.bin_s,
                 positions=positions,
-                counts=layout.counts[src],
-                line_numbers=None if lines is None else lines[src],
+                counts=layout.counts[self._row_of[rows[positions]]],
             ))
         return TraceTable([self.trace_ids[i] for i in rows], self.n_rb[rows], layouts)
 
@@ -550,9 +545,6 @@ def _pooled_rates(traces: "Sequence[FluorescenceTrace]") -> np.ndarray:
     trace order: each layout's rate rows are written to their offsets."""
     table = TraceTable.from_traces(traces)
     blocks = table.detect_rates()
-    if len(blocks) == 1:
-        # One layout holds every row, in order.
-        return blocks[0][1].ravel()
     lengths = np.empty(len(table), dtype=np.intp)
     for positions, rates in blocks:
         lengths[positions] = rates.shape[1]

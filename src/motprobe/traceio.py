@@ -193,13 +193,9 @@ def _count_matrix(
     return block.astype(np.int64, copy=False)
 
 
-def trace_from_dict(
-    obj: dict, line_number: int | None = None, *, may_hold_bools: bool = True
-) -> FluorescenceTrace:
+def trace_from_dict(obj: dict, line_number: int | None = None) -> FluorescenceTrace:
     """Build a trace from its JSON object, refusing malformed fields with a
-    TraceFileError that names line_number. may_hold_bools false skips the
-    per-element scan for booleans among integer counts; pass it only when
-    the source cannot hold any (JSON text without true or false).
+    TraceFileError that names line_number.
 
     read_traces_jsonl makes the same checks, with the counts of many lines
     converted at once.
@@ -208,9 +204,7 @@ def trace_from_dict(
         trace_id, n_rb, segments, bin_s = _trace_fields(obj, {})
     except (TypeError, ValueError, OverflowError) as exc:
         raise TraceFileError(str(exc), line_number) from exc
-    (counts,) = _count_matrix(
-        [obj["counts"]], segments.n_bins, [line_number], [0] if may_hold_bools else []
-    )
+    (counts,) = _count_matrix([obj["counts"]], segments.n_bins, [line_number], [0])
     return FluorescenceTrace(
         trace_id=trace_id, n_rb=n_rb, bin_s=bin_s, segments=segments, counts=counts
     )
@@ -227,22 +221,23 @@ def write_traces_jsonl(path: "str | Path", traces: Iterable[FluorescenceTrace]) 
 
 
 # Lines parsed between two conversions of their counts into the matrices;
-# it bounds the Python int lists held at once.
+# it bounds the Python int lists held at once, and is a new layout's first
+# capacity.
 _FILL_BLOCK = 64
 
 
 class _LayoutFill:
     """The rows of one layout as read_traces_jsonl fills them.
 
-    counts is allocated for every line left in the file when the layout
-    first appears; pages no row reaches are never touched, and the matrix is
-    cut to the rows filled at the end.
+    counts grows in place (ndarray.resize) by half its rows whenever a
+    block does not fit, and is cut to the rows filled at the end; the file
+    is read once, so a pipe works as well as a file.
     """
 
-    def __init__(self, segments: SegmentMap, bin_s: float, capacity: int):
+    def __init__(self, segments: SegmentMap, bin_s: float):
         self.segments = segments
         self.bin_s = bin_s
-        self.counts = np.empty((capacity, segments.n_bins), dtype=np.int64)
+        self.counts = np.empty((_FILL_BLOCK, segments.n_bins), dtype=np.int64)
         self.filled = 0
         self.positions: list[int] = []
         self.line_numbers: list[int] = []
@@ -262,10 +257,6 @@ class _LayoutFill:
         n = len(self.pending)
         if not n:
             return None
-        if self.filled + n > len(self.counts):
-            return TraceFileError(
-                "the file grew while it was read", self.line_numbers[self.filled]
-            )
         try:
             block = _count_matrix(
                 self.pending, self.segments.n_bins,
@@ -273,6 +264,9 @@ class _LayoutFill:
             )
         except TraceFileError as exc:
             return exc
+        if self.filled + n > len(self.counts):
+            rows = max(self.filled + n, len(self.counts) * 3 // 2)
+            self.counts.resize((rows, self.segments.n_bins), refcheck=False)
         self.counts[self.filled:self.filled + n] = block
         self.filled += n
         self.pending = []
@@ -286,7 +280,6 @@ class _LayoutFill:
             bin_s=self.bin_s,
             positions=np.array(self.positions, dtype=np.intp),
             counts=self.counts,
-            line_numbers=np.array(self.line_numbers, dtype=np.int64),
         )
 
 
@@ -296,15 +289,6 @@ def _fill_all(fills: "Iterable[_LayoutFill]") -> None:
     errors = [err for err in (f.fill() for f in fills) if err is not None]
     if errors:
         raise min(errors, key=lambda err: err.line_number)
-
-
-def _line_count(path: "str | Path") -> int:
-    """Number of lines of the file, counting a last one without a newline."""
-    n = 1
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            n += chunk.count(b"\n")
-    return n
 
 
 def _parse_line(line: str, line_number: int, segment_maps: "dict[tuple, SegmentMap]"):
@@ -328,7 +312,6 @@ def read_traces_jsonl(path: "str | Path") -> TraceTable:
     refusal names the first bad line of the file, whether it was found in
     the line's fields or in its block's counts.
     """
-    n_lines = _line_count(path)
     trace_ids: list[str] = []
     n_rb: list[float] = []
     segment_maps: dict[tuple, SegmentMap] = {}
@@ -345,7 +328,7 @@ def read_traces_jsonl(path: "str | Path") -> TraceTable:
                 raise
             fill = fills.get((segments, bin_s))
             if fill is None:
-                fill = fills[segments, bin_s] = _LayoutFill(segments, bin_s, n_lines - i + 1)
+                fill = fills[segments, bin_s] = _LayoutFill(segments, bin_s)
             # A JSON boolean is spelt true or false; most lines hold neither,
             # and skip the per-count scan for one.
             flagged = "true" in line or "false" in line

@@ -9,6 +9,8 @@ comparison asks for equality, not closeness.
 
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -66,20 +68,15 @@ def simulated_lines():
 
 @pytest.fixture(scope="module")
 def mixed_file(tmp_path_factory):
-    """The simulated lines with blank lines among them; returns the path and
-    the line number of every trace."""
-    lines = simulated_lines()
+    """The path of the simulated lines with blank lines among them."""
     path = tmp_path_factory.mktemp("table") / "mixed.jsonl"
-    text, numbers, line = [], [], 0
-    for k, entry in enumerate(lines):
+    text = []
+    for k, entry in enumerate(simulated_lines()):
         if k % 37 == 5:
             text.append("   ")
-            line += 1
         text.append(entry)
-        line += 1
-        numbers.append(line)
     path.write_text("\n".join(text) + "\n\n")
-    return path, numbers
+    return path
 
 
 def reference_traces(path):
@@ -102,7 +99,7 @@ def assert_same_trace(got, want):
 
 class TestReader:
     def test_fields_and_counts_match_per_line_reference(self, mixed_file):
-        path, numbers = mixed_file
+        path = mixed_file
         assert N_TRACES > 2 * traceio._FILL_BLOCK
         table = read_traces_jsonl(path)
         ref = reference_traces(path)
@@ -114,7 +111,7 @@ class TestReader:
         with pytest.raises(IndexError):
             table[N_TRACES]
 
-        # The layouts partition the rows, each in file order with its lines.
+        # The layouts partition the rows, each in file order.
         assert len(table.layouts) == 3
         assert table.trace_ids == [t.trace_id for t in ref]
         assert np.array_equal(table.n_rb, [t.n_rb for t in ref])
@@ -124,14 +121,13 @@ class TestReader:
             assert np.all(np.diff(layout.positions) > 0)
             assert layout.counts.dtype == np.int64
             assert layout.counts.shape == (len(layout.positions), layout.segments.n_bins)
-            assert layout.line_numbers.tolist() == [numbers[i] for i in layout.positions]
             for row, i in zip(layout.counts, layout.positions):
                 assert ref[i].segments == layout.segments
                 assert ref[i].bin_s == layout.bin_s
                 assert np.array_equal(row, ref[i].counts)
 
     def test_table_is_read_only(self, mixed_file):
-        table = read_traces_jsonl(mixed_file[0])
+        table = read_traces_jsonl(mixed_file)
         with pytest.raises(ValueError):
             table[0].counts[0] = 1
         with pytest.raises(ValueError):
@@ -141,7 +137,7 @@ class TestReader:
         assert TraceTable.from_traces(table) is table
 
     def test_from_traces_matches_reader(self, mixed_file):
-        path, _ = mixed_file
+        path = mixed_file
         table = read_traces_jsonl(path)
         built = TraceTable.from_traces(reference_traces(path))
         assert built.trace_ids == table.trace_ids
@@ -150,7 +146,41 @@ class TestReader:
             assert (a.segments, a.bin_s) == (b.segments, b.bin_s)
             assert np.array_equal(a.positions, b.positions)
             assert np.array_equal(a.counts, b.counts)
-            assert a.line_numbers is None
+
+    def test_cr_only_line_endings(self, tmp_path, mixed_file):
+        path = tmp_path / "cr.jsonl"
+        path.write_bytes(mixed_file.read_bytes().replace(b"\n", b"\r"))
+        table = read_traces_jsonl(path)
+        ref = reference_traces(mixed_file)
+        assert len(table) == len(ref)
+        for got, want in zip(table, ref):
+            assert_same_trace(got, want)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_one_pass_input(self, mixed_file):
+        """A pipe, as `analyze <(zcat traces.jsonl.gz)` passes it, can be
+        read only once."""
+        data = mixed_file.read_bytes()
+        read_fd, write_fd = os.pipe()
+
+        def feed():
+            try:
+                with os.fdopen(write_fd, "wb") as fh:
+                    fh.write(data)
+            except BrokenPipeError:
+                pass
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            table = read_traces_jsonl(f"/dev/fd/{read_fd}")
+        finally:
+            os.close(read_fd)
+            writer.join(timeout=10)
+        ref = reference_traces(mixed_file)
+        assert len(table) == len(ref)
+        for got, want in zip(table, ref):
+            assert_same_trace(got, want)
 
 
 def assert_same_bins(got, want):
@@ -174,7 +204,7 @@ def assert_same_bins(got, want):
 
 class TestBinning:
     def test_table_bins_match_list_bins(self, mixed_file):
-        path, _ = mixed_file
+        path = mixed_file
         table = read_traces_jsonl(path)
         ref = reference_traces(path)
         got = bin_by_nrb(table, CAL, width=1100.0)
@@ -189,7 +219,7 @@ class TestBinning:
     def test_bins_match_trace_by_trace(self, mixed_file):
         """Each bin against group_by_bin and a per-trace staircase, with the
         detect time summed trace by trace in file order."""
-        path, _ = mixed_file
+        path = mixed_file
         binned = bin_by_nrb(read_traces_jsonl(path), CAL, width=1100.0)
         groups = group_by_bin(reference_traces(path), width=1100.0)
         assert [b.center for b in binned.bins] == list(groups)
