@@ -48,7 +48,7 @@ from .traceio import (
     read_bins_csv,
     read_traces_jsonl,
     trace_record,
-    trajectory_to_dict,
+    trajectory_records,
     write_bins_csv,
     write_curve_csv,
     write_histogram_csv,
@@ -68,19 +68,18 @@ def _simulate_bin_job(job, params, cal, schedule, master_seed, dump):
     """
     bi, n_rb, traces = job
     seg = segment_map_for(schedule, cal.bin_s)
-    trajectories = list(simulate_bin(n_rb, params, schedule, master_seed, bi, traces))
+    table = simulate_bin(n_rb, params, schedule, master_seed, bi, traces)
     seeds = derive_seeds(master_seed, PHOTON_STREAM, bi, count=traces)
-    counts = synthesize_bin(trajectories, cal, seg, seeded_generators(seeds))
+    counts = synthesize_bin(table, cal, seg, seeded_generators(seeds))
     trace_ids = [f"b{bi:02d}t{ti:04d}" for ti in range(traces)]
     trace_text = "".join(
-        json.dumps(trace_record(trace_id, traj.n_rb, cal.bin_s, seg, row)) + "\n"
-        for trace_id, traj, row in zip(trace_ids, trajectories, counts.tolist())
+        json.dumps(trace_record(trace_id, n_rb, cal.bin_s, seg, row)) + "\n"
+        for trace_id, row in zip(trace_ids, counts.tolist())
     )
     traj_text = None
     if dump:
         traj_text = "".join(
-            json.dumps(trajectory_to_dict(trace_id, traj)) + "\n"
-            for trace_id, traj in zip(trace_ids, trajectories)
+            json.dumps(record) + "\n" for record in trajectory_records(trace_ids, table)
         )
     return trace_text, traj_text
 
@@ -173,11 +172,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
-    cal = cfg.detection_calibration()
-    traces = read_traces_jsonl(args.traces)
-    binned = bin_by_nrb(
-        traces, cal, width=float(cfg.grid.step), origin=float(cfg.grid.min)
-    )
+    binned = _bin_traces(args.traces, cfg)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -202,14 +197,21 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _bin_traces(path, cfg: RunConfig):
+    """The traces of a JSONL file, binned on the config grid. A trace whose
+    nearest grid point lies outside [grid.min, grid.max] is refused."""
+    grid = cfg.grid
+    return bin_by_nrb(
+        read_traces_jsonl(path), cfg.detection_calibration(),
+        width=float(grid.step), origin=float(grid.min),
+        bounds=(float(grid.min), float(grid.max)),
+    )
+
+
 def _load_binned(input_path: str, cfg: RunConfig):
     path = Path(input_path)
     if path.suffix == ".jsonl":
-        traces = read_traces_jsonl(path)
-        return bin_by_nrb(
-            traces, cfg.detection_calibration(),
-            width=float(cfg.grid.step), origin=float(cfg.grid.min),
-        )
+        return _bin_traces(path, cfg)
     if path.suffix == ".csv":
         return read_bins_csv(path)
     return None

@@ -140,7 +140,7 @@ def _grid_points(table: TraceTable, width: float, origin: float) -> np.ndarray:
     if len(bad):
         i = bad[0]
         raise ValueError(
-            f"trace {table.trace_ids[i]!r} has a non-finite n_rb {table.n_rb[i]!r}"
+            f"trace {table.trace_ids[i]!r} has a non-finite n_rb {float(table.n_rb[i])!r}"
         )
     return origin + np.floor((table.n_rb - origin) / width + 0.5) * width
 
@@ -150,6 +150,7 @@ def bin_by_nrb(
     cal: DetectionCalibration,
     width: float = 220.0,
     origin: float = 0.0,
+    bounds: "tuple[float, float] | None" = None,
 ) -> BinnedDataset:
     """Build per-bin aggregates from the recovered staircases.
 
@@ -164,14 +165,27 @@ def bin_by_nrb(
     traces may be a TraceTable (what read_traces_jsonl returns); any other
     sequence is turned into one first. Each bin's rows are taken from it as
     a table of their own, so the staircase and the histogram share one
-    computation of the bin's rates per layout.
+    computation of the bin's rates and whole-atom numbers per layout.
+
+    bounds, when given, is the (min, max) of the grid: a trace whose grid
+    point lies outside it is refused, naming the first such trace, before
+    any bin is built.
     """
     if not traces:
         raise ValueError("need at least one trace")
     table = TraceTable.from_traces(traces)
-    centers, inverse = np.unique(
-        _grid_points(table, width, origin), return_inverse=True
-    )
+    points = _grid_points(table, width, origin)
+    if bounds is not None:
+        lo, hi = bounds
+        off = np.flatnonzero((points < lo) | (points > hi))
+        if len(off):
+            i = off[0]
+            raise ValueError(
+                f"trace {table.trace_ids[i]!r} has n_rb {float(table.n_rb[i])!r}, "
+                f"nearest to grid point {float(points[i]):g}, outside the grid "
+                f"range [{lo:g}, {hi:g}]"
+            )
+    centers, inverse = np.unique(points, return_inverse=True)
     # Rows of each bin, in file order.
     order = np.argsort(inverse, kind="stable")
     groups = np.split(order, np.cumsum(np.bincount(inverse))[:-1])

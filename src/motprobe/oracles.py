@@ -15,12 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .gillespie import (
-    ExperimentSchedule,
-    derive_seeds,
-    seeded_generators,
-    simulate_trajectory,
-)
+from .gillespie import ExperimentSchedule, derive_seeds, simulate_shots
 from .physics import CloudModel, PhysicalParams, transient_mean
 
 __all__ = [
@@ -73,12 +68,20 @@ def overlap_checks(
     from .physics import pair_overlap_volume
 
     radii = np.logspace(math.log10(lo_cm), math.log10(hi_cm), n_radii)
+    # The quadrature is symmetric in its radii bit for bit (w_prod adds its
+    # two terms in either order, the integrand is a product of the two
+    # densities), so each unordered pair is integrated once.
+    quad = {
+        (i, j): overlap_volume_quadrature(radii[i], radii[j])
+        for i in range(n_radii)
+        for j in range(i, n_radii)
+    }
     worst = 0.0
     worst_pair = (radii[0], radii[0])
-    for wa in radii:
-        for wb in radii:
+    for i, wa in enumerate(radii):
+        for j, wb in enumerate(radii):
             v_closed = pair_overlap_volume(wa, wb)
-            v_quad = overlap_volume_quadrature(wa, wb)
+            v_quad = quad[min(i, j), max(i, j)]
             rel = abs(v_closed - v_quad) / v_quad
             if rel > worst:
                 worst, worst_pair = rel, (wa, wb)
@@ -117,11 +120,9 @@ def transient_mean_ensemble(
     """Ensemble mean and standard error of the atom number at each checkpoint."""
     checkpoints = np.asarray(checkpoints, dtype=float)
     schedule = ExperimentSchedule(detect_s=float(checkpoints.max()))
-    samples = np.empty((runs, len(checkpoints)))
     seeds = derive_seeds(master_seed, 2, count=runs)
-    for i, (seed, rng) in enumerate(zip(seeds, seeded_generators(seeds))):
-        traj = simulate_trajectory(n_rb, params, schedule, int(seed), rng=rng)
-        samples[i] = [traj.n_at(t) for t in checkpoints]
+    table = simulate_shots(n_rb, params, schedule, seeds)
+    samples = table.levels_at(checkpoints).astype(float)
     mean = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / math.sqrt(runs)
     return mean, se
@@ -182,10 +183,7 @@ def poisson_end_state_check(
     )
     schedule = ExperimentSchedule(detect_s=detect_s)
     seeds = derive_seeds(master_seed, 3, count=runs)
-    finals = np.array([
-        simulate_trajectory(0.0, params, schedule, int(seed), rng=rng).n_final
-        for seed, rng in zip(seeds, seeded_generators(seeds))
-    ])
+    finals = simulate_shots(0.0, params, schedule, seeds).final_levels()
     lam = load / gamma
     chi2, dof, p = poisson_chi2(finals, lam)
     return OracleCheck(

@@ -2,14 +2,16 @@
 
 Forward direction: turn simulated trajectories into Poisson photon counts in
 fixed time bins, including the light-off and background segments of each
-shot. A bin of shots is synthesized at once: one occupancy matrix, one
+shot. A bin of shots is synthesized at once from its EventTable (the event
+times and levels of all shots in flat columns): one occupancy matrix, one
 matrix of Poisson means and one draw per shot on its own generator.
 Inverse direction: background subtraction, integer staircase estimation
 with a short median filter, pooled count-rate histograms whose integer-atom
 peaks are counted in rounding cells, and a Poisson fit to the peak weights.
 The inverse steps run on a TraceTable: trace ids, n_rb and one
-(traces x bins) count matrix per segment layout, whose detect rates are
-computed once and shared by the staircase and the histogram. In both
+(traces x bins) count matrix per segment layout, whose detect rates and
+whole-atom numbers are computed once and shared by the staircase and the
+histogram. In both
 directions a whole bin of traces is processed at once and the single-trace
 functions are the one-row case.
 """
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .gillespie import ExperimentSchedule, Trajectory
+from .gillespie import EventTable, ExperimentSchedule, Trajectory
 
 __all__ = [
     "DetectionCalibration",
@@ -169,7 +171,8 @@ class TraceTable(Sequence):
     It is also a read-only sequence of FluorescenceTrace: item i is a trace
     whose counts are a read-only view of its matrix row, so code written for
     a list of traces runs on a table unchanged. The background-subtracted
-    detect rates are computed on first use and kept (detect_rates).
+    detect rates and their whole-atom numbers are computed on first use and
+    kept (detect_rates, whole_atoms).
     """
 
     def __init__(
@@ -189,6 +192,7 @@ class TraceTable(Sequence):
             self._layout_of[layout.positions] = k
             self._row_of[layout.positions] = np.arange(len(layout.positions))
         self._rates: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self._atoms: tuple[float, list[tuple[np.ndarray, np.ndarray]]] | None = None
 
     @classmethod
     def from_traces(cls, traces: "Sequence[FluorescenceTrace]") -> "TraceTable":
@@ -263,6 +267,18 @@ class TraceTable(Sequence):
             ]
         return self._rates
 
+    def whole_atoms(self, rate_per_atom: float) -> "list[tuple[np.ndarray, np.ndarray]]":
+        """detect_rates rounded to the nearest non-negative whole atom number,
+        as (positions, atoms) per layout; computed on the first call for a
+        rate_per_atom and kept, so the staircase and the histogram of a bin
+        share them."""
+        if self._atoms is None or self._atoms[0] != rate_per_atom:
+            self._atoms = (rate_per_atom, [
+                (positions, _whole_atoms(rates, rate_per_atom))
+                for positions, rates in self.detect_rates()
+            ])
+        return self._atoms[1]
+
 
 @dataclass
 class AtomNumberEstimate:
@@ -329,19 +345,19 @@ def _occupancy_rows(
     level persists to the end of the detection window. Segment e runs from
     event e to the trajectory's next event (or to the horizon) at that
     event's level. Every (segment, bin) overlap of all trajectories is built
-    at once and summed by one bincount over trace * n_bins + bin, in trace
-    then segment order, so each row is summed exactly as it would be alone.
+    at once from the time and level columns of their EventTable and summed
+    by one bincount over trace * n_bins + bin, in trace then segment order,
+    so each row is summed exactly as it would be alone.
     """
-    n_rows = len(trajectories)
+    table = EventTable.from_trajectories(trajectories)
+    n_rows = len(table)
     horizon = n_bins * bin_s
-    sizes = np.fromiter((len(traj.events) for traj in trajectories), np.int64, n_rows)
-    n = int(sizes.sum())
-    start = np.fromiter((e[0] for traj in trajectories for e in traj.events), float, n)
-    level = np.fromiter((e[2] for traj in trajectories for e in traj.events), np.int64, n)
+    sizes = np.diff(table.offsets)
+    start, level = table.time, table.level
     row = np.repeat(np.arange(n_rows), sizes)
-    stop = np.empty(n)
+    stop = np.empty(len(start))
     stop[:-1] = start[1:]
-    stop[np.cumsum(sizes)[sizes > 0] - 1] = horizon
+    stop[table.offsets[1:][sizes > 0] - 1] = horizon
     np.minimum(stop, horizon, out=stop)
     live = (level != 0) & (stop > start)
     start, stop, level, row = start[live], stop[live], level[live], row[live]
@@ -399,6 +415,8 @@ def synthesize_bin(
     is drawn by one rng.poisson call on that shot's own generator, taken
     from rngs in order. The draws are those of one poisson call per segment
     in segment order, since numpy draws an array of means element by element.
+    trajectories may be an EventTable (what simulate_bin returns); any other
+    sequence of trajectories is turned into one first.
     """
     means = count_means(trajectories, cal, seg)
     counts = np.empty(means.shape, dtype=np.int64)
@@ -458,13 +476,12 @@ def _whole_atoms(rates: np.ndarray, rate_per_atom: float) -> np.ndarray:
     return atoms
 
 
-def _staircase_rows(rates: np.ndarray, rate_per_atom: float) -> np.ndarray:
-    """Whole-atom staircase of every row of rates: rounding to the nearest
-    non-negative integer, then a 3-bin median with edges replicated, the
-    median of (l, x, r) taken as max(min(l, x), min(max(l, x), r)).
+def _staircase_rows(atoms: np.ndarray) -> np.ndarray:
+    """Staircase of every row of whole-atom numbers: a 3-bin median with
+    edges replicated, the median of (l, x, r) taken as
+    max(min(l, x), min(max(l, x), r)).
     """
-    raw = _whole_atoms(rates, rate_per_atom)
-    padded = np.pad(raw, ((0, 0), (1, 1)), mode="edge")
+    padded = np.pad(atoms, ((0, 0), (1, 1)), mode="edge")
     left, mid, right = padded[:, :-2], padded[:, 1:-1], padded[:, 2:]
     return np.maximum(
         np.minimum(left, mid), np.minimum(np.maximum(left, mid), right)
@@ -496,7 +513,9 @@ def estimate_staircase(
     """
     if cal.rate_per_atom <= 0:
         raise ValueError("rate_per_atom must be positive to quantize occupancy")
-    stair = _staircase_rows(subtract_background(trace)[None, :], cal.rate_per_atom)[0]
+    stair = _staircase_rows(
+        _whole_atoms(subtract_background(trace)[None, :], cal.rate_per_atom)
+    )[0]
     steps = np.diff(stair, prepend=0)
     load_events: list[int] = []
     loss_events: list[tuple[int, int]] = []
@@ -531,8 +550,8 @@ def summarize_staircases(
     means = np.empty(len(table))
     loads = 0
     lost = 0
-    for positions, rates in table.detect_rates():
-        stair = _staircase_rows(rates, cal.rate_per_atom)
+    for positions, atoms in table.whole_atoms(cal.rate_per_atom):
+        stair = _staircase_rows(atoms)
         means[positions] = stair.mean(axis=1)
         steps = np.diff(stair, axis=1, prepend=0)
         loads += int(steps[steps > 0].sum())
@@ -540,19 +559,24 @@ def summarize_staircases(
     return means, loads, lost
 
 
-def _pooled_rates(traces: "Sequence[FluorescenceTrace]") -> np.ndarray:
-    """Background-subtracted detect rates of all traces, concatenated in
-    trace order: each layout's rate rows are written to their offsets."""
-    table = TraceTable.from_traces(traces)
-    blocks = table.detect_rates()
+def _pooled(table: TraceTable, blocks: "list[tuple[np.ndarray, np.ndarray]]") -> np.ndarray:
+    """Per-layout (positions, rows) blocks of a table, such as its detect
+    rates, concatenated in trace order: each layout's rows are written to
+    their offsets."""
     lengths = np.empty(len(table), dtype=np.intp)
-    for positions, rates in blocks:
-        lengths[positions] = rates.shape[1]
+    for positions, rows in blocks:
+        lengths[positions] = rows.shape[1]
     starts = np.cumsum(lengths) - lengths
-    pooled = np.empty(int(lengths.sum()))
-    for positions, rates in blocks:
-        pooled[starts[positions][:, None] + np.arange(rates.shape[1])] = rates
+    pooled = np.empty(int(lengths.sum()), dtype=blocks[0][1].dtype)
+    for positions, rows in blocks:
+        pooled[starts[positions][:, None] + np.arange(rows.shape[1])] = rows
     return pooled
+
+
+def _pooled_rates(traces: "Sequence[FluorescenceTrace]") -> np.ndarray:
+    """Background-subtracted detect rates of all traces, in trace order."""
+    table = TraceTable.from_traces(traces)
+    return _pooled(table, table.detect_rates())
 
 
 # Minimum pooled samples rounding to an atom number before it is a peak.
@@ -574,7 +598,8 @@ def build_histogram(
         raise ValueError("need at least one trace")
     if cal.rate_per_atom <= 0:
         raise ValueError("rate_per_atom must be positive")
-    pooled = _pooled_rates(traces)
+    table = TraceTable.from_traces(traces)
+    pooled = _pooled_rates(table)
     width = cal.rate_per_atom / 20.0
     lo = math.floor(pooled.min() / width) * width
     hi = math.ceil(pooled.max() / width) * width
@@ -583,7 +608,7 @@ def build_histogram(
     edges = np.arange(lo, hi + 0.5 * width, width)
     occurrences, _ = np.histogram(pooled, bins=edges)
 
-    cells = _whole_atoms(pooled, cal.rate_per_atom)
+    cells = _pooled(table, table.whole_atoms(cal.rate_per_atom))
     sizes = np.bincount(cells)
     peaks: list[GaussianPeak] = []
     for k in np.flatnonzero(sizes >= _MIN_PEAK_SAMPLES):

@@ -9,12 +9,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
-from .gillespie import Trajectory
+from .gillespie import EventKind, EventTable, Trajectory
 from .inference import BinnedDataset, NrbBin
 from .photon import (
     FluorescenceTrace,
@@ -31,6 +31,7 @@ __all__ = [
     "trace_from_dict",
     "write_traces_jsonl",
     "read_traces_jsonl",
+    "trajectory_records",
     "trajectory_to_dict",
     "write_trajectories_jsonl",
     "write_histogram_csv",
@@ -343,14 +344,31 @@ def read_traces_jsonl(path: "str | Path") -> TraceTable:
     return TraceTable(trace_ids, n_rb, [f.layout() for f in fills.values()])
 
 
+def trajectory_records(trace_ids: "Sequence[str]", table: EventTable) -> Iterator[dict]:
+    """The dump record of every shot of an event table, in order: its id,
+    n_rb, seed, window end and one [time, kind, atom number after] per event."""
+    names = [kind.value for kind in EventKind]
+    time, kind, level = table.time.tolist(), table.kind.tolist(), table.level.tolist()
+    bounds = table.offsets.tolist()
+    shots = zip(
+        trace_ids, bounds[:-1], bounds[1:],
+        table.n_rb.tolist(), table.seed.tolist(), table.t_end.tolist(),
+        strict=True,
+    )
+    for trace_id, lo, hi, n_rb, seed, t_end in shots:
+        yield {
+            "trace_id": trace_id,
+            "n_rb": n_rb,
+            "seed": seed,
+            "t_end_s": t_end,
+            "events": [[time[j], names[kind[j]], level[j]] for j in range(lo, hi)],
+        }
+
+
 def trajectory_to_dict(trace_id: str, traj: Trajectory) -> dict:
-    return {
-        "trace_id": trace_id,
-        "n_rb": traj.n_rb,
-        "seed": traj.seed,
-        "t_end_s": traj.t_end,
-        "events": [[t, kind.value, n_after] for t, kind, n_after in traj.events],
-    }
+    """The dump record of one trajectory: the one-shot trajectory_records."""
+    (record,) = trajectory_records([trace_id], EventTable.from_trajectories([traj]))
+    return record
 
 
 def write_trajectories_jsonl(path: "str | Path", trajectories: Iterable[tuple[str, Trajectory]]) -> int:

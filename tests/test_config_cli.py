@@ -285,6 +285,46 @@ class TestAnalyze:
             trace_from_dict(nobg, 7)
 
 
+class TestOffGridTraces:
+    """A trace whose nearest grid point lies outside [grid.min, grid.max]
+    is refused by analyze and by fit on a trace file, before anything is
+    written."""
+
+    def traces_with(self, tmp_path, n_rb):
+        cfg = write_config(tmp_path, SMALL_CONFIG)
+        traces_path = tmp_path / "traces.jsonl"
+        assert main([
+            "simulate", "--config", str(cfg), "--out", str(traces_path), "--quiet",
+        ]) == 0
+        lines = traces_path.read_text().splitlines()
+        extra = dict(json.loads(lines[0]), trace_id="stray", n_rb=n_rb)
+        traces_path.write_text("\n".join(lines + [json.dumps(extra)]) + "\n")
+        return cfg, traces_path
+
+    @pytest.mark.parametrize("command", ["analyze", "fit"])
+    @pytest.mark.parametrize("n_rb, shown", [(-440.0, "-440.0"), (1e300, "1e+300")])
+    def test_refused_with_nothing_written(self, tmp_path, capsys, command, n_rb, shown):
+        cfg, traces_path = self.traces_with(tmp_path, n_rb)
+        capsys.readouterr()
+        out_dir = tmp_path / "out"
+        rc = main([command, str(traces_path), "--config", str(cfg), "--out", str(out_dir)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'stray'" in err and f"n_rb {shown}" in err and "[0, 440]" in err
+        assert not out_dir.exists()
+
+    def test_trace_nearest_the_grid_max_is_kept(self, tmp_path):
+        cfg, traces_path = self.traces_with(tmp_path, 549.0)
+        out_dir = tmp_path / "out"
+        assert main([
+            "analyze", str(traces_path), "--config", str(cfg), "--out", str(out_dir),
+        ]) == 0
+        binned = read_bins_csv(out_dir / "bins.csv")
+        assert binned.centers().tolist() == [0.0, 220.0, 440.0]
+        assert [b.n_traces for b in binned.bins] == [4, 4, 5]
+
+
 def crafted_bins_csv(path, params, gamma_zero=False):
     """Noiseless bins on the default grid: exact loading line, balanced
     loss, steady-state means from the closed form."""

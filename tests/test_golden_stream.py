@@ -60,7 +60,15 @@ def test_simulate_stream_is_pinned(tmp_path, name):
 # The oracle seed paths (2, i) and (3, i), pinned by the exact stdout and
 # exit code of `oracle` at 300 runs. At this run count the Poisson check
 # fails at its default seed (p 0.007); the pin is of the bytes, not a verdict.
+# The overlap oracle takes no runs; its worst relative error and the radius
+# pair it occurs at are pinned as printed.
 GOLDEN_ORACLE = {
+    "overlap": (0, (
+        "PASS pair_overlap_vs_quadrature: worst rel err 5.708e-15 at radii "
+        "1.000e-04/1.000e-03 cm (tol 1e-06, 5x5 grid)\n"
+        "PASS four_to_one_radius_special_case: rel err 2.359e-16 between general "
+        "and cubic form\n"
+    )),
     "transient": (0, (
         "PASS transient_mean[default-1100]: worst |z| 2.13 over 10 checkpoints, 300 runs (limit 3)\n"
         "PASS transient_mean[default-2200]: worst |z| 1.97 over 10 checkpoints, 300 runs (limit 3)\n"
