@@ -47,7 +47,7 @@ from .traceio import (
     BIN_CSV_COLUMNS,
     read_bins_csv,
     read_traces_jsonl,
-    trace_record,
+    trace_lines,
     trajectory_records,
     write_bins_csv,
     write_curve_csv,
@@ -72,10 +72,7 @@ def _simulate_bin_job(job, params, cal, schedule, master_seed, dump):
     seeds = derive_seeds(master_seed, PHOTON_STREAM, bi, count=traces)
     counts = synthesize_bin(table, cal, seg, seeded_generators(seeds))
     trace_ids = [f"b{bi:02d}t{ti:04d}" for ti in range(traces)]
-    trace_text = "".join(
-        json.dumps(trace_record(trace_id, n_rb, cal.bin_s, seg, row)) + "\n"
-        for trace_id, row in zip(trace_ids, counts.tolist())
-    )
+    trace_text = trace_lines(trace_ids, n_rb, cal.bin_s, seg, counts)
     traj_text = None
     if dump:
         traj_text = "".join(

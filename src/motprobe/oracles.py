@@ -9,6 +9,7 @@ frontend exposes these as `oracle`, and the test suite reuses them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +36,16 @@ class OracleCheck:
     detail: str
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes and weights of the nodes-point Gauss-Legendre rule on
+    [-1, 1], computed once per nodes; the arrays are read-only."""
+    x, wts = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = False
+    wts.flags.writeable = False
+    return x, wts
+
+
 def overlap_volume_quadrature(w_a: float, w_b: float, nodes: int = 64) -> float:
     """Pair overlap volume from direct 3-D Gauss-Legendre integration.
 
@@ -46,7 +57,7 @@ def overlap_volume_quadrature(w_a: float, w_b: float, nodes: int = 64) -> float:
     b = CloudModel.from_atom_number(1.0, w_b)
     w_prod = 1.0 / math.sqrt(1.0 / w_a ** 2 + 1.0 / w_b ** 2)
     half = 7.5 * w_prod
-    x, wts = np.polynomial.legendre.leggauss(nodes)
+    x, wts = _gauss_legendre(nodes)
     x = x * half
     wts = wts * half
     xx, yy, zz = np.meshgrid(x, x, x, indexing="ij", sparse=True)

@@ -2,13 +2,21 @@
 
 One JSON object per line keeps multi-thousand-trace campaigns streamable and
 diffable. Readers validate eagerly and report the offending line number.
+
+The photon counts of a trace file go through one codec that works on whole
+blocks of rows: trace_lines formats a count matrix in one vectorized pass,
+and read_traces_jsonl parses a block's count texts with one numpy call,
+falling back to json line by line for any block not in that form.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import json
 import math
+import warnings
 from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
@@ -27,6 +35,7 @@ from .photon import (
 __all__ = [
     "TraceFileError",
     "trace_record",
+    "trace_lines",
     "trace_to_dict",
     "trace_from_dict",
     "write_traces_jsonl",
@@ -71,6 +80,74 @@ def trace_record(
         },
         "counts": counts,
     }
+
+
+# Counts below _TABLE_COUNTS are formatted from a table of their text, built
+# on first use; a row holding any other count goes through json.
+_TABLE_COUNTS = 1 << 16
+_TABLE_WIDTH = len(f"{_TABLE_COUNTS - 1}, ")
+# A trace_id json.dumps writes as no other part of a trace record.
+_ID_MARK = "\x00"
+
+
+@functools.lru_cache(maxsize=1)
+def _count_text_table() -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII text of "k, " for every k below _TABLE_COUNTS, one
+    zero-padded row of _TABLE_WIDTH bytes each, and each text's length;
+    both read-only."""
+    digits = np.arange(_TABLE_COUNTS).astype(f"S{_TABLE_WIDTH - 2}")
+    texts = np.char.add(digits, b", ")
+    table = texts.view(np.uint8).reshape(_TABLE_COUNTS, _TABLE_WIDTH)
+    lengths = np.char.str_len(texts).astype(np.uint8)
+    table.flags.writeable = False
+    lengths.flags.writeable = False
+    return table, lengths
+
+
+def trace_lines(
+    trace_ids: "Sequence[str]", n_rb: float, bin_s: float, segments: SegmentMap, counts
+) -> str:
+    """The JSON lines of traces that share n_rb, bin_s and segments, one
+    per row of the (len(trace_ids), n_bins) count matrix.
+
+    Each line is byte for byte json.dumps(trace_record(...)) + "\n": the
+    text before the counts comes from json.dumps of trace_record, and the
+    integer counts below _TABLE_COUNTS are spelt from _count_text_table in
+    one gather and one masked compaction. A row with a negative, larger or
+    non-integer count is written by json.dumps itself.
+    """
+    counts = np.asarray(counts)
+    if counts.ndim != 2 or len(counts) != len(trace_ids):
+        raise ValueError(
+            f"counts must be a ({len(trace_ids)}, n_bins) matrix, got shape {counts.shape}"
+        )
+    template = json.dumps(trace_record(_ID_MARK, n_rb, bin_s, segments, []))
+    before, after = template.split(json.dumps(_ID_MARK))
+    after = after.removesuffix("]}")
+    if counts.dtype.kind in "iu":
+        tabled = ((counts >= 0) & (counts < _TABLE_COUNTS)).all(axis=1)
+    else:
+        tabled = np.zeros(len(counts), dtype=bool)
+    table, lengths = _count_text_table()
+    rows = counts[tabled].astype(np.intp, copy=False)
+    row_lengths = lengths[rows]
+    text = table[rows][np.arange(_TABLE_WIDTH) < row_lengths[..., None]]
+    body = text.tobytes().decode("ascii")
+    # Each row's text ends in ", "; the "]}" of the line replaces it.
+    ends = np.cumsum(row_lengths.sum(axis=1)).tolist()
+    starts = [0] + ends[:-1]
+    spans = iter(zip(starts, ends))
+    lines = []
+    for trace_id, fast, row in zip(trace_ids, tabled.tolist(), counts):
+        if fast:
+            start, end = next(spans)
+            lines.append(
+                f"{before}{json.dumps(trace_id)}{after}{body[start:max(start, end - 2)]}]}}\n"
+            )
+        else:
+            record = trace_record(trace_id, n_rb, bin_s, segments, row.tolist())
+            lines.append(json.dumps(record) + "\n")
+    return "".join(lines)
 
 
 def trace_to_dict(trace: FluorescenceTrace) -> dict:
@@ -215,16 +292,25 @@ def write_traces_jsonl(path: "str | Path", traces: Iterable[FluorescenceTrace]) 
     n = 0
     with open(path, "w") as fh:
         for trace in traces:
-            fh.write(json.dumps(trace_to_dict(trace)))
-            fh.write("\n")
+            fh.write(trace_lines(
+                [trace.trace_id], trace.n_rb, trace.bin_s, trace.segments,
+                trace.counts[np.newaxis],
+            ))
             n += 1
     return n
 
 
-# Lines parsed between two conversions of their counts into the matrices;
-# it bounds the Python int lists held at once, and is a new layout's first
+# Non-blank lines read as one block: the count texts of a block are parsed
+# together, and a block in another form is read line by line. It bounds the
+# text and Python int lists held at once, and is a new layout's first
 # capacity.
 _FILL_BLOCK = 64
+
+# What precedes the counts in a line trace_lines writes; the counts close
+# the line, with "]}" and optional whitespace.
+_COUNTS_KEY = ', "counts": ['
+_JSON_SPACE = " \t\n\r"
+_HEAD_DECODER = json.JSONDecoder()
 
 
 class _LayoutFill:
@@ -232,7 +318,9 @@ class _LayoutFill:
 
     counts grows in place (ndarray.resize) by half its rows whenever a
     block does not fit, and is cut to the rows filled at the end; the file
-    is read once, so a pipe works as well as a file.
+    is read once, so a pipe works as well as a file. Rows come either as a
+    checked int64 block (extend) or as JSON lists that wait in pending
+    until fill converts them.
     """
 
     def __init__(self, segments: SegmentMap, bin_s: float):
@@ -241,36 +329,43 @@ class _LayoutFill:
         self.counts = np.empty((_FILL_BLOCK, segments.n_bins), dtype=np.int64)
         self.filled = 0
         self.positions: list[int] = []
-        self.line_numbers: list[int] = []
         self.pending: list = []
+        self.pending_lines: list[int] = []
         self.flagged: list[int] = []
 
     def add(self, position: int, line_number: int, counts, flagged: bool) -> None:
         if flagged:
             self.flagged.append(len(self.pending))
         self.pending.append(counts)
+        self.pending_lines.append(line_number)
         self.positions.append(position)
-        self.line_numbers.append(line_number)
 
-    def fill(self) -> TraceFileError | None:
-        """Convert the pending counts into the matrix; the error of the
-        first bad row instead, if there is one."""
-        n = len(self.pending)
-        if not n:
-            return None
-        try:
-            block = _count_matrix(
-                self.pending, self.segments.n_bins,
-                self.line_numbers[self.filled:], self.flagged,
-            )
-        except TraceFileError as exc:
-            return exc
+    def extend(self, positions: "list[int]", block: np.ndarray) -> None:
+        self.positions.extend(positions)
+        self._append(block)
+
+    def _append(self, block: np.ndarray) -> None:
+        n = len(block)
         if self.filled + n > len(self.counts):
             rows = max(self.filled + n, len(self.counts) * 3 // 2)
             self.counts.resize((rows, self.segments.n_bins), refcheck=False)
         self.counts[self.filled:self.filled + n] = block
         self.filled += n
+
+    def fill(self) -> TraceFileError | None:
+        """Convert the pending counts into the matrix; the error of the
+        first bad row instead, if there is one."""
+        if not self.pending:
+            return None
+        try:
+            block = _count_matrix(
+                self.pending, self.segments.n_bins, self.pending_lines, self.flagged
+            )
+        except TraceFileError as exc:
+            return exc
+        self._append(block)
         self.pending = []
+        self.pending_lines = []
         self.flagged = []
         return None
 
@@ -282,14 +377,6 @@ class _LayoutFill:
             positions=np.array(self.positions, dtype=np.intp),
             counts=self.counts,
         )
-
-
-def _fill_all(fills: "Iterable[_LayoutFill]") -> None:
-    """Fill every layout's pending rows; raise the error of the first bad
-    line among them."""
-    errors = [err for err in (f.fill() for f in fills) if err is not None]
-    if errors:
-        raise min(errors, key=lambda err: err.line_number)
 
 
 def _parse_line(line: str, line_number: int, segment_maps: "dict[tuple, SegmentMap]"):
@@ -304,44 +391,170 @@ def _parse_line(line: str, line_number: int, segment_maps: "dict[tuple, SegmentM
         raise TraceFileError(str(exc), line_number) from exc
 
 
-def read_traces_jsonl(path: "str | Path") -> TraceTable:
-    """Read a traces file into a TraceTable.
+def _count_values(texts: "list[str]", n_bins: "list[int]") -> np.ndarray | None:
+    """The counts of the texts, in order, as one int64 array; None unless
+    each text is n_bins integers in the form trace_lines writes.
 
-    Each line is parsed with json and its scalar fields and segment layout
-    are checked as it is read; a line's counts go to the int64 matrix of its
-    (segments, bin_s) layout, converted in blocks of _FILL_BLOCK lines. Any
-    refusal names the first bad line of the file, whether it was found in
-    the line's fields or in its block's counts.
+    That form is what np.fromstring reads the same as json: values of one
+    to 18 digits with no leading zero, each but the last followed by ", ".
+    np.fromstring alone reads an empty value as 0 and leading zeros as if
+    absent, and clamps past int64; numpy 1.x warns and stops short on a
+    text it cannot parse, where 2.x raises.
     """
-    trace_ids: list[str] = []
-    n_rb: list[float] = []
-    segment_maps: dict[tuple, SegmentMap] = {}
-    fills: dict[tuple[SegmentMap, float], _LayoutFill] = {}
-    with open(path) as fh:
-        for i, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    joined = ", ".join(texts)
+    # Ending in a digit, the text has a character after each comma.
+    if not "0" <= joined[-1:] <= "9":
+        return None
+    try:
+        raw = np.frombuffer(joined.encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return None
+    commas = np.flatnonzero(raw == ord(","))
+    starts = np.append(0, commas + 2)
+    ends = np.append(commas, len(raw))
+    lengths = ends - starts
+    # Where each text ends in the joined one.
+    row_ends = np.cumsum([len(text) + 2 for text in texts]) - 2
+    if (
+        len(ends) != sum(n_bins)
+        or not np.array_equal(ends[np.cumsum(n_bins) - 1], row_ends)
+        or np.count_nonzero((raw - ord("0")) < 10) != len(raw) - 2 * len(commas)
+        or (raw[commas + 1] != ord(" ")).any()
+        or lengths.min() < 1
+        or lengths.max() > 18
+        or ((raw[starts] == ord("0")) & (lengths > 1)).any()
+    ):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.fromstring(joined, dtype=np.int64, sep=",")
+        except (ValueError, DeprecationWarning):
+            return None
+    return values if len(values) == len(ends) else None
+
+
+class _TableReader:
+    """The columns of a trace table as read_traces_jsonl reads them, one
+    block of lines at a time."""
+
+    def __init__(self):
+        self.trace_ids: list[str] = []
+        self.n_rb: list[float] = []
+        self.segment_maps: dict[tuple, SegmentMap] = {}
+        self.fills: dict[tuple[SegmentMap, float], _LayoutFill] = {}
+
+    def _fill(self, segments: SegmentMap, bin_s: float) -> _LayoutFill:
+        fill = self.fills.get((segments, bin_s))
+        if fill is None:
+            fill = self.fills[segments, bin_s] = _LayoutFill(segments, bin_s)
+        return fill
+
+    def read_block(self, block: "list[tuple[int, str]]") -> None:
+        """Add the (line number, line) pairs of a block; raise the
+        TraceFileError of its first bad line, if it has one."""
+        if not self._read_block_fast(block):
+            self._read_block_lines(block)
+
+    def _read_block_fast(self, block: "list[tuple[int, str]]") -> bool:
+        """Add a block whose every line is in the form trace_lines writes:
+        each head (the line before its last _COUNTS_KEY, closed with "}") is
+        parsed with json and checked by _trace_fields, the count texts with
+        one _count_values. Nothing is added, and False returned, when any
+        line is in another form or fails a check."""
+        fields, texts = [], []
+        for _, line in block:
+            at = line.rfind(_COUNTS_KEY)
+            if at < 0:
+                return False
+            tail = line[at + len(_COUNTS_KEY):].rstrip(_JSON_SPACE)
+            if not tail.endswith("]}"):
+                return False
+            head_text = line[:at] + "}"
             try:
-                obj, (trace_id, value, segments, bin_s) = _parse_line(line, i, segment_maps)
+                head, end = _HEAD_DECODER.raw_decode(head_text)
+                if end != len(head_text):
+                    return False
+                # An earlier counts key is one json would overwrite too.
+                head["counts"] = None
+                fields.append(_trace_fields(head, self.segment_maps))
+            except (TypeError, ValueError, OverflowError):
+                return False
+            texts.append(tail[:-2])
+        n_bins = [segments.n_bins for _, _, segments, _ in fields]
+        values = _count_values(texts, n_bins)
+        if values is None:
+            return False
+        first = len(self.trace_ids)
+        # In order of first appearance, as the table lists its layouts.
+        layouts = dict.fromkeys(f[2:] for f in fields)
+        if len(layouts) == 1:
+            # The common case, as simulate writes one layout: a view.
+            (layout,) = layouts
+            self._fill(*layout).extend(
+                list(range(first, first + len(fields))), values.reshape(len(fields), -1)
+            )
+        else:
+            starts = np.cumsum([0] + n_bins[:-1])
+            for segments, bin_s in layouts:
+                ks = [k for k, f in enumerate(fields) if f[2:] == (segments, bin_s)]
+                index = starts[ks][:, np.newaxis] + np.arange(segments.n_bins)
+                self._fill(segments, bin_s).extend([first + k for k in ks], values[index])
+        for trace_id, n_rb, _, _ in fields:
+            self.trace_ids.append(trace_id)
+            self.n_rb.append(n_rb)
+        return True
+
+    def _read_block_lines(self, block: "list[tuple[int, str]]") -> None:
+        """Add a block line by line: each line parsed with json, its counts
+        converted with its layout's pending rows at the end of the block."""
+        for i, line in block:
+            try:
+                obj, (trace_id, n_rb, segments, bin_s) = _parse_line(
+                    line, i, self.segment_maps
+                )
             except TraceFileError:
                 # A line before this one may hold bad counts, not yet converted.
-                _fill_all(fills.values())
+                self._fill_all()
                 raise
-            fill = fills.get((segments, bin_s))
-            if fill is None:
-                fill = fills[segments, bin_s] = _LayoutFill(segments, bin_s)
             # A JSON boolean is spelt true or false; most lines hold neither,
             # and skip the per-count scan for one.
             flagged = "true" in line or "false" in line
-            fill.add(len(trace_ids), i, obj["counts"], flagged)
-            trace_ids.append(trace_id)
-            n_rb.append(value)
-            if len(trace_ids) % _FILL_BLOCK == 0:
-                _fill_all(fills.values())
-    _fill_all(fills.values())
-    if not trace_ids:
+            self._fill(segments, bin_s).add(len(self.trace_ids), i, obj["counts"], flagged)
+            self.trace_ids.append(trace_id)
+            self.n_rb.append(n_rb)
+        self._fill_all()
+
+    def _fill_all(self) -> None:
+        """Fill every layout's pending rows; raise the error of the first bad
+        line among them."""
+        errors = [err for err in (f.fill() for f in self.fills.values()) if err is not None]
+        if errors:
+            raise min(errors, key=lambda err: err.line_number)
+
+    def table(self) -> TraceTable:
+        return TraceTable(self.trace_ids, self.n_rb, [f.layout() for f in self.fills.values()])
+
+
+def read_traces_jsonl(path: "str | Path") -> TraceTable:
+    """Read a traces file into a TraceTable.
+
+    The file is read in blocks of _FILL_BLOCK non-blank lines. A block in
+    the form trace_lines writes has its heads parsed with json and its
+    counts with one numpy call; any other block is parsed line by line with
+    json. Either way each line's scalar fields and segment layout are
+    checked, and its counts go to the int64 matrix of its (segments, bin_s)
+    layout. Any refusal names the first bad line of the file, whether it
+    was found in the line's fields or in its block's counts.
+    """
+    reader = _TableReader()
+    with open(path) as fh:
+        lines = ((i, line) for i, line in enumerate(fh, start=1) if not line.isspace())
+        while block := list(itertools.islice(lines, _FILL_BLOCK)):
+            reader.read_block(block)
+    if not reader.trace_ids:
         raise TraceFileError(f"{path}: no traces found")
-    return TraceTable(trace_ids, n_rb, [f.layout() for f in fills.values()])
+    return reader.table()
 
 
 def trajectory_records(trace_ids: "Sequence[str]", table: EventTable) -> Iterator[dict]:
@@ -447,9 +660,11 @@ def read_bins_csv(path: "str | Path", width: float | None = None) -> BinnedDatas
 
     Trace-level means are not stored in the CSV, so a dataset read this way
     supports every fit except the bootstrap. A NaN or infinite value in a
-    column the fits read is refused, naming its line and column.
+    column the fits read is refused, naming its line and column, and so is
+    a repeated n_rb_center, naming both its lines.
     """
     bins: list[NrbBin] = []
+    center_lines: dict[float, int] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(BIN_CSV_COLUMNS) - set(reader.fieldnames or [])
@@ -479,6 +694,11 @@ def read_bins_csv(path: "str | Path", width: float | None = None) -> BinnedDatas
                 )
             except (TypeError, ValueError) as exc:
                 raise TraceFileError(str(exc), i) from exc
+            first = center_lines.setdefault(bins[-1].center, i)
+            if first != i:
+                raise TraceFileError(
+                    f"n_rb_center {bins[-1].center!r} repeats the bin on line {first}", i
+                )
     if not bins:
         raise TraceFileError(f"{path}: no bins found")
     bins.sort(key=lambda b: b.center)

@@ -473,6 +473,30 @@ class TestFit:
         assert main(["fit", str(csv_path), "--out", str(tmp_path / "fit")]) == 1
         assert "per-bin outcome" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spelling", ["880.0", "880", "8.8e2"])
+    def test_repeated_bin_center_is_refused(self, tmp_path, capsys, spelling):
+        """A bins.csv with a centre twice is refused with both its lines,
+        not fitted with the repeat counted twice."""
+        params = PhysicalParams(
+            r0=1.48, alpha=2.3e-4, gamma=0.03, beta_rbcs=1.6e-10,
+            beta_cscs=0.0, w_cs=6.6 * UM, w_rb=26.4 * UM,
+        )
+        csv_path = tmp_path / "bins.csv"
+        crafted_bins_csv(csv_path, params)
+        lines = csv_path.read_text().splitlines(keepends=True)
+        assert lines[5].startswith("880.0,")
+        lines.append(spelling + lines[5][len("880.0"):])
+        csv_path.write_text("".join(lines))
+        with pytest.raises(TraceFileError) as info:
+            read_bins_csv(csv_path)
+        assert info.value.line_number == 18
+        assert str(info.value) == "line 18: n_rb_center 880.0 repeats the bin on line 6"
+        out_dir = tmp_path / "fit"
+        assert main(["fit", str(csv_path), "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: line 18: n_rb_center 880.0 repeats the bin on line 6\n"
+        assert not out_dir.exists()
+
 
 class TestOracleCommand:
     def test_overlap_checks_pass(self, capsys):
