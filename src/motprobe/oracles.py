@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .gillespie import ExperimentSchedule, derive_seeds, simulate_shots
+from .photon import chi2_sf, poisson_pmf, poisson_sf
 from .physics import CloudModel, PhysicalParams, transient_mean
 
 __all__ = [
@@ -215,13 +215,15 @@ def poisson_chi2(
     Cells from the top are pooled until every expected count reaches
     min_expected; the tail above the largest observation is pooled in as
     well. The rate is not estimated from the data, so dof = cells - 1.
+    Samples too few to fill two cells raise ValueError: one cell has no
+    dof and would pass any law.
     """
     n = len(samples)
     k_top = int(samples.max())
     obs = np.bincount(samples, minlength=k_top + 1).astype(float)
-    exp = n * stats.poisson.pmf(np.arange(k_top + 1), lam)
+    exp = n * np.array([poisson_pmf(k, lam) for k in range(k_top + 1)])
     obs = np.append(obs, 0.0)
-    exp = np.append(exp, n * stats.poisson.sf(k_top, lam))
+    exp = np.append(exp, n * poisson_sf(k_top, lam))
 
     # Pool from the top down so sparse high-occupancy cells merge.
     o_cells, e_cells = [], []
@@ -233,11 +235,16 @@ def poisson_chi2(
             o_cells.append(o_acc)
             e_cells.append(e_acc)
             o_acc = e_acc = 0.0
-    if e_acc > 0 and o_cells:
+    if len(o_cells) < 2:
+        raise ValueError(
+            f"{n} samples pool into {len(o_cells)} cell(s) of expected count >= "
+            f"{min_expected:g}; a chi-square test needs at least 2"
+        )
+    if e_acc > 0:
         o_cells[-1] += o_acc
         e_cells[-1] += e_acc
     o_arr = np.array(o_cells)
     e_arr = np.array(e_cells)
     chi2 = float(((o_arr - e_arr) ** 2 / e_arr).sum())
-    dof = max(len(o_arr) - 1, 1)
-    return chi2, dof, float(stats.chi2.sf(chi2, dof))
+    dof = len(o_arr) - 1
+    return chi2, dof, chi2_sf(chi2, dof)

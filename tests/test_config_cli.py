@@ -524,6 +524,16 @@ class TestOracleCommand:
         assert "--runs" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("runs, cells", [("2", 0), ("3", 0), ("6", 1), ("12", 1)])
+    def test_too_few_runs_for_two_cells_is_an_error(self, capsys, runs, cells):
+        assert main(["oracle", "poisson", "--runs", runs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {runs} samples pool into {cells} cell(s) of expected count >= 5; "
+            "a chi-square test needs at least 2\n"
+        )
+
 
 class TestIntegerKeys:
     """Integer keys refuse floats and booleans instead of truncating them."""

@@ -253,3 +253,22 @@ class TestAgainstClosedForms:
         _, _, p_wrong = poisson_chi2(samples, 2.0)
         assert p_right > 0.01
         assert p_wrong < 1e-6
+
+    def test_poisson_chi2_counts_the_cells_below_the_last_pool(self):
+        # At rate 6 the 0-atom cell expects under 5 and is merged into the
+        # cell above it; an excess of zeros must still show.
+        rng = np.random.default_rng(8)
+        samples = rng.poisson(6.0, 400)
+        _, _, p_clean = poisson_chi2(samples, 6.0)
+        _, _, p_zeros = poisson_chi2(np.append(samples, np.zeros(30, dtype=int)), 6.0)
+        assert p_clean > 0.01
+        assert p_zeros < 1e-6
+
+    @pytest.mark.parametrize("samples, cells", [
+        (np.full(10, 9), 1),   # pooled into one cell of expected count 10
+        (np.full(4, 2), 0),    # expected count 4 in all: no cell reaches 5
+    ])
+    def test_poisson_chi2_refuses_fewer_than_two_cells(self, samples, cells):
+        # One cell has no dof: it must not read as chi2 0, p 1.
+        with pytest.raises(ValueError, match=f"{len(samples)} samples pool into {cells} cell"):
+            poisson_chi2(samples, 2.0)

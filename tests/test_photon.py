@@ -269,6 +269,7 @@ class TestHistogram:
         traces = [synth_pair(550.0, ti)[1] for ti in range(250)]
         hist = build_histogram(traces, CAL)
         assert len(hist.peaks) >= 4
+        assert hist.poisson_lambda == fit_poisson(hist).lam
         for peak in hist.peaks[:4]:
             target = peak.n_atoms * CAL.rate_per_atom
             assert abs(peak.center - target) <= 0.05 * CAL.rate_per_atom
@@ -339,7 +340,9 @@ class TestPoissonFit:
                 segments=seg,
                 counts=np.concatenate([trace.counts[149:150], trace.counts[150:185]]),
             ))
-        fit = fit_poisson(build_histogram(singles, CAL))
+        hist = build_histogram(singles, CAL)
+        fit = fit_poisson(hist)
+        assert hist.poisson_lambda == fit.lam
         assert fit.p_value > 0.01, f"p={fit.p_value:.4f}"
         lam_true = steady_state_mean(2300.0, DEFAULTS)
         assert abs(fit.lam - lam_true) < 3 * math.sqrt(lam_true / 400)

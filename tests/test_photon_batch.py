@@ -34,6 +34,7 @@ from motprobe.photon import (
     build_histogram,
     count_means,
     estimate_staircase,
+    fit_poisson,
     occupancy_profile,
     segment_map_for,
     subtract_background,
@@ -261,6 +262,7 @@ class TestHistogramCells:
         ks = [k for k, *_ in expected]
         ns = [n for _, n, *_ in expected]
         assert hist.poisson_lambda == sum(k * n for k, n in zip(ks, ns)) / sum(ns)
+        assert hist.poisson_lambda == fit_poisson(hist).lam
 
 
 class TestMixedLayoutBin:
@@ -302,6 +304,7 @@ class TestMixedLayoutBin:
         hist = build_histogram(traces, CAL)
         assert np.array_equal(b.histogram.occurrences, hist.occurrences)
         assert b.histogram.peaks == hist.peaks
+        assert b.poisson_lambda == hist.poisson_lambda == fit_poisson(hist).lam
 
 
 # ----------------------------------------------------------------------------
