@@ -10,8 +10,6 @@ from .gillespie import (
     TRAJECTORY_STREAM,
     Trajectory,
     derive_seed,
-    next_event,
-    simulate_ensemble,
     simulate_trajectory,
 )
 from .inference import (
@@ -28,7 +26,6 @@ from .inference import (
     classify_steady_state,
     fit_beta,
     fit_loading_rate,
-    group_by_bin,
     propagate_systematics,
 )
 from .photon import (
@@ -42,9 +39,7 @@ from .photon import (
     build_histogram,
     estimate_staircase,
     fit_poisson,
-    occupancy_profile,
     segment_map_for,
-    subtract_background,
     synthesize_counts,
 )
 from .physics import (
@@ -64,8 +59,6 @@ from .traceio import (
     read_bins_csv,
     read_traces_jsonl,
     write_bins_csv,
-    write_traces_jsonl,
-    write_trajectories_jsonl,
 )
 
 __version__ = "0.1.0"

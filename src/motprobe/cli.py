@@ -99,9 +99,6 @@ def _replaced_on_success(path: Path):
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        if args.seed < 0:
-            print("error: --seed must be >= 0", file=sys.stderr)
-            return 2
         cfg.master_seed = int(args.seed)
     if args.traces is not None:
         if args.traces < 1:
@@ -331,8 +328,16 @@ def cmd_oracle(args) -> int:
             return 2
         kwargs["runs"] = args.runs
     checks = []
+
+    def run(group):
+        # Printed as each group returns, so that a later group's error
+        # does not lose the lines of the earlier ones.
+        for c in group:
+            print(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}")
+        checks.extend(group)
+
     if args.which in ("overlap", "all"):
-        checks.extend(overlap_checks())
+        run(overlap_checks())
     if args.which in ("transient", "all"):
         params = RunConfig.default().physical_params()
         sets = [
@@ -340,12 +345,9 @@ def cmd_oracle(args) -> int:
             ("default-2200", 2200.0, params),
             ("no-companion", 0.0, params),
         ]
-        checks.extend(transient_checks(sets, **kwargs))
+        run(transient_checks(sets, **kwargs))
     if args.which in ("poisson", "all"):
-        checks.append(poisson_end_state_check(**kwargs))
-
-    for c in checks:
-        print(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}")
+        run([poisson_end_state_check(**kwargs)])
     return 0 if all(c.passed for c in checks) else 1
 
 
@@ -408,6 +410,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    # Every --seed feeds numpy's SeedSequence, which takes no negative entropy.
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     # ConfigError and TraceFileError are ValueErrors; OSError covers an

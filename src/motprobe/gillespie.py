@@ -11,11 +11,11 @@ companion number, each on its own seeded generator, and writes their events
 straight into typed buffers that become one flat EventTable: float64 time,
 int64 level (the atom number after the event) and int8 kind, with offsets
 marking where each shot's events start. Everything else reads that table:
-simulate_trajectory is its one-shot case, simulate_bin and simulate_ensemble
-return tables, the photon layer reads time and level per shot, and the
-oracles read the atom number at their checkpoints for all shots at once.
-A Trajectory, the list-of-events form of one shot, is built only when asked
-for.
+simulate_bin returns one per bin, the photon layer reads time and level per
+shot, and the oracles read the atom number at their checkpoints for all
+shots at once. A Trajectory, the list-of-events form of one shot, is built
+only when asked for. The exact per-row references of this loop, next_event
+among them, are in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -41,11 +41,9 @@ __all__ = [
     "derive_seed",
     "derive_seeds",
     "seeded_generators",
-    "next_event",
     "simulate_shots",
     "simulate_trajectory",
     "simulate_bin",
-    "simulate_ensemble",
     "TRAJECTORY_STREAM",
     "PHOTON_STREAM",
 ]
@@ -100,10 +98,6 @@ class ExperimentSchedule:
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
-    @property
-    def total_s(self) -> float:
-        return self.detect_s + self.off_s + self.background_s
-
 
 @dataclass
 class Trajectory:
@@ -133,12 +127,6 @@ class Trajectory:
     @property
     def n_final(self) -> int:
         return self.events[-1][2] if self.events else 0
-
-    def event_counts(self) -> dict[EventKind, int]:
-        out = {kind: 0 for kind in EventKind}
-        for _, kind, _ in self.events:
-            out[kind] += 1
-        return out
 
     def validate(self) -> None:
         t_prev = 0.0
@@ -210,25 +198,6 @@ class EventTable(Sequence):
             t_end=[traj.t_end for traj in trajectories],
         )
 
-    @classmethod
-    def concat(cls, tables: "Iterable[EventTable]") -> "EventTable":
-        """The shots of several tables, in order, as one table."""
-        tables = list(tables)
-
-        def column(name, dtype):
-            return np.concatenate([np.zeros(0, dtype)] + [getattr(t, name) for t in tables])
-
-        sizes = np.concatenate([np.zeros(1, np.int64)] + [np.diff(t.offsets) for t in tables])
-        return cls(
-            time=column("time", np.float64),
-            level=column("level", np.int64),
-            kind=column("kind", np.int8),
-            offsets=np.cumsum(sizes),
-            n_rb=column("n_rb", np.float64),
-            seed=column("seed", np.uint64),
-            t_end=column("t_end", np.float64),
-        )
-
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
@@ -281,6 +250,8 @@ def derive_seed(master_seed: int, *path: int) -> int:
     Uses numpy's SeedSequence over the tuple (master_seed, *path), so any
     (stream, bin, trace) coordinate maps to a stable 64-bit seed no matter
     how many worker processes are used or in which order traces are drawn.
+    The program uses derive_seeds, which the tests hold to this scalar form;
+    it stays because the benchmark tracer (bench/tracing.py) wraps it by name.
     """
     ss = np.random.SeedSequence([int(master_seed), *map(int, path)])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
@@ -288,8 +259,7 @@ def derive_seed(master_seed: int, *path: int) -> int:
 
 # Constants of numpy's SeedSequence pool hash (numpy/random/bit_generator.pyx).
 # derive_seeds and seeded_generators run that hash on columns of uint32 words,
-# one column per seed sequence; derive_seed stays the scalar reference the
-# tests hold them to.
+# one column per seed sequence.
 _POOL_SIZE = 4
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
@@ -451,33 +421,6 @@ def _rate_rows(n_rb: float, params: PhysicalParams) -> list[_Row]:
     return [_rate_row(0, n_rb, params)]
 
 
-def next_event(
-    n_cs: int,
-    n_rb: float,
-    params: PhysicalParams,
-    rng: np.random.Generator,
-) -> tuple[float, EventKind] | None:
-    """Draw the waiting time and type of the next event.
-
-    Returns None when every rate vanishes (absorbing state); the caller then
-    treats the remaining observation window as event-free. This is the
-    single-step reference of simulate_shots, which makes the same draws in
-    the same order.
-    """
-    _, total, c_load, c_bg, c_rbcs = _rate_row(n_cs, n_rb, params)
-    if total <= 0.0:
-        return None
-    dt = rng.exponential(1.0 / total)
-    u = rng.random() * total
-    if u < c_load:
-        return dt, EventKind.LOAD
-    if u < c_bg:
-        return dt, EventKind.LOSS_BG
-    if u < c_rbcs:
-        return dt, EventKind.LOSS_RBCS
-    return dt, EventKind.LOSS_CSCS_PAIR
-
-
 def simulate_shots(
     n_rb: float,
     params: PhysicalParams,
@@ -488,13 +431,13 @@ def simulate_shots(
 ) -> EventTable:
     """Simulate one shot per seed from an empty trap over the detection window.
 
-    Shot i is next_event stepped from n = 0 on np.random.default_rng(seeds[i])
-    until the clock passes the window, but each state's rates are read from
-    the shared row table, and the event draw of the step that leaves the
-    window is skipped; no result depends on it, because the generator is
-    private to the shot. Events go straight into typed buffers, which become
-    the columns of the returned table: no Python object is kept per event or
-    per shot.
+    Shot i is the single-step draw next_event (tests/reference.py) stepped
+    from n = 0 on np.random.default_rng(seeds[i]) until the clock passes the
+    window, but each state's rates are read from the shared row table, and
+    the event draw of the step that leaves the window is skipped; no result
+    depends on it, because the generator is private to the shot. Events go
+    straight into typed buffers, which become the columns of the returned
+    table: no Python object is kept per event or per shot.
 
     rngs, when given, must yield np.random.default_rng(seed) for each seed,
     fresh; by default seeded_generators builds them.
@@ -562,6 +505,8 @@ def simulate_trajectory(
     rng: np.random.Generator | None = None,
 ) -> Trajectory:
     """Simulate one shot from an empty trap: the one-shot simulate_shots.
+    The program does not call it; it stays because the benchmark tracer
+    (bench/tracing.py) wraps it by name.
 
     rng, when given, must be np.random.default_rng(seed), fresh (as built by
     seeded_generators); by default it is built here.
@@ -586,24 +531,3 @@ def simulate_bin(
     """
     seeds = derive_seeds(master_seed, TRAJECTORY_STREAM, bin_index, count=traces)
     return simulate_shots(n_rb, params, schedule, seeds)
-
-
-def simulate_ensemble(
-    grid: "np.ndarray | list[float]",
-    traces_per_bin: int,
-    params: PhysicalParams,
-    schedule: ExperimentSchedule,
-    master_seed: int,
-) -> EventTable:
-    """Simulate traces_per_bin trajectories at every companion-number grid point.
-
-    Each bin comes from simulate_bin, so the ensemble is reproducible trace
-    by trace and the result is independent of evaluation order. Shots are
-    ordered by (grid point, trace index).
-    """
-    if traces_per_bin < 1:
-        raise ValueError(f"traces_per_bin must be >= 1, got {traces_per_bin!r}")
-    return EventTable.concat(
-        simulate_bin(float(n_rb), params, schedule, master_seed, bi, traces_per_bin)
-        for bi, n_rb in enumerate(grid)
-    )

@@ -31,7 +31,6 @@ __all__ = [
     "LoadingFit",
     "BetaFit",
     "DEFAULT_STEADY_TOL",
-    "group_by_bin",
     "bin_by_nrb",
     "fit_loading_rate",
     "classify_steady_state",
@@ -118,22 +117,9 @@ class BetaFit:
     n_points: int
 
 
-def group_by_bin(
-    traces: "list[FluorescenceTrace]", width: float = 220.0, origin: float = 0.0
-) -> dict[float, list[FluorescenceTrace]]:
-    """Assign each trace to the nearest grid point origin + k * width."""
-    if not width > 0:
-        raise ValueError(f"bin width must be positive, got {width!r}")
-    groups: dict[float, list[FluorescenceTrace]] = {}
-    for t in traces:
-        center = origin + math.floor((t.n_rb - origin) / width + 0.5) * width
-        groups.setdefault(center, []).append(t)
-    return dict(sorted(groups.items()))
-
-
 def _grid_points(table: TraceTable, width: float, origin: float) -> np.ndarray:
     """The grid point origin + k * width nearest to each trace's n_rb, by the
-    float operations group_by_bin makes trace by trace."""
+    float operations of the trace-by-trace group_by_bin (tests/reference.py)."""
     if not width > 0:
         raise ValueError(f"bin width must be positive, got {width!r}")
     bad = np.flatnonzero(~np.isfinite(table.n_rb))
@@ -154,13 +140,14 @@ def bin_by_nrb(
 ) -> BinnedDataset:
     """Build per-bin aggregates from the recovered staircases.
 
-    Traces are grouped on the grid points origin + k * width, as
-    group_by_bin groups them. For every bin: the mean recovered atom number
-    over all detect bins, its standard error from the trace-to-trace spread,
-    the loading rate as up-steps per detection time, the loss rate as lost
-    atoms per detection time, and the Poisson rate fitted to the pooled
-    count-rate histogram (NaN when fewer than two peaks are resolvable). The
-    histogram itself is kept on the bin for writing out.
+    Traces are grouped on the grid point origin + k * width nearest to
+    their n_rb (_grid_points), in file order within each bin. For every bin:
+    the mean recovered atom number over all detect bins, its standard error
+    from the trace-to-trace spread, the loading rate as up-steps per
+    detection time, the loss rate as lost atoms per detection time, and the
+    Poisson rate fitted to the pooled count-rate histogram (NaN when fewer
+    than two peaks are resolvable). The histogram itself is kept on the bin
+    for writing out.
 
     traces may be a TraceTable (what read_traces_jsonl returns); any other
     sequence is turned into one first. Each bin's rows are taken from it as

@@ -11,9 +11,9 @@ peaks are counted in rounding cells, and a Poisson fit to the peak weights.
 The inverse steps run on a TraceTable: trace ids, n_rb and one
 (traces x bins) count matrix per segment layout, whose detect rates and
 whole-atom numbers are computed once and shared by the staircase and the
-histogram. In both
-directions a whole bin of traces is processed at once and the single-trace
-functions are the one-row case.
+histogram. In both directions a whole bin of traces is processed at once;
+the one-trace forms synthesize_counts and estimate_staircase stay because
+the benchmark tracer (bench/tracing.py) wraps them by name.
 """
 
 from __future__ import annotations
@@ -38,11 +38,9 @@ __all__ = [
     "TraceHistogram",
     "PoissonFit",
     "segment_map_for",
-    "occupancy_profile",
     "count_means",
     "synthesize_bin",
     "synthesize_counts",
-    "subtract_background",
     "estimate_staircase",
     "summarize_staircases",
     "build_histogram",
@@ -285,7 +283,7 @@ class AtomNumberEstimate:
 
     load_events lists the bin index of every up-step (repeated for multi-atom
     steps). loss_events lists (bin index, atoms lost) with multiplicity 2
-    flagging a pair-loss candidate.
+    flagging a pair-loss candidate. estimate_staircase returns it.
     """
 
     staircase: np.ndarray
@@ -376,15 +374,6 @@ def _occupancy_rows(
     return occ.reshape(n_rows, n_bins) / bin_s
 
 
-def occupancy_profile(traj: Trajectory, n_bins: int, bin_s: float) -> np.ndarray:
-    """Time-averaged atom number in each detection bin of one trajectory.
-
-    The trajectory is piecewise constant; the last level persists to the end
-    of the detection window.
-    """
-    return _occupancy_rows([traj], n_bins, bin_s)[0]
-
-
 def count_means(
     trajectories: "Sequence[Trajectory]", cal: DetectionCalibration, seg: SegmentMap
 ) -> np.ndarray:
@@ -434,6 +423,8 @@ def synthesize_counts(
     rng: np.random.Generator | None = None,
 ) -> FluorescenceTrace:
     """Draw Poisson photon counts for one shot: the one-row synthesize_bin.
+    The program does not call it; it stays because the benchmark tracer
+    (bench/tracing.py) wraps it by name.
 
     rng, when given, must be np.random.default_rng(seed), fresh; by default
     it is built here.
@@ -487,18 +478,6 @@ def _staircase_rows(atoms: np.ndarray) -> np.ndarray:
     )
 
 
-def subtract_background(trace: FluorescenceTrace) -> np.ndarray:
-    """Count rates of the detect bins minus the mean background-segment rate.
-
-    Returns real-valued rates in 1/s; values can be slightly negative through
-    shot noise. Any constant stray-light offset present in both segments
-    cancels exactly at the expectation level.
-    """
-    return _detect_rates(
-        trace.counts[None, :], trace.segments, trace.bin_s, trace.trace_id
-    )[0]
-
-
 def estimate_staircase(
     trace: FluorescenceTrace, cal: DetectionCalibration
 ) -> AtomNumberEstimate:
@@ -508,13 +487,16 @@ def estimate_staircase(
     is worth many shot-noise sigma per bin at the default calibration. The
     3-bin median filter (edges replicated) removes single-bin excursions;
     events are the level changes of the filtered staircase, with the level
-    before the first bin defined as zero.
+    before the first bin defined as zero. The program runs whole bins through
+    summarize_staircases; this one-trace form stays because the benchmark
+    tracer (bench/tracing.py) wraps it by name.
     """
     if cal.rate_per_atom <= 0:
         raise ValueError("rate_per_atom must be positive to quantize occupancy")
-    stair = _staircase_rows(
-        _whole_atoms(subtract_background(trace)[None, :], cal.rate_per_atom)
-    )[0]
+    rates = _detect_rates(
+        trace.counts[None, :], trace.segments, trace.bin_s, trace.trace_id
+    )
+    stair = _staircase_rows(_whole_atoms(rates, cal.rate_per_atom))[0]
     steps = np.diff(stair, prepend=0)
     load_events: list[int] = []
     loss_events: list[tuple[int, int]] = []
@@ -572,12 +554,6 @@ def _pooled(table: TraceTable, blocks: "list[tuple[np.ndarray, np.ndarray]]") ->
     return pooled
 
 
-def _pooled_rates(traces: "Sequence[FluorescenceTrace]") -> np.ndarray:
-    """Background-subtracted detect rates of all traces, in trace order."""
-    table = TraceTable.from_traces(traces)
-    return _pooled(table, table.detect_rates())
-
-
 # Minimum pooled samples rounding to an atom number before it is a peak.
 _MIN_PEAK_SAMPLES = 5
 
@@ -598,7 +574,7 @@ def build_histogram(
     if cal.rate_per_atom <= 0:
         raise ValueError("rate_per_atom must be positive")
     table = TraceTable.from_traces(traces)
-    pooled = _pooled_rates(table)
+    pooled = _pooled(table, table.detect_rates())
     width = cal.rate_per_atom / 20.0
     lo = math.floor(pooled.min() / width) * width
     hi = math.ceil(pooled.max() / width) * width

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gillespie import EventKind, EventTable, Trajectory
+from .gillespie import EventKind, EventTable
 from .inference import BinnedDataset, NrbBin
 from .photon import (
     FluorescenceTrace,
@@ -37,12 +37,8 @@ __all__ = [
     "trace_record",
     "trace_lines",
     "trace_to_dict",
-    "trace_from_dict",
-    "write_traces_jsonl",
     "read_traces_jsonl",
     "trajectory_records",
-    "trajectory_to_dict",
-    "write_trajectories_jsonl",
     "write_histogram_csv",
     "BIN_CSV_COLUMNS",
     "bin_to_row",
@@ -151,6 +147,9 @@ def trace_lines(
 
 
 def trace_to_dict(trace: FluorescenceTrace) -> dict:
+    """The JSON object of one trace. The program writes whole bins with
+    trace_lines; this one-trace form stays because the benchmark tracer
+    (bench/tracing.py) wraps it by name."""
     return trace_record(
         trace.trace_id, trace.n_rb, trace.bin_s, trace.segments, trace.counts.tolist()
     )
@@ -269,35 +268,6 @@ def _count_matrix(
                 "counts must be integers within int64, got booleans", line_numbers[k]
             )
     return block.astype(np.int64, copy=False)
-
-
-def trace_from_dict(obj: dict, line_number: int | None = None) -> FluorescenceTrace:
-    """Build a trace from its JSON object, refusing malformed fields with a
-    TraceFileError that names line_number.
-
-    read_traces_jsonl makes the same checks, with the counts of many lines
-    converted at once.
-    """
-    try:
-        trace_id, n_rb, segments, bin_s = _trace_fields(obj, {})
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise TraceFileError(str(exc), line_number) from exc
-    (counts,) = _count_matrix([obj["counts"]], segments.n_bins, [line_number], [0])
-    return FluorescenceTrace(
-        trace_id=trace_id, n_rb=n_rb, bin_s=bin_s, segments=segments, counts=counts
-    )
-
-
-def write_traces_jsonl(path: "str | Path", traces: Iterable[FluorescenceTrace]) -> int:
-    n = 0
-    with open(path, "w") as fh:
-        for trace in traces:
-            fh.write(trace_lines(
-                [trace.trace_id], trace.n_rb, trace.bin_s, trace.segments,
-                trace.counts[np.newaxis],
-            ))
-            n += 1
-    return n
 
 
 # Non-blank lines read as one block: the count texts of a block are parsed
@@ -576,23 +546,6 @@ def trajectory_records(trace_ids: "Sequence[str]", table: EventTable) -> Iterato
             "t_end_s": t_end,
             "events": [[time[j], names[kind[j]], level[j]] for j in range(lo, hi)],
         }
-
-
-def trajectory_to_dict(trace_id: str, traj: Trajectory) -> dict:
-    """The dump record of one trajectory: the one-shot trajectory_records."""
-    (record,) = trajectory_records([trace_id], EventTable.from_trajectories([traj]))
-    return record
-
-
-def write_trajectories_jsonl(path: "str | Path", trajectories: Iterable[tuple[str, Trajectory]]) -> int:
-    """Dump (trace_id, trajectory) pairs for debugging and reanalysis."""
-    n = 0
-    with open(path, "w") as fh:
-        for trace_id, traj in trajectories:
-            fh.write(json.dumps(trajectory_to_dict(trace_id, traj)))
-            fh.write("\n")
-            n += 1
-    return n
 
 
 def write_histogram_csv(path: "str | Path", hist: TraceHistogram) -> None:

@@ -30,7 +30,7 @@ from motprobe.oracles import (
     poisson_end_state_check,
     transient_checks,
 )
-from motprobe.photon import estimate_staircase, occupancy_profile, synthesize_counts
+from motprobe.photon import _occupancy_rows, estimate_staircase, synthesize_counts
 from motprobe.physics import steady_state_mean
 
 BETA_TRUE = 1.6e-10
@@ -143,7 +143,7 @@ def test_criterion_06_staircase_recovery(capsys):
         )
         est = estimate_staircase(trace, cal)
         truth = np.clip(
-            np.rint(occupancy_profile(traj, n_detect, cal.bin_s)), 0, None
+            np.rint(_occupancy_rows([traj], n_detect, cal.bin_s)[0]), 0, None
         ).astype(int)
         bins_total += n_detect
         bins_right += int(np.sum(est.staircase == truth))

@@ -23,9 +23,9 @@ from motprobe.traceio import (
     TraceFileError,
     read_bins_csv,
     read_traces_jsonl,
-    trace_from_dict,
     write_bins_csv,
 )
+from reference import trace_from_dict
 
 UM = 1e-4
 
@@ -152,14 +152,30 @@ class TestSimulateDeterminism:
         assert main(["simulate", "--config", str(cfg), "--traces", "0"]) == 2
         assert main(["simulate", "--config", str(cfg), "--workers", "0"]) == 2
 
-    def test_negative_seed_is_usage_error_before_any_output(self, tmp_path, capsys):
-        out = tmp_path / "neg" / "traces.jsonl"
-        assert main([
-            "simulate", "--seed", "-1", "--traces", "1", "--out", str(out),
-            "--dump-trajectories",
-        ]) == 2
-        assert "--seed" in capsys.readouterr().err
-        assert not out.parent.exists()
+    @pytest.mark.parametrize("command", ["simulate", "fit", "oracle"])
+    def test_negative_seed_is_usage_error_before_any_output(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("input read or simulated before --seed was checked")
+
+        for name in ("load_config", "transient_checks", "poisson_end_state_check"):
+            monkeypatch.setattr(cli, name, never)
+        out = tmp_path / "neg"
+        argv = {
+            "simulate": [
+                "simulate", "--traces", "1", "--out", str(out / "traces.jsonl"),
+                "--dump-trajectories",
+            ],
+            # The trace file does not exist: reading it would exit 1.
+            "fit": ["fit", str(tmp_path / "t.jsonl"), "--bootstrap", "10", "--out", str(out)],
+            "oracle": ["oracle", "poisson"],
+        }[command]
+        assert main([*argv, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "--seed" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestQuietSource:
@@ -523,6 +539,21 @@ class TestOracleCommand:
         captured = capsys.readouterr()
         assert "--runs" in captured.err
         assert captured.out == ""
+
+    def test_lines_of_earlier_groups_survive_a_later_error(self, capsys):
+        # At 12 runs the Poisson check refuses its samples, after the
+        # overlap and transient groups have run and printed.
+        assert main(["oracle", "all", "--runs", "12"]) == 1
+        captured = capsys.readouterr()
+        names = [line.split(":")[0].split(" ", 1)[1] for line in captured.out.splitlines()]
+        assert names == [
+            "pair_overlap_vs_quadrature",
+            "four_to_one_radius_special_case",
+            "transient_mean[default-1100]",
+            "transient_mean[default-2200]",
+            "transient_mean[no-companion]",
+        ]
+        assert captured.err.startswith("error: 12 samples pool into 1 cell(s)")
 
     @pytest.mark.parametrize("runs, cells", [("2", 0), ("3", 0), ("6", 1), ("12", 1)])
     def test_too_few_runs_for_two_cells_is_an_error(self, capsys, runs, cells):

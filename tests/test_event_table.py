@@ -3,9 +3,10 @@
 simulate_shots writes the events of many shots into one EventTable; the
 oracles read atom numbers at their checkpoints from it with vectorized
 counts, and the trajectory dump formats from it. The references here are
-the per-shot forms: next_event stepped from an empty trap, the former
-per-shot loop that built one list of (time, kind, n) tuples per shot, and
-bisect_right on a shot's event times. Every comparison asks for equality.
+the per-shot forms: next_event stepped from an empty trap (replay_next_event
+in reference.py), the former per-shot loop that built one list of (time,
+kind, n) tuples per shot, and bisect_right on a shot's event times. Every
+comparison asks for equality.
 """
 
 import bisect
@@ -21,17 +22,17 @@ from motprobe.gillespie import (
     EventTable,
     ExperimentSchedule,
     TRAJECTORY_STREAM,
+    derive_seed,
     derive_seeds,
-    next_event,
     simulate_bin,
-    simulate_ensemble,
     simulate_shots,
     simulate_trajectory,
 )
 from motprobe.oracles import transient_mean_ensemble
-from motprobe.photon import DetectionCalibration, occupancy_profile, segment_map_for, synthesize_bin
+from motprobe.photon import DetectionCalibration, count_means, segment_map_for, synthesize_bin
 from motprobe.physics import PhysicalParams, rates
-from motprobe.traceio import trajectory_records, trajectory_to_dict
+from motprobe.traceio import trajectory_records
+from reference import replay_next_event
 
 UM = 1e-4
 
@@ -51,23 +52,6 @@ ABSORBING = PhysicalParams(
     w_cs=6.6 * UM, w_rb=26.4 * UM,
 )
 SCHEDULE = ExperimentSchedule()
-
-
-def replay_next_event(n_rb, params, schedule, seed):
-    """Events of one shot: next_event stepped from an empty trap."""
-    rng = np.random.default_rng(seed)
-    t, n, events = 0.0, 0, []
-    while True:
-        step = next_event(n, n_rb, params, rng)
-        if step is None:
-            break
-        dt, kind = step
-        t = t + dt
-        if t > schedule.detect_s:
-            break
-        n += kind.delta
-        events.append((t, kind, n))
-    return events
 
 
 def per_shot_loop(n_rb, params, schedule, seed):
@@ -160,12 +144,17 @@ class TestTableAgainstPerShotReferences:
         assert table[-1].events == table[len(table) - 1].events
 
     def test_bin_and_ensemble_tables(self):
+        """The bins of a grid: trace ti of bin bi is the shot of seed
+        derive_seed(master, TRAJECTORY_STREAM, bi, ti)."""
         grid = [0.0, 1100.0, 2200.0]
-        ens = simulate_ensemble(grid, 7, DEFAULTS, SCHEDULE, master_seed=3)
-        bins = [simulate_bin(n_rb, DEFAULTS, SCHEDULE, 3, bi, 7) for bi, n_rb in enumerate(grid)]
-        assert table_rows(ens) == sum((table_rows(b) for b in bins), [])
-        assert ens.n_rb.tolist() == [n for n in grid for _ in range(7)]
-        assert np.array_equal(ens.seed, np.concatenate([b.seed for b in bins]))
+        for bi, n_rb in enumerate(grid):
+            table = simulate_bin(n_rb, DEFAULTS, SCHEDULE, 3, bi, 7)
+            seeds = [derive_seed(3, TRAJECTORY_STREAM, bi, ti) for ti in range(7)]
+            assert table.seed.tolist() == seeds
+            assert table.n_rb.tolist() == [n_rb] * 7
+            assert table_rows(table) == [
+                replay_next_event(n_rb, DEFAULTS, SCHEDULE, seed) for seed in seeds
+            ]
 
     def test_from_trajectories_round_trip(self):
         seeds = derive_seeds(63, 0, count=30)
@@ -194,19 +183,19 @@ class TestShotsWithoutEvents:
         assert np.array_equal(table.levels_at([0.0, 1.5, 3.0]), np.zeros((20, 3)))
         assert np.array_equal(table.final_levels(), np.zeros(20))
         assert all(traj.events == [] and traj.n_final == 0 for traj in table)
-        seg = segment_map_for(SCHEDULE, 0.02)
-        assert not occupancy_profile(table[0], seg.detect[1], 0.02).any()
+        cal = DetectionCalibration(background_rate=0.0)
+        assert not count_means(table, cal, segment_map_for(SCHEDULE, cal.bin_s)).any()
 
     def test_no_shots(self):
         table = simulate_shots(1100.0, DEFAULTS, SCHEDULE, [])
         assert len(table) == 0 and table.offsets.tolist() == [0]
         assert table.levels_at([1.0]).shape == (0, 1)
-        assert len(EventTable.concat([])) == 0
+        assert len(EventTable.from_trajectories([])) == 0
 
     def test_empty_rows_between_full_ones(self):
         empty = simulate_shots(0.0, ABSORBING, SCHEDULE, [5, 6])
         full = simulate_shots(1100.0, DEFAULTS, SCHEDULE, derive_seeds(64, 0, count=10))
-        table = EventTable.concat([empty, full, empty, full, empty])
+        table = EventTable.from_trajectories([*empty, *full, *empty, *full, *empty])
         assert table_rows(table) == (
             table_rows(empty) + table_rows(full) + table_rows(empty)
             + table_rows(full) + table_rows(empty)
@@ -294,7 +283,6 @@ class TestTrajectoryDump:
                 "events": [[t, kind.value, n] for t, kind, n in traj.events],
             }
             assert json.dumps(record) == json.dumps(expected)
-            assert trajectory_to_dict(trace_id, traj) == expected
 
 
 class TestOverlapQuadratures:

@@ -16,8 +16,7 @@ from motprobe.gillespie import (
     TRAJECTORY_STREAM,
     Trajectory,
     derive_seed,
-    next_event,
-    simulate_ensemble,
+    simulate_bin,
     simulate_trajectory,
 )
 from motprobe.oracles import (
@@ -27,6 +26,7 @@ from motprobe.oracles import (
     transient_mean_ensemble,
 )
 from motprobe.physics import PhysicalParams, transient_mean
+from reference import next_event, replay_next_event
 
 UM = 1e-4
 
@@ -137,23 +137,6 @@ class TestSimulateTrajectory:
         assert all(n >= 0 for n in ns)
 
 
-def replay_next_event(n_rb, params, schedule, seed):
-    """Reference trajectory: step next_event from an empty trap."""
-    rng = np.random.default_rng(seed)
-    t, n, events = 0.0, 0, []
-    while True:
-        step = next_event(n, n_rb, params, rng)
-        if step is None:
-            break
-        dt, kind = step
-        t = t + dt
-        if t > schedule.detect_s:
-            break
-        n += kind.delta
-        events.append((t, kind, n))
-    return events
-
-
 class TestMatchesStepwiseReplay:
     """simulate_trajectory reads rates from shared per-state rows; it must
     reproduce the single-step reference float for float."""
@@ -185,9 +168,17 @@ class TestMatchesStepwiseReplay:
                 simulate_trajectory(-1.0, DEFAULTS, ExperimentSchedule(), seed=3)
 
 
+def simulate_grid(grid, traces, params, master_seed):
+    """One simulate_bin table per grid point, in grid order."""
+    return [
+        simulate_bin(float(n_rb), params, ExperimentSchedule(), master_seed, bi, traces)
+        for bi, n_rb in enumerate(grid)
+    ]
+
+
 class TestEnsemble:
     def test_single_point_matches_direct_call(self):
-        ens = simulate_ensemble([0.0], 1, DEFAULTS, ExperimentSchedule(), master_seed=7)
+        (ens,) = simulate_grid([0.0], 1, DEFAULTS, master_seed=7)
         direct = simulate_trajectory(
             0.0, DEFAULTS, ExperimentSchedule(),
             derive_seed(7, TRAJECTORY_STREAM, 0, 0),
@@ -197,9 +188,11 @@ class TestEnsemble:
 
     def test_reproducible(self):
         grid = [0.0, 1100.0]
-        a = simulate_ensemble(grid, 5, DEFAULTS, ExperimentSchedule(), master_seed=3)
-        b = simulate_ensemble(grid, 5, DEFAULTS, ExperimentSchedule(), master_seed=3)
-        assert [t.events for t in a] == [t.events for t in b]
+        a = simulate_grid(grid, 5, DEFAULTS, master_seed=3)
+        b = simulate_grid(grid, 5, DEFAULTS, master_seed=3)
+        assert [t.events for table in a for t in table] == [
+            t.events for table in b for t in table
+        ]
 
     def test_loss_counts_peak_at_low_companion_numbers(self):
         # Loss events per bin rise steeply from near zero and decay toward
@@ -208,15 +201,11 @@ class TestEnsemble:
         # and with it the chance to lose anything, keeps falling), so only
         # the qualitative shape is pinned, not the exact peak bin.
         grid = np.arange(0, 3301, 220)
-        traces = 60
-        ens = simulate_ensemble(grid, traces, DEFAULTS, ExperimentSchedule(), 777)
-        losses = []
-        for bi in range(len(grid)):
-            chunk = ens[bi * traces:(bi + 1) * traces]
-            losses.append(sum(
-                sum(c for k, c in t.event_counts().items() if k is not EventKind.LOAD)
-                for t in chunk
-            ))
+        # Kind 0 is LOAD; every other kind is a loss.
+        losses = [
+            int(np.count_nonzero(table.kind != 0))
+            for table in simulate_grid(grid, 60, DEFAULTS, 777)
+        ]
         peak = int(np.argmax(losses))
         assert 1 <= peak <= 9, f"losses={losses}"
         assert losses[0] < max(losses) / 2

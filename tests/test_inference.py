@@ -23,12 +23,12 @@ from motprobe.inference import (
     classify_steady_state,
     fit_beta,
     fit_loading_rate,
-    group_by_bin,
     _minimize_beta,
     propagate_systematics,
 )
 from motprobe.photon import DetectionCalibration, FluorescenceTrace, SegmentMap
 from motprobe.physics import PhysicalParams, pair_overlap_volume, steady_state_mean
+from reference import group_by_bin
 
 UM = 1e-4
 

@@ -22,12 +22,12 @@ from motprobe.photon import (
     GaussianPeak,
     SegmentMap,
     TraceHistogram,
+    TraceTable,
+    _occupancy_rows,
     build_histogram,
     estimate_staircase,
     fit_poisson,
-    occupancy_profile,
     segment_map_for,
-    subtract_background,
     synthesize_counts,
 )
 from motprobe.physics import PhysicalParams, steady_state_mean
@@ -60,6 +60,17 @@ def make_trace(detect_counts, off_counts, bg_counts, n_rb=0.0, bin_s=0.02):
     )
 
 
+def occupancy_row(traj, n_bins, bin_s):
+    """Time-averaged atom number per detection bin of one trajectory."""
+    return _occupancy_rows([traj], n_bins, bin_s)[0]
+
+
+def detect_rates(trace):
+    """Background-subtracted detect rates of one trace, from its table."""
+    ((_, rates),) = TraceTable.from_traces([trace]).detect_rates()
+    return rates[0]
+
+
 def synth_pair(n_rb, ti, master=4001):
     traj = simulate_trajectory(
         n_rb, DEFAULTS, SCHED, derive_seed(master, TRAJECTORY_STREAM, 0, ti)
@@ -90,19 +101,19 @@ class TestSegmentMap:
 class TestOccupancyProfile:
     def test_empty_trajectory(self):
         traj = Trajectory(events=[], t_end=3.0, n_rb=0.0, seed=0)
-        assert np.all(occupancy_profile(traj, 150, 0.02) == 0.0)
+        assert np.all(occupancy_row(traj, 150, 0.02) == 0.0)
 
     def test_half_bin_presence(self):
         events = [(0.01, EventKind.LOAD, 1), (0.02, EventKind.LOSS_BG, 0)]
         traj = Trajectory(events=events, t_end=3.0, n_rb=0.0, seed=0)
-        occ = occupancy_profile(traj, 150, 0.02)
+        occ = occupancy_row(traj, 150, 0.02)
         assert occ[0] == pytest.approx(0.5, rel=1e-12)
         assert np.all(occ[1:] == 0.0)
 
     def test_persistent_atom_fills_rest_of_trace(self):
         events = [(1.0, EventKind.LOAD, 1)]
         traj = Trajectory(events=events, t_end=3.0, n_rb=0.0, seed=0)
-        occ = occupancy_profile(traj, 150, 0.02)
+        occ = occupancy_row(traj, 150, 0.02)
         assert np.all(occ[:50] == 0.0)
         assert np.all(occ[50:] == pytest.approx(1.0))
 
@@ -135,7 +146,7 @@ class TestSynthesis:
             events.append((k * 0.04 + 0.01, EventKind.LOAD, 1))
             events.append((k * 0.04 + 0.02, EventKind.LOSS_BG, 0))
         traj = Trajectory(events=events, t_end=3.0, n_rb=0.0, seed=0)
-        occ = occupancy_profile(traj, 150, 0.02)
+        occ = occupancy_row(traj, 150, 0.02)
         assert np.allclose(occ[::2], 0.5, atol=1e-12)
         assert np.allclose(occ[1::2], 0.0, atol=1e-12)
 
@@ -166,7 +177,7 @@ class TestBackgroundSubtraction:
         # so the independent unit is the trace, not the bin.
         traj = Trajectory(events=[], t_end=3.0, n_rb=0.0, seed=0)
         means = np.array([
-            subtract_background(synthesize_counts(traj, CAL, SCHED, seed)).mean()
+            detect_rates(synthesize_counts(traj, CAL, SCHED, seed)).mean()
             for seed in range(100)
         ])
         se = means.std(ddof=1) / math.sqrt(len(means))
@@ -175,7 +186,7 @@ class TestBackgroundSubtraction:
     def test_single_atom_rate_recovered(self):
         traj = Trajectory(events=[(1e-9, EventKind.LOAD, 1)], t_end=3.0, n_rb=0.0, seed=0)
         means = np.array([
-            subtract_background(synthesize_counts(traj, CAL, SCHED, seed)).mean()
+            detect_rates(synthesize_counts(traj, CAL, SCHED, seed)).mean()
             for seed in range(100)
         ])
         se = means.std(ddof=1) / math.sqrt(len(means))
@@ -191,7 +202,7 @@ class TestBackgroundSubtraction:
             counts=trace.counts + 37,
         )
         assert np.allclose(
-            subtract_background(trace), subtract_background(shifted), atol=1e-6
+            detect_rates(trace), detect_rates(shifted), atol=1e-6
         )
 
     def test_requires_background_bins(self):
@@ -202,7 +213,7 @@ class TestBackgroundSubtraction:
             counts=trace.counts[:175],
         )
         with pytest.raises(ValueError):
-            subtract_background(lone)
+            detect_rates(lone)
 
 
 class TestStaircase:
@@ -249,7 +260,7 @@ class TestStaircase:
         for ti in range(120):
             traj, trace = synth_pair(550.0, ti)
             est = estimate_staircase(trace, CAL)
-            occ = occupancy_profile(traj, 150, CAL.bin_s)
+            occ = occupancy_row(traj, 150, CAL.bin_s)
             truth = np.clip(np.rint(occ), 0, None).astype(int)
             correct += int((est.staircase == truth).sum())
             total += truth.size

@@ -30,14 +30,12 @@ from motprobe.photon import (
     DetectionCalibration,
     FluorescenceTrace,
     SegmentMap,
-    _pooled_rates,
+    TraceTable,
     build_histogram,
     count_means,
     estimate_staircase,
     fit_poisson,
-    occupancy_profile,
     segment_map_for,
-    subtract_background,
     summarize_staircases,
     synthesize_bin,
     synthesize_counts,
@@ -174,7 +172,8 @@ class TestStaircaseKernel:
             assert np.array_equal(est.staircase, stair)
             assert est.load_events == loads
             assert est.loss_events == losses
-            assert np.array_equal(subtract_background(trace), reference_rates(trace))
+            ((_, rates),) = TraceTable.from_traces([trace]).detect_rates()
+            assert np.array_equal(rates[0], reference_rates(trace))
 
     def test_cases_are_covered(self, mixed_traces):
         # The crafted traces do reach negative rates and multi-atom drops.
@@ -199,7 +198,8 @@ class TestStaircaseKernel:
         assert (loads, lost) == (ref_loads, ref_lost)
 
     def test_pooled_rates_keep_trace_order(self, mixed_traces):
-        pooled = _pooled_rates(mixed_traces)
+        table = TraceTable.from_traces(mixed_traces)
+        pooled = photon._pooled(table, table.detect_rates())
         assert np.array_equal(
             pooled, np.concatenate([reference_rates(t) for t in mixed_traces])
         )
@@ -312,7 +312,7 @@ class TestMixedLayoutBin:
 # ----------------------------------------------------------------------------
 
 def assert_same_occupancy(traj, n_bins, bin_s):
-    got = occupancy_profile(traj, n_bins, bin_s)
+    got = photon._occupancy_rows([traj], n_bins, bin_s)[0]
     assert np.array_equal(got, reference_occupancy(traj, n_bins, bin_s))
 
 

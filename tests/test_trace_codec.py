@@ -3,7 +3,8 @@
 trace_lines formats a whole count matrix at once and read_traces_jsonl
 parses a block's count texts with one numpy call. The references here are
 json.dumps(trace_record(...)) for the writer and json.loads plus
-trace_from_dict, line by line, for the reader; every comparison is exact.
+trace_from_dict (reference.py), line by line, for the reader; every
+comparison is exact.
 """
 
 import json
@@ -20,11 +21,11 @@ from motprobe.photon import FluorescenceTrace, SegmentMap
 from motprobe.traceio import (
     TraceFileError,
     read_traces_jsonl,
-    trace_from_dict,
     trace_lines,
     trace_record,
-    write_traces_jsonl,
+    trace_to_dict,
 )
+from reference import trace_from_dict
 
 INT64_MAX = np.iinfo(np.int64).max
 SEG = SegmentMap(detect=(0, 3), off=(3, 4), background=(4, 6))
@@ -102,16 +103,14 @@ class TestWriter:
         with pytest.raises(ValueError, match="matrix"):
             trace_lines(["a"], 0.0, 0.02, SEG, np.zeros(6, dtype=np.int64))
 
-    def test_write_traces_jsonl_matches_json(self, tmp_path):
+    def test_trace_lines_match_trace_to_dict(self):
         traces = [
             FluorescenceTrace(f"w{k}", 220.0 * k, 0.02, SEG, np.arange(6) * 10**k)
             for k in range(8)
         ]
-        path = tmp_path / "w.jsonl"
-        assert write_traces_jsonl(path, traces) == 8
-        assert path.read_text() == "".join(
-            json.dumps(traceio.trace_to_dict(t)) + "\n" for t in traces
-        )
+        for t in traces:
+            got = trace_lines([t.trace_id], t.n_rb, t.bin_s, t.segments, t.counts[np.newaxis])
+            assert got == json.dumps(trace_to_dict(t)) + "\n"
 
 
 GOOD_COUNTS = [100, 300, 200, 0, 100, 100]

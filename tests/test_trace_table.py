@@ -3,8 +3,8 @@
 read_traces_jsonl fills one int64 count matrix per (segments, bin_s) layout,
 converting the counts of _FILL_BLOCK lines at a time, and bin_by_nrb takes
 each bin's rows from that table. The references here are trace_from_dict
-called line by line and bin_by_nrb on the resulting list of traces; every
-comparison asks for equality, not closeness.
+(reference.py) called line by line and bin_by_nrb on the resulting list of
+traces; every comparison asks for equality, not closeness.
 """
 
 import json
@@ -17,7 +17,7 @@ import pytest
 
 from motprobe import traceio
 from motprobe.gillespie import ExperimentSchedule, derive_seed, simulate_trajectory
-from motprobe.inference import bin_by_nrb, group_by_bin
+from motprobe.inference import bin_by_nrb
 from motprobe.photon import (
     DetectionCalibration,
     FluorescenceTrace,
@@ -27,7 +27,8 @@ from motprobe.photon import (
     synthesize_counts,
 )
 from motprobe.physics import PhysicalParams
-from motprobe.traceio import TraceFileError, read_traces_jsonl, trace_from_dict, trace_to_dict
+from motprobe.traceio import TraceFileError, read_traces_jsonl, trace_to_dict
+from reference import group_by_bin, trace_from_dict
 
 UM = 1e-4
 
