@@ -248,7 +248,7 @@ def cmd_fit(args) -> int:
 
     loading = fit_loading_rate(binned)
     labels = classify_steady_state(binned, args.tol)
-    beta_fit = fit_beta(binned, params, loading, tol=args.tol, labels=labels)
+    beta_fit = fit_beta(binned, params, loading, labels=labels)
     syst = propagate_systematics(binned, params, loading, beta_fit)
     boot = None
     if args.bootstrap > 0:

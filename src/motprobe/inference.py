@@ -111,7 +111,6 @@ class LoadingFit:
 class BetaFit:
     beta: float
     stat_err: float
-    syst_err: float | None
     fitted_bins: list[float]
     goodness: float
     n_points: int
@@ -516,7 +515,6 @@ def fit_beta(
     return BetaFit(
         beta=float(beta[0]),
         stat_err=float(stat_err[0]),
-        syst_err=None,
         fitted_bins=[b.center for b in steady],
         goodness=float(chi2[0]),
         n_points=len(steady),

@@ -3,10 +3,11 @@
 One JSON object per line keeps multi-thousand-trace campaigns streamable and
 diffable. Readers validate eagerly and report the offending line number.
 
-The photon counts of a trace file go through one codec that works on whole
-blocks of rows: trace_lines formats a count matrix in one vectorized pass,
-and read_traces_jsonl parses a block's count texts with one numpy call,
-falling back to json line by line for any block not in that form.
+trace_lines formats a whole count matrix in one vectorized pass. Reading
+back, read_traces_jsonl parses a block of lines in that form with one numpy
+call for all their counts; any other block is read line by line with json,
+each line's fields checked by _trace_fields and its counts by _count_row as
+soon as the line is parsed, so the first bad line is the first refused.
 """
 
 from __future__ import annotations
@@ -165,7 +166,8 @@ def _trace_fields(
 
     segment_maps caches the validated SegmentMap of each distinct set of
     bounds; the bounds are checked to be ints before the lookup, so a float
-    or boolean bound never matches an int one. Raises ValueError or
+    or boolean bound never matches an int one. n_rb and bin_s must be JSON
+    numbers and trace_id a string; nothing is coerced. Raises ValueError or
     TypeError for a malformed field.
     """
     if not isinstance(obj, dict):
@@ -197,83 +199,51 @@ def _trace_fields(
                 f"the background segment must hold at least one bin, got {segments!r}"
             )
         segment_maps[key] = segments
+    for key in ("n_rb", "bin_s"):
+        if type(obj[key]) not in (int, float):
+            raise ValueError(f"{key} must be a number, got {obj[key]!r}")
     n_rb = float(obj["n_rb"])
     if not math.isfinite(n_rb):
         raise ValueError(f"n_rb must be finite, got {n_rb!r}")
     bin_s = float(obj["bin_s"])
     if not (math.isfinite(bin_s) and bin_s > 0):
         raise ValueError(f"bin_s must be finite and positive, got {bin_s!r}")
-    return str(obj["trace_id"]), n_rb, segments, bin_s
+    trace_id = obj["trace_id"]
+    if not isinstance(trace_id, str):
+        raise ValueError(f"trace_id must be a string, got {trace_id!r}")
+    return trace_id, n_rb, segments, bin_s
 
 
-def _row_problem(raw, n_bins: int, may_hold_bools: bool) -> str | None:
-    """Why one JSON counts value is not a flat list of n_bins non-negative
-    integers within int64, or None if it is.
+def _count_row(raw, n_bins: int) -> np.ndarray:
+    """One JSON counts value as int64 counts; raises ValueError, or what
+    np.asarray raises for the value, unless it is a flat list of n_bins
+    non-negative integers within int64.
 
     The dtype numpy infers for the list tells it almost all: floats,
     booleans, unsigned (past int64) and object (past uint64, or mixed)
     arrays are refused, as is any shape but one dimension. Booleans mixed
-    with integers infer int64, so the list is also scanned for them when
-    may_hold_bools is set.
+    with integers infer int64, so the list is also scanned for them.
     """
-    try:
-        counts = np.asarray(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        return str(exc)
+    counts = np.asarray(raw)
     if counts.ndim != 1:
-        return f"counts must be a flat list, got shape {counts.shape}"
+        raise ValueError(f"counts must be a flat list, got shape {counts.shape}")
     if counts.dtype.kind != "i" and counts.size:
-        return f"counts must be integers within int64, got {counts.dtype} values"
-    if may_hold_bools and any(type(c) is bool for c in raw):
-        return "counts must be integers within int64, got booleans"
+        raise ValueError(f"counts must be integers within int64, got {counts.dtype} values")
+    if bool in map(type, raw):
+        raise ValueError("counts must be integers within int64, got booleans")
     if len(counts) != n_bins:
-        return (
+        raise ValueError(
             f"counts length {len(counts)} does not match segment map "
             f"({n_bins} bins)"
         )
-    if np.any(counts < 0):
-        return "counts must be non-negative"
-    return None
-
-
-def _count_matrix(
-    rows: list, n_bins: int, line_numbers: "list[int | None]", flagged: "list[int]"
-) -> np.ndarray:
-    """JSON counts values as one int64 (len(rows), n_bins) matrix.
-
-    One np.array call converts the whole block; only when its dtype, shape
-    or sign is wrong are the rows checked one by one, for the first bad one.
-    The rows at the indices in flagged may hold booleans, which numpy reads
-    as integers, and are scanned for them. Raises a TraceFileError naming
-    the line of the first bad row.
-    """
-    try:
-        block = np.array(rows)
-    except (TypeError, ValueError, OverflowError):
-        block = None
-    if (
-        block is None
-        or block.dtype.kind != "i"
-        or block.shape != (len(rows), n_bins)
-        or (block < 0).any()
-    ):
-        flags = set(flagged)
-        for k, raw in enumerate(rows):
-            problem = _row_problem(raw, n_bins, k in flags)
-            if problem is not None:
-                raise TraceFileError(problem, line_numbers[k])
-    for k in flagged:
-        if any(type(c) is bool for c in rows[k]):
-            raise TraceFileError(
-                "counts must be integers within int64, got booleans", line_numbers[k]
-            )
-    return block.astype(np.int64, copy=False)
+    if (counts < 0).any():
+        raise ValueError("counts must be non-negative")
+    return counts.astype(np.int64, copy=False)
 
 
 # Non-blank lines read as one block: the count texts of a block are parsed
 # together, and a block in another form is read line by line. It bounds the
-# text and Python int lists held at once, and is a new layout's first
-# capacity.
+# text held at once, and is a new layout's first capacity.
 _FILL_BLOCK = 64
 
 # What precedes the counts in a line trace_lines writes; the counts close
@@ -286,11 +256,10 @@ _HEAD_DECODER = json.JSONDecoder()
 class _LayoutFill:
     """The rows of one layout as read_traces_jsonl fills them.
 
-    counts grows in place (ndarray.resize) by half its rows whenever a
-    block does not fit, and is cut to the rows filled at the end; the file
-    is read once, so a pipe works as well as a file. Rows come either as a
-    checked int64 block (extend) or as JSON lists that wait in pending
-    until fill converts them.
+    counts grows in place (ndarray.resize) by half its rows whenever the
+    checked int64 rows given to extend do not fit, and is cut to the rows
+    filled at the end; the file is read once, so a pipe works as well as a
+    file.
     """
 
     def __init__(self, segments: SegmentMap, bin_s: float):
@@ -299,45 +268,15 @@ class _LayoutFill:
         self.counts = np.empty((_FILL_BLOCK, segments.n_bins), dtype=np.int64)
         self.filled = 0
         self.positions: list[int] = []
-        self.pending: list = []
-        self.pending_lines: list[int] = []
-        self.flagged: list[int] = []
-
-    def add(self, position: int, line_number: int, counts, flagged: bool) -> None:
-        if flagged:
-            self.flagged.append(len(self.pending))
-        self.pending.append(counts)
-        self.pending_lines.append(line_number)
-        self.positions.append(position)
 
     def extend(self, positions: "list[int]", block: np.ndarray) -> None:
         self.positions.extend(positions)
-        self._append(block)
-
-    def _append(self, block: np.ndarray) -> None:
         n = len(block)
         if self.filled + n > len(self.counts):
             rows = max(self.filled + n, len(self.counts) * 3 // 2)
             self.counts.resize((rows, self.segments.n_bins), refcheck=False)
         self.counts[self.filled:self.filled + n] = block
         self.filled += n
-
-    def fill(self) -> TraceFileError | None:
-        """Convert the pending counts into the matrix; the error of the
-        first bad row instead, if there is one."""
-        if not self.pending:
-            return None
-        try:
-            block = _count_matrix(
-                self.pending, self.segments.n_bins, self.pending_lines, self.flagged
-            )
-        except TraceFileError as exc:
-            return exc
-        self._append(block)
-        self.pending = []
-        self.pending_lines = []
-        self.flagged = []
-        return None
 
     def layout(self) -> TraceLayout:
         self.counts.resize((self.filled, self.segments.n_bins), refcheck=False)
@@ -347,18 +286,6 @@ class _LayoutFill:
             positions=np.array(self.positions, dtype=np.intp),
             counts=self.counts,
         )
-
-
-def _parse_line(line: str, line_number: int, segment_maps: "dict[tuple, SegmentMap]"):
-    """The JSON object of one line and its checked _trace_fields."""
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise TraceFileError(f"not valid JSON ({exc.msg})", line_number) from exc
-    try:
-        return obj, _trace_fields(obj, segment_maps)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise TraceFileError(str(exc), line_number) from exc
 
 
 def _count_values(texts: "list[str]", n_bins: "list[int]") -> np.ndarray | None:
@@ -476,31 +403,20 @@ class _TableReader:
         return True
 
     def _read_block_lines(self, block: "list[tuple[int, str]]") -> None:
-        """Add a block line by line: each line parsed with json, its counts
-        converted with its layout's pending rows at the end of the block."""
+        """Add a block line by line: each line parsed with json, its fields
+        checked by _trace_fields and its counts converted by _count_row."""
         for i, line in block:
             try:
-                obj, (trace_id, n_rb, segments, bin_s) = _parse_line(
-                    line, i, self.segment_maps
-                )
-            except TraceFileError:
-                # A line before this one may hold bad counts, not yet converted.
-                self._fill_all()
-                raise
-            # A JSON boolean is spelt true or false; most lines hold neither,
-            # and skip the per-count scan for one.
-            flagged = "true" in line or "false" in line
-            self._fill(segments, bin_s).add(len(self.trace_ids), i, obj["counts"], flagged)
+                obj = json.loads(line)
+                trace_id, n_rb, segments, bin_s = _trace_fields(obj, self.segment_maps)
+                counts = _count_row(obj["counts"], segments.n_bins)
+            except json.JSONDecodeError as exc:
+                raise TraceFileError(f"not valid JSON ({exc.msg})", i) from exc
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise TraceFileError(str(exc), i) from exc
+            self._fill(segments, bin_s).extend([len(self.trace_ids)], counts[np.newaxis])
             self.trace_ids.append(trace_id)
             self.n_rb.append(n_rb)
-        self._fill_all()
-
-    def _fill_all(self) -> None:
-        """Fill every layout's pending rows; raise the error of the first bad
-        line among them."""
-        errors = [err for err in (f.fill() for f in self.fills.values()) if err is not None]
-        if errors:
-            raise min(errors, key=lambda err: err.line_number)
 
     def table(self) -> TraceTable:
         return TraceTable(self.trace_ids, self.n_rb, [f.layout() for f in self.fills.values()])
@@ -514,8 +430,7 @@ def read_traces_jsonl(path: "str | Path") -> TraceTable:
     counts with one numpy call; any other block is parsed line by line with
     json. Either way each line's scalar fields and segment layout are
     checked, and its counts go to the int64 matrix of its (segments, bin_s)
-    layout. Any refusal names the first bad line of the file, whether it
-    was found in the line's fields or in its block's counts.
+    layout. Any refusal names the first bad line of the file.
     """
     reader = _TableReader()
     with open(path) as fh:
@@ -606,6 +521,10 @@ _FINITE_BIN_COLUMNS = (
     "loss_counts_per_time_per_s",
     "detect_time_s",
 )
+# Columns that count, or measure a spread, and cannot be negative.
+# detect_time_s must be positive: its square weights the loading fit, so a
+# negative value would pass unseen, and a zero one drops its bin.
+_NON_NEGATIVE_BIN_COLUMNS = ("n_traces", "se_mean_n_cs", "load_count", "loss_atom_count")
 
 
 def read_bins_csv(path: "str | Path", width: float | None = None) -> BinnedDataset:
@@ -613,8 +532,9 @@ def read_bins_csv(path: "str | Path", width: float | None = None) -> BinnedDatas
 
     Trace-level means are not stored in the CSV, so a dataset read this way
     supports every fit except the bootstrap. A NaN or infinite value in a
-    column the fits read is refused, naming its line and column, and so is
-    a repeated n_rb_center, naming both its lines.
+    column the fits read is refused, naming its line and column, as are a
+    negative count or standard error and a detect_time_s that is not
+    positive; so is a repeated n_rb_center, naming both its lines.
     """
     bins: list[NrbBin] = []
     center_lines: dict[float, int] = {}
@@ -630,6 +550,15 @@ def read_bins_csv(path: "str | Path", width: float | None = None) -> BinnedDatas
                 for column in _FINITE_BIN_COLUMNS:
                     if not math.isfinite(float(row[column])):
                         raise ValueError(f"{column} must be finite, got {row[column]!r}")
+                for column in _NON_NEGATIVE_BIN_COLUMNS:
+                    if float(row[column]) < 0:
+                        raise ValueError(
+                            f"{column} must be non-negative, got {row[column]!r}"
+                        )
+                if not float(row["detect_time_s"]) > 0:
+                    raise ValueError(
+                        f"detect_time_s must be positive, got {row['detect_time_s']!r}"
+                    )
                 bins.append(
                     NrbBin(
                         center=float(row["n_rb_center"]),

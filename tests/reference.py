@@ -20,7 +20,7 @@ import numpy as np
 from motprobe.gillespie import EventKind, ExperimentSchedule, _rate_row
 from motprobe.photon import FluorescenceTrace
 from motprobe.physics import PhysicalParams
-from motprobe.traceio import TraceFileError, _count_matrix, _trace_fields
+from motprobe.traceio import TraceFileError, _count_row, _trace_fields
 
 
 def next_event(
@@ -86,14 +86,14 @@ def trace_from_dict(obj: dict, line_number: int | None = None) -> FluorescenceTr
     """Build a trace from its JSON object, refusing malformed fields with a
     TraceFileError that names line_number.
 
-    read_traces_jsonl makes the same checks, with the counts of many lines
-    converted at once.
+    read_traces_jsonl makes the same checks with the same two functions,
+    _trace_fields and _count_row, on every line it reads with json.
     """
     try:
         trace_id, n_rb, segments, bin_s = _trace_fields(obj, {})
+        counts = _count_row(obj["counts"], segments.n_bins)
     except (TypeError, ValueError, OverflowError) as exc:
         raise TraceFileError(str(exc), line_number) from exc
-    (counts,) = _count_matrix([obj["counts"]], segments.n_bins, [line_number], [0])
     return FluorescenceTrace(
         trace_id=trace_id, n_rb=n_rb, bin_s=bin_s, segments=segments, counts=counts
     )

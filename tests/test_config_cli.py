@@ -721,6 +721,10 @@ class TestTraceLoader:
         ({"segments": {"detect": [0, 3], "off": [3, 4.0], "background": [4, 5]}}, "segments.off"),
         ({"segments": {"detect": [0, 3], "off": [3, 4], "background": [4, True]}}, "segments.background"),
         ({"segments": 3}, "segments"),
+        ({"n_rb": "1100"}, "n_rb must be a number"),
+        ({"n_rb": True}, "n_rb must be a number"),
+        ({"bin_s": True}, "bin_s must be a number"),
+        ({"trace_id": None}, "trace_id must be a string"),
     ])
     def test_refused_with_line(self, change, match):
         with pytest.raises(TraceFileError, match=f"^line 7: .*({match})"):
@@ -757,7 +761,8 @@ class TestTraceLoader:
 
 class TestBooleanCounts:
     """Booleans among integer counts infer int64 in numpy; the loader still
-    refuses them, naming the line, and scans only lines that spell one."""
+    refuses them, naming the line, and scans every line it reads with json
+    for them."""
 
     SHORT = {
         "trace_id": "short", "n_rb": 220.0, "bin_s": 0.02,
@@ -859,7 +864,7 @@ class TestAtomicSimulateOutput:
 
 class TestBinsCsvValues:
     """read_bins_csv refuses NaN and infinite values in the columns the fits
-    read, naming the line and the column."""
+    read, and values no analysis can give, naming the line and the column."""
 
     PARAMS = PhysicalParams(
         r0=1.48, alpha=2.3e-4, gamma=0.03, beta_rbcs=1.6e-10,
@@ -891,6 +896,23 @@ class TestBinsCsvValues:
         assert "line 4" in err and column in err
         assert not (tmp_path / "fit").exists()
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("column, value, rule", [
+        ("n_traces", "-3", "non-negative"),
+        ("load_count", "-1", "non-negative"),
+        ("loss_atom_count", "-2", "non-negative"),
+        ("se_mean_n_cs", "-0.01", "non-negative"),
+        ("detect_time_s", "-12.0", "positive"),
+        ("detect_time_s", "0.0", "positive"),
+    ])
+    def test_impossible_value_refused(self, tmp_path, capsys, column, value, rule):
+        path = self._with_value(tmp_path, column, value)
+        with pytest.raises(TraceFileError, match=f"^line 4: {column} must be {rule}"):
+            read_bins_csv(path)
+        assert main(["fit", str(path), "--out", str(tmp_path / "fit")]) == 1
+        err = capsys.readouterr().err
+        assert "line 4" in err and column in err
+        assert not (tmp_path / "fit").exists()
 
     def test_unused_columns_stay_legal(self, tmp_path):
         path = self._with_value(tmp_path, "ratio_load_loss", "inf")

@@ -190,6 +190,7 @@ CASES = {
     "trailing_form_feed": [good_line(0).replace("\n", "\f\n")],
     "leading_space": [" " + good_line(0)],
     "bad_field": [good_line(0).replace('"n_rb": 220.0', '"n_rb": NaN')],
+    "string_field": [good_line(0).replace('"n_rb": 220.0', '"n_rb": "220.0"')],
     "missing_field": [good_line(0).replace('"bin_s": 0.02, ', "")],
     "not_json": [good_line(0).replace('{"trace_id"', '{trace_id')],
     "non_ascii_count": [with_counts("100, 300, ٢, 0, 100, 100")],

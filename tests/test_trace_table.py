@@ -1,8 +1,9 @@
 """The columnar trace table against the per-line loader it replaces.
 
 read_traces_jsonl fills one int64 count matrix per (segments, bin_s) layout,
-converting the counts of _FILL_BLOCK lines at a time, and bin_by_nrb takes
-each bin's rows from that table. The references here are trace_from_dict
+reading _FILL_BLOCK lines at a time, whether it parses their counts
+together or each line on its own, and bin_by_nrb takes each bin's rows from
+that table. The references here are trace_from_dict
 (reference.py) called line by line and bin_by_nrb on the resulting list of
 traces; every comparison asks for equality, not closeness.
 """
@@ -296,7 +297,7 @@ OTHER = {
     "counts": [100, 300, 0, 100],
 }
 
-# Counts refused only where the block's matrix is checked.
+# Counts refused only once a line's counts are converted.
 BAD_COUNTS = {
     "float": [100, 300, 200.5, 0, 100, 100],
     "boolean": [100, True, 200, 0, 100, 100],
@@ -308,8 +309,8 @@ BAD_COUNTS = {
 }
 
 
-def write_lines(path, objs):
-    path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+def write_lines(path, objs, separators=None):
+    path.write_text("".join(json.dumps(obj, separators=separators) + "\n" for obj in objs))
     return path
 
 
@@ -338,8 +339,8 @@ class TestBlockRefusals:
 
     @pytest.mark.parametrize("kind", ["float", "negative", "nested"])
     def test_earliest_line_across_layouts(self, tmp_path, kind):
-        """Two layouts converted in the same block: the earlier bad line is
-        named, whichever layout holds it."""
+        """Two layouts in the same block: the earlier bad line is named,
+        whichever layout holds it."""
         objs = [dict(OTHER if k % 2 else GOOD, trace_id=f"r{k}") for k in range(100)]
         objs[80] = dict(GOOD, counts=[-1] * 6)
         bad = dict(OTHER, counts=BAD_COUNTS[kind][:4] if kind != "nested" else [[1, 2]] * 4)
@@ -350,10 +351,27 @@ class TestBlockRefusals:
         assert info.value.line_number == 78
         assert str(info.value) == self.reference_message(bad, 78)
 
-    def test_good_file_past_several_blocks(self, tmp_path):
+    # The default separators give the form trace_lines writes; the compact
+    # ones send every block to the line-by-line path.
+    @pytest.mark.parametrize(
+        "separators, line_blocks", [(None, 0), ((",", ":"), 4)], ids=["default", "compact"]
+    )
+    def test_good_file_past_several_blocks(self, tmp_path, monkeypatch, separators, line_blocks):
         objs = [dict(GOOD if k % 3 else OTHER, trace_id=f"r{k}") for k in range(200)]
         objs[150] = dict(GOOD, trace_id="true")
-        table = read_traces_jsonl(write_lines(tmp_path / "good.jsonl", objs))
+        path = write_lines(tmp_path / "good.jsonl", objs, separators)
+        taken = []
+        real = traceio._TableReader._read_block_lines
+
+        def spy(self, block):
+            taken.append(block[0][0])
+            real(self, block)
+
+        monkeypatch.setattr(traceio._TableReader, "_read_block_lines", spy)
+        table = read_traces_jsonl(path)
+        assert len(taken) == line_blocks
         assert len(table) == 200
+        # Past the first _FILL_BLOCK rows of both layouts' matrices.
+        assert [len(layout.positions) for layout in table.layouts] == [66, 134]
         for k, trace in enumerate(table):
             assert_same_trace(trace, trace_from_dict(objs[k]))
