@@ -7,15 +7,21 @@ with no time discretization. Detection binning happens later, in the photon
 layer.
 
 There is one event loop, simulate_shots. It runs a set of shots at one
-companion number, each on its own seeded generator, and writes their events
-straight into typed buffers that become one flat EventTable: float64 time,
+companion number, each on its own seeded generator, under one draw contract:
+a shot draws rng.standard_exponential(32), then rng.random(32), and event j
+of that block takes wait j and uniform j; a shot that uses up its block
+draws the next pair from its own generator, and the step that leaves the
+window uses only its wait. So each shot is a function of its seed alone.
+The shots of a chunk advance together, one event per numpy step, reading
+their states' rates from a per-atom-number table held as arrays, and their
+events go into typed buffers that become one flat EventTable: float64 time,
 int64 level (the atom number after the event) and int8 kind, with offsets
 marking where each shot's events start. Everything else reads that table:
 simulate_bin returns one per bin, the photon layer reads time and level per
 shot, and the oracles read the atom number at their checkpoints for all
 shots at once. A Trajectory, the list-of-events form of one shot, is built
-only when asked for. The exact per-row references of this loop, next_event
-among them, are in tests/reference.py.
+only when asked for. The exact one-shot, one-event replay of this contract
+(next_event and replay_next_event) is in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import bisect
 import enum
 import functools
+import itertools
 import math
 import operator
 from array import array
@@ -385,10 +392,17 @@ def seeded_generators(seeds: "np.ndarray | list[int]") -> Iterator[np.random.Gen
         yield np.random.Generator(np.random.PCG64(_FixedSeedSequence(row)))
 
 
-_Row = tuple[float, float, float, float, float]
+# Each shot draws its waiting times and uniforms from its own generator in
+# blocks of this many events; see simulate_shots.
+_BLOCK = 32
+# Shots stepped together by simulate_shots. Any value gives the same output:
+# each shot's draws come from its own generator alone.
+_CHUNK = 256
+# Change of the atom number for each EventTable.kind code.
+_STEP = np.array([_DELTA[kind] for kind in _KINDS], dtype=np.int64)
 
 
-def _rate_row(n_cs: int, n_rb: float, params: PhysicalParams) -> _Row:
+def _rate_row(n_cs: int, n_rb: float, params: PhysicalParams) -> tuple[float, ...]:
     """Rate row of one trap state: (1 / total, total, load, load + loss_bg,
     load + loss_bg + loss_rbcs).
 
@@ -396,29 +410,50 @@ def _rate_row(n_cs: int, n_rb: float, params: PhysicalParams) -> _Row:
     added in the fixed order LOAD, LOSS_BG, LOSS_RBCS, LOSS_CSCS_PAIR; any
     other order or grouping would change the floats and with them seeded
     streams. The total is RateSet.total, which sums the losses first. The
-    first entry is the scale of the waiting time, 1.0 / total (0.0 when no
-    rate is left).
+    first entry is the scale of the waiting time, 1.0 / total; with no rate
+    left the wait is infinite, so the shot leaves the window at its next
+    step.
     """
     rs = rates(n_cs, n_rb, params)
     total = rs.total
     c_load = rs.load
     c_bg = c_load + rs.loss_bg
-    scale = 1.0 / total if total > 0.0 else 0.0
+    scale = 1.0 / total if total > 0.0 else math.inf
     return scale, total, c_load, c_bg, c_bg + rs.loss_rbcs
 
 
-@functools.lru_cache(maxsize=64)
-def _rate_rows(n_rb: float, params: PhysicalParams) -> list[_Row]:
-    """Rate rows indexed by atom number at fixed (n_rb, params).
+class _RateTable:
+    """Rate rows indexed by atom number at fixed (n_rb, params), held as a
+    read-only (5 x atom numbers) float64 array: row k holds entry k of
+    _rate_row for every atom number reached so far.
 
     Rates depend on the trap state only through the atom number, so every
-    trajectory with the same companion number and parameters shares one
-    table. It starts with the empty-trap row, which also validates n_rb, and
-    simulate_shots appends the row of an atom number the first time it is
-    reached. Rows are a pure function of (n, n_rb, params), so which
-    trajectory builds a row never changes its value.
+    shot with the same companion number and parameters shares one table.
+    It starts with the empty-trap state, which also validates n_rb, and
+    grows to the largest atom number a shot has reached. Entries are a pure
+    function of (n, n_rb, params), so which shots grow the table never
+    changes one.
     """
-    return [_rate_row(0, n_rb, params)]
+
+    def __init__(self, n_rb: float, params: PhysicalParams):
+        self.n_rb = n_rb
+        self.params = params
+        self.columns = _frozen(np.transpose([_rate_row(0, n_rb, params)]), np.float64)
+
+    def cover(self, top: int) -> np.ndarray:
+        """The columns, grown to hold every atom number up to top."""
+        have = self.columns.shape[1]
+        if top >= have:
+            grown = [_rate_row(n, self.n_rb, self.params) for n in range(have, top + 1)]
+            self.columns = _frozen(
+                np.concatenate([self.columns, np.transpose(grown)], axis=1), np.float64
+            )
+        return self.columns
+
+
+@functools.lru_cache(maxsize=64)
+def _rate_table(n_rb: float, params: PhysicalParams) -> _RateTable:
+    return _RateTable(n_rb, params)
 
 
 def simulate_shots(
@@ -431,60 +466,44 @@ def simulate_shots(
 ) -> EventTable:
     """Simulate one shot per seed from an empty trap over the detection window.
 
-    Shot i is the single-step draw next_event (tests/reference.py) stepped
-    from n = 0 on np.random.default_rng(seeds[i]) until the clock passes the
-    window, but each state's rates are read from the shared row table, and
-    the event draw of the step that leaves the window is skipped; no result
-    depends on it, because the generator is private to the shot. Events go
-    straight into typed buffers, which become the columns of the returned
-    table: no Python object is kept per event or per shot.
+    Shot i runs on its own generator, np.random.default_rng(seeds[i]), and
+    draws from it in blocks: rng.standard_exponential(_BLOCK), then
+    rng.random(_BLOCK). Event j of a block takes wait j and uniform j; a
+    shot that has used up its block draws the next pair of blocks. In state
+    n the clock advances by (1 / total) * wait and, if it is still inside
+    the window, the event is the first of LOAD, LOSS_BG, LOSS_RBCS whose
+    cumulative threshold exceeds uniform * total, else LOSS_CSCS_PAIR. The
+    step that leaves the window uses only its wait. replay_next_event in
+    tests/reference.py is this contract one shot and one event at a time,
+    and the tests hold every shot here to it bit for bit.
+
+    The shots run in chunks of _CHUNK, and the shots of a chunk take one
+    event per numpy step together, reading their states' rates from the
+    shared rate table; a shot's k-th event happens at step k, which places
+    it in the output. Each shot is a function of its seed alone, so the chunk
+    size changes nothing. Events go into typed buffers, which become the
+    columns of the returned table: no Python object is kept per event.
 
     rngs, when given, must yield np.random.default_rng(seed) for each seed,
     fresh; by default seeded_generators builds them.
     """
     seeds = np.array(seeds, dtype=np.uint64)
-    if rngs is None:
-        rngs = seeded_generators(seeds)
-    rows = _rate_rows(n_rb, params)
+    rngs = iter(seeded_generators(seeds) if rngs is None else rngs)
+    table = _rate_table(n_rb, params)
     t_end = schedule.detect_s
-    times, levels, kinds = array("d"), array("q"), array("b")
+    columns = (array("d"), array("q"), array("b"))
     offsets = array("q", [0])
-    put_time, put_level, put_kind = times.append, levels.append, kinds.append
-    for _, rng in zip(seeds, rngs, strict=True):
-        # rng.exponential(scale) draws scale * standard_exponential(): the
-        # same draw and the same product as next_event's, without the
-        # division and argument checks per event.
-        exponential = rng.standard_exponential
-        uniform = rng.random
-        t = 0.0
-        n = 0
-        scale, total, c_load, c_bg, c_rbcs = rows[0]
-        while total > 0.0:
-            t = t + scale * exponential()
-            if t > t_end:
-                break
-            u = uniform() * total
-            if u < c_load:
-                n += 1
-                if n == len(rows):
-                    rows.append(_rate_row(n, n_rb, params))
-                put_kind(0)
-            elif u < c_bg:
-                n -= 1
-                put_kind(1)
-            elif u < c_rbcs:
-                n -= 1
-                put_kind(2)
-            else:
-                # A pair loss can only be drawn from n >= 2 because its rate
-                # carries the discrete n(n-1) factor, so n stays non-negative.
-                n -= 2
-                put_kind(3)
-            put_time(t)
-            put_level(n)
-            scale, total, c_load, c_bg, c_rbcs = rows[n]
-        offsets.append(len(times))
+    for start in range(0, len(seeds), _CHUNK):
+        size = min(_CHUNK, len(seeds) - start)
+        gens = list(itertools.islice(rngs, size))
+        if len(gens) < size:
+            raise ValueError(f"rngs yields fewer generators than the {len(seeds)} seeds")
+        counts = _step_chunk(table, t_end, gens, columns)
+        offsets.frombytes((np.cumsum(counts) + offsets[-1]).tobytes())
+    if next(rngs, None) is not None:
+        raise ValueError(f"rngs yields more generators than the {len(seeds)} seeds")
     shots = len(seeds)
+    times, levels, kinds = columns
     return EventTable(
         time=np.frombuffer(times, dtype=np.float64),
         level=np.frombuffer(levels, dtype=np.int64),
@@ -494,6 +513,68 @@ def simulate_shots(
         seed=seeds,
         t_end=np.full(shots, t_end, dtype=float),
     )
+
+
+def _step_chunk(
+    table: _RateTable,
+    t_end: float,
+    gens: "list[np.random.Generator]",
+    columns: "tuple[array, array, array]",
+) -> np.ndarray:
+    """Step the shots of gens together until each has left the window;
+    append their events, shot by shot, to the time, level and kind columns
+    and return each shot's event count.
+
+    Every array of a step holds one entry per shot of the chunk, so numpy
+    sees the same few sizes throughout. A shot that has left the window
+    stays in them: its clock only grows, on stale draws, and its atom number
+    is held. Only each step's clocks and kinds are kept: a shot's events are
+    its steps with the clock inside the window, and its levels are the
+    running sums of its kinds' steps.
+    """
+    shots = len(gens)
+    waits = np.empty((shots, _BLOCK))
+    uniforms = np.empty((shots, _BLOCK))
+    t = np.zeros(shots)
+    n = np.zeros(shots, dtype=np.int64)
+    live = range(shots)
+    scale, total, c_load, c_bg, c_rbcs = table.columns
+    top = 0  # bounds n from above
+    clocks, kinds = [], []
+    while True:
+        j = len(clocks) % _BLOCK
+        if j == 0:
+            for i in live:
+                gens[i].standard_exponential(out=waits[i])
+                gens[i].random(out=uniforms[i])
+        if top >= len(scale):
+            top = int(n.max())
+            scale, total, c_load, c_bg, c_rbcs = table.cover(top)
+        t = t + scale[n] * waits[:, j]
+        inside = t <= t_end
+        if not np.count_nonzero(inside):
+            break
+        u = uniforms[:, j] * total[n]
+        kind = (u >= c_load[n]).view(np.int8) + (u >= c_bg[n]) + (u >= c_rbcs[n])
+        # A pair loss can only be drawn from n >= 2 because its rate carries
+        # the discrete n(n-1) factor, so n stays non-negative.
+        n = n + _STEP[kind] * inside
+        clocks.append(t)
+        kinds.append(kind)
+        if j == _BLOCK - 1:
+            live = np.flatnonzero(inside).tolist()
+        top += 1
+    # Transposed, the (step x shot) records are shot-major: row i holds shot
+    # i's steps in order, and its clock only grows.
+    time = np.array(clocks).reshape(-1, shots).T
+    taken = time <= t_end
+    kind = np.array(kinds, dtype=np.int8).reshape(-1, shots).T[taken]
+    counts = np.count_nonzero(taken, axis=1)
+    level = np.cumsum(_STEP[kind])
+    level -= np.repeat(np.concatenate(([0], level))[np.cumsum(counts) - counts], counts)
+    for column, values in zip(columns, (time[taken], level, kind)):
+        column.frombytes(values.tobytes())
+    return counts
 
 
 def simulate_trajectory(

@@ -570,8 +570,8 @@ def propagate_systematics(
     return float((betas.max() - betas.min()) / 2.0)
 
 
-# Resamples are drawn and summarized this many at a time, so the index and
-# sample buffers hold one block of every steady bin whatever the count.
+# Resamples are drawn and summarized this many at a time, so a bin's index
+# and sample matrices hold one block whatever the count.
 _BOOTSTRAP_BLOCK = 32
 
 
@@ -588,11 +588,12 @@ def bootstrap_stat_error(
     Resamples traces with replacement inside every steady bin, recomputes the
     bin means and their errors (a bin of one trace keeps its original
     error), refits beta, and returns the standard deviation over resamples.
-    Deterministic for a given seed: the draws are one rng.integers call per
-    resample and bin, resample-major. Resamples are drawn and reduced in
-    blocks of _BOOTSTRAP_BLOCK, so memory does not grow with their number;
-    all of them are then fitted as the lanes of one _minimize_beta call,
-    each lane exactly the scalar fit of that resample.
+    Resamples are drawn and reduced in blocks of _BOOTSTRAP_BLOCK, so
+    memory does not grow with their number. Deterministic for a given seed:
+    each block makes one rng.integers call per steady bin, in bin order,
+    drawing that bin's (block, size) matrix of trace indices, one row per
+    resample. All resamples are then fitted as the lanes of one
+    _minimize_beta call, each lane exactly the scalar fit of that resample.
     """
     if resamples < 2:
         raise ValueError(f"resamples must be >= 2, got {resamples!r}")
@@ -601,18 +602,14 @@ def bootstrap_stat_error(
         raise InferenceError("bootstrap needs trace-level means; refit from traces")
     v_pair = pair_overlap_volume(params_known.w_cs, params_known.w_rb)
     rng = np.random.default_rng(int(seed))
-    sizes = [len(b.trace_means) for b in steady]
-    idx = [np.empty((_BOOTSTRAP_BLOCK, size), dtype=np.int64) for size in sizes]
     m_b = np.empty((resamples, len(steady)))
     se_b = np.empty((resamples, len(steady)))
     for start in range(0, resamples, _BOOTSTRAP_BLOCK):
         block = min(_BOOTSTRAP_BLOCK, resamples - start)
-        for r in range(block):
-            for j, size in enumerate(sizes):
-                idx[j][r] = rng.integers(0, size, size)
         rows = slice(start, start + block)
-        for j, (b, size) in enumerate(zip(steady, sizes)):
-            sample = b.trace_means[idx[j][:block]]
+        for j, b in enumerate(steady):
+            size = len(b.trace_means)
+            sample = b.trace_means[rng.integers(0, size, (block, size))]
             m_b[rows, j] = sample.mean(axis=1)
             se_b[rows, j] = (
                 sample.std(axis=1, ddof=1) / math.sqrt(size) if size > 1 else se_orig[j]

@@ -180,9 +180,12 @@ def _trace_fields(
         raise ValueError(f"segments must be an object, got {seg_raw!r}")
     bounds = []
     for key in ("detect", "off", "background"):
-        if key not in seg_raw or len(seg_raw[key]) != 2:
+        if key not in seg_raw:
             raise ValueError(f"segments.{key} must be a [start, stop] pair")
-        start, stop = seg_raw[key]
+        pair = seg_raw[key]
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ValueError(f"segments.{key} must be a [start, stop] pair, got {pair!r}")
+        start, stop = pair
         # type(), not isinstance(): a bool is an int too.
         if type(start) is not int or type(stop) is not int:
             raise ValueError(
@@ -525,16 +528,35 @@ _FINITE_BIN_COLUMNS = (
 # detect_time_s must be positive: its square weights the loading fit, so a
 # negative value would pass unseen, and a zero one drops its bin.
 _NON_NEGATIVE_BIN_COLUMNS = ("n_traces", "se_mean_n_cs", "load_count", "loss_atom_count")
+# Columns read_bins_csv reads (all but ratio_load_loss), and those of them
+# that hold whole numbers; the others hold floats.
+_READ_BIN_COLUMNS = tuple(c for c in BIN_CSV_COLUMNS if c != "ratio_load_loss")
+_INT_BIN_COLUMNS = ("n_traces", "load_count", "loss_atom_count")
+
+
+def _bin_values(row: dict) -> dict:
+    """The numbers of one bins.csv row by column; a cell that is not a
+    number of its column's kind is refused, naming the column."""
+    values = {}
+    for column in _READ_BIN_COLUMNS:
+        kind = int if column in _INT_BIN_COLUMNS else float
+        try:
+            values[column] = kind(row[column])
+        except (TypeError, ValueError):
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"{column} must be {what}, got {row[column]!r}") from None
+    return values
 
 
 def read_bins_csv(path: "str | Path", width: float | None = None) -> BinnedDataset:
     """Rebuild a binned dataset from its CSV export.
 
     Trace-level means are not stored in the CSV, so a dataset read this way
-    supports every fit except the bootstrap. A NaN or infinite value in a
-    column the fits read is refused, naming its line and column, as are a
-    negative count or standard error and a detect_time_s that is not
-    positive; so is a repeated n_rb_center, naming both its lines.
+    supports every fit except the bootstrap. A cell that is not a number
+    (an integer in a count column) is refused, naming its line and column,
+    as are a NaN or infinite value in a column the fits read, a negative
+    count or standard error and a detect_time_s that is not positive; so is
+    a repeated n_rb_center, naming both its lines.
     """
     bins: list[NrbBin] = []
     center_lines: dict[float, int] = {}
@@ -547,30 +569,31 @@ def read_bins_csv(path: "str | Path", width: float | None = None) -> BinnedDatas
             )
         for i, row in enumerate(reader, start=2):
             try:
+                v = _bin_values(row)
                 for column in _FINITE_BIN_COLUMNS:
-                    if not math.isfinite(float(row[column])):
+                    if not math.isfinite(v[column]):
                         raise ValueError(f"{column} must be finite, got {row[column]!r}")
                 for column in _NON_NEGATIVE_BIN_COLUMNS:
-                    if float(row[column]) < 0:
+                    if v[column] < 0:
                         raise ValueError(
                             f"{column} must be non-negative, got {row[column]!r}"
                         )
-                if not float(row["detect_time_s"]) > 0:
+                if not v["detect_time_s"] > 0:
                     raise ValueError(
                         f"detect_time_s must be positive, got {row['detect_time_s']!r}"
                     )
                 bins.append(
                     NrbBin(
-                        center=float(row["n_rb_center"]),
-                        n_traces=int(row["n_traces"]),
-                        mean_n_cs=float(row["mean_n_cs"]),
-                        se_mean_n_cs=float(row["se_mean_n_cs"]),
-                        loading_rate=float(row["loading_rate_per_s"]),
-                        load_count=int(row["load_count"]),
-                        loss_counts_per_time=float(row["loss_counts_per_time_per_s"]),
-                        loss_atoms=int(row["loss_atom_count"]),
-                        detect_time_s=float(row["detect_time_s"]),
-                        poisson_lambda=float(row["poisson_lambda"]),
+                        center=v["n_rb_center"],
+                        n_traces=v["n_traces"],
+                        mean_n_cs=v["mean_n_cs"],
+                        se_mean_n_cs=v["se_mean_n_cs"],
+                        loading_rate=v["loading_rate_per_s"],
+                        load_count=v["load_count"],
+                        loss_counts_per_time=v["loss_counts_per_time_per_s"],
+                        loss_atoms=v["loss_atom_count"],
+                        detect_time_s=v["detect_time_s"],
+                        poisson_lambda=v["poisson_lambda"],
                         trace_means=None,
                     )
                 )

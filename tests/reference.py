@@ -3,8 +3,9 @@
 Each function here is the one-row form a batch kernel replaced. The program
 does not call them; the tests hold the kernels to them with equality:
 
-- next_event, one Gillespie step, and replay_next_event, one shot stepped
-  with it from an empty trap: the reference of gillespie.simulate_shots;
+- next_event, one Gillespie step on a shot's BlockDraws, and
+  replay_next_event, one shot stepped with it from an empty trap: the
+  reference of gillespie.simulate_shots;
 - group_by_bin, trace-by-trace grid assignment: the reference of the grid
   points bin_by_nrb groups on;
 - trace_from_dict, the per-line trace loader: the reference of
@@ -17,29 +18,63 @@ import math
 
 import numpy as np
 
-from motprobe.gillespie import EventKind, ExperimentSchedule, _rate_row
+from motprobe.gillespie import _BLOCK, EventKind, ExperimentSchedule
 from motprobe.photon import FluorescenceTrace
-from motprobe.physics import PhysicalParams
+from motprobe.physics import PhysicalParams, rates
 from motprobe.traceio import TraceFileError, _count_row, _trace_fields
+
+
+class BlockDraws:
+    """The draws of one shot under the block contract of simulate_shots.
+
+    On the shot's generator: rng.standard_exponential(_BLOCK), then
+    rng.random(_BLOCK); event j of a block takes wait j and uniform j, and a
+    used-up block is followed by the next pair, drawn when first needed.
+    blocks counts the pairs drawn so far.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.j = _BLOCK
+        self.blocks = 0
+
+    def pair(self) -> tuple[float, float]:
+        """Wait and uniform of the next event."""
+        if self.j == _BLOCK:
+            self.waits = self.rng.standard_exponential(_BLOCK)
+            self.uniforms = self.rng.random(_BLOCK)
+            self.j = 0
+            self.blocks += 1
+        self.j += 1
+        return float(self.waits[self.j - 1]), float(self.uniforms[self.j - 1])
 
 
 def next_event(
     n_cs: int,
     n_rb: float,
     params: PhysicalParams,
-    rng: np.random.Generator,
+    draws: BlockDraws,
 ) -> tuple[float, EventKind] | None:
-    """Draw the waiting time and type of the next event.
+    """Draw the waiting time and type of the next event from draws.
 
-    Returns None when every rate vanishes (absorbing state); the caller then
-    treats the remaining observation window as event-free. simulate_shots
-    makes the same draws in the same order.
+    Returns None when every rate vanishes (absorbing state), without
+    drawing; the caller then treats the remaining observation window as
+    event-free. Otherwise takes the next (wait, uniform) pair: the waiting
+    time is wait / total, as the product (1 / total) * wait, and the event
+    is the first of LOAD, LOSS_BG, LOSS_RBCS whose cumulative rate exceeds
+    uniform * total, else LOSS_CSCS_PAIR. The rates are summed here from
+    physics.rates, in the order gillespie._rate_row documents.
     """
-    _, total, c_load, c_bg, c_rbcs = _rate_row(n_cs, n_rb, params)
+    rs = rates(n_cs, n_rb, params)
+    total = rs.total
     if total <= 0.0:
         return None
-    dt = rng.exponential(1.0 / total)
-    u = rng.random() * total
+    c_load = rs.load
+    c_bg = c_load + rs.loss_bg
+    c_rbcs = c_bg + rs.loss_rbcs
+    wait, uniform = draws.pair()
+    dt = (1.0 / total) * wait
+    u = uniform * total
     if u < c_load:
         return dt, EventKind.LOAD
     if u < c_bg:
@@ -50,14 +85,22 @@ def next_event(
 
 
 def replay_next_event(
-    n_rb: float, params: PhysicalParams, schedule: ExperimentSchedule, seed: int
+    n_rb: float,
+    params: PhysicalParams,
+    schedule: ExperimentSchedule,
+    seed: int,
+    draws: BlockDraws | None = None,
 ) -> list[tuple[float, EventKind, int]]:
-    """Events of one shot: next_event stepped from an empty trap on
-    np.random.default_rng(seed) until the clock passes the window."""
-    rng = np.random.default_rng(seed)
+    """Events of one shot: next_event stepped from an empty trap on the
+    block draws of np.random.default_rng(seed) until the clock passes the
+    window; the step that passes it uses only its wait. draws, when given,
+    must be fresh BlockDraws on that generator (a test can then read its
+    block count)."""
+    if draws is None:
+        draws = BlockDraws(np.random.default_rng(seed))
     t, n, events = 0.0, 0, []
     while True:
-        step = next_event(n, n_rb, params, rng)
+        step = next_event(n, n_rb, params, draws)
         if step is None:
             break
         dt, kind = step

@@ -171,7 +171,7 @@ def test_program_runs_without_scipy(tmp_path):
     )
     assert run.returncode == 0, run.stderr
     codes, modules = run.stdout.splitlines()[-2:]
-    # The 300-run oracle fails its check at the default seed (p 0.007, the
+    # The 300-run oracle passes its check at the default seed (p 0.705, the
     # pinned stream of test_golden_stream): it ran its chi-square to a verdict.
-    assert codes == "[0, 0, 0, 1]"
+    assert codes == "[0, 0, 0, 0]"
     assert modules == "[]"

@@ -741,6 +741,21 @@ class TestTraceLoader:
         assert main(["analyze", str(bad), "--out", str(tmp_path / "x")]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("detect", 5), ("off", "34"), ("background", {"0": 4}), ("detect", None),
+        ("off", [3]), ("background", [4, 5, 6]),
+    ])
+    def test_segment_that_is_not_a_pair_is_named(self, tmp_path, capsys, key, value):
+        segments = {**GOOD_TRACE["segments"], key: value}
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps({**GOOD_TRACE, "segments": segments}) + "\n")
+        message = f"segments.{key} must be a [start, stop] pair, got {value!r}"
+        with pytest.raises(TraceFileError) as caught:
+            read_traces_jsonl(bad)
+        assert str(caught.value) == f"line 1: {message}"
+        assert main(["analyze", str(bad), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == f"error: line 1: {message}\n"
+
     @pytest.mark.parametrize("text", ["5", "null", "[1, 2]", '"trace"', "true"])
     def test_non_object_line_is_refused(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.jsonl"
@@ -912,6 +927,23 @@ class TestBinsCsvValues:
         assert main(["fit", str(path), "--out", str(tmp_path / "fit")]) == 1
         err = capsys.readouterr().err
         assert "line 4" in err and column in err
+        assert not (tmp_path / "fit").exists()
+
+    @pytest.mark.parametrize("column, value, kind", [
+        ("n_traces", "1.5", "an integer"),
+        ("load_count", "12.0", "an integer"),
+        ("loss_atom_count", "", "an integer"),
+        ("mean_n_cs", "1.2.3", "a number"),
+        ("poisson_lambda", "many", "a number"),
+    ])
+    def test_unreadable_value_names_its_column(self, tmp_path, capsys, column, value, kind):
+        path = self._with_value(tmp_path, column, value)
+        message = f"line 4: {column} must be {kind}, got {value!r}"
+        with pytest.raises(TraceFileError) as caught:
+            read_bins_csv(path)
+        assert str(caught.value) == message
+        assert main(["fit", str(path), "--out", str(tmp_path / "fit")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "fit").exists()
 
     def test_unused_columns_stay_legal(self, tmp_path):

@@ -1,12 +1,12 @@
 """Exactness of the flat event table against per-shot references.
 
-simulate_shots writes the events of many shots into one EventTable; the
-oracles read atom numbers at their checkpoints from it with vectorized
-counts, and the trajectory dump formats from it. The references here are
-the per-shot forms: next_event stepped from an empty trap (replay_next_event
-in reference.py), the former per-shot loop that built one list of (time,
-kind, n) tuples per shot, and bisect_right on a shot's event times. Every
-comparison asks for equality.
+simulate_shots steps the shots of a set together and writes their events
+into one EventTable; the oracles read atom numbers at their checkpoints from
+it with vectorized counts, and the trajectory dump formats from it. The
+references here are the per-shot forms: next_event stepped one event at a
+time on a shot's own block draws (replay_next_event in reference.py), which
+sums each state's rates from physics.rates itself, and bisect_right on a
+shot's event times. Every comparison asks for equality.
 """
 
 import bisect
@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from motprobe import oracles
+from motprobe import gillespie, oracles
 from motprobe.gillespie import (
     EventKind,
     EventTable,
@@ -30,9 +30,9 @@ from motprobe.gillespie import (
 )
 from motprobe.oracles import transient_mean_ensemble
 from motprobe.photon import DetectionCalibration, count_means, segment_map_for, synthesize_bin
-from motprobe.physics import PhysicalParams, rates
+from motprobe.physics import PhysicalParams
 from motprobe.traceio import trajectory_records
-from reference import replay_next_event
+from reference import BlockDraws, replay_next_event
 
 UM = 1e-4
 
@@ -54,45 +54,6 @@ ABSORBING = PhysicalParams(
 SCHEDULE = ExperimentSchedule()
 
 
-def per_shot_loop(n_rb, params, schedule, seed):
-    """The former per-shot event loop: rate rows (total and cumulative
-    thresholds) grown as atom numbers are reached, one waiting time
-    rng.exponential(1 / total) and one uniform per event, events kept as
-    (time, kind, n) tuples."""
-
-    def row(n):
-        rs = rates(n, n_rb, params)
-        c_bg = rs.load + rs.loss_bg
-        return rs.total, rs.load, c_bg, c_bg + rs.loss_rbcs
-
-    rng = np.random.default_rng(seed)
-    rows = [row(0)]
-    t_end = schedule.detect_s
-    t, n, events = 0.0, 0, []
-    total, c_load, c_bg, c_rbcs = rows[0]
-    while total > 0.0:
-        t = t + rng.exponential(1.0 / total)
-        if t > t_end:
-            break
-        u = rng.random() * total
-        if u < c_load:
-            n += 1
-            if n == len(rows):
-                rows.append(row(n))
-            events.append((t, EventKind.LOAD, n))
-        elif u < c_bg:
-            n -= 1
-            events.append((t, EventKind.LOSS_BG, n))
-        elif u < c_rbcs:
-            n -= 1
-            events.append((t, EventKind.LOSS_RBCS, n))
-        else:
-            n -= 2
-            events.append((t, EventKind.LOSS_CSCS_PAIR, n))
-        total, c_load, c_bg, c_rbcs = rows[n]
-    return events
-
-
 def table_rows(table):
     """Each shot's events as (time, kind, n) tuples, read from the columns."""
     kinds = list(EventKind)
@@ -112,6 +73,8 @@ class TestTableAgainstPerShotReferences:
         (PAIR_LOSS, 0.0), (PAIR_LOSS, 2200.0),
     ], ids=["default-0", "default-1100", "default-3300", "pair_loss-0", "pair_loss-2200"])
     def test_rows_equal_replay_and_former_loop(self, params, n_rb):
+        """The former per-shot loop is folded into the replay, whose
+        next_event sums each state's rates from physics.rates itself."""
         seeds = derive_seeds(61, TRAJECTORY_STREAM, int(n_rb), count=150)
         table = simulate_shots(n_rb, params, SCHEDULE, seeds)
         assert len(table) == len(seeds)
@@ -121,7 +84,6 @@ class TestTableAgainstPerShotReferences:
         assert table.offsets.dtype == np.int64 and len(table.offsets) == len(seeds) + 1
         for seed, row in zip(seeds.tolist(), table_rows(table)):
             assert row == replay_next_event(n_rb, params, SCHEDULE, seed), seed
-            assert row == per_shot_loop(n_rb, params, SCHEDULE, seed), seed
         assert np.array_equal(table.seed, seeds)
         assert np.all(table.n_rb == n_rb) and np.all(table.t_end == SCHEDULE.detect_s)
 
@@ -172,6 +134,96 @@ class TestTableAgainstPerShotReferences:
     def test_one_generator_per_seed(self):
         with pytest.raises(ValueError):
             simulate_shots(1100.0, DEFAULTS, SCHEDULE, [1, 2], rngs=[np.random.default_rng(1)])
+        with pytest.raises(ValueError):
+            simulate_shots(
+                1100.0, DEFAULTS, SCHEDULE, [1],
+                rngs=[np.random.default_rng(1), np.random.default_rng(2)],
+            )
+
+
+def assert_equals_replay(table, n_rb, params, schedule=SCHEDULE):
+    """Every shot of table is its seed's replay_next_event; returns the
+    number of draw blocks each replay used."""
+    blocks = []
+    for seed, row in zip(table.seed.tolist(), table_rows(table)):
+        draws = BlockDraws(np.random.default_rng(seed))
+        assert row == replay_next_event(n_rb, params, schedule, seed, draws), seed
+        blocks.append(draws.blocks)
+    return blocks
+
+
+def same_columns(a, b):
+    return all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("time", "level", "kind", "offsets", "n_rb", "seed", "t_end")
+    )
+
+
+class TestLockstepAgainstReplay:
+    """The lockstep loop against the one-shot, one-event replay of the
+    block contract, at its edges."""
+
+    def test_shots_that_need_three_or_more_blocks(self):
+        seeds = derive_seeds(71, 0, count=60)
+        table = simulate_shots(0.0, PAIR_LOSS, SCHEDULE, seeds)
+        blocks = assert_equals_replay(table, 0.0, PAIR_LOSS)
+        # A shot reads a third block of draws from its 65th step on.
+        assert {2, 3} <= set(blocks)
+
+    def test_rate_table_grows_past_its_first_rows(self):
+        gillespie._rate_table.cache_clear()
+        params = PhysicalParams(
+            r0=12.0, alpha=2.3e-4, gamma=0.05, beta_rbcs=1.6e-10, beta_cscs=1e-9,
+            w_cs=6.6 * UM, w_rb=26.4 * UM,
+        )
+        table_of_rates = gillespie._rate_table(440.0, params)
+        assert table_of_rates.columns.shape == (5, 1)
+        seeds = derive_seeds(72, 0, count=40)
+        table = simulate_shots(440.0, params, SCHEDULE, seeds)
+        assert_equals_replay(table, 440.0, params)
+        reached = int(table.level.max())
+        assert reached > 3
+        assert table_of_rates.columns.shape == (5, reached + 1)
+        for n in range(reached + 1):
+            assert tuple(table_of_rates.columns[:, n]) == gillespie._rate_row(n, 440.0, params)
+        # A second set reads the grown table and still equals its replay.
+        again = simulate_shots(440.0, params, SCHEDULE, derive_seeds(73, 0, count=40))
+        assert_equals_replay(again, 440.0, params)
+
+    @pytest.mark.parametrize("params, n_rb", [
+        (ABSORBING, 0.0), (ABSORBING, 2200.0), (DEFAULTS, 7000.0),
+    ], ids=["no-rate", "no-rate-2200", "load-shielded"])
+    def test_absorbing_trap(self, params, n_rb):
+        # Shielded past r0 / alpha (about 6435 atoms), the default trap
+        # never loads: state 0 has no rate, so its wait is infinite.
+        assert gillespie._rate_row(0, n_rb, params)[:2] == (math.inf, 0.0)
+        table = simulate_shots(n_rb, params, SCHEDULE, derive_seeds(74, 0, count=9))
+        assert table.offsets.tolist() == [0] * 10
+        assert assert_equals_replay(table, n_rb, params) == [0] * 9
+
+    @pytest.mark.parametrize("shots", [0, 1])
+    def test_zero_and_one_shots(self, shots):
+        seeds = derive_seeds(75, 0, count=shots)
+        for params, n_rb in [(DEFAULTS, 1100.0), (PAIR_LOSS, 0.0)]:
+            table = simulate_shots(n_rb, params, SCHEDULE, seeds)
+            assert len(table) == shots and len(table.offsets) == shots + 1
+            assert_equals_replay(table, n_rb, params)
+
+    @pytest.mark.parametrize("offset", [-1, 1])
+    def test_one_shot_either_side_of_a_chunk(self, offset):
+        seeds = derive_seeds(76, 0, count=gillespie._CHUNK + offset)
+        table = simulate_shots(1100.0, DEFAULTS, SCHEDULE, seeds)
+        assert len(table) == len(seeds)
+        assert_equals_replay(table, 1100.0, DEFAULTS)
+
+    @pytest.mark.parametrize("params, n_rb", [(DEFAULTS, 1100.0), (PAIR_LOSS, 0.0)],
+                             ids=["default", "pair_loss"])
+    def test_chunk_size_changes_nothing(self, monkeypatch, params, n_rb):
+        seeds = derive_seeds(77, 0, count=50)
+        whole = simulate_shots(n_rb, params, SCHEDULE, seeds)
+        for chunk in (1, 7):
+            monkeypatch.setattr(gillespie, "_CHUNK", chunk)
+            assert same_columns(simulate_shots(n_rb, params, SCHEDULE, seeds), whole), chunk
 
 
 class TestShotsWithoutEvents:

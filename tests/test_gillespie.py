@@ -26,7 +26,7 @@ from motprobe.oracles import (
     transient_mean_ensemble,
 )
 from motprobe.physics import PhysicalParams, transient_mean
-from reference import next_event, replay_next_event
+from reference import BlockDraws, next_event, replay_next_event
 
 UM = 1e-4
 
@@ -75,14 +75,15 @@ class TestSeedDerivation:
 
 class TestNextEvent:
     def test_absorbing_state_returns_none(self):
-        rng = np.random.default_rng(0)
-        assert next_event(0, 0.0, SILENT, rng) is None
+        draws = BlockDraws(np.random.default_rng(0))
+        assert next_event(0, 0.0, SILENT, draws) is None
+        assert draws.blocks == 0
 
     def test_waiting_times_exponential(self):
         # Load-only configuration has constant total rate 1, so waiting
         # times must be Exponential(1) draws.
-        rng = np.random.default_rng(2024)
-        dts = np.array([next_event(0, 0.0, LOAD_ONLY, rng)[0] for _ in range(100_000)])
+        draws = BlockDraws(np.random.default_rng(2024))
+        dts = np.array([next_event(0, 0.0, LOAD_ONLY, draws)[0] for _ in range(100_000)])
         stat = stats.kstest(dts, "expon")
         assert stat.pvalue > 0.01, f"KS p={stat.pvalue:.4f}"
 
@@ -93,10 +94,10 @@ class TestNextEvent:
             r0=1.0, alpha=0.0, gamma=3.0, beta_rbcs=0.0, beta_cscs=0.0,
             w_cs=6.6 * UM, w_rb=26.4 * UM,
         )
-        rng = np.random.default_rng(99)
+        draws = BlockDraws(np.random.default_rng(99))
         n = 100_000
         loads = sum(
-            next_event(1, 0.0, p, rng)[1] is EventKind.LOAD for _ in range(n)
+            next_event(1, 0.0, p, draws)[1] is EventKind.LOAD for _ in range(n)
         )
         freq = loads / n
         sigma = math.sqrt(0.25 * 0.75 / n)
