@@ -249,7 +249,7 @@ def cmd_fit(args) -> int:
     loading = fit_loading_rate(binned)
     labels = classify_steady_state(binned, args.tol)
     beta_fit = fit_beta(binned, params, loading, labels=labels)
-    syst = propagate_systematics(binned, params, loading, beta_fit)
+    syst = propagate_systematics(params, beta_fit)
     boot = None
     if args.bootstrap > 0:
         boot = bootstrap_stat_error(
@@ -398,7 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["overlap", "transient", "poisson", "all"],
     )
     p_orc.add_argument("--runs", type=int, help="trajectories per check")
-    p_orc.add_argument("--seed", type=int, default=777, help="master seed for the checks")
+    p_orc.add_argument(
+        "--seed", type=int, default=777,
+        help="master seed of the transient and Poisson checks",
+    )
     p_orc.set_defaults(func=cmd_oracle)
 
     return parser

@@ -404,22 +404,24 @@ _STEP = np.array([_DELTA[kind] for kind in _KINDS], dtype=np.int64)
 
 def _rate_row(n_cs: int, n_rb: float, params: PhysicalParams) -> tuple[float, ...]:
     """Rate row of one trap state: (1 / total, total, load, load + loss_bg,
-    load + loss_bg + loss_rbcs).
+    load + loss_bg + loss_rbcs), the last +inf where the pair rate is 0.
 
     The cumulative sums are the thresholds of the categorical event draw,
     added in the fixed order LOAD, LOSS_BG, LOSS_RBCS, LOSS_CSCS_PAIR; any
     other order or grouping would change the floats and with them seeded
-    streams. The total is RateSet.total, which sums the losses first. The
-    first entry is the scale of the waiting time, 1.0 / total; with no rate
-    left the wait is infinite, so the shot leaves the window at its next
-    step.
+    streams. The total is RateSet.total, which sums the losses first, so it
+    can lie an ulp above the last sum; with no pair rate that threshold is
+    +inf instead, so a uniform near 1 never draws a pair loss. The first
+    entry is the scale of the waiting time, 1.0 / total; with no rate left
+    the wait is infinite, so the shot leaves the window at its next step.
     """
     rs = rates(n_cs, n_rb, params)
     total = rs.total
     c_load = rs.load
     c_bg = c_load + rs.loss_bg
+    c_rbcs = c_bg + rs.loss_rbcs if rs.loss_cscs > 0.0 else math.inf
     scale = 1.0 / total if total > 0.0 else math.inf
-    return scale, total, c_load, c_bg, c_bg + rs.loss_rbcs
+    return scale, total, c_load, c_bg, c_rbcs
 
 
 class _RateTable:
@@ -556,8 +558,9 @@ def _step_chunk(
             break
         u = uniforms[:, j] * total[n]
         kind = (u >= c_load[n]).view(np.int8) + (u >= c_bg[n]) + (u >= c_rbcs[n])
-        # A pair loss can only be drawn from n >= 2 because its rate carries
-        # the discrete n(n-1) factor, so n stays non-negative.
+        # A pair loss can only be drawn from n >= 2: below that its rate,
+        # which carries the discrete n(n-1) factor, is 0 and its threshold
+        # +inf, so n stays non-negative.
         n = n + _STEP[kind] * inside
         clocks.append(t)
         kinds.append(kind)

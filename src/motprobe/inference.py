@@ -7,8 +7,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
-from itertools import product
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -284,8 +283,8 @@ def _rough_scale(n, m, r0, alpha, gamma, v_pair):
     """Per-lane beta scale: the median over points of the per-point inversion
     of the steady-state mean, floored as explained below. Call it with
     numpy's floating-point warnings off, as _minimize_beta does."""
-    num = np.maximum(r0[:, None] - alpha[:, None] * n, 0.0)
-    rough = np.maximum(v_pair[:, None] * (num / m - gamma) / n, 0.0)
+    num = np.maximum(r0 - alpha * n, 0.0)
+    rough = np.maximum(v_pair * (num / m - gamma) / n, 0.0)
     positive = (m > 0) & (n > 0) & (rough > 0)
     # np.median of each lane's positives: sort them to the front, then take
     # the middle one or the mean of the middle two.
@@ -300,9 +299,9 @@ def _rough_scale(n, m, r0, alpha, gamma, v_pair):
     # rounding residue; floor the scale at the value that would double the
     # single-atom loss rate at the largest companion number so the curvature
     # probe still perturbs the model.
-    n_max = n.max(axis=1)
-    if gamma > 0.0:
-        scale = np.where(n_max > 0.0, np.maximum(scale, gamma * v_pair / n_max), scale)
+    n_max = n.max()
+    if gamma > 0.0 and n_max > 0.0:
+        scale = np.maximum(scale, gamma * v_pair / n_max)
     return np.where(scale <= 0.0, 1e-12, scale)
 
 
@@ -402,9 +401,9 @@ _BIG = 1e300
 def _minimize_beta(n, m, se, r0, alpha, gamma, v_pair):
     """Weighted least-squares beta >= 0 for L independent lanes at once.
 
-    n, m and se are (L, k): the companion numbers, bin means and their
-    errors of each lane's k points; r0, alpha and v_pair are per lane (or
-    scalars shared by all), gamma is shared. Each lane minimizes the
+    n is the (k,) companion numbers shared by every lane; m and se are
+    (L, k), each lane's bin means and their errors. r0, alpha, gamma and
+    v_pair are scalars shared by all lanes. Each lane minimizes the
     inverse-variance weighted residual of the steady-state mean over beta
     rescaled by its rough per-point inversion, so the bounded Brent search
     sees order-one numbers, on u in [0, 1e3] with xatol 1e-10 and at most
@@ -420,24 +419,20 @@ def _minimize_beta(n, m, se, r0, alpha, gamma, v_pair):
     from the curvature at the minimum. Raises IllConditionedFitError if any
     lane's objective is flat there.
     """
+    n = np.asarray(n, dtype=float)
     m = np.asarray(m, dtype=float)
     lanes = m.shape[0]
-    n = np.broadcast_to(np.asarray(n, dtype=float), m.shape)
-    r0, alpha, v_pair = (
-        np.broadcast_to(np.asarray(v, dtype=float), (lanes,)) for v in (r0, alpha, v_pair)
-    )
     w = _weights_from_se(se)
     with np.errstate(all="ignore"):
         scale = _rough_scale(n, m, r0, alpha, gamma, v_pair)
 
     # Steady-state mean: +inf where the loss rate is zero but loading is not,
     # which lets the search steer away instead of crashing mid-bracket.
-    num = np.maximum(r0[:, None] - alpha[:, None] * n, 0.0)
+    num = np.maximum(r0 - alpha * n, 0.0)
     unbounded = np.where(num == 0.0, 0.0, np.inf)
-    v_col = v_pair[:, None]
 
     def f(u: np.ndarray) -> np.ndarray:
-        den = gamma + (u * scale)[:, None] * n / v_col
+        den = gamma + (u * scale)[:, None] * n / v_pair
         model = np.where(den > 0, num / den, unbounded)
         chi2 = (w * (m - model) ** 2).sum(axis=1)
         return np.where(np.isfinite(model).all(axis=1), chi2, _BIG)
@@ -509,7 +504,7 @@ def fit_beta(
     m = np.array([b.mean_n_cs for b in steady])
     se = np.array([b.se_mean_n_cs for b in steady])
     beta, stat_err, chi2 = _minimize_beta(
-        n[None], m[None], se[None], loading_fit.r0, loading_fit.alpha,
+        n, m[None], se[None], loading_fit.r0, loading_fit.alpha,
         params_known.gamma, v_pair,
     )
     return BetaFit(
@@ -521,21 +516,8 @@ def fit_beta(
     )
 
 
-def _steady_arrays(binned: BinnedDataset, beta_fit: BetaFit):
-    wanted = set(beta_fit.fitted_bins)
-    steady = [b for b in binned.bins if b.center in wanted]
-    if len(steady) != len(wanted):
-        raise InferenceError("fitted_bins do not match the dataset")
-    n = np.array([b.center for b in steady])
-    m = np.array([b.mean_n_cs for b in steady])
-    se = np.array([b.se_mean_n_cs for b in steady])
-    return steady, n, m, se
-
-
 def propagate_systematics(
-    binned: BinnedDataset,
     params_known: PhysicalParams,
-    loading_fit: LoadingFit,
     beta_fit: BetaFit,
     nrb_factor: float = 1.3,
     size_frac: float = 0.15,
@@ -543,31 +525,24 @@ def propagate_systematics(
     """Half-spread of beta over the calibration-uncertainty corners.
 
     Corners: companion number scaled up or down by nrb_factor, each cloud
-    radius scaled by (1 +- size_frac), all combinations, refitting beta on
-    the same steady bins each time. Rescaling the abscissa of a straight-line
-    fit by f leaves the intercept alone and divides the slope by f exactly,
-    so the corner loading line is obtained analytically. The eight corners
-    are the lanes of one _minimize_beta call.
+    radius scaled by (1 +- size_frac), all combinations. Each corner's beta
+    is what a refit on the same steady bins would return, in closed form:
+    the steady-state mean (r0 - alpha n) / (gamma + beta n / V) does not
+    change under n -> f n, alpha -> alpha / f, beta -> beta V' / (f V), and
+    rescaling the abscissa of the loading line by f leaves its intercept
+    alone and divides its slope by f. So the corner with factor f and
+    overlap volume V' = V(g_cs w_cs, g_rb w_rb) has beta_fit.beta V' / (f V).
     """
     if nrb_factor <= 0 or size_frac < 0 or size_frac >= 1:
         raise ValueError("nrb_factor must be positive and size_frac in [0, 1)")
-    _, n, m, se = _steady_arrays(binned, beta_fit)
-    corners = list(product(
-        (nrb_factor, 1.0 / nrb_factor),
-        (1.0 + size_frac, 1.0 - size_frac),
-        (1.0 + size_frac, 1.0 - size_frac),
-    ))
-    f = np.array([c[0] for c in corners])
-    v_pair = np.array([
-        pair_overlap_volume(params_known.w_cs * g_cs, params_known.w_rb * g_rb)
-        for _, g_cs, g_rb in corners
-    ])
-    shape = (len(corners), len(n))
-    betas, _, _ = _minimize_beta(
-        n * f[:, None], np.broadcast_to(m, shape), np.broadcast_to(se, shape),
-        loading_fit.r0, loading_fit.alpha / f, params_known.gamma, v_pair,
-    )
-    return float((betas.max() - betas.min()) / 2.0)
+    w_cs, w_rb = params_known.w_cs, params_known.w_rb
+    v_pair = pair_overlap_volume(w_cs, w_rb)
+    sizes = (1.0 + size_frac, 1.0 - size_frac)
+    betas = [
+        beta_fit.beta * pair_overlap_volume(w_cs * g_cs, w_rb * g_rb) / (f * v_pair)
+        for f in (nrb_factor, 1.0 / nrb_factor) for g_cs in sizes for g_rb in sizes
+    ]
+    return (max(betas) - min(betas)) / 2.0
 
 
 # Resamples are drawn and summarized this many at a time, so a bin's index
@@ -593,13 +568,18 @@ def bootstrap_stat_error(
     each block makes one rng.integers call per steady bin, in bin order,
     drawing that bin's (block, size) matrix of trace indices, one row per
     resample. All resamples are then fitted as the lanes of one
-    _minimize_beta call, each lane exactly the scalar fit of that resample.
+    _minimize_beta call on the shared companion numbers, each lane exactly
+    the scalar fit of that resample.
     """
     if resamples < 2:
         raise ValueError(f"resamples must be >= 2, got {resamples!r}")
-    steady, n, _, se_orig = _steady_arrays(binned, beta_fit)
+    wanted = set(beta_fit.fitted_bins)
+    steady = [b for b in binned.bins if b.center in wanted]
+    if len(steady) != len(wanted):
+        raise InferenceError("fitted_bins do not match the dataset")
     if any(b.trace_means is None for b in steady):
         raise InferenceError("bootstrap needs trace-level means; refit from traces")
+    n = np.array([b.center for b in steady])
     v_pair = pair_overlap_volume(params_known.w_cs, params_known.w_rb)
     rng = np.random.default_rng(int(seed))
     m_b = np.empty((resamples, len(steady)))
@@ -612,7 +592,7 @@ def bootstrap_stat_error(
             sample = b.trace_means[rng.integers(0, size, (block, size))]
             m_b[rows, j] = sample.mean(axis=1)
             se_b[rows, j] = (
-                sample.std(axis=1, ddof=1) / math.sqrt(size) if size > 1 else se_orig[j]
+                sample.std(axis=1, ddof=1) / math.sqrt(size) if size > 1 else b.se_mean_n_cs
             )
     betas, _, _ = _minimize_beta(
         n, m_b, se_b, loading_fit.r0, loading_fit.alpha, params_known.gamma, v_pair

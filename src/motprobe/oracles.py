@@ -149,7 +149,8 @@ def transient_checks(
     param_sets: "list[tuple[str, float, PhysicalParams]]",
     runs: int = 10000,
     n_checkpoints: int = 10,
-    master_seed: int = 777,
+    *,
+    master_seed: int,
     z_max: float = 3.0,
 ) -> list[OracleCheck]:
     """Fill-up curve of the simulator against the closed-form mean.
@@ -182,7 +183,8 @@ def poisson_end_state_check(
     gamma: float = 2.5,
     runs: int = 3000,
     detect_s: float = 3.0,
-    master_seed: int = 4242,
+    *,
+    master_seed: int,
     p_min: float = 0.01,
 ) -> OracleCheck:
     """End-of-window occupancy of a pure immigration-death trap against the

@@ -548,15 +548,16 @@ def _bin_values(row: dict) -> dict:
     return values
 
 
-def read_bins_csv(path: "str | Path", width: float | None = None) -> BinnedDataset:
+def read_bins_csv(path: "str | Path") -> BinnedDataset:
     """Rebuild a binned dataset from its CSV export.
 
-    Trace-level means are not stored in the CSV, so a dataset read this way
-    supports every fit except the bootstrap. A cell that is not a number
-    (an integer in a count column) is refused, naming its line and column,
-    as are a NaN or infinite value in a column the fits read, a negative
-    count or standard error and a detect_time_s that is not positive; so is
-    a repeated n_rb_center, naming both its lines.
+    The bin width is the smallest spacing of the bin centres (220 for a
+    single bin). Trace-level means are not stored in the CSV, so a dataset
+    read this way supports every fit except the bootstrap. A cell that is
+    not a number (an integer in a count column) is refused, naming its line
+    and column, as are a NaN or infinite value in a column the fits read, a
+    negative count or standard error and a detect_time_s that is not
+    positive; so is a repeated n_rb_center, naming both its lines.
     """
     bins: list[NrbBin] = []
     center_lines: dict[float, int] = {}
@@ -607,11 +608,9 @@ def read_bins_csv(path: "str | Path", width: float | None = None) -> BinnedDatas
     if not bins:
         raise TraceFileError(f"{path}: no bins found")
     bins.sort(key=lambda b: b.center)
-    if width is None:
-        centers = [b.center for b in bins]
-        diffs = [b - a for a, b in zip(centers, centers[1:])]
-        width = min(diffs) if diffs else 220.0
-    return BinnedDataset(width=float(width), bins=bins)
+    centers = [b.center for b in bins]
+    diffs = [b - a for a, b in zip(centers, centers[1:])]
+    return BinnedDataset(width=float(min(diffs) if diffs else 220.0), bins=bins)
 
 
 def write_curve_csv(path: "str | Path", rows: Iterable[tuple[float, float, str]]) -> None:

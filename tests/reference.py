@@ -62,8 +62,9 @@ def next_event(
     event-free. Otherwise takes the next (wait, uniform) pair: the waiting
     time is wait / total, as the product (1 / total) * wait, and the event
     is the first of LOAD, LOSS_BG, LOSS_RBCS whose cumulative rate exceeds
-    uniform * total, else LOSS_CSCS_PAIR. The rates are summed here from
-    physics.rates, in the order gillespie._rate_row documents.
+    uniform * total, else LOSS_CSCS_PAIR; with no pair rate the last
+    threshold is +inf. The rates are summed here from physics.rates, in the
+    order gillespie._rate_row documents.
     """
     rs = rates(n_cs, n_rb, params)
     total = rs.total
@@ -71,7 +72,7 @@ def next_event(
         return None
     c_load = rs.load
     c_bg = c_load + rs.loss_bg
-    c_rbcs = c_bg + rs.loss_rbcs
+    c_rbcs = c_bg + rs.loss_rbcs if rs.loss_cscs > 0.0 else math.inf
     wait, uniform = draws.pair()
     dt = (1.0 / total) * wait
     u = uniform * total

@@ -104,7 +104,7 @@ def test_criterion_03_overlap_volume_against_quadrature(capsys):
 
 
 def test_criterion_04_stationary_occupancy_is_poisson(capsys):
-    check = poisson_end_state_check(runs=3000)
+    check = poisson_end_state_check(runs=3000, master_seed=4242)
     _report(capsys, 4, "immigration-death end state is Poisson", check.passed, check.detail)
 
 

@@ -17,6 +17,7 @@ from motprobe.gillespie import (
     Trajectory,
     derive_seed,
     simulate_bin,
+    simulate_shots,
     simulate_trajectory,
 )
 from motprobe.oracles import (
@@ -25,7 +26,7 @@ from motprobe.oracles import (
     transient_checks,
     transient_mean_ensemble,
 )
-from motprobe.physics import PhysicalParams, transient_mean
+from motprobe.physics import PhysicalParams, rates, transient_mean
 from reference import BlockDraws, next_event, replay_next_event
 
 UM = 1e-4
@@ -104,6 +105,28 @@ class TestNextEvent:
         assert abs(freq - 0.25) < 3 * sigma, f"freq={freq:.4f}"
 
 
+class StubGenerator:
+    """Block draws of a shot that loads at once, then draws uniform second:
+    waits 0.01, 0.01 and then 1e9, so the third step leaves the window;
+    uniforms 0, second, then 0.5."""
+
+    def __init__(self, second):
+        self.second = second
+
+    def _block(self, first, rest, size, out):
+        block = np.full(size if out is None else len(out), rest)
+        block[:2] = first
+        if out is None:
+            return block
+        out[:] = block
+
+    def standard_exponential(self, size=None, out=None):
+        return self._block((0.01, 0.01), 1e9, size, out)
+
+    def random(self, size=None, out=None):
+        return self._block((0.0, self.second), 0.5, size, out)
+
+
 class TestSimulateTrajectory:
     def test_no_rates_no_events(self):
         traj = simulate_trajectory(0.0, SILENT, ExperimentSchedule(), seed=5)
@@ -161,6 +184,22 @@ class TestMatchesStepwiseReplay:
             for _, kind, _ in simulate_trajectory(0.0, PAIR_LOSS, ExperimentSchedule(), seed).events
         }
         assert EventKind.LOSS_CSCS_PAIR in kinds
+
+    def test_no_pair_loss_without_a_pair_rate(self):
+        # At n_rb 3080 and one atom the total, summed losses first, lies an
+        # ulp above the last threshold. A load, then the largest uniform
+        # rng.random returns, must draw LOSS_RBCS to 0, not a pair loss to -1.
+        rs = rates(1, 3080.0, DEFAULTS)
+        top = 1.0 - 2.0 ** -53
+        assert top * rs.total >= (rs.load + rs.loss_bg) + rs.loss_rbcs
+        schedule = ExperimentSchedule()
+        want = [(EventKind.LOAD, 1), (EventKind.LOSS_RBCS, 0)]
+        table = simulate_shots(3080.0, DEFAULTS, schedule, [0], rngs=[StubGenerator(top)])
+        assert [(kind, n) for _, kind, n in table[0].events] == want
+        replay = replay_next_event(
+            3080.0, DEFAULTS, schedule, 0, BlockDraws(StubGenerator(top))
+        )
+        assert replay == table[0].events
 
     def test_negative_companion_number_rejected(self):
         # Twice: a rejected companion number must not leave a cached table.
@@ -225,16 +264,16 @@ class TestAgainstClosedForms:
         assert abs(mean[0] - analytic) < 3 * se[0]
 
     def test_stationary_occupancy_is_poisson(self):
-        check = poisson_end_state_check()
+        check = poisson_end_state_check(master_seed=4242)
         assert check.passed, check.detail
 
     @pytest.mark.parametrize("runs", [1, 0, -3])
     def test_checks_refuse_fewer_than_two_runs(self, runs):
         # One run has no standard error: it must not read as |z| 0 or chi2 0.
         with pytest.raises(ValueError, match="runs"):
-            transient_checks([("x", 0.0, DEFAULTS)], runs=runs)
+            transient_checks([("x", 0.0, DEFAULTS)], runs=runs, master_seed=777)
         with pytest.raises(ValueError, match="runs"):
-            poisson_end_state_check(runs=runs)
+            poisson_end_state_check(runs=runs, master_seed=4242)
 
     def test_poisson_chi2_flags_wrong_rate(self):
         rng = np.random.default_rng(8)

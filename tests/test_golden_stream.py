@@ -110,7 +110,7 @@ GOLDEN_ANALYSIS = {
     "analysis/hist_nrb03080.csv": "ba2128061e8121fcd6d900b1dea21640eb8c0dcdded48a027d324384a80a553f",
     "analysis/hist_nrb03300.csv": "0746e12d9519db14b9290e5f0a8c7f1a81c9e460309abdf1b3e8ac44a9c4ee77",
     "fit/fit_bins.csv": "af9c2aa8ad3526b53247fe798b7e9bd0d7ef7d98f97baa274d9b4e5816f7b955",
-    "fit/report.json": "974bcadfc8ec2264921974d76ba0fa5ede49a96da979f4e395e2ed307d5920aa",
+    "fit/report.json": "a434a241c369d18482a430f9759ee8b3c8501a8f2f0386572133690433ee0112",
     "fit/steady_state_curve.csv": "17912051816f457edef490abbc6acb7604d48f58b05142eaa0d187633f2410f9",
 }
 

@@ -264,9 +264,7 @@ class TestSystematics:
         centers = np.arange(1100, 3301, 220.0)
         binned = BinnedDataset(220.0, noiseless_bins(DEFAULTS, centers))
         fit = fit_beta(binned, DEFAULTS, EXACT_LINE)
-        assert propagate_systematics(
-            binned, DEFAULTS, EXACT_LINE, fit, nrb_factor=1.0, size_frac=0.0
-        ) == 0.0
+        assert propagate_systematics(DEFAULTS, fit, nrb_factor=1.0, size_frac=0.0) == 0.0
 
     def test_abscissa_scaling_analytic_when_gamma_negligible(self):
         # With gamma = 0 the model is (R0 - alpha*n) * V / (beta * n), so
@@ -281,19 +279,28 @@ class TestSystematics:
         binned = BinnedDataset(220.0, noiseless_bins(p, centers))
         fit = fit_beta(binned, p, EXACT_LINE)
         assert fit.beta == pytest.approx(1.6e-10, rel=1e-6)
-        syst = propagate_systematics(
-            binned, p, EXACT_LINE, fit, nrb_factor=1.3, size_frac=0.0
-        )
+        syst = propagate_systematics(p, fit, nrb_factor=1.3, size_frac=0.0)
         predicted = 1.6e-10 * (1.3 - 1.0 / 1.3) / 2.0
         assert syst == pytest.approx(predicted, rel=1e-3)
+        assert syst == pytest.approx(fit.beta * (1.3 - 1.0 / 1.3) / 2.0, rel=1e-12)
 
     def test_rejects_bad_factors(self):
         centers = np.arange(1100, 3301, 220.0)
         binned = BinnedDataset(220.0, noiseless_bins(DEFAULTS, centers))
         fit = fit_beta(binned, DEFAULTS, EXACT_LINE)
         with pytest.raises(ValueError):
-            propagate_systematics(
-                binned, DEFAULTS, EXACT_LINE, fit, nrb_factor=0.0
+            propagate_systematics(DEFAULTS, fit, nrb_factor=0.0)
+
+    @pytest.mark.parametrize("seed", [7, 13, 21])
+    def test_closed_form_equals_corner_refit(self, seed):
+        n, m, se = noisy_lanes(11, lanes=4, seed=seed)
+        for lane in range(len(m)):
+            binned = BinnedDataset(220.0, [
+                make_bin(c, mean=mi, se=si) for c, mi, si in zip(n, m[lane], se[lane])
+            ])
+            fit = fit_beta(binned, DEFAULTS, EXACT_LINE, labels=["steady"] * len(n))
+            assert propagate_systematics(DEFAULTS, fit) == pytest.approx(
+                corner_refit_systematics(binned, DEFAULTS, EXACT_LINE, fit), rel=1e-8
             )
 
 
@@ -352,6 +359,15 @@ class TestCampaignRecovery:
         assert by_center[0.0].load_loss_ratio > 2.0
         for c in (2200.0, 2640.0, 3080.0, 3300.0):
             assert abs(by_center[c].load_loss_ratio - 1.0) < 0.3
+
+    def test_systematics_equal_corner_refit(self, default_campaign):
+        binned = default_campaign.binned
+        params = default_campaign.config.physical_params()
+        loading = fit_loading_rate(binned)
+        fit = fit_beta(binned, params, loading)
+        assert propagate_systematics(params, fit) == pytest.approx(
+            corner_refit_systematics(binned, params, loading, fit), rel=1e-8
+        )
 
     def test_bootstrap_matches_curvature_error(self, default_campaign):
         rep = default_campaign.report
@@ -417,6 +433,26 @@ def scalar_minimize_beta(n, m, se, r0, alpha, gamma, v_pair):
     return u_hat * scale, math.sqrt(2.0 / curv) * scale, chi2_min
 
 
+# The refit that propagate_systematics replaced: beta refitted by the scalar
+# search at each of the eight calibration corners, kept here as the reference
+# its closed form must equal.
+def corner_refit_systematics(binned, params, loading, fit, nrb_factor=1.3, size_frac=0.15):
+    wanted = set(fit.fitted_bins)
+    steady = [b for b in binned.bins if b.center in wanted]
+    n = np.array([b.center for b in steady])
+    m = np.array([b.mean_n_cs for b in steady])
+    se = np.array([b.se_mean_n_cs for b in steady])
+    sizes = (1.0 + size_frac, 1.0 - size_frac)
+    betas = []
+    for f, g_cs, g_rb in product((nrb_factor, 1.0 / nrb_factor), sizes, sizes):
+        v_pair = pair_overlap_volume(params.w_cs * g_cs, params.w_rb * g_rb)
+        beta, _, _ = scalar_minimize_beta(
+            n * f, m, se, loading.r0, loading.alpha / f, params.gamma, v_pair
+        )
+        betas.append(beta)
+    return (max(betas) - min(betas)) / 2.0
+
+
 V_PAIR = pair_overlap_volume(DEFAULTS.w_cs, DEFAULTS.w_rb)
 
 
@@ -426,17 +462,13 @@ def noisy_lanes(k, lanes, seed, noise=0.03):
     truth = np.array([steady_state_mean(c, DEFAULTS) for c in n])
     m = truth * (1.0 + noise * rng.standard_normal((lanes, k)))
     se = truth * noise * rng.uniform(0.5, 1.5, (lanes, k))
-    return np.broadcast_to(n, (lanes, k)), m, se
+    return n, m, se
 
 
 def assert_lanes_equal(n, m, se, r0, alpha, v_pair, gamma=DEFAULTS.gamma):
-    lanes = len(m)
-    r0, alpha, v_pair = (np.broadcast_to(v, (lanes,)) for v in (r0, alpha, v_pair))
     beta, err, chi2 = _minimize_beta(n, m, se, r0, alpha, gamma, v_pair)
-    for i in range(lanes):
-        want = scalar_minimize_beta(
-            n[i], m[i], se[i], float(r0[i]), float(alpha[i]), gamma, float(v_pair[i])
-        )
+    for i in range(len(m)):
+        want = scalar_minimize_beta(n, m[i], se[i], r0, alpha, gamma, v_pair)
         assert (beta[i], err[i], chi2[i]) == want, i
     return beta
 
@@ -459,20 +491,10 @@ class TestBatchedMinimizer:
         n, m, se = noisy_lanes(10, lanes=8, seed=5)
         m = m.copy()
         # More atoms than one-body loss alone allows: beta = 0 fits best.
-        m[::2] = 1.2 * (1.48 - 2.3e-4 * n[::2]) / DEFAULTS.gamma
+        m[::2] = 1.2 * (1.48 - 2.3e-4 * n) / DEFAULTS.gamma
         beta = assert_lanes_equal(n, m, se, 1.48, 2.3e-4, V_PAIR)
         assert np.all(beta[::2] == 0.0)
         assert np.all(beta[1::2] > 0.0)
-
-    def test_systematics_corners(self):
-        n, m, se = noisy_lanes(11, lanes=8, seed=7)
-        corners = list(product((1.3, 1 / 1.3), (1.15, 0.85), (1.15, 0.85)))
-        f = np.array([c[0] for c in corners])
-        v_pair = np.array([
-            pair_overlap_volume(DEFAULTS.w_cs * a, DEFAULTS.w_rb * b)
-            for _, a, b in corners
-        ])
-        assert_lanes_equal(n * f[:, None], m, se, 1.48, 2.3e-4 / f, v_pair)
 
     def test_degenerate_points(self):
         n, m, se = noisy_lanes(9, lanes=6, seed=9)
@@ -486,11 +508,11 @@ class TestBatchedMinimizer:
 
     def test_flat_lane_raises(self):
         n, m, se = noisy_lanes(10, lanes=4, seed=11)
-        r0 = np.array([1.48, 1.48, 0.0, 1.48])  # no loading: model is 0 for any beta
+        # No loading: the model is 0 for any beta, in every lane.
         with pytest.raises(IllConditionedFitError):
-            scalar_minimize_beta(n[2], m[2], se[2], 0.0, 2.3e-4, DEFAULTS.gamma, V_PAIR)
+            scalar_minimize_beta(n, m[2], se[2], 0.0, 2.3e-4, DEFAULTS.gamma, V_PAIR)
         with pytest.raises(IllConditionedFitError):
-            _minimize_beta(n, m, se, r0, 2.3e-4, DEFAULTS.gamma, V_PAIR)
+            _minimize_beta(n, m, se, 0.0, 2.3e-4, DEFAULTS.gamma, V_PAIR)
 
 
 def loop_bootstrap(binned, params, loading, fit, resamples, seed):
