@@ -7,6 +7,7 @@ directory. Handy both as a smoke test and as the reference campaign the
 acceptance checks time themselves against.
 
 Usage: run_default_campaign.py [OUT_DIR] [--seed N] [--traces N] [--workers N]
+       [--bootstrap N]
 """
 
 import argparse

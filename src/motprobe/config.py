@@ -29,7 +29,9 @@ class ConfigError(ValueError):
     pass
 
 
-def _check_keys(section: dict, allowed: set[str], where: str) -> None:
+def _check_keys(section, allowed: set[str], where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
@@ -102,21 +104,22 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         _check_keys(raw, cls._TOP_KEYS, "config")
+        for name, allowed in (("physics", cls._PHYSICS_KEYS), ("calibration", cls._CAL_KEYS),
+                              ("schedule", cls._SCHED_KEYS), ("grid", {"min", "max", "step"})):
+            _check_keys(raw.get(name, {}), allowed, name)
         physics = {**_DEFAULT_PHYSICS, **raw.get("physics", {})}
-        _check_keys(raw.get("physics", {}), cls._PHYSICS_KEYS, "physics")
         calibration = {**_DEFAULT_CAL, **raw.get("calibration", {})}
-        _check_keys(raw.get("calibration", {}), cls._CAL_KEYS, "calibration")
         schedule = {**_DEFAULT_SCHED, **raw.get("schedule", {})}
-        _check_keys(raw.get("schedule", {}), cls._SCHED_KEYS, "schedule")
-        grid_raw = raw.get("grid", {})
-        _check_keys(grid_raw, {"min", "max", "step"}, "grid")
-        grid = GridSpec(**{**_DEFAULT_GRID, **grid_raw})
+        grid = GridSpec(**{**_DEFAULT_GRID, **raw.get("grid", {})})
         traces = _require_int(raw.get("traces_per_bin", 200), "traces_per_bin")
         if traces < 1:
             raise ConfigError(f"traces_per_bin must be >= 1, got {traces}")
         seed = _require_int(raw.get("master_seed", 1234), "master_seed")
         if seed < 0:
             raise ConfigError(f"master_seed must be non-negative, got {seed}")
+        out_dir = raw.get("out_dir", "runs/default")
+        if not isinstance(out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
         cfg = cls(
             physics=physics,
             calibration=calibration,
@@ -124,7 +127,7 @@ class RunConfig:
             grid=grid,
             traces_per_bin=traces,
             master_seed=seed,
-            out_dir=str(raw.get("out_dir", "runs/default")),
+            out_dir=out_dir,
         )
         # Fail fast on physically invalid values by building the typed objects.
         cfg.physical_params()

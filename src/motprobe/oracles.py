@@ -1,7 +1,7 @@
 """Independent cross-checks of the closed-form physics.
 
 Each oracle avoids the formula it validates: the overlap volume is
-recomputed by brute-force 3-D quadrature of the density product, mean-number
+recomputed by radial quadrature of the density product, mean-number
 formulas are checked against ensembles from the event-driven simulator, and
 the stationary occupancy law is tested with a chi-square. The command-line
 frontend exposes these as `oracle`, and the test suite reuses them.
@@ -17,7 +17,7 @@ import numpy as np
 
 from .gillespie import ExperimentSchedule, derive_seeds, simulate_shots
 from .photon import chi2_sf, poisson_pmf, poisson_sf
-from .physics import CloudModel, PhysicalParams, transient_mean
+from .physics import CloudModel, PhysicalParams, pair_overlap_volume, transient_mean
 
 __all__ = [
     "OracleCheck",
@@ -47,24 +47,21 @@ def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def overlap_volume_quadrature(w_a: float, w_b: float, nodes: int = 64) -> float:
-    """Pair overlap volume from direct 3-D Gauss-Legendre integration.
+    """Pair overlap volume from Gauss-Legendre integration along the radius.
 
-    Integrates the product of two unit-atom Gaussian clouds on a cube wide
-    enough that the truncated tails are far below the quadrature error, then
-    inverts: integral of n_a n_b equals 1/V for N_a = N_b = 1.
+    Integrates 4 pi r^2 n_a(r) n_b(r) for two unit-atom Gaussian clouds over
+    [0, 7.5 w_prod], far enough out that the truncated tail is far below the
+    quadrature error, then inverts: the integral of n_a n_b equals 1/V for
+    N_a = N_b = 1. Only the spherical symmetry of CloudModel.density is
+    used, not the closed form it checks.
     """
-    a = CloudModel.from_atom_number(1.0, w_a)
-    b = CloudModel.from_atom_number(1.0, w_b)
+    a, b = (CloudModel.from_atom_number(1.0, w) for w in (w_a, w_b))
     w_prod = 1.0 / math.sqrt(1.0 / w_a ** 2 + 1.0 / w_b ** 2)
-    half = 7.5 * w_prod
+    half = 0.5 * 7.5 * w_prod
     x, wts = _gauss_legendre(nodes)
-    x = x * half
-    wts = wts * half
-    xx, yy, zz = np.meshgrid(x, x, x, indexing="ij", sparse=True)
-    r = np.sqrt(xx ** 2 + yy ** 2 + zz ** 2)
-    integrand = a.density(r) * b.density(r)
-    integral = np.einsum("i,j,k,ijk->", wts, wts, wts, integrand)
-    return 1.0 / float(integral)
+    r = half * (x + 1.0)
+    shell = wts * half * (4.0 * math.pi * r ** 2)
+    return 1.0 / float(np.dot(shell, a.density(r) * b.density(r)))
 
 
 def overlap_checks(
@@ -76,12 +73,10 @@ def overlap_checks(
     """Compare the closed-form pair volume with quadrature on a log grid of
     radius pairs, plus the four-to-one radius special case against its cubic
     form."""
-    from .physics import pair_overlap_volume
-
     radii = np.logspace(math.log10(lo_cm), math.log10(hi_cm), n_radii)
     # The quadrature is symmetric in its radii bit for bit (w_prod adds its
-    # two terms in either order, the integrand is a product of the two
-    # densities), so each unordered pair is integrated once.
+    # two terms in either order, the shell weights multiply the product of
+    # the two densities), so each unordered pair is integrated once.
     quad = {
         (i, j): overlap_volume_quadrature(radii[i], radii[j])
         for i in range(n_radii)

@@ -9,7 +9,11 @@ does not call them; the tests hold the kernels to them with equality:
 - group_by_bin, trace-by-trace grid assignment: the reference of the grid
   points bin_by_nrb groups on;
 - trace_from_dict, the per-line trace loader: the reference of
-  read_traces_jsonl, built on the same field and count checks.
+  read_traces_jsonl, built on the same field and count checks;
+- overlap_volume_cube, the overlap integral on a 3-D tensor grid: the
+  reference of the radial rule of oracles.overlap_volume_quadrature. The
+  two rules sum different terms, so the tests hold them within 1e-13
+  relative, not to equality.
 """
 
 from __future__ import annotations
@@ -19,8 +23,9 @@ import math
 import numpy as np
 
 from motprobe.gillespie import _BLOCK, EventKind, ExperimentSchedule
+from motprobe.oracles import _gauss_legendre
 from motprobe.photon import FluorescenceTrace
-from motprobe.physics import PhysicalParams, rates
+from motprobe.physics import CloudModel, PhysicalParams, rates
 from motprobe.traceio import TraceFileError, _count_row, _trace_fields
 
 
@@ -141,3 +146,24 @@ def trace_from_dict(obj: dict, line_number: int | None = None) -> FluorescenceTr
     return FluorescenceTrace(
         trace_id=trace_id, n_rb=n_rb, bin_s=bin_s, segments=segments, counts=counts
     )
+
+
+def overlap_volume_cube(w_a: float, w_b: float, nodes: int = 64) -> float:
+    """Pair overlap volume from 3-D Gauss-Legendre integration.
+
+    The nodes-point rule on each axis of the cube [-7.5 w_prod, 7.5 w_prod]^3,
+    applied to the product of two unit-atom Gaussian clouds and inverted:
+    the integral of n_a n_b equals 1/V for N_a = N_b = 1.
+    """
+    a = CloudModel.from_atom_number(1.0, w_a)
+    b = CloudModel.from_atom_number(1.0, w_b)
+    w_prod = 1.0 / math.sqrt(1.0 / w_a ** 2 + 1.0 / w_b ** 2)
+    half = 7.5 * w_prod
+    x, wts = _gauss_legendre(nodes)
+    x = x * half
+    wts = wts * half
+    xx, yy, zz = np.meshgrid(x, x, x, indexing="ij", sparse=True)
+    r = np.sqrt(xx ** 2 + yy ** 2 + zz ** 2)
+    integrand = a.density(r) * b.density(r)
+    integral = np.einsum("i,j,k,ijk->", wts, wts, wts, integrand)
+    return 1.0 / float(integral)

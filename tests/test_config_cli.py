@@ -586,6 +586,36 @@ class TestIntegerKeys:
         assert not out.exists()
 
 
+class TestSectionTypes:
+    """A section or out_dir of the wrong JSON type is one error line from
+    simulate --config, naming the key, and no traceback."""
+
+    def _refused(self, tmp_path, capsys, payload):
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "traces.jsonl"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+        return err
+
+    @pytest.mark.parametrize("section, value, shown", [
+        ("physics", 5, "5"),
+        ("calibration", "x", "'x'"),
+        ("schedule", None, "None"),
+        ("grid", [1, 2], "[1, 2]"),
+    ])
+    def test_section_not_an_object(self, tmp_path, capsys, section, value, shown):
+        err = self._refused(tmp_path, capsys, {section: value})
+        assert err == f"error: {section} must be a JSON object, got {shown}\n"
+
+    @pytest.mark.parametrize("value, shown", [(5, "5"), (None, "None"), (["a"], "['a']")])
+    def test_out_dir_not_a_string(self, tmp_path, capsys, value, shown):
+        err = self._refused(tmp_path, capsys, {"out_dir": value})
+        assert err == f"error: out_dir must be a string, got {shown}\n"
+
+
 class TestWorkerCap:
     """--workers is capped at the CPU and bin counts; the pool is replaced
     by a recorder, so no process is ever started."""

@@ -63,8 +63,8 @@ def test_simulate_stream_is_pinned(tmp_path, name):
 # pair it occurs at are pinned as printed.
 GOLDEN_ORACLE = {
     "overlap": (0, (
-        "PASS pair_overlap_vs_quadrature: worst rel err 5.708e-15 at radii "
-        "1.000e-04/1.000e-03 cm (tol 1e-06, 5x5 grid)\n"
+        "PASS pair_overlap_vs_quadrature: worst rel err 1.913e-15 at radii "
+        "3.162e-03/3.162e-03 cm (tol 1e-06, 5x5 grid)\n"
         "PASS four_to_one_radius_special_case: rel err 2.359e-16 between general "
         "and cubic form\n"
     )),

@@ -2,8 +2,10 @@
 structural properties of the rate formulas.
 """
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from motprobe.physics import (
     steady_state_mean,
     transient_mean,
 )
+from reference import overlap_volume_cube
 
 UM = 1e-4  # cm
 
@@ -60,6 +63,18 @@ class TestOverlapVolumes:
     def test_quadrature_agrees_at_default_radii(self):
         v_quad = overlap_volume_quadrature(6.6 * UM, 26.4 * UM)
         assert abs(pair_overlap_volume(6.6 * UM, 26.4 * UM) - v_quad) / v_quad < 1e-6
+
+    # The unordered radius pairs of overlap_checks' 5x5 log grid, and the
+    # default radii: the radial rule against the 3-D tensor rule.
+    @pytest.mark.parametrize("w_a, w_b", [
+        *itertools.combinations_with_replacement(
+            [float(w) for w in np.logspace(-4, -2, 5)], 2
+        ),
+        (6.6 * UM, 26.4 * UM),
+    ])
+    def test_radial_rule_equals_cube_rule(self, w_a, w_b):
+        v_cube = overlap_volume_cube(w_a, w_b)
+        assert abs(overlap_volume_quadrature(w_a, w_b) - v_cube) / v_cube < 1e-13
 
     def test_rejects_nonpositive_radii(self):
         with pytest.raises(ValueError):
