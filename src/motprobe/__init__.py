@@ -33,12 +33,10 @@ from .photon import (
     DetectionCalibration,
     FluorescenceTrace,
     GaussianPeak,
-    PoissonFit,
     SegmentMap,
     TraceHistogram,
     build_histogram,
     estimate_staircase,
-    fit_poisson,
     segment_map_for,
     synthesize_counts,
 )

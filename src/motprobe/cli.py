@@ -20,7 +20,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -143,6 +142,9 @@ def cmd_simulate(args) -> int:
             traj_fh = stack.enter_context(_replaced_on_success(traj_path))
         fh = stack.enter_context(_replaced_on_success(out_path))
         if workers > 1:
+            # Imported here: multiprocessing is a cost a one-worker run skips.
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             results = pool.map(worker, jobs)
         else:

@@ -46,15 +46,16 @@ def _require_int(value, key: str) -> int:
 
 
 def _finite_values(section: dict, keys: set[str], where: str) -> dict[str, float]:
-    """The section's values of keys as floats; anything but a finite number
-    is refused, naming its key."""
+    """The section's values of keys as floats; anything but a finite real
+    number is refused, naming its key: a bool, a string even if it spells a
+    number, and an integer past the float range."""
     out = {}
     for key in sorted(keys):
         value = section[key]
         try:
-            number = float(value)
-        except (TypeError, ValueError):
-            number = math.nan
+            number = float(value) if isinstance(value, numbers.Real) else math.nan
+        except OverflowError:
+            number = math.inf
         if isinstance(value, bool) or not math.isfinite(number):
             raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
         out[key] = number

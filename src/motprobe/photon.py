@@ -7,7 +7,8 @@ times and levels of all shots in flat columns): one occupancy matrix, one
 matrix of Poisson means and one draw per shot on its own generator.
 Inverse direction: background subtraction, integer staircase estimation
 with a short median filter, pooled count-rate histograms whose integer-atom
-peaks are counted in rounding cells, and a Poisson fit to the peak weights.
+peaks are counted in rounding cells, and the Poisson rate of the peak
+weights (their weight-weighted mean atom number).
 The inverse steps run on a TraceTable: trace ids, n_rb and one
 (traces x bins) count matrix per segment layout, whose detect rates and
 whole-atom numbers are computed once and shared by the staircase and the
@@ -36,7 +37,6 @@ __all__ = [
     "AtomNumberEstimate",
     "GaussianPeak",
     "TraceHistogram",
-    "PoissonFit",
     "segment_map_for",
     "count_means",
     "synthesize_bin",
@@ -44,7 +44,6 @@ __all__ = [
     "estimate_staircase",
     "summarize_staircases",
     "build_histogram",
-    "fit_poisson",
 ]
 
 
@@ -325,14 +324,6 @@ class TraceHistogram:
         return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
 
-@dataclass(frozen=True)
-class PoissonFit:
-    lam: float
-    chi2: float
-    dof: int
-    p_value: float
-
-
 def _occupancy_rows(
     trajectories: "Sequence[Trajectory]", n_bins: int, bin_s: float
 ) -> np.ndarray:
@@ -600,7 +591,7 @@ def build_histogram(
 
     lam = None
     if len(peaks) >= 2:
-        # fit_poisson's rate, summed in its order; its chi-square is not needed.
+        # The rate of fit_poisson in tests/reference.py, summed in its order.
         lam = sum(p.n_atoms * p.weight for p in peaks) / sum(p.weight for p in peaks)
     return TraceHistogram(
         bin_edges=edges, occurrences=occurrences, peaks=peaks, poisson_lambda=lam
@@ -661,46 +652,3 @@ def chi2_sf(x: float, dof: int) -> float:
     m, odd = divmod(int(dof), 2)
     head = math.erfc(math.sqrt(y)) if odd else 0.0
     return head + sum(poisson_pmf(i + 0.5 * odd, y) for i in range(m))
-
-
-def fit_poisson(hist: TraceHistogram) -> PoissonFit:
-    """Poisson law for the atom-number weights of the histogram peaks.
-
-    The rate estimate is the weight-weighted mean atom number. The chi-square
-    statistic compares the peak weights against the fitted law, with all
-    probability at and above the highest peak lumped into a tail cell; the
-    degrees of freedom account for the fitted total and rate. The cell
-    probabilities and the p-value are closed forms (poisson_pmf, poisson_sf
-    summed upward, chi2_sf as a finite series) that agree with scipy.stats
-    to 1e-12 relative.
-    """
-    if len(hist.peaks) < 2:
-        raise ValueError("need at least two peaks to fit an atom-number law")
-    w = {p.n_atoms: p.weight for p in hist.peaks}
-    total = sum(w.values())
-    if total <= 0 or any(v < 0 for v in w.values()):
-        raise ValueError("degenerate peak weights")
-    lam = sum(k * v for k, v in w.items()) / total
-
-    k_top = max(w)
-    obs, exp = [], []
-    for k in range(k_top):
-        obs.append(w.get(k, 0.0))
-        exp.append(total * poisson_pmf(k, lam))
-    obs.append(w[k_top])
-    exp.append(total * poisson_sf(k_top - 1, lam))
-
-    chi2 = 0.0
-    cells = 0
-    for o, e in zip(obs, exp):
-        if e < 1e-12:
-            if o > 1e-12:
-                chi2 = math.inf
-                cells += 1
-            continue
-        chi2 += (o - e) ** 2 / e
-        cells += 1
-    dof = cells - 2
-    if dof < 1:
-        return PoissonFit(lam=lam, chi2=0.0, dof=0, p_value=1.0)
-    return PoissonFit(lam=lam, chi2=float(chi2), dof=dof, p_value=chi2_sf(chi2, dof))

@@ -5,9 +5,11 @@ diffable. Readers validate eagerly and report the offending line number.
 
 trace_lines formats a whole count matrix in one vectorized pass. Reading
 back, read_traces_jsonl parses a block of lines in that form with one numpy
-call for all their counts; any other block is read line by line with json,
-each line's fields checked by _trace_fields and its counts by _count_row as
-soon as the line is parsed, so the first bad line is the first refused.
+call for all their counts, and each distinct head after a plain trace_id
+once per block, as the lines of a bin differ only in trace_id; any other
+block is read line by line with json, each line's fields checked by
+_trace_fields and its counts by _count_row as soon as the line is parsed,
+so the first bad line is the first refused.
 """
 
 from __future__ import annotations
@@ -254,6 +256,19 @@ _FILL_BLOCK = 64
 _COUNTS_KEY = ', "counts": ['
 _JSON_SPACE = " \t\n\r"
 _HEAD_DECODER = json.JSONDecoder()
+# How a line trace_lines writes opens, up to the text of its trace_id.
+_ID_OPEN = '{"trace_id": "'
+
+
+def _parse_head(text: str) -> dict:
+    """The object text spells in whole, with a counts key set to None (an
+    earlier counts key is one json would overwrite too); raises ValueError
+    for anything else."""
+    head, end = _HEAD_DECODER.raw_decode(text)
+    if end != len(text):
+        raise ValueError("text after the head")
+    head["counts"] = None
+    return head
 
 
 class _LayoutFill:
@@ -358,11 +373,12 @@ class _TableReader:
 
     def _read_block_fast(self, block: "list[tuple[int, str]]") -> bool:
         """Add a block whose every line is in the form trace_lines writes:
-        each head (the line before its last _COUNTS_KEY, closed with "}") is
-        parsed with json and checked by _trace_fields, the count texts with
-        one _count_values. Nothing is added, and False returned, when any
-        line is in another form or fails a check."""
+        each head (the line before its last _COUNTS_KEY) is checked by
+        _head_fields, the count texts parsed with one _count_values.
+        Nothing is added, and False returned, when any line is in another
+        form or fails a check."""
         fields, texts = [], []
+        rests: dict[str, tuple[float, SegmentMap, float]] = {}
         for _, line in block:
             at = line.rfind(_COUNTS_KEY)
             if at < 0:
@@ -370,14 +386,8 @@ class _TableReader:
             tail = line[at + len(_COUNTS_KEY):].rstrip(_JSON_SPACE)
             if not tail.endswith("]}"):
                 return False
-            head_text = line[:at] + "}"
             try:
-                head, end = _HEAD_DECODER.raw_decode(head_text)
-                if end != len(head_text):
-                    return False
-                # An earlier counts key is one json would overwrite too.
-                head["counts"] = None
-                fields.append(_trace_fields(head, self.segment_maps))
+                fields.append(self._head_fields(line[:at], rests))
             except (TypeError, ValueError, OverflowError):
                 return False
             texts.append(tail[:-2])
@@ -405,6 +415,39 @@ class _TableReader:
             self.n_rb.append(n_rb)
         return True
 
+    def _head_fields(
+        self, head: str, rests: "dict[str, tuple[float, SegmentMap, float]]"
+    ) -> tuple[str, float, SegmentMap, float]:
+        """The fields of a head, checked by _trace_fields; raises what
+        json or the check raises.
+
+        A head that opens with _ID_OPEN, then id text free of backslashes
+        and unprintable characters up to the next quote, then ", " is split
+        after the id: the rest, parsed as an object of its own, is checked
+        once and its (n_rb, segments, bin_s) kept in rests, the block's
+        cache, for every head that repeats it. A rest holding a trace_id
+        key (which json would let win over the first), and any other head,
+        are parsed whole.
+        """
+        quote = head.find('"', len(_ID_OPEN))
+        trace_id, rest = head[len(_ID_OPEN):quote], head[quote + 1:]
+        if (
+            head.startswith(_ID_OPEN)
+            and quote > 0
+            and rest.startswith(', "')
+            and "\\" not in trace_id
+            and trace_id.isprintable()
+        ):
+            known = rests.get(rest)
+            if known is None:
+                obj = _parse_head("{" + rest[2:] + "}")
+                if "trace_id" in obj:
+                    return _trace_fields(_parse_head(head + "}"), self.segment_maps)
+                obj["trace_id"] = trace_id
+                known = rests[rest] = _trace_fields(obj, self.segment_maps)[1:]
+            return (trace_id, *known)
+        return _trace_fields(_parse_head(head + "}"), self.segment_maps)
+
     def _read_block_lines(self, block: "list[tuple[int, str]]") -> None:
         """Add a block line by line: each line parsed with json, its fields
         checked by _trace_fields and its counts converted by _count_row."""
@@ -429,11 +472,12 @@ def read_traces_jsonl(path: "str | Path") -> TraceTable:
     """Read a traces file into a TraceTable.
 
     The file is read in blocks of _FILL_BLOCK non-blank lines. A block in
-    the form trace_lines writes has its heads parsed with json and its
-    counts with one numpy call; any other block is parsed line by line with
-    json. Either way each line's scalar fields and segment layout are
-    checked, and its counts go to the int64 matrix of its (segments, bin_s)
-    layout. Any refusal names the first bad line of the file.
+    the form trace_lines writes has each distinct head parsed with json
+    once (see _TableReader._head_fields) and its counts with one numpy
+    call; any other block is parsed line by line with json. Either way
+    each line's scalar fields and segment layout are checked, and its
+    counts go to the int64 matrix of its (segments, bin_s) layout. Any
+    refusal names the first bad line of the file.
     """
     reader = _TableReader()
     with open(path) as fh:

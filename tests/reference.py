@@ -13,18 +13,29 @@ does not call them; the tests hold the kernels to them with equality:
 - overlap_volume_cube, the overlap integral on a 3-D tensor grid: the
   reference of the radial rule of oracles.overlap_volume_quadrature. The
   two rules sum different terms, so the tests hold them within 1e-13
-  relative, not to equality.
+  relative, not to equality;
+- fit_poisson, the chi-square of a histogram's peak weights against the
+  Poisson law of its rate: the analysis keeps only that rate (equal to
+  TraceHistogram.poisson_lambda), and the tests hold the closed-form tails
+  poisson_pmf, poisson_sf and chi2_sf through it to scipy.stats.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from motprobe.gillespie import _BLOCK, EventKind, ExperimentSchedule
 from motprobe.oracles import _gauss_legendre
-from motprobe.photon import FluorescenceTrace
+from motprobe.photon import (
+    FluorescenceTrace,
+    TraceHistogram,
+    chi2_sf,
+    poisson_pmf,
+    poisson_sf,
+)
 from motprobe.physics import CloudModel, PhysicalParams, rates
 from motprobe.traceio import TraceFileError, _count_row, _trace_fields
 
@@ -167,3 +178,54 @@ def overlap_volume_cube(w_a: float, w_b: float, nodes: int = 64) -> float:
     integrand = a.density(r) * b.density(r)
     integral = np.einsum("i,j,k,ijk->", wts, wts, wts, integrand)
     return 1.0 / float(integral)
+
+
+@dataclass(frozen=True)
+class PoissonFit:
+    lam: float
+    chi2: float
+    dof: int
+    p_value: float
+
+
+def fit_poisson(hist: TraceHistogram) -> PoissonFit:
+    """Poisson law for the atom-number weights of the histogram peaks.
+
+    The rate estimate is the weight-weighted mean atom number. The chi-square
+    statistic compares the peak weights against the fitted law, with all
+    probability at and above the highest peak lumped into a tail cell; the
+    degrees of freedom account for the fitted total and rate. The cell
+    probabilities and the p-value are closed forms (poisson_pmf, poisson_sf
+    summed upward, chi2_sf as a finite series) that agree with scipy.stats
+    to 1e-12 relative.
+    """
+    if len(hist.peaks) < 2:
+        raise ValueError("need at least two peaks to fit an atom-number law")
+    w = {p.n_atoms: p.weight for p in hist.peaks}
+    total = sum(w.values())
+    if total <= 0 or any(v < 0 for v in w.values()):
+        raise ValueError("degenerate peak weights")
+    lam = sum(k * v for k, v in w.items()) / total
+
+    k_top = max(w)
+    obs, exp = [], []
+    for k in range(k_top):
+        obs.append(w.get(k, 0.0))
+        exp.append(total * poisson_pmf(k, lam))
+    obs.append(w[k_top])
+    exp.append(total * poisson_sf(k_top - 1, lam))
+
+    chi2 = 0.0
+    cells = 0
+    for o, e in zip(obs, exp):
+        if e < 1e-12:
+            if o > 1e-12:
+                chi2 = math.inf
+                cells += 1
+            continue
+        chi2 += (o - e) ** 2 / e
+        cells += 1
+    dof = cells - 2
+    if dof < 1:
+        return PoissonFit(lam=lam, chi2=0.0, dof=0, p_value=1.0)
+    return PoissonFit(lam=lam, chi2=float(chi2), dof=dof, p_value=chi2_sf(chi2, dof))

@@ -1,11 +1,12 @@
 """The program's Poisson and chi-square tails against scipy.stats, and an
 import path that loads no scipy.
 
-photon.poisson_pmf, poisson_sf and chi2_sf are what fit_poisson and the
-stationary-occupancy oracle compute their cell probabilities and p-values
-with. They are compared with scipy on a grid wider than either use (rates
-1e-3 to 50, counts 0 to 80, chi-square 0 to 200 at 1 to 40 dof), to 1e-12
-relative wherever scipy's value is above 1e-300.
+photon.poisson_pmf, poisson_sf and chi2_sf are what the stationary-occupancy
+oracle and the reference fit_poisson (tests/reference.py) compute their cell
+probabilities and p-values with. They are compared with scipy on a grid
+wider than either use (rates 1e-3 to 50, counts 0 to 80, chi-square 0 to
+200 at 1 to 40 dof), to 1e-12 relative wherever scipy's value is above
+1e-300.
 """
 
 import math
@@ -23,10 +24,10 @@ from motprobe.photon import (
     GaussianPeak,
     TraceHistogram,
     chi2_sf,
-    fit_poisson,
     poisson_pmf,
     poisson_sf,
 )
+from reference import fit_poisson
 
 REL_TOL = 1e-12
 

@@ -4,9 +4,12 @@ The CLI tests run main() in-process with small grids so the whole module
 stays fast; reproducibility checks compare output files byte for byte.
 """
 
+import concurrent.futures
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -587,8 +590,8 @@ class TestIntegerKeys:
 
 
 class TestSectionTypes:
-    """A section or out_dir of the wrong JSON type is one error line from
-    simulate --config, naming the key, and no traceback."""
+    """A section, number or out_dir of the wrong JSON type is one error line
+    from simulate --config, naming the key, and no traceback."""
 
     def _refused(self, tmp_path, capsys, payload):
         cfg = write_config(tmp_path, payload)
@@ -610,6 +613,17 @@ class TestSectionTypes:
         err = self._refused(tmp_path, capsys, {section: value})
         assert err == f"error: {section} must be a JSON object, got {shown}\n"
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("physics", "w_cs_um", "6.6"),
+        ("calibration", "bin_s", " 0.02 "),
+        ("schedule", "detect_s", "3"),
+        ("schedule", "off_s", "inf"),
+        ("physics", "r0_per_s", 10**400),
+    ])
+    def test_number_of_another_type(self, tmp_path, capsys, section, key, value):
+        err = self._refused(tmp_path, capsys, {section: {key: value}})
+        assert err == f"error: {section}.{key} must be a finite number, got {value!r}\n"
+
     @pytest.mark.parametrize("value, shown", [(5, "5"), (None, "None"), (["a"], "['a']")])
     def test_out_dir_not_a_string(self, tmp_path, capsys, value, shown):
         err = self._refused(tmp_path, capsys, {"out_dir": value})
@@ -622,8 +636,6 @@ class TestWorkerCap:
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
-        import motprobe.cli as cli
-
         sizes = []
 
         class RecordingPool:
@@ -639,7 +651,8 @@ class TestWorkerCap:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        # cli imports the pool from concurrent.futures only when it uses one.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         return sizes
 
@@ -669,6 +682,34 @@ class TestWorkerCap:
             assert err == ""
         assert pooled == self._simulate(tmp_path, payload, 1)
         assert pool_sizes == [expected]
+
+
+POOL_GUARD = """
+import sys
+
+import motprobe.cli
+
+print("multiprocessing" in sys.modules)
+code = motprobe.cli.main(
+    ["simulate", "--traces", "2", "--out", "t.jsonl", "--quiet", "--workers", "1"]
+)
+print(code, "multiprocessing" in sys.modules)
+"""
+
+
+def test_process_pool_is_imported_only_when_used(tmp_path):
+    """Importing the CLI, or simulating with one worker, loads no
+    multiprocessing: a top-level import of the pool would, at a cost to
+    every command."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", POOL_GUARD],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-2:] == ["False", "0 False"]
 
 
 class TestFiniteValues:

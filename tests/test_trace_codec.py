@@ -198,6 +198,21 @@ CASES = {
     "nested_counts_key": [
         good_line(0).replace('"background": [4, 6]}', '"background": [4, 6], "counts": [1]}')
     ],
+    # Heads the reader may split after a plain trace_id, and near misses.
+    "escaped_quote_id": [good_line(0).replace('"g0"', '"g\\"0"')],
+    "escaped_backslash_id": [good_line(0).replace('"g0"', '"g\\\\0"')],
+    "unicode_escape_id": [good_line(0).replace('"g0"', '"caf\\u00e9"')],
+    "raw_tab_id": [good_line(0).replace('"g0"', '"g\t0"')],
+    "empty_id": [good_line(0).replace('"g0"', '""')],
+    "unterminated_id": [good_line(0).replace('"g0"', '"g0')],
+    "numeric_id": [good_line(0).replace('"g0"', "7")],
+    "duplicate_id": [good_line(0).replace('"bin_s"', '"trace_id": "", "bin_s"')],
+    "duplicate_escaped_id": [
+        good_line(0).replace('"bin_s"', '"trace\\u005fid": "d", "bin_s"')
+    ],
+    "duplicate_n_rb": [good_line(0).replace('"segments"', '"n_rb": 440.0, "segments"')],
+    "space_before_id_comma": [good_line(0).replace('"g0",', '"g0" ,')],
+    "missing_id_comma": [good_line(0).replace('"g0", ', '"g0"  ')],
 }
 
 
@@ -257,6 +272,9 @@ class TestReaderParity:
             "space_before_comma", "tab", "counts_first", "counts_middle",
             "reordered_keys", "duplicate_counts", "compact_separators", "crlf",
             "trailing_spaces", "leading_space", "non_ascii_id", "nested_counts_key",
+            "escaped_quote_id", "escaped_backslash_id", "unicode_escape_id", "empty_id",
+            "duplicate_id", "duplicate_escaped_id", "duplicate_n_rb",
+            "space_before_id_comma",
         }
         for name, case in CASES.items():
             refused = False
@@ -295,6 +313,31 @@ class TestReaderFastPath:
 
         monkeypatch.setattr(traceio._TableReader, "_read_block_lines", refuse)
         assert table_rows(read_traces_jsonl(path)) == want
+
+    def test_each_distinct_head_is_checked_once_per_block(self, tmp_path, monkeypatch):
+        """Within a bin, simulate writes heads that differ only in trace_id;
+        with two bins to a block, a block checks two heads, not 64."""
+        per_bin = traceio._FILL_BLOCK // 2
+        path = tmp_path / "traces.jsonl"
+        assert main([
+            "simulate", "--out", str(path), "--traces", str(per_bin), "--seed", "7", "--quiet",
+        ]) == 0
+        want = reference_read(path)
+        blocks = range(0, len(want), traceio._FILL_BLOCK)
+        heads = sum(
+            len({row[1:4] for row in want[k:k + traceio._FILL_BLOCK]}) for k in blocks
+        )
+        assert heads == 2 * len(blocks)
+        checked = []
+        real = traceio._trace_fields
+
+        def spy(obj, segment_maps):
+            checked.append(obj["n_rb"])
+            return real(obj, segment_maps)
+
+        monkeypatch.setattr(traceio, "_trace_fields", spy)
+        assert table_rows(read_traces_jsonl(path)) == want
+        assert 0 < len(checked) <= heads
 
     @pytest.mark.parametrize("failure", ["raises", "warns", "short"])
     def test_a_doubtful_parse_falls_back(self, tmp_path, monkeypatch, failure):
