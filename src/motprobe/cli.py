@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 runtime or data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -42,8 +41,6 @@ from .photon import segment_map_for, synthesize_bin
 from .physics import steady_state_mean
 from .oracles import overlap_checks, poisson_end_state_check, transient_checks
 from .traceio import (
-    bin_to_row,
-    BIN_CSV_COLUMNS,
     read_bins_csv,
     read_traces_jsonl,
     trace_lines,
@@ -96,21 +93,18 @@ def _replaced_on_success(path: Path):
 
 
 def cmd_simulate(args) -> int:
+    if args.traces is not None and args.traces < 1:
+        print("error: --traces must be >= 1", file=sys.stderr)
+        return 2
+    if args.workers < 1:
+        print("error: --workers must be >= 1", file=sys.stderr)
+        return 2
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.master_seed = int(args.seed)
     if args.traces is not None:
-        if args.traces < 1:
-            print("error: --traces must be >= 1", file=sys.stderr)
-            return 2
         cfg.traces_per_bin = int(args.traces)
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
 
-    params = cfg.physical_params()
-    cal = cfg.detection_calibration()
-    schedule = cfg.experiment_schedule()
     values = cfg.grid.values()
     jobs = [(bi, float(n_rb), cfg.traces_per_bin) for bi, n_rb in enumerate(values)]
     # A pool starts all its processes up front, and a job is one bin.
@@ -129,9 +123,9 @@ def cmd_simulate(args) -> int:
 
     worker = functools.partial(
         _simulate_bin_job,
-        params=params,
-        cal=cal,
-        schedule=schedule,
+        params=cfg.physics,
+        cal=cfg.calibration,
+        schedule=cfg.schedule,
         master_seed=cfg.master_seed,
         dump=args.dump_trajectories,
     )
@@ -198,24 +192,16 @@ def _bin_traces(path, cfg: RunConfig):
     nearest grid point lies outside [grid.min, grid.max] is refused."""
     grid = cfg.grid
     return bin_by_nrb(
-        read_traces_jsonl(path), cfg.detection_calibration(),
+        read_traces_jsonl(path), cfg.calibration,
         width=float(grid.step), origin=float(grid.min),
         bounds=(float(grid.min), float(grid.max)),
     )
 
 
-def _load_binned(input_path: str, cfg: RunConfig):
-    path = Path(input_path)
-    if path.suffix == ".jsonl":
-        return _bin_traces(path, cfg)
-    if path.suffix == ".csv":
-        return read_bins_csv(path)
-    return None
-
-
 def _curve_rows(cfg: RunConfig, params_fit, fitted_bins, width):
     lo, hi = float(cfg.grid.min), float(cfg.grid.max)
-    points = np.unique(np.linspace(lo, hi, 201))
+    # 201 distinct points, as the grid's ends are integers, unless they meet.
+    points = np.linspace(lo, hi, 201) if hi > lo else [lo]
     fitted_from = min(fitted_bins) - width / 2.0
     rows = []
     for n_rb in points:
@@ -238,15 +224,19 @@ def cmd_fit(args) -> int:
     if not 0 <= args.tol < math.inf:
         print("error: --tol must be finite and >= 0", file=sys.stderr)
         return 2
-    cfg = load_config(args.config)
-    binned = _load_binned(args.input, cfg)
-    if binned is None:
+    path = Path(args.input)
+    if path.suffix not in (".jsonl", ".csv"):
         print(
             "error: input must be a .jsonl trace file or a .csv bin summary",
             file=sys.stderr,
         )
         return 2
-    params = cfg.physical_params()
+    cfg = load_config(args.config)
+    if path.suffix == ".jsonl":
+        binned = _bin_traces(path, cfg)
+    else:
+        binned = read_bins_csv(path)
+    params = cfg.physics
 
     loading = fit_loading_rate(binned)
     labels = classify_steady_state(binned, args.tol)
@@ -296,11 +286,7 @@ def cmd_fit(args) -> int:
     rows = _curve_rows(cfg, params_fit, beta_fit.fitted_bins, binned.width)
     write_curve_csv(out_dir / "steady_state_curve.csv", rows)
 
-    with open(out_dir / "fit_bins.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BIN_CSV_COLUMNS + ["state"])
-        for b, lab in zip(binned.bins, labels):
-            writer.writerow(bin_to_row(b) + [lab])
+    write_bins_csv(out_dir / "fit_bins.csv", binned, labels=labels)
 
     print(
         f"loading line: r0 = {loading.r0:.4g} +- {loading.r0_err:.2g} /s, "
@@ -341,7 +327,7 @@ def cmd_oracle(args) -> int:
     if args.which in ("overlap", "all"):
         run(overlap_checks())
     if args.which in ("transient", "all"):
-        params = RunConfig.default().physical_params()
+        params = RunConfig.default().physics
         sets = [
             ("default-1100", 1100.0, params),
             ("default-2200", 2200.0, params),

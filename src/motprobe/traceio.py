@@ -43,8 +43,6 @@ __all__ = [
     "read_traces_jsonl",
     "trajectory_records",
     "write_histogram_csv",
-    "BIN_CSV_COLUMNS",
-    "bin_to_row",
     "write_bins_csv",
     "read_bins_csv",
     "write_curve_csv",
@@ -518,7 +516,7 @@ def write_histogram_csv(path: "str | Path", hist: TraceHistogram) -> None:
             writer.writerow([repr(float(center)), int(occ)])
 
 
-BIN_CSV_COLUMNS = [
+_BIN_CSV_COLUMNS = [
     "n_rb_center",
     "n_traces",
     "mean_n_cs",
@@ -533,7 +531,7 @@ BIN_CSV_COLUMNS = [
 ]
 
 
-def bin_to_row(b: NrbBin) -> list:
+def _bin_to_row(b: NrbBin) -> list:
     ratio = b.load_loss_ratio
     return [
         repr(float(b.center)),
@@ -550,12 +548,18 @@ def bin_to_row(b: NrbBin) -> list:
     ]
 
 
-def write_bins_csv(path: "str | Path", binned: BinnedDataset) -> None:
+def write_bins_csv(
+    path: "str | Path", binned: BinnedDataset, labels: "list[str] | None" = None
+) -> None:
+    """One row per bin; labels, one per bin, add a last column, state."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(BIN_CSV_COLUMNS)
-        for b in binned.bins:
-            writer.writerow(bin_to_row(b))
+        if labels is None:
+            writer.writerow(_BIN_CSV_COLUMNS)
+            writer.writerows(_bin_to_row(b) for b in binned.bins)
+        else:
+            writer.writerow(_BIN_CSV_COLUMNS + ["state"])
+            writer.writerows(_bin_to_row(b) + [lab] for b, lab in zip(binned.bins, labels))
 
 
 # Columns the fits read; poisson_lambda (NaN when unresolved) and
@@ -574,7 +578,7 @@ _FINITE_BIN_COLUMNS = (
 _NON_NEGATIVE_BIN_COLUMNS = ("n_traces", "se_mean_n_cs", "load_count", "loss_atom_count")
 # Columns read_bins_csv reads (all but ratio_load_loss), and those of them
 # that hold whole numbers; the others hold floats.
-_READ_BIN_COLUMNS = tuple(c for c in BIN_CSV_COLUMNS if c != "ratio_load_loss")
+_READ_BIN_COLUMNS = tuple(c for c in _BIN_CSV_COLUMNS if c != "ratio_load_loss")
 _INT_BIN_COLUMNS = ("n_traces", "load_count", "loss_atom_count")
 
 
@@ -607,7 +611,7 @@ def read_bins_csv(path: "str | Path") -> BinnedDataset:
     center_lines: dict[float, int] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        missing = set(BIN_CSV_COLUMNS) - set(reader.fieldnames or [])
+        missing = set(_BIN_CSV_COLUMNS) - set(reader.fieldnames or [])
         if missing:
             raise TraceFileError(
                 f"{path}: missing column(s): {', '.join(sorted(missing))}"

@@ -109,7 +109,7 @@ def test_criterion_04_stationary_occupancy_is_poisson(capsys):
 
 
 def test_criterion_05_transient_mean_tracks_closed_form(capsys):
-    params = RunConfig.default().physical_params()
+    params = RunConfig.default().physics
     sets = [
         ("no-companion", 0.0, params),
         ("default-1100", 1100.0, params),
@@ -126,8 +126,8 @@ def test_criterion_05_transient_mean_tracks_closed_form(capsys):
 
 def test_criterion_06_staircase_recovery(capsys):
     cfg = RunConfig.default()
-    params = cfg.physical_params()
-    cal = cfg.detection_calibration()
+    params = cfg.physics
+    cal = cfg.calibration
     schedule = ExperimentSchedule()
     n_detect = int(round(schedule.detect_s / cal.bin_s))
     master, n_rb, n_traces = 6001, 550.0, 200
@@ -190,7 +190,7 @@ def test_criterion_07_steady_state_onset(default_campaign, capsys):
 
 
 def test_criterion_08_noiseless_inversion(capsys):
-    params = RunConfig.default().physical_params()
+    params = RunConfig.default().physics
     centers = np.arange(1100, 3301, 220.0)
     bins = []
     for c in centers:

@@ -61,6 +61,19 @@ class TestGridSpec:
             GridSpec(min=100, max=0, step=220)
         with pytest.raises(ConfigError):
             GridSpec(min=0, max=100, step=0)
+        with pytest.raises(ConfigError, match="nearest grid values are 440 and 660"):
+            GridSpec(min=0, max=500, step=220)
+
+    def test_off_step_max_is_refused_by_simulate(self, tmp_path, capsys):
+        """A max off the step is one error line, not a grid that silently
+        stops at the last step below it."""
+        cfg = write_config(tmp_path, {"grid": {"min": 0, "max": 500, "step": 220}})
+        out = tmp_path / "traces.jsonl"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "grid.max 500" in err and "440 and 660" in err
+        assert not out.exists()
 
 
 class TestRunConfig:
@@ -68,23 +81,19 @@ class TestRunConfig:
         cfg = RunConfig.default()
         assert cfg.traces_per_bin == 200
         assert cfg.master_seed == 1234
-        assert cfg.physics["r0_per_s"] == 1.48
-        assert cfg.calibration["rate_per_atom_per_s"] == 1e4
-        assert cfg.schedule["detect_s"] == 3.0
+        assert cfg.physics.r0 == 1.48
+        assert cfg.calibration.rate_per_atom == 1e4
+        assert cfg.schedule.detect_s == 3.0
 
-    def test_dict_round_trip(self):
-        cfg = RunConfig.from_dict({
-            "physics": {"gamma_per_s": 0.05},
-            "traces_per_bin": 7,
-            "out_dir": "elsewhere",
-        })
-        again = RunConfig.from_dict(cfg.to_dict())
-        assert again == cfg
-        assert again.physics["gamma_per_s"] == 0.05
-        assert again.physics["r0_per_s"] == 1.48
+    def test_readme_block_is_the_defaults(self):
+        """The configuration JSON in README spells out every default."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Configuration", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert RunConfig.from_dict(json.loads(block)) == RunConfig.default()
 
     def test_micron_radii_become_centimeters(self):
-        params = RunConfig.default().physical_params()
+        params = RunConfig.default().physics
         assert params.w_cs == pytest.approx(6.6e-4)
         assert params.w_rb == pytest.approx(26.4e-4)
 
@@ -154,6 +163,10 @@ class TestSimulateDeterminism:
         cfg = write_config(tmp_path, SMALL_CONFIG)
         assert main(["simulate", "--config", str(cfg), "--traces", "0"]) == 2
         assert main(["simulate", "--config", str(cfg), "--workers", "0"]) == 2
+        # Checked before the config is even read.
+        missing = str(tmp_path / "missing.json")
+        assert main(["simulate", "--config", missing, "--traces", "0"]) == 2
+        assert main(["simulate", "--config", missing, "--workers", "0"]) == 2
 
     @pytest.mark.parametrize("command", ["simulate", "fit", "oracle"])
     def test_negative_seed_is_usage_error_before_any_output(
@@ -198,7 +211,7 @@ class TestQuietSource:
         assert len(traces) == 1
         trace = traces[0]
         assert trace.n_rb == 0.0
-        cal = load_config(cfg).detection_calibration()
+        cal = load_config(cfg).calibration
         estimate = estimate_staircase(trace, cal)
         assert np.all(estimate.staircase == 0)
         assert estimate.load_events == []
@@ -233,7 +246,7 @@ class TestAnalyze:
         run_cfg = load_config(cfg)
         direct = bin_by_nrb(
             read_traces_jsonl(traces_path),
-            run_cfg.detection_calibration(),
+            run_cfg.calibration,
             width=float(run_cfg.grid.step),
         )
         reloaded = read_bins_csv(out_dir / "bins.csv")
@@ -476,6 +489,26 @@ class TestFit:
         stray.write_text("whatever")
         assert main(["fit", str(stray)]) == 2
         assert ".jsonl" in capsys.readouterr().err
+        # Checked before the config is even read.
+        assert main(["fit", str(stray), "--config", str(tmp_path / "missing.json")]) == 2
+        assert ".jsonl" in capsys.readouterr().err
+
+    def test_bins_csv_reproduces_the_trace_fit(self, tmp_path):
+        """fit on analyze's bins.csv writes the same three files, byte for
+        byte, as fit on the traces they came from."""
+        traces_path = tmp_path / "traces.jsonl"
+        assert main([
+            "simulate", "--traces", "20", "--out", str(traces_path), "--quiet",
+        ]) == 0
+        assert main(["analyze", str(traces_path), "--out", str(tmp_path / "analysis")]) == 0
+        outputs = []
+        for name, source in (("a", traces_path), ("b", tmp_path / "analysis" / "bins.csv")):
+            assert main(["fit", str(source), "--out", str(tmp_path / name)]) == 0
+            outputs.append([
+                (tmp_path / name / file).read_bytes()
+                for file in ("report.json", "fit_bins.csv", "steady_state_curve.csv")
+            ])
+        assert outputs[0] == outputs[1]
 
     def test_all_transient_data_is_a_clean_failure(self, tmp_path, capsys):
         bins = []

@@ -362,7 +362,7 @@ class TestCampaignRecovery:
 
     def test_systematics_equal_corner_refit(self, default_campaign):
         binned = default_campaign.binned
-        params = default_campaign.config.physical_params()
+        params = default_campaign.config.physics
         loading = fit_loading_rate(binned)
         fit = fit_beta(binned, params, loading)
         assert propagate_systematics(params, fit) == pytest.approx(
