@@ -6,22 +6,26 @@ to its component rate, so trajectories sample the master equation exactly,
 with no time discretization. Detection binning happens later, in the photon
 layer.
 
-There is one event loop, simulate_shots. It runs a set of shots at one
-companion number, each on its own seeded generator, under one draw contract:
-a shot draws rng.standard_exponential(32), then rng.random(32), and event j
-of that block takes wait j and uniform j; a shot that uses up its block
-draws the next pair from its own generator, and the step that leaves the
-window uses only its wait. So each shot is a function of its seed alone.
-The shots of a chunk advance together, one event per numpy step, reading
-their states' rates from a per-atom-number table held as arrays, and their
-events go into typed buffers that become one flat EventTable: float64 time,
-int64 level (the atom number after the event) and int8 kind, with offsets
-marking where each shot's events start. Everything else reads that table:
-simulate_bin returns one per bin, the photon layer reads time and level per
-shot, and the oracles read the atom number at their checkpoints for all
-shots at once. A Trajectory, the list-of-events form of one shot, is built
-only when asked for. The exact one-shot, one-event replay of this contract
-(next_event and replay_next_event) is in tests/reference.py.
+There is one event loop, simulate_lanes. It runs a set of shots in one or
+more lanes, each lane one (companion number, parameters) pair, with shot i
+of every lane on the same seeded generator, under one draw contract: a shot
+draws rng.standard_exponential(32), then rng.random(32), and event j of
+that block takes wait j and uniform j; a shot that uses up its block draws
+the next pair from its own generator, and the step that leaves the window
+uses only its wait. So each shot is a function of its seed and its lane
+alone, and a generator draws each block once for all lanes. simulate_shots
+is its one-lane call. The shots of a chunk advance together in all lanes,
+one event per numpy step, reading their states' rates from per-atom-number
+tables held as arrays, and each lane's events go into typed buffers that
+become one flat EventTable: float64 time, int64 level (the atom number
+after the event) and int8 kind, with offsets marking where each shot's
+events start. Everything else reads that table: simulate_bin returns one
+per bin, the photon layer reads time and level per shot, and the oracles
+read the atom number at their checkpoints for all shots at once, their
+transient parameter sets as the lanes of one call. A Trajectory, the
+list-of-events form of one shot, is built only when asked for. The exact
+one-shot, one-event replay of this contract (next_event and
+replay_next_event) is in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -48,16 +52,23 @@ __all__ = [
     "derive_seed",
     "derive_seeds",
     "seeded_generators",
+    "simulate_lanes",
     "simulate_shots",
     "simulate_trajectory",
     "simulate_bin",
     "TRAJECTORY_STREAM",
     "PHOTON_STREAM",
+    "TRANSIENT_STREAM",
+    "POISSON_STREAM",
 ]
 
-# Stream tags for the per-trace seed derivation, see derive_seed().
+# Stream tags for the per-trace seed derivation, see derive_seed(). The
+# oracles' runs take their own: run i of every transient set is seeded from
+# (TRANSIENT_STREAM, i), of the Poisson check from (POISSON_STREAM, i).
 TRAJECTORY_STREAM = 0
 PHOTON_STREAM = 1
+TRANSIENT_STREAM = 2
+POISSON_STREAM = 3
 
 
 class EventKind(enum.Enum):
@@ -393,9 +404,9 @@ def seeded_generators(seeds: "np.ndarray | list[int]") -> Iterator[np.random.Gen
 
 
 # Each shot draws its waiting times and uniforms from its own generator in
-# blocks of this many events; see simulate_shots.
+# blocks of this many events; see simulate_lanes.
 _BLOCK = 32
-# Shots stepped together by simulate_shots. Any value gives the same output:
+# Shots stepped together by simulate_lanes. Any value gives the same output:
 # each shot's draws come from its own generator alone.
 _CHUNK = 256
 # Change of the atom number for each EventTable.kind code.
@@ -458,6 +469,74 @@ def _rate_table(n_rb: float, params: PhysicalParams) -> _RateTable:
     return _RateTable(n_rb, params)
 
 
+def simulate_lanes(
+    lanes: "Sequence[tuple[float, PhysicalParams]]",
+    schedule: ExperimentSchedule,
+    seeds: "np.ndarray | list[int]",
+    *,
+    rngs: "Iterable[np.random.Generator] | None" = None,
+) -> list[EventTable]:
+    """Simulate one shot per seed in every lane, from an empty trap over the
+    detection window; return one table per lane.
+
+    Lane l is one (n_rb, params) pair, and shot i of every lane runs on the
+    same generator, np.random.default_rng(seeds[i]), drawn from in blocks:
+    rng.standard_exponential(_BLOCK), then rng.random(_BLOCK). Event j of a
+    block takes wait j and uniform j; a shot that has used up its block
+    draws the next pair of blocks. In state n the clock advances by
+    (1 / total) * wait and, if it is still inside the window, the event is
+    the first of LOAD, LOSS_BG, LOSS_RBCS whose cumulative threshold exceeds
+    uniform * total, else LOSS_CSCS_PAIR. The step that leaves the window
+    uses only its wait. replay_next_event in tests/reference.py is this
+    contract one shot and one event at a time, and the tests hold every
+    shot of every lane to it bit for bit.
+
+    The shots run in chunks of _CHUNK, and the shots of a chunk take one
+    event per numpy step together in all lanes, reading their states' rates
+    from the lanes' shared rate tables; a shot's k-th event happens at step
+    k, which places it in the output. A generator is built once per chunk
+    and draws each block once for all lanes, so lane l's table equals the
+    one-lane call at lane l's (n_rb, params). Each shot is a function of its
+    seed alone, so neither the chunk size nor the other lanes change it.
+    Events go into typed buffers, which become the columns of the returned
+    tables: no Python object is kept per event.
+
+    rngs, when given, must yield np.random.default_rng(seed) for each seed,
+    fresh; by default seeded_generators builds them.
+    """
+    lanes = list(lanes)
+    seeds = np.array(seeds, dtype=np.uint64)
+    rngs = iter(seeded_generators(seeds) if rngs is None else rngs)
+    tables = [_rate_table(n_rb, params) for n_rb, params in lanes]
+    t_end = schedule.detect_s
+    columns = [(array("d"), array("q"), array("b")) for _ in lanes]
+    offsets = [array("q", [0]) for _ in lanes]
+    for start in range(0, len(seeds), _CHUNK):
+        size = min(_CHUNK, len(seeds) - start)
+        gens = list(itertools.islice(rngs, size))
+        if len(gens) < size:
+            raise ValueError(f"rngs yields fewer generators than the {len(seeds)} seeds")
+        if tables:
+            counts = _step_chunk(tables, t_end, gens, columns)
+            for lane_offsets, lane_counts in zip(offsets, counts):
+                lane_offsets.frombytes((np.cumsum(lane_counts) + lane_offsets[-1]).tobytes())
+    if next(rngs, None) is not None:
+        raise ValueError(f"rngs yields more generators than the {len(seeds)} seeds")
+    shots = len(seeds)
+    return [
+        EventTable(
+            time=np.frombuffer(times, dtype=np.float64),
+            level=np.frombuffer(levels, dtype=np.int64),
+            kind=np.frombuffer(kinds, dtype=np.int8),
+            offsets=np.frombuffer(lane_offsets, dtype=np.int64),
+            n_rb=np.full(shots, n_rb, dtype=float),
+            seed=seeds,
+            t_end=np.full(shots, t_end, dtype=float),
+        )
+        for (n_rb, _), (times, levels, kinds), lane_offsets in zip(lanes, columns, offsets)
+    ]
+
+
 def simulate_shots(
     n_rb: float,
     params: PhysicalParams,
@@ -466,82 +545,60 @@ def simulate_shots(
     *,
     rngs: "Iterable[np.random.Generator] | None" = None,
 ) -> EventTable:
-    """Simulate one shot per seed from an empty trap over the detection window.
+    """Simulate one shot per seed at one (n_rb, params): the one-lane
+    simulate_lanes, whose docstring gives the draw contract."""
+    (table,) = simulate_lanes([(n_rb, params)], schedule, seeds, rngs=rngs)
+    return table
 
-    Shot i runs on its own generator, np.random.default_rng(seeds[i]), and
-    draws from it in blocks: rng.standard_exponential(_BLOCK), then
-    rng.random(_BLOCK). Event j of a block takes wait j and uniform j; a
-    shot that has used up its block draws the next pair of blocks. In state
-    n the clock advances by (1 / total) * wait and, if it is still inside
-    the window, the event is the first of LOAD, LOSS_BG, LOSS_RBCS whose
-    cumulative threshold exceeds uniform * total, else LOSS_CSCS_PAIR. The
-    step that leaves the window uses only its wait. replay_next_event in
-    tests/reference.py is this contract one shot and one event at a time,
-    and the tests hold every shot here to it bit for bit.
 
-    The shots run in chunks of _CHUNK, and the shots of a chunk take one
-    event per numpy step together, reading their states' rates from the
-    shared rate table; a shot's k-th event happens at step k, which places
-    it in the output. Each shot is a function of its seed alone, so the chunk
-    size changes nothing. Events go into typed buffers, which become the
-    columns of the returned table: no Python object is kept per event.
-
-    rngs, when given, must yield np.random.default_rng(seed) for each seed,
-    fresh; by default seeded_generators builds them.
-    """
-    seeds = np.array(seeds, dtype=np.uint64)
-    rngs = iter(seeded_generators(seeds) if rngs is None else rngs)
-    table = _rate_table(n_rb, params)
-    t_end = schedule.detect_s
-    columns = (array("d"), array("q"), array("b"))
-    offsets = array("q", [0])
-    for start in range(0, len(seeds), _CHUNK):
-        size = min(_CHUNK, len(seeds) - start)
-        gens = list(itertools.islice(rngs, size))
-        if len(gens) < size:
-            raise ValueError(f"rngs yields fewer generators than the {len(seeds)} seeds")
-        counts = _step_chunk(table, t_end, gens, columns)
-        offsets.frombytes((np.cumsum(counts) + offsets[-1]).tobytes())
-    if next(rngs, None) is not None:
-        raise ValueError(f"rngs yields more generators than the {len(seeds)} seeds")
-    shots = len(seeds)
-    times, levels, kinds = columns
-    return EventTable(
-        time=np.frombuffer(times, dtype=np.float64),
-        level=np.frombuffer(levels, dtype=np.int64),
-        kind=np.frombuffer(kinds, dtype=np.int8),
-        offsets=np.frombuffer(offsets, dtype=np.int64),
-        n_rb=np.full(shots, n_rb, dtype=float),
-        seed=seeds,
-        t_end=np.full(shots, t_end, dtype=float),
-    )
+def _lane_columns(tables: "list[_RateTable]", top: int) -> tuple[int, np.ndarray]:
+    """The common width of the lanes' rate tables, grown to hold every atom
+    number up to top, and their columns interleaved at that width: lane l's
+    rates for atom number n are at flat row n * lanes + l, so a row stays
+    valid when the tables grow, and with one lane it is n."""
+    width = max(table.cover(top).shape[1] for table in tables)
+    interleaved = np.stack([table.cover(width - 1) for table in tables], axis=2)
+    return width, interleaved.reshape(len(interleaved), -1)
 
 
 def _step_chunk(
-    table: _RateTable,
+    tables: "list[_RateTable]",
     t_end: float,
     gens: "list[np.random.Generator]",
-    columns: "tuple[array, array, array]",
+    columns: "list[tuple[array, array, array]]",
 ) -> np.ndarray:
-    """Step the shots of gens together until each has left the window;
-    append their events, shot by shot, to the time, level and kind columns
-    and return each shot's event count.
+    """Step the shots of gens together in every lane until each has left
+    the window; append lane l's events, shot by shot, to its time, level and
+    kind columns, columns[l], and return the event counts, one row per lane.
 
-    Every array of a step holds one entry per shot of the chunk, so numpy
-    sees the same few sizes throughout. A shot that has left the window
-    stays in them: its clock only grows, on stale draws, and its atom number
-    is held. Only each step's clocks and kinds are kept: a shot's events are
-    its steps with the clock inside the window, and its levels are the
-    running sums of its kinds' steps.
+    Lane l runs shot i on the rates of tables[l] and the draws of gens[i].
+    At each block boundary a generator draws its next block once, if its
+    shot is inside the window in any lane. A lane whose shot has already
+    left reads those draws too, harmlessly: waits are >= 0, so its clock
+    only grows. So each lane steps exactly as it would alone.
+
+    Every array of a step holds one entry per (lane, shot), lane-major, so
+    numpy sees the same few sizes throughout; with one lane they are the
+    arrays of a one-lane loop. A shot that has left the window stays in
+    them: its clock only grows, on stale draws, and its atom number is
+    held. The lanes' rates are held as flat columns at the tables' full
+    common width, and each (lane, shot) reads them at one row,
+    n * lanes + lane, which is all a step updates. Only each step's clocks
+    and kinds are kept: a shot's events are its steps with the clock inside
+    the window, and its levels are the running sums of its kinds' steps.
     """
-    shots = len(gens)
-    waits = np.empty((shots, _BLOCK))
-    uniforms = np.empty((shots, _BLOCK))
-    t = np.zeros(shots)
-    n = np.zeros(shots, dtype=np.int64)
+    lanes, shots = len(tables), len(gens)
+    # Blocks are drawn into lane 0's rows and copied to the other lanes'.
+    draws = np.empty((2, lanes, shots, _BLOCK))
+    waits, uniforms = draws[:, 0]
+    lane_waits, lane_uniforms = draws.reshape(2, lanes * shots, _BLOCK)
+    t = np.zeros(lanes * shots)
+    # row is n * lanes + lane, from n = 0; a change of n moves it lanes-fold.
+    row = np.repeat(np.arange(lanes, dtype=np.int64), shots)
+    row_step = _STEP * lanes
     live = range(shots)
-    scale, total, c_load, c_bg, c_rbcs = table.columns
-    top = 0  # bounds n from above
+    width = 0
+    top = 0  # bounds every atom number from above
     clocks, kinds = [], []
     while True:
         j = len(clocks) % _BLOCK
@@ -549,34 +606,42 @@ def _step_chunk(
             for i in live:
                 gens[i].standard_exponential(out=waits[i])
                 gens[i].random(out=uniforms[i])
-        if top >= len(scale):
-            top = int(n.max())
-            scale, total, c_load, c_bg, c_rbcs = table.cover(top)
-        t = t + scale[n] * waits[:, j]
+            draws[:, 1:] = draws[:, :1]
+        if top >= width:
+            # Tighten the bound; grow the columns only if it still reaches them.
+            top = int(row.max()) // lanes
+            if top >= width:
+                width, (scale, total, c_load, c_bg, c_rbcs) = _lane_columns(tables, top)
+        t = t + scale[row] * lane_waits[:, j]
         inside = t <= t_end
         if not np.count_nonzero(inside):
             break
-        u = uniforms[:, j] * total[n]
-        kind = (u >= c_load[n]).view(np.int8) + (u >= c_bg[n]) + (u >= c_rbcs[n])
+        u = lane_uniforms[:, j] * total[row]
+        kind = (u >= c_load[row]).view(np.int8) + (u >= c_bg[row]) + (u >= c_rbcs[row])
         # A pair loss can only be drawn from n >= 2: below that its rate,
         # which carries the discrete n(n-1) factor, is 0 and its threshold
         # +inf, so n stays non-negative.
-        n = n + _STEP[kind] * inside
+        row = row + row_step[kind] * inside
         clocks.append(t)
         kinds.append(kind)
         if j == _BLOCK - 1:
-            live = np.flatnonzero(inside).tolist()
+            live = np.flatnonzero(inside.reshape(lanes, shots).any(axis=0)).tolist()
         top += 1
-    # Transposed, the (step x shot) records are shot-major: row i holds shot
-    # i's steps in order, and its clock only grows.
-    time = np.array(clocks).reshape(-1, shots).T
-    taken = time <= t_end
-    kind = np.array(kinds, dtype=np.int8).reshape(-1, shots).T[taken]
-    counts = np.count_nonzero(taken, axis=1)
-    level = np.cumsum(_STEP[kind])
-    level -= np.repeat(np.concatenate(([0], level))[np.cumsum(counts) - counts], counts)
-    for column, values in zip(columns, (time[taken], level, kind)):
-        column.frombytes(values.tobytes())
+    steps = len(clocks)
+    clocks = np.array(clocks).reshape(steps, lanes, shots)
+    kinds = np.array(kinds, dtype=np.int8).reshape(steps, lanes, shots)
+    counts = np.empty((lanes, shots), dtype=np.int64)
+    for lane, lane_columns in enumerate(columns):
+        # Transposed, a lane's (step x shot) records are shot-major: row i
+        # holds shot i's steps in order, and its clock only grows.
+        time = clocks[:, lane].T
+        taken = time <= t_end
+        kind = kinds[:, lane].T[taken]
+        count = counts[lane] = np.count_nonzero(taken, axis=1)
+        level = np.cumsum(_STEP[kind])
+        level -= np.repeat(np.concatenate(([0], level))[np.cumsum(count) - count], count)
+        for column, values in zip(lane_columns, (time[taken], level, kind)):
+            column.frombytes(values.tobytes())
     return counts
 
 

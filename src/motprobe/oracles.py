@@ -11,11 +11,20 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gillespie import ExperimentSchedule, derive_seeds, simulate_shots
+from .gillespie import (
+    _CHUNK,
+    POISSON_STREAM,
+    TRANSIENT_STREAM,
+    ExperimentSchedule,
+    derive_seeds,
+    simulate_lanes,
+    simulate_shots,
+)
 from .photon import chi2_sf, poisson_pmf, poisson_sf
 from .physics import CloudModel, PhysicalParams, pair_overlap_volume, transient_mean
 
@@ -24,6 +33,7 @@ __all__ = [
     "overlap_volume_quadrature",
     "overlap_checks",
     "transient_mean_ensemble",
+    "transient_mean_ensembles",
     "transient_checks",
     "poisson_end_state_check",
 ]
@@ -116,6 +126,44 @@ def overlap_checks(
     return checks
 
 
+# Seeds per simulate_lanes call of the transient ensembles, a whole number
+# of simulator chunks. Each call's tables are reduced to checkpoint levels
+# before the next, so only one block's event tables are held at a time.
+_RUN_BLOCK = 8 * _CHUNK
+
+
+def transient_mean_ensembles(
+    sets: "list[tuple[float, PhysicalParams]]",
+    checkpoints: "np.ndarray | list[float]",
+    runs: int,
+    master_seed: int,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Ensemble mean and standard error of the atom number at each
+    checkpoint, for each (n_rb, params) of sets.
+
+    Run i of every set is the shot of seed derive_seed(master_seed,
+    TRANSIENT_STREAM, i): the sets share their seeds by design (common
+    random numbers), so they run as the lanes of one simulate_lanes call per
+    block of _RUN_BLOCK seeds, and each set's result equals its own
+    transient_mean_ensemble bit for bit.
+    """
+    checkpoints = np.asarray(checkpoints, dtype=float)
+    schedule = ExperimentSchedule(detect_s=float(checkpoints.max()))
+    seeds = derive_seeds(master_seed, TRANSIENT_STREAM, count=runs)
+    # Atom numbers fit int32 by far (each is at most its shot's event
+    # count), which halves what is held across blocks.
+    levels = np.empty((len(sets), runs, len(checkpoints)), dtype=np.int32)
+    for start in range(0, runs, _RUN_BLOCK):
+        block = seeds[start:start + _RUN_BLOCK]
+        for lane, table in enumerate(simulate_lanes(sets, schedule, block)):
+            levels[lane, start:start + len(block)] = table.levels_at(checkpoints)
+    ensembles = []
+    for set_levels in levels:
+        samples = set_levels.astype(float)
+        ensembles.append((samples.mean(axis=0), samples.std(axis=0, ddof=1) / math.sqrt(runs)))
+    return ensembles
+
+
 def transient_mean_ensemble(
     n_rb: float,
     params: PhysicalParams,
@@ -123,21 +171,20 @@ def transient_mean_ensemble(
     runs: int,
     master_seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Ensemble mean and standard error of the atom number at each checkpoint."""
-    checkpoints = np.asarray(checkpoints, dtype=float)
-    schedule = ExperimentSchedule(detect_s=float(checkpoints.max()))
-    seeds = derive_seeds(master_seed, 2, count=runs)
-    table = simulate_shots(n_rb, params, schedule, seeds)
-    samples = table.levels_at(checkpoints).astype(float)
-    mean = samples.mean(axis=0)
-    se = samples.std(axis=0, ddof=1) / math.sqrt(runs)
-    return mean, se
+    """Ensemble mean and standard error of the atom number at each
+    checkpoint: the one-set transient_mean_ensembles."""
+    (result,) = transient_mean_ensembles([(n_rb, params)], checkpoints, runs, master_seed)
+    return result
+
+
+def _check_count(name: str, value: int, least: int) -> None:
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _check_runs(runs: int) -> None:
     # One run gives no standard error and no spread to test against.
-    if runs < 2:
-        raise ValueError(f"runs must be >= 2, got {runs!r}")
+    _check_count("runs", runs, 2)
 
 
 def transient_checks(
@@ -151,13 +198,17 @@ def transient_checks(
     """Fill-up curve of the simulator against the closed-form mean.
 
     param_sets holds (label, n_rb, params) entries; each is checked at
-    n_checkpoints times spread over the detection window.
+    n_checkpoints times spread over the detection window, all on the same
+    runs seeds (see transient_mean_ensembles).
     """
     _check_runs(runs)
+    _check_count("n_checkpoints", n_checkpoints, 1)
+    checkpoints = np.linspace(0.3, 3.0, n_checkpoints)
+    ensembles = transient_mean_ensembles(
+        [(n_rb, params) for _, n_rb, params in param_sets], checkpoints, runs, master_seed
+    )
     checks = []
-    for label, n_rb, params in param_sets:
-        checkpoints = np.linspace(0.3, 3.0, n_checkpoints)
-        mean, se = transient_mean_ensemble(n_rb, params, checkpoints, runs, master_seed)
+    for (label, n_rb, params), (mean, se) in zip(param_sets, ensembles):
         analytic = np.array([transient_mean(t, n_rb, params) for t in checkpoints])
         z = np.abs(mean - analytic) / np.where(se > 0, se, np.inf)
         checks.append(
@@ -190,7 +241,7 @@ def poisson_end_state_check(
         w_cs=1e-4, w_rb=1e-4,
     )
     schedule = ExperimentSchedule(detect_s=detect_s)
-    seeds = derive_seeds(master_seed, 3, count=runs)
+    seeds = derive_seeds(master_seed, POISSON_STREAM, count=runs)
     finals = simulate_shots(0.0, params, schedule, seeds).final_levels()
     lam = load / gamma
     chi2, dof, p = poisson_chi2(finals, lam)

@@ -1,8 +1,10 @@
 """Exactness of the flat event table against per-shot references.
 
-simulate_shots steps the shots of a set together and writes their events
-into one EventTable; the oracles read atom numbers at their checkpoints from
-it with vectorized counts, and the trajectory dump formats from it. The
+simulate_lanes steps the shots of a set together, in one or more lanes of
+(n_rb, params), and writes each lane's events into one EventTable;
+simulate_shots is its one-lane call. The oracles read atom numbers at their
+checkpoints from it with vectorized counts, and the trajectory dump formats
+from it. The
 references here are the per-shot forms: next_event stepped one event at a
 time on a shot's own block draws (replay_next_event in reference.py), which
 sums each state's rates from physics.rates itself, and bisect_right on a
@@ -24,7 +26,9 @@ from motprobe.gillespie import (
     TRAJECTORY_STREAM,
     derive_seed,
     derive_seeds,
+    TRANSIENT_STREAM,
     simulate_bin,
+    simulate_lanes,
     simulate_shots,
     simulate_trajectory,
 )
@@ -226,6 +230,104 @@ class TestLockstepAgainstReplay:
             assert same_columns(simulate_shots(n_rb, params, SCHEDULE, seeds), whole), chunk
 
 
+class CountingGenerator:
+    """default_rng(seed) that counts the blocks of waits it hands out."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.blocks = 0
+
+    def standard_exponential(self, size=None, out=None):
+        self.blocks += 1
+        return self.rng.standard_exponential(size, out=out)
+
+    def random(self, size=None, out=None):
+        return self.rng.random(size, out=out)
+
+
+class TestLanes:
+    """Every lane of simulate_lanes is the one-lane simulate_shots at its
+    (n_rb, params), and so its seeds' replay, in every column."""
+
+    MIXED = [(1100.0, DEFAULTS), (0.0, PAIR_LOSS), (0.0, ABSORBING), (2200.0, DEFAULTS)]
+
+    def assert_lanes_exact(self, lanes, seeds, tables):
+        assert len(tables) == len(lanes)
+        blocks = []
+        for (n_rb, params), table in zip(lanes, tables):
+            assert same_columns(table, simulate_shots(n_rb, params, SCHEDULE, seeds))
+            blocks.append(assert_equals_replay(table, n_rb, params))
+        return blocks
+
+    def test_lanes_with_different_params(self):
+        """Pair-loss shots need two or more blocks of draws while the default
+        ones need one: each generator draws its blocks once, as many as the
+        lane that needs most, and the others read the extra ones harmlessly."""
+        lanes = [(1100.0, DEFAULTS), (0.0, PAIR_LOSS)]
+        seeds = derive_seeds(81, TRANSIENT_STREAM, count=60)
+        gens = [CountingGenerator(seed) for seed in seeds.tolist()]
+        tables = simulate_lanes(lanes, SCHEDULE, seeds, rngs=gens)
+        default_blocks, pair_blocks = self.assert_lanes_exact(lanes, seeds, tables)
+        assert set(default_blocks) == {1} and max(pair_blocks) >= 2
+        assert [gen.blocks for gen in gens] == list(map(max, default_blocks, pair_blocks))
+        # Lane order changes no lane.
+        swapped = simulate_lanes(lanes[::-1], SCHEDULE, seeds)
+        assert same_columns(swapped[0], tables[1]) and same_columns(swapped[1], tables[0])
+
+    def test_absorbing_and_repeated_lanes(self):
+        lanes = [*self.MIXED, (1100.0, DEFAULTS)]
+        seeds = derive_seeds(82, TRANSIENT_STREAM, count=40)
+        tables = simulate_lanes(lanes, SCHEDULE, seeds)
+        self.assert_lanes_exact(lanes, seeds, tables)
+        assert tables[2].offsets.tolist() == [0] * 41
+        assert same_columns(tables[0], tables[-1])
+
+    def test_rate_tables_grow_to_a_common_width(self):
+        gillespie._rate_table.cache_clear()
+        lanes = [(0.0, PAIR_LOSS), (3300.0, DEFAULTS), (0.0, ABSORBING)]
+        seeds = derive_seeds(83, 0, count=30)
+        tables = simulate_lanes(lanes, SCHEDULE, seeds)
+        self.assert_lanes_exact(lanes, seeds, tables)
+        widths = {gillespie._rate_table(n_rb, params).columns.shape[1] for n_rb, params in lanes}
+        assert widths == {max(int(table.level.max(initial=0)) for table in tables) + 1}
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_chunk_size_changes_nothing(self, monkeypatch, chunk):
+        seeds = derive_seeds(84, 0, count=50)
+        whole = simulate_lanes(self.MIXED, SCHEDULE, seeds)
+        monkeypatch.setattr(gillespie, "_CHUNK", chunk)
+        chunked = simulate_lanes(self.MIXED, SCHEDULE, seeds)
+        assert all(same_columns(a, b) for a, b in zip(chunked, whole, strict=True))
+        self.assert_lanes_exact(self.MIXED, seeds, chunked)
+
+    def test_explicit_generators(self):
+        seeds = derive_seeds(85, 0, count=gillespie._CHUNK + 3)
+        given = simulate_lanes(
+            self.MIXED, SCHEDULE, seeds, rngs=(np.random.default_rng(s) for s in seeds.tolist())
+        )
+        built = simulate_lanes(self.MIXED, SCHEDULE, seeds)
+        assert all(same_columns(a, b) for a, b in zip(given, built, strict=True))
+        self.assert_lanes_exact(self.MIXED, seeds, given)
+
+    @pytest.mark.parametrize("lanes", [MIXED, []], ids=["lanes", "no-lanes"])
+    def test_one_generator_per_seed(self, lanes):
+        with pytest.raises(ValueError, match="fewer"):
+            simulate_lanes(lanes, SCHEDULE, [1, 2], rngs=[np.random.default_rng(1)])
+        with pytest.raises(ValueError, match="more"):
+            simulate_lanes(
+                lanes, SCHEDULE, [1], rngs=[np.random.default_rng(1), np.random.default_rng(2)]
+            )
+
+    def test_zero_shots_and_zero_lanes(self):
+        tables = simulate_lanes(self.MIXED, SCHEDULE, [])
+        assert len(tables) == len(self.MIXED)
+        for (n_rb, _), table in zip(self.MIXED, tables):
+            assert len(table) == 0 and table.offsets.tolist() == [0]
+            assert len(table.time) == len(table.level) == len(table.kind) == 0
+        assert simulate_lanes([], SCHEDULE, derive_seeds(86, 0, count=5)) == []
+        assert simulate_lanes([], SCHEDULE, []) == []
+
+
 class TestShotsWithoutEvents:
     def test_absorbing_trap(self):
         table = simulate_shots(0.0, ABSORBING, SCHEDULE, range(20))
@@ -309,7 +411,7 @@ class TestCheckpointLevels:
 
     def test_transient_ensemble_equals_per_trajectory_readback(self):
         runs, master = 300, 67
-        seeds = derive_seeds(master, 2, count=runs)
+        seeds = derive_seeds(master, TRANSIENT_STREAM, count=runs)
         harvest = simulate_shots(1100.0, DEFAULTS, SCHEDULE, seeds)
         checkpoints = np.array(self.exact_checkpoints(harvest))
         assert checkpoints.max() == SCHEDULE.detect_s
@@ -320,6 +422,61 @@ class TestCheckpointLevels:
             samples[i] = [traj.n_at(t) for t in checkpoints]
         assert np.array_equal(mean, samples.mean(axis=0))
         assert np.array_equal(se, samples.std(axis=0, ddof=1) / math.sqrt(runs))
+
+
+def whole_run_ensemble(n_rb, params, checkpoints, runs, master):
+    """Mean and se of one set from one simulate_shots call on all its runs."""
+    seeds = derive_seeds(master, TRANSIENT_STREAM, count=runs)
+    schedule = ExperimentSchedule(detect_s=float(max(checkpoints)))
+    samples = simulate_shots(n_rb, params, schedule, seeds).levels_at(checkpoints).astype(float)
+    return samples.mean(axis=0), samples.std(axis=0, ddof=1) / math.sqrt(runs)
+
+
+class TestTransientSetsAsLanes:
+    """transient_checks runs its sets as lanes, in blocks of seeds; each set's
+    mean and se must be exactly those of the set run alone on all its runs."""
+
+    # The closed form needs beta_cscs = 0; set b still differs in params.
+    FAST = PhysicalParams(
+        r0=5.0, alpha=2.3e-4, gamma=0.3, beta_rbcs=1.6e-10, beta_cscs=0.0,
+        w_cs=6.6 * UM, w_rb=26.4 * UM,
+    )
+    SETS = [("a", 1100.0, DEFAULTS), ("b", 0.0, FAST), ("c", 2200.0, DEFAULTS)]
+
+    @pytest.mark.parametrize("runs", [oracles._RUN_BLOCK + 1, gillespie._CHUNK - 1])
+    def test_checks_take_the_per_set_ensembles(self, monkeypatch, runs):
+        master, n_checkpoints = 91, 7
+        seen = []
+        real = oracles.transient_mean_ensembles
+
+        def recorded(*args):
+            seen.append((args, real(*args)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(oracles, "transient_mean_ensembles", recorded)
+        checks = oracles.transient_checks(
+            self.SETS, runs=runs, n_checkpoints=n_checkpoints, master_seed=master
+        )
+        assert [c.name for c in checks] == [f"transient_mean[{label}]" for label, _, _ in self.SETS]
+        ((sets, checkpoints, got_runs, got_master), ensembles), = seen
+        assert (got_runs, got_master) == (runs, master)
+        assert np.array_equal(checkpoints, np.linspace(0.3, 3.0, n_checkpoints))
+        assert sets == [(n_rb, params) for _, n_rb, params in self.SETS]
+        for (_, n_rb, params), (mean, se) in zip(self.SETS, ensembles, strict=True):
+            for want_mean, want_se in (
+                transient_mean_ensemble(n_rb, params, checkpoints, runs, master),
+                whole_run_ensemble(n_rb, params, checkpoints, runs, master),
+            ):
+                assert np.array_equal(mean, want_mean) and np.array_equal(se, want_se)
+
+    def test_block_edges(self):
+        sets = [(1100.0, DEFAULTS), (0.0, PAIR_LOSS)]
+        checkpoints = [0.5, 1.5, 3.0]
+        for runs in (oracles._RUN_BLOCK, oracles._RUN_BLOCK + 1, 2):
+            ensembles = oracles.transient_mean_ensembles(sets, checkpoints, runs, 92)
+            for (n_rb, params), (mean, se) in zip(sets, ensembles, strict=True):
+                want_mean, want_se = whole_run_ensemble(n_rb, params, checkpoints, runs, 92)
+                assert np.array_equal(mean, want_mean) and np.array_equal(se, want_se)
 
 
 class TestTrajectoryDump:

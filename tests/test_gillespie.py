@@ -267,13 +267,27 @@ class TestAgainstClosedForms:
         check = poisson_end_state_check(master_seed=4242)
         assert check.passed, check.detail
 
-    @pytest.mark.parametrize("runs", [1, 0, -3])
+    @pytest.mark.parametrize("runs", [1, 0, -3, 300.5, 2.0])
     def test_checks_refuse_fewer_than_two_runs(self, runs):
         # One run has no standard error: it must not read as |z| 0 or chi2 0.
         with pytest.raises(ValueError, match="runs"):
             transient_checks([("x", 0.0, DEFAULTS)], runs=runs, master_seed=777)
         with pytest.raises(ValueError, match="runs"):
             poisson_end_state_check(runs=runs, master_seed=4242)
+
+    @pytest.mark.parametrize("n_checkpoints", [0, -2, 2.5, np.float64(3.0), "3"])
+    def test_transient_checks_refuse_bad_checkpoint_counts(self, n_checkpoints):
+        with pytest.raises(ValueError, match=r"n_checkpoints must be an integer >= 1"):
+            transient_checks(
+                [("x", 0.0, DEFAULTS)], runs=2, n_checkpoints=n_checkpoints, master_seed=777
+            )
+
+    @pytest.mark.parametrize("n_checkpoints", [1, np.int64(2)])
+    def test_transient_checks_take_integer_checkpoint_counts(self, n_checkpoints):
+        (check,) = transient_checks(
+            [("x", 0.0, DEFAULTS)], runs=20, n_checkpoints=n_checkpoints, master_seed=777
+        )
+        assert f"over {n_checkpoints} checkpoints" in check.detail
 
     def test_poisson_chi2_flags_wrong_rate(self):
         rng = np.random.default_rng(8)
