@@ -15,6 +15,7 @@ from .gillespie import (
 from .inference import (
     BetaFit,
     BinnedDataset,
+    CampaignFit,
     DEFAULT_STEADY_TOL,
     IllConditionedFitError,
     InferenceError,
@@ -25,6 +26,7 @@ from .inference import (
     bootstrap_stat_error,
     classify_steady_state,
     fit_beta,
+    fit_campaign,
     fit_loading_rate,
     propagate_systematics,
 )
@@ -38,6 +40,7 @@ from .photon import (
     build_histogram,
     estimate_staircase,
     segment_map_for,
+    simulate_campaign,
     synthesize_counts,
 )
 from .physics import (

@@ -7,6 +7,10 @@ Four subcommands cover the whole workflow:
   fit       traces or bin summary -> loss-coefficient report and model curve
   oracle    self-checks of the simulator against closed-form results
 
+The handlers parse arguments, format and write files: the work is done by
+the same library calls a script makes in process (simulate_grid_bin per
+bin, iter_bins or bin_by_nrb, fit_campaign).
+
 Exit codes: 0 success, 1 runtime or data error, 2 usage error.
 """
 
@@ -26,18 +30,15 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, load_config
-from .gillespie import PHOTON_STREAM, derive_seeds, seeded_generators, simulate_bin
 from .inference import (
     DEFAULT_STEADY_TOL,
+    BinnedDataset,
     InferenceError,
     bin_by_nrb,
-    bootstrap_stat_error,
-    classify_steady_state,
-    fit_beta,
-    fit_loading_rate,
-    propagate_systematics,
+    fit_campaign,
+    iter_bins,
 )
-from .photon import segment_map_for, synthesize_bin
+from .photon import build_histogram, simulate_grid_bin
 from .physics import steady_state_mean
 from .oracles import overlap_checks, poisson_end_state_check, transient_checks
 from .traceio import (
@@ -54,25 +55,21 @@ from .traceio import (
 __all__ = ["main"]
 
 
-def _simulate_bin_job(job, params, cal, schedule, master_seed, dump):
-    """One companion-number bin: its JSON lines of traces, and of
-    trajectories when dump is set (else None), in trace order.
+def _simulate_bin_job(bi, cfg: RunConfig, dump):
+    """One companion-number bin (simulate_grid_bin): its JSON lines of
+    traces, and of trajectories when dump is set (else None), in trace
+    order.
 
-    Top-level so process pools can pickle it; all randomness flows from seeds
-    derived from (master_seed, stream, bin_index, trace_index), making the
-    output identical for any worker count or evaluation order.
+    Top-level so process pools can pickle it; the bin's seeding is all in
+    simulate_grid_bin, making the output identical for any worker count or
+    evaluation order.
     """
-    bi, n_rb, traces = job
-    seg = segment_map_for(schedule, cal.bin_s)
-    table = simulate_bin(n_rb, params, schedule, master_seed, bi, traces)
-    seeds = derive_seeds(master_seed, PHOTON_STREAM, bi, count=traces)
-    counts = synthesize_bin(table, cal, seg, seeded_generators(seeds))
-    trace_ids = [f"b{bi:02d}t{ti:04d}" for ti in range(traces)]
-    trace_text = trace_lines(trace_ids, n_rb, cal.bin_s, seg, counts)
+    b = simulate_grid_bin(cfg, bi)
+    trace_text = trace_lines(b.trace_ids, b.n_rb, cfg.calibration.bin_s, b.segments, b.counts)
     traj_text = None
     if dump:
         traj_text = "".join(
-            json.dumps(record) + "\n" for record in trajectory_records(trace_ids, table)
+            json.dumps(record) + "\n" for record in trajectory_records(b.trace_ids, b.events)
         )
     return trace_text, traj_text
 
@@ -105,8 +102,7 @@ def cmd_simulate(args) -> int:
     if args.traces is not None:
         cfg.traces_per_bin = int(args.traces)
 
-    values = cfg.grid.values()
-    jobs = [(bi, float(n_rb), cfg.traces_per_bin) for bi, n_rb in enumerate(values)]
+    jobs = range(len(cfg.grid.values()))
     # A pool starts all its processes up front, and a job is one bin.
     cpus = os.cpu_count() or 1
     workers = min(args.workers, cpus, len(jobs))
@@ -121,14 +117,7 @@ def cmd_simulate(args) -> int:
     out_path.parent.mkdir(parents=True, exist_ok=True)
     traj_path = out_path.with_name("trajectories.jsonl") if args.dump_trajectories else None
 
-    worker = functools.partial(
-        _simulate_bin_job,
-        params=cfg.physics,
-        cal=cfg.calibration,
-        schedule=cfg.schedule,
-        master_seed=cfg.master_seed,
-        dump=args.dump_trajectories,
-    )
+    worker = functools.partial(_simulate_bin_job, cfg=cfg, dump=args.dump_trajectories)
     t0 = time.perf_counter()
     with ExitStack() as stack:
         traj_fh = None
@@ -152,7 +141,7 @@ def cmd_simulate(args) -> int:
 
     if not args.quiet:
         print(
-            f"wrote {n} traces across {len(values)} companion-number bins "
+            f"wrote {n} traces across {len(jobs)} companion-number bins "
             f"to {out_path} in {elapsed:.1f} s"
         )
         if traj_path:
@@ -162,20 +151,28 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
-    binned = _bin_traces(args.traces, cfg)
+    cal = cfg.calibration
+    # Each bin's histogram comes from the table its staircase used.
+    hists = []
+    bins = []
+    for b, members in iter_bins(read_traces_jsonl(args.traces), cal, **_grid_binning(cfg)):
+        bins.append(b)
+        hists.append(build_histogram(members, cal))
+        # Let go of the bin's table before the next one is built.
+        del members
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_bins_csv(out_dir / "bins.csv", binned)
-    for b in binned.bins:
-        write_histogram_csv(out_dir / f"hist_nrb{int(round(b.center)):05d}.csv", b.histogram)
+    write_bins_csv(out_dir / "bins.csv", BinnedDataset(bins))
+    for b, hist in zip(bins, hists):
+        write_histogram_csv(out_dir / f"hist_nrb{int(round(b.center)):05d}.csv", hist)
 
     header = (
         f"{'n_rb':>6} {'traces':>6} {'mean':>8} {'se':>8} "
         f"{'load/s':>8} {'loss/s':>8} {'ratio':>7} {'lambda':>8}"
     )
     print(header)
-    for b in binned.bins:
+    for b in bins:
         ratio = b.load_loss_ratio
         print(
             f"{b.center:>6.0f} {b.n_traces:>6d} {b.mean_n_cs:>8.4f} "
@@ -183,26 +180,28 @@ def cmd_analyze(args) -> int:
             f"{b.loss_counts_per_time:>8.4f} "
             f"{ratio:>7.3f} {b.poisson_lambda:>8.4f}"
         )
-    print(f"wrote {out_dir / 'bins.csv'} and {len(binned.bins)} histograms")
+    print(f"wrote {out_dir / 'bins.csv'} and {len(bins)} histograms")
     return 0
 
 
-def _bin_traces(path, cfg: RunConfig):
-    """The traces of a JSONL file, binned on the config grid. A trace whose
-    nearest grid point lies outside [grid.min, grid.max] is refused."""
+def _grid_binning(cfg: RunConfig) -> dict:
+    """The binning of the config grid: a trace whose nearest grid point
+    lies outside [grid.min, grid.max] is refused."""
     grid = cfg.grid
-    return bin_by_nrb(
-        read_traces_jsonl(path), cfg.calibration,
-        width=float(grid.step), origin=float(grid.min),
-        bounds=(float(grid.min), float(grid.max)),
-    )
+    return {
+        "width": float(grid.step),
+        "origin": float(grid.min),
+        "bounds": (float(grid.min), float(grid.max)),
+    }
 
 
-def _curve_rows(cfg: RunConfig, params_fit, fitted_bins, width):
-    lo, hi = float(cfg.grid.min), float(cfg.grid.max)
+def _curve_rows(cfg: RunConfig, params_fit, fitted_bins):
+    grid = cfg.grid
+    lo, hi = float(grid.min), float(grid.max)
     # 201 distinct points, as the grid's ends are integers, unless they meet.
     points = np.linspace(lo, hi, 201) if hi > lo else [lo]
-    fitted_from = min(fitted_bins) - width / 2.0
+    # The fitted branch starts at the lower edge of the lowest steady bin.
+    fitted_from = min(fitted_bins) - grid.step / 2.0
     rows = []
     for n_rb in points:
         try:
@@ -233,42 +232,13 @@ def cmd_fit(args) -> int:
         return 2
     cfg = load_config(args.config)
     if path.suffix == ".jsonl":
-        binned = _bin_traces(path, cfg)
+        binned = bin_by_nrb(read_traces_jsonl(path), cfg.calibration, **_grid_binning(cfg))
     else:
         binned = read_bins_csv(path)
-    params = cfg.physics
-
-    loading = fit_loading_rate(binned)
-    labels = classify_steady_state(binned, args.tol)
-    beta_fit = fit_beta(binned, params, loading, labels=labels)
-    syst = propagate_systematics(params, beta_fit)
-    boot = None
-    if args.bootstrap > 0:
-        boot = bootstrap_stat_error(
-            binned, params, loading, beta_fit,
-            resamples=args.bootstrap, seed=args.seed,
-        )
-
-    report = {
-        "r0_per_s": loading.r0,
-        "r0_err_per_s": loading.r0_err,
-        "alpha_per_s_per_rb": loading.alpha,
-        "alpha_err_per_s_per_rb": loading.alpha_err,
-        "beta_rbcs_cm3_per_s": beta_fit.beta,
-        "stat_err_cm3_per_s": beta_fit.stat_err,
-        "syst_err_cm3_per_s": syst,
-        "steady_bins": beta_fit.fitted_bins,
-        "goodness": {
-            "beta_chi2": beta_fit.goodness,
-            "beta_points": beta_fit.n_points,
-            "loading_chi2": loading.chi2,
-            "loading_dof": loading.dof,
-        },
-        "n_bins": len(binned.bins),
-        "tol": args.tol,
-    }
-    if boot is not None:
-        report["stat_err_bootstrap_cm3_per_s"] = boot
+    fit = fit_campaign(
+        binned, cfg.physics, tol=args.tol, bootstrap=args.bootstrap, seed=args.seed
+    )
+    report = fit.report
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -278,31 +248,31 @@ def cmd_fit(args) -> int:
     # guards against a noise-driven negative estimate, which the constructor
     # would reject.
     params_fit = replace(
-        params,
-        r0=max(loading.r0, 0.0),
-        alpha=max(loading.alpha, 0.0),
-        beta_rbcs=max(beta_fit.beta, 0.0),
+        cfg.physics,
+        r0=max(report["r0_per_s"], 0.0),
+        alpha=max(report["alpha_per_s_per_rb"], 0.0),
+        beta_rbcs=max(report["beta_rbcs_cm3_per_s"], 0.0),
     )
-    rows = _curve_rows(cfg, params_fit, beta_fit.fitted_bins, binned.width)
-    write_curve_csv(out_dir / "steady_state_curve.csv", rows)
+    steady = report["steady_bins"]
+    write_curve_csv(out_dir / "steady_state_curve.csv", _curve_rows(cfg, params_fit, steady))
 
-    write_bins_csv(out_dir / "fit_bins.csv", binned, labels=labels)
+    write_bins_csv(out_dir / "fit_bins.csv", binned, labels=fit.labels)
 
     print(
-        f"loading line: r0 = {loading.r0:.4g} +- {loading.r0_err:.2g} /s, "
-        f"alpha = {loading.alpha:.4g} +- {loading.alpha_err:.2g} /s per atom"
+        f"loading line: r0 = {report['r0_per_s']:.4g} +- {report['r0_err_per_s']:.2g} /s, "
+        f"alpha = {report['alpha_per_s_per_rb']:.4g} "
+        f"+- {report['alpha_err_per_s_per_rb']:.2g} /s per atom"
     )
-    steady = beta_fit.fitted_bins
     print(
         f"steady bins: {min(steady):g}..{max(steady):g} "
-        f"({beta_fit.n_points} of {len(binned.bins)})"
+        f"({report['goodness']['beta_points']} of {report['n_bins']})"
     )
-    err_bits = [f"{beta_fit.stat_err:.2g} (stat)"]
-    if boot is not None:
-        err_bits.append(f"{boot:.2g} (bootstrap)")
-    err_bits.append(f"{syst:.2g} (syst)")
+    err_bits = [f"{report['stat_err_cm3_per_s']:.2g} (stat)"]
+    if "stat_err_bootstrap_cm3_per_s" in report:
+        err_bits.append(f"{report['stat_err_bootstrap_cm3_per_s']:.2g} (bootstrap)")
+    err_bits.append(f"{report['syst_err_cm3_per_s']:.2g} (syst)")
     print(
-        f"beta_rbcs = {beta_fit.beta:.4g} cm^3/s +- " + " +- ".join(err_bits)
+        f"beta_rbcs = {report['beta_rbcs_cm3_per_s']:.4g} cm^3/s +- " + " +- ".join(err_bits)
     )
     print(f"wrote {out_dir / 'report.json'}")
     return 0

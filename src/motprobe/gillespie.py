@@ -35,6 +35,7 @@ import enum
 import functools
 import itertools
 import math
+import numbers
 import operator
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
@@ -356,7 +357,11 @@ def derive_seeds(master_seed: int, *prefix: int, count: int) -> np.ndarray:
 
     Hashes all count seed sequences at once, with the same uint32 arithmetic
     as SeedSequence, so every element equals the scalar derive_seed.
+    count must be an int (Python or numpy) >= 0; a float, even a whole one,
+    and a bool are refused rather than rounded.
     """
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+        raise ValueError(f"count must be an integer, got {count!r}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count!r}")
     words = _int_words(master_seed)

@@ -1,12 +1,15 @@
 """Estimation chain: binned statistics, loading-line fit, steady-state
 classification, and the one-parameter fit of the inter-species loss
-coefficient with statistical and systematic uncertainties.
+coefficient with statistical and systematic uncertainties. fit_campaign
+runs the whole chain on a binned dataset and builds the report that fit
+writes.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,9 +17,9 @@ import numpy as np
 from .photon import (
     DetectionCalibration,
     FluorescenceTrace,
-    TraceHistogram,
     TraceTable,
-    build_histogram,
+    cell_sizes,
+    peak_lambda,
     summarize_staircases,
 )
 from .physics import PhysicalParams, pair_overlap_volume
@@ -29,13 +32,16 @@ __all__ = [
     "BinnedDataset",
     "LoadingFit",
     "BetaFit",
+    "CampaignFit",
     "DEFAULT_STEADY_TOL",
+    "iter_bins",
     "bin_by_nrb",
     "fit_loading_rate",
     "classify_steady_state",
     "fit_beta",
     "propagate_systematics",
     "bootstrap_stat_error",
+    "fit_campaign",
 ]
 
 
@@ -75,7 +81,6 @@ class NrbBin:
     detect_time_s: float
     poisson_lambda: float
     trace_means: np.ndarray | None = None
-    histogram: TraceHistogram | None = None
 
     @property
     def load_loss_ratio(self) -> float:
@@ -86,7 +91,6 @@ class NrbBin:
 
 @dataclass
 class BinnedDataset:
-    width: float
     bins: list[NrbBin]
 
     def centers(self) -> np.ndarray:
@@ -129,28 +133,31 @@ def _grid_points(table: TraceTable, width: float, origin: float) -> np.ndarray:
     return origin + np.floor((table.n_rb - origin) / width + 0.5) * width
 
 
-def bin_by_nrb(
+def iter_bins(
     traces: "Sequence[FluorescenceTrace]",
     cal: DetectionCalibration,
     width: float = 220.0,
     origin: float = 0.0,
     bounds: "tuple[float, float] | None" = None,
-) -> BinnedDataset:
-    """Build per-bin aggregates from the recovered staircases.
+) -> Iterator[tuple[NrbBin, TraceTable]]:
+    """Yield each bin's aggregates with the table of its traces, in order
+    of bin center.
 
     Traces are grouped on the grid point origin + k * width nearest to
     their n_rb (_grid_points), in file order within each bin. For every bin:
     the mean recovered atom number over all detect bins, its standard error
     from the trace-to-trace spread, the loading rate as up-steps per
     detection time, the loss rate as lost atoms per detection time, and the
-    Poisson rate fitted to the pooled count-rate histogram (NaN when fewer
-    than two peaks are resolvable). The histogram itself is kept on the bin
-    for writing out.
+    Poisson rate of the integer-atom peaks (peak_lambda; NaN when fewer than
+    two peaks are resolvable).
 
     traces may be a TraceTable (what read_traces_jsonl returns); any other
     sequence is turned into one first. Each bin's rows are taken from it as
-    a table of their own, so the staircase and the histogram share one
-    computation of the bin's rates and whole-atom numbers per layout.
+    a table of their own, which computes the bin's rates and whole-atom
+    numbers once per layout for the staircase and the peak rate; a caller
+    that builds the bin's histogram from the yielded table reuses them. A
+    caller should drop the table before asking for the next bin, so that
+    two bins' tables are never held at once.
 
     bounds, when given, is the (min, max) of the grid: a trace whose grid
     point lies outside it is refused, naming the first such trace, before
@@ -174,7 +181,6 @@ def bin_by_nrb(
     # Rows of each bin, in file order.
     order = np.argsort(inverse, kind="stable")
     groups = np.split(order, np.cumsum(np.bincount(inverse))[:-1])
-    bins: list[NrbBin] = []
     for center, rows in zip(centers.tolist(), groups):
         members = table.take(rows)
         means, loads, loss_atoms = summarize_staircases(members, cal)
@@ -186,25 +192,33 @@ def bin_by_nrb(
         detect_time = float(np.cumsum(durations)[-1])
         n = len(means)
         se = float(means.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        hist = build_histogram(members, cal)
-        lam = hist.poisson_lambda if hist.poisson_lambda is not None else math.nan
-        bins.append(
-            NrbBin(
-                center=float(center),
-                n_traces=n,
-                mean_n_cs=float(means.mean()),
-                se_mean_n_cs=se,
-                loading_rate=loads / detect_time,
-                load_count=loads,
-                loss_counts_per_time=loss_atoms / detect_time,
-                loss_atoms=loss_atoms,
-                detect_time_s=detect_time,
-                poisson_lambda=float(lam),
-                trace_means=means,
-                histogram=hist,
-            )
-        )
-    return BinnedDataset(width=float(width), bins=bins)
+        lam = peak_lambda(cell_sizes(members, cal))
+        yield NrbBin(
+            center=float(center),
+            n_traces=n,
+            mean_n_cs=float(means.mean()),
+            se_mean_n_cs=se,
+            loading_rate=loads / detect_time,
+            load_count=loads,
+            loss_counts_per_time=loss_atoms / detect_time,
+            loss_atoms=loss_atoms,
+            detect_time_s=detect_time,
+            poisson_lambda=math.nan if lam is None else float(lam),
+            trace_means=means,
+        ), members
+
+
+def bin_by_nrb(
+    traces: "Sequence[FluorescenceTrace]",
+    cal: DetectionCalibration,
+    width: float = 220.0,
+    origin: float = 0.0,
+    bounds: "tuple[float, float] | None" = None,
+) -> BinnedDataset:
+    """The per-bin aggregates of the recovered staircases: the bins of
+    iter_bins, each bin's table of traces let go before the next is built."""
+    bins = iter_bins(traces, cal, width, origin, bounds)
+    return BinnedDataset(list(map(operator.itemgetter(0), bins)))
 
 
 def fit_loading_rate(binned: BinnedDataset) -> LoadingFit:
@@ -467,16 +481,16 @@ def fit_beta(
     binned: BinnedDataset,
     params_known: PhysicalParams,
     loading_fit: LoadingFit,
-    tol: float = DEFAULT_STEADY_TOL,
     labels: "list[str] | None" = None,
 ) -> BetaFit:
     """Fit the inter-species loss coefficient to the steady-state bin means.
 
     The model is the steady-state mean with the loading line taken from
     loading_fit and everything except beta taken from params_known. Only
-    steady bins enter the fit; each is weighted by the inverse variance of
-    its mean. The statistical error comes from the curvature of the
-    objective at the minimum.
+    steady bins enter the fit, as labels (one per bin) name them; by
+    default classify_steady_state labels them at DEFAULT_STEADY_TOL. Each
+    is weighted by the inverse variance of its mean. The statistical error
+    comes from the curvature of the objective at the minimum.
 
     The model has no intra-species pair-loss term, so params_known must have
     beta_cscs = 0; fitting pair-loss data with it would return a biased beta
@@ -488,7 +502,7 @@ def fit_beta(
             "the steady-state model has no pair-loss term and requires beta_cscs = 0"
         )
     if labels is None:
-        labels = classify_steady_state(binned, tol)
+        labels = classify_steady_state(binned)
     steady = [b for b, lab in zip(binned.bins, labels) if lab == "steady"]
     if len(steady) < 2:
         detail = "; ".join(
@@ -598,3 +612,56 @@ def bootstrap_stat_error(
         n, m_b, se_b, loading_fit.r0, loading_fit.alpha, params_known.gamma, v_pair
     )
     return float(betas.std(ddof=1))
+
+
+@dataclass
+class CampaignFit:
+    """What fit_campaign returns: the report fit writes as report.json, and
+    each bin's steady-state label, in bin order."""
+
+    report: dict
+    labels: list[str]
+
+
+def fit_campaign(
+    binned: BinnedDataset,
+    params: PhysicalParams,
+    *,
+    tol: float = DEFAULT_STEADY_TOL,
+    bootstrap: int = 0,
+    seed: int = 0,
+) -> CampaignFit:
+    """The whole fit of a binned campaign, in the order fit runs it: the
+    loading line, the steady labels at tol, beta with its curvature error,
+    the systematic error and, unless bootstrap is 0, the bootstrap error
+    from that many resamples drawn from seed (bootstrap_stat_error). The
+    report is built here and nowhere else.
+    """
+    if bootstrap < 0 or bootstrap == 1:
+        raise ValueError(f"bootstrap must be 0 (skip) or >= 2, got {bootstrap!r}")
+    loading = fit_loading_rate(binned)
+    labels = classify_steady_state(binned, tol)
+    beta_fit = fit_beta(binned, params, loading, labels=labels)
+    report = {
+        "r0_per_s": loading.r0,
+        "r0_err_per_s": loading.r0_err,
+        "alpha_per_s_per_rb": loading.alpha,
+        "alpha_err_per_s_per_rb": loading.alpha_err,
+        "beta_rbcs_cm3_per_s": beta_fit.beta,
+        "stat_err_cm3_per_s": beta_fit.stat_err,
+        "syst_err_cm3_per_s": propagate_systematics(params, beta_fit),
+        "steady_bins": beta_fit.fitted_bins,
+        "goodness": {
+            "beta_chi2": beta_fit.goodness,
+            "beta_points": beta_fit.n_points,
+            "loading_chi2": loading.chi2,
+            "loading_dof": loading.dof,
+        },
+        "n_bins": len(binned.bins),
+        "tol": tol,
+    }
+    if bootstrap > 0:
+        report["stat_err_bootstrap_cm3_per_s"] = bootstrap_stat_error(
+            binned, params, loading, beta_fit, resamples=bootstrap, seed=seed,
+        )
+    return CampaignFit(report, labels)

@@ -5,16 +5,20 @@ fixed time bins, including the light-off and background segments of each
 shot. A bin of shots is synthesized at once from its EventTable (the event
 times and levels of all shots in flat columns): one occupancy matrix, one
 matrix of Poisson means and one draw per shot on its own generator.
+simulate_grid_bin runs one bin of a configured campaign, with all of its
+seeding, and simulate_campaign stacks every bin into one TraceTable.
 Inverse direction: background subtraction, integer staircase estimation
-with a short median filter, pooled count-rate histograms whose integer-atom
-peaks are counted in rounding cells, and the Poisson rate of the peak
-weights (their weight-weighted mean atom number).
+with a short median filter, and the Poisson rate of the integer-atom peaks
+(peak_lambda of cell_sizes: the rounding cells that hold at least five
+rates, weighted by their size). build_histogram adds the pooled count-rate histogram and
+the peaks themselves, for the files analyze writes.
 The inverse steps run on a TraceTable: trace ids, n_rb and one
 (traces x bins) count matrix per segment layout, whose detect rates and
-whole-atom numbers are computed once and shared by the staircase and the
-histogram. In both directions a whole bin of traces is processed at once;
-the one-trace forms synthesize_counts and estimate_staircase stay because
-the benchmark tracer (bench/tracing.py) wraps them by name.
+whole-atom numbers are computed once and shared by the staircase, the peak
+rate and the histogram. In both directions a whole bin of traces is
+processed at once; the one-trace forms synthesize_counts and
+estimate_staircase stay because the benchmark tracer (bench/tracing.py)
+wraps them by name.
 """
 
 from __future__ import annotations
@@ -23,10 +27,23 @@ import math
 import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .gillespie import EventTable, ExperimentSchedule, Trajectory
+from .gillespie import (
+    PHOTON_STREAM,
+    EventTable,
+    ExperimentSchedule,
+    Trajectory,
+    derive_seeds,
+    seeded_generators,
+    simulate_bin,
+)
+
+if TYPE_CHECKING:
+    # config imports this module.
+    from .config import RunConfig
 
 __all__ = [
     "DetectionCalibration",
@@ -37,12 +54,17 @@ __all__ = [
     "AtomNumberEstimate",
     "GaussianPeak",
     "TraceHistogram",
+    "SimulatedBin",
     "segment_map_for",
     "count_means",
     "synthesize_bin",
     "synthesize_counts",
+    "simulate_grid_bin",
+    "simulate_campaign",
     "estimate_staircase",
     "summarize_staircases",
+    "cell_sizes",
+    "peak_lambda",
     "build_histogram",
 ]
 
@@ -435,6 +457,65 @@ def synthesize_counts(
     )
 
 
+@dataclass(frozen=True)
+class SimulatedBin:
+    """One bin of a campaign grid, as simulate_grid_bin returns it: the
+    trace ids, their companion number and segments, their event table and
+    their photon counts, one row per trace in trace order."""
+
+    n_rb: float
+    trace_ids: list[str]
+    segments: SegmentMap
+    events: EventTable
+    counts: np.ndarray
+
+
+def simulate_grid_bin(cfg: "RunConfig", bin_index: int) -> SimulatedBin:
+    """Bin bin_index of cfg's grid: cfg.traces_per_bin shots at its
+    companion number, and their photon counts.
+
+    Trace ti is named b{bin_index:02d}t{ti:04d}. Its trajectory is seeded
+    by derive_seed(master_seed, TRAJECTORY_STREAM, bin_index, ti) (see
+    simulate_bin) and its counts by derive_seed(master_seed, PHOTON_STREAM,
+    bin_index, ti). A campaign is seeded here and nowhere else, so a bin is
+    the same whichever process computes it, in whatever order.
+    """
+    values = cfg.grid.values()
+    if not 0 <= bin_index < len(values):
+        raise ValueError(f"bin_index must be in [0, {len(values)}), got {bin_index!r}")
+    n_rb = float(values[bin_index])
+    traces = cfg.traces_per_bin
+    cal = cfg.calibration
+    seg = segment_map_for(cfg.schedule, cal.bin_s)
+    events = simulate_bin(n_rb, cfg.physics, cfg.schedule, cfg.master_seed, bin_index, traces)
+    seeds = derive_seeds(cfg.master_seed, PHOTON_STREAM, bin_index, count=traces)
+    counts = synthesize_bin(events, cal, seg, seeded_generators(seeds))
+    trace_ids = [f"b{bin_index:02d}t{ti:04d}" for ti in range(traces)]
+    return SimulatedBin(n_rb, trace_ids, seg, events, counts)
+
+
+def simulate_campaign(cfg: "RunConfig") -> TraceTable:
+    """Every bin of cfg's grid in one TraceTable: the trace ids, n_rb and
+    counts of the file simulate writes for cfg, in its order, with no text
+    in between. Each bin's event table is dropped once its counts are
+    drawn."""
+    trace_ids: list[str] = []
+    n_rb: list[float] = []
+    counts = []
+    for bi in range(len(cfg.grid.values())):
+        b = simulate_grid_bin(cfg, bi)
+        trace_ids += b.trace_ids
+        n_rb += [b.n_rb] * len(b.trace_ids)
+        counts.append(b.counts)
+    layout = TraceLayout(
+        segments=b.segments,
+        bin_s=cfg.calibration.bin_s,
+        positions=np.arange(len(trace_ids), dtype=np.intp),
+        counts=np.concatenate(counts),
+    )
+    return TraceTable(trace_ids, n_rb, [layout])
+
+
 def _detect_rates(
     counts: np.ndarray, seg: SegmentMap, bin_s: float, trace_id: str
 ) -> np.ndarray:
@@ -549,6 +630,37 @@ def _pooled(table: TraceTable, blocks: "list[tuple[np.ndarray, np.ndarray]]") ->
 _MIN_PEAK_SAMPLES = 5
 
 
+def cell_sizes(
+    traces: "Sequence[FluorescenceTrace]", cal: DetectionCalibration
+) -> np.ndarray:
+    """How many detect bins of the traces round to each whole atom number,
+    indexed by atom number: the sizes of the histogram's rounding cells,
+    from the whole-atom numbers the staircase uses."""
+    if cal.rate_per_atom <= 0:
+        raise ValueError("rate_per_atom must be positive")
+    table = TraceTable.from_traces(traces)
+    # Counted layout by layout, so the bin's numbers are not copied.
+    counts = [np.bincount(atoms.ravel()) for _, atoms in table.whole_atoms(cal.rate_per_atom)]
+    sizes = np.zeros(max(map(len, counts)), dtype=np.intp)
+    for c in counts:
+        sizes[:len(c)] += c
+    return sizes
+
+
+def peak_lambda(sizes: np.ndarray) -> float | None:
+    """The Poisson rate of the integer-atom peaks among rounding cells of
+    these sizes (cell_sizes): atom number k is a peak when at least
+    _MIN_PEAK_SAMPLES rates round to it, and the rate is the peaks' mean
+    atom number weighted by those counts. None when fewer than two peaks
+    are found."""
+    peaks = np.flatnonzero(sizes >= _MIN_PEAK_SAMPLES).tolist()
+    if len(peaks) < 2:
+        return None
+    weights = [float(sizes[k]) for k in peaks]
+    # The rate of fit_poisson in tests/reference.py, summed in its order.
+    return sum(k * w for k, w in zip(peaks, weights)) / sum(weights)
+
+
 def build_histogram(
     traces: "Sequence[FluorescenceTrace]", cal: DetectionCalibration
 ) -> TraceHistogram:
@@ -559,6 +671,7 @@ def build_histogram(
     staircase does before its median filter; atom number k is a peak when at
     least _MIN_PEAK_SAMPLES rates round to it, with those samples' count as
     its weight and their mean and standard deviation as its center and width.
+    Its poisson_lambda is peak_lambda of those cell sizes.
     """
     if not traces:
         raise ValueError("need at least one trace")
@@ -575,7 +688,7 @@ def build_histogram(
     occurrences, _ = np.histogram(pooled, bins=edges)
 
     cells = _pooled(table, table.whole_atoms(cal.rate_per_atom))
-    sizes = np.bincount(cells)
+    sizes = cell_sizes(table, cal)
     peaks: list[GaussianPeak] = []
     for k in np.flatnonzero(sizes >= _MIN_PEAK_SAMPLES):
         samples = pooled[cells == k]
@@ -588,13 +701,11 @@ def build_histogram(
                 sample_count=int(sizes[k]),
             )
         )
-
-    lam = None
-    if len(peaks) >= 2:
-        # The rate of fit_poisson in tests/reference.py, summed in its order.
-        lam = sum(p.n_atoms * p.weight for p in peaks) / sum(p.weight for p in peaks)
     return TraceHistogram(
-        bin_edges=edges, occurrences=occurrences, peaks=peaks, poisson_lambda=lam
+        bin_edges=edges,
+        occurrences=occurrences,
+        peaks=peaks,
+        poisson_lambda=peak_lambda(sizes),
     )
 
 

@@ -59,7 +59,7 @@ def _exact_line_bins():
             loading_rate=load, load_count=888, loss_counts_per_time=load,
             loss_atoms=533, detect_time_s=600.0, poisson_lambda=float("nan"),
         ))
-    return BinnedDataset(width=220.0, bins=bins)
+    return BinnedDataset(bins=bins)
 
 
 def test_criterion_01_beta_accuracy_and_runtime(default_campaign, capsys):
@@ -205,7 +205,7 @@ def test_criterion_08_noiseless_inversion(capsys):
         r0=R0_TRUE, r0_err=0.0, alpha=ALPHA_TRUE, alpha_err=0.0,
         residuals=np.zeros(1), chi2=0.0, dof=1,
     )
-    fit = fit_beta(BinnedDataset(220.0, bins), params, line)
+    fit = fit_beta(BinnedDataset(bins), params, line)
     rel = abs(fit.beta - BETA_TRUE) / BETA_TRUE
     ok = rel < 1e-6
     _report(

@@ -250,7 +250,6 @@ class TestAnalyze:
             width=float(run_cfg.grid.step),
         )
         reloaded = read_bins_csv(out_dir / "bins.csv")
-        assert reloaded.width == direct.width
         for a, b in zip(reloaded.bins, direct.bins):
             assert a.center == b.center
             assert a.n_traces == b.n_traces
@@ -373,7 +372,7 @@ def crafted_bins_csv(path, params, gamma_zero=False):
             loss_atoms=int(loss * 600), detect_time_s=600.0,
             poisson_lambda=float("nan"),
         ))
-    write_bins_csv(path, BinnedDataset(width=220.0, bins=bins))
+    write_bins_csv(path, BinnedDataset(bins=bins))
 
 
 class TestFit:
@@ -521,7 +520,7 @@ class TestFit:
                 poisson_lambda=float("nan"),
             ))
         csv_path = tmp_path / "bins.csv"
-        write_bins_csv(csv_path, BinnedDataset(width=220.0, bins=bins))
+        write_bins_csv(csv_path, BinnedDataset(bins=bins))
         assert main(["fit", str(csv_path), "--out", str(tmp_path / "fit")]) == 1
         assert "per-bin outcome" in capsys.readouterr().err
 
@@ -916,7 +915,7 @@ class TestAtomicSimulateOutput:
     only when every bin succeeded."""
 
     def _fail_in_bin(self, monkeypatch, bin_index, exc):
-        real = cli.synthesize_bin
+        real = cli.simulate_grid_bin
         calls = []
 
         def failing(*args, **kwargs):
@@ -925,7 +924,7 @@ class TestAtomicSimulateOutput:
                 raise exc
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "synthesize_bin", failing)
+        monkeypatch.setattr(cli, "simulate_grid_bin", failing)
 
     def _simulate(self, tmp_path, out):
         cfg = write_config(tmp_path, SMALL_CONFIG)

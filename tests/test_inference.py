@@ -111,25 +111,25 @@ class TestLoadingFit:
             make_bin(c, loading=1.48 - 2.3e-4 * c, loads=500 + 7 * i)
             for i, c in enumerate(np.arange(0, 3301, 220.0))
         ]
-        fit = fit_loading_rate(BinnedDataset(width=220.0, bins=bins))
+        fit = fit_loading_rate(BinnedDataset(bins=bins))
         assert fit.r0 == pytest.approx(1.48, rel=1e-10)
         assert fit.alpha == pytest.approx(2.3e-4, rel=1e-10)
 
     def test_all_zero_rates(self):
         bins = [make_bin(c, loading=0.0, loads=0) for c in (0.0, 220.0, 440.0)]
-        fit = fit_loading_rate(BinnedDataset(width=220.0, bins=bins))
+        fit = fit_loading_rate(BinnedDataset(bins=bins))
         assert fit.r0 == 0.0
         assert fit.alpha == 0.0
 
     def test_needs_three_bins(self):
         bins = [make_bin(0.0, loading=1.0), make_bin(220.0, loading=0.9)]
         with pytest.raises(InferenceError):
-            fit_loading_rate(BinnedDataset(width=220.0, bins=bins))
+            fit_loading_rate(BinnedDataset(bins=bins))
 
     def test_degenerate_abscissa_rejected(self):
         bins = [make_bin(220.0, loading=v) for v in (1.0, 1.1, 0.9)]
         with pytest.raises(IllConditionedFitError):
-            fit_loading_rate(BinnedDataset(width=220.0, bins=bins))
+            fit_loading_rate(BinnedDataset(bins=bins))
 
     def test_unbiased_over_replications(self):
         # Clean Poisson counts on the true line; the mean estimate over 100
@@ -143,7 +143,7 @@ class TestLoadingFit:
             for c in centers:
                 k = int(rng.poisson((1.48 - 2.3e-4 * c) * t_tot))
                 bins.append(make_bin(c, loading=k / t_tot, loads=k, t=t_tot))
-            fit = fit_loading_rate(BinnedDataset(width=220.0, bins=bins))
+            fit = fit_loading_rate(BinnedDataset(bins=bins))
             r0s.append(fit.r0)
             alphas.append(fit.alpha)
         r0s, alphas = np.array(r0s), np.array(alphas)
@@ -154,11 +154,11 @@ class TestLoadingFit:
 class TestSteadyClassifier:
     def test_balanced_bin_is_steady(self):
         bins = [make_bin(c, loading=1.0, loss_rate=1.0) for c in (2200.0, 2420.0)]
-        assert classify_steady_state(BinnedDataset(220.0, bins)) == ["steady", "steady"]
+        assert classify_steady_state(BinnedDataset(bins)) == ["steady", "steady"]
 
     def test_lossless_bin_is_transient(self):
         bins = [make_bin(0.0, loading=1.0, loss_rate=0.0)]
-        assert classify_steady_state(BinnedDataset(220.0, bins)) == ["transient"]
+        assert classify_steady_state(BinnedDataset(bins)) == ["transient"]
 
     def test_contiguous_from_the_top(self):
         # The middle bin balances, but the region must be contiguous from
@@ -170,7 +170,7 @@ class TestSteadyClassifier:
             make_bin(660.0, loading=1.0, loss_rate=1.05),
             make_bin(880.0, loading=1.0, loss_rate=0.95),
         ]
-        labels = classify_steady_state(BinnedDataset(220.0, bins), tol=0.3)
+        labels = classify_steady_state(BinnedDataset(bins), tol=0.3)
         assert labels == ["transient", "transient", "transient", "steady", "steady"]
 
     def test_wider_tolerance_extends_the_region(self):
@@ -179,8 +179,8 @@ class TestSteadyClassifier:
             for i, c in enumerate(np.arange(0, 1101, 220.0))
         ]
         for tol_lo, tol_hi in [(0.05, 0.2), (0.2, 0.4), (0.0, 0.6)]:
-            lo = classify_steady_state(BinnedDataset(220.0, bins), tol=tol_lo)
-            hi = classify_steady_state(BinnedDataset(220.0, bins), tol=tol_hi)
+            lo = classify_steady_state(BinnedDataset(bins), tol=tol_lo)
+            hi = classify_steady_state(BinnedDataset(bins), tol=tol_hi)
             assert all(
                 h == "steady" or l == "transient" for l, h in zip(lo, hi)
             ), (lo, hi)
@@ -208,7 +208,7 @@ EXACT_LINE = LoadingFit(
 class TestBetaFit:
     def test_noiseless_inversion(self):
         centers = np.arange(1100, 3301, 220.0)
-        binned = BinnedDataset(220.0, noiseless_bins(DEFAULTS, centers))
+        binned = BinnedDataset(noiseless_bins(DEFAULTS, centers))
         fit = fit_beta(binned, DEFAULTS, EXACT_LINE)
         assert abs(fit.beta - 1.6e-10) / 1.6e-10 < 1e-6
         assert fit.n_points == len(centers)
@@ -219,13 +219,13 @@ class TestBetaFit:
             w_cs=6.6 * UM, w_rb=26.4 * UM,
         )
         centers = np.arange(1100, 3301, 220.0)
-        binned = BinnedDataset(220.0, noiseless_bins(p, centers))
+        binned = BinnedDataset(noiseless_bins(p, centers))
         fit = fit_beta(binned, p, EXACT_LINE)
         assert fit.beta == 0.0
 
     def test_refuses_pair_loss_physics(self):
         centers = np.arange(1100, 3301, 220.0)
-        binned = BinnedDataset(220.0, noiseless_bins(DEFAULTS, centers))
+        binned = BinnedDataset(noiseless_bins(DEFAULTS, centers))
         pair = PhysicalParams(
             r0=1.48, alpha=2.3e-4, gamma=0.03, beta_rbcs=1.6e-10, beta_cscs=2e-9,
             w_cs=6.6 * UM, w_rb=26.4 * UM,
@@ -236,7 +236,7 @@ class TestBetaFit:
     def test_needs_two_steady_bins(self):
         bins = [make_bin(c, loading=1.0, loss_rate=0.0) for c in (0.0, 220.0, 440.0)]
         with pytest.raises(NoSteadyBinsError) as err:
-            fit_beta(BinnedDataset(220.0, bins), DEFAULTS, EXACT_LINE)
+            fit_beta(BinnedDataset(bins), DEFAULTS, EXACT_LINE)
         assert "per-bin outcome" in str(err.value)
 
     def test_transient_bins_would_skew_the_fit(self):
@@ -252,7 +252,7 @@ class TestBetaFit:
             g = DEFAULTS.gamma + DEFAULTS.beta_rbcs * c / v_pair
             window_mean = load / g * (1.0 - (1.0 - math.exp(-g * t_end)) / (g * t_end))
             bins.append(make_bin(c, mean=window_mean, loading=load, loss_rate=load))
-        binned = BinnedDataset(220.0, bins)
+        binned = BinnedDataset(bins)
         labels_proper = ["transient" if c < 1100 else "steady" for c in centers]
         fit_proper = fit_beta(binned, DEFAULTS, EXACT_LINE, labels=labels_proper)
         fit_all = fit_beta(binned, DEFAULTS, EXACT_LINE, labels=["steady"] * len(bins))
@@ -262,7 +262,7 @@ class TestBetaFit:
 class TestSystematics:
     def test_unit_factors_give_zero(self):
         centers = np.arange(1100, 3301, 220.0)
-        binned = BinnedDataset(220.0, noiseless_bins(DEFAULTS, centers))
+        binned = BinnedDataset(noiseless_bins(DEFAULTS, centers))
         fit = fit_beta(binned, DEFAULTS, EXACT_LINE)
         assert propagate_systematics(DEFAULTS, fit, nrb_factor=1.0, size_frac=0.0) == 0.0
 
@@ -276,7 +276,7 @@ class TestSystematics:
             w_cs=6.6 * UM, w_rb=26.4 * UM,
         )
         centers = np.arange(1100, 3301, 220.0)
-        binned = BinnedDataset(220.0, noiseless_bins(p, centers))
+        binned = BinnedDataset(noiseless_bins(p, centers))
         fit = fit_beta(binned, p, EXACT_LINE)
         assert fit.beta == pytest.approx(1.6e-10, rel=1e-6)
         syst = propagate_systematics(p, fit, nrb_factor=1.3, size_frac=0.0)
@@ -286,7 +286,7 @@ class TestSystematics:
 
     def test_rejects_bad_factors(self):
         centers = np.arange(1100, 3301, 220.0)
-        binned = BinnedDataset(220.0, noiseless_bins(DEFAULTS, centers))
+        binned = BinnedDataset(noiseless_bins(DEFAULTS, centers))
         fit = fit_beta(binned, DEFAULTS, EXACT_LINE)
         with pytest.raises(ValueError):
             propagate_systematics(DEFAULTS, fit, nrb_factor=0.0)
@@ -295,7 +295,7 @@ class TestSystematics:
     def test_closed_form_equals_corner_refit(self, seed):
         n, m, se = noisy_lanes(11, lanes=4, seed=seed)
         for lane in range(len(m)):
-            binned = BinnedDataset(220.0, [
+            binned = BinnedDataset([
                 make_bin(c, mean=mi, se=si) for c, mi, si in zip(n, m[lane], se[lane])
             ])
             fit = fit_beta(binned, DEFAULTS, EXACT_LINE, labels=["steady"] * len(n))
@@ -318,7 +318,7 @@ class TestBootstrap:
                 loading=1.48 - 2.3e-4 * c, loss_rate=1.48 - 2.3e-4 * c,
                 trace_means=tm,
             ))
-        return BinnedDataset(220.0, bins)
+        return BinnedDataset(bins)
 
     def test_zero_variance_data_gives_negligible_error(self):
         binned = self._binned_with_traces(spread=0.0)
@@ -338,7 +338,7 @@ class TestBootstrap:
 
     def test_requires_trace_means(self):
         centers = np.arange(1100, 3301, 220.0)
-        binned = BinnedDataset(220.0, noiseless_bins(DEFAULTS, centers))
+        binned = BinnedDataset(noiseless_bins(DEFAULTS, centers))
         fit = fit_beta(binned, DEFAULTS, EXACT_LINE)
         with pytest.raises(InferenceError):
             bootstrap_stat_error(binned, DEFAULTS, EXACT_LINE, fit, resamples=10, seed=0)
@@ -569,7 +569,7 @@ class TestBootstrapEquivalence:
                 loading=1.48 - 2.3e-4 * c, loss_rate=1.48 - 2.3e-4 * c,
                 trace_means=tm,
             ))
-        return BinnedDataset(220.0, bins)
+        return BinnedDataset(bins)
 
     @pytest.mark.parametrize("resamples", [2, 3, 2 * _BOOTSTRAP_BLOCK + 5])
     def test_equals_per_resample_loop(self, resamples):

@@ -302,8 +302,6 @@ class TestMixedLayoutBin:
         assert b.loading_rate == loads / detect_time
         assert b.loss_counts_per_time == lost / detect_time
         hist = build_histogram(traces, CAL)
-        assert np.array_equal(b.histogram.occurrences, hist.occurrences)
-        assert b.histogram.peaks == hist.peaks
         assert b.poisson_lambda == hist.poisson_lambda == fit_poisson(hist).lam
 
 

@@ -3,13 +3,21 @@
 derive_seeds must equal derive_seed element by element, and every Generator
 from seeded_generators must start in the state of np.random.default_rng of
 its seed. Masters of 2**32 and above take several entropy words; seeds below
-2**32 take one.
+2**32 take one. A count must be an integer: a float or a bool is refused,
+never rounded.
 """
 
 import numpy as np
 import pytest
 
-from motprobe.gillespie import derive_seed, derive_seeds, seeded_generators
+from motprobe.config import RunConfig
+from motprobe.gillespie import (
+    ExperimentSchedule,
+    derive_seed,
+    derive_seeds,
+    seeded_generators,
+    simulate_bin,
+)
 
 MASTERS = [0, 1, 777, 1234, 4242, 2**32 - 1, 2**32, 2**64 - 1, 2**70 + 3]
 PREFIXES = [(0, 3), (1, 11), (2,), (3,), ()]
@@ -62,3 +70,20 @@ def test_zero_count_yields_nothing():
     seeds = derive_seeds(1234, 0, 0, count=0)
     assert seeds.shape == (0,)
     assert list(seeded_generators(seeds)) == []
+
+
+@pytest.mark.parametrize("count", [2.5, 3.0, True, False, np.bool_(True), "3", None])
+def test_count_that_is_not_an_integer_is_refused(count):
+    with pytest.raises(ValueError, match="count must be an integer"):
+        derive_seeds(1, 2, count=count)
+
+
+@pytest.mark.parametrize("count", [np.int64(3), np.uint32(3), np.intp(3)])
+def test_numpy_integer_count_is_taken(count):
+    assert derive_seeds(1, 2, count=count).tolist() == derive_seeds(1, 2, count=3).tolist()
+
+
+def test_simulate_bin_refuses_a_fractional_trace_count():
+    """simulate_bin passes its traces to derive_seeds as the count."""
+    with pytest.raises(ValueError, match="count must be an integer, got 2.5"):
+        simulate_bin(440.0, RunConfig.default().physics, ExperimentSchedule(), 1, 0, 2.5)

@@ -24,6 +24,7 @@ from motprobe.photon import (
     FluorescenceTrace,
     SegmentMap,
     TraceTable,
+    build_histogram,
     estimate_staircase,
     synthesize_counts,
 )
@@ -186,7 +187,6 @@ class TestReader:
 
 
 def assert_same_bins(got, want):
-    assert got.width == want.width
     assert len(got.bins) == len(want.bins)
     for a, b in zip(got.bins, want.bins):
         for field in (
@@ -198,10 +198,16 @@ def assert_same_bins(got, want):
             math.isnan(a.poisson_lambda) and math.isnan(b.poisson_lambda)
         )
         assert np.array_equal(a.trace_means, b.trace_means)
-        assert np.array_equal(a.histogram.bin_edges, b.histogram.bin_edges)
-        assert np.array_equal(a.histogram.occurrences, b.histogram.occurrences)
-        assert a.histogram.peaks == b.histogram.peaks
-        assert a.histogram.poisson_lambda == b.histogram.poisson_lambda
+
+
+def assert_lambda_of_histogram(b, members):
+    """A bin's poisson_lambda is that of build_histogram on its traces,
+    NaN where the histogram resolves fewer than two peaks."""
+    lam = build_histogram(members, CAL).poisson_lambda
+    if lam is None:
+        assert math.isnan(b.poisson_lambda)
+    else:
+        assert b.poisson_lambda == lam
 
 
 class TestBinning:
@@ -217,6 +223,8 @@ class TestBinning:
             {(t.segments, t.bin_s) for t in members} for members in groups.values()
         ]
         assert [len(m) for m in mixed] == [1, 3, 3]
+        for b, members in zip(got.bins, groups.values()):
+            assert_lambda_of_histogram(b, members)
 
     def test_bins_match_trace_by_trace(self, mixed_file):
         """Each bin against group_by_bin and a per-trace staircase, with the
@@ -259,6 +267,9 @@ class TestBinning:
                 detect_time += 2 * t.bin_s
             assert b.n_traces == len(members)
             assert b.detect_time_s == detect_time
+            assert_lambda_of_histogram(b, members)
+        # Bins of fewer than five traces resolve fewer than two peaks.
+        assert any(math.isnan(b.poisson_lambda) for b in binned.bins)
 
     def test_detect_time_is_summed_in_file_order(self):
         """Unequal detect times, whose float sum depends on the order."""
