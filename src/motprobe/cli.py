@@ -155,7 +155,7 @@ def cmd_analyze(args) -> int:
     # Each bin's histogram comes from the table its staircase used.
     hists = []
     bins = []
-    for b, members in iter_bins(read_traces_jsonl(args.traces), cal, **_grid_binning(cfg)):
+    for b, members in iter_bins(read_traces_jsonl(args.traces), cal, cfg.grid):
         bins.append(b)
         hists.append(build_histogram(members, cal))
         # Let go of the bin's table before the next one is built.
@@ -182,17 +182,6 @@ def cmd_analyze(args) -> int:
         )
     print(f"wrote {out_dir / 'bins.csv'} and {len(bins)} histograms")
     return 0
-
-
-def _grid_binning(cfg: RunConfig) -> dict:
-    """The binning of the config grid: a trace whose nearest grid point
-    lies outside [grid.min, grid.max] is refused."""
-    grid = cfg.grid
-    return {
-        "width": float(grid.step),
-        "origin": float(grid.min),
-        "bounds": (float(grid.min), float(grid.max)),
-    }
 
 
 def _curve_rows(cfg: RunConfig, params_fit, fitted_bins):
@@ -230,9 +219,16 @@ def cmd_fit(args) -> int:
             file=sys.stderr,
         )
         return 2
+    if path.suffix == ".csv" and args.bootstrap:
+        print(
+            "error: --bootstrap needs a .jsonl trace file; a .csv bin summary "
+            "holds no trace-level means",
+            file=sys.stderr,
+        )
+        return 2
     cfg = load_config(args.config)
     if path.suffix == ".jsonl":
-        binned = bin_by_nrb(read_traces_jsonl(path), cfg.calibration, **_grid_binning(cfg))
+        binned = bin_by_nrb(read_traces_jsonl(path), cfg.calibration, cfg.grid)
     else:
         binned = read_bins_csv(path)
     fit = fit_campaign(

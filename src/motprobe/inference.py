@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import GridSpec
 from .photon import (
     DetectionCalibration,
     FluorescenceTrace,
@@ -122,8 +123,6 @@ class BetaFit:
 def _grid_points(table: TraceTable, width: float, origin: float) -> np.ndarray:
     """The grid point origin + k * width nearest to each trace's n_rb, by the
     float operations of the trace-by-trace group_by_bin (tests/reference.py)."""
-    if not width > 0:
-        raise ValueError(f"bin width must be positive, got {width!r}")
     bad = np.flatnonzero(~np.isfinite(table.n_rb))
     if len(bad):
         i = bad[0]
@@ -136,47 +135,44 @@ def _grid_points(table: TraceTable, width: float, origin: float) -> np.ndarray:
 def iter_bins(
     traces: "Sequence[FluorescenceTrace]",
     cal: DetectionCalibration,
-    width: float = 220.0,
-    origin: float = 0.0,
-    bounds: "tuple[float, float] | None" = None,
+    grid: GridSpec,
 ) -> Iterator[tuple[NrbBin, TraceTable]]:
     """Yield each bin's aggregates with the table of its traces, in order
     of bin center.
 
-    Traces are grouped on the grid point origin + k * width nearest to
-    their n_rb (_grid_points), in file order within each bin. For every bin:
-    the mean recovered atom number over all detect bins, its standard error
-    from the trace-to-trace spread, the loading rate as up-steps per
-    detection time, the loss rate as lost atoms per detection time, and the
-    Poisson rate of the integer-atom peaks (peak_lambda; NaN when fewer than
-    two peaks are resolvable).
+    Traces are grouped on the point of grid nearest to their n_rb
+    (_grid_points, grid.min + k * grid.step), in file order within each
+    bin. For every bin: the mean recovered atom number over all detect
+    bins, its standard error from the trace-to-trace spread, the loading
+    rate as up-steps per detection time, the loss rate as lost atoms per
+    detection time, and the Poisson rate of the integer-atom peaks
+    (peak_lambda; NaN when fewer than two peaks are resolvable).
 
     traces may be a TraceTable (what read_traces_jsonl returns); any other
-    sequence is turned into one first. Each bin's rows are taken from it as
-    a table of their own, which computes the bin's rates and whole-atom
-    numbers once per layout for the staircase and the peak rate; a caller
-    that builds the bin's histogram from the yielded table reuses them. A
-    caller should drop the table before asking for the next bin, so that
-    two bins' tables are never held at once.
+    sequence is turned into one first, and so must share one segment map
+    and bin width. Each bin's rows are taken from it as a table of their
+    own, which computes the bin's rates, whole-atom numbers and cell sizes
+    once for the staircase and the peak rate; a caller that builds the
+    bin's histogram from the yielded table reuses them. A caller should
+    drop the table before asking for the next bin, so that two bins'
+    tables are never held at once.
 
-    bounds, when given, is the (min, max) of the grid: a trace whose grid
-    point lies outside it is refused, naming the first such trace, before
-    any bin is built.
+    A trace whose nearest point lies outside [grid.min, grid.max] is
+    refused, naming the first such trace, before any bin is built.
     """
-    if not traces:
-        raise ValueError("need at least one trace")
     table = TraceTable.from_traces(traces)
-    points = _grid_points(table, width, origin)
-    if bounds is not None:
-        lo, hi = bounds
-        off = np.flatnonzero((points < lo) | (points > hi))
-        if len(off):
-            i = off[0]
-            raise ValueError(
-                f"trace {table.trace_ids[i]!r} has n_rb {float(table.n_rb[i])!r}, "
-                f"nearest to grid point {float(points[i]):g}, outside the grid "
-                f"range [{lo:g}, {hi:g}]"
-            )
+    lo, hi = float(grid.min), float(grid.max)
+    points = _grid_points(table, float(grid.step), lo)
+    off = np.flatnonzero((points < lo) | (points > hi))
+    if len(off):
+        i = off[0]
+        raise ValueError(
+            f"trace {table.trace_ids[i]!r} has n_rb {float(table.n_rb[i])!r}, "
+            f"nearest to grid point {float(points[i]):g}, outside the grid "
+            f"range [{lo:g}, {hi:g}]"
+        )
+    d0, d1 = table.segments.detect
+    duration = (d1 - d0) * table.bin_s
     centers, inverse = np.unique(points, return_inverse=True)
     # Rows of each bin, in file order.
     order = np.argsort(inverse, kind="stable")
@@ -184,12 +180,9 @@ def iter_bins(
     for center, rows in zip(centers.tolist(), groups):
         members = table.take(rows)
         means, loads, loss_atoms = summarize_staircases(members, cal)
-        durations = np.empty(len(members))
-        for layout in members.layouts:
-            d0, d1 = layout.segments.detect
-            durations[layout.positions] = (d1 - d0) * layout.bin_s
-        # cumsum adds left to right, as a trace-by-trace sum would.
-        detect_time = float(np.cumsum(durations)[-1])
+        # cumsum adds left to right, as a trace-by-trace sum would; n * duration
+        # rounds differently.
+        detect_time = float(np.cumsum(np.full(len(members), duration))[-1])
         n = len(means)
         se = float(means.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         lam = peak_lambda(cell_sizes(members, cal))
@@ -211,13 +204,11 @@ def iter_bins(
 def bin_by_nrb(
     traces: "Sequence[FluorescenceTrace]",
     cal: DetectionCalibration,
-    width: float = 220.0,
-    origin: float = 0.0,
-    bounds: "tuple[float, float] | None" = None,
+    grid: GridSpec,
 ) -> BinnedDataset:
     """The per-bin aggregates of the recovered staircases: the bins of
     iter_bins, each bin's table of traces let go before the next is built."""
-    bins = iter_bins(traces, cal, width, origin, bounds)
+    bins = iter_bins(traces, cal, grid)
     return BinnedDataset(list(map(operator.itemgetter(0), bins)))
 
 

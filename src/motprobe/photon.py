@@ -12,13 +12,15 @@ with a short median filter, and the Poisson rate of the integer-atom peaks
 (peak_lambda of cell_sizes: the rounding cells that hold at least five
 rates, weighted by their size). build_histogram adds the pooled count-rate histogram and
 the peaks themselves, for the files analyze writes.
-The inverse steps run on a TraceTable: trace ids, n_rb and one
-(traces x bins) count matrix per segment layout, whose detect rates and
-whole-atom numbers are computed once and shared by the staircase, the peak
-rate and the histogram. In both directions a whole bin of traces is
-processed at once; the one-trace forms synthesize_counts and
-estimate_staircase stay because the benchmark tracer (bench/tracing.py)
-wraps them by name.
+The inverse steps run on a TraceTable: trace ids, n_rb, one segment map
+and bin width, and one (traces x bins) count matrix, whose detect rates,
+whole-atom numbers and whole-atom cell sizes are computed once and shared
+by the staircase, the peak rate and the histogram. A table never mixes
+segment maps or bin widths: a bin that pooled two bin widths would fit a
+beta whose bias is an uncontrolled mixture of theirs. In both directions a
+whole bin of traces is processed at once; the one-trace forms
+synthesize_counts and estimate_staircase stay because the benchmark tracer
+(bench/tracing.py) wraps them by name.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ __all__ = [
     "DetectionCalibration",
     "SegmentMap",
     "FluorescenceTrace",
-    "TraceLayout",
     "TraceTable",
     "AtomNumberEstimate",
     "GaussianPeak",
@@ -169,133 +170,117 @@ class FluorescenceTrace:
         return self.counts[i0:i1]
 
 
-@dataclass(frozen=True)
-class TraceLayout:
-    """The rows of a TraceTable that share one segment layout and bin width.
-
-    positions are the table rows held, ascending; counts holds them one per
-    row, in that order.
-    """
-
-    segments: SegmentMap
-    bin_s: float
-    positions: np.ndarray
-    counts: np.ndarray
-
-
 class TraceTable(Sequence):
-    """Traces held as columns: ids, n_rb and one count matrix per layout.
+    """Traces that share one layout, held as columns: ids, n_rb, their
+    segments and bin_s, and one (traces x bins) count matrix.
 
     It is also a read-only sequence of FluorescenceTrace: item i is a trace
-    whose counts are a read-only view of its matrix row, so code written for
-    a list of traces runs on a table unchanged. The background-subtracted
-    detect rates and their whole-atom numbers are computed on first use and
-    kept (detect_rates, whole_atoms).
+    whose counts are a read-only view of row i, so code written for a list
+    of traces runs on a table unchanged. The background-subtracted detect
+    rates, their whole-atom numbers and the sizes of the whole-atom cells
+    are computed on first use and kept (detect_rates, whole_atoms,
+    cell_sizes).
     """
 
     def __init__(
         self,
         trace_ids: "Sequence[str]",
         n_rb: "Sequence[float] | np.ndarray",
-        layouts: "Sequence[TraceLayout]",
+        segments: SegmentMap,
+        bin_s: float,
+        counts: np.ndarray,
     ):
         self.trace_ids = list(trace_ids)
         self.n_rb = np.array(n_rb, dtype=float)
         self.n_rb.flags.writeable = False
-        self.layouts = tuple(layouts)
-        self._layout_of = np.empty(len(self.trace_ids), dtype=np.intp)
-        self._row_of = np.empty(len(self.trace_ids), dtype=np.intp)
-        for k, layout in enumerate(self.layouts):
-            layout.counts.flags.writeable = False
-            self._layout_of[layout.positions] = k
-            self._row_of[layout.positions] = np.arange(len(layout.positions))
-        self._rates: list[tuple[np.ndarray, np.ndarray]] | None = None
-        self._atoms: tuple[float, list[tuple[np.ndarray, np.ndarray]]] | None = None
+        self.segments = segments
+        self.bin_s = bin_s
+        self.counts = counts
+        self.counts.flags.writeable = False
+        self._rates: np.ndarray | None = None
+        self._atoms: tuple[float, np.ndarray] | None = None
+        self._sizes: np.ndarray | None = None
 
     @classmethod
     def from_traces(cls, traces: "Sequence[FluorescenceTrace]") -> "TraceTable":
-        """The table of a sequence of traces (itself, if it is a table).
+        """The table of a sequence of traces (itself, if it is a table):
+        their counts stacked in trace order.
 
-        Layouts come in order of first appearance; each matrix is the
-        layout's counts stacked in trace order.
+        Every trace must have the segments and bin_s of the first; the
+        first that does not is refused by name.
         """
         if isinstance(traces, TraceTable):
             return traces
-        groups: dict[tuple[SegmentMap, float], list[int]] = {}
-        for i, t in enumerate(traces):
-            groups.setdefault((t.segments, t.bin_s), []).append(i)
-        layouts = [
-            TraceLayout(
-                segments=seg,
-                bin_s=bin_s,
-                positions=np.array(positions),
-                counts=np.stack([traces[i].counts for i in positions]),
-            )
-            for (seg, bin_s), positions in groups.items()
-        ]
-        return cls([t.trace_id for t in traces], [t.n_rb for t in traces], layouts)
+        if not traces:
+            raise ValueError("need at least one trace")
+        first = traces[0]
+        for t in traces:
+            if t.segments != first.segments or t.bin_s != first.bin_s:
+                raise ValueError(
+                    f"trace {t.trace_id!r} has {t.segments!r} and bin_s {t.bin_s!r}, "
+                    f"trace {first.trace_id!r} {first.segments!r} and bin_s "
+                    f"{first.bin_s!r}: a trace table holds one segment map and bin width"
+                )
+        return cls(
+            [t.trace_id for t in traces],
+            [t.n_rb for t in traces],
+            first.segments,
+            first.bin_s,
+            np.stack([t.counts for t in traces]),
+        )
 
     def __len__(self) -> int:
         return len(self.trace_ids)
 
     def __getitem__(self, index: int) -> FluorescenceTrace:
         i = range(len(self))[operator.index(index)]
-        layout = self.layouts[self._layout_of[i]]
         return FluorescenceTrace(
             trace_id=self.trace_ids[i],
             n_rb=float(self.n_rb[i]),
-            bin_s=layout.bin_s,
-            segments=layout.segments,
-            counts=layout.counts[self._row_of[i]],
+            bin_s=self.bin_s,
+            segments=self.segments,
+            counts=self.counts[i],
         )
 
     def take(self, rows: np.ndarray) -> "TraceTable":
         """The table of the given rows, in the order given."""
         rows = np.asarray(rows, dtype=np.intp)
-        layout_of = self._layout_of[rows]
-        layouts = []
-        for k, layout in enumerate(self.layouts):
-            positions = np.flatnonzero(layout_of == k)
-            if not len(positions):
-                continue
-            layouts.append(TraceLayout(
-                segments=layout.segments,
-                bin_s=layout.bin_s,
-                positions=positions,
-                counts=layout.counts[self._row_of[rows[positions]]],
-            ))
-        return TraceTable([self.trace_ids[i] for i in rows], self.n_rb[rows], layouts)
+        return TraceTable(
+            [self.trace_ids[i] for i in rows],
+            self.n_rb[rows],
+            self.segments,
+            self.bin_s,
+            self.counts[rows],
+        )
 
-    def detect_rates(self) -> "list[tuple[np.ndarray, np.ndarray]]":
-        """Background-subtracted detect rates (1/s), one matrix per layout.
-
-        Returns (positions, rates) per layout, in layout order; computed on
-        the first call and kept.
-        """
+    def detect_rates(self) -> np.ndarray:
+        """Background-subtracted detect rates (1/s), one row per trace;
+        computed on the first call and kept."""
         if self._rates is None:
-            self._rates = [
-                (
-                    layout.positions,
-                    _detect_rates(
-                        layout.counts, layout.segments, layout.bin_s,
-                        self.trace_ids[layout.positions[0]],
-                    ),
-                )
-                for layout in self.layouts
-            ]
+            self._rates = _detect_rates(
+                self.counts, self.segments, self.bin_s, self.trace_ids[0]
+            )
         return self._rates
 
-    def whole_atoms(self, rate_per_atom: float) -> "list[tuple[np.ndarray, np.ndarray]]":
-        """detect_rates rounded to the nearest non-negative whole atom number,
-        as (positions, atoms) per layout; computed on the first call for a
+    def whole_atoms(self, rate_per_atom: float) -> np.ndarray:
+        """detect_rates rounded to the nearest non-negative whole atom
+        number, one row per trace; computed on the first call for a
         rate_per_atom and kept, so the staircase and the histogram of a bin
         share them."""
         if self._atoms is None or self._atoms[0] != rate_per_atom:
-            self._atoms = (rate_per_atom, [
-                (positions, _whole_atoms(rates, rate_per_atom))
-                for positions, rates in self.detect_rates()
-            ])
+            self._atoms = (rate_per_atom, _whole_atoms(self.detect_rates(), rate_per_atom))
+            self._sizes = None
         return self._atoms[1]
+
+    def cell_sizes(self, rate_per_atom: float) -> np.ndarray:
+        """How many of whole_atoms(rate_per_atom) equal each atom number,
+        indexed by atom number; counted on the first call and kept beside
+        them."""
+        atoms = self.whole_atoms(rate_per_atom)
+        if self._sizes is None:
+            self._sizes = np.bincount(atoms.ravel())
+            self._sizes.flags.writeable = False
+        return self._sizes
 
 
 @dataclass
@@ -507,13 +492,9 @@ def simulate_campaign(cfg: "RunConfig") -> TraceTable:
         trace_ids += b.trace_ids
         n_rb += [b.n_rb] * len(b.trace_ids)
         counts.append(b.counts)
-    layout = TraceLayout(
-        segments=b.segments,
-        bin_s=cfg.calibration.bin_s,
-        positions=np.arange(len(trace_ids), dtype=np.intp),
-        counts=np.concatenate(counts),
+    return TraceTable(
+        trace_ids, n_rb, b.segments, cfg.calibration.bin_s, np.concatenate(counts)
     )
-    return TraceTable(trace_ids, n_rb, [layout])
 
 
 def _detect_rates(
@@ -591,7 +572,8 @@ def estimate_staircase(
 def summarize_staircases(
     traces: "Sequence[FluorescenceTrace]", cal: DetectionCalibration
 ) -> tuple[np.ndarray, int, int]:
-    """Staircase totals of a set of traces, one rate matrix per layout.
+    """Staircase totals of a set of traces, from their table's whole-atom
+    numbers.
 
     Returns each trace's mean recovered atom number (in the order of traces),
     the number of up-steps and the number of atoms lost over all traces: the
@@ -599,31 +581,9 @@ def summarize_staircases(
     """
     if cal.rate_per_atom <= 0:
         raise ValueError("rate_per_atom must be positive to quantize occupancy")
-    table = TraceTable.from_traces(traces)
-    means = np.empty(len(table))
-    loads = 0
-    lost = 0
-    for positions, atoms in table.whole_atoms(cal.rate_per_atom):
-        stair = _staircase_rows(atoms)
-        means[positions] = stair.mean(axis=1)
-        steps = np.diff(stair, axis=1, prepend=0)
-        loads += int(steps[steps > 0].sum())
-        lost -= int(steps[steps < 0].sum())
-    return means, loads, lost
-
-
-def _pooled(table: TraceTable, blocks: "list[tuple[np.ndarray, np.ndarray]]") -> np.ndarray:
-    """Per-layout (positions, rows) blocks of a table, such as its detect
-    rates, concatenated in trace order: each layout's rows are written to
-    their offsets."""
-    lengths = np.empty(len(table), dtype=np.intp)
-    for positions, rows in blocks:
-        lengths[positions] = rows.shape[1]
-    starts = np.cumsum(lengths) - lengths
-    pooled = np.empty(int(lengths.sum()), dtype=blocks[0][1].dtype)
-    for positions, rows in blocks:
-        pooled[starts[positions][:, None] + np.arange(rows.shape[1])] = rows
-    return pooled
+    stair = _staircase_rows(TraceTable.from_traces(traces).whole_atoms(cal.rate_per_atom))
+    steps = np.diff(stair, axis=1, prepend=0)
+    return stair.mean(axis=1), int(steps[steps > 0].sum()), -int(steps[steps < 0].sum())
 
 
 # Minimum pooled samples rounding to an atom number before it is a peak.
@@ -635,16 +595,11 @@ def cell_sizes(
 ) -> np.ndarray:
     """How many detect bins of the traces round to each whole atom number,
     indexed by atom number: the sizes of the histogram's rounding cells,
-    from the whole-atom numbers the staircase uses."""
+    from the whole-atom numbers the staircase uses, counted once per table
+    (TraceTable.cell_sizes)."""
     if cal.rate_per_atom <= 0:
         raise ValueError("rate_per_atom must be positive")
-    table = TraceTable.from_traces(traces)
-    # Counted layout by layout, so the bin's numbers are not copied.
-    counts = [np.bincount(atoms.ravel()) for _, atoms in table.whole_atoms(cal.rate_per_atom)]
-    sizes = np.zeros(max(map(len, counts)), dtype=np.intp)
-    for c in counts:
-        sizes[:len(c)] += c
-    return sizes
+    return TraceTable.from_traces(traces).cell_sizes(cal.rate_per_atom)
 
 
 def peak_lambda(sizes: np.ndarray) -> float | None:
@@ -678,7 +633,7 @@ def build_histogram(
     if cal.rate_per_atom <= 0:
         raise ValueError("rate_per_atom must be positive")
     table = TraceTable.from_traces(traces)
-    pooled = _pooled(table, table.detect_rates())
+    pooled = table.detect_rates().ravel()
     width = cal.rate_per_atom / 20.0
     lo = math.floor(pooled.min() / width) * width
     hi = math.ceil(pooled.max() / width) * width
@@ -687,8 +642,8 @@ def build_histogram(
     edges = np.arange(lo, hi + 0.5 * width, width)
     occurrences, _ = np.histogram(pooled, bins=edges)
 
-    cells = _pooled(table, table.whole_atoms(cal.rate_per_atom))
-    sizes = cell_sizes(table, cal)
+    cells = table.whole_atoms(cal.rate_per_atom).ravel()
+    sizes = table.cell_sizes(cal.rate_per_atom)
     peaks: list[GaussianPeak] = []
     for k in np.flatnonzero(sizes >= _MIN_PEAK_SAMPLES):
         samples = pooled[cells == k]

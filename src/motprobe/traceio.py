@@ -9,7 +9,9 @@ call for all their counts, and each distinct head after a plain trace_id
 once per block, as the lines of a bin differ only in trace_id; any other
 block is read line by line with json, each line's fields checked by
 _trace_fields and its counts by _count_row as soon as the line is parsed,
-so the first bad line is the first refused.
+so the first bad line is the first refused. A file holds one segment map
+and bin width, that of its first trace line, and the table one count
+matrix.
 """
 
 from __future__ import annotations
@@ -27,13 +29,7 @@ import numpy as np
 
 from .gillespie import EventKind, EventTable
 from .inference import BinnedDataset, NrbBin
-from .photon import (
-    FluorescenceTrace,
-    SegmentMap,
-    TraceHistogram,
-    TraceLayout,
-    TraceTable,
-)
+from .photon import FluorescenceTrace, SegmentMap, TraceHistogram, TraceTable
 
 __all__ = [
     "TraceFileError",
@@ -246,7 +242,7 @@ def _count_row(raw, n_bins: int) -> np.ndarray:
 
 # Non-blank lines read as one block: the count texts of a block are parsed
 # together, and a block in another form is read line by line. It bounds the
-# text held at once, and is a new layout's first capacity.
+# text held at once, and is the count matrix's first capacity in rows.
 _FILL_BLOCK = 64
 
 # What precedes the counts in a line trace_lines writes; the counts close
@@ -269,44 +265,9 @@ def _parse_head(text: str) -> dict:
     return head
 
 
-class _LayoutFill:
-    """The rows of one layout as read_traces_jsonl fills them.
-
-    counts grows in place (ndarray.resize) by half its rows whenever the
-    checked int64 rows given to extend do not fit, and is cut to the rows
-    filled at the end; the file is read once, so a pipe works as well as a
-    file.
-    """
-
-    def __init__(self, segments: SegmentMap, bin_s: float):
-        self.segments = segments
-        self.bin_s = bin_s
-        self.counts = np.empty((_FILL_BLOCK, segments.n_bins), dtype=np.int64)
-        self.filled = 0
-        self.positions: list[int] = []
-
-    def extend(self, positions: "list[int]", block: np.ndarray) -> None:
-        self.positions.extend(positions)
-        n = len(block)
-        if self.filled + n > len(self.counts):
-            rows = max(self.filled + n, len(self.counts) * 3 // 2)
-            self.counts.resize((rows, self.segments.n_bins), refcheck=False)
-        self.counts[self.filled:self.filled + n] = block
-        self.filled += n
-
-    def layout(self) -> TraceLayout:
-        self.counts.resize((self.filled, self.segments.n_bins), refcheck=False)
-        return TraceLayout(
-            segments=self.segments,
-            bin_s=self.bin_s,
-            positions=np.array(self.positions, dtype=np.intp),
-            counts=self.counts,
-        )
-
-
-def _count_values(texts: "list[str]", n_bins: "list[int]") -> np.ndarray | None:
-    """The counts of the texts, in order, as one int64 array; None unless
-    each text is n_bins integers in the form trace_lines writes.
+def _count_values(texts: "list[str]", n_bins: int) -> np.ndarray | None:
+    """The counts of the texts as an int64 (texts, n_bins) matrix; None
+    unless each text is n_bins integers in the form trace_lines writes.
 
     That form is what np.fromstring reads the same as json: values of one
     to 18 digits with no leading zero, each but the last followed by ", ".
@@ -329,8 +290,8 @@ def _count_values(texts: "list[str]", n_bins: "list[int]") -> np.ndarray | None:
     # Where each text ends in the joined one.
     row_ends = np.cumsum([len(text) + 2 for text in texts]) - 2
     if (
-        len(ends) != sum(n_bins)
-        or not np.array_equal(ends[np.cumsum(n_bins) - 1], row_ends)
+        len(ends) != len(texts) * n_bins
+        or not np.array_equal(ends[n_bins - 1::n_bins], row_ends)
         or np.count_nonzero((raw - ord("0")) < 10) != len(raw) - 2 * len(commas)
         or (raw[commas + 1] != ord(" ")).any()
         or lengths.min() < 1
@@ -344,24 +305,43 @@ def _count_values(texts: "list[str]", n_bins: "list[int]") -> np.ndarray | None:
             values = np.fromstring(joined, dtype=np.int64, sep=",")
         except (ValueError, DeprecationWarning):
             return None
-    return values if len(values) == len(ends) else None
+    return values.reshape(len(texts), n_bins) if len(values) == len(ends) else None
 
 
 class _TableReader:
     """The columns of a trace table as read_traces_jsonl reads them, one
-    block of lines at a time."""
+    block of lines at a time.
+
+    The layout (segments, bin_s) is that of the first trace line, and a
+    line with another is refused. counts grows in place (ndarray.resize)
+    by half its rows whenever the checked int64 rows added do not fit, and
+    is cut to the rows filled at the end; the file is read once, so a pipe
+    works as well as a file.
+    """
 
     def __init__(self):
         self.trace_ids: list[str] = []
         self.n_rb: list[float] = []
         self.segment_maps: dict[tuple, SegmentMap] = {}
-        self.fills: dict[tuple[SegmentMap, float], _LayoutFill] = {}
+        self.layout: tuple[SegmentMap, float] | None = None
+        self.first_line = 0
+        self.counts = np.empty((0, 0), dtype=np.int64)
 
-    def _fill(self, segments: SegmentMap, bin_s: float) -> _LayoutFill:
-        fill = self.fills.get((segments, bin_s))
-        if fill is None:
-            fill = self.fills[segments, bin_s] = _LayoutFill(segments, bin_s)
-        return fill
+    def _add(self, line_number: int, fields: "list[tuple]", rows: np.ndarray) -> None:
+        """Append checked rows and the ids and n_rb of their fields; the
+        first rows fix the layout, line_number being the first's line."""
+        if self.layout is None:
+            self.layout = fields[0][2:]
+            self.first_line = line_number
+            self.counts = np.empty((_FILL_BLOCK, rows.shape[1]), dtype=np.int64)
+        filled, n = len(self.trace_ids), len(rows)
+        if filled + n > len(self.counts):
+            grown = max(filled + n, len(self.counts) * 3 // 2)
+            self.counts.resize((grown, rows.shape[1]), refcheck=False)
+        self.counts[filled:filled + n] = rows
+        for trace_id, n_rb, _, _ in fields:
+            self.trace_ids.append(trace_id)
+            self.n_rb.append(n_rb)
 
     def read_block(self, block: "list[tuple[int, str]]") -> None:
         """Add the (line number, line) pairs of a block; raise the
@@ -370,11 +350,11 @@ class _TableReader:
             self._read_block_lines(block)
 
     def _read_block_fast(self, block: "list[tuple[int, str]]") -> bool:
-        """Add a block whose every line is in the form trace_lines writes:
-        each head (the line before its last _COUNTS_KEY) is checked by
-        _head_fields, the count texts parsed with one _count_values.
-        Nothing is added, and False returned, when any line is in another
-        form or fails a check."""
+        """Add a block whose every line is in the form trace_lines writes
+        and in the table's layout: each head (the line before its last
+        _COUNTS_KEY) is checked by _head_fields, the count texts parsed
+        with one _count_values. Nothing is added, and False returned, when
+        any line is in another form or layout or fails a check."""
         fields, texts = [], []
         rests: dict[str, tuple[float, SegmentMap, float]] = {}
         for _, line in block:
@@ -389,28 +369,13 @@ class _TableReader:
             except (TypeError, ValueError, OverflowError):
                 return False
             texts.append(tail[:-2])
-        n_bins = [segments.n_bins for _, _, segments, _ in fields]
-        values = _count_values(texts, n_bins)
-        if values is None:
+        layout = self.layout or fields[0][2:]
+        if any(f[2:] != layout for f in fields):
             return False
-        first = len(self.trace_ids)
-        # In order of first appearance, as the table lists its layouts.
-        layouts = dict.fromkeys(f[2:] for f in fields)
-        if len(layouts) == 1:
-            # The common case, as simulate writes one layout: a view.
-            (layout,) = layouts
-            self._fill(*layout).extend(
-                list(range(first, first + len(fields))), values.reshape(len(fields), -1)
-            )
-        else:
-            starts = np.cumsum([0] + n_bins[:-1])
-            for segments, bin_s in layouts:
-                ks = [k for k, f in enumerate(fields) if f[2:] == (segments, bin_s)]
-                index = starts[ks][:, np.newaxis] + np.arange(segments.n_bins)
-                self._fill(segments, bin_s).extend([first + k for k in ks], values[index])
-        for trace_id, n_rb, _, _ in fields:
-            self.trace_ids.append(trace_id)
-            self.n_rb.append(n_rb)
+        rows = _count_values(texts, layout[0].n_bins)
+        if rows is None:
+            return False
+        self._add(block[0][0], fields, rows)
         return True
 
     def _head_fields(
@@ -448,22 +413,31 @@ class _TableReader:
 
     def _read_block_lines(self, block: "list[tuple[int, str]]") -> None:
         """Add a block line by line: each line parsed with json, its fields
-        checked by _trace_fields and its counts converted by _count_row."""
+        checked by _trace_fields, its layout against the table's and its
+        counts converted by _count_row."""
         for i, line in block:
             try:
                 obj = json.loads(line)
                 trace_id, n_rb, segments, bin_s = _trace_fields(obj, self.segment_maps)
+                if self.layout not in (None, (segments, bin_s)):
+                    first_segments, first_bin_s = self.layout
+                    raise ValueError(
+                        f"{segments!r} and bin_s {bin_s!r} differ from line "
+                        f"{self.first_line}'s {first_segments!r} and bin_s "
+                        f"{first_bin_s!r}: a traces file holds one segment map "
+                        f"and bin width"
+                    )
                 counts = _count_row(obj["counts"], segments.n_bins)
             except json.JSONDecodeError as exc:
                 raise TraceFileError(f"not valid JSON ({exc.msg})", i) from exc
             except (TypeError, ValueError, OverflowError) as exc:
                 raise TraceFileError(str(exc), i) from exc
-            self._fill(segments, bin_s).extend([len(self.trace_ids)], counts[np.newaxis])
-            self.trace_ids.append(trace_id)
-            self.n_rb.append(n_rb)
+            self._add(i, [(trace_id, n_rb, segments, bin_s)], counts[np.newaxis])
 
     def table(self) -> TraceTable:
-        return TraceTable(self.trace_ids, self.n_rb, [f.layout() for f in self.fills.values()])
+        segments, bin_s = self.layout
+        self.counts.resize((len(self.trace_ids), segments.n_bins), refcheck=False)
+        return TraceTable(self.trace_ids, self.n_rb, segments, bin_s, self.counts)
 
 
 def read_traces_jsonl(path: "str | Path") -> TraceTable:
@@ -472,10 +446,13 @@ def read_traces_jsonl(path: "str | Path") -> TraceTable:
     The file is read in blocks of _FILL_BLOCK non-blank lines. A block in
     the form trace_lines writes has each distinct head parsed with json
     once (see _TableReader._head_fields) and its counts with one numpy
-    call; any other block is parsed line by line with json. Either way
-    each line's scalar fields and segment layout are checked, and its
-    counts go to the int64 matrix of its (segments, bin_s) layout. Any
-    refusal names the first bad line of the file.
+    call; any other block, and any block not wholly in the layout of the
+    first trace line, is parsed line by line with json. Either way each
+    line's scalar fields and segment layout are checked, and its counts go
+    to the table's one int64 count matrix. Every line must have the
+    segments and bin_s of the first: a file that mixes segment maps or bin
+    widths is refused at the first line that differs. Any refusal names
+    the first bad line of the file.
     """
     reader = _TableReader()
     with open(path) as fh:

@@ -45,7 +45,7 @@ def default_campaign(tmp_path_factory):
 
     cfg = RunConfig.default()
     traces = read_traces_jsonl(traces_path)
-    binned = bin_by_nrb(traces, cfg.calibration, width=float(cfg.grid.step))
+    binned = bin_by_nrb(traces, cfg.calibration, cfg.grid)
 
     return SimpleNamespace(
         root=root,

@@ -245,9 +245,7 @@ class TestAnalyze:
 
         run_cfg = load_config(cfg)
         direct = bin_by_nrb(
-            read_traces_jsonl(traces_path),
-            run_cfg.calibration,
-            width=float(run_cfg.grid.step),
+            read_traces_jsonl(traces_path), run_cfg.calibration, run_cfg.grid
         )
         reloaded = read_bins_csv(out_dir / "bins.csv")
         for a, b in zip(reloaded.bins, direct.bins):
@@ -314,6 +312,23 @@ class TestAnalyze:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         with pytest.raises(TraceFileError, match="line 7"):
             trace_from_dict(nobg, 7)
+
+    def test_second_layout_is_one_error_line(self, tmp_path, capsys):
+        """A file whose lines do not share one segment map and bin width
+        is refused at the first line that differs, with nothing written."""
+        good = {
+            "trace_id": "good", "n_rb": 0.0, "bin_s": 0.02,
+            "segments": {"detect": [0, 2], "off": [2, 3], "background": [3, 5]},
+            "counts": [100, 100, 0, 100, 100],
+        }
+        finer = dict(good, trace_id="finer", bin_s=0.01)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(obj) + "\n" for obj in (good, good, finer, good)))
+        assert main(["analyze", str(bad), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: ") and err.count("\n") == 1
+        assert "bin_s 0.01 differ from line 1's" in err and "bin_s 0.02" in err
+        assert not (tmp_path / "x").exists()
 
 
 class TestOffGridTraces:
@@ -464,6 +479,27 @@ class TestFit:
         assert not out_dir.exists()
         # Checked before the input is even read.
         assert main(["fit", str(tmp_path / "missing.jsonl"), "--bootstrap", count]) == 2
+
+    def test_bootstrap_of_a_bins_csv_is_a_usage_error(self, tmp_path, capsys):
+        """A bins.csv holds no trace-level means to resample: refused
+        before the config or the CSV is read."""
+        params = PhysicalParams(
+            r0=1.48, alpha=2.3e-4, gamma=0.03, beta_rbcs=1.6e-10,
+            beta_cscs=0.0, w_cs=6.6 * UM, w_rb=26.4 * UM,
+        )
+        csv_path = tmp_path / "bins.csv"
+        crafted_bins_csv(csv_path, params)
+        out_dir = tmp_path / "fit"
+        assert main(["fit", str(csv_path), "--out", str(out_dir), "--bootstrap", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --bootstrap needs a .jsonl") and err.count("\n") == 1
+        assert not out_dir.exists()
+        assert main([
+            "fit", str(tmp_path / "missing.csv"),
+            "--config", str(tmp_path / "missing.json"), "--bootstrap", "50",
+        ]) == 2
+        # Without a bootstrap the CSV fits as before.
+        assert main(["fit", str(csv_path), "--out", str(out_dir), "--bootstrap", "0"]) == 0
 
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_tol_is_checked_up_front(self, tmp_path, capsys, tol):

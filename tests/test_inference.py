@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from motprobe.config import GridSpec
 from motprobe.inference import (
     _BOOTSTRAP_BLOCK,
     BinnedDataset,
@@ -82,7 +83,7 @@ class TestGrouping:
         traces = [flat_trace(v) for v in grid]
         groups = group_by_bin(traces, width=220.0, origin=110.0)
         assert list(groups) == [float(v) for v in grid]
-        binned = bin_by_nrb(traces, CAL, width=220.0, origin=110.0)
+        binned = bin_by_nrb(traces, CAL, GridSpec(min=110, max=3410, step=220))
         assert binned.centers().tolist() == [float(v) for v in grid]
 
     def test_rejects_bad_width(self):
@@ -92,7 +93,7 @@ class TestGrouping:
 
 class TestBinning:
     def test_eventless_trace_gives_zero_rates(self):
-        binned = bin_by_nrb([flat_trace(0.0)], CAL)
+        binned = bin_by_nrb([flat_trace(0.0)], CAL, GridSpec())
         b = binned.bins[0]
         assert b.loading_rate == 0.0
         assert b.loss_counts_per_time == 0.0
@@ -102,7 +103,7 @@ class TestBinning:
 
     def test_requires_traces(self):
         with pytest.raises(ValueError):
-            bin_by_nrb([], CAL)
+            bin_by_nrb([], CAL, GridSpec())
 
 
 class TestLoadingFit:

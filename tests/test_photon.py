@@ -67,8 +67,7 @@ def occupancy_row(traj, n_bins, bin_s):
 
 def detect_rates(trace):
     """Background-subtracted detect rates of one trace, from its table."""
-    ((_, rates),) = TraceTable.from_traces([trace]).detect_rates()
-    return rates[0]
+    return TraceTable.from_traces([trace]).detect_rates()[0]
 
 
 def synth_pair(n_rb, ti, master=4001):

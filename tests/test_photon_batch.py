@@ -16,6 +16,7 @@ import pytest
 from scipy.ndimage import median_filter
 
 from motprobe import photon
+from motprobe.config import GridSpec
 from motprobe.gillespie import (
     EventKind,
     ExperimentSchedule,
@@ -152,12 +153,14 @@ def random_trace(rng, n_detect, trace_id, *, bin_s=0.02, bg_rate=5e3):
 
 
 @pytest.fixture(scope="module")
-def mixed_traces():
-    """Traces of detect length 1, 2, 3 and 150, interleaved."""
+def traces_by_length():
+    """40 traces of each detect length 1, 2, 3 and 150, by length: a trace
+    table holds one layout, so each length is a set of its own."""
     rng = np.random.default_rng(20240611)
-    lengths = [1, 2, 3, 150] * 40
-    rng.shuffle(lengths)
-    return [random_trace(rng, n, f"t{i:03d}") for i, n in enumerate(lengths)]
+    return {
+        n: [random_trace(rng, n, f"t{n}_{i:02d}") for i in range(40)]
+        for n in (1, 2, 3, 150)
+    }
 
 
 class TestStaircaseKernel:
@@ -172,77 +175,88 @@ class TestStaircaseKernel:
             assert np.array_equal(est.staircase, stair)
             assert est.load_events == loads
             assert est.loss_events == losses
-            ((_, rates),) = TraceTable.from_traces([trace]).detect_rates()
-            assert np.array_equal(rates[0], reference_rates(trace))
+            (rates,) = TraceTable.from_traces([trace]).detect_rates()
+            assert np.array_equal(rates, reference_rates(trace))
 
-    def test_cases_are_covered(self, mixed_traces):
+    def test_cases_are_covered(self, traces_by_length):
         # The crafted traces do reach negative rates and multi-atom drops.
-        rates = np.concatenate([reference_rates(t) for t in mixed_traces])
+        traces = [t for ts in traces_by_length.values() for t in ts]
+        rates = np.concatenate([reference_rates(t) for t in traces])
         assert (rates < -0.5 * CAL.rate_per_atom).any()
         drops = [
             mult
-            for t in mixed_traces
+            for t in traces
             for _, mult in reference_staircase(t, CAL)[2]
         ]
         assert 2 in drops
 
-    def test_summary_matches_trace_by_trace(self, mixed_traces):
-        means, loads, lost = summarize_staircases(mixed_traces, CAL)
-        ref_means, ref_loads, ref_lost = [], 0, 0
-        for t in mixed_traces:
-            stair, up, down = reference_staircase(t, CAL)
-            ref_means.append(float(stair.mean()))
-            ref_loads += len(up)
-            ref_lost += sum(mult for _, mult in down)
-        assert np.array_equal(means, np.array(ref_means))
-        assert (loads, lost) == (ref_loads, ref_lost)
+    def test_summary_matches_trace_by_trace(self, traces_by_length):
+        for traces in traces_by_length.values():
+            means, loads, lost = summarize_staircases(traces, CAL)
+            ref_means, ref_loads, ref_lost = [], 0, 0
+            for t in traces:
+                stair, up, down = reference_staircase(t, CAL)
+                ref_means.append(float(stair.mean()))
+                ref_loads += len(up)
+                ref_lost += sum(mult for _, mult in down)
+            assert np.array_equal(means, np.array(ref_means))
+            assert (loads, lost) == (ref_loads, ref_lost)
 
-    def test_pooled_rates_keep_trace_order(self, mixed_traces):
-        table = TraceTable.from_traces(mixed_traces)
-        pooled = photon._pooled(table, table.detect_rates())
-        assert np.array_equal(
-            pooled, np.concatenate([reference_rates(t) for t in mixed_traces])
-        )
+    def test_pooled_rates_keep_trace_order(self, traces_by_length):
+        """The rates build_histogram pools are the rate matrix read row by
+        row: each trace's rates in turn."""
+        for traces in traces_by_length.values():
+            pooled = TraceTable.from_traces(traces).detect_rates().ravel()
+            assert np.array_equal(
+                pooled, np.concatenate([reference_rates(t) for t in traces])
+            )
 
     def test_errors_name_the_first_failing_trace(self):
-        good = random_trace(np.random.default_rng(1), 5, "good")
-        lone = FluorescenceTrace(
-            trace_id="lone", n_rb=0.0, bin_s=0.02,
-            segments=SegmentMap(detect=(0, 4), off=(4, 6), background=(6, 6)),
-            counts=np.zeros(6, dtype=int),
+        """With one layout per table, an empty background segment is every
+        trace's; the error names the first."""
+        lone, other = (
+            FluorescenceTrace(
+                trace_id=name, n_rb=0.0, bin_s=0.02,
+                segments=SegmentMap(detect=(0, 4), off=(4, 6), background=(6, 6)),
+                counts=np.zeros(6, dtype=int),
+            )
+            for name in ("lone", "other")
         )
-        with pytest.raises(ValueError, match="'lone'"):
-            summarize_staircases([good, lone, good], CAL)
-        with pytest.raises(ValueError, match="'lone'"):
-            build_histogram([good, lone], CAL)
+        with pytest.raises(ValueError, match="'lone' has an empty background"):
+            summarize_staircases([lone, other], CAL)
+        with pytest.raises(ValueError, match="'lone' has an empty background"):
+            build_histogram([lone, other], CAL)
         dark = DetectionCalibration(rate_per_atom=0.0)
         with pytest.raises(ValueError, match="rate_per_atom"):
             summarize_staircases([lone], dark)
 
 
-def steady_trace(level, n_detect, trace_id):
-    """Noise-free counts at a fixed whole-atom level over a 5e3 /s background."""
+def steady_trace(levels, trace_id):
+    """Noise-free counts at the given whole-atom levels over a 5e3 /s
+    background, in the segment layout of random_trace."""
+    n_detect = len(levels)
     bg = 5e3 * CAL.bin_s
     counts = np.concatenate([
-        np.full(n_detect, level * CAL.rate_per_atom * CAL.bin_s + bg),
-        np.zeros(2),
-        np.full(4, bg),
+        np.asarray(levels) * CAL.rate_per_atom * CAL.bin_s + bg,
+        np.zeros(3),
+        np.full(5, bg),
     ]).astype(int)
     return FluorescenceTrace(
         trace_id=trace_id, n_rb=0.0, bin_s=CAL.bin_s,
         segments=SegmentMap(
             detect=(0, n_detect),
-            off=(n_detect, n_detect + 2),
-            background=(n_detect + 2, n_detect + 6),
+            off=(n_detect, n_detect + 3),
+            background=(n_detect + 3, n_detect + 8),
         ),
         counts=counts,
     )
 
 
 class TestHistogramCells:
-    def test_peaks_are_rounding_cells(self, mixed_traces):
+    def test_peaks_are_rounding_cells(self, traces_by_length):
         # Five rates at 7 atoms make a peak, three at 9 do not.
-        traces = mixed_traces + [steady_trace(7, 5, "seven"), steady_trace(9, 3, "nine")]
+        levels = [0] * 142 + [7] * 5 + [9] * 3
+        traces = traces_by_length[150] + [steady_trace(levels, "seven-nine")]
         rates = np.concatenate([reference_rates(t) for t in traces])
         cells = np.clip(np.rint(rates / CAL.rate_per_atom).astype(int), 0, None)
         sizes = np.bincount(cells)
@@ -265,25 +279,29 @@ class TestHistogramCells:
         assert hist.poisson_lambda == fit_poisson(hist).lam
 
 
-class TestMixedLayoutBin:
+class TestBinOfOneLayout:
+    LAYOUTS = [
+        (ExperimentSchedule(detect_s=3.0), CAL),
+        (ExperimentSchedule(detect_s=1.5), CAL),
+        (
+            ExperimentSchedule(detect_s=1.0, off_s=0.5, background_s=0.2),
+            DetectionCalibration(bin_s=0.01),
+        ),
+    ]
+
     def test_bin_fields_match_trace_by_trace(self):
-        """One bin mixing two detect lengths (and a second bin width)."""
-        layouts = [
-            (ExperimentSchedule(detect_s=3.0), CAL),
-            (ExperimentSchedule(detect_s=1.5), CAL),
-            (
-                ExperimentSchedule(detect_s=1.0, off_s=0.5, background_s=0.2),
-                DetectionCalibration(bin_s=0.01),
-            ),
-        ]
+        """A bin of each of two detect lengths and of a second bin width."""
+        for sched, cal in self.LAYOUTS:
+            self.check_bin(sched, cal)
+
+    def check_bin(self, sched, cal):
         traces = []
         for ti in range(30):
-            sched, cal = layouts[ti % len(layouts)]
             traj = simulate_trajectory(1100.0, DEFAULTS, sched, derive_seed(5, 0, ti))
             traces.append(synthesize_counts(
                 traj, cal, sched, derive_seed(5, 1, ti), trace_id=f"m{ti:02d}"
             ))
-        (b,) = bin_by_nrb(traces, CAL).bins
+        (b,) = bin_by_nrb(traces, CAL, GridSpec()).bins
 
         ref_means, loads, lost, detect_time = [], 0, 0, 0.0
         for t in traces:

@@ -8,7 +8,9 @@ that hashes to the pinned report.json of the golden analysis.
 
 import csv
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,19 +41,14 @@ def test_simulate_campaign_equals_the_simulate_file(golden_traces):
     want = read_traces_jsonl(golden_traces)
     assert got.trace_ids == want.trace_ids
     assert np.array_equal(got.n_rb, want.n_rb)
-    assert len(got.layouts) == len(want.layouts) == 1
-    (a,), (b,) = got.layouts, want.layouts
-    assert (a.segments, a.bin_s) == (b.segments, b.bin_s)
-    assert np.array_equal(a.positions, b.positions)
-    assert a.counts.dtype == b.counts.dtype
-    assert np.array_equal(a.counts, b.counts)
+    assert (got.segments, got.bin_s) == (want.segments, want.bin_s)
+    assert got.counts.dtype == want.counts.dtype == np.int64
+    assert np.array_equal(got.counts, want.counts)
 
 
 def test_fit_campaign_report_is_the_pinned_report(tmp_path):
     cfg = GOLDEN_CONFIG
-    binned = bin_by_nrb(
-        simulate_campaign(cfg), cfg.calibration, width=float(cfg.grid.step)
-    )
+    binned = bin_by_nrb(simulate_campaign(cfg), cfg.calibration, cfg.grid)
     fit = fit_campaign(
         binned, cfg.physics, tol=DEFAULT_STEADY_TOL, bootstrap=20, seed=0
     )
@@ -69,7 +66,7 @@ def test_grid_bin_is_a_slice_of_the_campaign():
     rows = slice(5 * 3, 6 * 3)
     assert b.trace_ids == table.trace_ids[rows] == ["b05t0000", "b05t0001", "b05t0002"]
     assert b.n_rb == 1100.0
-    assert np.array_equal(b.counts, table.layouts[0].counts[rows])
+    assert np.array_equal(b.counts, table.counts[rows])
     assert len(b.events) == 3
 
 
@@ -123,3 +120,15 @@ def test_csv_and_jsonl_fits_agree_on_a_sparse_grid(tmp_path, default_campaign):
     assert between and set(between) == {"extrapolated"}
     for n_rb, branch in rows:
         assert branch == ("fitted" if n_rb >= lowest - 110.0 else "extrapolated")
+
+
+def test_readme_in_process_block_runs_as_written(default_campaign):
+    """The README's "In-process use" block, executed as written, fits the
+    report that fit writes for the default campaign with the same
+    bootstrap."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### In-process use", 1)[1]
+    (block,) = re.findall(r"```python\n(.*?)```", section.split("\n## ", 1)[0], re.S)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["fit"].report == default_campaign.report

@@ -1,24 +1,29 @@
 """The columnar trace table against the per-line loader it replaces.
 
-read_traces_jsonl fills one int64 count matrix per (segments, bin_s) layout,
-reading _FILL_BLOCK lines at a time, whether it parses their counts
-together or each line on its own, and bin_by_nrb takes each bin's rows from
-that table. The references here are trace_from_dict
-(reference.py) called line by line and bin_by_nrb on the resulting list of
-traces; every comparison asks for equality, not closeness.
+read_traces_jsonl fills the table's one int64 count matrix, reading
+_FILL_BLOCK lines at a time, whether it parses their counts together or
+each line on its own, and bin_by_nrb takes each bin's rows from that table.
+A file or a list of traces that mixes segment maps or bin widths is
+refused at the first trace that differs. The references here are
+trace_from_dict (reference.py) called line by line and bin_by_nrb on the
+resulting list of traces; every comparison asks for equality, not
+closeness.
 """
 
 import json
 import math
 import os
+import sys
 import threading
 
 import numpy as np
 import pytest
 
-from motprobe import traceio
+from motprobe import photon, traceio
+from motprobe.cli import main
+from motprobe.config import GridSpec
 from motprobe.gillespie import ExperimentSchedule, derive_seed, simulate_trajectory
-from motprobe.inference import bin_by_nrb
+from motprobe.inference import _grid_points, bin_by_nrb
 from motprobe.photon import (
     DetectionCalibration,
     FluorescenceTrace,
@@ -41,38 +46,31 @@ DEFAULTS = PhysicalParams(
 )
 CAL = DetectionCalibration()
 
-# (schedule, calibration) of each layout; the last has another bin width.
-LAYOUTS = [
-    (ExperimentSchedule(detect_s=3.0), CAL),
-    (ExperimentSchedule(detect_s=1.5), CAL),
-    (
-        ExperimentSchedule(detect_s=1.0, off_s=0.5, background_s=0.2),
-        DetectionCalibration(bin_s=0.01),
-    ),
-]
+# The file's one layout: shorter segments and 10 ms bins, not the defaults.
+SCHED = ExperimentSchedule(detect_s=1.0, off_s=0.5, background_s=0.2)
+FILE_CAL = DetectionCalibration(bin_s=0.01)
+GRID = GridSpec(min=0, max=2200, step=1100)
 
 N_TRACES = 150
 
 
 def simulated_lines():
-    """JSON lines of N_TRACES traces over three n_rb values and three
-    layouts; the first bin is all one layout, the others mix them."""
+    """JSON lines of N_TRACES traces over three n_rb values."""
     lines = []
     for ti in range(N_TRACES):
         n_rb = (0.0, 1100.0, 2200.0)[ti % 3]
-        sched, cal = LAYOUTS[0] if n_rb == 0.0 else LAYOUTS[(ti // 3) % 3]
-        traj = simulate_trajectory(n_rb, DEFAULTS, sched, derive_seed(9, 0, ti))
+        traj = simulate_trajectory(n_rb, DEFAULTS, SCHED, derive_seed(9, 0, ti))
         trace = synthesize_counts(
-            traj, cal, sched, derive_seed(9, 1, ti), trace_id=f"t{ti:03d}"
+            traj, FILE_CAL, SCHED, derive_seed(9, 1, ti), trace_id=f"t{ti:03d}"
         )
         lines.append(json.dumps(trace_to_dict(trace)))
     return lines
 
 
 @pytest.fixture(scope="module")
-def mixed_file(tmp_path_factory):
+def trace_file(tmp_path_factory):
     """The path of the simulated lines with blank lines among them."""
-    path = tmp_path_factory.mktemp("table") / "mixed.jsonl"
+    path = tmp_path_factory.mktemp("table") / "traces.jsonl"
     text = []
     for k, entry in enumerate(simulated_lines()):
         if k % 37 == 5:
@@ -101,8 +99,8 @@ def assert_same_trace(got, want):
 
 
 class TestReader:
-    def test_fields_and_counts_match_per_line_reference(self, mixed_file):
-        path = mixed_file
+    def test_fields_and_counts_match_per_line_reference(self, trace_file):
+        path = trace_file
         assert N_TRACES > 2 * traceio._FILL_BLOCK
         table = read_traces_jsonl(path)
         ref = reference_traces(path)
@@ -114,56 +112,47 @@ class TestReader:
         with pytest.raises(IndexError):
             table[N_TRACES]
 
-        # The layouts partition the rows, each in file order.
-        assert len(table.layouts) == 3
+        # One count matrix, one row per trace in file order.
         assert table.trace_ids == [t.trace_id for t in ref]
         assert np.array_equal(table.n_rb, [t.n_rb for t in ref])
-        seen = np.concatenate([layout.positions for layout in table.layouts])
-        assert sorted(seen.tolist()) == list(range(N_TRACES))
-        for layout in table.layouts:
-            assert np.all(np.diff(layout.positions) > 0)
-            assert layout.counts.dtype == np.int64
-            assert layout.counts.shape == (len(layout.positions), layout.segments.n_bins)
-            for row, i in zip(layout.counts, layout.positions):
-                assert ref[i].segments == layout.segments
-                assert ref[i].bin_s == layout.bin_s
-                assert np.array_equal(row, ref[i].counts)
+        assert (table.segments, table.bin_s) == (ref[0].segments, 0.01)
+        assert table.counts.dtype == np.int64
+        assert table.counts.shape == (N_TRACES, table.segments.n_bins)
+        assert np.array_equal(table.counts, np.stack([t.counts for t in ref]))
 
-    def test_table_is_read_only(self, mixed_file):
-        table = read_traces_jsonl(mixed_file)
+    def test_table_is_read_only(self, trace_file):
+        table = read_traces_jsonl(trace_file)
         with pytest.raises(ValueError):
             table[0].counts[0] = 1
         with pytest.raises(ValueError):
-            table.layouts[0].counts[0, 0] = 1
+            table.counts[0, 0] = 1
         with pytest.raises(ValueError):
             table.n_rb[0] = 1.0
         assert TraceTable.from_traces(table) is table
 
-    def test_from_traces_matches_reader(self, mixed_file):
-        path = mixed_file
+    def test_from_traces_matches_reader(self, trace_file):
+        path = trace_file
         table = read_traces_jsonl(path)
         built = TraceTable.from_traces(reference_traces(path))
         assert built.trace_ids == table.trace_ids
         assert np.array_equal(built.n_rb, table.n_rb)
-        for a, b in zip(built.layouts, table.layouts):
-            assert (a.segments, a.bin_s) == (b.segments, b.bin_s)
-            assert np.array_equal(a.positions, b.positions)
-            assert np.array_equal(a.counts, b.counts)
+        assert (built.segments, built.bin_s) == (table.segments, table.bin_s)
+        assert np.array_equal(built.counts, table.counts)
 
-    def test_cr_only_line_endings(self, tmp_path, mixed_file):
+    def test_cr_only_line_endings(self, tmp_path, trace_file):
         path = tmp_path / "cr.jsonl"
-        path.write_bytes(mixed_file.read_bytes().replace(b"\n", b"\r"))
+        path.write_bytes(trace_file.read_bytes().replace(b"\n", b"\r"))
         table = read_traces_jsonl(path)
-        ref = reference_traces(mixed_file)
+        ref = reference_traces(trace_file)
         assert len(table) == len(ref)
         for got, want in zip(table, ref):
             assert_same_trace(got, want)
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-    def test_one_pass_input(self, mixed_file):
+    def test_one_pass_input(self, trace_file):
         """A pipe, as `analyze <(zcat traces.jsonl.gz)` passes it, can be
         read only once."""
-        data = mixed_file.read_bytes()
+        data = trace_file.read_bytes()
         read_fd, write_fd = os.pipe()
 
         def feed():
@@ -180,10 +169,28 @@ class TestReader:
         finally:
             os.close(read_fd)
             writer.join(timeout=10)
-        ref = reference_traces(mixed_file)
+        ref = reference_traces(trace_file)
         assert len(table) == len(ref)
         for got, want in zip(table, ref):
             assert_same_trace(got, want)
+
+    def test_from_traces_refuses_a_second_layout(self):
+        """The first trace whose segments or bin_s differ from the first
+        trace's is named."""
+        seg = SegmentMap(detect=(0, 2), off=(2, 3), background=(3, 4))
+        longer = SegmentMap(detect=(0, 3), off=(3, 4), background=(4, 5))
+        counts = np.array([300, 100, 0, 100])
+
+        def trace(name, segments=seg, bin_s=0.02):
+            n = segments.n_bins
+            return FluorescenceTrace(name, 0.0, bin_s, segments, np.resize(counts, n))
+
+        for odd in (trace("odd", segments=longer), trace("odd", bin_s=0.01)):
+            traces = [trace("a"), trace("b"), odd, trace("c", segments=longer)]
+            with pytest.raises(ValueError, match="trace 'odd' has .* trace 'a'"):
+                TraceTable.from_traces(traces)
+            with pytest.raises(ValueError, match="'odd'"):
+                bin_by_nrb(traces, CAL, GridSpec())
 
 
 def assert_same_bins(got, want):
@@ -210,27 +217,38 @@ def assert_lambda_of_histogram(b, members):
         assert b.poisson_lambda == lam
 
 
+# Half-way points, negatives and large values, for the grouping tests.
+N_RB_VALUES = [
+    0.0, 110.0, -110.0, 109.99999999999999, 330.0, 329.99999999999994,
+    -0.0, 1e17, 0.15, 0.45, -0.25, 5e-324, 2200.0, 110.0, -330.0,
+]
+
+
+def value_traces(values):
+    seg = SegmentMap(detect=(0, 2), off=(2, 3), background=(3, 4))
+    return [
+        FluorescenceTrace(f"v{k}", v, 0.02, seg, np.array([300, 100, 0, 100]))
+        for k, v in enumerate(values)
+    ]
+
+
 class TestBinning:
-    def test_table_bins_match_list_bins(self, mixed_file):
-        path = mixed_file
+    def test_table_bins_match_list_bins(self, trace_file):
+        path = trace_file
         table = read_traces_jsonl(path)
         ref = reference_traces(path)
-        got = bin_by_nrb(table, CAL, width=1100.0)
-        assert_same_bins(got, bin_by_nrb(ref, CAL, width=1100.0))
-        # Bins 1100 and 2200 mix all three layouts.
+        got = bin_by_nrb(table, CAL, GRID)
+        assert_same_bins(got, bin_by_nrb(ref, CAL, GRID))
         groups = group_by_bin(ref, width=1100.0)
-        mixed = [
-            {(t.segments, t.bin_s) for t in members} for members in groups.values()
-        ]
-        assert [len(m) for m in mixed] == [1, 3, 3]
+        assert [len(m) for m in groups.values()] == [50, 50, 50]
         for b, members in zip(got.bins, groups.values()):
             assert_lambda_of_histogram(b, members)
 
-    def test_bins_match_trace_by_trace(self, mixed_file):
+    def test_bins_match_trace_by_trace(self, trace_file):
         """Each bin against group_by_bin and a per-trace staircase, with the
         detect time summed trace by trace in file order."""
-        path = mixed_file
-        binned = bin_by_nrb(read_traces_jsonl(path), CAL, width=1100.0)
+        path = trace_file
+        binned = bin_by_nrb(read_traces_jsonl(path), CAL, GRID)
         groups = group_by_bin(reference_traces(path), width=1100.0)
         assert [b.center for b in binned.bins] == list(groups)
         for b, members in zip(binned.bins, groups.values()):
@@ -247,18 +265,29 @@ class TestBinning:
 
     @pytest.mark.parametrize("width, origin", [(220.0, 0.0), (220.0, 110.0), (0.3, -0.1)])
     def test_grouping_matches_group_by_bin(self, width, origin):
-        """Half-way points, negatives and large values land where
-        group_by_bin puts them, in file order within each bin."""
-        values = [
-            0.0, 110.0, -110.0, 109.99999999999999, 330.0, 329.99999999999994,
-            -0.0, 1e17, 0.15, 0.45, -0.25, 5e-324, 2200.0, 110.0, -330.0,
+        """Half-way points, negatives and large values get the grid point
+        group_by_bin gives them, on grids a GridSpec cannot hold too."""
+        traces = value_traces(N_RB_VALUES)
+        points = _grid_points(TraceTable.from_traces(traces), width, origin)
+        groups = group_by_bin(traces, width=width, origin=origin)
+        assert np.unique(points).tolist() == list(groups)
+        for center, members in groups.items():
+            rows = np.flatnonzero(points == center)
+            assert [traces[i] for i in rows] == members
+
+    @pytest.mark.parametrize("grid", [
+        GridSpec(min=0, max=2200, step=220), GridSpec(min=110, max=2310, step=220),
+    ], ids=["origin0", "origin110"])
+    def test_bins_of_the_grid_match_group_by_bin(self, grid):
+        """The values whose grid point is on the grid land in bin_by_nrb's
+        bins as group_by_bin puts them, in file order within each bin."""
+        width, origin = float(grid.step), float(grid.min)
+        on_grid = [
+            v for v in N_RB_VALUES
+            if grid.min <= origin + math.floor((v - origin) / width + 0.5) * width <= grid.max
         ]
-        seg = SegmentMap(detect=(0, 2), off=(2, 3), background=(3, 4))
-        traces = [
-            FluorescenceTrace(f"v{k}", v, 0.02, seg, np.array([300, 100, 0, 100]))
-            for k, v in enumerate(values)
-        ]
-        binned = bin_by_nrb(traces, CAL, width=width, origin=origin)
+        traces = value_traces(on_grid)
+        binned = bin_by_nrb(traces, CAL, grid)
         groups = group_by_bin(traces, width=width, origin=origin)
         assert [b.center for b in binned.bins] == list(groups)
         for b, members in zip(binned.bins, groups.values()):
@@ -272,20 +301,18 @@ class TestBinning:
         assert any(math.isnan(b.poisson_lambda) for b in binned.bins)
 
     def test_detect_time_is_summed_in_file_order(self):
-        """Unequal detect times, whose float sum depends on the order."""
-        traces = []
-        for k in range(100):
-            nd = 1 + k % 3
-            seg = SegmentMap(detect=(0, nd), off=(nd, nd + 1), background=(nd + 1, nd + 2))
-            counts = np.array([300] * nd + [0, 100])
-            traces.append(FluorescenceTrace(f"u{k}", 0.0, 0.01 + 0.000317 * (k % 13), seg, counts))
-        (b,) = bin_by_nrb(traces, CAL).bins
+        """The traces' equal detect times are added one by one, left to
+        right, as a trace-by-trace sum would; n * d rounds differently."""
+        nd, bin_s = 3, 0.010317
+        seg = SegmentMap(detect=(0, nd), off=(nd, nd + 1), background=(nd + 1, nd + 2))
+        counts = np.array([300] * nd + [0, 100])
+        traces = [FluorescenceTrace(f"u{k}", 0.0, bin_s, seg, counts) for k in range(100)]
+        (b,) = bin_by_nrb(traces, CAL, GridSpec()).bins
         detect_time = 0.0
         for t in traces:
             detect_time += (t.segments.detect[1] - t.segments.detect[0]) * t.bin_s
         assert b.detect_time_s == detect_time
-        durations = [(t.segments.detect[1] - t.segments.detect[0]) * t.bin_s for t in traces]
-        assert detect_time != float(np.sum(durations))
+        assert detect_time != len(traces) * (nd * bin_s)
 
     def test_non_finite_n_rb_is_named(self):
         seg = SegmentMap(detect=(0, 2), off=(2, 3), background=(3, 4))
@@ -294,7 +321,27 @@ class TestBinning:
             for name, v in (("ok", 0.0), ("far", math.inf))
         ]
         with pytest.raises(ValueError, match="'far'"):
-            bin_by_nrb(traces, CAL)
+            bin_by_nrb(traces, CAL, GridSpec())
+
+    def test_cells_are_counted_once_per_bin(self, tmp_path, trace_file, monkeypatch):
+        """analyze counts each bin's whole-atom cells once, for the peak
+        rate and the histogram together: one np.bincount per bin in
+        photon, over the bin's 50 traces x 100 detect bins."""
+        calls = []
+        real = np.bincount
+
+        def spy(x, *args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == photon.__name__:
+                calls.append(len(x))
+            return real(x, *args, **kwargs)
+
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid": {"min": 0, "max": 2200, "step": 1100}}))
+        monkeypatch.setattr(np, "bincount", spy)
+        assert main([
+            "analyze", str(trace_file), "--config", str(config), "--out", str(tmp_path / "a"),
+        ]) == 0
+        assert calls == [50 * 100] * 3
 
 
 GOOD = {
@@ -350,17 +397,23 @@ class TestBlockRefusals:
 
     @pytest.mark.parametrize("kind", ["float", "negative", "nested"])
     def test_earliest_line_across_layouts(self, tmp_path, kind):
-        """Two layouts in the same block: the earlier bad line is named,
-        whichever layout holds it."""
-        objs = [dict(OTHER if k % 2 else GOOD, trace_id=f"r{k}") for k in range(100)]
-        objs[80] = dict(GOOD, counts=[-1] * 6)
-        bad = dict(OTHER, counts=BAD_COUNTS[kind][:4] if kind != "nested" else [[1, 2]] * 4)
+        """A bad line and, later in the same block, a line of another
+        layout: the earlier is named, whichever it is."""
+        objs = [dict(GOOD, trace_id=f"r{k}") for k in range(100)]
+        bad = dict(GOOD, counts=BAD_COUNTS[kind])
         objs[77] = bad
+        objs[80] = dict(OTHER, trace_id="other")
         path = write_lines(tmp_path / "bad.jsonl", objs)
         with pytest.raises(TraceFileError) as info:
             read_traces_jsonl(path)
         assert info.value.line_number == 78
         assert str(info.value) == self.reference_message(bad, 78)
+        # The other way round, the layout's line is named.
+        objs[77], objs[80] = objs[80], bad
+        path = write_lines(tmp_path / "bad.jsonl", objs)
+        with pytest.raises(TraceFileError, match="^line 78: .* differ from line 1's") as info:
+            read_traces_jsonl(path)
+        assert info.value.line_number == 78
 
     # The default separators give the form trace_lines writes; the compact
     # ones send every block to the line-by-line path.
@@ -368,7 +421,7 @@ class TestBlockRefusals:
         "separators, line_blocks", [(None, 0), ((",", ":"), 4)], ids=["default", "compact"]
     )
     def test_good_file_past_several_blocks(self, tmp_path, monkeypatch, separators, line_blocks):
-        objs = [dict(GOOD if k % 3 else OTHER, trace_id=f"r{k}") for k in range(200)]
+        objs = [dict(GOOD, trace_id=f"r{k}", n_rb=220.0 * (k % 3)) for k in range(200)]
         objs[150] = dict(GOOD, trace_id="true")
         path = write_lines(tmp_path / "good.jsonl", objs, separators)
         taken = []
@@ -382,7 +435,54 @@ class TestBlockRefusals:
         table = read_traces_jsonl(path)
         assert len(taken) == line_blocks
         assert len(table) == 200
-        # Past the first _FILL_BLOCK rows of both layouts' matrices.
-        assert [len(layout.positions) for layout in table.layouts] == [66, 134]
+        # Past the first _FILL_BLOCK rows of the count matrix, twice grown.
+        assert 200 > traceio._FILL_BLOCK * 3 // 2 * 3 // 2
+        assert table.counts.shape == (200, 6)
         for k, trace in enumerate(table):
             assert_same_trace(trace, trace_from_dict(objs[k]))
+
+    # Each case: the lines before the first trace line, and the line (of
+    # the 120) that holds another layout.
+    @pytest.mark.parametrize("separators", [None, (",", ":")], ids=["default", "compact"])
+    @pytest.mark.parametrize(
+        "blank, odd", [(0, 7), (0, 100), (2, 40)],
+        ids=["same_block", "later_block", "after_blank_lines"],
+    )
+    def test_second_layout_is_refused(self, tmp_path, separators, blank, odd):
+        """A line whose segments or bin_s differ from the first trace
+        line's is refused, naming it and both layouts: in the first block or
+        a later one, in the form trace_lines writes or through the line by
+        line path (compact separators)."""
+        # Lines 7 and 40 are in the first block, 100 in the second.
+        assert 40 < traceio._FILL_BLOCK < 100
+        objs = [dict(GOOD, trace_id=f"g{k}") for k in range(120)]
+        objs[odd - 1] = dict(OTHER)
+        # A later line that differs too, and a later bad one.
+        objs[odd + 2] = dict(OTHER, bin_s=0.5)
+        objs[odd + 4] = dict(GOOD, n_rb="far")
+        path = tmp_path / "two.jsonl"
+        path.write_text("\n" * blank + "".join(
+            json.dumps(obj, separators=separators) + "\n" for obj in objs
+        ))
+        with pytest.raises(TraceFileError) as info:
+            read_traces_jsonl(path)
+        line = blank + odd
+        assert info.value.line_number == line
+        assert str(info.value) == (
+            f"line {line}: SegmentMap(detect=(0, 2), off=(2, 3), background=(3, 4)) "
+            f"and bin_s 0.01 differ from line {blank + 1}'s SegmentMap(detect=(0, 3), "
+            f"off=(3, 4), background=(4, 6)) and bin_s 0.02: a traces file holds "
+            f"one segment map and bin width"
+        )
+
+    @pytest.mark.parametrize("other", [
+        {"bin_s": 0.04},
+        {"segments": {"detect": [0, 4], "off": [4, 5], "background": [5, 6]}},
+    ], ids=["bin_s", "segments"])
+    def test_either_difference_is_refused(self, tmp_path, other):
+        """A bin width alone or a segment map alone differing is refused."""
+        objs = [dict(GOOD, trace_id=f"g{k}") for k in range(10)]
+        objs[5] = dict(GOOD, **other)
+        path = write_lines(tmp_path / "two.jsonl", objs)
+        with pytest.raises(TraceFileError, match="^line 6: .* differ from line 1's"):
+            read_traces_jsonl(path)
