@@ -19,7 +19,6 @@ from .photon import (
     DetectionCalibration,
     FluorescenceTrace,
     TraceTable,
-    cell_sizes,
     peak_lambda,
     summarize_staircases,
 )
@@ -122,13 +121,8 @@ class BetaFit:
 
 def _grid_points(table: TraceTable, width: float, origin: float) -> np.ndarray:
     """The grid point origin + k * width nearest to each trace's n_rb, by the
-    float operations of the trace-by-trace group_by_bin (tests/reference.py)."""
-    bad = np.flatnonzero(~np.isfinite(table.n_rb))
-    if len(bad):
-        i = bad[0]
-        raise ValueError(
-            f"trace {table.trace_ids[i]!r} has a non-finite n_rb {float(table.n_rb[i])!r}"
-        )
+    float operations of the trace-by-trace group_by_bin (tests/reference.py).
+    Every n_rb is finite: TraceTable refuses any other."""
     return origin + np.floor((table.n_rb - origin) / width + 0.5) * width
 
 
@@ -150,12 +144,13 @@ def iter_bins(
 
     traces may be a TraceTable (what read_traces_jsonl returns); any other
     sequence is turned into one first, and so must share one segment map
-    and bin width. Each bin's rows are taken from it as a table of their
+    and bin width; the table has checked its counts and n_rb, and cal its
+    rate_per_atom. Each bin's rows are taken from it as a table of their
     own, which computes the bin's rates, whole-atom numbers and cell sizes
-    once for the staircase and the peak rate; a caller that builds the
-    bin's histogram from the yielded table reuses them. A caller should
-    drop the table before asking for the next bin, so that two bins'
-    tables are never held at once.
+    (TraceTable.cell_sizes) once for the staircase and the peak rate; a
+    caller that builds the bin's histogram from the yielded table reuses
+    them. A caller should drop the table before asking for the next bin,
+    so that two bins' tables are never held at once.
 
     A trace whose nearest point lies outside [grid.min, grid.max] is
     refused, naming the first such trace, before any bin is built.
@@ -185,7 +180,7 @@ def iter_bins(
         detect_time = float(np.cumsum(np.full(len(members), duration))[-1])
         n = len(means)
         se = float(means.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        lam = peak_lambda(cell_sizes(members, cal))
+        lam = peak_lambda(members.cell_sizes(cal.rate_per_atom))
         yield NrbBin(
             center=float(center),
             n_traces=n,

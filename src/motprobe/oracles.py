@@ -46,6 +46,16 @@ class OracleCheck:
     detail: str
 
 
+# The fixed settings of the checks: the overlap check's radius range (cm)
+# and relative tolerance; the |z| at which a transient check fails; the
+# Poisson check's trap (loading rate, per-atom loss rate, 1/s), its window
+# (s) and least passing p-value; the expected count of a chi-square cell.
+_OVERLAP_LO_CM, _OVERLAP_HI_CM, _OVERLAP_REL_TOL = 1e-4, 1e-2, 1e-6
+_TRANSIENT_Z_MAX = 3.0
+_POISSON_LOAD, _POISSON_GAMMA, _POISSON_DETECT_S, _POISSON_P_MIN = 5.0, 2.5, 3.0, 0.01
+_MIN_EXPECTED = 5.0
+
+
 @functools.lru_cache(maxsize=8)
 def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """The nodes and weights of the nodes-point Gauss-Legendre rule on
@@ -65,7 +75,7 @@ def overlap_volume_quadrature(w_a: float, w_b: float, nodes: int = 64) -> float:
     N_a = N_b = 1. Only the spherical symmetry of CloudModel.density is
     used, not the closed form it checks.
     """
-    a, b = (CloudModel.from_atom_number(1.0, w) for w in (w_a, w_b))
+    a, b = (CloudModel(1.0, w) for w in (w_a, w_b))
     w_prod = 1.0 / math.sqrt(1.0 / w_a ** 2 + 1.0 / w_b ** 2)
     half = 0.5 * 7.5 * w_prod
     x, wts = _gauss_legendre(nodes)
@@ -74,16 +84,11 @@ def overlap_volume_quadrature(w_a: float, w_b: float, nodes: int = 64) -> float:
     return 1.0 / float(np.dot(shell, a.density(r) * b.density(r)))
 
 
-def overlap_checks(
-    lo_cm: float = 1e-4,
-    hi_cm: float = 1e-2,
-    n_radii: int = 5,
-    rel_tol: float = 1e-6,
-) -> list[OracleCheck]:
-    """Compare the closed-form pair volume with quadrature on a log grid of
-    radius pairs, plus the four-to-one radius special case against its cubic
-    form."""
-    radii = np.logspace(math.log10(lo_cm), math.log10(hi_cm), n_radii)
+def overlap_checks(n_radii: int = 5) -> list[OracleCheck]:
+    """Compare the closed-form pair volume with quadrature on an n_radii x
+    n_radii log grid of radius pairs from _OVERLAP_LO_CM to _OVERLAP_HI_CM,
+    plus the four-to-one radius special case against its cubic form."""
+    radii = np.logspace(math.log10(_OVERLAP_LO_CM), math.log10(_OVERLAP_HI_CM), n_radii)
     # The quadrature is symmetric in its radii bit for bit (w_prod adds its
     # two terms in either order, the shell weights multiply the product of
     # the two densities), so each unordered pair is integrated once.
@@ -104,10 +109,10 @@ def overlap_checks(
     checks = [
         OracleCheck(
             name="pair_overlap_vs_quadrature",
-            passed=worst < rel_tol,
+            passed=worst < _OVERLAP_REL_TOL,
             detail=(
                 f"worst rel err {worst:.3e} at radii {worst_pair[0]:.3e}/"
-                f"{worst_pair[1]:.3e} cm (tol {rel_tol:g}, {n_radii}x{n_radii} grid)"
+                f"{worst_pair[1]:.3e} cm (tol {_OVERLAP_REL_TOL:g}, {n_radii}x{n_radii} grid)"
             ),
         )
     ]
@@ -193,13 +198,13 @@ def transient_checks(
     n_checkpoints: int = 10,
     *,
     master_seed: int,
-    z_max: float = 3.0,
 ) -> list[OracleCheck]:
     """Fill-up curve of the simulator against the closed-form mean.
 
     param_sets holds (label, n_rb, params) entries; each is checked at
     n_checkpoints times spread over the detection window, all on the same
-    runs seeds (see transient_mean_ensembles).
+    runs seeds (see transient_mean_ensembles), and passes while every
+    |z| stays below _TRANSIENT_Z_MAX.
     """
     _check_runs(runs)
     _check_count("n_checkpoints", n_checkpoints, 1)
@@ -214,54 +219,46 @@ def transient_checks(
         checks.append(
             OracleCheck(
                 name=f"transient_mean[{label}]",
-                passed=bool(z.max() < z_max),
+                passed=bool(z.max() < _TRANSIENT_Z_MAX),
                 detail=(
                     f"worst |z| {z.max():.2f} over {n_checkpoints} checkpoints, "
-                    f"{runs} runs (limit {z_max:g})"
+                    f"{runs} runs (limit {_TRANSIENT_Z_MAX:g})"
                 ),
             )
         )
     return checks
 
 
-def poisson_end_state_check(
-    load: float = 5.0,
-    gamma: float = 2.5,
-    runs: int = 3000,
-    detect_s: float = 3.0,
-    *,
-    master_seed: int,
-    p_min: float = 0.01,
-) -> OracleCheck:
-    """End-of-window occupancy of a pure immigration-death trap against the
-    Poisson law with rate load/gamma, via chi-square with tail pooling."""
+def poisson_end_state_check(runs: int = 3000, *, master_seed: int) -> OracleCheck:
+    """End-of-window occupancy of a pure immigration-death trap (loading
+    _POISSON_LOAD, loss _POISSON_GAMMA per atom, read at _POISSON_DETECT_S)
+    against the Poisson law with rate load/gamma, via chi-square with tail
+    pooling; it passes when p > _POISSON_P_MIN."""
     _check_runs(runs)
     params = PhysicalParams(
-        r0=load, alpha=0.0, gamma=gamma, beta_rbcs=0.0, beta_cscs=0.0,
+        r0=_POISSON_LOAD, alpha=0.0, gamma=_POISSON_GAMMA, beta_rbcs=0.0, beta_cscs=0.0,
         w_cs=1e-4, w_rb=1e-4,
     )
-    schedule = ExperimentSchedule(detect_s=detect_s)
+    schedule = ExperimentSchedule(detect_s=_POISSON_DETECT_S)
     seeds = derive_seeds(master_seed, POISSON_STREAM, count=runs)
     finals = simulate_shots(0.0, params, schedule, seeds).final_levels()
-    lam = load / gamma
+    lam = _POISSON_LOAD / _POISSON_GAMMA
     chi2, dof, p = poisson_chi2(finals, lam)
     return OracleCheck(
         name="stationary_occupancy_poisson",
-        passed=bool(p > p_min),
+        passed=bool(p > _POISSON_P_MIN),
         detail=(
             f"chi2 {chi2:.2f} with {dof} dof, p {p:.3f} against rate {lam:g} "
-            f"({runs} runs, need p > {p_min:g})"
+            f"({runs} runs, need p > {_POISSON_P_MIN:g})"
         ),
     )
 
 
-def poisson_chi2(
-    samples: np.ndarray, lam: float, min_expected: float = 5.0
-) -> tuple[float, int, float]:
+def poisson_chi2(samples: np.ndarray, lam: float) -> tuple[float, int, float]:
     """Chi-square of integer samples against a Poisson law with known rate.
 
     Cells from the top are pooled until every expected count reaches
-    min_expected; the tail above the largest observation is pooled in as
+    _MIN_EXPECTED; the tail above the largest observation is pooled in as
     well. The rate is not estimated from the data, so dof = cells - 1.
     Samples too few to fill two cells raise ValueError: one cell has no
     dof and would pass any law.
@@ -279,14 +276,14 @@ def poisson_chi2(
     for o, e in zip(obs[::-1], exp[::-1]):
         o_acc += o
         e_acc += e
-        if e_acc >= min_expected:
+        if e_acc >= _MIN_EXPECTED:
             o_cells.append(o_acc)
             e_cells.append(e_acc)
             o_acc = e_acc = 0.0
     if len(o_cells) < 2:
         raise ValueError(
             f"{n} samples pool into {len(o_cells)} cell(s) of expected count >= "
-            f"{min_expected:g}; a chi-square test needs at least 2"
+            f"{_MIN_EXPECTED:g}; a chi-square test needs at least 2"
         )
     if e_acc > 0:
         o_cells[-1] += o_acc

@@ -9,16 +9,19 @@ simulate_grid_bin runs one bin of a configured campaign, with all of its
 seeding, and simulate_campaign stacks every bin into one TraceTable.
 Inverse direction: background subtraction, integer staircase estimation
 with a short median filter, and the Poisson rate of the integer-atom peaks
-(peak_lambda of cell_sizes: the rounding cells that hold at least five
-rates, weighted by their size). build_histogram adds the pooled count-rate histogram and
-the peaks themselves, for the files analyze writes.
+(peak_lambda of TraceTable.cell_sizes: the rounding cells that hold at
+least five rates, weighted by their size). build_histogram adds the pooled
+count-rate histogram and the peaks themselves, for the files analyze
+writes.
 The inverse steps run on a TraceTable: trace ids, n_rb, one segment map
 and bin width, and one (traces x bins) count matrix, whose detect rates,
 whole-atom numbers and whole-atom cell sizes are computed once and shared
 by the staircase, the peak rate and the histogram. A table never mixes
 segment maps or bin widths: a bin that pooled two bin widths would fit a
-beta whose bias is an uncontrolled mixture of theirs. In both directions a
-whole bin of traces is processed at once; the one-trace forms
+beta whose bias is an uncontrolled mixture of theirs. Each rule of a
+trace is checked once, by the type that carries it (SegmentMap,
+DetectionCalibration, TraceTable), and the kernels trust them. In both
+directions a whole bin of traces is processed at once; the one-trace forms
 synthesize_counts and estimate_staircase stay because the benchmark tracer
 (bench/tracing.py) wraps them by name.
 """
@@ -64,7 +67,6 @@ __all__ = [
     "simulate_campaign",
     "estimate_staircase",
     "summarize_staircases",
-    "cell_sizes",
     "peak_lambda",
     "build_histogram",
 ]
@@ -86,17 +88,22 @@ class DetectionCalibration:
     bin_s: float = 0.02
 
     def __post_init__(self) -> None:
-        for name in ("rate_per_atom", "background_rate", "dark_rate"):
+        # rate_per_atom divides every rate the staircase quantizes.
+        for name in ("rate_per_atom", "bin_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        for name in ("background_rate", "dark_rate"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
-        if not (math.isfinite(self.bin_s) and self.bin_s > 0):
-            raise ValueError(f"bin_s must be finite and positive, got {self.bin_s!r}")
 
 
 @dataclass(frozen=True)
 class SegmentMap:
-    """Half-open bin-index ranges of the three shot segments."""
+    """Half-open bin-index ranges of the three shot segments, tiling the
+    trace in order; the detect and background segments each hold at least
+    one bin, as background subtraction needs both."""
 
     detect: tuple[int, int]
     off: tuple[int, int]
@@ -112,6 +119,11 @@ class SegmentMap:
             raise ValueError(f"segments must tile the trace in order, got {self!r}")
         if d[1] == d[0]:
             raise ValueError(f"the detect segment must hold at least one bin, got {self!r}")
+        if b[1] == b[0]:
+            raise ValueError(
+                f"empty background segment: background subtraction needs at "
+                f"least one bin, got {self!r}"
+            )
 
     @property
     def n_bins(self) -> int:
@@ -180,6 +192,11 @@ class TraceTable(Sequence):
     rates, their whole-atom numbers and the sizes of the whole-atom cells
     are computed on first use and kept (detect_rates, whole_atoms,
     cell_sizes).
+
+    The constructor refuses what the analysis would misread: counts not a
+    (rows, segments.n_bins) matrix or with a negative entry, no rows, ids
+    or n_rb not one per row, a non-finite n_rb (naming its trace) and a
+    bin_s not finite and positive.
     """
 
     def __init__(
@@ -195,7 +212,31 @@ class TraceTable(Sequence):
         self.n_rb.flags.writeable = False
         self.segments = segments
         self.bin_s = bin_s
-        self.counts = counts
+        self.counts = np.asarray(counts)
+        if self.counts.ndim != 2 or self.counts.shape[1] != segments.n_bins:
+            raise ValueError(
+                f"counts must be a (traces, {segments.n_bins}) matrix for "
+                f"{segments!r}, got shape {self.counts.shape}"
+            )
+        rows = len(self.counts)
+        if rows == 0:
+            raise ValueError("a trace table needs at least one trace")
+        if not len(self.trace_ids) == len(self.n_rb) == rows:
+            raise ValueError(
+                f"{len(self.trace_ids)} trace ids and {len(self.n_rb)} n_rb "
+                f"for {rows} rows of counts"
+            )
+        if (self.counts < 0).any():
+            raise ValueError("counts must be non-negative")
+        bad = np.flatnonzero(~np.isfinite(self.n_rb))
+        if len(bad):
+            i = bad[0]
+            raise ValueError(
+                f"trace {self.trace_ids[i]!r} has a non-finite n_rb {float(self.n_rb[i])!r}"
+            )
+        if not (math.isfinite(bin_s) and bin_s > 0):
+            raise ValueError(f"bin_s must be finite and positive, got {bin_s!r}")
+        # Set once the matrix is accepted: a refused one stays the caller's.
         self.counts.flags.writeable = False
         self._rates: np.ndarray | None = None
         self._atoms: tuple[float, np.ndarray] | None = None
@@ -257,9 +298,7 @@ class TraceTable(Sequence):
         """Background-subtracted detect rates (1/s), one row per trace;
         computed on the first call and kept."""
         if self._rates is None:
-            self._rates = _detect_rates(
-                self.counts, self.segments, self.bin_s, self.trace_ids[0]
-            )
+            self._rates = _detect_rates(self.counts, self.segments, self.bin_s)
         return self._rates
 
     def whole_atoms(self, rate_per_atom: float) -> np.ndarray:
@@ -497,14 +536,10 @@ def simulate_campaign(cfg: "RunConfig") -> TraceTable:
     )
 
 
-def _detect_rates(
-    counts: np.ndarray, seg: SegmentMap, bin_s: float, trace_id: str
-) -> np.ndarray:
+def _detect_rates(counts: np.ndarray, seg: SegmentMap, bin_s: float) -> np.ndarray:
     """Detect-bin rates minus each row's mean background-segment rate (1/s),
     for counts stacked one trace per row."""
     b0, b1 = seg.background
-    if b1 == b0:
-        raise ValueError(f"trace {trace_id!r} has an empty background segment")
     bg_rate = counts[:, b0:b1].mean(axis=1) / bin_s
     d0, d1 = seg.detect
     rates = counts[:, d0:d1] / bin_s
@@ -544,11 +579,7 @@ def estimate_staircase(
     summarize_staircases; this one-trace form stays because the benchmark
     tracer (bench/tracing.py) wraps it by name.
     """
-    if cal.rate_per_atom <= 0:
-        raise ValueError("rate_per_atom must be positive to quantize occupancy")
-    rates = _detect_rates(
-        trace.counts[None, :], trace.segments, trace.bin_s, trace.trace_id
-    )
+    rates = _detect_rates(trace.counts[None, :], trace.segments, trace.bin_s)
     stair = _staircase_rows(_whole_atoms(rates, cal.rate_per_atom))[0]
     steps = np.diff(stair, prepend=0)
     load_events: list[int] = []
@@ -579,8 +610,6 @@ def summarize_staircases(
     the number of up-steps and the number of atoms lost over all traces: the
     same figures estimate_staircase gives trace by trace.
     """
-    if cal.rate_per_atom <= 0:
-        raise ValueError("rate_per_atom must be positive to quantize occupancy")
     stair = _staircase_rows(TraceTable.from_traces(traces).whole_atoms(cal.rate_per_atom))
     steps = np.diff(stair, axis=1, prepend=0)
     return stair.mean(axis=1), int(steps[steps > 0].sum()), -int(steps[steps < 0].sum())
@@ -590,21 +619,9 @@ def summarize_staircases(
 _MIN_PEAK_SAMPLES = 5
 
 
-def cell_sizes(
-    traces: "Sequence[FluorescenceTrace]", cal: DetectionCalibration
-) -> np.ndarray:
-    """How many detect bins of the traces round to each whole atom number,
-    indexed by atom number: the sizes of the histogram's rounding cells,
-    from the whole-atom numbers the staircase uses, counted once per table
-    (TraceTable.cell_sizes)."""
-    if cal.rate_per_atom <= 0:
-        raise ValueError("rate_per_atom must be positive")
-    return TraceTable.from_traces(traces).cell_sizes(cal.rate_per_atom)
-
-
 def peak_lambda(sizes: np.ndarray) -> float | None:
     """The Poisson rate of the integer-atom peaks among rounding cells of
-    these sizes (cell_sizes): atom number k is a peak when at least
+    these sizes (TraceTable.cell_sizes): atom number k is a peak when at least
     _MIN_PEAK_SAMPLES rates round to it, and the rate is the peaks' mean
     atom number weighted by those counts. None when fewer than two peaks
     are found."""
@@ -628,10 +645,6 @@ def build_histogram(
     its weight and their mean and standard deviation as its center and width.
     Its poisson_lambda is peak_lambda of those cell sizes.
     """
-    if not traces:
-        raise ValueError("need at least one trace")
-    if cal.rate_per_atom <= 0:
-        raise ValueError("rate_per_atom must be positive")
     table = TraceTable.from_traces(traces)
     pooled = table.detect_rates().ravel()
     width = cal.rate_per_atom / 20.0

@@ -70,32 +70,25 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class CloudModel:
-    """Spherical Gaussian cloud, n(r) = n0 * exp(-r^2 / w^2).
+    """Spherical Gaussian cloud of n_atoms atoms within 1/e radius w,
+    n(r) = n0 * exp(-r^2 / w^2).
 
-    The peak density n0 is tied to the atom number by the normalization
+    The peak density n0 follows from the atom number by the normalization
     of the Gaussian profile: n0 = N / (pi^{3/2} w^3).
     """
 
-    n0: float
-    w: float
     n_atoms: float
+    w: float
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.w) or self.w <= 0.0:
             raise ValueError(f"cloud radius must be positive, got {self.w!r}")
         if self.n_atoms < 0.0:
             raise ValueError(f"atom number must be non-negative, got {self.n_atoms!r}")
-        expected = peak_density(self.n_atoms, self.w)
-        scale = max(abs(expected), abs(self.n0), 1e-300)
-        if abs(self.n0 - expected) > 1e-12 * scale:
-            raise ValueError(
-                f"inconsistent peak density: n0={self.n0!r}, "
-                f"N/(pi^1.5 w^3)={expected!r}"
-            )
 
-    @classmethod
-    def from_atom_number(cls, n_atoms: float, w: float) -> "CloudModel":
-        return cls(n0=peak_density(n_atoms, w), w=w, n_atoms=n_atoms)
+    @property
+    def n0(self) -> float:
+        return peak_density(self.n_atoms, self.w)
 
     def density(self, r):
         """Density at radius r (scalar or numpy array)."""

@@ -11,7 +11,9 @@ block is read line by line with json, each line's fields checked by
 _trace_fields and its counts by _count_row as soon as the line is parsed,
 so the first bad line is the first refused. A file holds one segment map
 and bin width, that of its first trace line, and the table one count
-matrix.
+matrix. The reader checks each line so that a refusal names it; the
+segment rules are SegmentMap's own, and the TraceTable it returns checks
+its whole matrix once more on construction.
 """
 
 from __future__ import annotations
@@ -164,7 +166,9 @@ def _trace_fields(
     bounds; the bounds are checked to be ints before the lookup, so a float
     or boolean bound never matches an int one. n_rb and bin_s must be JSON
     numbers and trace_id a string; nothing is coerced. Raises ValueError or
-    TypeError for a malformed field.
+    TypeError for a malformed field; the rules of the segments themselves
+    (tiling, a detect and a background bin) are SegmentMap's, whose
+    ValueError the reader wraps with the line number like any other.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"a trace must be a JSON object, got {type(obj).__name__}")
@@ -191,13 +195,7 @@ def _trace_fields(
     key = tuple(bounds)
     segments = segment_maps.get(key)
     if segments is None:
-        segments = SegmentMap(*bounds)
-        # SegmentMap allows it, but background subtraction needs one bin.
-        if segments.background[1] == segments.background[0]:
-            raise ValueError(
-                f"the background segment must hold at least one bin, got {segments!r}"
-            )
-        segment_maps[key] = segments
+        segments = segment_maps[key] = SegmentMap(*bounds)
     for key in ("n_rb", "bin_s"):
         if type(obj[key]) not in (int, float):
             raise ValueError(f"{key} must be a number, got {obj[key]!r}")

@@ -166,8 +166,8 @@ def overlap_volume_cube(w_a: float, w_b: float, nodes: int = 64) -> float:
     applied to the product of two unit-atom Gaussian clouds and inverted:
     the integral of n_a n_b equals 1/V for N_a = N_b = 1.
     """
-    a = CloudModel.from_atom_number(1.0, w_a)
-    b = CloudModel.from_atom_number(1.0, w_b)
+    a = CloudModel(1.0, w_a)
+    b = CloudModel(1.0, w_b)
     w_prod = 1.0 / math.sqrt(1.0 / w_a ** 2 + 1.0 / w_b ** 2)
     half = 7.5 * w_prod
     x, wts = _gauss_legendre(nodes)

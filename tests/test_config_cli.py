@@ -821,6 +821,22 @@ class TestFiniteValues:
         with pytest.raises(ValueError, match=name):
             DetectionCalibration(**{name: value})
 
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1e4])
+    def test_calibration_refuses_rate_per_atom_not_positive(self, value):
+        """rate_per_atom divides every rate the staircase rounds."""
+        with pytest.raises(ValueError, match="rate_per_atom must be finite and positive"):
+            DetectionCalibration(rate_per_atom=value)
+
+    def test_simulate_refuses_zero_rate_per_atom(self, tmp_path, capsys):
+        """A calibration analyze could not use is refused before simulate
+        writes anything."""
+        cfg = write_config(tmp_path, {**SMALL_CONFIG, "calibration": {"rate_per_atom_per_s": 0}})
+        out = tmp_path / "run" / "traces.jsonl"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "calibration" in err and "rate_per_atom" in err
+        assert not out.parent.exists()
+
 
 GOOD_TRACE = {
     "trace_id": "good", "n_rb": 220.0, "bin_s": 0.02,

@@ -205,14 +205,10 @@ class TestBackgroundSubtraction:
         )
 
     def test_requires_background_bins(self):
-        trace = make_trace(np.full(150, 100), np.zeros(25), np.full(10, 100))
-        lone = FluorescenceTrace(
-            trace_id="x", n_rb=0.0, bin_s=0.02,
-            segments=SegmentMap(detect=(0, 150), off=(150, 175), background=(175, 175)),
-            counts=trace.counts[:175],
-        )
-        with pytest.raises(ValueError):
-            detect_rates(lone)
+        """Background subtraction needs a bin of background: the segment
+        map itself refuses an empty one."""
+        with pytest.raises(ValueError, match="empty background"):
+            SegmentMap(detect=(0, 150), off=(150, 175), background=(175, 175))
 
 
 class TestStaircase:

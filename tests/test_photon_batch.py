@@ -212,23 +212,25 @@ class TestStaircaseKernel:
             )
 
     def test_errors_name_the_first_failing_trace(self):
-        """With one layout per table, an empty background segment is every
-        trace's; the error names the first."""
-        lone, other = (
+        """The table the kernels build refuses a non-finite n_rb, naming the
+        first such trace. An empty background segment and a zero
+        rate_per_atom never reach a kernel: their constructors refuse them."""
+        good, lone, other = (
             FluorescenceTrace(
-                trace_id=name, n_rb=0.0, bin_s=0.02,
-                segments=SegmentMap(detect=(0, 4), off=(4, 6), background=(6, 6)),
-                counts=np.zeros(6, dtype=int),
+                trace_id=name, n_rb=n_rb, bin_s=0.02,
+                segments=SegmentMap(detect=(0, 4), off=(4, 6), background=(6, 8)),
+                counts=np.zeros(8, dtype=int),
             )
-            for name in ("lone", "other")
+            for name, n_rb in (("good", 0.0), ("lone", math.nan), ("other", math.inf))
         )
-        with pytest.raises(ValueError, match="'lone' has an empty background"):
-            summarize_staircases([lone, other], CAL)
-        with pytest.raises(ValueError, match="'lone' has an empty background"):
-            build_histogram([lone, other], CAL)
-        dark = DetectionCalibration(rate_per_atom=0.0)
+        with pytest.raises(ValueError, match="'lone' has a non-finite n_rb nan"):
+            summarize_staircases([good, lone, other], CAL)
+        with pytest.raises(ValueError, match="'lone' has a non-finite n_rb nan"):
+            build_histogram([good, lone, other], CAL)
+        with pytest.raises(ValueError, match="empty background"):
+            SegmentMap(detect=(0, 4), off=(4, 6), background=(6, 6))
         with pytest.raises(ValueError, match="rate_per_atom"):
-            summarize_staircases([lone], dark)
+            DetectionCalibration(rate_per_atom=0.0)
 
 
 def steady_trace(levels, trace_id):

@@ -237,14 +237,10 @@ class TestPeakDensity:
 
 class TestCloudModel:
     def test_from_atom_number_consistent(self):
-        c = CloudModel.from_atom_number(3300.0, 26.4 * UM)
+        c = CloudModel(3300.0, 26.4 * UM)
         assert c.n0 == pytest.approx(PEAK_DENSITY_3300, rel=1e-10)
         assert c.density(0.0) == pytest.approx(c.n0, rel=1e-12)
         assert c.density(c.w) == pytest.approx(c.n0 / math.e, rel=1e-12)
-
-    def test_rejects_inconsistent_peak(self):
-        with pytest.raises(ValueError):
-            CloudModel(n0=1.0, w=26.4 * UM, n_atoms=3300.0)
 
 
 class TestParamValidation:

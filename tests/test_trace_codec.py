@@ -29,7 +29,6 @@ from reference import trace_from_dict
 
 INT64_MAX = np.iinfo(np.int64).max
 SEG = SegmentMap(detect=(0, 3), off=(3, 4), background=(4, 6))
-ONE = SegmentMap(detect=(0, 1), off=(1, 1), background=(1, 1))
 
 
 def reference_lines(trace_ids, n_rb, bin_s, segments, counts):
@@ -76,9 +75,11 @@ class TestWriter:
 
     @pytest.mark.parametrize("value", EDGES)
     def test_one_column(self, value):
+        # No SegmentMap has one bin (detect and background hold one each),
+        # but the matrix may.
         counts = np.array([[value], [7], [value]], dtype=np.int64)
-        got = trace_lines(["a", "b", "c"], -0.0, 0.05, ONE, counts)
-        assert got == reference_lines(["a", "b", "c"], -0.0, 0.05, ONE, counts)
+        got = trace_lines(["a", "b", "c"], -0.0, 0.05, SEG, counts)
+        assert got == reference_lines(["a", "b", "c"], -0.0, 0.05, SEG, counts)
 
     def test_zero_rows_and_zero_columns(self):
         assert trace_lines([], 0.0, 0.02, SEG, np.zeros((0, 6), dtype=np.int64)) == ""

@@ -21,7 +21,7 @@ import pytest
 
 from motprobe import photon, traceio
 from motprobe.cli import main
-from motprobe.config import GridSpec
+from motprobe.config import GridSpec, RunConfig
 from motprobe.gillespie import ExperimentSchedule, derive_seed, simulate_trajectory
 from motprobe.inference import _grid_points, bin_by_nrb
 from motprobe.photon import (
@@ -486,3 +486,64 @@ class TestBlockRefusals:
         path = write_lines(tmp_path / "two.jsonl", objs)
         with pytest.raises(TraceFileError, match="^line 6: .* differ from line 1's"):
             read_traces_jsonl(path)
+
+
+class TestTableRefusals:
+    """TraceTable checks its own columns on construction, so a table the
+    analysis would read wrongly never reaches a kernel."""
+
+    SEG = SegmentMap(detect=(0, 2), off=(2, 3), background=(3, 4))
+
+    def table(self, ids=("a", "b"), n_rb=(0.0, 220.0), bin_s=0.02, counts=None):
+        if counts is None:
+            counts = np.array([[300, 100, 0, 100], [200, 100, 0, 100]])
+        return TraceTable(list(ids), n_rb, self.SEG, bin_s, counts)
+
+    def test_campaign_with_its_background_cut_off(self):
+        """A campaign's table with the background columns sliced away no
+        longer fits its segment map, and is refused rather than binned into
+        empty means."""
+        cfg = RunConfig.from_dict({
+            "grid": {"min": 0, "max": 440, "step": 220}, "traces_per_bin": 2,
+        })
+        t = photon.simulate_campaign(cfg)
+        cut = t.counts[:, :t.segments.background[0]]
+        with pytest.raises(ValueError, match=r"\(traces, 185\) matrix .* shape \(6, 175\)"):
+            TraceTable(t.trace_ids, t.n_rb, t.segments, t.bin_s, cut)
+
+    @pytest.mark.parametrize("counts", [
+        np.zeros((2, 3), dtype=int),
+        np.zeros((2, 5), dtype=int),
+        np.zeros(4, dtype=int),
+        np.zeros((2, 4, 1), dtype=int),
+    ], ids=["narrower", "wider", "1-D", "3-D"])
+    def test_counts_must_fit_the_segment_map(self, counts):
+        with pytest.raises(ValueError, match=r"must be a \(traces, 4\) matrix"):
+            self.table(counts=counts)
+
+    def test_zero_rows(self):
+        with pytest.raises(ValueError, match="at least one trace"):
+            self.table(ids=(), n_rb=(), counts=np.zeros((0, 4), dtype=int))
+
+    @pytest.mark.parametrize("ids, n_rb", [
+        (("a",), (0.0, 220.0)),
+        (("a", "b", "c"), (0.0, 220.0)),
+        (("a", "b"), (0.0,)),
+    ])
+    def test_ids_and_n_rb_one_per_row(self, ids, n_rb):
+        with pytest.raises(ValueError, match="for 2 rows of counts"):
+            self.table(ids=ids, n_rb=n_rb)
+
+    def test_negative_count(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            self.table(counts=np.array([[300, 100, 0, 100], [200, -1, 0, 100]]))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_n_rb_names_its_trace(self, value):
+        with pytest.raises(ValueError, match=f"trace 'b' has a non-finite n_rb {value!r}"):
+            self.table(n_rb=(0.0, value))
+
+    @pytest.mark.parametrize("bin_s", [0.0, -0.02, math.nan, math.inf])
+    def test_bin_s_finite_and_positive(self, bin_s):
+        with pytest.raises(ValueError, match="bin_s must be finite and positive"):
+            self.table(bin_s=bin_s)
