@@ -8,8 +8,8 @@ Four subcommands cover the whole workflow:
   oracle    self-checks of the simulator against closed-form results
 
 The handlers parse arguments, format and write files: the work is done by
-the same library calls a script makes in process (simulate_grid_bin per
-bin, iter_bins or bin_by_nrb, fit_campaign).
+the same library calls a script makes in process (simulate_grid_bins per
+worker's run of bins, iter_bins or bin_by_nrb, fit_campaign).
 
 Exit codes: 0 success, 1 runtime or data error, 2 usage error.
 """
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -38,7 +39,7 @@ from .inference import (
     fit_campaign,
     iter_bins,
 )
-from .photon import build_histogram, simulate_grid_bin
+from .photon import SimulatedBin, build_histogram, simulate_grid_bins
 from .physics import steady_state_mean
 from .oracles import overlap_checks, poisson_end_state_check, transient_checks
 from .traceio import (
@@ -55,16 +56,9 @@ from .traceio import (
 __all__ = ["main"]
 
 
-def _simulate_bin_job(bi, cfg: RunConfig, dump):
-    """One companion-number bin (simulate_grid_bin): its JSON lines of
-    traces, and of trajectories when dump is set (else None), in trace
-    order.
-
-    Top-level so process pools can pickle it; the bin's seeding is all in
-    simulate_grid_bin, making the output identical for any worker count or
-    evaluation order.
-    """
-    b = simulate_grid_bin(cfg, bi)
+def _bin_lines(b: SimulatedBin, cfg: RunConfig, dump: bool) -> tuple[str, str | None]:
+    """The JSON lines of one simulated bin: its traces, and its trajectories
+    when dump is set (else None), in trace order."""
     trace_text = trace_lines(b.trace_ids, b.n_rb, cfg.calibration.bin_s, b.segments, b.counts)
     traj_text = None
     if dump:
@@ -72,6 +66,16 @@ def _simulate_bin_job(bi, cfg: RunConfig, dump):
             json.dumps(record) + "\n" for record in trajectory_records(b.trace_ids, b.events)
         )
     return trace_text, traj_text
+
+
+def _simulate_run_job(bins: range, cfg: RunConfig, dump: bool) -> list[tuple[str, str | None]]:
+    """_bin_lines of each bin of one worker's run of bins, in bin order.
+
+    Top-level so process pools can pickle it; every bin's seeding is in
+    simulate_grid_bins, making the output identical for any worker count
+    and any split of the grid into runs.
+    """
+    return [_bin_lines(b, cfg, dump) for b in simulate_grid_bins(cfg, bins)]
 
 
 @contextmanager
@@ -102,22 +106,23 @@ def cmd_simulate(args) -> int:
     if args.traces is not None:
         cfg.traces_per_bin = int(args.traces)
 
-    jobs = range(len(cfg.grid.values()))
-    # A pool starts all its processes up front, and a job is one bin.
+    n_bins = len(cfg.grid.values())
+    # A pool starts all its processes up front, and each takes one run of bins.
     cpus = os.cpu_count() or 1
-    workers = min(args.workers, cpus, len(jobs))
+    workers = min(args.workers, cpus, n_bins)
     if workers < args.workers:
         print(
             f"note: --workers {args.workers} reduced to {workers} "
-            f"({cpus} CPUs, {len(jobs)} bins)",
+            f"({cpus} CPUs, {n_bins} bins)",
             file=sys.stderr,
         )
+    # Each worker's bins are one contiguous run, stepped in one event loop.
+    runs = [range(k * n_bins // workers, (k + 1) * n_bins // workers) for k in range(workers)]
 
     out_path = Path(args.out) if args.out else Path(cfg.out_dir) / "traces.jsonl"
     out_path.parent.mkdir(parents=True, exist_ok=True)
     traj_path = out_path.with_name("trajectories.jsonl") if args.dump_trajectories else None
 
-    worker = functools.partial(_simulate_bin_job, cfg=cfg, dump=args.dump_trajectories)
     t0 = time.perf_counter()
     with ExitStack() as stack:
         traj_fh = None
@@ -129,19 +134,24 @@ def cmd_simulate(args) -> int:
             from concurrent.futures import ProcessPoolExecutor
 
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            results = pool.map(worker, jobs)
+            job = functools.partial(_simulate_run_job, cfg=cfg, dump=args.dump_trajectories)
+            results = itertools.chain.from_iterable(pool.map(job, runs))
         else:
-            results = map(worker, jobs)
+            # One run of the whole grid, each bin written as it comes.
+            results = (
+                _bin_lines(b, cfg, args.dump_trajectories)
+                for b in simulate_grid_bins(cfg, runs[0])
+            )
         for trace_text, traj_text in results:
             fh.write(trace_text)
             if traj_fh:
                 traj_fh.write(traj_text)
-    n = len(jobs) * cfg.traces_per_bin
+    n = n_bins * cfg.traces_per_bin
     elapsed = time.perf_counter() - t0
 
     if not args.quiet:
         print(
-            f"wrote {n} traces across {len(jobs)} companion-number bins "
+            f"wrote {n} traces across {n_bins} companion-number bins "
             f"to {out_path} in {elapsed:.1f} s"
         )
         if traj_path:

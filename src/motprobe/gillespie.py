@@ -6,26 +6,29 @@ to its component rate, so trajectories sample the master equation exactly,
 with no time discretization. Detection binning happens later, in the photon
 layer.
 
-There is one event loop, simulate_lanes. It runs a set of shots in one or
-more lanes, each lane one (companion number, parameters) pair, with shot i
-of every lane on the same seeded generator, under one draw contract: a shot
-draws rng.standard_exponential(32), then rng.random(32), and event j of
-that block takes wait j and uniform j; a shot that uses up its block draws
-the next pair from its own generator, and the step that leaves the window
-uses only its wait. So each shot is a function of its seed and its lane
-alone, and a generator draws each block once for all lanes. simulate_shots
-is its one-lane call. The shots of a chunk advance together in all lanes,
-one event per numpy step, reading their states' rates from per-atom-number
-tables held as arrays, and each lane's events go into typed buffers that
-become one flat EventTable: float64 time, int64 level (the atom number
-after the event) and int8 kind, with offsets marking where each shot's
-events start. Everything else reads that table: simulate_bin returns one
-per bin, the photon layer reads time and level per shot, and the oracles
-read the atom number at their checkpoints for all shots at once, their
-transient parameter sets as the lanes of one call. A Trajectory, the
-list-of-events form of one shot, is built only when asked for. The exact
-one-shot, one-event replay of this contract (next_event and
-replay_next_event) is in tests/reference.py.
+There is one event loop, simulate_groups. It runs seed groups: a group is
+one array of seeds and the lanes that share it, each lane one (companion
+number, parameters) pair, with shot i of every lane of the group on the same
+seeded generator, under one draw contract: a shot draws
+rng.standard_exponential(32), then rng.random(32), and event j of that block
+takes wait j and uniform j; a shot that uses up its block draws the next
+pair from its own generator, and the step that leaves the window uses only
+its wait. So each shot is a function of its seed and its lane alone, and a
+generator draws each block once for all lanes of its group. The groups'
+shots fill chunks of 256 across group boundaries, and the shots of a chunk
+advance together in all their lanes, one event per numpy step, reading
+their states' rates from per-atom-number tables held as arrays; each lane's
+events go into typed buffers that become one flat EventTable: float64 time,
+int64 level (the atom number after the event) and int8 kind, with offsets
+marking where each shot's events start. The other entry points are
+one-group calls: simulate_lanes (one group), simulate_shots (one lane) and
+simulate_bin (one bin); simulate_bins runs a run of companion-number bins
+as one group each. Everything else reads the tables: the photon layer reads
+time and level per shot, and the oracles read the atom number at their
+checkpoints for all shots at once, their transient parameter sets as the
+lanes of one group. A Trajectory, the list-of-events form of one shot, is
+built only when asked for. The exact one-shot, one-event replay of this
+contract (next_event and replay_next_event) is in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -53,9 +56,11 @@ __all__ = [
     "derive_seed",
     "derive_seeds",
     "seeded_generators",
+    "simulate_groups",
     "simulate_lanes",
     "simulate_shots",
     "simulate_trajectory",
+    "simulate_bins",
     "simulate_bin",
     "TRAJECTORY_STREAM",
     "PHOTON_STREAM",
@@ -409,9 +414,9 @@ def seeded_generators(seeds: "np.ndarray | list[int]") -> Iterator[np.random.Gen
 
 
 # Each shot draws its waiting times and uniforms from its own generator in
-# blocks of this many events; see simulate_lanes.
+# blocks of this many events; see simulate_groups.
 _BLOCK = 32
-# Shots stepped together by simulate_lanes. Any value gives the same output:
+# Shots stepped together by simulate_groups. Any value gives the same output:
 # each shot's draws come from its own generator alone.
 _CHUNK = 256
 # Change of the atom number for each EventTable.kind code.
@@ -474,18 +479,48 @@ def _rate_table(n_rb: float, params: PhysicalParams) -> _RateTable:
     return _RateTable(n_rb, params)
 
 
-def simulate_lanes(
-    lanes: "Sequence[tuple[float, PhysicalParams]]",
+class _LaneEvents:
+    """One lane of a seed group: the rate table it steps on and its events
+    so far, in typed buffers that grow chunk by chunk and become the
+    columns of its EventTable."""
+
+    def __init__(self, rates: _RateTable):
+        self.rates = rates
+        self.time, self.level, self.kind = array("d"), array("q"), array("b")
+        self.offsets = array("q", [0])
+
+    def extend(self, time: np.ndarray, level: np.ndarray, kind: np.ndarray, count: np.ndarray):
+        """Append the events of consecutive shots, count[i] of them for the
+        i-th, in shot order."""
+        for column, values in ((self.time, time), (self.level, level), (self.kind, kind)):
+            column.frombytes(values.tobytes())
+        self.offsets.frombytes((np.cumsum(count) + self.offsets[-1]).tobytes())
+
+    def table(self, n_rb: float, seeds: np.ndarray, t_end: float) -> EventTable:
+        shots = len(seeds)
+        return EventTable(
+            time=np.frombuffer(self.time, dtype=np.float64),
+            level=np.frombuffer(self.level, dtype=np.int64),
+            kind=np.frombuffer(self.kind, dtype=np.int8),
+            offsets=np.frombuffer(self.offsets, dtype=np.int64),
+            n_rb=np.full(shots, n_rb, dtype=float),
+            seed=seeds,
+            t_end=np.full(shots, t_end, dtype=float),
+        )
+
+
+def simulate_groups(
+    groups: "Sequence[tuple[Sequence[tuple[float, PhysicalParams]], np.ndarray | list[int]]]",
     schedule: ExperimentSchedule,
-    seeds: "np.ndarray | list[int]",
     *,
     rngs: "Iterable[np.random.Generator] | None" = None,
-) -> list[EventTable]:
-    """Simulate one shot per seed in every lane, from an empty trap over the
-    detection window; return one table per lane.
+) -> list[list[EventTable]]:
+    """Simulate seed groups in one event loop, from an empty trap over the
+    detection window; return one table per lane of each group.
 
-    Lane l is one (n_rb, params) pair, and shot i of every lane runs on the
-    same generator, np.random.default_rng(seeds[i]), drawn from in blocks:
+    A group is (lanes, seeds): lane l is one (n_rb, params) pair, and shot
+    i of every lane of the group runs on the same generator,
+    np.random.default_rng(seeds[i]), drawn from in blocks:
     rng.standard_exponential(_BLOCK), then rng.random(_BLOCK). Event j of a
     block takes wait j and uniform j; a shot that has used up its block
     draws the next pair of blocks. In state n the clock advances by
@@ -496,50 +531,68 @@ def simulate_lanes(
     contract one shot and one event at a time, and the tests hold every
     shot of every lane to it bit for bit.
 
-    The shots run in chunks of _CHUNK, and the shots of a chunk take one
-    event per numpy step together in all lanes, reading their states' rates
-    from the lanes' shared rate tables; a shot's k-th event happens at step
-    k, which places it in the output. A generator is built once per chunk
-    and draws each block once for all lanes, so lane l's table equals the
-    one-lane call at lane l's (n_rb, params). Each shot is a function of its
-    seed alone, so neither the chunk size nor the other lanes change it.
+    The groups' shots, in group order, run in chunks of _CHUNK that fill
+    across group boundaries, and the shots of a chunk take one event per
+    numpy step together in all their groups' lanes, reading their states'
+    rates from the lanes' shared rate tables (see _step_chunk). A generator
+    is built once and draws each block once for all lanes of its group. Each
+    shot is a function of its seed and lane alone, so neither the chunk
+    size nor the other lanes and groups change it: a group's tables equal
+    its own simulate_lanes call, and each lane's the one-lane simulate_shots.
     Events go into typed buffers, which become the columns of the returned
     tables: no Python object is kept per event.
 
-    rngs, when given, must yield np.random.default_rng(seed) for each seed,
-    fresh; by default seeded_generators builds them.
+    rngs, when given, must yield np.random.default_rng(seed) for each seed
+    of every group in order, fresh; by default seeded_generators builds them.
     """
-    lanes = list(lanes)
-    seeds = np.array(seeds, dtype=np.uint64)
+    groups = [(list(lanes), np.array(seeds, dtype=np.uint64)) for lanes, seeds in groups]
+    seeds = np.concatenate([np.empty(0, dtype=np.uint64), *(s for _, s in groups)])
     rngs = iter(seeded_generators(seeds) if rngs is None else rngs)
-    tables = [_rate_table(n_rb, params) for n_rb, params in lanes]
     t_end = schedule.detect_s
-    columns = [(array("d"), array("q"), array("b")) for _ in lanes]
-    offsets = [array("q", [0]) for _ in lanes]
+    events = [
+        [_LaneEvents(_rate_table(n_rb, params)) for n_rb, params in lanes] for lanes, _ in groups
+    ]
+    g = done = 0  # the next shot to step is shot done of group g
     for start in range(0, len(seeds), _CHUNK):
         size = min(_CHUNK, len(seeds) - start)
         gens = list(itertools.islice(rngs, size))
         if len(gens) < size:
             raise ValueError(f"rngs yields fewer generators than the {len(seeds)} seeds")
-        if tables:
-            counts = _step_chunk(tables, t_end, gens, columns)
-            for lane_offsets, lane_counts in zip(offsets, counts):
-                lane_offsets.frombytes((np.cumsum(lane_counts) + lane_offsets[-1]).tobytes())
+        # The chunk's runs of shots of one group; a group with no lanes
+        # builds its generators and steps nothing.
+        parts, stepped = [], []
+        at = 0
+        while at < size:
+            shots = min(len(groups[g][1]) - done, size - at)
+            if shots and events[g]:
+                parts.append((shots, events[g]))
+                stepped += gens[at:at + shots]
+            at += shots
+            done += shots
+            if done == len(groups[g][1]):
+                g, done = g + 1, 0
+        if parts:
+            _step_chunk(parts, t_end, stepped)
     if next(rngs, None) is not None:
         raise ValueError(f"rngs yields more generators than the {len(seeds)} seeds")
-    shots = len(seeds)
     return [
-        EventTable(
-            time=np.frombuffer(times, dtype=np.float64),
-            level=np.frombuffer(levels, dtype=np.int64),
-            kind=np.frombuffer(kinds, dtype=np.int8),
-            offsets=np.frombuffer(lane_offsets, dtype=np.int64),
-            n_rb=np.full(shots, n_rb, dtype=float),
-            seed=seeds,
-            t_end=np.full(shots, t_end, dtype=float),
-        )
-        for (n_rb, _), (times, levels, kinds), lane_offsets in zip(lanes, columns, offsets)
+        [lane.table(n_rb, group_seeds, t_end) for (n_rb, _), lane in zip(lanes, group_events)]
+        for (lanes, group_seeds), group_events in zip(groups, events)
     ]
+
+
+def simulate_lanes(
+    lanes: "Sequence[tuple[float, PhysicalParams]]",
+    schedule: ExperimentSchedule,
+    seeds: "np.ndarray | list[int]",
+    *,
+    rngs: "Iterable[np.random.Generator] | None" = None,
+) -> list[EventTable]:
+    """Simulate one shot per seed in every lane, all lanes on the same
+    seeds: the one-group simulate_groups, whose docstring gives the draw
+    contract. Returns one table per lane."""
+    (tables,) = simulate_groups([(lanes, seeds)], schedule, rngs=rngs)
+    return tables
 
 
 def simulate_shots(
@@ -551,7 +604,7 @@ def simulate_shots(
     rngs: "Iterable[np.random.Generator] | None" = None,
 ) -> EventTable:
     """Simulate one shot per seed at one (n_rb, params): the one-lane
-    simulate_lanes, whose docstring gives the draw contract."""
+    simulate_lanes; simulate_groups gives the draw contract."""
     (table,) = simulate_lanes([(n_rb, params)], schedule, seeds, rngs=rngs)
     return table
 
@@ -567,40 +620,68 @@ def _lane_columns(tables: "list[_RateTable]", top: int) -> tuple[int, np.ndarray
 
 
 def _step_chunk(
-    tables: "list[_RateTable]",
+    parts: "list[tuple[int, list[_LaneEvents]]]",
     t_end: float,
     gens: "list[np.random.Generator]",
-    columns: "list[tuple[array, array, array]]",
-) -> np.ndarray:
-    """Step the shots of gens together in every lane until each has left
-    the window; append lane l's events, shot by shot, to its time, level and
-    kind columns, columns[l], and return the event counts, one row per lane.
+) -> None:
+    """Step the shots of gens together in every lane of their groups until
+    each has left the window, and append each lane's events, shot by shot,
+    to its _LaneEvents.
 
-    Lane l runs shot i on the rates of tables[l] and the draws of gens[i].
-    At each block boundary a generator draws its next block once, if its
-    shot is inside the window in any lane. A lane whose shot has already
-    left reads those draws too, harmlessly: waits are >= 0, so its clock
-    only grows. So each lane steps exactly as it would alone.
+    parts splits gens into runs, in order: (shots, lanes) says that the next
+    shots generators belong to one seed group, and lanes are its
+    _LaneEvents, each of which runs all of them on its rate table. At each
+    block boundary a generator draws its next block once, if its shot is
+    inside the window in any lane of its group. A lane whose shot has
+    already left reads those draws too, harmlessly: waits are >= 0, so its
+    clock only grows. So each lane steps exactly as it would alone.
 
-    Every array of a step holds one entry per (lane, shot), lane-major, so
-    numpy sees the same few sizes throughout; with one lane they are the
-    arrays of a one-lane loop. A shot that has left the window stays in
-    them: its clock only grows, on stale draws, and its atom number is
-    held. The lanes' rates are held as flat columns at the tables' full
-    common width, and each (lane, shot) reads them at one row,
+    Every array of a step holds one entry per (lane, shot). Entry i, for i
+    below len(gens), is shot i in its group's first lane, whose rows of
+    draws its generator fills; the other lanes of each group follow,
+    lane-major, and copy those rows. So with one group the layout is
+    lane-major, and with one lane it is that of a one-lane loop. A shot
+    that has left the window stays in them: its clock only grows, on stale draws, and its atom
+    number is held. The lanes' rates are held as flat columns at the
+    tables' full common width, and each entry reads them at one row,
     n * lanes + lane, which is all a step updates. Only each step's clocks
     and kinds are kept: a shot's events are its steps with the clock inside
     the window, and its levels are the running sums of its kinds' steps.
     """
-    lanes, shots = len(tables), len(gens)
-    # Blocks are drawn into lane 0's rows and copied to the other lanes'.
-    draws = np.empty((2, lanes, shots, _BLOCK))
-    waits, uniforms = draws[:, 0]
-    lane_waits, lane_uniforms = draws.reshape(2, lanes * shots, _BLOCK)
-    t = np.zeros(lanes * shots)
-    # row is n * lanes + lane, from n = 0; a change of n moves it lanes-fold.
-    row = np.repeat(np.arange(lanes, dtype=np.int64), shots)
-    row_step = _STEP * lanes
+    shots = len(gens)
+    tables = [lane.rates for _, lanes in parts for lane in lanes]
+    lanes_total = len(tables)
+    entries = sum(size * len(lanes) for size, lanes in parts)
+    draws = np.empty((2, entries, _BLOCK))
+    waits, uniforms = draws[:, :shots]
+    lane_waits, lane_uniforms = draws
+    # row is n * lanes_total + lane, from n = 0; a change of n moves it
+    # lanes_total-fold.
+    row = np.empty(entries, dtype=np.int64)
+    spans = []  # (entries, events) of every lane
+    # (entries of the first lane, entries of the others, shots) of each
+    # group with more than one lane.
+    wide = []
+    first = lane = 0
+    extra = shots
+    for size, lanes in parts:
+        head = slice(first, first + size)
+        row[head] = lane
+        spans.append((head, lanes[0]))
+        more = len(lanes) - 1
+        if more:
+            rest = slice(extra, extra + more * size)
+            row[rest] = np.repeat(np.arange(lane + 1, lane + 1 + more), size)
+            spans += [
+                (slice(extra + k * size, extra + (k + 1) * size), lane_events)
+                for k, lane_events in enumerate(lanes[1:])
+            ]
+            wide.append((head, rest, size))
+            extra += more * size
+        first += size
+        lane += len(lanes)
+    row_step = _STEP * lanes_total
+    t = np.zeros(entries)
     live = range(shots)
     width = 0
     top = 0  # bounds every atom number from above
@@ -611,10 +692,11 @@ def _step_chunk(
             for i in live:
                 gens[i].standard_exponential(out=waits[i])
                 gens[i].random(out=uniforms[i])
-            draws[:, 1:] = draws[:, :1]
+            for head, rest, size in wide:
+                draws[:, rest].reshape(2, -1, size, _BLOCK)[...] = draws[:, None, head]
         if top >= width:
             # Tighten the bound; grow the columns only if it still reaches them.
-            top = int(row.max()) // lanes
+            top = int(row.max()) // lanes_total
             if top >= width:
                 width, (scale, total, c_load, c_bg, c_rbcs) = _lane_columns(tables, top)
         t = t + scale[row] * lane_waits[:, j]
@@ -630,24 +712,24 @@ def _step_chunk(
         clocks.append(t)
         kinds.append(kind)
         if j == _BLOCK - 1:
-            live = np.flatnonzero(inside.reshape(lanes, shots).any(axis=0)).tolist()
+            alive = inside[:shots].copy()
+            for head, rest, size in wide:
+                alive[head] |= inside[rest].reshape(-1, size).any(axis=0)
+            live = np.flatnonzero(alive).tolist()
         top += 1
     steps = len(clocks)
-    clocks = np.array(clocks).reshape(steps, lanes, shots)
-    kinds = np.array(kinds, dtype=np.int8).reshape(steps, lanes, shots)
-    counts = np.empty((lanes, shots), dtype=np.int64)
-    for lane, lane_columns in enumerate(columns):
+    clocks = np.array(clocks).reshape(steps, entries)
+    kinds = np.array(kinds, dtype=np.int8).reshape(steps, entries)
+    for span, lane_events in spans:
         # Transposed, a lane's (step x shot) records are shot-major: row i
         # holds shot i's steps in order, and its clock only grows.
-        time = clocks[:, lane].T
+        time = clocks[:, span].T
         taken = time <= t_end
-        kind = kinds[:, lane].T[taken]
-        count = counts[lane] = np.count_nonzero(taken, axis=1)
+        kind = kinds[:, span].T[taken]
+        count = np.count_nonzero(taken, axis=1)
         level = np.cumsum(_STEP[kind])
         level -= np.repeat(np.concatenate(([0], level))[np.cumsum(count) - count], count)
-        for column, values in zip(lane_columns, (time[taken], level, kind)):
-            column.frombytes(values.tobytes())
-    return counts
+        lane_events.extend(time[taken], level, kind, count)
 
 
 def simulate_trajectory(
@@ -670,6 +752,27 @@ def simulate_trajectory(
     return simulate_shots(n_rb, params, schedule, [int(seed)], rngs=[rng])[0]
 
 
+def simulate_bins(
+    bins: "Sequence[tuple[float, int]]",
+    params: PhysicalParams,
+    schedule: ExperimentSchedule,
+    master_seed: int,
+    traces: int,
+) -> list[EventTable]:
+    """Simulate the traces of a run of companion-number bins in one event
+    loop; return one table per bin, in trace order.
+
+    bins holds (n_rb, bin_index) pairs, one seed group each: trace ti of
+    bin bin_index uses the seed derive_seed(master_seed, TRAJECTORY_STREAM,
+    bin_index, ti), so a bin's table is the same in any run.
+    """
+    groups = [
+        ([(n_rb, params)], derive_seeds(master_seed, TRAJECTORY_STREAM, bin_index, count=traces))
+        for n_rb, bin_index in bins
+    ]
+    return [table for (table,) in simulate_groups(groups, schedule)]
+
+
 def simulate_bin(
     n_rb: float,
     params: PhysicalParams,
@@ -678,10 +781,7 @@ def simulate_bin(
     bin_index: int,
     traces: int,
 ) -> EventTable:
-    """Simulate the traces of one companion-number bin, in trace order.
-
-    Trace ti uses the seed derive_seed(master_seed, TRAJECTORY_STREAM,
-    bin_index, ti). Seeds are derived for the whole bin at once.
-    """
-    seeds = derive_seeds(master_seed, TRAJECTORY_STREAM, bin_index, count=traces)
-    return simulate_shots(n_rb, params, schedule, seeds)
+    """Simulate the traces of one companion-number bin, in trace order: the
+    one-bin simulate_bins."""
+    (table,) = simulate_bins([(n_rb, bin_index)], params, schedule, master_seed, traces)
+    return table

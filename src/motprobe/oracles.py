@@ -151,8 +151,13 @@ def transient_mean_ensembles(
     random numbers), so they run as the lanes of one simulate_lanes call per
     block of _RUN_BLOCK seeds, and each set's result equals its own
     transient_mean_ensemble bit for bit.
+
+    runs must be an integer >= 2, and checkpoints a non-empty list of
+    finite times >= 0 whose largest, the end of the simulated window, is
+    positive; anything else is refused.
     """
-    checkpoints = np.asarray(checkpoints, dtype=float)
+    _check_runs(runs)
+    checkpoints = _check_checkpoints(checkpoints)
     schedule = ExperimentSchedule(detect_s=float(checkpoints.max()))
     seeds = derive_seeds(master_seed, TRANSIENT_STREAM, count=runs)
     # Atom numbers fit int32 by far (each is at most its shot's event
@@ -192,6 +197,23 @@ def _check_runs(runs: int) -> None:
     _check_count("runs", runs, 2)
 
 
+def _check_checkpoints(checkpoints: "np.ndarray | list[float]") -> np.ndarray:
+    """checkpoints as a float array, refused unless it holds at least one
+    time, every time is finite and >= 0, and the largest, the end of the
+    simulated window, is > 0."""
+    times = np.asarray(checkpoints, dtype=float)
+    if times.ndim != 1 or len(times) == 0:
+        raise ValueError(f"checkpoints must be a non-empty list of times, got {checkpoints!r}")
+    if not (np.isfinite(times).all() and (times >= 0.0).all()):
+        raise ValueError(f"checkpoints must be finite and >= 0, got {times.tolist()!r}")
+    if not times.max() > 0.0:
+        raise ValueError(
+            f"checkpoints must include a time > 0, the end of the simulated window, "
+            f"got {times.tolist()!r}"
+        )
+    return times
+
+
 def transient_checks(
     param_sets: "list[tuple[str, float, PhysicalParams]]",
     runs: int = 10000,
@@ -206,7 +228,6 @@ def transient_checks(
     runs seeds (see transient_mean_ensembles), and passes while every
     |z| stays below _TRANSIENT_Z_MAX.
     """
-    _check_runs(runs)
     _check_count("n_checkpoints", n_checkpoints, 1)
     checkpoints = np.linspace(0.3, 3.0, n_checkpoints)
     ensembles = transient_mean_ensembles(

@@ -5,8 +5,9 @@ fixed time bins, including the light-off and background segments of each
 shot. A bin of shots is synthesized at once from its EventTable (the event
 times and levels of all shots in flat columns): one occupancy matrix, one
 matrix of Poisson means and one draw per shot on its own generator.
-simulate_grid_bin runs one bin of a configured campaign, with all of its
-seeding, and simulate_campaign stacks every bin into one TraceTable.
+simulate_grid_bins runs a run of bins of a configured campaign, with all of
+their seeding: their shots in one event loop, then each bin's counts as it
+is asked for. simulate_campaign stacks every bin into one TraceTable.
 Inverse direction: background subtraction, integer staircase estimation
 with a short median filter, and the Poisson rate of the integer-atom peaks
 (peak_lambda of TraceTable.cell_sizes: the rounding cells that hold at
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -43,7 +44,7 @@ from .gillespie import (
     Trajectory,
     derive_seeds,
     seeded_generators,
-    simulate_bin,
+    simulate_bins,
 )
 
 if TYPE_CHECKING:
@@ -63,6 +64,7 @@ __all__ = [
     "count_means",
     "synthesize_bin",
     "synthesize_counts",
+    "simulate_grid_bins",
     "simulate_grid_bin",
     "simulate_campaign",
     "estimate_staircase",
@@ -483,7 +485,7 @@ def synthesize_counts(
 
 @dataclass(frozen=True)
 class SimulatedBin:
-    """One bin of a campaign grid, as simulate_grid_bin returns it: the
+    """One bin of a campaign grid, as simulate_grid_bins yields it: the
     trace ids, their companion number and segments, their event table and
     their photon counts, one row per trace in trace order."""
 
@@ -494,40 +496,53 @@ class SimulatedBin:
     counts: np.ndarray
 
 
-def simulate_grid_bin(cfg: "RunConfig", bin_index: int) -> SimulatedBin:
-    """Bin bin_index of cfg's grid: cfg.traces_per_bin shots at its
-    companion number, and their photon counts.
+def simulate_grid_bins(cfg: "RunConfig", bin_indices: "Sequence[int]") -> Iterator[SimulatedBin]:
+    """Bins bin_indices of cfg's grid, in that order: cfg.traces_per_bin
+    shots at each bin's companion number, and their photon counts.
 
-    Trace ti is named b{bin_index:02d}t{ti:04d}. Its trajectory is seeded
-    by derive_seed(master_seed, TRAJECTORY_STREAM, bin_index, ti) (see
-    simulate_bin) and its counts by derive_seed(master_seed, PHOTON_STREAM,
-    bin_index, ti). A campaign is seeded here and nowhere else, so a bin is
-    the same whichever process computes it, in whatever order.
+    Trace ti of bin bi is named b{bi:02d}t{ti:04d}. Its trajectory is
+    seeded by derive_seed(master_seed, TRAJECTORY_STREAM, bi, ti) and its
+    counts by derive_seed(master_seed, PHOTON_STREAM, bi, ti). A campaign
+    is seeded here and nowhere else, so a bin is the same whichever process
+    computes it, in whatever run of bins. The run's shots are simulated in
+    one event loop (simulate_bins); each bin's counts are then drawn when
+    it is asked for, and its event table is let go once it is yielded.
     """
     values = cfg.grid.values()
-    if not 0 <= bin_index < len(values):
-        raise ValueError(f"bin_index must be in [0, {len(values)}), got {bin_index!r}")
-    n_rb = float(values[bin_index])
+    bin_indices = list(bin_indices)
+    for bi in bin_indices:
+        if not 0 <= bi < len(values):
+            raise ValueError(f"bin_index must be in [0, {len(values)}), got {bi!r}")
     traces = cfg.traces_per_bin
     cal = cfg.calibration
     seg = segment_map_for(cfg.schedule, cal.bin_s)
-    events = simulate_bin(n_rb, cfg.physics, cfg.schedule, cfg.master_seed, bin_index, traces)
-    seeds = derive_seeds(cfg.master_seed, PHOTON_STREAM, bin_index, count=traces)
-    counts = synthesize_bin(events, cal, seg, seeded_generators(seeds))
-    trace_ids = [f"b{bin_index:02d}t{ti:04d}" for ti in range(traces)]
-    return SimulatedBin(n_rb, trace_ids, seg, events, counts)
+    bins = [(float(values[bi]), bi) for bi in bin_indices]
+    tables = simulate_bins(bins, cfg.physics, cfg.schedule, cfg.master_seed, traces)
+    # Taken from the end, so the list lets go of each table as it is yielded.
+    tables.reverse()
+    for n_rb, bi in bins:
+        events = tables.pop()
+        seeds = derive_seeds(cfg.master_seed, PHOTON_STREAM, bi, count=traces)
+        counts = synthesize_bin(events, cal, seg, seeded_generators(seeds))
+        trace_ids = [f"b{bi:02d}t{ti:04d}" for ti in range(traces)]
+        yield SimulatedBin(n_rb, trace_ids, seg, events, counts)
+
+
+def simulate_grid_bin(cfg: "RunConfig", bin_index: int) -> SimulatedBin:
+    """Bin bin_index of cfg's grid: the one-bin simulate_grid_bins."""
+    (b,) = simulate_grid_bins(cfg, [bin_index])
+    return b
 
 
 def simulate_campaign(cfg: "RunConfig") -> TraceTable:
     """Every bin of cfg's grid in one TraceTable: the trace ids, n_rb and
     counts of the file simulate writes for cfg, in its order, with no text
-    in between. Each bin's event table is dropped once its counts are
-    drawn."""
+    in between. The bins are one run of simulate_grid_bins, and each bin's
+    event table is dropped once its counts are drawn."""
     trace_ids: list[str] = []
     n_rb: list[float] = []
     counts = []
-    for bi in range(len(cfg.grid.values())):
-        b = simulate_grid_bin(cfg, bi)
+    for b in simulate_grid_bins(cfg, range(len(cfg.grid.values()))):
         trace_ids += b.trace_ids
         n_rb += [b.n_rb] * len(b.trace_ids)
         counts.append(b.counts)

@@ -5,7 +5,7 @@ does not call them; the tests hold the kernels to them with equality:
 
 - next_event, one Gillespie step on a shot's BlockDraws, and
   replay_next_event, one shot stepped with it from an empty trap: the
-  reference of every lane of gillespie.simulate_lanes;
+  reference of every lane of gillespie.simulate_groups;
 - group_by_bin, trace-by-trace grid assignment: the reference of the grid
   points bin_by_nrb groups on;
 - trace_from_dict, the per-line trace loader: the reference of
@@ -41,7 +41,7 @@ from motprobe.traceio import TraceFileError, _count_row, _trace_fields
 
 
 class BlockDraws:
-    """The draws of one shot under the block contract of simulate_lanes.
+    """The draws of one shot under the block contract of simulate_groups.
 
     On the shot's generator: rng.standard_exponential(_BLOCK), then
     rng.random(_BLOCK); event j of a block takes wait j and uniform j, and a

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from motprobe import cli
+from motprobe import cli, gillespie
 from motprobe.cli import main
 from motprobe.config import ConfigError, GridSpec, RunConfig, load_config
 from motprobe.gillespie import ExperimentSchedule
@@ -752,6 +752,65 @@ class TestWorkerCap:
         assert pool_sizes == [expected]
 
 
+class TestWorkerRuns:
+    """Each worker takes one contiguous run of bins and steps its shots in
+    one event loop, so chunks span bins; the files are still those of one
+    worker, byte for byte."""
+
+    TRACES = 40
+
+    @pytest.mark.parametrize("payload", [
+        {"physics": {"r0_per_s": 10.0, "beta_cscs_cm3_per_s": 2e-9}},
+        {"calibration": {"dark_rate_per_s": 2.0e3}},
+    ], ids=["pair_loss", "dark_rate"])
+    def test_two_workers_write_the_one_worker_bytes(self, tmp_path, monkeypatch, payload):
+        # Two runs of 8 of the 16 default bins meet between bins 7 and 8;
+        # each run is 320 shots, so its first chunk ends inside its 7th bin.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert 8 * self.TRACES > gillespie._CHUNK and gillespie._CHUNK % self.TRACES
+        cfg = write_config(tmp_path, payload)
+        files = []
+        for workers in (1, 2):
+            out = tmp_path / f"workers{workers}" / "traces.jsonl"
+            assert main([
+                "simulate", "--config", str(cfg), "--out", str(out), "--quiet",
+                "--traces", str(self.TRACES), "--workers", str(workers),
+                "--dump-trajectories",
+            ]) == 0
+            files.append((out.read_bytes(), out.with_name("trajectories.jsonl").read_bytes()))
+        assert files[0] == files[1]
+
+    def test_runs_split_the_grid_in_order(self, tmp_path, monkeypatch):
+        runs = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                jobs = list(jobs)
+                runs.extend(jobs)
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        cfg = write_config(tmp_path, {"traces_per_bin": 2})
+        pooled, alone = tmp_path / "pooled.jsonl", tmp_path / "alone.jsonl"
+        for out, workers in ((pooled, "3"), (alone, "1")):
+            assert main([
+                "simulate", "--config", str(cfg), "--out", str(out), "--quiet",
+                "--workers", workers,
+            ]) == 0
+        assert runs == [range(0, 5), range(5, 10), range(10, 16)]
+        assert pooled.read_bytes() == alone.read_bytes()
+
+
 POOL_GUARD = """
 import sys
 
@@ -967,7 +1026,7 @@ class TestAtomicSimulateOutput:
     only when every bin succeeded."""
 
     def _fail_in_bin(self, monkeypatch, bin_index, exc):
-        real = cli.simulate_grid_bin
+        real = cli._bin_lines
         calls = []
 
         def failing(*args, **kwargs):
@@ -976,7 +1035,7 @@ class TestAtomicSimulateOutput:
                 raise exc
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "simulate_grid_bin", failing)
+        monkeypatch.setattr(cli, "_bin_lines", failing)
 
     def _simulate(self, tmp_path, out):
         cfg = write_config(tmp_path, SMALL_CONFIG)

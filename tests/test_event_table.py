@@ -1,14 +1,15 @@
 """Exactness of the flat event table against per-shot references.
 
-simulate_lanes steps the shots of a set together, in one or more lanes of
-(n_rb, params), and writes each lane's events into one EventTable;
-simulate_shots is its one-lane call. The oracles read atom numbers at their
-checkpoints from it with vectorized counts, and the trajectory dump formats
-from it. The
-references here are the per-shot forms: next_event stepped one event at a
-time on a shot's own block draws (replay_next_event in reference.py), which
-sums each state's rates from physics.rates itself, and bisect_right on a
-shot's event times. Every comparison asks for equality.
+simulate_groups steps seed groups together, each one array of seeds shared
+by one or more lanes of (n_rb, params), in chunks that fill across groups,
+and writes each lane's events into one EventTable; simulate_lanes is its
+one-group call and simulate_shots its one-lane call. The oracles read atom
+numbers at their checkpoints from it with vectorized counts, and the
+trajectory dump formats from it. The references here are the per-shot
+forms: next_event stepped one event at a time on a shot's own block draws
+(replay_next_event in reference.py), which sums each state's rates from
+physics.rates itself, and bisect_right on a shot's event times. Every
+comparison asks for equality.
 """
 
 import bisect
@@ -28,6 +29,8 @@ from motprobe.gillespie import (
     derive_seeds,
     TRANSIENT_STREAM,
     simulate_bin,
+    simulate_bins,
+    simulate_groups,
     simulate_lanes,
     simulate_shots,
     simulate_trajectory,
@@ -326,6 +329,141 @@ class TestLanes:
             assert len(table.time) == len(table.level) == len(table.kind) == 0
         assert simulate_lanes([], SCHEDULE, derive_seeds(86, 0, count=5)) == []
         assert simulate_lanes([], SCHEDULE, []) == []
+
+
+class TestSeedGroups:
+    """simulate_groups fills each chunk across group boundaries; every lane
+    of every group is still the one-lane simulate_shots on the group's
+    seeds, and so its seeds' replay, in every column."""
+
+    def groups(self, master, specs):
+        """One group per (lanes, shots) of specs, each on its own seeds."""
+        return [
+            (lanes, derive_seeds(master, TRAJECTORY_STREAM, gi, count=shots))
+            for gi, (lanes, shots) in enumerate(specs)
+        ]
+
+    def assert_groups_exact(self, groups, tables, replay=True):
+        assert len(tables) == len(groups)
+        blocks = []
+        for (lanes, seeds), group_tables in zip(groups, tables, strict=True):
+            assert len(group_tables) == len(lanes)
+            group_blocks = []
+            for (n_rb, params), table in zip(lanes, group_tables, strict=True):
+                assert same_columns(table, simulate_shots(n_rb, params, SCHEDULE, seeds))
+                if replay:
+                    group_blocks.append(assert_equals_replay(table, n_rb, params))
+            blocks.append(group_blocks)
+        return blocks
+
+    def test_chunk_boundary_inside_a_group(self):
+        chunk = gillespie._CHUNK
+        specs = [([(0.0, PAIR_LOSS)], chunk - 40), ([(1100.0, DEFAULTS)], 90)]
+        groups = self.groups(101, specs)
+        # The second group's shots straddle the first chunk's end.
+        assert specs[0][1] < chunk < specs[0][1] + specs[1][1]
+        self.assert_groups_exact(groups, simulate_groups(groups, SCHEDULE))
+
+    def test_groups_smaller_than_a_chunk(self):
+        """Seven bins of 100 shots: the chunks end inside the third and the
+        sixth, and each chunk holds parts of three bins."""
+        grid = [0.0, 550.0, 1100.0, 1650.0, 2200.0, 2750.0, 3300.0]
+        groups = self.groups(102, [([(n_rb, PAIR_LOSS)], 100) for n_rb in grid])
+        tables = simulate_groups(groups, SCHEDULE)
+        self.assert_groups_exact(groups, tables, replay=False)
+        # simulate_bins seeds bin bi as these groups are seeded.
+        bins = simulate_bins(list(zip(grid, range(7))), PAIR_LOSS, SCHEDULE, 102, 100)
+        for bi, (n_rb, table) in enumerate(zip(grid, bins, strict=True)):
+            assert same_columns(table, tables[bi][0])
+            assert same_columns(table, simulate_bin(n_rb, PAIR_LOSS, SCHEDULE, 102, bi, 100))
+
+    def test_shared_group_beside_one_lane_groups(self):
+        """A three-lane group between one-lane groups in the same chunk:
+        its generators draw once for its three lanes, and the one-lane
+        groups beside it are not touched by its copies."""
+        specs = [
+            ([(2200.0, DEFAULTS)], 50),
+            ([(1100.0, DEFAULTS), (0.0, PAIR_LOSS), (0.0, ABSORBING)], 60),
+            ([(0.0, PAIR_LOSS)], 40),
+        ]
+        groups = self.groups(103, specs)
+        tables = simulate_groups(groups, SCHEDULE)
+        self.assert_groups_exact(groups, tables)
+        (lanes, seeds) = groups[1]
+        assert all(
+            same_columns(a, b)
+            for a, b in zip(tables[1], simulate_lanes(lanes, SCHEDULE, seeds), strict=True)
+        )
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunk_size_changes_nothing(self, monkeypatch, chunk):
+        specs = [
+            ([(1100.0, DEFAULTS), (0.0, PAIR_LOSS)], 30),
+            ([(0.0, PAIR_LOSS)], 25),
+            ([(2200.0, DEFAULTS), (2200.0, DEFAULTS)], 20),
+        ]
+        groups = self.groups(104, specs)
+        whole = simulate_groups(groups, SCHEDULE)
+        monkeypatch.setattr(gillespie, "_CHUNK", chunk)
+        chunked = simulate_groups(groups, SCHEDULE)
+        for a_group, b_group in zip(chunked, whole, strict=True):
+            assert all(same_columns(a, b) for a, b in zip(a_group, b_group, strict=True))
+
+    def test_explicit_generators_across_groups(self):
+        specs = [([(0.0, PAIR_LOSS)], 200), ([(1100.0, DEFAULTS), (0.0, PAIR_LOSS)], 100)]
+        groups = self.groups(105, specs)
+        every_seed = np.concatenate([seeds for _, seeds in groups]).tolist()
+        given = simulate_groups(
+            groups, SCHEDULE, rngs=(np.random.default_rng(s) for s in every_seed)
+        )
+        self.assert_groups_exact(groups, given, replay=False)
+        with pytest.raises(ValueError, match="fewer"):
+            simulate_groups(
+                groups, SCHEDULE, rngs=[np.random.default_rng(s) for s in every_seed[:-1]]
+            )
+        with pytest.raises(ValueError, match="more"):
+            simulate_groups(
+                groups, SCHEDULE, rngs=[np.random.default_rng(s) for s in every_seed + [1]]
+            )
+
+    def test_empty_groups_and_zero_lanes(self):
+        """A group with no seeds gives empty tables; one with no lanes gives
+        no table, and its generators are built but never drawn from."""
+        specs = [
+            ([(1100.0, DEFAULTS)], 0),
+            ([], 30),
+            ([(0.0, PAIR_LOSS), (1100.0, DEFAULTS)], 20),
+            ([(0.0, PAIR_LOSS)], 0),
+            ([], 0),
+        ]
+        groups = self.groups(106, specs)
+        every_seed = np.concatenate([seeds for _, seeds in groups]).tolist()
+        gens = [CountingGenerator(seed) for seed in every_seed]
+        tables = simulate_groups(groups, SCHEDULE, rngs=gens)
+        assert [len(t) for t in tables] == [1, 0, 2, 1, 0]
+        for table in (tables[0][0], tables[3][0]):
+            assert len(table) == 0 and table.offsets.tolist() == [0]
+        self.assert_groups_exact(groups, tables)
+        assert [gen.blocks for gen in gens[:30]] == [0] * 30
+        assert simulate_groups([], SCHEDULE) == []
+        assert simulate_groups([([], [])], SCHEDULE) == [[]]
+
+    def test_each_generator_draws_what_its_group_needs(self):
+        """Across groups in one chunk, a generator draws exactly the blocks
+        of the most demanding lane of its own group."""
+        specs = [
+            ([(1100.0, DEFAULTS)], 40),
+            ([(1100.0, DEFAULTS), (0.0, PAIR_LOSS)], 40),
+            ([(0.0, PAIR_LOSS)], 40),
+            ([(0.0, ABSORBING), (2200.0, DEFAULTS)], 40),
+        ]
+        groups = self.groups(107, specs)
+        every_seed = np.concatenate([seeds for _, seeds in groups]).tolist()
+        gens = [CountingGenerator(seed) for seed in every_seed]
+        blocks = self.assert_groups_exact(groups, simulate_groups(groups, SCHEDULE, rngs=gens))
+        want = [max(needs) for group_blocks in blocks for needs in zip(*group_blocks)]
+        assert [gen.blocks for gen in gens] == want
+        assert set(blocks[0][0]) == {1} and max(blocks[2][0]) >= 2
 
 
 class TestShotsWithoutEvents:

@@ -25,6 +25,7 @@ from motprobe.oracles import (
     poisson_end_state_check,
     transient_checks,
     transient_mean_ensemble,
+    transient_mean_ensembles,
 )
 from motprobe.physics import PhysicalParams, rates, transient_mean
 from reference import BlockDraws, next_event, replay_next_event
@@ -274,6 +275,32 @@ class TestAgainstClosedForms:
             transient_checks([("x", 0.0, DEFAULTS)], runs=runs, master_seed=777)
         with pytest.raises(ValueError, match="runs"):
             poisson_end_state_check(runs=runs, master_seed=4242)
+
+    @pytest.mark.parametrize("runs", [0, 1])
+    def test_ensembles_refuse_fewer_than_two_runs(self, runs):
+        # Zero or one run gives a NaN mean or se, not a number to test.
+        with pytest.raises(ValueError, match="runs must be an integer >= 2"):
+            transient_mean_ensemble(0.0, DEFAULTS, [1.0, 3.0], runs, 777)
+        with pytest.raises(ValueError, match="runs must be an integer >= 2"):
+            transient_mean_ensembles([(0.0, DEFAULTS)], [1.0, 3.0], runs, 777)
+
+    @pytest.mark.parametrize("checkpoints, message", [
+        ([], "checkpoints must be a non-empty list"),
+        ([0.0], "checkpoints must include a time > 0"),
+        ([-1.0, 1.0], "checkpoints must be finite and >= 0"),
+        ([1.0, math.nan], "checkpoints must be finite and >= 0"),
+        ([1.0, math.inf], "checkpoints must be finite and >= 0"),
+    ], ids=["empty", "only-zero", "negative", "nan", "inf"])
+    def test_ensembles_refuse_bad_checkpoints(self, checkpoints, message):
+        # transient_mean refuses t < 0, and a window must end after 0.
+        with pytest.raises(ValueError, match=message):
+            transient_mean_ensemble(0.0, DEFAULTS, checkpoints, 20, 777)
+        with pytest.raises(ValueError, match=message):
+            transient_mean_ensembles([(0.0, DEFAULTS)], checkpoints, 20, 777)
+
+    def test_ensembles_take_a_checkpoint_at_zero(self):
+        mean, se = transient_mean_ensemble(0.0, DEFAULTS, [0.0, 3.0], 20, 777)
+        assert mean[0] == se[0] == 0.0
 
     @pytest.mark.parametrize("n_checkpoints", [0, -2, 2.5, np.float64(3.0), "3"])
     def test_transient_checks_refuse_bad_checkpoint_counts(self, n_checkpoints):

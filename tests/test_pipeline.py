@@ -8,7 +8,10 @@ that hashes to the pinned report.json of the golden analysis.
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -132,3 +135,20 @@ def test_readme_in_process_block_runs_as_written(default_campaign):
     namespace = {}
     exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["fit"].report == default_campaign.report
+
+
+def test_default_campaign_script_writes_a_report(tmp_path):
+    """scripts/run_default_campaign.py, as the README runs it, end to end."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    out = tmp_path / "campaign"
+    run = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_default_campaign.py"), str(out),
+         "--traces", "2"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    report = json.loads((out / "fit" / "report.json").read_text())
+    assert report["n_bins"] == 16
+    assert "campaign finished" in run.stdout
