@@ -6,29 +6,30 @@ to its component rate, so trajectories sample the master equation exactly,
 with no time discretization. Detection binning happens later, in the photon
 layer.
 
-There is one event loop, simulate_groups. It runs seed groups: a group is
-one array of seeds and the lanes that share it, each lane one (companion
-number, parameters) pair, with shot i of every lane of the group on the same
-seeded generator, under one draw contract: a shot draws
-rng.standard_exponential(32), then rng.random(32), and event j of that block
-takes wait j and uniform j; a shot that uses up its block draws the next
-pair from its own generator, and the step that leaves the window uses only
-its wait. So each shot is a function of its seed and its lane alone, and a
-generator draws each block once for all lanes of its group. The groups'
-shots fill chunks of 256 across group boundaries, and the shots of a chunk
-advance together in all their lanes, one event per numpy step, reading
-their states' rates from per-atom-number tables held as arrays; each lane's
-events go into typed buffers that become one flat EventTable: float64 time,
-int64 level (the atom number after the event) and int8 kind, with offsets
-marking where each shot's events start. The other entry points are
-one-group calls: simulate_lanes (one group), simulate_shots (one lane) and
-simulate_bin (one bin); simulate_bins runs a run of companion-number bins
-as one group each. Everything else reads the tables: the photon layer reads
-time and level per shot, and the oracles read the atom number at their
-checkpoints for all shots at once, their transient parameter sets as the
-lanes of one group. A Trajectory, the list-of-events form of one shot, is
-built only when asked for. The exact one-shot, one-event replay of this
-contract (next_event and replay_next_event) is in tests/reference.py.
+There is one event loop and one public simulator, simulate_groups. It runs
+seed groups: a group is one array of seeds and the lanes that share it, each
+lane one (companion number, parameters) pair, with shot i of every lane of
+the group on the same seeded generator, under one draw contract: a shot
+draws rng.standard_exponential(32), then rng.random(32), and event j of that
+block takes wait j and uniform j; a shot that uses up its block draws the
+next pair from its own generator, and the step that leaves the window uses
+only its wait. So each shot is a function of its seed and its lane alone,
+and a generator draws each block once for all lanes of its group. The
+groups' shots fill chunks of 256 across group boundaries, and the shots of
+a chunk advance together in all their lanes, one event per numpy step,
+reading their states' rates from per-atom-number tables held as arrays;
+each lane's events go into typed buffers that become one flat EventTable:
+float64 time, int64 level (the atom number after the event) and int8 kind,
+with offsets marking where each shot's events start. This module knows
+nothing of campaigns or bins: the seeds are its callers'. A campaign steps
+its run of bins as one group each (photon.simulate_grid_bins, which derives
+every seed of a campaign), the oracles their transient parameter sets as
+the lanes of one group per block of runs and their Poisson check as one
+one-lane group. The photon layer reads time and level per shot, and the
+oracles read the atom number at their checkpoints for all shots at once. A
+Trajectory, the list-of-events form of one shot, is built only when asked
+for. The exact one-shot, one-event replay of this contract (next_event and
+replay_next_event) is in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -57,19 +58,17 @@ __all__ = [
     "derive_seeds",
     "seeded_generators",
     "simulate_groups",
-    "simulate_lanes",
-    "simulate_shots",
     "simulate_trajectory",
-    "simulate_bins",
-    "simulate_bin",
     "TRAJECTORY_STREAM",
     "PHOTON_STREAM",
     "TRANSIENT_STREAM",
     "POISSON_STREAM",
 ]
 
-# Stream tags for the per-trace seed derivation, see derive_seed(). The
-# oracles' runs take their own: run i of every transient set is seeded from
+# Stream tags for the per-trace seed derivation, see derive_seed(). Trace ti
+# of campaign bin bi is seeded from (TRAJECTORY_STREAM, bi, ti) and
+# (PHOTON_STREAM, bi, ti), by photon.simulate_grid_bins alone. The oracles'
+# runs take their own: run i of every transient set is seeded from
 # (TRANSIENT_STREAM, i), of the Poisson check from (POISSON_STREAM, i).
 TRAJECTORY_STREAM = 0
 PHOTON_STREAM = 1
@@ -538,7 +537,7 @@ def simulate_groups(
     is built once and draws each block once for all lanes of its group. Each
     shot is a function of its seed and lane alone, so neither the chunk
     size nor the other lanes and groups change it: a group's tables equal
-    its own simulate_lanes call, and each lane's the one-lane simulate_shots.
+    those of its own one-group call, and each lane's its own one-lane group.
     Events go into typed buffers, which become the columns of the returned
     tables: no Python object is kept per event.
 
@@ -579,34 +578,6 @@ def simulate_groups(
         [lane.table(n_rb, group_seeds, t_end) for (n_rb, _), lane in zip(lanes, group_events)]
         for (lanes, group_seeds), group_events in zip(groups, events)
     ]
-
-
-def simulate_lanes(
-    lanes: "Sequence[tuple[float, PhysicalParams]]",
-    schedule: ExperimentSchedule,
-    seeds: "np.ndarray | list[int]",
-    *,
-    rngs: "Iterable[np.random.Generator] | None" = None,
-) -> list[EventTable]:
-    """Simulate one shot per seed in every lane, all lanes on the same
-    seeds: the one-group simulate_groups, whose docstring gives the draw
-    contract. Returns one table per lane."""
-    (tables,) = simulate_groups([(lanes, seeds)], schedule, rngs=rngs)
-    return tables
-
-
-def simulate_shots(
-    n_rb: float,
-    params: PhysicalParams,
-    schedule: ExperimentSchedule,
-    seeds: "np.ndarray | list[int]",
-    *,
-    rngs: "Iterable[np.random.Generator] | None" = None,
-) -> EventTable:
-    """Simulate one shot per seed at one (n_rb, params): the one-lane
-    simulate_lanes; simulate_groups gives the draw contract."""
-    (table,) = simulate_lanes([(n_rb, params)], schedule, seeds, rngs=rngs)
-    return table
 
 
 def _lane_columns(tables: "list[_RateTable]", top: int) -> tuple[int, np.ndarray]:
@@ -740,48 +711,14 @@ def simulate_trajectory(
     *,
     rng: np.random.Generator | None = None,
 ) -> Trajectory:
-    """Simulate one shot from an empty trap: the one-shot simulate_shots.
-    The program does not call it; it stays because the benchmark tracer
-    (bench/tracing.py) wraps it by name.
+    """Simulate one shot from an empty trap: the one-shot, one-lane
+    simulate_groups call, as a Trajectory. The program does not call it; it
+    stays because the benchmark tracer (bench/tracing.py) wraps it by name.
 
     rng, when given, must be np.random.default_rng(seed), fresh (as built by
     seeded_generators); by default it is built here.
     """
     if rng is None:
         rng = np.random.default_rng(int(seed))
-    return simulate_shots(n_rb, params, schedule, [int(seed)], rngs=[rng])[0]
-
-
-def simulate_bins(
-    bins: "Sequence[tuple[float, int]]",
-    params: PhysicalParams,
-    schedule: ExperimentSchedule,
-    master_seed: int,
-    traces: int,
-) -> list[EventTable]:
-    """Simulate the traces of a run of companion-number bins in one event
-    loop; return one table per bin, in trace order.
-
-    bins holds (n_rb, bin_index) pairs, one seed group each: trace ti of
-    bin bin_index uses the seed derive_seed(master_seed, TRAJECTORY_STREAM,
-    bin_index, ti), so a bin's table is the same in any run.
-    """
-    groups = [
-        ([(n_rb, params)], derive_seeds(master_seed, TRAJECTORY_STREAM, bin_index, count=traces))
-        for n_rb, bin_index in bins
-    ]
-    return [table for (table,) in simulate_groups(groups, schedule)]
-
-
-def simulate_bin(
-    n_rb: float,
-    params: PhysicalParams,
-    schedule: ExperimentSchedule,
-    master_seed: int,
-    bin_index: int,
-    traces: int,
-) -> EventTable:
-    """Simulate the traces of one companion-number bin, in trace order: the
-    one-bin simulate_bins."""
-    (table,) = simulate_bins([(n_rb, bin_index)], params, schedule, master_seed, traces)
-    return table
+    ((table,),) = simulate_groups([([(n_rb, params)], [int(seed)])], schedule, rngs=[rng])
+    return table[0]

@@ -22,8 +22,7 @@ from .gillespie import (
     TRANSIENT_STREAM,
     ExperimentSchedule,
     derive_seeds,
-    simulate_lanes,
-    simulate_shots,
+    simulate_groups,
 )
 from .photon import chi2_sf, poisson_pmf, poisson_sf
 from .physics import CloudModel, PhysicalParams, pair_overlap_volume, transient_mean
@@ -32,7 +31,6 @@ __all__ = [
     "OracleCheck",
     "overlap_volume_quadrature",
     "overlap_checks",
-    "transient_mean_ensemble",
     "transient_mean_ensembles",
     "transient_checks",
     "poisson_end_state_check",
@@ -131,7 +129,7 @@ def overlap_checks(n_radii: int = 5) -> list[OracleCheck]:
     return checks
 
 
-# Seeds per simulate_lanes call of the transient ensembles, a whole number
+# Seeds per simulate_groups call of the transient ensembles, a whole number
 # of simulator chunks. Each call's tables are reduced to checkpoint levels
 # before the next, so only one block's event tables are held at a time.
 _RUN_BLOCK = 8 * _CHUNK
@@ -148,9 +146,9 @@ def transient_mean_ensembles(
 
     Run i of every set is the shot of seed derive_seed(master_seed,
     TRANSIENT_STREAM, i): the sets share their seeds by design (common
-    random numbers), so they run as the lanes of one simulate_lanes call per
-    block of _RUN_BLOCK seeds, and each set's result equals its own
-    transient_mean_ensemble bit for bit.
+    random numbers), so they run as the lanes of one seed group, one
+    simulate_groups call per block of _RUN_BLOCK seeds, and each set's
+    result equals that of the set run alone bit for bit.
 
     runs must be an integer >= 2, and checkpoints a non-empty list of
     finite times >= 0 whose largest, the end of the simulated window, is
@@ -165,26 +163,15 @@ def transient_mean_ensembles(
     levels = np.empty((len(sets), runs, len(checkpoints)), dtype=np.int32)
     for start in range(0, runs, _RUN_BLOCK):
         block = seeds[start:start + _RUN_BLOCK]
-        for lane, table in enumerate(simulate_lanes(sets, schedule, block)):
+        # The call's list of tables is not bound to a name, so it is let go
+        # once the loop has read it, before the next block is simulated.
+        for lane, table in enumerate(simulate_groups([(sets, block)], schedule)[0]):
             levels[lane, start:start + len(block)] = table.levels_at(checkpoints)
     ensembles = []
     for set_levels in levels:
         samples = set_levels.astype(float)
         ensembles.append((samples.mean(axis=0), samples.std(axis=0, ddof=1) / math.sqrt(runs)))
     return ensembles
-
-
-def transient_mean_ensemble(
-    n_rb: float,
-    params: PhysicalParams,
-    checkpoints: "np.ndarray | list[float]",
-    runs: int,
-    master_seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ensemble mean and standard error of the atom number at each
-    checkpoint: the one-set transient_mean_ensembles."""
-    (result,) = transient_mean_ensembles([(n_rb, params)], checkpoints, runs, master_seed)
-    return result
 
 
 def _check_count(name: str, value: int, least: int) -> None:
@@ -262,7 +249,7 @@ def poisson_end_state_check(runs: int = 3000, *, master_seed: int) -> OracleChec
     )
     schedule = ExperimentSchedule(detect_s=_POISSON_DETECT_S)
     seeds = derive_seeds(master_seed, POISSON_STREAM, count=runs)
-    finals = simulate_shots(0.0, params, schedule, seeds).final_levels()
+    finals = simulate_groups([([(0.0, params)], seeds)], schedule)[0][0].final_levels()
     lam = _POISSON_LOAD / _POISSON_GAMMA
     chi2, dof, p = poisson_chi2(finals, lam)
     return OracleCheck(

@@ -5,9 +5,11 @@ fixed time bins, including the light-off and background segments of each
 shot. A bin of shots is synthesized at once from its EventTable (the event
 times and levels of all shots in flat columns): one occupancy matrix, one
 matrix of Poisson means and one draw per shot on its own generator.
-simulate_grid_bins runs a run of bins of a configured campaign, with all of
-their seeding: their shots in one event loop, then each bin's counts as it
-is asked for. simulate_campaign stacks every bin into one TraceTable.
+simulate_grid_bins runs a run of bins of a configured campaign and derives
+every seed a campaign uses, of both streams: it steps the run's shots as
+one gillespie.simulate_groups call, one seed group per bin, then draws each
+bin's counts as it is asked for. simulate_campaign stacks every bin into
+one TraceTable.
 Inverse direction: background subtraction, integer staircase estimation
 with a short median filter, and the Poisson rate of the integer-atom peaks
 (peak_lambda of TraceTable.cell_sizes: the rounding cells that hold at
@@ -39,12 +41,13 @@ import numpy as np
 
 from .gillespie import (
     PHOTON_STREAM,
+    TRAJECTORY_STREAM,
     EventTable,
     ExperimentSchedule,
     Trajectory,
     derive_seeds,
     seeded_generators,
-    simulate_bins,
+    simulate_groups,
 )
 
 if TYPE_CHECKING:
@@ -65,7 +68,6 @@ __all__ = [
     "synthesize_bin",
     "synthesize_counts",
     "simulate_grid_bins",
-    "simulate_grid_bin",
     "simulate_campaign",
     "estimate_staircase",
     "summarize_staircases",
@@ -155,23 +157,17 @@ def segment_map_for(schedule: ExperimentSchedule, bin_s: float) -> SegmentMap:
 
 @dataclass
 class FluorescenceTrace:
-    """Photon counts of one shot plus the segment layout that produced them."""
+    """Photon counts of one shot plus the segment layout that produced them.
+
+    A plain row record: it checks nothing itself. Its rules are checked
+    where traces are analyzed, by TraceTable (from_traces for a list).
+    """
 
     trace_id: str
     n_rb: float
     bin_s: float
     segments: SegmentMap
     counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.counts = np.asarray(self.counts)
-        if self.counts.ndim != 1 or len(self.counts) != self.segments.n_bins:
-            raise ValueError(
-                f"counts length {len(self.counts)} does not match segment map "
-                f"({self.segments.n_bins} bins)"
-            )
-        if np.any(self.counts < 0):
-            raise ValueError("counts must be non-negative")
 
     @property
     def detect_counts(self) -> np.ndarray:
@@ -249,8 +245,9 @@ class TraceTable(Sequence):
         """The table of a sequence of traces (itself, if it is a table):
         their counts stacked in trace order.
 
-        Every trace must have the segments and bin_s of the first; the
-        first that does not is refused by name.
+        Every trace must have the segments and bin_s of the first, and
+        one count per bin of its segments; the first that does not is
+        refused by name. The constructor checks the rest.
         """
         if isinstance(traces, TraceTable):
             return traces
@@ -263,6 +260,11 @@ class TraceTable(Sequence):
                     f"trace {t.trace_id!r} has {t.segments!r} and bin_s {t.bin_s!r}, "
                     f"trace {first.trace_id!r} {first.segments!r} and bin_s "
                     f"{first.bin_s!r}: a trace table holds one segment map and bin width"
+                )
+            if np.shape(t.counts) != (first.segments.n_bins,):
+                raise ValueError(
+                    f"trace {t.trace_id!r} has counts of shape {np.shape(t.counts)}, "
+                    f"its segment map {first.segments.n_bins} bins"
                 )
         return cls(
             [t.trace_id for t in traces],
@@ -442,8 +444,8 @@ def synthesize_bin(
     is drawn by one rng.poisson call on that shot's own generator, taken
     from rngs in order. The draws are those of one poisson call per segment
     in segment order, since numpy draws an array of means element by element.
-    trajectories may be an EventTable (what simulate_bin returns); any other
-    sequence of trajectories is turned into one first.
+    trajectories may be an EventTable (a lane of simulate_groups); any
+    other sequence of trajectories is turned into one first.
     """
     means = count_means(trajectories, cal, seg)
     counts = np.empty(means.shape, dtype=np.int64)
@@ -504,9 +506,11 @@ def simulate_grid_bins(cfg: "RunConfig", bin_indices: "Sequence[int]") -> Iterat
     seeded by derive_seed(master_seed, TRAJECTORY_STREAM, bi, ti) and its
     counts by derive_seed(master_seed, PHOTON_STREAM, bi, ti). A campaign
     is seeded here and nowhere else, so a bin is the same whichever process
-    computes it, in whatever run of bins. The run's shots are simulated in
-    one event loop (simulate_bins); each bin's counts are then drawn when
-    it is asked for, and its event table is let go once it is yielded.
+    computes it, in whatever run of bins. The run's shots are stepped as
+    one simulate_groups call with one seed group per bin, so its chunks
+    fill across bins; each bin's counts are then drawn when it is asked
+    for, and its event table is let go once it is yielded. Nothing is
+    simulated before the first bin is asked for.
     """
     values = cfg.grid.values()
     bin_indices = list(bin_indices)
@@ -517,7 +521,15 @@ def simulate_grid_bins(cfg: "RunConfig", bin_indices: "Sequence[int]") -> Iterat
     cal = cfg.calibration
     seg = segment_map_for(cfg.schedule, cal.bin_s)
     bins = [(float(values[bi]), bi) for bi in bin_indices]
-    tables = simulate_bins(bins, cfg.physics, cfg.schedule, cfg.master_seed, traces)
+    groups = [
+        ([(n_rb, cfg.physics)], derive_seeds(cfg.master_seed, TRAJECTORY_STREAM, bi, count=traces))
+        for n_rb, bi in bins
+    ]
+    tables = [table for (table,) in simulate_groups(groups, cfg.schedule)]
+    # Let go of the seed groups, then reverse in place, before the first
+    # yield: the peak RSS of repeated campaigns in one process is sensitive
+    # to this order of frees, and the other orders tried raised it by 2-3 MB.
+    del groups
     # Taken from the end, so the list lets go of each table as it is yielded.
     tables.reverse()
     for n_rb, bi in bins:
@@ -526,12 +538,6 @@ def simulate_grid_bins(cfg: "RunConfig", bin_indices: "Sequence[int]") -> Iterat
         counts = synthesize_bin(events, cal, seg, seeded_generators(seeds))
         trace_ids = [f"b{bi:02d}t{ti:04d}" for ti in range(traces)]
         yield SimulatedBin(n_rb, trace_ids, seg, events, counts)
-
-
-def simulate_grid_bin(cfg: "RunConfig", bin_index: int) -> SimulatedBin:
-    """Bin bin_index of cfg's grid: the one-bin simulate_grid_bins."""
-    (b,) = simulate_grid_bins(cfg, [bin_index])
-    return b
 
 
 def simulate_campaign(cfg: "RunConfig") -> TraceTable:
@@ -592,10 +598,10 @@ def estimate_staircase(
     events are the level changes of the filtered staircase, with the level
     before the first bin defined as zero. The program runs whole bins through
     summarize_staircases; this one-trace form stays because the benchmark
-    tracer (bench/tracing.py) wraps it by name.
+    tracer (bench/tracing.py) wraps it by name. The trace is read through
+    its one-row TraceTable, which refuses what that refuses.
     """
-    rates = _detect_rates(trace.counts[None, :], trace.segments, trace.bin_s)
-    stair = _staircase_rows(_whole_atoms(rates, cal.rate_per_atom))[0]
+    stair = _staircase_rows(TraceTable.from_traces([trace]).whole_atoms(cal.rate_per_atom))[0]
     steps = np.diff(stair, prepend=0)
     load_events: list[int] = []
     loss_events: list[tuple[int, int]] = []

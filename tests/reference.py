@@ -5,7 +5,8 @@ does not call them; the tests hold the kernels to them with equality:
 
 - next_event, one Gillespie step on a shot's BlockDraws, and
   replay_next_event, one shot stepped with it from an empty trap: the
-  reference of every lane of gillespie.simulate_groups;
+  reference of every lane of gillespie.simulate_groups (one_lane is the
+  table of a one-lane, one-group call, for the tests to compare with);
 - group_by_bin, trace-by-trace grid assignment: the reference of the grid
   points bin_by_nrb groups on;
 - trace_from_dict, the per-line trace loader: the reference of
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from motprobe.gillespie import _BLOCK, EventKind, ExperimentSchedule
+from motprobe.gillespie import _BLOCK, EventKind, ExperimentSchedule, simulate_groups
 from motprobe.oracles import _gauss_legendre
 from motprobe.photon import (
     FluorescenceTrace,
@@ -127,6 +128,11 @@ def replay_next_event(
         n += kind.delta
         events.append((t, kind, n))
     return events
+
+
+def one_lane(n_rb, params, schedule, seeds, **kwargs):
+    """The table of the one-lane, one-group simulate_groups call."""
+    return simulate_groups([([(n_rb, params)], seeds)], schedule, **kwargs)[0][0]
 
 
 def group_by_bin(

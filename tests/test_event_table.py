@@ -1,11 +1,12 @@
 """Exactness of the flat event table against per-shot references.
 
-simulate_groups steps seed groups together, each one array of seeds shared
-by one or more lanes of (n_rb, params), in chunks that fill across groups,
-and writes each lane's events into one EventTable; simulate_lanes is its
-one-group call and simulate_shots its one-lane call. The oracles read atom
-numbers at their checkpoints from it with vectorized counts, and the
-trajectory dump formats from it. The references here are the per-shot
+simulate_groups, the one simulator, steps seed groups together, each one
+array of seeds shared by one or more lanes of (n_rb, params), in chunks
+that fill across groups, and writes each lane's events into one EventTable.
+Every test calls it directly; one_lane in reference.py is the table of its
+one-lane, one-group call. The oracles read atom numbers at their
+checkpoints from it with vectorized counts, and the trajectory dump formats
+from it. The references here are the per-shot
 forms: next_event stepped one event at a time on a shot's own block draws
 (replay_next_event in reference.py), which sums each state's rates from
 physics.rates itself, and bisect_right on a shot's event times. Every
@@ -15,11 +16,13 @@ comparison asks for equality.
 import bisect
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from motprobe import gillespie, oracles
+from motprobe.config import RunConfig
 from motprobe.gillespie import (
     EventKind,
     EventTable,
@@ -28,18 +31,20 @@ from motprobe.gillespie import (
     derive_seed,
     derive_seeds,
     TRANSIENT_STREAM,
-    simulate_bin,
-    simulate_bins,
     simulate_groups,
-    simulate_lanes,
-    simulate_shots,
     simulate_trajectory,
 )
-from motprobe.oracles import transient_mean_ensemble
-from motprobe.photon import DetectionCalibration, count_means, segment_map_for, synthesize_bin
+from motprobe.oracles import transient_mean_ensembles
+from motprobe.photon import (
+    DetectionCalibration,
+    count_means,
+    segment_map_for,
+    simulate_grid_bins,
+    synthesize_bin,
+)
 from motprobe.physics import PhysicalParams
 from motprobe.traceio import trajectory_records
-from reference import BlockDraws, replay_next_event
+from reference import BlockDraws, one_lane, replay_next_event
 
 UM = 1e-4
 
@@ -83,7 +88,7 @@ class TestTableAgainstPerShotReferences:
         """The former per-shot loop is folded into the replay, whose
         next_event sums each state's rates from physics.rates itself."""
         seeds = derive_seeds(61, TRAJECTORY_STREAM, int(n_rb), count=150)
-        table = simulate_shots(n_rb, params, SCHEDULE, seeds)
+        table = one_lane(n_rb, params, SCHEDULE, seeds)
         assert len(table) == len(seeds)
         assert table.time.dtype == np.float64
         assert table.level.dtype == np.int64
@@ -98,12 +103,12 @@ class TestTableAgainstPerShotReferences:
         seen = set()
         for params, n_rb in [(DEFAULTS, 1100.0), (PAIR_LOSS, 0.0)]:
             seeds = derive_seeds(61, TRAJECTORY_STREAM, int(n_rb), count=150)
-            seen.update(np.unique(simulate_shots(n_rb, params, SCHEDULE, seeds).kind).tolist())
+            seen.update(np.unique(one_lane(n_rb, params, SCHEDULE, seeds).kind).tolist())
         assert seen == {0, 1, 2, 3}
 
     def test_items_are_the_rows_as_trajectories(self):
         seeds = derive_seeds(62, 0, count=40)
-        table = simulate_shots(550.0, PAIR_LOSS, SCHEDULE, seeds)
+        table = one_lane(550.0, PAIR_LOSS, SCHEDULE, seeds)
         for i, (seed, traj) in enumerate(zip(seeds.tolist(), table)):
             assert traj.events == table_rows(table)[i]
             assert (traj.seed, traj.n_rb, traj.t_end) == (seed, 550.0, 3.0)
@@ -113,36 +118,37 @@ class TestTableAgainstPerShotReferences:
         assert table[-1].events == table[len(table) - 1].events
 
     def test_bin_and_ensemble_tables(self):
-        """The bins of a grid: trace ti of bin bi is the shot of seed
-        derive_seed(master, TRAJECTORY_STREAM, bi, ti)."""
-        grid = [0.0, 1100.0, 2200.0]
-        for bi, n_rb in enumerate(grid):
-            table = simulate_bin(n_rb, DEFAULTS, SCHEDULE, 3, bi, 7)
+        """The bins of a campaign grid: trace ti of bin bi is the shot of
+        seed derive_seed(master, TRAJECTORY_STREAM, bi, ti)."""
+        cfg = replace(RunConfig.default(), traces_per_bin=7, master_seed=3)
+        for bi in (0, 5, 10):
+            n_rb = float(cfg.grid.values()[bi])
+            table = next(simulate_grid_bins(cfg, [bi])).events
             seeds = [derive_seed(3, TRAJECTORY_STREAM, bi, ti) for ti in range(7)]
             assert table.seed.tolist() == seeds
             assert table.n_rb.tolist() == [n_rb] * 7
             assert table_rows(table) == [
-                replay_next_event(n_rb, DEFAULTS, SCHEDULE, seed) for seed in seeds
+                replay_next_event(n_rb, cfg.physics, cfg.schedule, seed) for seed in seeds
             ]
 
     def test_from_trajectories_round_trip(self):
         seeds = derive_seeds(63, 0, count=30)
-        table = simulate_shots(1100.0, DEFAULTS, SCHEDULE, seeds)
+        table = one_lane(1100.0, DEFAULTS, SCHEDULE, seeds)
         again = EventTable.from_trajectories(list(table))
         for name in ("time", "level", "kind", "offsets", "n_rb", "seed", "t_end"):
             assert np.array_equal(getattr(again, name), getattr(table, name)), name
         assert EventTable.from_trajectories(table) is table
 
     def test_columns_are_read_only(self):
-        table = simulate_shots(1100.0, DEFAULTS, SCHEDULE, [1, 2, 3])
+        table = one_lane(1100.0, DEFAULTS, SCHEDULE, [1, 2, 3])
         with pytest.raises(ValueError):
             table.time[0] = 0.0
 
     def test_one_generator_per_seed(self):
         with pytest.raises(ValueError):
-            simulate_shots(1100.0, DEFAULTS, SCHEDULE, [1, 2], rngs=[np.random.default_rng(1)])
+            one_lane(1100.0, DEFAULTS, SCHEDULE, [1, 2], rngs=[np.random.default_rng(1)])
         with pytest.raises(ValueError):
-            simulate_shots(
+            one_lane(
                 1100.0, DEFAULTS, SCHEDULE, [1],
                 rngs=[np.random.default_rng(1), np.random.default_rng(2)],
             )
@@ -172,7 +178,7 @@ class TestLockstepAgainstReplay:
 
     def test_shots_that_need_three_or_more_blocks(self):
         seeds = derive_seeds(71, 0, count=60)
-        table = simulate_shots(0.0, PAIR_LOSS, SCHEDULE, seeds)
+        table = one_lane(0.0, PAIR_LOSS, SCHEDULE, seeds)
         blocks = assert_equals_replay(table, 0.0, PAIR_LOSS)
         # A shot reads a third block of draws from its 65th step on.
         assert {2, 3} <= set(blocks)
@@ -186,7 +192,7 @@ class TestLockstepAgainstReplay:
         table_of_rates = gillespie._rate_table(440.0, params)
         assert table_of_rates.columns.shape == (5, 1)
         seeds = derive_seeds(72, 0, count=40)
-        table = simulate_shots(440.0, params, SCHEDULE, seeds)
+        table = one_lane(440.0, params, SCHEDULE, seeds)
         assert_equals_replay(table, 440.0, params)
         reached = int(table.level.max())
         assert reached > 3
@@ -194,7 +200,7 @@ class TestLockstepAgainstReplay:
         for n in range(reached + 1):
             assert tuple(table_of_rates.columns[:, n]) == gillespie._rate_row(n, 440.0, params)
         # A second set reads the grown table and still equals its replay.
-        again = simulate_shots(440.0, params, SCHEDULE, derive_seeds(73, 0, count=40))
+        again = one_lane(440.0, params, SCHEDULE, derive_seeds(73, 0, count=40))
         assert_equals_replay(again, 440.0, params)
 
     @pytest.mark.parametrize("params, n_rb", [
@@ -204,7 +210,7 @@ class TestLockstepAgainstReplay:
         # Shielded past r0 / alpha (about 6435 atoms), the default trap
         # never loads: state 0 has no rate, so its wait is infinite.
         assert gillespie._rate_row(0, n_rb, params)[:2] == (math.inf, 0.0)
-        table = simulate_shots(n_rb, params, SCHEDULE, derive_seeds(74, 0, count=9))
+        table = one_lane(n_rb, params, SCHEDULE, derive_seeds(74, 0, count=9))
         assert table.offsets.tolist() == [0] * 10
         assert assert_equals_replay(table, n_rb, params) == [0] * 9
 
@@ -212,14 +218,14 @@ class TestLockstepAgainstReplay:
     def test_zero_and_one_shots(self, shots):
         seeds = derive_seeds(75, 0, count=shots)
         for params, n_rb in [(DEFAULTS, 1100.0), (PAIR_LOSS, 0.0)]:
-            table = simulate_shots(n_rb, params, SCHEDULE, seeds)
+            table = one_lane(n_rb, params, SCHEDULE, seeds)
             assert len(table) == shots and len(table.offsets) == shots + 1
             assert_equals_replay(table, n_rb, params)
 
     @pytest.mark.parametrize("offset", [-1, 1])
     def test_one_shot_either_side_of_a_chunk(self, offset):
         seeds = derive_seeds(76, 0, count=gillespie._CHUNK + offset)
-        table = simulate_shots(1100.0, DEFAULTS, SCHEDULE, seeds)
+        table = one_lane(1100.0, DEFAULTS, SCHEDULE, seeds)
         assert len(table) == len(seeds)
         assert_equals_replay(table, 1100.0, DEFAULTS)
 
@@ -227,10 +233,10 @@ class TestLockstepAgainstReplay:
                              ids=["default", "pair_loss"])
     def test_chunk_size_changes_nothing(self, monkeypatch, params, n_rb):
         seeds = derive_seeds(77, 0, count=50)
-        whole = simulate_shots(n_rb, params, SCHEDULE, seeds)
+        whole = one_lane(n_rb, params, SCHEDULE, seeds)
         for chunk in (1, 7):
             monkeypatch.setattr(gillespie, "_CHUNK", chunk)
-            assert same_columns(simulate_shots(n_rb, params, SCHEDULE, seeds), whole), chunk
+            assert same_columns(one_lane(n_rb, params, SCHEDULE, seeds), whole), chunk
 
 
 class CountingGenerator:
@@ -249,8 +255,9 @@ class CountingGenerator:
 
 
 class TestLanes:
-    """Every lane of simulate_lanes is the one-lane simulate_shots at its
-    (n_rb, params), and so its seeds' replay, in every column."""
+    """Every lane of a one-group simulate_groups call is its own one-lane
+    group at its (n_rb, params), and so its seeds' replay, in every
+    column."""
 
     MIXED = [(1100.0, DEFAULTS), (0.0, PAIR_LOSS), (0.0, ABSORBING), (2200.0, DEFAULTS)]
 
@@ -258,7 +265,7 @@ class TestLanes:
         assert len(tables) == len(lanes)
         blocks = []
         for (n_rb, params), table in zip(lanes, tables):
-            assert same_columns(table, simulate_shots(n_rb, params, SCHEDULE, seeds))
+            assert same_columns(table, one_lane(n_rb, params, SCHEDULE, seeds))
             blocks.append(assert_equals_replay(table, n_rb, params))
         return blocks
 
@@ -269,18 +276,18 @@ class TestLanes:
         lanes = [(1100.0, DEFAULTS), (0.0, PAIR_LOSS)]
         seeds = derive_seeds(81, TRANSIENT_STREAM, count=60)
         gens = [CountingGenerator(seed) for seed in seeds.tolist()]
-        tables = simulate_lanes(lanes, SCHEDULE, seeds, rngs=gens)
+        (tables,) = simulate_groups([(lanes, seeds)], SCHEDULE, rngs=gens)
         default_blocks, pair_blocks = self.assert_lanes_exact(lanes, seeds, tables)
         assert set(default_blocks) == {1} and max(pair_blocks) >= 2
         assert [gen.blocks for gen in gens] == list(map(max, default_blocks, pair_blocks))
         # Lane order changes no lane.
-        swapped = simulate_lanes(lanes[::-1], SCHEDULE, seeds)
+        (swapped,) = simulate_groups([(lanes[::-1], seeds)], SCHEDULE)
         assert same_columns(swapped[0], tables[1]) and same_columns(swapped[1], tables[0])
 
     def test_absorbing_and_repeated_lanes(self):
         lanes = [*self.MIXED, (1100.0, DEFAULTS)]
         seeds = derive_seeds(82, TRANSIENT_STREAM, count=40)
-        tables = simulate_lanes(lanes, SCHEDULE, seeds)
+        (tables,) = simulate_groups([(lanes, seeds)], SCHEDULE)
         self.assert_lanes_exact(lanes, seeds, tables)
         assert tables[2].offsets.tolist() == [0] * 41
         assert same_columns(tables[0], tables[-1])
@@ -289,7 +296,7 @@ class TestLanes:
         gillespie._rate_table.cache_clear()
         lanes = [(0.0, PAIR_LOSS), (3300.0, DEFAULTS), (0.0, ABSORBING)]
         seeds = derive_seeds(83, 0, count=30)
-        tables = simulate_lanes(lanes, SCHEDULE, seeds)
+        (tables,) = simulate_groups([(lanes, seeds)], SCHEDULE)
         self.assert_lanes_exact(lanes, seeds, tables)
         widths = {gillespie._rate_table(n_rb, params).columns.shape[1] for n_rb, params in lanes}
         assert widths == {max(int(table.level.max(initial=0)) for table in tables) + 1}
@@ -297,44 +304,46 @@ class TestLanes:
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_chunk_size_changes_nothing(self, monkeypatch, chunk):
         seeds = derive_seeds(84, 0, count=50)
-        whole = simulate_lanes(self.MIXED, SCHEDULE, seeds)
+        (whole,) = simulate_groups([(self.MIXED, seeds)], SCHEDULE)
         monkeypatch.setattr(gillespie, "_CHUNK", chunk)
-        chunked = simulate_lanes(self.MIXED, SCHEDULE, seeds)
+        (chunked,) = simulate_groups([(self.MIXED, seeds)], SCHEDULE)
         assert all(same_columns(a, b) for a, b in zip(chunked, whole, strict=True))
         self.assert_lanes_exact(self.MIXED, seeds, chunked)
 
     def test_explicit_generators(self):
         seeds = derive_seeds(85, 0, count=gillespie._CHUNK + 3)
-        given = simulate_lanes(
-            self.MIXED, SCHEDULE, seeds, rngs=(np.random.default_rng(s) for s in seeds.tolist())
+        (given,) = simulate_groups(
+            [(self.MIXED, seeds)], SCHEDULE,
+            rngs=(np.random.default_rng(s) for s in seeds.tolist()),
         )
-        built = simulate_lanes(self.MIXED, SCHEDULE, seeds)
+        (built,) = simulate_groups([(self.MIXED, seeds)], SCHEDULE)
         assert all(same_columns(a, b) for a, b in zip(given, built, strict=True))
         self.assert_lanes_exact(self.MIXED, seeds, given)
 
     @pytest.mark.parametrize("lanes", [MIXED, []], ids=["lanes", "no-lanes"])
     def test_one_generator_per_seed(self, lanes):
         with pytest.raises(ValueError, match="fewer"):
-            simulate_lanes(lanes, SCHEDULE, [1, 2], rngs=[np.random.default_rng(1)])
+            simulate_groups([(lanes, [1, 2])], SCHEDULE, rngs=[np.random.default_rng(1)])
         with pytest.raises(ValueError, match="more"):
-            simulate_lanes(
-                lanes, SCHEDULE, [1], rngs=[np.random.default_rng(1), np.random.default_rng(2)]
+            simulate_groups(
+                [(lanes, [1])], SCHEDULE,
+                rngs=[np.random.default_rng(1), np.random.default_rng(2)],
             )
 
     def test_zero_shots_and_zero_lanes(self):
-        tables = simulate_lanes(self.MIXED, SCHEDULE, [])
+        (tables,) = simulate_groups([(self.MIXED, [])], SCHEDULE)
         assert len(tables) == len(self.MIXED)
         for (n_rb, _), table in zip(self.MIXED, tables):
             assert len(table) == 0 and table.offsets.tolist() == [0]
             assert len(table.time) == len(table.level) == len(table.kind) == 0
-        assert simulate_lanes([], SCHEDULE, derive_seeds(86, 0, count=5)) == []
-        assert simulate_lanes([], SCHEDULE, []) == []
+        assert simulate_groups([([], derive_seeds(86, 0, count=5))], SCHEDULE) == [[]]
+        assert simulate_groups([([], [])], SCHEDULE) == [[]]
 
 
 class TestSeedGroups:
     """simulate_groups fills each chunk across group boundaries; every lane
-    of every group is still the one-lane simulate_shots on the group's
-    seeds, and so its seeds' replay, in every column."""
+    of every group is still its own one-lane group on the group's seeds,
+    and so its seeds' replay, in every column."""
 
     def groups(self, master, specs):
         """One group per (lanes, shots) of specs, each on its own seeds."""
@@ -350,7 +359,7 @@ class TestSeedGroups:
             assert len(group_tables) == len(lanes)
             group_blocks = []
             for (n_rb, params), table in zip(lanes, group_tables, strict=True):
-                assert same_columns(table, simulate_shots(n_rb, params, SCHEDULE, seeds))
+                assert same_columns(table, one_lane(n_rb, params, SCHEDULE, seeds))
                 if replay:
                     group_blocks.append(assert_equals_replay(table, n_rb, params))
             blocks.append(group_blocks)
@@ -367,15 +376,19 @@ class TestSeedGroups:
     def test_groups_smaller_than_a_chunk(self):
         """Seven bins of 100 shots: the chunks end inside the third and the
         sixth, and each chunk holds parts of three bins."""
-        grid = [0.0, 550.0, 1100.0, 1650.0, 2200.0, 2750.0, 3300.0]
+        cfg = replace(RunConfig.default(), physics=PAIR_LOSS, traces_per_bin=100, master_seed=102)
+        grid = cfg.grid.values()[:7].tolist()
         groups = self.groups(102, [([(n_rb, PAIR_LOSS)], 100) for n_rb in grid])
         tables = simulate_groups(groups, SCHEDULE)
         self.assert_groups_exact(groups, tables, replay=False)
-        # simulate_bins seeds bin bi as these groups are seeded.
-        bins = simulate_bins(list(zip(grid, range(7))), PAIR_LOSS, SCHEDULE, 102, 100)
-        for bi, (n_rb, table) in enumerate(zip(grid, bins, strict=True)):
-            assert same_columns(table, tables[bi][0])
-            assert same_columns(table, simulate_bin(n_rb, PAIR_LOSS, SCHEDULE, 102, bi, 100))
+        # simulate_grid_bins seeds bin bi as these groups are seeded, and a
+        # run of bins gives each bin as its own one-bin run does.
+        bins = list(simulate_grid_bins(cfg, range(7)))
+        for bi, b in enumerate(bins):
+            assert same_columns(b.events, tables[bi][0])
+            alone = next(simulate_grid_bins(cfg, [bi]))
+            assert same_columns(b.events, alone.events)
+            assert b.trace_ids == alone.trace_ids and np.array_equal(b.counts, alone.counts)
 
     def test_shared_group_beside_one_lane_groups(self):
         """A three-lane group between one-lane groups in the same chunk:
@@ -392,7 +405,7 @@ class TestSeedGroups:
         (lanes, seeds) = groups[1]
         assert all(
             same_columns(a, b)
-            for a, b in zip(tables[1], simulate_lanes(lanes, SCHEDULE, seeds), strict=True)
+            for a, b in zip(tables[1], simulate_groups([(lanes, seeds)], SCHEDULE)[0], strict=True)
         )
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
@@ -468,7 +481,7 @@ class TestSeedGroups:
 
 class TestShotsWithoutEvents:
     def test_absorbing_trap(self):
-        table = simulate_shots(0.0, ABSORBING, SCHEDULE, range(20))
+        table = one_lane(0.0, ABSORBING, SCHEDULE, range(20))
         assert len(table) == 20
         assert table.offsets.tolist() == [0] * 21
         assert len(table.time) == len(table.level) == len(table.kind) == 0
@@ -479,14 +492,14 @@ class TestShotsWithoutEvents:
         assert not count_means(table, cal, segment_map_for(SCHEDULE, cal.bin_s)).any()
 
     def test_no_shots(self):
-        table = simulate_shots(1100.0, DEFAULTS, SCHEDULE, [])
+        table = one_lane(1100.0, DEFAULTS, SCHEDULE, [])
         assert len(table) == 0 and table.offsets.tolist() == [0]
         assert table.levels_at([1.0]).shape == (0, 1)
         assert len(EventTable.from_trajectories([])) == 0
 
     def test_empty_rows_between_full_ones(self):
-        empty = simulate_shots(0.0, ABSORBING, SCHEDULE, [5, 6])
-        full = simulate_shots(1100.0, DEFAULTS, SCHEDULE, derive_seeds(64, 0, count=10))
+        empty = one_lane(0.0, ABSORBING, SCHEDULE, [5, 6])
+        full = one_lane(1100.0, DEFAULTS, SCHEDULE, derive_seeds(64, 0, count=10))
         table = EventTable.from_trajectories([*empty, *full, *empty, *full, *empty])
         assert table_rows(table) == (
             table_rows(empty) + table_rows(full) + table_rows(empty)
@@ -499,7 +512,7 @@ class TestShotsWithoutEvents:
     def test_synthesis_of_empty_shots(self):
         cal = DetectionCalibration()
         seg = segment_map_for(SCHEDULE, cal.bin_s)
-        table = simulate_shots(0.0, ABSORBING, SCHEDULE, [1, 2])
+        table = one_lane(0.0, ABSORBING, SCHEDULE, [1, 2])
         rows = synthesize_bin(table, cal, seg, [np.random.default_rng(s) for s in (8, 9)])
         lists = synthesize_bin(list(table), cal, seg, [np.random.default_rng(s) for s in (8, 9)])
         assert np.array_equal(rows, lists)
@@ -533,7 +546,7 @@ class TestCheckpointLevels:
     @pytest.mark.parametrize("params, n_rb", [(DEFAULTS, 1100.0), (PAIR_LOSS, 0.0)],
                              ids=["default", "pair_loss"])
     def test_levels_equal_bisect(self, params, n_rb):
-        table = simulate_shots(n_rb, params, SCHEDULE, derive_seeds(65, 0, count=200))
+        table = one_lane(n_rb, params, SCHEDULE, derive_seeds(65, 0, count=200))
         checkpoints = self.exact_checkpoints(table)
         got = table.levels_at(checkpoints)
         assert got.shape == (len(table), len(checkpoints))
@@ -541,7 +554,7 @@ class TestCheckpointLevels:
         assert table.final_levels().tolist() == [traj.n_final for traj in table]
 
     def test_levels_equal_trajectory_readback(self):
-        table = simulate_shots(2200.0, DEFAULTS, SCHEDULE, derive_seeds(66, 0, count=60))
+        table = one_lane(2200.0, DEFAULTS, SCHEDULE, derive_seeds(66, 0, count=60))
         checkpoints = self.exact_checkpoints(table)
         got = table.levels_at(checkpoints)
         for i, traj in enumerate(table):
@@ -550,10 +563,10 @@ class TestCheckpointLevels:
     def test_transient_ensemble_equals_per_trajectory_readback(self):
         runs, master = 300, 67
         seeds = derive_seeds(master, TRANSIENT_STREAM, count=runs)
-        harvest = simulate_shots(1100.0, DEFAULTS, SCHEDULE, seeds)
+        harvest = one_lane(1100.0, DEFAULTS, SCHEDULE, seeds)
         checkpoints = np.array(self.exact_checkpoints(harvest))
         assert checkpoints.max() == SCHEDULE.detect_s
-        mean, se = transient_mean_ensemble(1100.0, DEFAULTS, checkpoints, runs, master)
+        ((mean, se),) = transient_mean_ensembles([(1100.0, DEFAULTS)], checkpoints, runs, master)
         samples = np.empty((runs, len(checkpoints)))
         for i, seed in enumerate(seeds.tolist()):
             traj = simulate_trajectory(1100.0, DEFAULTS, SCHEDULE, seed)
@@ -563,16 +576,17 @@ class TestCheckpointLevels:
 
 
 def whole_run_ensemble(n_rb, params, checkpoints, runs, master):
-    """Mean and se of one set from one simulate_shots call on all its runs."""
+    """Mean and se of one set from one one-lane group of all its runs."""
     seeds = derive_seeds(master, TRANSIENT_STREAM, count=runs)
     schedule = ExperimentSchedule(detect_s=float(max(checkpoints)))
-    samples = simulate_shots(n_rb, params, schedule, seeds).levels_at(checkpoints).astype(float)
+    samples = one_lane(n_rb, params, schedule, seeds).levels_at(checkpoints).astype(float)
     return samples.mean(axis=0), samples.std(axis=0, ddof=1) / math.sqrt(runs)
 
 
 class TestTransientSetsAsLanes:
     """transient_checks runs its sets as lanes, in blocks of seeds; each set's
-    mean and se must be exactly those of the set run alone on all its runs."""
+    mean and se must be exactly those of the set run alone, as its own
+    one-set ensembles and as one one-lane group on all its runs."""
 
     # The closed form needs beta_cscs = 0; set b still differs in params.
     FAST = PhysicalParams(
@@ -602,7 +616,7 @@ class TestTransientSetsAsLanes:
         assert sets == [(n_rb, params) for _, n_rb, params in self.SETS]
         for (_, n_rb, params), (mean, se) in zip(self.SETS, ensembles, strict=True):
             for want_mean, want_se in (
-                transient_mean_ensemble(n_rb, params, checkpoints, runs, master),
+                transient_mean_ensembles([(n_rb, params)], checkpoints, runs, master)[0],
                 whole_run_ensemble(n_rb, params, checkpoints, runs, master),
             ):
                 assert np.array_equal(mean, want_mean) and np.array_equal(se, want_se)
@@ -619,7 +633,7 @@ class TestTransientSetsAsLanes:
 
 class TestTrajectoryDump:
     def test_records_equal_the_per_trajectory_format(self):
-        table = simulate_shots(0.0, PAIR_LOSS, SCHEDULE, derive_seeds(68, 0, count=25))
+        table = one_lane(0.0, PAIR_LOSS, SCHEDULE, derive_seeds(68, 0, count=25))
         ids = [f"t{i}" for i in range(len(table))]
         for trace_id, record, traj in zip(ids, trajectory_records(ids, table), table):
             expected = {

@@ -10,25 +10,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from motprobe.config import GridSpec, RunConfig
 from motprobe.gillespie import (
     EventKind,
     ExperimentSchedule,
     TRAJECTORY_STREAM,
     Trajectory,
     derive_seed,
-    simulate_bin,
-    simulate_shots,
     simulate_trajectory,
 )
 from motprobe.oracles import (
     poisson_chi2,
     poisson_end_state_check,
     transient_checks,
-    transient_mean_ensemble,
     transient_mean_ensembles,
 )
+from motprobe.photon import DetectionCalibration, simulate_grid_bins
 from motprobe.physics import PhysicalParams, rates, transient_mean
-from reference import BlockDraws, next_event, replay_next_event
+from reference import BlockDraws, next_event, one_lane, replay_next_event
 
 UM = 1e-4
 
@@ -195,7 +194,7 @@ class TestMatchesStepwiseReplay:
         assert top * rs.total >= (rs.load + rs.loss_bg) + rs.loss_rbcs
         schedule = ExperimentSchedule()
         want = [(EventKind.LOAD, 1), (EventKind.LOSS_RBCS, 0)]
-        table = simulate_shots(3080.0, DEFAULTS, schedule, [0], rngs=[StubGenerator(top)])
+        table = one_lane(3080.0, DEFAULTS, schedule, [0], rngs=[StubGenerator(top)])
         assert [(kind, n) for _, kind, n in table[0].events] == want
         replay = replay_next_event(
             3080.0, DEFAULTS, schedule, 0, BlockDraws(StubGenerator(top))
@@ -210,16 +209,16 @@ class TestMatchesStepwiseReplay:
 
 
 def simulate_grid(grid, traces, params, master_seed):
-    """One simulate_bin table per grid point, in grid order."""
-    return [
-        simulate_bin(float(n_rb), params, ExperimentSchedule(), master_seed, bi, traces)
-        for bi, n_rb in enumerate(grid)
-    ]
+    """The event table of every bin of a campaign on grid, in grid order."""
+    cfg = RunConfig(
+        params, DetectionCalibration(), ExperimentSchedule(), grid, traces, master_seed
+    )
+    return [b.events for b in simulate_grid_bins(cfg, range(len(grid.values())))]
 
 
 class TestEnsemble:
     def test_single_point_matches_direct_call(self):
-        (ens,) = simulate_grid([0.0], 1, DEFAULTS, master_seed=7)
+        (ens,) = simulate_grid(GridSpec(0, 0), 1, DEFAULTS, master_seed=7)
         direct = simulate_trajectory(
             0.0, DEFAULTS, ExperimentSchedule(),
             derive_seed(7, TRAJECTORY_STREAM, 0, 0),
@@ -228,7 +227,7 @@ class TestEnsemble:
         assert ens[0].events == direct.events
 
     def test_reproducible(self):
-        grid = [0.0, 1100.0]
+        grid = GridSpec(0, 1100, 1100)
         a = simulate_grid(grid, 5, DEFAULTS, master_seed=3)
         b = simulate_grid(grid, 5, DEFAULTS, master_seed=3)
         assert [t.events for table in a for t in table] == [
@@ -241,7 +240,7 @@ class TestEnsemble:
         # spanning the lower half (the loss rate saturates while occupancy,
         # and with it the chance to lose anything, keeps falling), so only
         # the qualitative shape is pinned, not the exact peak bin.
-        grid = np.arange(0, 3301, 220)
+        grid = GridSpec(0, 3300, 220)
         # Kind 0 is LOAD; every other kind is a loss.
         losses = [
             int(np.count_nonzero(table.kind != 0))
@@ -255,12 +254,12 @@ class TestEnsemble:
 
 class TestAgainstClosedForms:
     def test_mean_fillup_without_companions(self):
-        mean, se = transient_mean_ensemble(0.0, DEFAULTS, [3.0], 10_000, 101)
+        ((mean, se),) = transient_mean_ensembles([(0.0, DEFAULTS)], [3.0], 10_000, 101)
         analytic = transient_mean(3.0, 0.0, DEFAULTS)
         assert abs(mean[0] - analytic) < 3 * se[0]
 
     def test_mean_fillup_mid_grid(self):
-        mean, se = transient_mean_ensemble(550.0, DEFAULTS, [1.0], 10_000, 102)
+        ((mean, se),) = transient_mean_ensembles([(550.0, DEFAULTS)], [1.0], 10_000, 102)
         analytic = transient_mean(1.0, 550.0, DEFAULTS)
         assert abs(mean[0] - analytic) < 3 * se[0]
 
@@ -280,8 +279,6 @@ class TestAgainstClosedForms:
     def test_ensembles_refuse_fewer_than_two_runs(self, runs):
         # Zero or one run gives a NaN mean or se, not a number to test.
         with pytest.raises(ValueError, match="runs must be an integer >= 2"):
-            transient_mean_ensemble(0.0, DEFAULTS, [1.0, 3.0], runs, 777)
-        with pytest.raises(ValueError, match="runs must be an integer >= 2"):
             transient_mean_ensembles([(0.0, DEFAULTS)], [1.0, 3.0], runs, 777)
 
     @pytest.mark.parametrize("checkpoints, message", [
@@ -294,12 +291,10 @@ class TestAgainstClosedForms:
     def test_ensembles_refuse_bad_checkpoints(self, checkpoints, message):
         # transient_mean refuses t < 0, and a window must end after 0.
         with pytest.raises(ValueError, match=message):
-            transient_mean_ensemble(0.0, DEFAULTS, checkpoints, 20, 777)
-        with pytest.raises(ValueError, match=message):
             transient_mean_ensembles([(0.0, DEFAULTS)], checkpoints, 20, 777)
 
     def test_ensembles_take_a_checkpoint_at_zero(self):
-        mean, se = transient_mean_ensemble(0.0, DEFAULTS, [0.0, 3.0], 20, 777)
+        ((mean, se),) = transient_mean_ensembles([(0.0, DEFAULTS)], [0.0, 3.0], 20, 777)
         assert mean[0] == se[0] == 0.0
 
     @pytest.mark.parametrize("n_checkpoints", [0, -2, 2.5, np.float64(3.0), "3"])

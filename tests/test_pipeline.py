@@ -22,7 +22,7 @@ from motprobe import cli
 from motprobe.cli import main
 from motprobe.config import RunConfig
 from motprobe.inference import DEFAULT_STEADY_TOL, bin_by_nrb, fit_campaign
-from motprobe.photon import simulate_campaign, simulate_grid_bin
+from motprobe.photon import simulate_campaign, simulate_grid_bins
 from motprobe.traceio import read_traces_jsonl, write_report_json
 from test_golden_stream import GOLDEN_ANALYSIS, sha256
 
@@ -65,7 +65,7 @@ def test_fit_campaign_report_is_the_pinned_report(tmp_path):
 def test_grid_bin_is_a_slice_of_the_campaign():
     cfg = replace(GOLDEN_CONFIG, traces_per_bin=3)
     table = simulate_campaign(cfg)
-    b = simulate_grid_bin(cfg, 5)
+    b = next(simulate_grid_bins(cfg, [5]))
     rows = slice(5 * 3, 6 * 3)
     assert b.trace_ids == table.trace_ids[rows] == ["b05t0000", "b05t0001", "b05t0002"]
     assert b.n_rb == 1100.0
@@ -76,7 +76,7 @@ def test_grid_bin_is_a_slice_of_the_campaign():
 @pytest.mark.parametrize("bin_index", [-1, 16])
 def test_grid_bin_outside_the_grid_is_refused(bin_index):
     with pytest.raises(ValueError, match="bin_index must be in"):
-        simulate_grid_bin(GOLDEN_CONFIG, bin_index)
+        next(simulate_grid_bins(GOLDEN_CONFIG, [bin_index]))
 
 
 @pytest.mark.parametrize("bootstrap", [-1, 1])
@@ -89,7 +89,7 @@ def test_fit_campaign_refuses_a_bootstrap_of_one_or_less(bootstrap, default_camp
 def test_cli_runs_no_layer_of_the_chain_itself():
     """The command handlers reach the chain only through the pipeline."""
     for name in (
-        "derive_seeds", "seeded_generators", "simulate_bin", "synthesize_bin",
+        "derive_seeds", "seeded_generators", "simulate_groups", "synthesize_bin",
         "fit_loading_rate", "classify_steady_state", "fit_beta",
         "propagate_systematics", "bootstrap_stat_error",
     ):

@@ -547,3 +547,21 @@ class TestTableRefusals:
     def test_bin_s_finite_and_positive(self, bin_s):
         with pytest.raises(ValueError, match="bin_s must be finite and positive"):
             self.table(bin_s=bin_s)
+
+    @pytest.mark.parametrize("counts, message", [
+        (np.array([300, 100, 0]), r"'odd' has counts of shape \(3,\), its segment map 4 bins"),
+        (np.array([300, 100, 0, 100, 7]), r"trace 'odd' has counts of shape \(5,\)"),
+        (np.array([[300, 100, 0, 100]]), r"trace 'odd' has counts of shape \(1, 4\)"),
+        (np.array([300, -1, 0, 100]), "counts must be non-negative"),
+    ], ids=["short", "long", "2-D", "negative"])
+    def test_trace_rows_are_checked_by_the_table(self, counts, message):
+        """A FluorescenceTrace is a plain row record: it takes any counts,
+        and the table built from it refuses a row that does not fit its
+        segment map, naming the trace, or holds a negative count. The
+        one-trace estimate_staircase reads through that table."""
+        odd = FluorescenceTrace("odd", 0.0, 0.02, self.SEG, counts)
+        good = FluorescenceTrace("a", 0.0, 0.02, self.SEG, np.array([300, 100, 0, 100]))
+        with pytest.raises(ValueError, match=message):
+            TraceTable.from_traces([good, odd])
+        with pytest.raises(ValueError, match=message):
+            estimate_staircase(odd, CAL)
