@@ -100,11 +100,10 @@ def cmd_simulate(args) -> int:
     if args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.master_seed = int(args.seed)
-    if args.traces is not None:
-        cfg.traces_per_bin = int(args.traces)
+    overrides = {"master_seed": args.seed, "traces_per_bin": args.traces}
+    cfg = replace(
+        load_config(args.config), **{k: v for k, v in overrides.items() if v is not None}
+    )
 
     n_bins = len(cfg.grid.values())
     # A pool starts all its processes up front, and each takes one run of bins.

@@ -102,15 +102,16 @@ class GridSpec:
         return np.arange(self.min, self.max + 1, self.step)
 
 
-# Physics has no dataclass defaults; these are the config's, by key.
-_DEFAULT_PHYSICS = {
-    "r0_per_s": 1.48,
-    "alpha_per_s_per_rb": 2.3e-4,
-    "gamma_per_s": 0.03,
-    "beta_rbcs_cm3_per_s": 1.6e-10,
-    "beta_cscs_cm3_per_s": 0.0,
-    "w_cs_um": 6.6,
-    "w_rb_um": 26.4,
+# Physics key -> (PhysicalParams field, default, scale to the field's unit).
+# Physics has no dataclass defaults; these are the config's.
+_PHYSICS = {
+    "r0_per_s": ("r0", 1.48, 1.0),
+    "alpha_per_s_per_rb": ("alpha", 2.3e-4, 1.0),
+    "gamma_per_s": ("gamma", 0.03, 1.0),
+    "beta_rbcs_cm3_per_s": ("beta_rbcs", 1.6e-10, 1.0),
+    "beta_cscs_cm3_per_s": ("beta_cscs", 0.0, 1.0),
+    "w_cs_um": ("w_cs", 6.6, _UM_TO_CM),
+    "w_rb_um": ("w_rb", 26.4, _UM_TO_CM),
 }
 # Calibration key -> DetectionCalibration field.
 _CAL_FIELDS = {
@@ -122,24 +123,23 @@ _CAL_FIELDS = {
 
 
 def _physics_from(section: dict) -> PhysicalParams:
-    p = {**_DEFAULT_PHYSICS, **_finite_values(section, "physics")}
-    return _build(
-        PhysicalParams, "physics",
-        r0=p["r0_per_s"],
-        alpha=p["alpha_per_s_per_rb"],
-        gamma=p["gamma_per_s"],
-        beta_rbcs=p["beta_rbcs_cm3_per_s"],
-        beta_cscs=p["beta_cscs_cm3_per_s"],
-        w_cs=p["w_cs_um"] * _UM_TO_CM,
-        w_rb=p["w_rb_um"] * _UM_TO_CM,
-    )
+    given = _finite_values(section, "physics")
+    return _build(PhysicalParams, "physics", **{
+        name: given.get(key, default) * scale
+        for key, (name, default, scale) in _PHYSICS.items()
+    })
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """The typed objects each layer takes, built and checked once by
-    from_dict, in the order the first error is reported: keys, grid, the
-    three scalars, physics, calibration, schedule."""
+    """The typed objects each layer takes, built and checked once.
+
+    from_dict reports the first error in this order: keys, grid, physics,
+    calibration, schedule, then the three scalars. Those are checked by
+    __post_init__, so a config made with dataclasses.replace is checked too:
+    traces_per_bin an integer >= 1, master_seed a non-negative integer and
+    out_dir a string.
+    """
 
     physics: PhysicalParams
     calibration: DetectionCalibration
@@ -149,6 +149,16 @@ class RunConfig:
     master_seed: int = 1234
     out_dir: str = "runs/default"
 
+    def __post_init__(self) -> None:
+        traces = _require_int(self.traces_per_bin, "traces_per_bin")
+        if traces < 1:
+            raise ConfigError(f"traces_per_bin must be >= 1, got {traces}")
+        seed = _require_int(self.master_seed, "master_seed")
+        if seed < 0:
+            raise ConfigError(f"master_seed must be non-negative, got {seed}")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
+
     @classmethod
     def default(cls) -> "RunConfig":
         return cls.from_dict({})
@@ -157,7 +167,7 @@ class RunConfig:
     def from_dict(cls, raw: dict) -> "RunConfig":
         _check_keys(raw, _field_names(cls), "config")
         sections = {
-            "physics": _DEFAULT_PHYSICS,
+            "physics": _PHYSICS,
             "calibration": _CAL_FIELDS,
             "schedule": _field_names(ExperimentSchedule),
             "grid": _field_names(GridSpec),
@@ -165,15 +175,6 @@ class RunConfig:
         for name, allowed in sections.items():
             _check_keys(raw.get(name, {}), allowed, name)
         grid = GridSpec(**raw.get("grid", {}))
-        traces = _require_int(raw.get("traces_per_bin", cls.traces_per_bin), "traces_per_bin")
-        if traces < 1:
-            raise ConfigError(f"traces_per_bin must be >= 1, got {traces}")
-        seed = _require_int(raw.get("master_seed", cls.master_seed), "master_seed")
-        if seed < 0:
-            raise ConfigError(f"master_seed must be non-negative, got {seed}")
-        out_dir = raw.get("out_dir", cls.out_dir)
-        if not isinstance(out_dir, str):
-            raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
         physics = _physics_from(raw.get("physics", {}))
         cal = _finite_values(raw.get("calibration", {}), "calibration")
         calibration = _build(
@@ -184,7 +185,8 @@ class RunConfig:
             ExperimentSchedule, "schedule",
             **_finite_values(raw.get("schedule", {}), "schedule"),
         )
-        return cls(physics, calibration, schedule, grid, traces, seed, out_dir)
+        scalars = {key: value for key, value in raw.items() if key not in sections}
+        return cls(physics, calibration, schedule, grid, **scalars)
 
 
 def load_config(path: "str | Path | None") -> RunConfig:

@@ -191,10 +191,13 @@ class TraceTable(Sequence):
     are computed on first use and kept (detect_rates, whole_atoms,
     cell_sizes).
 
-    The constructor refuses what the analysis would misread: counts not a
-    (rows, segments.n_bins) matrix or with a negative entry, no rows, ids
-    or n_rb not one per row, a non-finite n_rb (naming its trace) and a
-    bin_s not finite and positive.
+    The counts are held as one read-only int64 matrix. The constructor
+    refuses what the analysis would misread: counts not a (rows,
+    segments.n_bins) matrix, no rows, ids or n_rb not one per row, counts
+    not of an integer dtype (a float, bool or object matrix, naming its
+    dtype) or with a negative entry, a non-finite n_rb (naming its trace)
+    and a bin_s not finite and positive. Rows taken from a table are
+    checked for their shape only: their values passed the checks already.
     """
 
     def __init__(
@@ -205,25 +208,11 @@ class TraceTable(Sequence):
         bin_s: float,
         counts: np.ndarray,
     ):
-        self.trace_ids = list(trace_ids)
-        self.n_rb = np.array(n_rb, dtype=float)
-        self.n_rb.flags.writeable = False
-        self.segments = segments
-        self.bin_s = bin_s
-        self.counts = np.asarray(counts)
-        if self.counts.ndim != 2 or self.counts.shape[1] != segments.n_bins:
-            raise ValueError(
-                f"counts must be a (traces, {segments.n_bins}) matrix for "
-                f"{segments!r}, got shape {self.counts.shape}"
-            )
-        rows = len(self.counts)
-        if rows == 0:
-            raise ValueError("a trace table needs at least one trace")
-        if not len(self.trace_ids) == len(self.n_rb) == rows:
-            raise ValueError(
-                f"{len(self.trace_ids)} trace ids and {len(self.n_rb)} n_rb "
-                f"for {rows} rows of counts"
-            )
+        self._hold(trace_ids, n_rb, segments, bin_s, np.asarray(counts))
+        if self.counts.dtype.kind not in "iu":
+            raise ValueError(f"counts must be integers, got a {self.counts.dtype} matrix")
+        # A uint64 count past int64 turns negative here, and is refused.
+        self.counts = self.counts.astype(np.int64, copy=False)
         if (self.counts < 0).any():
             raise ValueError("counts must be non-negative")
         bad = np.flatnonzero(~np.isfinite(self.n_rb))
@@ -236,6 +225,30 @@ class TraceTable(Sequence):
             raise ValueError(f"bin_s must be finite and positive, got {bin_s!r}")
         # Set once the matrix is accepted: a refused one stays the caller's.
         self.counts.flags.writeable = False
+
+    def _hold(self, trace_ids, n_rb, segments: SegmentMap, bin_s: float, counts) -> None:
+        """Hold the columns, refusing counts not a (rows, segments.n_bins)
+        matrix, no rows, and ids or n_rb not one per row; the constructor
+        then checks the values, which take's rows of a table passed."""
+        self.trace_ids = list(trace_ids)
+        self.n_rb = np.array(n_rb, dtype=float)
+        self.n_rb.flags.writeable = False
+        self.segments = segments
+        self.bin_s = bin_s
+        self.counts = counts
+        if counts.ndim != 2 or counts.shape[1] != segments.n_bins:
+            raise ValueError(
+                f"counts must be a (traces, {segments.n_bins}) matrix for "
+                f"{segments!r}, got shape {counts.shape}"
+            )
+        rows = len(counts)
+        if rows == 0:
+            raise ValueError("a trace table needs at least one trace")
+        if not len(self.trace_ids) == len(self.n_rb) == rows:
+            raise ValueError(
+                f"{len(self.trace_ids)} trace ids and {len(self.n_rb)} n_rb "
+                f"for {rows} rows of counts"
+            )
         self._rates: np.ndarray | None = None
         self._atoms: tuple[float, np.ndarray] | None = None
         self._sizes: np.ndarray | None = None
@@ -288,15 +301,19 @@ class TraceTable(Sequence):
         )
 
     def take(self, rows: np.ndarray) -> "TraceTable":
-        """The table of the given rows, in the order given."""
+        """The table of the given rows, in the order given; their values,
+        checked when this table was built, are not scanned again."""
         rows = np.asarray(rows, dtype=np.intp)
-        return TraceTable(
+        table = TraceTable.__new__(TraceTable)
+        table._hold(
             [self.trace_ids[i] for i in rows],
             self.n_rb[rows],
             self.segments,
             self.bin_s,
             self.counts[rows],
         )
+        table.counts.flags.writeable = False
+        return table
 
     def detect_rates(self) -> np.ndarray:
         """Background-subtracted detect rates (1/s), one row per trace;

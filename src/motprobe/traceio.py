@@ -491,35 +491,35 @@ def write_histogram_csv(path: "str | Path", hist: TraceHistogram) -> None:
             writer.writerow([repr(float(center)), int(occ)])
 
 
-_BIN_CSV_COLUMNS = [
-    "n_rb_center",
-    "n_traces",
-    "mean_n_cs",
-    "se_mean_n_cs",
-    "loading_rate_per_s",
-    "load_count",
-    "loss_counts_per_time_per_s",
-    "loss_atom_count",
-    "detect_time_s",
-    "poisson_lambda",
-    "ratio_load_loss",
-]
+# The bins.csv record, one entry per column in file order: (column, NrbBin
+# attribute, kind, read rule). Int cells are written as they are and float
+# cells by repr, so a reread gives the same bits (the ratio is inf with no
+# losses). read_bins_csv skips a column whose rule is None, parses the
+# others as their kind, then refuses a non-finite float in a column with a
+# rule, a negative value in a "non-negative" one and a value not above zero
+# in a "positive" one, in that order. poisson_lambda is NaN when
+# unresolved. detect_time_s must be positive: its square weights the
+# loading fit, so a negative value would pass unseen, and a zero one drops
+# its bin.
+_BIN_COLUMNS = (
+    ("n_rb_center", "center", float, "finite"),
+    ("n_traces", "n_traces", int, "non-negative"),
+    ("mean_n_cs", "mean_n_cs", float, "finite"),
+    ("se_mean_n_cs", "se_mean_n_cs", float, "non-negative"),
+    ("loading_rate_per_s", "loading_rate", float, "finite"),
+    ("load_count", "load_count", int, "non-negative"),
+    ("loss_counts_per_time_per_s", "loss_counts_per_time", float, "finite"),
+    ("loss_atom_count", "loss_atoms", int, "non-negative"),
+    ("detect_time_s", "detect_time_s", float, "positive"),
+    ("poisson_lambda", "poisson_lambda", float, ""),
+    ("ratio_load_loss", "load_loss_ratio", float, None),
+)
 
 
 def _bin_to_row(b: NrbBin) -> list:
-    ratio = b.load_loss_ratio
     return [
-        repr(float(b.center)),
-        b.n_traces,
-        repr(float(b.mean_n_cs)),
-        repr(float(b.se_mean_n_cs)),
-        repr(float(b.loading_rate)),
-        b.load_count,
-        repr(float(b.loss_counts_per_time)),
-        b.loss_atoms,
-        repr(float(b.detect_time_s)),
-        repr(float(b.poisson_lambda)),
-        repr(float(ratio)) if math.isfinite(ratio) else "inf",
+        getattr(b, attribute) if kind is int else repr(float(getattr(b, attribute)))
+        for _, attribute, kind, _ in _BIN_COLUMNS
     ]
 
 
@@ -527,47 +527,35 @@ def write_bins_csv(
     path: "str | Path", binned: BinnedDataset, labels: "list[str] | None" = None
 ) -> None:
     """One row per bin; labels, one per bin, add a last column, state."""
+    header = [column for column, *_ in _BIN_COLUMNS]
+    rows = map(_bin_to_row, binned.bins)
+    if labels is not None:
+        header.append("state")
+        rows = (row + [label] for row, label in zip(rows, labels))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if labels is None:
-            writer.writerow(_BIN_CSV_COLUMNS)
-            writer.writerows(_bin_to_row(b) for b in binned.bins)
-        else:
-            writer.writerow(_BIN_CSV_COLUMNS + ["state"])
-            writer.writerows(_bin_to_row(b) + [lab] for b, lab in zip(binned.bins, labels))
-
-
-# Columns the fits read; poisson_lambda (NaN when unresolved) and
-# ratio_load_loss (inf with no losses) are not among them.
-_FINITE_BIN_COLUMNS = (
-    "n_rb_center",
-    "mean_n_cs",
-    "se_mean_n_cs",
-    "loading_rate_per_s",
-    "loss_counts_per_time_per_s",
-    "detect_time_s",
-)
-# Columns that count, or measure a spread, and cannot be negative.
-# detect_time_s must be positive: its square weights the loading fit, so a
-# negative value would pass unseen, and a zero one drops its bin.
-_NON_NEGATIVE_BIN_COLUMNS = ("n_traces", "se_mean_n_cs", "load_count", "loss_atom_count")
-# Columns read_bins_csv reads (all but ratio_load_loss), and those of them
-# that hold whole numbers; the others hold floats.
-_READ_BIN_COLUMNS = tuple(c for c in _BIN_CSV_COLUMNS if c != "ratio_load_loss")
-_INT_BIN_COLUMNS = ("n_traces", "load_count", "loss_atom_count")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _bin_values(row: dict) -> dict:
-    """The numbers of one bins.csv row by column; a cell that is not a
-    number of its column's kind is refused, naming the column."""
+    """The NrbBin attributes of one bins.csv row, checked by _BIN_COLUMNS;
+    a refusal names the column."""
+    read = [entry for entry in _BIN_COLUMNS if entry[3] is not None]
     values = {}
-    for column in _READ_BIN_COLUMNS:
-        kind = int if column in _INT_BIN_COLUMNS else float
+    for column, attribute, kind, _ in read:
         try:
-            values[column] = kind(row[column])
+            values[attribute] = kind(row[column])
         except (TypeError, ValueError):
             what = "an integer" if kind is int else "a number"
             raise ValueError(f"{column} must be {what}, got {row[column]!r}") from None
+    for column, attribute, kind, rule in read:
+        if kind is float and rule and not math.isfinite(values[attribute]):
+            raise ValueError(f"{column} must be finite, got {row[column]!r}")
+    for bound, holds in (("non-negative", lambda v: v >= 0), ("positive", lambda v: v > 0)):
+        for column, attribute, _, rule in read:
+            if rule == bound and not holds(values[attribute]):
+                raise ValueError(f"{column} must be {bound}, got {row[column]!r}")
     return values
 
 
@@ -586,41 +574,14 @@ def read_bins_csv(path: "str | Path") -> BinnedDataset:
     center_lines: dict[float, int] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        missing = set(_BIN_CSV_COLUMNS) - set(reader.fieldnames or [])
+        missing = {column for column, *_ in _BIN_COLUMNS} - set(reader.fieldnames or [])
         if missing:
             raise TraceFileError(
                 f"{path}: missing column(s): {', '.join(sorted(missing))}"
             )
         for i, row in enumerate(reader, start=2):
             try:
-                v = _bin_values(row)
-                for column in _FINITE_BIN_COLUMNS:
-                    if not math.isfinite(v[column]):
-                        raise ValueError(f"{column} must be finite, got {row[column]!r}")
-                for column in _NON_NEGATIVE_BIN_COLUMNS:
-                    if v[column] < 0:
-                        raise ValueError(
-                            f"{column} must be non-negative, got {row[column]!r}"
-                        )
-                if not v["detect_time_s"] > 0:
-                    raise ValueError(
-                        f"detect_time_s must be positive, got {row['detect_time_s']!r}"
-                    )
-                bins.append(
-                    NrbBin(
-                        center=v["n_rb_center"],
-                        n_traces=v["n_traces"],
-                        mean_n_cs=v["mean_n_cs"],
-                        se_mean_n_cs=v["se_mean_n_cs"],
-                        loading_rate=v["loading_rate_per_s"],
-                        load_count=v["load_count"],
-                        loss_counts_per_time=v["loss_counts_per_time_per_s"],
-                        loss_atoms=v["loss_atom_count"],
-                        detect_time_s=v["detect_time_s"],
-                        poisson_lambda=v["poisson_lambda"],
-                        trace_means=None,
-                    )
-                )
+                bins.append(NrbBin(**_bin_values(row)))
             except (TypeError, ValueError) as exc:
                 raise TraceFileError(str(exc), i) from exc
             first = center_lines.setdefault(bins[-1].center, i)

@@ -5,6 +5,7 @@ stays fast; reproducibility checks compare output files byte for byte.
 """
 
 import concurrent.futures
+import dataclasses
 import json
 import math
 import os
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from motprobe import cli, gillespie
+from motprobe import cli, config, gillespie, traceio
 from motprobe.cli import main
 from motprobe.config import ConfigError, GridSpec, RunConfig, load_config
 from motprobe.gillespie import ExperimentSchedule
@@ -108,6 +109,25 @@ class TestRunConfig:
             RunConfig.from_dict({"physics": {"w_cs_um": -1.0}})
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"traces_per_bin": 0})
+
+    @pytest.mark.parametrize("change, message", [
+        ({"traces_per_bin": 0}, "traces_per_bin must be >= 1, got 0"),
+        ({"traces_per_bin": 2.5}, "traces_per_bin must be an integer, got 2.5"),
+        ({"master_seed": -1}, "master_seed must be non-negative, got -1"),
+        ({"master_seed": True}, "master_seed must be an integer, got True"),
+        ({"out_dir": 5}, "out_dir must be a string, got 5"),
+    ])
+    def test_scalars_are_checked_by_the_config_itself(self, change, message):
+        """A config made by replace is checked as one read from JSON is,
+        with the same message."""
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            dataclasses.replace(RunConfig.default(), **change)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            RunConfig.from_dict(change)
+
+    def test_config_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            RunConfig.default().master_seed = 7
 
     def test_load_config_errors(self, tmp_path):
         bad = tmp_path / "broken.json"
@@ -1165,6 +1185,33 @@ class TestBinsCsvValues:
         binned = read_bins_csv(path)
         assert all(math.isnan(b.poisson_lambda) for b in binned.bins)
         assert len(binned.bins) == 16
+
+
+class TestOneDeclaration:
+    """bins.csv and the physics section are each declared in one table; a
+    half-wired column or key fails here before any file is written."""
+
+    def test_every_bin_field_is_read_from_one_column(self):
+        read = [
+            (attribute, kind)
+            for _, attribute, kind, rule in traceio._BIN_COLUMNS
+            if rule is not None
+        ]
+        fields = {
+            f.name: f.type for f in dataclasses.fields(NrbBin) if f.name != "trace_means"
+        }
+        assert sorted(attribute for attribute, _ in read) == sorted(fields)
+        assert all(fields[attribute] == kind.__name__ for attribute, kind in read)
+        columns = [column for column, *_ in traceio._BIN_COLUMNS]
+        assert len(set(columns)) == len(columns)
+        assert "state" not in columns
+
+    def test_every_physics_key_feeds_a_distinct_field(self):
+        names = [name for name, _, _ in config._PHYSICS.values()]
+        assert sorted(names) == sorted(f.name for f in dataclasses.fields(PhysicalParams))
+        assert [key for key, (_, _, scale) in config._PHYSICS.items() if scale != 1.0] == [
+            "w_cs_um", "w_rb_um",
+        ]
 
 
 class TestModuleEntry:

@@ -16,9 +16,8 @@ import numpy as np
 import pytest
 
 import motprobe
-from motprobe.config import RunConfig
+from motprobe.config import ConfigError, RunConfig
 from motprobe.gillespie import derive_seed, derive_seeds, seeded_generators
-from motprobe.photon import simulate_grid_bins
 
 MASTERS = [0, 1, 777, 1234, 4242, 2**32 - 1, 2**32, 2**64 - 1, 2**70 + 3]
 PREFIXES = [(0, 3), (1, 11), (2,), (3,), ()]
@@ -84,14 +83,11 @@ def test_numpy_integer_count_is_taken(count):
     assert derive_seeds(1, 2, count=count).tolist() == derive_seeds(1, 2, count=3).tolist()
 
 
-def test_simulate_grid_bins_refuses_a_fractional_trace_count():
-    """simulate_grid_bins passes traces_per_bin to derive_seeds as the
-    count, so a fractional one that skipped from_dict's check is refused
-    on the first next(), before any bin is yielded."""
-    cfg = replace(RunConfig.default(), traces_per_bin=2.5)
-    bins = simulate_grid_bins(cfg, [0, 1])
-    with pytest.raises(ValueError, match="count must be an integer, got 2.5"):
-        next(bins)
+def test_a_fractional_trace_count_is_refused_at_replace():
+    """RunConfig checks its own scalars, so a fractional traces_per_bin
+    never reaches simulate_grid_bins, even by dataclasses.replace."""
+    with pytest.raises(ConfigError, match="traces_per_bin must be an integer, got 2.5"):
+        replace(RunConfig.default(), traces_per_bin=2.5)
 
 
 CAMPAIGN_STREAMS = {"TRAJECTORY_STREAM", "PHOTON_STREAM"}

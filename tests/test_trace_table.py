@@ -548,6 +548,52 @@ class TestTableRefusals:
         with pytest.raises(ValueError, match="bin_s must be finite and positive"):
             self.table(bin_s=bin_s)
 
+    @pytest.mark.parametrize("counts, dtype", [
+        (np.full((2, 4), 1.5), "float64"),
+        (np.full((2, 4), math.nan), "float64"),
+        (np.ones((2, 4), dtype=bool), "bool"),
+        (np.ones((2, 4), dtype=int).astype(object), "object"),
+    ], ids=["float", "nan", "bool", "object"])
+    def test_counts_not_integers_are_refused(self, counts, dtype):
+        """A float matrix would be rounded and a NaN one cast to garbage by
+        whole_atoms; the table refuses both, naming the dtype, as it does a
+        bool or object one, from the constructor and from traces alike."""
+        message = f"counts must be integers, got a {dtype} matrix"
+        with pytest.raises(ValueError, match=message):
+            self.table(counts=counts)
+        traces = [FluorescenceTrace(t, 0.0, 0.02, self.SEG, row) for t, row in zip("ab", counts)]
+        with pytest.raises(ValueError, match=message):
+            TraceTable.from_traces(traces)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.int64])
+    def test_integer_counts_are_held_as_int64(self, dtype):
+        counts = np.array([[300, 100, 0, 100], [200, 100, 0, 100]], dtype=dtype)
+        table = self.table(counts=counts)
+        assert table.counts.dtype == np.int64
+        assert not table.counts.flags.writeable
+        assert table.counts.tolist() == counts.tolist()
+        # int64 input is held as it is, with no copy.
+        assert (table.counts is counts) == (dtype is np.int64)
+
+    def test_uint64_count_past_int64_is_refused(self):
+        counts = np.array([[300, 100, 0, 100], [200, 2**63, 0, 100]], dtype=np.uint64)
+        with pytest.raises(ValueError, match="non-negative"):
+            self.table(counts=counts)
+
+    def test_taken_rows_are_a_read_only_table_of_those_rows(self):
+        table = self.table(ids=("a", "b", "c"), n_rb=(0.0, 220.0, 440.0), counts=np.array([
+            [300, 100, 0, 100], [200, 100, 0, 100], [100, 100, 0, 100],
+        ]))
+        taken = table.take(np.array([2, 0]))
+        assert taken.trace_ids == ["c", "a"]
+        assert taken.n_rb.tolist() == [440.0, 0.0]
+        assert taken.counts.tolist() == [[100, 100, 0, 100], [300, 100, 0, 100]]
+        assert taken.counts.dtype == np.int64
+        assert not (taken.counts.flags.writeable or taken.n_rb.flags.writeable)
+        assert (taken.segments, taken.bin_s) == (table.segments, table.bin_s)
+        with pytest.raises(ValueError, match="at least one trace"):
+            table.take(np.array([], dtype=np.intp))
+
     @pytest.mark.parametrize("counts, message", [
         (np.array([300, 100, 0]), r"'odd' has counts of shape \(3,\), its segment map 4 bins"),
         (np.array([300, 100, 0, 100, 7]), r"trace 'odd' has counts of shape \(5,\)"),
