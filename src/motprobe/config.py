@@ -135,10 +135,10 @@ class RunConfig:
     """The typed objects each layer takes, built and checked once.
 
     from_dict reports the first error in this order: keys, grid, physics,
-    calibration, schedule, then the three scalars. Those are checked by
-    __post_init__, so a config made with dataclasses.replace is checked too:
-    traces_per_bin an integer >= 1, master_seed a non-negative integer and
-    out_dir a string.
+    calibration, schedule, then the three scalars. __post_init__ checks
+    that each section is its own dataclass, then the scalars, so a config
+    made with dataclasses.replace is checked too: traces_per_bin an integer
+    >= 1, master_seed a non-negative integer and out_dir a string.
     """
 
     physics: PhysicalParams
@@ -150,6 +150,15 @@ class RunConfig:
     out_dir: str = "runs/default"
 
     def __post_init__(self) -> None:
+        for name, kind in (
+            ("physics", PhysicalParams),
+            ("calibration", DetectionCalibration),
+            ("schedule", ExperimentSchedule),
+            ("grid", GridSpec),
+        ):
+            section = getattr(self, name)
+            if not isinstance(section, kind):
+                raise ConfigError(f"{name} must be a {kind.__name__}, got {section!r}")
         traces = _require_int(self.traces_per_bin, "traces_per_bin")
         if traces < 1:
             raise ConfigError(f"traces_per_bin must be >= 1, got {traces}")

@@ -311,8 +311,8 @@ def _int_words(value: int) -> list[int]:
 def _seed_state(entropy: list, n_words: int) -> list[np.ndarray]:
     """SeedSequence(entropy).generate_state(n_words) on columns of words.
 
-    entropy holds uint32 words, each a scalar or a 1-D array; they broadcast,
-    and every column is one seed sequence. Returns n_words uint32 arrays.
+    entropy holds uint32 words, each a scalar or an array; they broadcast,
+    and every element is one seed sequence. Returns n_words uint32 arrays.
     Entropy shorter than the pool is padded with zero words, which is what
     SeedSequence hashes into the unfilled pool slots when it has no spawn key.
     """
@@ -356,21 +356,51 @@ def _join_words(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return lo.astype(np.uint64) | (hi.astype(np.uint64) << 32)
 
 
-def derive_seeds(master_seed: int, *prefix: int, count: int) -> np.ndarray:
+def _word_column(values) -> np.ndarray:
+    """A 1-D array prefix entry of derive_seeds as a column of uint32 words:
+    each entry must be an integer in [0, 2**32), so that it is one entropy
+    word of SeedSequence, as the scalar derive_seed splits it. An empty
+    entry (such as []) is taken whatever its dtype."""
+    column = np.asarray(values)
+    if column.ndim != 1 or (column.size and column.dtype.kind not in "iu"):
+        raise ValueError(
+            f"an array prefix entry must be a 1-D integer array, got {column.dtype} "
+            f"of shape {column.shape}"
+        )
+    bad = column[(column < 0) | (column > _MASK32)]
+    if bad.size:
+        raise ValueError(f"array prefix entries must be in [0, 2**32), got {bad[0].item()!r}")
+    return column.astype(np.uint32)[:, np.newaxis]
+
+
+def derive_seeds(master_seed: int, *prefix: "int | np.ndarray", count: int) -> np.ndarray:
     """derive_seed(master_seed, *prefix, i) for i in range(count), as uint64.
 
     Hashes all count seed sequences at once, with the same uint32 arithmetic
     as SeedSequence, so every element equals the scalar derive_seed.
     count must be an int (Python or numpy) >= 0; a float, even a whole one,
     and a bool are refused rather than rounded.
+
+    One prefix entry may be a 1-D integer array, such as a run of bin
+    indices, in any order and with repeats: the result then has one row of
+    count seeds per entry, row r being the seeds with that entry's r-th
+    value in its place, all hashed in one pass. Its entries must lie in
+    [0, 2**32); a negative or larger one is refused, not wrapped.
     """
     if isinstance(count, bool) or not isinstance(count, numbers.Integral):
         raise ValueError(f"count must be an integer, got {count!r}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count!r}")
     words = _int_words(master_seed)
+    arrays = 0
     for p in prefix:
-        words += _int_words(p)
+        if np.ndim(p) == 0:
+            words += _int_words(p)
+        else:
+            arrays += 1
+            words.append(_word_column(p))
+    if arrays > 1:
+        raise ValueError(f"at most one prefix entry may be an array, got {arrays}")
     index = np.arange(count, dtype=np.uint32)
     return _join_words(*_seed_state([*words, index], 2))
 

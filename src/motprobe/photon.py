@@ -6,8 +6,9 @@ shot. A bin of shots is synthesized at once from its EventTable (the event
 times and levels of all shots in flat columns): one occupancy matrix, one
 matrix of Poisson means and one draw per shot on its own generator.
 simulate_grid_bins runs a run of bins of a configured campaign and derives
-every seed a campaign uses, of both streams: it steps the run's shots as
-one gillespie.simulate_groups call, one seed group per bin, then draws each
+every seed a campaign uses, of both streams, each stream's seeds of the run
+in one hash pass: it steps the run's shots as one
+gillespie.simulate_groups call, one seed group per bin, then draws each
 bin's counts as it is asked for. simulate_campaign stacks every bin into
 one TraceTable.
 Inverse direction: background subtraction, integer staircase estimation
@@ -31,6 +32,7 @@ synthesize_counts and estimate_staircase stay because the benchmark tracer
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
@@ -523,11 +525,15 @@ def simulate_grid_bins(cfg: "RunConfig", bin_indices: "Sequence[int]") -> Iterat
     seeded by derive_seed(master_seed, TRAJECTORY_STREAM, bi, ti) and its
     counts by derive_seed(master_seed, PHOTON_STREAM, bi, ti). A campaign
     is seeded here and nowhere else, so a bin is the same whichever process
-    computes it, in whatever run of bins. The run's shots are stepped as
-    one simulate_groups call with one seed group per bin, so its chunks
-    fill across bins; each bin's counts are then drawn when it is asked
-    for, and its event table is let go once it is yielded. Nothing is
-    simulated before the first bin is asked for.
+    computes it, in whatever run of bins. Each stream's seeds of the whole
+    run are hashed by one derive_seeds call, one row per bin, and the photon
+    generators come from one seeded_generators iterator, taken
+    traces_per_bin at a time: the seed hashing is a fixed number of passes
+    whatever the run's length. The run's shots are stepped as one
+    simulate_groups call with one seed group per bin, so its chunks fill
+    across bins; each bin's counts are then drawn when it is asked for, and
+    its event table is let go once it is yielded. Nothing is simulated
+    before the first bin is asked for.
     """
     values = cfg.grid.values()
     bin_indices = list(bin_indices)
@@ -538,9 +544,12 @@ def simulate_grid_bins(cfg: "RunConfig", bin_indices: "Sequence[int]") -> Iterat
     cal = cfg.calibration
     seg = segment_map_for(cfg.schedule, cal.bin_s)
     bins = [(float(values[bi]), bi) for bi in bin_indices]
+    run = np.array(bin_indices, dtype=np.int64)
     groups = [
-        ([(n_rb, cfg.physics)], derive_seeds(cfg.master_seed, TRAJECTORY_STREAM, bi, count=traces))
-        for n_rb, bi in bins
+        ([(n_rb, cfg.physics)], seeds)
+        for (n_rb, _), seeds in zip(
+            bins, derive_seeds(cfg.master_seed, TRAJECTORY_STREAM, run, count=traces)
+        )
     ]
     tables = [table for (table,) in simulate_groups(groups, cfg.schedule)]
     # Let go of the seed groups, then reverse in place, before the first
@@ -549,10 +558,12 @@ def simulate_grid_bins(cfg: "RunConfig", bin_indices: "Sequence[int]") -> Iterat
     del groups
     # Taken from the end, so the list lets go of each table as it is yielded.
     tables.reverse()
+    rngs = seeded_generators(
+        derive_seeds(cfg.master_seed, PHOTON_STREAM, run, count=traces).ravel()
+    )
     for n_rb, bi in bins:
         events = tables.pop()
-        seeds = derive_seeds(cfg.master_seed, PHOTON_STREAM, bi, count=traces)
-        counts = synthesize_bin(events, cal, seg, seeded_generators(seeds))
+        counts = synthesize_bin(events, cal, seg, itertools.islice(rngs, traces))
         trace_ids = [f"b{bi:02d}t{ti:04d}" for ti in range(traces)]
         yield SimulatedBin(n_rb, trace_ids, seg, events, counts)
 

@@ -3,8 +3,11 @@
 One JSON object per line keeps multi-thousand-trace campaigns streamable and
 diffable. Readers validate eagerly and report the offending line number.
 
-trace_lines formats a whole count matrix in one vectorized pass. Reading
-back, read_traces_jsonl parses a block of lines in that form with one numpy
+trace_lines formats a whole count matrix in one vectorized pass: each
+count below 2**16 is one 8-byte word of its text "k, ", NUL-padded, so a
+bin's rows are one gather of words and one bytes.translate that drops the
+padding; a row with any other count is written by json. Reading back,
+read_traces_jsonl parses a block of lines in that form with one numpy
 call for all their counts, and each distinct head after a plain trace_id
 once per block, as the lines of a bin differ only in trace_id; any other
 block is read line by line with json, each line's fields checked by
@@ -78,25 +81,24 @@ def trace_record(
 
 
 # Counts below _TABLE_COUNTS are formatted from a table of their text, built
-# on first use; a row holding any other count goes through json.
+# on first use; a row holding any other count goes through json. The longest
+# text, "65535, ", fits one 8-byte word with a NUL to spare.
 _TABLE_COUNTS = 1 << 16
-_TABLE_WIDTH = len(f"{_TABLE_COUNTS - 1}, ")
 # A trace_id json.dumps writes as no other part of a trace record.
 _ID_MARK = "\x00"
 
 
 @functools.lru_cache(maxsize=1)
 def _count_text_table() -> tuple[np.ndarray, np.ndarray]:
-    """The ASCII text of "k, " for every k below _TABLE_COUNTS, one
-    zero-padded row of _TABLE_WIDTH bytes each, and each text's length;
-    both read-only."""
-    digits = np.arange(_TABLE_COUNTS).astype(f"S{_TABLE_WIDTH - 2}")
-    texts = np.char.add(digits, b", ")
-    table = texts.view(np.uint8).reshape(_TABLE_COUNTS, _TABLE_WIDTH)
+    """The ASCII text of "k, " for every k below _TABLE_COUNTS as one uint64
+    word, left-aligned and padded with NUL bytes, and each text's length as
+    uint8; both read-only."""
+    texts = np.char.add(np.arange(_TABLE_COUNTS).astype("S5"), b", ")
+    words = texts.astype("S8").view(np.uint64)
     lengths = np.char.str_len(texts).astype(np.uint8)
-    table.flags.writeable = False
+    words.flags.writeable = False
     lengths.flags.writeable = False
-    return table, lengths
+    return words, lengths
 
 
 def trace_lines(
@@ -107,9 +109,11 @@ def trace_lines(
 
     Each line is byte for byte json.dumps(trace_record(...)) + "\n": the
     text before the counts comes from json.dumps of trace_record, and the
-    integer counts below _TABLE_COUNTS are spelt from _count_text_table in
-    one gather and one masked compaction. A row with a negative, larger or
-    non-integer count is written by json.dumps itself.
+    integer counts below _TABLE_COUNTS are spelt from _count_text_table:
+    one gather of the rows' words, whose bytes lose their NUL padding in one
+    bytes.translate, and one cumulative sum of the rows' text lengths to
+    cut the result into lines. A row with a negative, larger or non-integer
+    count is written by json.dumps itself.
     """
     counts = np.asarray(counts)
     if counts.ndim != 2 or len(counts) != len(trace_ids):
@@ -123,13 +127,11 @@ def trace_lines(
         tabled = ((counts >= 0) & (counts < _TABLE_COUNTS)).all(axis=1)
     else:
         tabled = np.zeros(len(counts), dtype=bool)
-    table, lengths = _count_text_table()
+    words, lengths = _count_text_table()
     rows = counts[tabled].astype(np.intp, copy=False)
-    row_lengths = lengths[rows]
-    text = table[rows][np.arange(_TABLE_WIDTH) < row_lengths[..., None]]
-    body = text.tobytes().decode("ascii")
+    body = words[rows].tobytes().translate(None, b"\0").decode("ascii")
     # Each row's text ends in ", "; the "]}" of the line replaces it.
-    ends = np.cumsum(row_lengths.sum(axis=1)).tolist()
+    ends = np.cumsum(lengths[rows].sum(axis=1)).tolist()
     starts = [0] + ends[:-1]
     spans = iter(zip(starts, ends))
     lines = []
@@ -526,10 +528,15 @@ def _bin_to_row(b: NrbBin) -> list:
 def write_bins_csv(
     path: "str | Path", binned: BinnedDataset, labels: "list[str] | None" = None
 ) -> None:
-    """One row per bin; labels, one per bin, add a last column, state."""
+    """One row per bin; labels, one per bin, add a last column, state. A
+    labels list of another length is refused, never truncated to fit."""
     header = [column for column, *_ in _BIN_COLUMNS]
     rows = map(_bin_to_row, binned.bins)
     if labels is not None:
+        if len(labels) != len(binned.bins):
+            raise ValueError(
+                f"labels holds {len(labels)} entries for {len(binned.bins)} bins"
+            )
         header.append("state")
         rows = (row + [label] for row, label in zip(rows, labels))
     with open(path, "w", newline="") as fh:

@@ -129,6 +129,21 @@ class TestRunConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             RunConfig.default().master_seed = 7
 
+    @pytest.mark.parametrize("section, value, kind", [
+        ("physics", {"r0_per_s": 1.48}, "PhysicalParams"),
+        ("calibration", None, "DetectionCalibration"),
+        ("schedule", (3.0, 0.5, 0.2), "ExperimentSchedule"),
+        ("grid", {"min": 0, "max": 220, "step": 220}, "GridSpec"),
+        ("grid", ExperimentSchedule(), "GridSpec"),
+    ])
+    def test_sections_are_checked_by_the_config_itself(self, section, value, kind):
+        """A section that is not its dataclass is refused at replace, naming
+        the field, not left to fail inside the simulator."""
+        message = f"{section} must be a {kind}, got {value!r}"
+        with pytest.raises(ConfigError) as info:
+            dataclasses.replace(RunConfig.default(), **{section: value})
+        assert str(info.value) == message
+
     def test_load_config_errors(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{nope")
@@ -1185,6 +1200,25 @@ class TestBinsCsvValues:
         binned = read_bins_csv(path)
         assert all(math.isnan(b.poisson_lambda) for b in binned.bins)
         assert len(binned.bins) == 16
+
+
+def test_bins_csv_labels_of_another_length_are_refused(tmp_path):
+    """Three bins with one label is refused with both lengths, and no file
+    is written, rather than a one-row fit_bins.csv."""
+    binned = BinnedDataset(bins=[
+        NrbBin(
+            center=220.0 * k, n_traces=4, mean_n_cs=1.0, se_mean_n_cs=0.1,
+            loading_rate=1.0, load_count=3, loss_counts_per_time=1.0,
+            loss_atoms=3, detect_time_s=3.0, poisson_lambda=float("nan"),
+        )
+        for k in range(3)
+    ])
+    path = tmp_path / "fit_bins.csv"
+    for labels in (["steady"], ["steady"] * 4):
+        message = f"^labels holds {len(labels)} entries for 3 bins$"
+        with pytest.raises(ValueError, match=message):
+            write_bins_csv(path, binned, labels=labels)
+    assert not path.exists()
 
 
 class TestOneDeclaration:

@@ -4,8 +4,10 @@ derive_seeds must equal derive_seed element by element, and every Generator
 from seeded_generators must start in the state of np.random.default_rng of
 its seed. Masters of 2**32 and above take several entropy words; seeds below
 2**32 take one. A count must be an integer: a float or a bool is refused,
-never rounded. A campaign's two streams are seeded in one function of the
-package, photon.simulate_grid_bins.
+never rounded. One prefix entry may be an array of indices below 2**32,
+giving one row of seeds per index. A campaign's two streams are seeded in
+one function of the package, photon.simulate_grid_bins, with a fixed
+number of hash passes per run of bins.
 """
 
 import ast
@@ -16,8 +18,16 @@ import numpy as np
 import pytest
 
 import motprobe
+from motprobe import gillespie
 from motprobe.config import ConfigError, RunConfig
-from motprobe.gillespie import derive_seed, derive_seeds, seeded_generators
+from motprobe.gillespie import (
+    PHOTON_STREAM,
+    TRAJECTORY_STREAM,
+    derive_seed,
+    derive_seeds,
+    seeded_generators,
+)
+from motprobe.photon import simulate_grid_bins, synthesize_bin
 
 MASTERS = [0, 1, 777, 1234, 4242, 2**32 - 1, 2**32, 2**64 - 1, 2**70 + 3]
 PREFIXES = [(0, 3), (1, 11), (2,), (3,), ()]
@@ -81,6 +91,81 @@ def test_count_that_is_not_an_integer_is_refused(count):
 @pytest.mark.parametrize("count", [np.int64(3), np.uint32(3), np.intp(3)])
 def test_numpy_integer_count_is_taken(count):
     assert derive_seeds(1, 2, count=count).tolist() == derive_seeds(1, 2, count=3).tolist()
+
+
+@pytest.mark.parametrize("master", [0, 1234, 2**32, 2**70 + 3])
+@pytest.mark.parametrize("index", [
+    [5, 2, 5], [0], [], [2**32 - 1, 0, 7, 2**31], np.array([3, 1, 3, 0], dtype=np.uint8),
+])
+def test_array_prefix_matches_scalar(master, index):
+    """Row r of an array-prefix call is the scalar form with index[r] in
+    the array's place, in any order and with repeats."""
+    for prefix in ([TRAJECTORY_STREAM, index], [PHOTON_STREAM, index, 9], [index]):
+        seeds = derive_seeds(master, *prefix, count=6)
+        assert seeds.dtype == np.uint64
+        assert seeds.shape == (len(index), 6)
+        for r, bi in enumerate(np.asarray(index).tolist()):
+            path = [bi if p is index else p for p in prefix]
+            assert seeds[r].tolist() == [derive_seed(master, *path, i) for i in range(6)]
+
+
+@pytest.mark.parametrize("index, match", [
+    ([1, -1], r"in \[0, 2\*\*32\), got -1"),
+    ([2**32], r"in \[0, 2\*\*32\), got 4294967296"),
+    (np.array([0, 2**40], dtype=np.int64), r"in \[0, 2\*\*32\), got 1099511627776"),
+    ([1.0, 2.0], "1-D integer array"),
+    ([True, False], "1-D integer array"),
+    ([[1, 2]], "1-D integer array"),
+    ([2**70], "1-D integer array"),
+])
+def test_bad_array_prefix_is_refused(index, match):
+    with pytest.raises(ValueError, match=match):
+        derive_seeds(1, 0, index, count=3)
+
+
+def test_two_array_prefixes_are_refused():
+    with pytest.raises(ValueError, match="at most one prefix entry may be an array"):
+        derive_seeds(1, [0, 1], [2, 3], count=3)
+
+
+SMALL = replace(RunConfig.default(), traces_per_bin=5, master_seed=99)
+
+
+def test_a_run_is_seeded_as_its_bins_alone():
+    """A run with a repeat, out of order, gives each bin the scalar seeds of
+    its coordinates, counts drawn on default_rng of its scalar photon seeds,
+    and the output of its own one-bin run."""
+    run = list(simulate_grid_bins(SMALL, [5, 2, 5]))
+    assert [b.trace_ids[0] for b in run] == ["b05t0000", "b02t0000", "b05t0000"]
+    for b, bi in zip(run, [5, 2, 5]):
+        want = [derive_seed(99, TRAJECTORY_STREAM, bi, ti) for ti in range(5)]
+        assert b.events.seed.tolist() == want
+        gens = [np.random.default_rng(derive_seed(99, PHOTON_STREAM, bi, ti)) for ti in range(5)]
+        drawn = synthesize_bin(b.events, SMALL.calibration, b.segments, gens)
+        np.testing.assert_array_equal(b.counts, drawn)
+        (alone,) = simulate_grid_bins(SMALL, [bi])
+        np.testing.assert_array_equal(b.counts, alone.counts)
+        np.testing.assert_array_equal(b.events.time, alone.events.time)
+
+
+def test_seed_hashing_does_not_grow_with_the_run(monkeypatch):
+    """simulate_grid_bins hashes each stream's seeds of a whole run in a
+    fixed number of passes, whatever the number of bins."""
+    calls = []
+    real = gillespie._seed_state
+
+    def counted(entropy, n_words):
+        calls.append(n_words)
+        return real(entropy, n_words)
+
+    monkeypatch.setattr(gillespie, "_seed_state", counted)
+    per_run = []
+    for run in ([4], [0, 1, 2], list(range(16)) + [3, 3]):
+        calls.clear()
+        bins = list(simulate_grid_bins(replace(SMALL, traces_per_bin=2), run))
+        assert len(bins) == len(run)
+        per_run.append(len(calls))
+    assert per_run == [per_run[0]] * 3
 
 
 def test_a_fractional_trace_count_is_refused_at_replace():

@@ -67,11 +67,33 @@ class TestWriter:
         assert got == reference_lines(ids, 1320.0, 0.02, SEG, counts)
 
     def test_table_spells_every_count_as_python_does(self):
-        table, lengths = traceio._count_text_table()
-        used = np.arange(traceio._TABLE_WIDTH) < lengths[:, np.newaxis]
-        want = "".join(f"{k}, " for k in range(traceio._TABLE_COUNTS))
-        assert table[used].tobytes() == want.encode("ascii")
-        assert not table[~used].any()
+        """Word k, its NULs stripped, is "k, "; its NULs only trail, and
+        the length table holds each text's length."""
+        words, lengths = traceio._count_text_table()
+        assert words.dtype == np.uint64 and lengths.dtype == np.uint8
+        assert len(words) == len(lengths) == traceio._TABLE_COUNTS
+        assert not words.flags.writeable and not lengths.flags.writeable
+        for k, (word, length) in enumerate(zip(words, lengths.tolist())):
+            spelt = word.tobytes()
+            assert spelt.replace(b"\0", b"") == f"{k}, ".encode("ascii")
+            assert spelt == spelt[:length] + b"\0" * (8 - length)
+
+    def test_a_bin_interleaves_tabled_and_json_rows(self):
+        """One bin whose rows hold counts of every digit length from 1 to 5,
+        some with 65535 (tabled) and some with 65536 (written by json), so
+        the row spans of the tabled text skip the json rows."""
+        spread = [7, 42, 512, 4096, 30000]
+        counts = np.array([
+            spread + [65535],
+            spread + [65536],
+            [65535, 9, 65535, 10, 99999, 100],
+            [65536, 0, 1, 22, 333, 4444],
+            [1, 22, 333, 4444, 55555, 65535],
+            [0, 65536, 0, 65536, 0, 65536],
+        ], dtype=np.int64)
+        ids = [f"b07t{k:04d}" for k in range(len(counts))]
+        got = trace_lines(ids, 1540.0, 0.02, SEG, counts)
+        assert got == reference_lines(ids, 1540.0, 0.02, SEG, counts)
 
     @pytest.mark.parametrize("value", EDGES)
     def test_one_column(self, value):
