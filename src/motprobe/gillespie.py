@@ -65,9 +65,10 @@ __all__ = [
     "POISSON_STREAM",
 ]
 
-# Stream tags for the per-trace seed derivation, see derive_seed(). Trace ti
-# of campaign bin bi is seeded from (TRAJECTORY_STREAM, bi, ti) and
-# (PHOTON_STREAM, bi, ti), by photon.simulate_grid_bins alone. The oracles'
+# Stream tags for the seed derivation, see derive_seed(). The trajectory of
+# trace ti of campaign bin bi is seeded from (TRAJECTORY_STREAM, bi, ti), and
+# the photon counts of the whole bin from (PHOTON_STREAM, bi), one generator
+# per bin, by photon.simulate_grid_bins alone. The oracles'
 # runs take their own: run i of every transient set is seeded from
 # (TRANSIENT_STREAM, i), of the Poisson check from (POISSON_STREAM, i).
 TRAJECTORY_STREAM = 0

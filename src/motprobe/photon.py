@@ -4,7 +4,7 @@ Forward direction: turn simulated trajectories into Poisson photon counts in
 fixed time bins, including the light-off and background segments of each
 shot. A bin of shots is synthesized at once from its EventTable (the event
 times and levels of all shots in flat columns): one occupancy matrix, one
-matrix of Poisson means and one draw per shot on its own generator.
+matrix of Poisson means and one rng.poisson call on the bin's generator.
 simulate_grid_bins runs a run of bins of a configured campaign and derives
 every seed a campaign uses, of both streams, each stream's seeds of the run
 in one hash pass: it steps the run's shots as one
@@ -32,10 +32,10 @@ synthesize_counts and estimate_staircase stay because the benchmark tracer
 
 from __future__ import annotations
 
-import itertools
 import math
+import numbers
 import operator
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -455,22 +455,19 @@ def synthesize_bin(
     trajectories: "Sequence[Trajectory]",
     cal: DetectionCalibration,
     seg: SegmentMap,
-    rngs: "Iterable[np.random.Generator]",
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Photon counts of a set of shots, one row per trajectory.
 
-    The Poisson means of all shots form one matrix (count_means); each row
-    is drawn by one rng.poisson call on that shot's own generator, taken
-    from rngs in order. The draws are those of one poisson call per segment
-    in segment order, since numpy draws an array of means element by element.
-    trajectories may be an EventTable (a lane of simulate_groups); any
-    other sequence of trajectories is turned into one first.
+    The Poisson means of all shots form one matrix (count_means), drawn by
+    one rng.poisson call. numpy draws an array of means element by element
+    in C order, so the draws are those of one poisson call per segment, in
+    segment order, shot after shot; the first rows do not depend on how
+    many follow them. trajectories may be an EventTable (a lane of
+    simulate_groups); any other sequence of trajectories is turned into one
+    first.
     """
-    means = count_means(trajectories, cal, seg)
-    counts = np.empty(means.shape, dtype=np.int64)
-    for out, mean, rng in zip(counts, means, rngs, strict=True):
-        out[:] = rng.poisson(mean)
-    return counts
+    return rng.poisson(count_means(trajectories, cal, seg)).astype(np.int64, copy=False)
 
 
 def synthesize_counts(
@@ -492,7 +489,7 @@ def synthesize_counts(
     seg = segment_map_for(schedule, cal.bin_s)
     if rng is None:
         rng = np.random.default_rng(int(seed))
-    (counts,) = synthesize_bin([traj], cal, seg, [rng])
+    (counts,) = synthesize_bin([traj], cal, seg, rng)
     if trace_id is None:
         trace_id = f"seed{traj.seed:020d}"
     return FluorescenceTrace(
@@ -522,22 +519,25 @@ def simulate_grid_bins(cfg: "RunConfig", bin_indices: "Sequence[int]") -> Iterat
     shots at each bin's companion number, and their photon counts.
 
     Trace ti of bin bi is named b{bi:02d}t{ti:04d}. Its trajectory is
-    seeded by derive_seed(master_seed, TRAJECTORY_STREAM, bi, ti) and its
-    counts by derive_seed(master_seed, PHOTON_STREAM, bi, ti). A campaign
-    is seeded here and nowhere else, so a bin is the same whichever process
-    computes it, in whatever run of bins. Each stream's seeds of the whole
-    run are hashed by one derive_seeds call, one row per bin, and the photon
-    generators come from one seeded_generators iterator, taken
-    traces_per_bin at a time: the seed hashing is a fixed number of passes
-    whatever the run's length. The run's shots are stepped as one
-    simulate_groups call with one seed group per bin, so its chunks fill
-    across bins; each bin's counts are then drawn when it is asked for, and
-    its event table is let go once it is yielded. Nothing is simulated
-    before the first bin is asked for.
+    seeded by derive_seed(master_seed, TRAJECTORY_STREAM, bi, ti); the
+    counts of the whole bin are drawn by synthesize_bin on one generator,
+    default_rng(derive_seed(master_seed, PHOTON_STREAM, bi)). A campaign is
+    seeded here and nowhere else, so a bin is the same whichever process
+    computes it, in whatever run of bins, and its first traces do not
+    depend on traces_per_bin. Each stream's seeds of the whole run are
+    hashed in one derive_seeds pass, so the seed hashing is a fixed number
+    of passes whatever the run's length. A bin index must be an integer
+    (a bool, a float or a string is refused, not converted) in the grid.
+    The run's shots are stepped as one simulate_groups call with one seed
+    group per bin, so its chunks fill across bins; each bin's counts are
+    then drawn when it is asked for, and its event table is let go once it
+    is yielded. Nothing is simulated before the first bin is asked for.
     """
     values = cfg.grid.values()
     bin_indices = list(bin_indices)
     for bi in bin_indices:
+        if isinstance(bi, bool) or not isinstance(bi, numbers.Integral):
+            raise ValueError(f"bin_index must be an integer, got {bi!r}")
         if not 0 <= bi < len(values):
             raise ValueError(f"bin_index must be in [0, {len(values)}), got {bi!r}")
     traces = cfg.traces_per_bin
@@ -558,12 +558,14 @@ def simulate_grid_bins(cfg: "RunConfig", bin_indices: "Sequence[int]") -> Iterat
     del groups
     # Taken from the end, so the list lets go of each table as it is yielded.
     tables.reverse()
+    # Bin bi's photon seed is entry bi of the stream's seeds over the grid:
+    # the bin index is the last word hashed, as in the scalar derive_seed.
     rngs = seeded_generators(
-        derive_seeds(cfg.master_seed, PHOTON_STREAM, run, count=traces).ravel()
+        derive_seeds(cfg.master_seed, PHOTON_STREAM, count=len(values))[run]
     )
-    for n_rb, bi in bins:
+    for (n_rb, bi), rng in zip(bins, rngs):
         events = tables.pop()
-        counts = synthesize_bin(events, cal, seg, itertools.islice(rngs, traces))
+        counts = synthesize_bin(events, cal, seg, rng)
         trace_ids = [f"b{bi:02d}t{ti:04d}" for ti in range(traces)]
         yield SimulatedBin(n_rb, trace_ids, seg, events, counts)
 

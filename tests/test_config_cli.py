@@ -815,6 +815,28 @@ class TestWorkerRuns:
             files.append((out.read_bytes(), out.with_name("trajectories.jsonl").read_bytes()))
         assert files[0] == files[1]
 
+    def test_fewer_traces_are_the_first_of_each_bin(self, tmp_path, monkeypatch):
+        """A bin's counts are one draw on the bin's generator, shot after
+        shot, so --traces 3 writes the first 3 traces of each bin of
+        --traces 5, and --workers 2 writes the --workers 1 bytes."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = write_config(tmp_path, {"calibration": {"dark_rate_per_s": 2.0e3}})
+        files = {}
+        for traces, workers in ((5, 1), (5, 2), (3, 1)):
+            out = tmp_path / f"traces{traces}-workers{workers}.jsonl"
+            assert main([
+                "simulate", "--config", str(cfg), "--out", str(out), "--quiet",
+                "--traces", str(traces), "--workers", str(workers),
+            ]) == 0
+            files[traces, workers] = out.read_bytes()
+        assert files[5, 2] == files[5, 1]
+        head = [
+            line for line in files[5, 1].splitlines(keepends=True)
+            if int(json.loads(line)["trace_id"][-4:]) < 3
+        ]
+        assert len(head) == 16 * 3
+        assert b"".join(head) == files[3, 1]
+
     def test_runs_split_the_grid_in_order(self, tmp_path, monkeypatch):
         runs = []
 

@@ -20,20 +20,20 @@ GOLDEN = {
     # built-in defaults, 16 bins x 5 traces
     "defaults": (
         {},
-        "0ce66784b2718d8786a0aefc6a262e26150f978730d026b3bf6f80584f8f805b",
+        "9a25b323390b6c07d02d94d60781fcf438f6f8cb604a13b461b8e0f8d2410111",
         "ae81e1777b17c77ff287b807c44909aa509a4d4f47c5a608ff4fc25e5d1d6e56",
     ),
     # a dark rate in the off segment, 16 bins x 5 traces: the off counts
     # are Poisson draws, not zeros, so their place in the draw order shows
     "dark_rate": (
         {"calibration": {"dark_rate_per_s": 2.0e3}},
-        "b5083f0bb4bf61651ec7a8e8f493cea6252d8db5cb081e67f70311a85f25b7a5",
+        "8769e408f48a7b479d29e214baed4dbf9941dba3c924cbaf3c6236a2a6a78177",
         "ae81e1777b17c77ff287b807c44909aa509a4d4f47c5a608ff4fc25e5d1d6e56",
     ),
     # few-atom regime with Cs-Cs pair loss, 16 bins x 5 traces
     "pair_loss": (
         {"physics": {"r0_per_s": 10.0, "beta_cscs_cm3_per_s": 2e-9}},
-        "35b5876839481a0b7ecb554e371dc154f401d48226054e99487d9c26a22f2fb2",
+        "17eb37186d98754283f2005ddaada7142a598e473e414ac2a1807213f67c9771",
         "0aaac87fbb6ce08c0f1dd983fc50891dd28402633c1eb8e560f4a85942ebc28f",
     ),
 }
@@ -92,26 +92,26 @@ def test_oracle_stream_is_pinned(capsys, which):
 # seed 1234. The staircase, the histograms, the loading and beta fits, the
 # bootstrap and the CSV/JSON formatting all feed these bytes.
 GOLDEN_ANALYSIS = {
-    "analysis/bins.csv": "459ecae6185e1139a92225c129063bec3b4f4aec9ba8a0961af10a79186d1814",
-    "analysis/hist_nrb00000.csv": "c6879a2b1693f2d5bf2a27eda84e767b8f58346532aa12a585f947eef15925ac",
-    "analysis/hist_nrb00220.csv": "43303717c6fa957130b1226241eedb6cac08e6ef490242e1b50c463a4a622972",
-    "analysis/hist_nrb00440.csv": "3d9719ac2570826b17f5a303e86eef583bad09131641e5c7dca1bbc97d20de1c",
-    "analysis/hist_nrb00660.csv": "3484229593e7f29577c5d0679eb312350eb16c65da9be9d3761963ea352ce343",
-    "analysis/hist_nrb00880.csv": "14e58ca43d76e855a21324f1c6e76aad2dfd61ba7857d4417656d29fd7b7d672",
-    "analysis/hist_nrb01100.csv": "1202e02f7757a6bca636dc2f24ef4957a4f1d07d0c35a667e48d721dfc42f67c",
-    "analysis/hist_nrb01320.csv": "3cc07b1810636494e12101a0fb882c4e508b30b3761e34ed128e8190863e5dbb",
-    "analysis/hist_nrb01540.csv": "3769615acd52d16c62e241e6c3246405e610a8ab7a91b846ac608bd72e6042a4",
-    "analysis/hist_nrb01760.csv": "0b8604d13027d90227452e18101782d000c53a5a1442e46f75149c5fdf59946c",
-    "analysis/hist_nrb01980.csv": "51141448ee664128ebbbe1c6667a0fba15a9fe81765e6b09b0edd6562c12ae70",
-    "analysis/hist_nrb02200.csv": "ce5cb924012bdb04ae1a406bb8ad02d1d93ed6ae021acca1f334ed5cb01fa21c",
-    "analysis/hist_nrb02420.csv": "62ea918bff35141a06d531a8cce8abd91e93781457c7c9c2d57504e2a27275ee",
-    "analysis/hist_nrb02640.csv": "53f08c6ce0cb03dfa288423e3565539534c1e811aff01ef05d65d7207875f05a",
-    "analysis/hist_nrb02860.csv": "335a1ddfb87043da4ae44bec9a649d5eb7e76abf62f4eb5981310839e794f5ac",
-    "analysis/hist_nrb03080.csv": "ba2128061e8121fcd6d900b1dea21640eb8c0dcdded48a027d324384a80a553f",
-    "analysis/hist_nrb03300.csv": "0746e12d9519db14b9290e5f0a8c7f1a81c9e460309abdf1b3e8ac44a9c4ee77",
-    "fit/fit_bins.csv": "af9c2aa8ad3526b53247fe798b7e9bd0d7ef7d98f97baa274d9b4e5816f7b955",
-    "fit/report.json": "a434a241c369d18482a430f9759ee8b3c8501a8f2f0386572133690433ee0112",
-    "fit/steady_state_curve.csv": "17912051816f457edef490abbc6acb7604d48f58b05142eaa0d187633f2410f9",
+    "analysis/bins.csv": "b49b5e77033f182b12d5e5aaadeec240d9da313fa93920532373d3247e68f87c",
+    "analysis/hist_nrb00000.csv": "6b9d25118e4c8dd1874eea2eb282314a0c4bea3c9fb2471888c248841ae0a483",
+    "analysis/hist_nrb00220.csv": "f23e4c515e69e2f35758eac0ac8e4bddd2f40ba0b28f724d78f6edea06557a7e",
+    "analysis/hist_nrb00440.csv": "53ba16804f2ae930b4256a78ef587e0a66e0e4898945c4d08e18093e18e03403",
+    "analysis/hist_nrb00660.csv": "d92a012f59a18830afb1cb15d85d7e6be3670d2d247e2859ac987d33ff75e35a",
+    "analysis/hist_nrb00880.csv": "9c97d88600bf15a5d9f713c9e0de7923d6371d0b96a4e85eb3728cb6b0b4979a",
+    "analysis/hist_nrb01100.csv": "303dafc5977636785af2aec52563e8630dd6adaf4a8908d57790b9c311e0aa78",
+    "analysis/hist_nrb01320.csv": "e6caab24f92bc445434d02fa8dcd5f03c4b27fbc7878d7430343fa2ee3e2264e",
+    "analysis/hist_nrb01540.csv": "2114cc66bd57da66d67e13d0cac461e0b801545de5997a75577a0fd12e3d23da",
+    "analysis/hist_nrb01760.csv": "213d5cacd828cf7c76043c53a45ae6137e969fa115d82922893b6b09898aef08",
+    "analysis/hist_nrb01980.csv": "190cf77b7c7ec988c4d6e44e926b43141acf3df7a2ca0297d7f7a7e81dc09735",
+    "analysis/hist_nrb02200.csv": "41fe65c621ad3db49d55ccd1b704e05861824bba9bc78007561e2ed252d46b80",
+    "analysis/hist_nrb02420.csv": "c85566b4f9b3aee63b80b630bc4ba935f596afe0110d223015bd4efcc77a9144",
+    "analysis/hist_nrb02640.csv": "8725d26fe20ad98a6fee6b5549e9cb83a0f69777f3ada28bc2c3c117df6a1976",
+    "analysis/hist_nrb02860.csv": "fb06d91f207d9d9a62937dcbf23720b52587420b0b1891783dca1cb2609220cc",
+    "analysis/hist_nrb03080.csv": "dcc18c1c6705236e52b58398d9ae5a31b8088ae53b585e297da7e4610c9413d4",
+    "analysis/hist_nrb03300.csv": "27adfe0591d796727b6baeca5facce2450f7f3622d2b9cc7b05290fbe429e2db",
+    "fit/fit_bins.csv": "97ad78204774937e1e88c9644f331a38adef08b6a1b27a8e6ebcab6587f1d688",
+    "fit/report.json": "112359baea626d0781eed69cb95680aee3156d3dcb6facc9ce1917810da07c6c",
+    "fit/steady_state_curve.csv": "7bd7df3efc22e868e5779f3eff25e889a8a1cf7dc4325d31f59010978a4069d8",
 }
 
 

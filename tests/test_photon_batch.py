@@ -4,7 +4,8 @@ The staircase, the pooled rates, the histogram peaks, the occupancy profile
 and the count synthesis run on whole arrays. The references below are the
 loop forms they replace: a per-trace staircase through scipy's median
 filter, one rounding cell per atom number, the per-segment, per-bin
-occupancy accumulation, and three Poisson draws per shot, one per segment.
+occupancy accumulation, and three Poisson draws per shot, one per segment,
+shot after shot on the bin's one generator.
 The arithmetic is the same operation for operation, so every comparison
 here asks for equality, not closeness.
 """
@@ -384,36 +385,31 @@ class TestOccupancyKernel:
 # Count synthesis per bin
 # ----------------------------------------------------------------------------
 
-def reference_counts(traj, cal, sched, seed):
-    """One shot's counts as three Poisson draws, detect then off then
-    background, on default_rng(seed)."""
+def reference_counts(trajectories, cal, sched, rng):
+    """The counts of a set of shots drawn row by row on one generator: three
+    Poisson draws per shot, detect then off then background."""
     seg = segment_map_for(sched, cal.bin_s)
     nd = seg.detect[1] - seg.detect[0]
-    occ = reference_occupancy(traj, nd, cal.bin_s)
-    rng = np.random.default_rng(seed)
-    return np.concatenate([
-        rng.poisson((occ * cal.rate_per_atom + cal.background_rate) * cal.bin_s),
-        rng.poisson(cal.dark_rate * cal.bin_s, size=seg.off[1] - seg.off[0]),
-        rng.poisson(cal.background_rate * cal.bin_s, size=seg.background[1] - seg.background[0]),
-    ])
+    rows = []
+    for traj in trajectories:
+        occ = reference_occupancy(traj, nd, cal.bin_s)
+        rows.append(np.concatenate([
+            rng.poisson((occ * cal.rate_per_atom + cal.background_rate) * cal.bin_s),
+            rng.poisson(cal.dark_rate * cal.bin_s, size=seg.off[1] - seg.off[0]),
+            rng.poisson(cal.background_rate * cal.bin_s, size=seg.background[1] - seg.background[0]),
+        ]))
+    return rows
 
 
-def mismatched_shots(trajectories, cal, sched, seeds):
-    """Shots whose synthesize_bin row differs from synthesize_counts or from
-    the three-draw reference."""
+def mismatched_shots(trajectories, cal, sched, seed):
+    """Shots whose synthesize_bin row, drawn on default_rng(seed), differs
+    from the row-by-row reference on a generator of the same seed."""
     seg = segment_map_for(sched, cal.bin_s)
-    rows = synthesize_bin(trajectories, cal, seg, seeded_generators(seeds))
+    rows = synthesize_bin(trajectories, cal, seg, np.random.default_rng(seed))
     assert rows.shape == (len(trajectories), seg.n_bins)
     assert rows.dtype == np.int64
-    bad = []
-    for i, (traj, seed, row) in enumerate(zip(trajectories, seeds, rows)):
-        single = synthesize_counts(traj, cal, sched, int(seed)).counts
-        if not (
-            np.array_equal(row, single)
-            and np.array_equal(row, reference_counts(traj, cal, sched, int(seed)))
-        ):
-            bad.append(i)
-    return bad
+    want = reference_counts(trajectories, cal, sched, np.random.default_rng(seed))
+    return [i for i, (row, ref) in enumerate(zip(rows, want)) if not np.array_equal(row, ref)]
 
 
 DARK_CAL = DetectionCalibration(
@@ -458,9 +454,9 @@ def crafted_trajectories():
 
 
 class TestBinSynthesis:
-    """synthesize_bin draws each shot with one poisson call on the shot's
-    generator; its rows must equal synthesize_counts and the three-draw
-    reference, shot by shot."""
+    """synthesize_bin draws a whole bin with one poisson call on one
+    generator; its rows must equal the reference that draws row by row on
+    a generator of the same seed, three draws per row."""
 
     @pytest.mark.parametrize("cal", [CAL, DARK_CAL, FINE_DARK_CAL], ids=["dark0", "dark", "fine_dark"])
     @pytest.mark.parametrize("params, n_rb", [
@@ -475,21 +471,19 @@ class TestBinSynthesis:
         trajectories = simulated(params, n_rb, sched)
         if n_rb == ABSORBING_NRB:
             assert all(not t.events for t in trajectories)
-        seeds = derive_seeds(32, 1, int(n_rb), count=len(trajectories))
-        assert mismatched_shots(trajectories, cal, sched, seeds) == []
+        seed = derive_seed(32, 1, int(n_rb))
+        assert mismatched_shots(trajectories, cal, sched, seed) == []
 
     @pytest.mark.parametrize("cal", [CAL, DARK_CAL], ids=["dark0", "dark"])
     def test_crafted_trajectories(self, cal):
         sched = ExperimentSchedule()
         trajectories = crafted_trajectories()
-        seeds = derive_seeds(33, 1, 0, count=len(trajectories))
-        assert mismatched_shots(trajectories, cal, sched, seeds) == []
+        assert mismatched_shots(trajectories, cal, sched, derive_seed(33, 1, 0)) == []
 
     def test_other_schedule(self):
         sched = ExperimentSchedule(detect_s=1.0, off_s=0.3, background_s=0.1)
         trajectories = simulated(DEFAULTS, 440.0, sched)
-        seeds = derive_seeds(34, 1, 0, count=len(trajectories))
-        assert mismatched_shots(trajectories, FINE_DARK_CAL, sched, seeds) == []
+        assert mismatched_shots(trajectories, FINE_DARK_CAL, sched, derive_seed(34, 1, 0)) == []
 
     def test_means_by_segment(self):
         sched = ExperimentSchedule()
@@ -504,13 +498,27 @@ class TestBinSynthesis:
 
     def test_empty_set(self):
         seg = segment_map_for(ExperimentSchedule(), CAL.bin_s)
-        assert synthesize_bin([], CAL, seg, []).shape == (0, seg.n_bins)
+        rng = np.random.default_rng(0)
+        assert synthesize_bin([], CAL, seg, rng).shape == (0, seg.n_bins)
 
-    def test_one_generator_per_shot(self):
-        seg = segment_map_for(ExperimentSchedule(), CAL.bin_s)
+    @pytest.mark.parametrize("cal", [CAL, DARK_CAL], ids=["dark0", "dark"])
+    def test_first_rows_do_not_depend_on_those_after(self, cal):
+        seg = segment_map_for(ExperimentSchedule(), cal.bin_s)
         trajectories = crafted_trajectories()
-        with pytest.raises(ValueError):
-            synthesize_bin(trajectories, CAL, seg, seeded_generators([1, 2]))
+        whole = synthesize_bin(trajectories, cal, seg, np.random.default_rng(7))
+        for n in range(len(trajectories)):
+            head = synthesize_bin(trajectories[:n], cal, seg, np.random.default_rng(7))
+            assert np.array_equal(head, whole[:n])
+
+    @pytest.mark.parametrize("cal", [CAL, DARK_CAL], ids=["dark0", "dark"])
+    def test_one_shot_is_the_one_row_bin(self, cal):
+        sched = ExperimentSchedule()
+        seg = segment_map_for(sched, cal.bin_s)
+        for i, traj in enumerate(crafted_trajectories()):
+            single = synthesize_counts(traj, cal, sched, i).counts
+            (row,) = synthesize_bin([traj], cal, seg, np.random.default_rng(i))
+            (ref,) = reference_counts([traj], cal, sched, np.random.default_rng(i))
+            assert np.array_equal(single, row) and np.array_equal(single, ref)
 
     @pytest.mark.parametrize("mutant", ["swap_off_background", "no_dark"])
     def test_mutants_are_caught(self, monkeypatch, mutant):
@@ -529,7 +537,7 @@ class TestBinSynthesis:
 
         sched = ExperimentSchedule()
         trajectories = simulated(DEFAULTS, 1100.0, sched, count=5)
-        seeds = derive_seeds(35, 1, 0, count=len(trajectories))
-        assert mismatched_shots(trajectories, DARK_CAL, sched, seeds) == []
+        seed = derive_seed(35, 1, 0)
+        assert mismatched_shots(trajectories, DARK_CAL, sched, seed) == []
         monkeypatch.setattr(photon, "count_means", mutated)
-        assert mismatched_shots(trajectories, DARK_CAL, sched, seeds) == list(range(5))
+        assert mismatched_shots(trajectories, DARK_CAL, sched, seed) == list(range(5))

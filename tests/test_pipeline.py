@@ -79,6 +79,26 @@ def test_grid_bin_outside_the_grid_is_refused(bin_index):
         next(simulate_grid_bins(GOLDEN_CONFIG, [bin_index]))
 
 
+@pytest.mark.parametrize(
+    "bin_index", [True, np.bool_(True), 2.0, np.float64(2.0), "2"], ids=repr
+)
+def test_grid_bin_not_an_integer_is_refused(bin_index):
+    """A bin index names a bin's seeds and trace ids: a bool, a float (even
+    a whole one) or a string is refused by name, never converted."""
+    want = f"bin_index must be an integer, got {bin_index!r}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        next(simulate_grid_bins(GOLDEN_CONFIG, [3, bin_index]))
+
+
+@pytest.mark.parametrize("bin_index", [np.int64(5), np.uint8(5), np.int32(5)])
+def test_grid_bin_may_be_a_numpy_integer(bin_index):
+    cfg = replace(GOLDEN_CONFIG, traces_per_bin=2)
+    b = next(simulate_grid_bins(cfg, [bin_index]))
+    want = next(simulate_grid_bins(cfg, [5]))
+    assert b.trace_ids == want.trace_ids == ["b05t0000", "b05t0001"]
+    assert np.array_equal(b.counts, want.counts)
+
+
 @pytest.mark.parametrize("bootstrap", [-1, 1])
 def test_fit_campaign_refuses_a_bootstrap_of_one_or_less(bootstrap, default_campaign):
     with pytest.raises(ValueError, match="bootstrap must be 0"):

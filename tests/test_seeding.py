@@ -7,7 +7,8 @@ its seed. Masters of 2**32 and above take several entropy words; seeds below
 never rounded. One prefix entry may be an array of indices below 2**32,
 giving one row of seeds per index. A campaign's two streams are seeded in
 one function of the package, photon.simulate_grid_bins, with a fixed
-number of hash passes per run of bins.
+number of hash passes per run of bins: one seed per trajectory, and one
+photon seed per bin, which carries no trace index.
 """
 
 import ast
@@ -131,21 +132,43 @@ def test_two_array_prefixes_are_refused():
 SMALL = replace(RunConfig.default(), traces_per_bin=5, master_seed=99)
 
 
+def bin_photon_generator(master, bi):
+    """The generator a campaign bin's counts are drawn on: default_rng of
+    the scalar photon seed of its master seed and bin index."""
+    return np.random.default_rng(derive_seed(master, PHOTON_STREAM, bi))
+
+
 def test_a_run_is_seeded_as_its_bins_alone():
     """A run with a repeat, out of order, gives each bin the scalar seeds of
-    its coordinates, counts drawn on default_rng of its scalar photon seeds,
-    and the output of its own one-bin run."""
+    its coordinates, counts drawn on the one generator of its scalar photon
+    seed, and the output of its own one-bin run."""
     run = list(simulate_grid_bins(SMALL, [5, 2, 5]))
     assert [b.trace_ids[0] for b in run] == ["b05t0000", "b02t0000", "b05t0000"]
     for b, bi in zip(run, [5, 2, 5]):
         want = [derive_seed(99, TRAJECTORY_STREAM, bi, ti) for ti in range(5)]
         assert b.events.seed.tolist() == want
-        gens = [np.random.default_rng(derive_seed(99, PHOTON_STREAM, bi, ti)) for ti in range(5)]
-        drawn = synthesize_bin(b.events, SMALL.calibration, b.segments, gens)
+        rng = bin_photon_generator(99, bi)
+        drawn = synthesize_bin(b.events, SMALL.calibration, b.segments, rng)
         np.testing.assert_array_equal(b.counts, drawn)
         (alone,) = simulate_grid_bins(SMALL, [bi])
         np.testing.assert_array_equal(b.counts, alone.counts)
         np.testing.assert_array_equal(b.events.time, alone.events.time)
+
+
+@pytest.mark.parametrize("master", [0, 1234, 2**32 - 1, 2**32, 2**64 - 1, 2**70 + 3])
+def test_a_bins_photon_seed_carries_no_trace_index(master):
+    """Bin bi's counts are drawn on default_rng(derive_seed(master,
+    PHOTON_STREAM, bi)). Below 2**32 that seed equals derive_seed(master,
+    PHOTON_STREAM, bi, 0), since SeedSequence pads short entropy with zero
+    words; the masters from 2**32 up tell the two apart."""
+    cfg = replace(SMALL, master_seed=master, traces_per_bin=2)
+    run = [5, 2, 5]
+    for b, bi in zip(simulate_grid_bins(cfg, run), run):
+        rng = bin_photon_generator(master, bi)
+        drawn = synthesize_bin(b.events, cfg.calibration, b.segments, rng)
+        np.testing.assert_array_equal(b.counts, drawn)
+    if master >= 2**32:
+        assert derive_seed(master, PHOTON_STREAM, 5) != derive_seed(master, PHOTON_STREAM, 5, 0)
 
 
 def test_seed_hashing_does_not_grow_with_the_run(monkeypatch):
