@@ -39,7 +39,7 @@ from .inference import (
     fit_campaign,
     iter_bins,
 )
-from .photon import SimulatedBin, build_histogram, simulate_grid_bins
+from .photon import SimulatedBin, rate_histogram, simulate_grid_bins
 from .physics import steady_state_mean
 from .oracles import overlap_checks, poisson_end_state_check, transient_checks
 from .traceio import (
@@ -161,20 +161,21 @@ def cmd_simulate(args) -> int:
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
     cal = cfg.calibration
-    # Each bin's histogram comes from the table its staircase used.
+    # Each bin's histogram comes from the rates its staircase used.
     hists = []
     bins = []
     for b, members in iter_bins(read_traces_jsonl(args.traces), cal, cfg.grid):
         bins.append(b)
-        hists.append(build_histogram(members, cal))
+        hists.append(rate_histogram(members, cal))
         # Let go of the bin's table before the next one is built.
         del members
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_bins_csv(out_dir / "bins.csv", BinnedDataset(bins))
-    for b, hist in zip(bins, hists):
-        write_histogram_csv(out_dir / f"hist_nrb{int(round(b.center)):05d}.csv", hist)
+    for b, (edges, occurrences) in zip(bins, hists):
+        path = out_dir / f"hist_nrb{int(round(b.center)):05d}.csv"
+        write_histogram_csv(path, edges, occurrences)
 
     header = (
         f"{'n_rb':>6} {'traces':>6} {'mean':>8} {'se':>8} "

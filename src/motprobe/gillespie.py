@@ -7,29 +7,38 @@ with no time discretization. Detection binning happens later, in the photon
 layer.
 
 There is one event loop and one public simulator, simulate_groups. It runs
-seed groups: a group is one array of seeds and the lanes that share it, each
-lane one (companion number, parameters) pair, with shot i of every lane of
-the group on the same seeded generator, under one draw contract: a shot
-draws rng.standard_exponential(32), then rng.random(32), and event j of that
-block takes wait j and uniform j; a shot that uses up its block draws the
-next pair from its own generator, and the step that leaves the window uses
-only its wait. So each shot is a function of its seed and its lane alone,
-and a generator draws each block once for all lanes of its group. The
-groups' shots fill chunks of 256 across group boundaries, and the shots of
-a chunk advance together in all their lanes, one event per numpy step,
-reading their states' rates from per-atom-number tables held as arrays;
-each lane's events go into typed buffers that become one flat EventTable:
-float64 time, int64 level (the atom number after the event) and int8 kind,
-with offsets marking where each shot's events start. This module knows
-nothing of campaigns or bins: the seeds are its callers'. A campaign steps
-its run of bins as one group each (photon.simulate_grid_bins, which derives
-every seed of a campaign), the oracles their transient parameter sets as
-the lanes of one group per block of runs and their Poisson check as one
-one-lane group. The photon layer reads time and level per shot, and the
-oracles read the atom number at their checkpoints for all shots at once. A
-Trajectory, the list-of-events form of one shot, is built only when asked
-for. The exact one-shot, one-event replay of this contract (next_event and
-replay_next_event) is in tests/reference.py.
+seed groups: a group is one seed, a number of shots and the lanes that
+share them, each lane one (companion number, parameters) pair. Every shot of
+every lane of a group draws from the group's one generator,
+np.random.default_rng(seed), a round of 32 events at a time, under one draw
+contract. A shot takes a row of 32 waits and 32 uniforms in round r while
+it is still inside the window in any lane after 32 r events. The first
+shot takes its rows from the generator's own stream,
+rng.standard_exponential(32) then rng.random(32), so a one-shot group is
+one shot drawn alone on its seed; the group's other shots take theirs in
+shot order, k at a time, rng.standard_exponential((k, 32)) on the
+generator jumped 2 r + 1 times (PCG64.jumped) and rng.random((k, 32)) on
+it jumped 2 r + 2 times. Event j of a round takes wait j and uniform j of
+the shot's row, and the step that leaves the window uses only its wait.
+Every stream starts at a fixed place, so a shot is a function of its
+group's seed, its index, the shots before it and its lane, not of the
+shots after it, and the group draws each round once for all its lanes.
+Whole groups are stepped together in chunks of at least 256 shots, and the
+shots of a chunk advance together in all their lanes, one event per numpy
+step, reading their states' rates from per-atom-number tables held as
+arrays; each lane's events go into typed buffers that become one flat
+EventTable: float64 time, int64 level (the atom number after the event) and
+int8 kind, with offsets marking where each shot's events start. This
+module knows nothing of campaigns or bins: the seeds are its callers'. A
+campaign steps its run of bins as one group each (photon.simulate_grid_bins,
+which derives every seed of a campaign), the oracles their transient
+parameter sets as the lanes of one group per block of runs and their
+Poisson check as one-lane groups, one per block of runs. The photon layer
+reads time and level per shot, and the oracles read the atom number at
+their checkpoints for all shots at once. A Trajectory, the list-of-events
+form of one shot, is built only when asked for; simulate_trajectory is the
+one-shot group. The exact one-event replay of this contract (next_event
+stepped by replay_group) is in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -37,12 +46,11 @@ from __future__ import annotations
 import bisect
 import enum
 import functools
-import itertools
 import math
 import numbers
 import operator
 from array import array
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +64,6 @@ __all__ = [
     "Trajectory",
     "derive_seed",
     "derive_seeds",
-    "seeded_generators",
     "simulate_groups",
     "simulate_trajectory",
     "TRAJECTORY_STREAM",
@@ -65,12 +72,14 @@ __all__ = [
     "POISSON_STREAM",
 ]
 
-# Stream tags for the seed derivation, see derive_seed(). The trajectory of
-# trace ti of campaign bin bi is seeded from (TRAJECTORY_STREAM, bi, ti), and
-# the photon counts of the whole bin from (PHOTON_STREAM, bi), one generator
-# per bin, by photon.simulate_grid_bins alone. The oracles'
-# runs take their own: run i of every transient set is seeded from
-# (TRANSIENT_STREAM, i), of the Poisson check from (POISSON_STREAM, i).
+# Stream tags for the seed derivation, see derive_seed(). Each stream seeds
+# one generator per group, with no trace or run index: the trajectories of
+# campaign bin bi are the seed group (TRAJECTORY_STREAM, bi) and the photon
+# counts of the whole bin are drawn on (PHOTON_STREAM, bi), by
+# photon.simulate_grid_bins alone. The oracles' runs take their own: the
+# runs of block g, of oracles._RUN_BLOCK runs each, are the seed group
+# (TRANSIENT_STREAM, g) for every transient set and (POISSON_STREAM, g) for
+# the Poisson check.
 TRAJECTORY_STREAM = 0
 PHOTON_STREAM = 1
 TRANSIENT_STREAM = 2
@@ -272,7 +281,7 @@ def derive_seed(master_seed: int, *path: int) -> int:
     """Derive a child seed from a master seed and an integer path.
 
     Uses numpy's SeedSequence over the tuple (master_seed, *path), so any
-    (stream, bin, trace) coordinate maps to a stable 64-bit seed no matter
+    (stream, group) coordinate maps to a stable 64-bit seed no matter
     how many worker processes are used or in which order traces are drawn.
     The program uses derive_seeds, which the tests hold to this scalar form;
     it stays because the benchmark tracer (bench/tracing.py) wraps it by name.
@@ -282,8 +291,8 @@ def derive_seed(master_seed: int, *path: int) -> int:
 
 
 # Constants of numpy's SeedSequence pool hash (numpy/random/bit_generator.pyx).
-# derive_seeds and seeded_generators run that hash on columns of uint32 words,
-# one column per seed sequence.
+# derive_seeds runs that hash on columns of uint32 words, one column per seed
+# sequence.
 _POOL_SIZE = 4
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
@@ -406,48 +415,18 @@ def derive_seeds(master_seed: int, *prefix: "int | np.ndarray", count: int) -> n
     return _join_words(*_seed_state([*words, index], 2))
 
 
-class _FixedSeedSequence(np.random.bit_generator.ISeedSequence):
-    """Seed sequence that hands a bit generator state words computed ahead."""
-
-    def __init__(self, words: np.ndarray):
-        self._words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != len(self._words) or np.dtype(dtype) != self._words.dtype:
-            raise ValueError(
-                f"state holds {len(self._words)} {self._words.dtype} words, "
-                f"asked for {n_words} {np.dtype(dtype)}"
-            )
-        return self._words
-
-
-def _pcg64_states(seeds: np.ndarray) -> np.ndarray:
-    """SeedSequence(seed).generate_state(4, np.uint64) for each seed, one row
-    per seed."""
-    # A seed below 2**32 is one entropy word for SeedSequence; a zero high
-    # word hashes exactly like the pool padding, so one path serves both.
-    w = _seed_state([seeds & _MASK32, seeds >> 32], 8)
-    return np.stack([_join_words(w[k], w[k + 1]) for k in range(0, 8, 2)], axis=1)
-
-
-def seeded_generators(seeds: "np.ndarray | list[int]") -> Iterator[np.random.Generator]:
-    """Yield np.random.default_rng(seed) for each seed, in order.
-
-    default_rng seeds PCG64 with SeedSequence(seed).generate_state(4,
-    np.uint64). Those words are hashed for all seeds at once here and handed
-    to PCG64, whose own seeding then runs, so every Generator starts in the
-    same state as default_rng(seed). Generators are built one at a time as
-    the caller asks for them.
-    """
-    for row in _pcg64_states(np.asarray(seeds, dtype=np.uint64)):
-        yield np.random.Generator(np.random.PCG64(_FixedSeedSequence(row)))
-
-
-# Each shot draws its waiting times and uniforms from its own generator in
-# blocks of this many events; see simulate_groups.
+# Each shot takes its waiting times and uniforms in rows of this many events,
+# drawn a round at a time on its seed group's generator; see simulate_groups.
 _BLOCK = 32
-# Shots stepped together by simulate_groups. Any value gives the same output:
-# each shot's draws come from its own generator alone.
+# The step of numpy's PCG64.jumped, (phi - 1) * 2**128 made odd: in round r
+# a group's shots after its first draw their waits on its generator jumped
+# 2 r + 1 times and their uniforms on it jumped 2 r + 2 times (see
+# _GroupDraws). A power of two would leave the streams' low state bits
+# equal, and PCG64's outputs correlated.
+_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
+# Least number of shots stepped together by simulate_groups, in whole groups.
+# Any value gives the same output: each group's draws come from its own
+# generator alone.
 _CHUNK = 256
 # Change of the atom number for each EventTable.kind code.
 _STEP = np.array([_DELTA[kind] for kind in _KINDS], dtype=np.int64)
@@ -526,21 +505,20 @@ class _LaneEvents:
             column.frombytes(values.tobytes())
         self.offsets.frombytes((np.cumsum(count) + self.offsets[-1]).tobytes())
 
-    def table(self, n_rb: float, seeds: np.ndarray, t_end: float) -> EventTable:
-        shots = len(seeds)
+    def table(self, n_rb: float, seed: int, shots: int, t_end: float) -> EventTable:
         return EventTable(
             time=np.frombuffer(self.time, dtype=np.float64),
             level=np.frombuffer(self.level, dtype=np.int64),
             kind=np.frombuffer(self.kind, dtype=np.int8),
             offsets=np.frombuffer(self.offsets, dtype=np.int64),
             n_rb=np.full(shots, n_rb, dtype=float),
-            seed=seeds,
+            seed=np.full(shots, seed, dtype=np.uint64),
             t_end=np.full(shots, t_end, dtype=float),
         )
 
 
 def simulate_groups(
-    groups: "Sequence[tuple[Sequence[tuple[float, PhysicalParams]], np.ndarray | list[int]]]",
+    groups: "Sequence[tuple[Sequence[tuple[float, PhysicalParams]], int, int]]",
     schedule: ExperimentSchedule,
     *,
     rngs: "Iterable[np.random.Generator] | None" = None,
@@ -548,67 +526,114 @@ def simulate_groups(
     """Simulate seed groups in one event loop, from an empty trap over the
     detection window; return one table per lane of each group.
 
-    A group is (lanes, seeds): lane l is one (n_rb, params) pair, and shot
-    i of every lane of the group runs on the same generator,
-    np.random.default_rng(seeds[i]), drawn from in blocks:
-    rng.standard_exponential(_BLOCK), then rng.random(_BLOCK). Event j of a
-    block takes wait j and uniform j; a shot that has used up its block
-    draws the next pair of blocks. In state n the clock advances by
+    A group is (lanes, seed, shots): lane l is one (n_rb, params) pair, and
+    the group's shots, in every lane, take their draws from one generator,
+    np.random.default_rng(seed), a round at a time (_GroupDraws): in round
+    r each shot still inside the window in any lane after r * _BLOCK events
+    takes one row of _BLOCK waits and _BLOCK uniforms. The first shot takes
+    its rows from the generator's own stream,
+    rng.standard_exponential(_BLOCK) then rng.random(_BLOCK); the k others,
+    in shot order, rows of rng.standard_exponential((k, _BLOCK)) on the
+    generator jumped 2 r + 1 times and of rng.random((k, _BLOCK)) on it
+    jumped 2 r + 2 times. Event j of a round takes wait j and uniform j of
+    the shot's row. In state n the clock advances by
     (1 / total) * wait and, if it is still inside the window, the event is
-    the first of LOAD, LOSS_BG, LOSS_RBCS whose cumulative threshold exceeds
-    uniform * total, else LOSS_CSCS_PAIR. The step that leaves the window
-    uses only its wait. replay_next_event in tests/reference.py is this
+    the first of LOAD, LOSS_BG, LOSS_RBCS whose cumulative threshold
+    exceeds uniform * total, else LOSS_CSCS_PAIR. The step that leaves the
+    window uses only its wait. replay_group in tests/reference.py is this
     contract one shot and one event at a time, and the tests hold every
-    shot of every lane to it bit for bit.
+    shot of every lane to it bit for bit. A shot depends on its group's
+    seed, its index and the shots before it, not on those after it, and a
+    one-shot group is the one shot drawn alone on its seed.
 
-    The groups' shots, in group order, run in chunks of _CHUNK that fill
-    across group boundaries, and the shots of a chunk take one event per
-    numpy step together in all their groups' lanes, reading their states'
-    rates from the lanes' shared rate tables (see _step_chunk). A generator
-    is built once and draws each block once for all lanes of its group. Each
-    shot is a function of its seed and lane alone, so neither the chunk
-    size nor the other lanes and groups change it: a group's tables equal
-    those of its own one-group call, and each lane's its own one-lane group.
-    Events go into typed buffers, which become the columns of the returned
-    tables: no Python object is kept per event.
+    Whole groups, in order, are stepped together in chunks of at least
+    _CHUNK shots, and the shots of a chunk take one event per numpy step
+    together in all their groups' lanes, reading their states' rates from
+    the lanes' shared rate tables (see _step_chunk). A group's draws come
+    from its generator alone, so neither the chunk size nor the other
+    groups change it: a group's tables equal those of its own one-group
+    call, and each lane's its own one-lane group. Events go into typed
+    buffers, which become the columns of the returned tables: no Python
+    object is kept per event. Every shot's seed entry is its group's seed.
 
-    rngs, when given, must yield np.random.default_rng(seed) for each seed
-    of every group in order, fresh; by default seeded_generators builds them.
+    rngs, when given, must yield np.random.default_rng(seed) for the seed
+    of each group in order, fresh; by default each group's is built as its
+    chunk is filled.
     """
-    groups = [(list(lanes), np.array(seeds, dtype=np.uint64)) for lanes, seeds in groups]
-    seeds = np.concatenate([np.empty(0, dtype=np.uint64), *(s for _, s in groups)])
-    rngs = iter(seeded_generators(seeds) if rngs is None else rngs)
+    groups = [(list(lanes), int(seed), operator.index(shots)) for lanes, seed, shots in groups]
+    for _, _, shots in groups:
+        if shots < 0:
+            raise ValueError(f"a group's shots must be >= 0, got {shots}")
+    rngs = None if rngs is None else iter(rngs)
     t_end = schedule.detect_s
     events = [
-        [_LaneEvents(_rate_table(n_rb, params)) for n_rb, params in lanes] for lanes, _ in groups
+        [_LaneEvents(_rate_table(n_rb, params)) for n_rb, params in lanes]
+        for lanes, _, _ in groups
     ]
-    g = done = 0  # the next shot to step is shot done of group g
-    for start in range(0, len(seeds), _CHUNK):
-        size = min(_CHUNK, len(seeds) - start)
-        gens = list(itertools.islice(rngs, size))
-        if len(gens) < size:
-            raise ValueError(f"rngs yields fewer generators than the {len(seeds)} seeds")
-        # The chunk's runs of shots of one group; a group with no lanes
-        # builds its generators and steps nothing.
-        parts, stepped = [], []
-        at = 0
-        while at < size:
-            shots = min(len(groups[g][1]) - done, size - at)
-            if shots and events[g]:
-                parts.append((shots, events[g]))
-                stepped += gens[at:at + shots]
-            at += shots
-            done += shots
-            if done == len(groups[g][1]):
-                g, done = g + 1, 0
-        if parts:
-            _step_chunk(parts, t_end, stepped)
-    if next(rngs, None) is not None:
-        raise ValueError(f"rngs yields more generators than the {len(seeds)} seeds")
+    parts, size = [], 0  # the groups of the chunk being filled, and its shots
+    for (lanes, seed, shots), lane_events in zip(groups, events):
+        if rngs is None:
+            rng = None
+        elif (rng := next(rngs, None)) is None:
+            raise ValueError(f"rngs yields fewer generators than the {len(groups)} groups")
+        # A group with no lanes or no shots draws nothing.
+        if not (shots and lanes):
+            continue
+        parts.append((shots, lane_events, np.random.default_rng(seed) if rng is None else rng))
+        size += shots
+        if size >= _CHUNK:
+            _step_chunk(parts, t_end)
+            parts, size = [], 0
+    if parts:
+        _step_chunk(parts, t_end)
+    if rngs is not None and next(rngs, None) is not None:
+        raise ValueError(f"rngs yields more generators than the {len(groups)} groups")
     return [
-        [lane.table(n_rb, group_seeds, t_end) for (n_rb, _), lane in zip(lanes, group_events)]
-        for (lanes, group_seeds), group_events in zip(groups, events)
+        [lane.table(n_rb, seed, shots, t_end) for (n_rb, _), lane in zip(lanes, lane_events)]
+        for (lanes, seed, shots), lane_events in zip(groups, events)
     ]
+
+
+class _GroupDraws:
+    """The draws of one seed group, a round at a time, on its one generator.
+
+    The group's first shot takes its rows from the generator's own stream:
+    standard_exponential(_BLOCK), then random(_BLOCK), each round, as a
+    shot drawn alone would. In round r its other live shots take k rows of
+    waits, standard_exponential((k, _BLOCK)) on the generator jumped
+    2 r + 1 times, and k rows of uniforms, random((k, _BLOCK)) on it jumped
+    2 r + 2 times, one row each in shot order. The generator is put in
+    each state in place, not rebuilt. Every stream starts at a fixed place,
+    so a shot's row does not depend on the shots after it, in this round
+    or in any before it.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.start = self.own = rng.bit_generator.state
+        self.rounds = 0
+
+    def next_round(self, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Waits and uniforms of the next round, one row per shot of live
+        (the group's live shots, in order; the first round takes them all)."""
+        rng, bits = self.rng, self.rng.bit_generator
+        waits, uniforms = np.empty((2, len(live), _BLOCK))
+        first = int(live[0] == 0)
+        if first:
+            bits.state = self.own
+            rng.standard_exponential(out=waits[0])
+            rng.random(out=uniforms[0])
+            self.own = bits.state
+        if len(live) > first:
+            for out, draw, jumps in (
+                (waits, rng.standard_exponential, 2 * self.rounds + 1),
+                (uniforms, rng.random, 2 * self.rounds + 2),
+            ):
+                bits.state = self.start
+                bits.advance(jumps * _JUMP)
+                out[first:] = draw((len(live) - first, _BLOCK))
+        self.rounds += 1
+        return waits, uniforms
 
 
 def _lane_columns(tables: "list[_RateTable]", top: int) -> tuple[int, np.ndarray]:
@@ -622,38 +647,38 @@ def _lane_columns(tables: "list[_RateTable]", top: int) -> tuple[int, np.ndarray
 
 
 def _step_chunk(
-    parts: "list[tuple[int, list[_LaneEvents]]]",
+    parts: "list[tuple[int, list[_LaneEvents], np.random.Generator]]",
     t_end: float,
-    gens: "list[np.random.Generator]",
 ) -> None:
-    """Step the shots of gens together in every lane of their groups until
-    each has left the window, and append each lane's events, shot by shot,
-    to its _LaneEvents.
+    """Step the shots of whole seed groups together in every lane of their
+    group until each has left the window, and append each lane's events,
+    shot by shot, to its _LaneEvents.
 
-    parts splits gens into runs, in order: (shots, lanes) says that the next
-    shots generators belong to one seed group, and lanes are its
-    _LaneEvents, each of which runs all of them on its rate table. At each
-    block boundary a generator draws its next block once, if its shot is
-    inside the window in any lane of its group. A lane whose shot has
-    already left reads those draws too, harmlessly: waits are >= 0, so its
-    clock only grows. So each lane steps exactly as it would alone.
+    parts holds (shots, lanes, rng) for each group, in order: lanes are its
+    _LaneEvents, each of which runs all its shots on its rate table, and
+    rng its generator. At each round boundary a group draws one round of
+    rows for its shots still inside the window in any of its lanes, in
+    shot order, once for all its lanes. A lane whose shot has already left
+    reads those draws too, harmlessly: waits are >= 0, so its clock only
+    grows. So each lane steps exactly as it would alone.
 
     Every array of a step holds one entry per (lane, shot). Entry i, for i
-    below len(gens), is shot i in its group's first lane, whose rows of
-    draws its generator fills; the other lanes of each group follow,
-    lane-major, and copy those rows. So with one group the layout is
-    lane-major, and with one lane it is that of a one-lane loop. A shot
-    that has left the window stays in them: its clock only grows, on stale draws, and its atom
-    number is held. The lanes' rates are held as flat columns at the
-    tables' full common width, and each entry reads them at one row,
-    n * lanes + lane, which is all a step updates. Only each step's clocks
-    and kinds are kept: a shot's events are its steps with the clock inside
-    the window, and its levels are the running sums of its kinds' steps.
+    below the chunk's shots, is shot i in its group's first lane, whose
+    rows of draws its generator fills; the other lanes of each group
+    follow, lane-major, and copy those rows. So with one group the layout
+    is lane-major, and with one lane it is that of a one-lane loop. A shot
+    that has left the window stays in them: its clock only grows, on stale
+    draws, and its atom number is held. The lanes' rates are held as flat
+    columns at the tables' full common width, and each entry reads them at
+    one row, n * lanes + lane, which is all a step updates. Only each
+    step's clocks and kinds are kept: a shot's events are its steps with
+    the clock inside the window, and its levels are the running sums of its
+    kinds' steps.
     """
-    shots = len(gens)
-    tables = [lane.rates for _, lanes in parts for lane in lanes]
+    shots = sum(size for size, _, _ in parts)
+    tables = [lane.rates for _, lanes, _ in parts for lane in lanes]
     lanes_total = len(tables)
-    entries = sum(size * len(lanes) for size, lanes in parts)
+    entries = sum(size * len(lanes) for size, lanes, _ in parts)
     draws = np.empty((2, entries, _BLOCK))
     waits, uniforms = draws[:, :shots]
     lane_waits, lane_uniforms = draws
@@ -661,15 +686,19 @@ def _step_chunk(
     # lanes_total-fold.
     row = np.empty(entries, dtype=np.int64)
     spans = []  # (entries, events) of every lane
+    # (entries of the first lane, draws, the shots still inside in some
+    # lane) of each group.
+    heads = []
     # (entries of the first lane, entries of the others, shots) of each
     # group with more than one lane.
     wide = []
     first = lane = 0
     extra = shots
-    for size, lanes in parts:
+    for size, lanes, rng in parts:
         head = slice(first, first + size)
         row[head] = lane
         spans.append((head, lanes[0]))
+        heads.append((head, _GroupDraws(rng), np.arange(size)))
         more = len(lanes) - 1
         if more:
             rest = slice(extra, extra + more * size)
@@ -684,16 +713,15 @@ def _step_chunk(
         lane += len(lanes)
     row_step = _STEP * lanes_total
     t = np.zeros(entries)
-    live = range(shots)
     width = 0
     top = 0  # bounds every atom number from above
     clocks, kinds = [], []
     while True:
         j = len(clocks) % _BLOCK
         if j == 0:
-            for i in live:
-                gens[i].standard_exponential(out=waits[i])
-                gens[i].random(out=uniforms[i])
+            for head, group_draws, live in heads:
+                if len(live):
+                    waits[head][live], uniforms[head][live] = group_draws.next_round(live)
             for head, rest, size in wide:
                 draws[:, rest].reshape(2, -1, size, _BLOCK)[...] = draws[:, None, head]
         if top >= width:
@@ -717,7 +745,10 @@ def _step_chunk(
             alive = inside[:shots].copy()
             for head, rest, size in wide:
                 alive[head] |= inside[rest].reshape(-1, size).any(axis=0)
-            live = np.flatnonzero(alive).tolist()
+            heads = [
+                (head, group_draws, np.flatnonzero(alive[head]))
+                for head, group_draws, _ in heads
+            ]
         top += 1
     steps = len(clocks)
     clocks = np.array(clocks).reshape(steps, entries)
@@ -746,10 +777,9 @@ def simulate_trajectory(
     simulate_groups call, as a Trajectory. The program does not call it; it
     stays because the benchmark tracer (bench/tracing.py) wraps it by name.
 
-    rng, when given, must be np.random.default_rng(seed), fresh (as built by
-    seeded_generators); by default it is built here.
+    rng, when given, must be np.random.default_rng(seed), fresh; by default
+    it is built here.
     """
-    if rng is None:
-        rng = np.random.default_rng(int(seed))
-    ((table,),) = simulate_groups([([(n_rb, params)], [int(seed)])], schedule, rngs=[rng])
+    rngs = None if rng is None else [rng]
+    ((table,),) = simulate_groups([([(n_rb, params)], seed, 1)], schedule, rngs=rngs)
     return table[0]

@@ -129,10 +129,21 @@ def overlap_checks(n_radii: int = 5) -> list[OracleCheck]:
     return checks
 
 
-# Seeds per simulate_groups call of the transient ensembles, a whole number
-# of simulator chunks. Each call's tables are reduced to checkpoint levels
-# before the next, so only one block's event tables are held at a time.
-_RUN_BLOCK = 8 * _CHUNK
+# Runs per seed group of the oracles' ensembles, two simulator chunks. The
+# transient ensembles simulate one group per simulate_groups call and reduce
+# its tables to checkpoint levels before the next, so only one group's event
+# tables are held at a time.
+_RUN_BLOCK = 2 * _CHUNK
+
+
+def _run_groups(master_seed: int, stream: int, runs: int) -> list[tuple[int, int]]:
+    """(seed, shots) of each group of runs: group g holds runs g * _RUN_BLOCK
+    on, at most _RUN_BLOCK of them, and is seeded by derive_seed(master_seed,
+    stream, g)."""
+    seeds = derive_seeds(master_seed, stream, count=-(-runs // _RUN_BLOCK))
+    return [
+        (seed, min(_RUN_BLOCK, runs - g * _RUN_BLOCK)) for g, seed in enumerate(seeds.tolist())
+    ]
 
 
 def transient_mean_ensembles(
@@ -144,11 +155,12 @@ def transient_mean_ensembles(
     """Ensemble mean and standard error of the atom number at each
     checkpoint, for each (n_rb, params) of sets.
 
-    Run i of every set is the shot of seed derive_seed(master_seed,
-    TRANSIENT_STREAM, i): the sets share their seeds by design (common
-    random numbers), so they run as the lanes of one seed group, one
-    simulate_groups call per block of _RUN_BLOCK seeds, and each set's
-    result equals that of the set run alone bit for bit.
+    The runs are split into seed groups of _RUN_BLOCK, group g seeded by
+    derive_seed(master_seed, TRANSIENT_STREAM, g). Run i of every set is
+    the same shot of the same group: the sets share their draws by design
+    (common random numbers), so they run as the lanes of each group, one
+    simulate_groups call per group, and each set's result equals that of
+    the set run alone bit for bit.
 
     runs must be an integer >= 2, and checkpoints a non-empty list of
     finite times >= 0 whose largest, the end of the simulated window, is
@@ -157,16 +169,16 @@ def transient_mean_ensembles(
     _check_runs(runs)
     checkpoints = _check_checkpoints(checkpoints)
     schedule = ExperimentSchedule(detect_s=float(checkpoints.max()))
-    seeds = derive_seeds(master_seed, TRANSIENT_STREAM, count=runs)
     # Atom numbers fit int32 by far (each is at most its shot's event
-    # count), which halves what is held across blocks.
+    # count), which halves what is held across groups.
     levels = np.empty((len(sets), runs, len(checkpoints)), dtype=np.int32)
-    for start in range(0, runs, _RUN_BLOCK):
-        block = seeds[start:start + _RUN_BLOCK]
+    start = 0
+    for seed, shots in _run_groups(master_seed, TRANSIENT_STREAM, runs):
         # The call's list of tables is not bound to a name, so it is let go
-        # once the loop has read it, before the next block is simulated.
-        for lane, table in enumerate(simulate_groups([(sets, block)], schedule)[0]):
-            levels[lane, start:start + len(block)] = table.levels_at(checkpoints)
+        # once the loop has read it, before the next group is simulated.
+        for lane, table in enumerate(simulate_groups([(sets, seed, shots)], schedule)[0]):
+            levels[lane, start:start + shots] = table.levels_at(checkpoints)
+        start += shots
     ensembles = []
     for set_levels in levels:
         samples = set_levels.astype(float)
@@ -212,7 +224,7 @@ def transient_checks(
 
     param_sets holds (label, n_rb, params) entries; each is checked at
     n_checkpoints times spread over the detection window, all on the same
-    runs seeds (see transient_mean_ensembles), and passes while every
+    runs (see transient_mean_ensembles), and passes while every
     |z| stays below _TRANSIENT_Z_MAX.
     """
     _check_count("n_checkpoints", n_checkpoints, 1)
@@ -241,15 +253,22 @@ def poisson_end_state_check(runs: int = 3000, *, master_seed: int) -> OracleChec
     """End-of-window occupancy of a pure immigration-death trap (loading
     _POISSON_LOAD, loss _POISSON_GAMMA per atom, read at _POISSON_DETECT_S)
     against the Poisson law with rate load/gamma, via chi-square with tail
-    pooling; it passes when p > _POISSON_P_MIN."""
+    pooling; it passes when p > _POISSON_P_MIN. The runs are one-lane seed
+    groups of _RUN_BLOCK, group g seeded by derive_seed(master_seed,
+    POISSON_STREAM, g), stepped in one simulate_groups call."""
     _check_runs(runs)
     params = PhysicalParams(
         r0=_POISSON_LOAD, alpha=0.0, gamma=_POISSON_GAMMA, beta_rbcs=0.0, beta_cscs=0.0,
         w_cs=1e-4, w_rb=1e-4,
     )
     schedule = ExperimentSchedule(detect_s=_POISSON_DETECT_S)
-    seeds = derive_seeds(master_seed, POISSON_STREAM, count=runs)
-    finals = simulate_groups([([(0.0, params)], seeds)], schedule)[0][0].final_levels()
+    groups = [
+        ([(0.0, params)], seed, shots)
+        for seed, shots in _run_groups(master_seed, POISSON_STREAM, runs)
+    ]
+    finals = np.concatenate(
+        [table.final_levels() for (table,) in simulate_groups(groups, schedule)]
+    )
     lam = _POISSON_LOAD / _POISSON_GAMMA
     chi2, dof, p = poisson_chi2(finals, lam)
     return OracleCheck(

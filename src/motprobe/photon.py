@@ -6,17 +6,16 @@ shot. A bin of shots is synthesized at once from its EventTable (the event
 times and levels of all shots in flat columns): one occupancy matrix, one
 matrix of Poisson means and one rng.poisson call on the bin's generator.
 simulate_grid_bins runs a run of bins of a configured campaign and derives
-every seed a campaign uses, of both streams, each stream's seeds of the run
-in one hash pass: it steps the run's shots as one
-gillespie.simulate_groups call, one seed group per bin, then draws each
-bin's counts as it is asked for. simulate_campaign stacks every bin into
-one TraceTable.
+every seed a campaign uses, one per bin of each stream, all in one hash
+pass: it steps the run's shots as one gillespie.simulate_groups call, one
+seed group per bin, then draws each bin's counts as it is asked for.
+simulate_campaign stacks every bin into one TraceTable.
 Inverse direction: background subtraction, integer staircase estimation
 with a short median filter, and the Poisson rate of the integer-atom peaks
 (peak_lambda of TraceTable.cell_sizes: the rounding cells that hold at
 least five rates, weighted by their size). build_histogram adds the pooled
-count-rate histogram and the peaks themselves, for the files analyze
-writes.
+count-rate histogram (rate_histogram, all that analyze writes of it) and
+the peaks themselves.
 The inverse steps run on a TraceTable: trace ids, n_rb, one segment map
 and bin width, and one (traces x bins) count matrix, whose detect rates,
 whole-atom numbers and whole-atom cell sizes are computed once and shared
@@ -48,7 +47,6 @@ from .gillespie import (
     ExperimentSchedule,
     Trajectory,
     derive_seeds,
-    seeded_generators,
     simulate_groups,
 )
 
@@ -75,6 +73,7 @@ __all__ = [
     "summarize_staircases",
     "peak_lambda",
     "build_histogram",
+    "rate_histogram",
 ]
 
 
@@ -518,20 +517,21 @@ def simulate_grid_bins(cfg: "RunConfig", bin_indices: "Sequence[int]") -> Iterat
     """Bins bin_indices of cfg's grid, in that order: cfg.traces_per_bin
     shots at each bin's companion number, and their photon counts.
 
-    Trace ti of bin bi is named b{bi:02d}t{ti:04d}. Its trajectory is
-    seeded by derive_seed(master_seed, TRAJECTORY_STREAM, bi, ti); the
-    counts of the whole bin are drawn by synthesize_bin on one generator,
-    default_rng(derive_seed(master_seed, PHOTON_STREAM, bi)). A campaign is
-    seeded here and nowhere else, so a bin is the same whichever process
-    computes it, in whatever run of bins, and its first traces do not
-    depend on traces_per_bin. Each stream's seeds of the whole run are
-    hashed in one derive_seeds pass, so the seed hashing is a fixed number
-    of passes whatever the run's length. A bin index must be an integer
-    (a bool, a float or a string is refused, not converted) in the grid.
-    The run's shots are stepped as one simulate_groups call with one seed
-    group per bin, so its chunks fill across bins; each bin's counts are
-    then drawn when it is asked for, and its event table is let go once it
-    is yielded. Nothing is simulated before the first bin is asked for.
+    Trace ti of bin bi is named b{bi:02d}t{ti:04d}. The bin's shots are
+    the seed group of derive_seed(master_seed, TRAJECTORY_STREAM, bi), and
+    its counts are drawn by synthesize_bin on one generator,
+    default_rng(derive_seed(master_seed, PHOTON_STREAM, bi)): neither seed
+    carries a trace index. A campaign is seeded here and nowhere else, so a
+    bin is the same whichever process computes it, in whatever run of
+    bins, and its first traces do not depend on traces_per_bin. Both
+    streams' seeds of the whole run are hashed in one derive_seeds pass,
+    so the seed hashing is a fixed number of passes whatever the run's
+    length. A bin index must be an integer (a bool, a float or a string is
+    refused, not converted) in the grid. The run's shots are stepped as
+    one simulate_groups call with one seed group per bin, so its chunks
+    hold whole bins; each bin's counts are then drawn when it is asked
+    for, and its event table is let go once it is yielded. Nothing is
+    simulated before the first bin is asked for.
     """
     values = cfg.grid.values()
     bin_indices = list(bin_indices)
@@ -544,13 +544,13 @@ def simulate_grid_bins(cfg: "RunConfig", bin_indices: "Sequence[int]") -> Iterat
     cal = cfg.calibration
     seg = segment_map_for(cfg.schedule, cal.bin_s)
     bins = [(float(values[bi]), bi) for bi in bin_indices]
-    run = np.array(bin_indices, dtype=np.int64)
-    groups = [
-        ([(n_rb, cfg.physics)], seeds)
-        for (n_rb, _), seeds in zip(
-            bins, derive_seeds(cfg.master_seed, TRAJECTORY_STREAM, run, count=traces)
-        )
-    ]
+    # Bin bi's seed of each stream is entry bi of that stream's seeds over
+    # the grid: the bin index is the last word hashed, as in the scalar
+    # derive_seed.
+    seeds, photon_seeds = derive_seeds(
+        cfg.master_seed, np.array([TRAJECTORY_STREAM, PHOTON_STREAM]), count=len(values)
+    )[:, bin_indices]
+    groups = [([(n_rb, cfg.physics)], seed, traces) for (n_rb, _), seed in zip(bins, seeds)]
     tables = [table for (table,) in simulate_groups(groups, cfg.schedule)]
     # Let go of the seed groups, then reverse in place, before the first
     # yield: the peak RSS of repeated campaigns in one process is sensitive
@@ -558,14 +558,9 @@ def simulate_grid_bins(cfg: "RunConfig", bin_indices: "Sequence[int]") -> Iterat
     del groups
     # Taken from the end, so the list lets go of each table as it is yielded.
     tables.reverse()
-    # Bin bi's photon seed is entry bi of the stream's seeds over the grid:
-    # the bin index is the last word hashed, as in the scalar derive_seed.
-    rngs = seeded_generators(
-        derive_seeds(cfg.master_seed, PHOTON_STREAM, count=len(values))[run]
-    )
-    for (n_rb, bi), rng in zip(bins, rngs):
+    for (n_rb, bi), seed in zip(bins, photon_seeds):
         events = tables.pop()
-        counts = synthesize_bin(events, cal, seg, rng)
+        counts = synthesize_bin(events, cal, seg, np.random.default_rng(int(seed)))
         trace_ids = [f"b{bi:02d}t{ti:04d}" for ti in range(traces)]
         yield SimulatedBin(n_rb, trace_ids, seg, events, counts)
 
@@ -684,20 +679,14 @@ def peak_lambda(sizes: np.ndarray) -> float | None:
     return sum(k * w for k, w in zip(peaks, weights)) / sum(weights)
 
 
-def build_histogram(
+def rate_histogram(
     traces: "Sequence[FluorescenceTrace]", cal: DetectionCalibration
-) -> TraceHistogram:
-    """Pool background-subtracted detect rates and count the integer-atom peaks.
-
-    The histogram uses a fixed bin width of rate_per_atom / 20. Every pooled
-    rate is rounded to the nearest non-negative whole atom number, as the
-    staircase does before its median filter; atom number k is a peak when at
-    least _MIN_PEAK_SAMPLES rates round to it, with those samples' count as
-    its weight and their mean and standard deviation as its center and width.
-    Its poisson_lambda is peak_lambda of those cell sizes.
-    """
-    table = TraceTable.from_traces(traces)
-    pooled = table.detect_rates().ravel()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bin edges and occurrences of the pooled background-subtracted detect
+    rates, at a fixed bin width of rate_per_atom / 20 with edges on whole
+    multiples of it: the histogram analyze writes, and that of
+    build_histogram."""
+    pooled = TraceTable.from_traces(traces).detect_rates().ravel()
     width = cal.rate_per_atom / 20.0
     lo = math.floor(pooled.min() / width) * width
     hi = math.ceil(pooled.max() / width) * width
@@ -705,7 +694,24 @@ def build_histogram(
         hi = lo + width
     edges = np.arange(lo, hi + 0.5 * width, width)
     occurrences, _ = np.histogram(pooled, bins=edges)
+    return edges, occurrences
 
+
+def build_histogram(
+    traces: "Sequence[FluorescenceTrace]", cal: DetectionCalibration
+) -> TraceHistogram:
+    """Pool background-subtracted detect rates and count the integer-atom peaks.
+
+    The histogram is rate_histogram's. Every pooled
+    rate is rounded to the nearest non-negative whole atom number, as the
+    staircase does before its median filter; atom number k is a peak when at
+    least _MIN_PEAK_SAMPLES rates round to it, with those samples' count as
+    its weight and their mean and standard deviation as its center and width.
+    Its poisson_lambda is peak_lambda of those cell sizes.
+    """
+    table = TraceTable.from_traces(traces)
+    edges, occurrences = rate_histogram(table, cal)
+    pooled = table.detect_rates().ravel()
     cells = table.whole_atoms(cal.rate_per_atom).ravel()
     sizes = table.cell_sizes(cal.rate_per_atom)
     peaks: list[GaussianPeak] = []

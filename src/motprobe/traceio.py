@@ -34,7 +34,7 @@ import numpy as np
 
 from .gillespie import EventKind, EventTable
 from .inference import BinnedDataset, NrbBin
-from .photon import FluorescenceTrace, SegmentMap, TraceHistogram, TraceTable
+from .photon import FluorescenceTrace, SegmentMap, TraceTable
 
 __all__ = [
     "TraceFileError",
@@ -485,11 +485,15 @@ def trajectory_records(trace_ids: "Sequence[str]", table: EventTable) -> Iterato
         }
 
 
-def write_histogram_csv(path: "str | Path", hist: TraceHistogram) -> None:
+def write_histogram_csv(
+    path: "str | Path", bin_edges: np.ndarray, occurrences: np.ndarray
+) -> None:
+    """One row per histogram bin: its center and its occurrences."""
+    centers = 0.5 * (bin_edges[:-1] + bin_edges[1:])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_center", "occurrences"])
-        for center, occ in zip(hist.bin_centers, hist.occurrences):
+        for center, occ in zip(centers, occurrences):
             writer.writerow([repr(float(center)), int(occ)])
 
 

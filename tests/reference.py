@@ -3,10 +3,13 @@
 Each function here is the one-row form a batch kernel replaced. The program
 does not call them; the tests hold the kernels to them with equality:
 
-- next_event, one Gillespie step on a shot's BlockDraws, and
-  replay_next_event, one shot stepped with it from an empty trap: the
-  reference of every lane of gillespie.simulate_groups (one_lane is the
-  table of a one-lane, one-group call, for the tests to compare with);
+- next_event, one Gillespie step on a shot's draws, and replay_group,
+  every shot of every lane of one seed group stepped with it from an empty
+  trap on the group's rounds of draws: the reference of every lane of
+  gillespie.simulate_groups (one_lane is the table of a one-lane,
+  one-group call, for the tests to compare with); replay_next_event, one
+  shot stepped on the BlockDraws of its own generator, is a one-shot
+  group;
 - group_by_bin, trace-by-trace grid assignment: the reference of the grid
   points bin_by_nrb groups on;
 - trace_from_dict, the per-line trace loader: the reference of
@@ -24,7 +27,7 @@ does not call them; the tests hold the kernels to them with equality:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,11 +45,10 @@ from motprobe.traceio import TraceFileError, _count_row, _trace_fields
 
 
 class BlockDraws:
-    """The draws of one shot under the block contract of simulate_groups.
-
-    On the shot's generator: rng.standard_exponential(_BLOCK), then
-    rng.random(_BLOCK); event j of a block takes wait j and uniform j, and a
-    used-up block is followed by the next pair, drawn when first needed.
+    """The draws of one shot on its own generator, as a group draws them
+    for its first shot: rng.standard_exponential(_BLOCK), then
+    rng.random(_BLOCK); event j of a block takes wait j and uniform j, and
+    a used-up block is followed by the next pair, drawn when first needed.
     blocks counts the pairs drawn so far.
     """
 
@@ -70,7 +72,7 @@ def next_event(
     n_cs: int,
     n_rb: float,
     params: PhysicalParams,
-    draws: BlockDraws,
+    draws: "BlockDraws | RowDraws",
 ) -> tuple[float, EventKind] | None:
     """Draw the waiting time and type of the next event from draws.
 
@@ -113,7 +115,7 @@ def replay_next_event(
     block draws of np.random.default_rng(seed) until the clock passes the
     window; the step that passes it uses only its wait. draws, when given,
     must be fresh BlockDraws on that generator (a test can then read its
-    block count)."""
+    block count). A one-shot group is this shot."""
     if draws is None:
         draws = BlockDraws(np.random.default_rng(seed))
     t, n, events = 0.0, 0, []
@@ -130,9 +132,99 @@ def replay_next_event(
     return events
 
 
-def one_lane(n_rb, params, schedule, seeds, **kwargs):
+class RowDraws:
+    """One lane's place in the rows of draws its shot has taken so far:
+    pair() hands out the next (wait, uniform), and ready() says whether one
+    is left."""
+
+    def __init__(self, waits: list[float], uniforms: list[float]):
+        self.waits, self.uniforms = waits, uniforms
+        self.taken = 0
+
+    def ready(self) -> bool:
+        return self.taken < len(self.waits)
+
+    def pair(self) -> tuple[float, float]:
+        self.taken += 1
+        return self.waits[self.taken - 1], self.uniforms[self.taken - 1]
+
+
+@dataclass
+class _LaneShot:
+    """One shot in one lane: its clock, atom number, events, whether it is
+    still inside the window, and its place in the shot's draws."""
+
+    draws: RowDraws
+    t: float = 0.0
+    n: int = 0
+    inside: bool = True
+    events: list = field(default_factory=list)
+
+
+def replay_group(
+    lanes: "list[tuple[float, PhysicalParams]]",
+    schedule: ExperimentSchedule,
+    seed: int,
+    shots: int,
+) -> list[list[list[tuple[float, EventKind, int]]]]:
+    """Events of every shot of every lane of one seed group, one list of
+    shots per lane.
+
+    The group's draws come from rng = np.random.default_rng(seed), a round
+    at a time. In round r, live being the shots still
+    inside the window in some lane, in shot order, shot 0 (if live) appends
+    rng.standard_exponential(_BLOCK), then rng.random(_BLOCK), to its
+    draws, and the other k live shots append row m of
+    standard_exponential((k, _BLOCK)) and of random((k, _BLOCK)), drawn on
+    fresh generators of the group's starting bit generator jumped 2 r + 1
+    and 2 r + 2 times (numpy's PCG64.jumped). Then every lane of every
+    live shot takes next_event on its shot's draws until it has used them
+    all or left the window: the step that passes the window uses only its
+    wait, and one with no rate left ends the shot without drawing. All
+    lanes of a shot read the same draws.
+    """
+    rng = np.random.default_rng(seed)
+    # The bit generator the other shots' jumped generators start from.
+    origin = np.random.PCG64(seed)
+    rows = [([], []) for _ in range(shots)]
+    state = [[_LaneShot(RowDraws(*rows[i])) for _ in lanes] for i in range(shots)]
+    live = list(range(shots))
+    r = 0
+    while live:
+        if live[0] == 0:
+            rows[0][0].extend(rng.standard_exponential(_BLOCK).tolist())
+            rows[0][1].extend(rng.random(_BLOCK).tolist())
+        rest = [i for i in live if i > 0]
+        if rest:
+            waits = np.random.Generator(origin.jumped(2 * r + 1)).standard_exponential(
+                (len(rest), _BLOCK)
+            )
+            uniforms = np.random.Generator(origin.jumped(2 * r + 2)).random((len(rest), _BLOCK))
+            for m, i in enumerate(rest):
+                rows[i][0].extend(waits[m].tolist())
+                rows[i][1].extend(uniforms[m].tolist())
+        r += 1
+        for i in live:
+            for (n_rb, params), lane in zip(lanes, state[i]):
+                while lane.inside and lane.draws.ready():
+                    step = next_event(lane.n, n_rb, params, lane.draws)
+                    if step is None:
+                        lane.inside = False
+                        break
+                    dt, kind = step
+                    lane.t = lane.t + dt
+                    if lane.t > schedule.detect_s:
+                        lane.inside = False
+                        break
+                    lane.n += kind.delta
+                    lane.events.append((lane.t, kind, lane.n))
+        live = [i for i in live if any(lane.inside for lane in state[i])]
+    return [[state[i][l].events for i in range(shots)] for l in range(len(lanes))]
+
+
+def one_lane(n_rb, params, schedule, seed, shots, **kwargs):
     """The table of the one-lane, one-group simulate_groups call."""
-    return simulate_groups([([(n_rb, params)], seeds)], schedule, **kwargs)[0][0]
+    return simulate_groups([([(n_rb, params)], seed, shots)], schedule, **kwargs)[0][0]
 
 
 def group_by_bin(

@@ -1,16 +1,17 @@
 """Exactness of the flat event table against per-shot references.
 
 simulate_groups, the one simulator, steps seed groups together, each one
-array of seeds shared by one or more lanes of (n_rb, params), in chunks
-that fill across groups, and writes each lane's events into one EventTable.
-Every test calls it directly; one_lane in reference.py is the table of its
-one-lane, one-group call. The oracles read atom numbers at their
-checkpoints from it with vectorized counts, and the trajectory dump formats
-from it. The references here are the per-shot
-forms: next_event stepped one event at a time on a shot's own block draws
-(replay_next_event in reference.py), which sums each state's rates from
-physics.rates itself, and bisect_right on a shot's event times. Every
-comparison asks for equality.
+seed and a number of shots shared by one or more lanes of (n_rb, params),
+in chunks of whole groups, and writes each lane's events into one
+EventTable. Every test calls it directly; one_lane in reference.py is the
+table of its one-lane, one-group call. The oracles read atom numbers at
+their checkpoints from it with vectorized counts, and the trajectory dump
+formats from it. The references here are the per-shot forms: next_event
+stepped one event at a time on each shot's rows of its group's round draws
+(replay_group in reference.py), which sums each state's rates from
+physics.rates itself; replay_next_event, one shot on its own generator,
+which a one-shot group equals; and bisect_right on a shot's event times.
+Every comparison asks for equality.
 """
 
 import bisect
@@ -44,7 +45,7 @@ from motprobe.photon import (
 )
 from motprobe.physics import PhysicalParams
 from motprobe.traceio import trajectory_records
-from reference import BlockDraws, one_lane, replay_next_event
+from reference import BlockDraws, one_lane, replay_group, replay_next_event
 
 UM = 1e-4
 
@@ -85,84 +86,82 @@ class TestTableAgainstPerShotReferences:
         (PAIR_LOSS, 0.0), (PAIR_LOSS, 2200.0),
     ], ids=["default-0", "default-1100", "default-3300", "pair_loss-0", "pair_loss-2200"])
     def test_rows_equal_replay_and_former_loop(self, params, n_rb):
-        """The former per-shot loop is folded into the replay, whose
+        """The former per-shot loop is folded into the group replay, whose
         next_event sums each state's rates from physics.rates itself."""
-        seeds = derive_seeds(61, TRAJECTORY_STREAM, int(n_rb), count=150)
-        table = one_lane(n_rb, params, SCHEDULE, seeds)
-        assert len(table) == len(seeds)
+        seed = derive_seed(61, TRAJECTORY_STREAM, int(n_rb))
+        table = one_lane(n_rb, params, SCHEDULE, seed, 150)
+        assert len(table) == 150
         assert table.time.dtype == np.float64
         assert table.level.dtype == np.int64
         assert table.kind.dtype == np.int8
-        assert table.offsets.dtype == np.int64 and len(table.offsets) == len(seeds) + 1
-        for seed, row in zip(seeds.tolist(), table_rows(table)):
-            assert row == replay_next_event(n_rb, params, SCHEDULE, seed), seed
-        assert np.array_equal(table.seed, seeds)
+        assert table.offsets.dtype == np.int64 and len(table.offsets) == 151
+        assert table_rows(table) == replay_group([(n_rb, params)], SCHEDULE, seed, 150)[0]
+        assert table.seed.dtype == np.uint64 and table.seed.tolist() == [seed] * 150
         assert np.all(table.n_rb == n_rb) and np.all(table.t_end == SCHEDULE.detect_s)
 
     def test_all_four_kinds_are_covered(self):
         seen = set()
         for params, n_rb in [(DEFAULTS, 1100.0), (PAIR_LOSS, 0.0)]:
-            seeds = derive_seeds(61, TRAJECTORY_STREAM, int(n_rb), count=150)
-            seen.update(np.unique(one_lane(n_rb, params, SCHEDULE, seeds).kind).tolist())
+            seed = derive_seed(61, TRAJECTORY_STREAM, int(n_rb))
+            seen.update(np.unique(one_lane(n_rb, params, SCHEDULE, seed, 150).kind).tolist())
         assert seen == {0, 1, 2, 3}
 
     def test_items_are_the_rows_as_trajectories(self):
-        seeds = derive_seeds(62, 0, count=40)
-        table = one_lane(550.0, PAIR_LOSS, SCHEDULE, seeds)
-        for i, (seed, traj) in enumerate(zip(seeds.tolist(), table)):
+        seed = derive_seed(62, 0)
+        table = one_lane(550.0, PAIR_LOSS, SCHEDULE, seed, 40)
+        for i, traj in enumerate(table):
             assert traj.events == table_rows(table)[i]
             assert (traj.seed, traj.n_rb, traj.t_end) == (seed, 550.0, 3.0)
-            assert traj.events == simulate_trajectory(550.0, PAIR_LOSS, SCHEDULE, seed).events
             traj.validate()
         assert [t.events for t in table[5:9]] == [table[i].events for i in range(5, 9)]
         assert table[-1].events == table[len(table) - 1].events
 
     def test_bin_and_ensemble_tables(self):
-        """The bins of a campaign grid: trace ti of bin bi is the shot of
-        seed derive_seed(master, TRAJECTORY_STREAM, bi, ti)."""
+        """The bins of a campaign grid: the traces of bin bi are the shots
+        of the seed group derive_seed(master, TRAJECTORY_STREAM, bi)."""
         cfg = replace(RunConfig.default(), traces_per_bin=7, master_seed=3)
         for bi in (0, 5, 10):
             n_rb = float(cfg.grid.values()[bi])
             table = next(simulate_grid_bins(cfg, [bi])).events
-            seeds = [derive_seed(3, TRAJECTORY_STREAM, bi, ti) for ti in range(7)]
-            assert table.seed.tolist() == seeds
+            seed = derive_seed(3, TRAJECTORY_STREAM, bi)
+            assert table.seed.tolist() == [seed] * 7
             assert table.n_rb.tolist() == [n_rb] * 7
-            assert table_rows(table) == [
-                replay_next_event(n_rb, cfg.physics, cfg.schedule, seed) for seed in seeds
-            ]
+            (want,) = replay_group([(n_rb, cfg.physics)], cfg.schedule, seed, 7)
+            assert table_rows(table) == want
 
     def test_from_trajectories_round_trip(self):
-        seeds = derive_seeds(63, 0, count=30)
-        table = one_lane(1100.0, DEFAULTS, SCHEDULE, seeds)
+        table = one_lane(1100.0, DEFAULTS, SCHEDULE, derive_seed(63, 0), 30)
         again = EventTable.from_trajectories(list(table))
         for name in ("time", "level", "kind", "offsets", "n_rb", "seed", "t_end"):
             assert np.array_equal(getattr(again, name), getattr(table, name)), name
         assert EventTable.from_trajectories(table) is table
 
     def test_columns_are_read_only(self):
-        table = one_lane(1100.0, DEFAULTS, SCHEDULE, [1, 2, 3])
+        table = one_lane(1100.0, DEFAULTS, SCHEDULE, 1, 3)
         with pytest.raises(ValueError):
             table.time[0] = 0.0
 
     def test_one_generator_per_seed(self):
-        with pytest.raises(ValueError):
-            one_lane(1100.0, DEFAULTS, SCHEDULE, [1, 2], rngs=[np.random.default_rng(1)])
-        with pytest.raises(ValueError):
+        """One generator per group seed: rngs must yield exactly one for
+        each group, and a group's shot count must be a whole number >= 0."""
+        with pytest.raises(ValueError, match="fewer"):
+            one_lane(1100.0, DEFAULTS, SCHEDULE, 1, 2, rngs=[])
+        with pytest.raises(ValueError, match="more"):
             one_lane(
-                1100.0, DEFAULTS, SCHEDULE, [1],
+                1100.0, DEFAULTS, SCHEDULE, 1, 2,
                 rngs=[np.random.default_rng(1), np.random.default_rng(2)],
             )
+        with pytest.raises(ValueError, match="shots must be >= 0"):
+            one_lane(1100.0, DEFAULTS, SCHEDULE, 1, -1)
+        with pytest.raises(TypeError):
+            one_lane(1100.0, DEFAULTS, SCHEDULE, 1, 2.0)
 
 
 def assert_equals_replay(table, n_rb, params, schedule=SCHEDULE):
-    """Every shot of table is its seed's replay_next_event; returns the
-    number of draw blocks each replay used."""
-    blocks = []
-    for seed, row in zip(table.seed.tolist(), table_rows(table)):
-        draws = BlockDraws(np.random.default_rng(seed))
-        assert row == replay_next_event(n_rb, params, schedule, seed, draws), seed
-        blocks.append(draws.blocks)
-    return blocks
+    """Every shot of a one-lane group's table is its group's replay."""
+    (seed,) = set(table.seed.tolist()) or {0}
+    (want,) = replay_group([(n_rb, params)], schedule, seed, len(table))
+    assert table_rows(table) == want, seed
 
 
 def same_columns(a, b):
@@ -172,16 +171,64 @@ def same_columns(a, b):
     )
 
 
+def rounds_drawn(lanes_events):
+    """Rows a group draws in each round, from its shots' events in every
+    lane: a shot takes a row in round r while, in some lane, it had not
+    left the window after r * _BLOCK events, that is while it has at least
+    r * _BLOCK events there (every shot takes a row in round 0)."""
+    most = [max(map(len, shot)) for shot in zip(*lanes_events)]
+    block = gillespie._BLOCK
+    rounds = max(most, default=-1) // block + 1
+    return [sum(events >= r * block for events in most) for r in range(rounds)]
+
+
+class CountingGenerator:
+    """default_rng(seed) that keeps the shape of every block of waits it
+    draws."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.bit_generator = self.rng.bit_generator
+        self.shapes = []
+
+    @property
+    def rounds(self):
+        """Rows of waits drawn in each round. A round draws the first
+        shot's row, one block of _BLOCK, before the rows of its other
+        shots, and the first shot is live in every round before one
+        without it."""
+        rounds, after_first = [], False
+        for shape in self.shapes:
+            if len(shape) == 1:
+                rounds.append(1)
+            elif after_first:
+                rounds[-1] += shape[0]
+            else:
+                rounds.append(shape[0])
+            after_first = len(shape) == 1
+        return rounds
+
+    def standard_exponential(self, size=None, out=None):
+        self.shapes.append(size if out is None else out.shape)
+        return self.rng.standard_exponential(size, out=out)
+
+    def random(self, size=None, out=None):
+        return self.rng.random(size, out=out)
+
+
 class TestLockstepAgainstReplay:
-    """The lockstep loop against the one-shot, one-event replay of the
-    block contract, at its edges."""
+    """The lockstep loop against the one-event replay of the group
+    contract, at its edges."""
 
     def test_shots_that_need_three_or_more_blocks(self):
-        seeds = derive_seeds(71, 0, count=60)
-        table = one_lane(0.0, PAIR_LOSS, SCHEDULE, seeds)
-        blocks = assert_equals_replay(table, 0.0, PAIR_LOSS)
-        # A shot reads a third block of draws from its 65th step on.
-        assert {2, 3} <= set(blocks)
+        seed = derive_seed(71, 0)
+        gen = CountingGenerator(seed)
+        table = one_lane(0.0, PAIR_LOSS, SCHEDULE, seed, 200, rngs=[gen])
+        assert_equals_replay(table, 0.0, PAIR_LOSS)
+        # A shot takes a row in a third round from its 65th step on, and
+        # a round draws rows only for the shots that are still inside.
+        assert gen.rounds == rounds_drawn([table_rows(table)])
+        assert len(gen.rounds) >= 3 and gen.rounds[0] == 200 > gen.rounds[1] > gen.rounds[-1]
 
     def test_rate_table_grows_past_its_first_rows(self):
         gillespie._rate_table.cache_clear()
@@ -191,8 +238,7 @@ class TestLockstepAgainstReplay:
         )
         table_of_rates = gillespie._rate_table(440.0, params)
         assert table_of_rates.columns.shape == (5, 1)
-        seeds = derive_seeds(72, 0, count=40)
-        table = one_lane(440.0, params, SCHEDULE, seeds)
+        table = one_lane(440.0, params, SCHEDULE, derive_seed(72, 0), 40)
         assert_equals_replay(table, 440.0, params)
         reached = int(table.level.max())
         assert reached > 3
@@ -200,7 +246,7 @@ class TestLockstepAgainstReplay:
         for n in range(reached + 1):
             assert tuple(table_of_rates.columns[:, n]) == gillespie._rate_row(n, 440.0, params)
         # A second set reads the grown table and still equals its replay.
-        again = one_lane(440.0, params, SCHEDULE, derive_seeds(73, 0, count=40))
+        again = one_lane(440.0, params, SCHEDULE, derive_seed(73, 0), 40)
         assert_equals_replay(again, 440.0, params)
 
     @pytest.mark.parametrize("params, n_rb", [
@@ -210,172 +256,218 @@ class TestLockstepAgainstReplay:
         # Shielded past r0 / alpha (about 6435 atoms), the default trap
         # never loads: state 0 has no rate, so its wait is infinite.
         assert gillespie._rate_row(0, n_rb, params)[:2] == (math.inf, 0.0)
-        table = one_lane(n_rb, params, SCHEDULE, derive_seeds(74, 0, count=9))
+        gen = CountingGenerator(74)
+        table = one_lane(n_rb, params, SCHEDULE, 74, 9, rngs=[gen])
         assert table.offsets.tolist() == [0] * 10
-        assert assert_equals_replay(table, n_rb, params) == [0] * 9
+        assert_equals_replay(table, n_rb, params)
+        # Every shot takes its round-0 row and leaves at its first step.
+        assert gen.rounds == [9]
 
     @pytest.mark.parametrize("shots", [0, 1])
     def test_zero_and_one_shots(self, shots):
-        seeds = derive_seeds(75, 0, count=shots)
+        seed = derive_seed(75, 0)
         for params, n_rb in [(DEFAULTS, 1100.0), (PAIR_LOSS, 0.0)]:
-            table = one_lane(n_rb, params, SCHEDULE, seeds)
+            table = one_lane(n_rb, params, SCHEDULE, seed, shots)
             assert len(table) == shots and len(table.offsets) == shots + 1
             assert_equals_replay(table, n_rb, params)
+            assert table_rows(table) == [replay_next_event(n_rb, params, SCHEDULE, seed)] * shots
 
     @pytest.mark.parametrize("offset", [-1, 1])
     def test_one_shot_either_side_of_a_chunk(self, offset):
-        seeds = derive_seeds(76, 0, count=gillespie._CHUNK + offset)
-        table = one_lane(1100.0, DEFAULTS, SCHEDULE, seeds)
-        assert len(table) == len(seeds)
+        table = one_lane(1100.0, DEFAULTS, SCHEDULE, derive_seed(76, 0), gillespie._CHUNK + offset)
+        assert len(table) == gillespie._CHUNK + offset
         assert_equals_replay(table, 1100.0, DEFAULTS)
 
     @pytest.mark.parametrize("params, n_rb", [(DEFAULTS, 1100.0), (PAIR_LOSS, 0.0)],
                              ids=["default", "pair_loss"])
     def test_chunk_size_changes_nothing(self, monkeypatch, params, n_rb):
-        seeds = derive_seeds(77, 0, count=50)
-        whole = one_lane(n_rb, params, SCHEDULE, seeds)
+        seed = derive_seed(77, 0)
+        whole = one_lane(n_rb, params, SCHEDULE, seed, 50)
         for chunk in (1, 7):
             monkeypatch.setattr(gillespie, "_CHUNK", chunk)
-            assert same_columns(one_lane(n_rb, params, SCHEDULE, seeds), whole), chunk
+            assert same_columns(one_lane(n_rb, params, SCHEDULE, seed, 50), whole), chunk
 
 
-class CountingGenerator:
-    """default_rng(seed) that counts the blocks of waits it hands out."""
+class TestOneShotGroups:
+    """A one-shot group is one shot on its own generator: the BlockDraws
+    replay of its seed, the draws every shot made before groups shared a
+    generator. Many one-shot groups run in one call, several to a chunk."""
 
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-        self.blocks = 0
+    @pytest.mark.parametrize("params, n_rb", [
+        (DEFAULTS, 1100.0), (PAIR_LOSS, 0.0), (ABSORBING, 0.0), (DEFAULTS, 7000.0),
+    ], ids=["default", "pair_loss", "absorbing", "load-shielded"])
+    def test_one_shot_groups_are_the_block_replay(self, params, n_rb):
+        seeds = derive_seeds(78, 0, count=40).tolist()
+        tables = simulate_groups([([(n_rb, params)], seed, 1) for seed in seeds], SCHEDULE)
+        for seed, (table,) in zip(seeds, tables, strict=True):
+            draws = BlockDraws(np.random.default_rng(seed))
+            assert table[0].events == replay_next_event(n_rb, params, SCHEDULE, seed, draws)
+            assert table[0].events == replay_group([(n_rb, params)], SCHEDULE, seed, 1)[0][0]
+            assert table[0].events == simulate_trajectory(n_rb, params, SCHEDULE, seed).events
 
-    def standard_exponential(self, size=None, out=None):
-        self.blocks += 1
-        return self.rng.standard_exponential(size, out=out)
 
-    def random(self, size=None, out=None):
-        return self.rng.random(size, out=out)
+class TestGroupPrefixes:
+    """A shot depends on its group's seed, its index and the shots before
+    it: a group's first shots do not change when more follow them."""
+
+    @pytest.mark.parametrize("lanes", [
+        [(1100.0, DEFAULTS)],
+        [(0.0, PAIR_LOSS)],
+        [(1100.0, DEFAULTS), (0.0, PAIR_LOSS), (0.0, ABSORBING)],
+    ], ids=["default", "pair_loss", "three-lanes"])
+    def test_first_shots_do_not_depend_on_those_after(self, lanes):
+        seed = derive_seed(79, 0)
+        (longest,) = simulate_groups([(lanes, seed, 90)], SCHEDULE)
+        for shots in (1, 7, 40, 89):
+            (tables,) = simulate_groups([(lanes, seed, shots)], SCHEDULE)
+            for short, long in zip(tables, longest, strict=True):
+                assert table_rows(short) == table_rows(long)[:shots], shots
 
 
 class TestLanes:
     """Every lane of a one-group simulate_groups call is its own one-lane
-    group at its (n_rb, params), and so its seeds' replay, in every
+    group at its (n_rb, params), and so its group's replay, in every
     column."""
 
     MIXED = [(1100.0, DEFAULTS), (0.0, PAIR_LOSS), (0.0, ABSORBING), (2200.0, DEFAULTS)]
 
-    def assert_lanes_exact(self, lanes, seeds, tables):
+    def assert_lanes_exact(self, lanes, seed, tables):
+        """Each lane equals its one-lane group and the group replay of all
+        the lanes together; returns each lane's rows."""
         assert len(tables) == len(lanes)
-        blocks = []
-        for (n_rb, params), table in zip(lanes, tables):
-            assert same_columns(table, one_lane(n_rb, params, SCHEDULE, seeds))
-            blocks.append(assert_equals_replay(table, n_rb, params))
-        return blocks
+        shots = len(tables[0]) if tables else 0
+        want = replay_group(lanes, SCHEDULE, seed, shots)
+        rows = []
+        for (n_rb, params), table, lane_want in zip(lanes, tables, want, strict=True):
+            assert same_columns(table, one_lane(n_rb, params, SCHEDULE, seed, shots))
+            rows.append(table_rows(table))
+            assert rows[-1] == lane_want
+        return rows
 
     def test_lanes_with_different_params(self):
-        """Pair-loss shots need two or more blocks of draws while the default
-        ones need one: each generator draws its blocks once, as many as the
-        lane that needs most, and the others read the extra ones harmlessly."""
+        """Pair-loss shots need two or more rounds of draws while the
+        default ones need one: the group draws a row for a shot in a round
+        while any of its lanes needs one, and the others read the extra
+        rows harmlessly."""
         lanes = [(1100.0, DEFAULTS), (0.0, PAIR_LOSS)]
-        seeds = derive_seeds(81, TRANSIENT_STREAM, count=60)
-        gens = [CountingGenerator(seed) for seed in seeds.tolist()]
-        (tables,) = simulate_groups([(lanes, seeds)], SCHEDULE, rngs=gens)
-        default_blocks, pair_blocks = self.assert_lanes_exact(lanes, seeds, tables)
-        assert set(default_blocks) == {1} and max(pair_blocks) >= 2
-        assert [gen.blocks for gen in gens] == list(map(max, default_blocks, pair_blocks))
+        seed = derive_seed(81, TRANSIENT_STREAM, 0)
+        gen = CountingGenerator(seed)
+        (tables,) = simulate_groups([(lanes, seed, 60)], SCHEDULE, rngs=[gen])
+        default_rows, pair_rows = self.assert_lanes_exact(lanes, seed, tables)
+        assert rounds_drawn([default_rows]) == [60]
+        assert len(rounds_drawn([pair_rows])) >= 2
+        assert gen.rounds == rounds_drawn([default_rows, pair_rows])
         # Lane order changes no lane.
-        (swapped,) = simulate_groups([(lanes[::-1], seeds)], SCHEDULE)
+        (swapped,) = simulate_groups([(lanes[::-1], seed, 60)], SCHEDULE)
         assert same_columns(swapped[0], tables[1]) and same_columns(swapped[1], tables[0])
+
+    def test_a_later_lane_keeps_its_shots_alive(self):
+        """A shot whose first lane has left the window still takes rows
+        while a later lane is inside: pair loss needs more rounds than the
+        absorbing and default lanes before it."""
+        lanes = [(0.0, ABSORBING), (1100.0, DEFAULTS), (0.0, PAIR_LOSS)]
+        seed = derive_seed(87, 0)
+        gen = CountingGenerator(seed)
+        (tables,) = simulate_groups([(lanes, seed, 50)], SCHEDULE, rngs=[gen])
+        rows = self.assert_lanes_exact(lanes, seed, tables)
+        assert gen.rounds == rounds_drawn(rows) and len(gen.rounds) >= 2
+        assert rounds_drawn(rows[:2]) == [50]
 
     def test_absorbing_and_repeated_lanes(self):
         lanes = [*self.MIXED, (1100.0, DEFAULTS)]
-        seeds = derive_seeds(82, TRANSIENT_STREAM, count=40)
-        (tables,) = simulate_groups([(lanes, seeds)], SCHEDULE)
-        self.assert_lanes_exact(lanes, seeds, tables)
+        seed = derive_seed(82, TRANSIENT_STREAM, 0)
+        (tables,) = simulate_groups([(lanes, seed, 40)], SCHEDULE)
+        self.assert_lanes_exact(lanes, seed, tables)
         assert tables[2].offsets.tolist() == [0] * 41
         assert same_columns(tables[0], tables[-1])
 
     def test_rate_tables_grow_to_a_common_width(self):
         gillespie._rate_table.cache_clear()
         lanes = [(0.0, PAIR_LOSS), (3300.0, DEFAULTS), (0.0, ABSORBING)]
-        seeds = derive_seeds(83, 0, count=30)
-        (tables,) = simulate_groups([(lanes, seeds)], SCHEDULE)
-        self.assert_lanes_exact(lanes, seeds, tables)
+        seed = derive_seed(83, 0)
+        (tables,) = simulate_groups([(lanes, seed, 30)], SCHEDULE)
+        self.assert_lanes_exact(lanes, seed, tables)
         widths = {gillespie._rate_table(n_rb, params).columns.shape[1] for n_rb, params in lanes}
         assert widths == {max(int(table.level.max(initial=0)) for table in tables) + 1}
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_chunk_size_changes_nothing(self, monkeypatch, chunk):
-        seeds = derive_seeds(84, 0, count=50)
-        (whole,) = simulate_groups([(self.MIXED, seeds)], SCHEDULE)
+        seed = derive_seed(84, 0)
+        (whole,) = simulate_groups([(self.MIXED, seed, 50)], SCHEDULE)
         monkeypatch.setattr(gillespie, "_CHUNK", chunk)
-        (chunked,) = simulate_groups([(self.MIXED, seeds)], SCHEDULE)
+        (chunked,) = simulate_groups([(self.MIXED, seed, 50)], SCHEDULE)
         assert all(same_columns(a, b) for a, b in zip(chunked, whole, strict=True))
-        self.assert_lanes_exact(self.MIXED, seeds, chunked)
+        self.assert_lanes_exact(self.MIXED, seed, chunked)
 
     def test_explicit_generators(self):
-        seeds = derive_seeds(85, 0, count=gillespie._CHUNK + 3)
+        seed = derive_seed(85, 0)
+        shots = gillespie._CHUNK + 3
         (given,) = simulate_groups(
-            [(self.MIXED, seeds)], SCHEDULE,
-            rngs=(np.random.default_rng(s) for s in seeds.tolist()),
+            [(self.MIXED, seed, shots)], SCHEDULE, rngs=iter([np.random.default_rng(seed)])
         )
-        (built,) = simulate_groups([(self.MIXED, seeds)], SCHEDULE)
+        (built,) = simulate_groups([(self.MIXED, np.uint64(seed), shots)], SCHEDULE)
         assert all(same_columns(a, b) for a, b in zip(given, built, strict=True))
-        self.assert_lanes_exact(self.MIXED, seeds, given)
+        self.assert_lanes_exact(self.MIXED, seed, given)
 
     @pytest.mark.parametrize("lanes", [MIXED, []], ids=["lanes", "no-lanes"])
     def test_one_generator_per_seed(self, lanes):
         with pytest.raises(ValueError, match="fewer"):
-            simulate_groups([(lanes, [1, 2])], SCHEDULE, rngs=[np.random.default_rng(1)])
+            simulate_groups(
+                [(lanes, 1, 2), (lanes, 2, 2)], SCHEDULE, rngs=[np.random.default_rng(1)]
+            )
         with pytest.raises(ValueError, match="more"):
             simulate_groups(
-                [(lanes, [1])], SCHEDULE,
+                [(lanes, 1, 2)], SCHEDULE,
                 rngs=[np.random.default_rng(1), np.random.default_rng(2)],
             )
 
     def test_zero_shots_and_zero_lanes(self):
-        (tables,) = simulate_groups([(self.MIXED, [])], SCHEDULE)
+        (tables,) = simulate_groups([(self.MIXED, 5, 0)], SCHEDULE)
         assert len(tables) == len(self.MIXED)
         for (n_rb, _), table in zip(self.MIXED, tables):
             assert len(table) == 0 and table.offsets.tolist() == [0]
             assert len(table.time) == len(table.level) == len(table.kind) == 0
-        assert simulate_groups([([], derive_seeds(86, 0, count=5))], SCHEDULE) == [[]]
-        assert simulate_groups([([], [])], SCHEDULE) == [[]]
+        assert simulate_groups([([], 86, 5)], SCHEDULE) == [[]]
+        assert simulate_groups([([], 86, 0)], SCHEDULE) == [[]]
 
 
 class TestSeedGroups:
-    """simulate_groups fills each chunk across group boundaries; every lane
-    of every group is still its own one-lane group on the group's seeds,
-    and so its seeds' replay, in every column."""
+    """simulate_groups steps whole groups together in chunks; every lane of
+    every group is still its own one-lane group on the group's seed, and
+    so its group's replay, in every column."""
 
     def groups(self, master, specs):
-        """One group per (lanes, shots) of specs, each on its own seeds."""
+        """One group per (lanes, shots) of specs, each on its own seed."""
         return [
-            (lanes, derive_seeds(master, TRAJECTORY_STREAM, gi, count=shots))
+            (lanes, derive_seed(master, TRAJECTORY_STREAM, gi), shots)
             for gi, (lanes, shots) in enumerate(specs)
         ]
 
     def assert_groups_exact(self, groups, tables, replay=True):
         assert len(tables) == len(groups)
-        blocks = []
-        for (lanes, seeds), group_tables in zip(groups, tables, strict=True):
+        rows = []
+        for (lanes, seed, shots), group_tables in zip(groups, tables, strict=True):
             assert len(group_tables) == len(lanes)
-            group_blocks = []
             for (n_rb, params), table in zip(lanes, group_tables, strict=True):
-                assert same_columns(table, one_lane(n_rb, params, SCHEDULE, seeds))
-                if replay:
-                    group_blocks.append(assert_equals_replay(table, n_rb, params))
-            blocks.append(group_blocks)
-        return blocks
+                assert same_columns(table, one_lane(n_rb, params, SCHEDULE, seed, shots))
+            group_rows = [table_rows(table) for table in group_tables]
+            if replay:
+                assert group_rows == replay_group(lanes, SCHEDULE, seed, shots)
+            rows.append(group_rows)
+        return rows
 
     def test_chunk_boundary_inside_a_group(self):
+        """A chunk holds whole groups: it closes after the group that
+        takes it to _CHUNK shots or more."""
         chunk = gillespie._CHUNK
         specs = [([(0.0, PAIR_LOSS)], chunk - 40), ([(1100.0, DEFAULTS)], 90)]
         groups = self.groups(101, specs)
-        # The second group's shots straddle the first chunk's end.
+        # The second group's shots straddle _CHUNK.
         assert specs[0][1] < chunk < specs[0][1] + specs[1][1]
         self.assert_groups_exact(groups, simulate_groups(groups, SCHEDULE))
 
     def test_groups_smaller_than_a_chunk(self):
-        """Seven bins of 100 shots: the chunks end inside the third and the
-        sixth, and each chunk holds parts of three bins."""
+        """Seven bins of 100 shots: each chunk holds three whole bins."""
         cfg = replace(RunConfig.default(), physics=PAIR_LOSS, traces_per_bin=100, master_seed=102)
         grid = cfg.grid.values()[:7].tolist()
         groups = self.groups(102, [([(n_rb, PAIR_LOSS)], 100) for n_rb in grid])
@@ -392,7 +484,7 @@ class TestSeedGroups:
 
     def test_shared_group_beside_one_lane_groups(self):
         """A three-lane group between one-lane groups in the same chunk:
-        its generators draw once for its three lanes, and the one-lane
+        its generator draws once for its three lanes, and the one-lane
         groups beside it are not touched by its copies."""
         specs = [
             ([(2200.0, DEFAULTS)], 50),
@@ -402,10 +494,9 @@ class TestSeedGroups:
         groups = self.groups(103, specs)
         tables = simulate_groups(groups, SCHEDULE)
         self.assert_groups_exact(groups, tables)
-        (lanes, seeds) = groups[1]
         assert all(
             same_columns(a, b)
-            for a, b in zip(tables[1], simulate_groups([(lanes, seeds)], SCHEDULE)[0], strict=True)
+            for a, b in zip(tables[1], simulate_groups([groups[1]], SCHEDULE)[0], strict=True)
         )
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
@@ -422,26 +513,39 @@ class TestSeedGroups:
         for a_group, b_group in zip(chunked, whole, strict=True):
             assert all(same_columns(a, b) for a, b in zip(a_group, b_group, strict=True))
 
+    def test_neighbouring_groups_change_nothing(self):
+        """A group's tables are the same whatever groups come before or
+        after it in the call."""
+        specs = [
+            ([(0.0, PAIR_LOSS)], 70),
+            ([(1100.0, DEFAULTS), (0.0, PAIR_LOSS)], 45),
+            ([(0.0, ABSORBING), (2200.0, DEFAULTS)], 300),
+        ]
+        groups = self.groups(108, specs)
+        alone = [simulate_groups([group], SCHEDULE)[0] for group in groups]
+        for order in ([0, 1, 2], [2, 1, 0], [1, 2, 0, 1]):
+            tables = simulate_groups([groups[g] for g in order], SCHEDULE)
+            for g, group_tables in zip(order, tables, strict=True):
+                assert all(
+                    same_columns(a, b) for a, b in zip(group_tables, alone[g], strict=True)
+                ), order
+
     def test_explicit_generators_across_groups(self):
         specs = [([(0.0, PAIR_LOSS)], 200), ([(1100.0, DEFAULTS), (0.0, PAIR_LOSS)], 100)]
         groups = self.groups(105, specs)
-        every_seed = np.concatenate([seeds for _, seeds in groups]).tolist()
-        given = simulate_groups(
-            groups, SCHEDULE, rngs=(np.random.default_rng(s) for s in every_seed)
-        )
+        seeds = [seed for _, seed, _ in groups]
+        given = simulate_groups(groups, SCHEDULE, rngs=(np.random.default_rng(s) for s in seeds))
         self.assert_groups_exact(groups, given, replay=False)
         with pytest.raises(ValueError, match="fewer"):
-            simulate_groups(
-                groups, SCHEDULE, rngs=[np.random.default_rng(s) for s in every_seed[:-1]]
-            )
+            simulate_groups(groups, SCHEDULE, rngs=[np.random.default_rng(s) for s in seeds[:-1]])
         with pytest.raises(ValueError, match="more"):
             simulate_groups(
-                groups, SCHEDULE, rngs=[np.random.default_rng(s) for s in every_seed + [1]]
+                groups, SCHEDULE, rngs=[np.random.default_rng(s) for s in seeds + [1]]
             )
 
     def test_empty_groups_and_zero_lanes(self):
-        """A group with no seeds gives empty tables; one with no lanes gives
-        no table, and its generators are built but never drawn from."""
+        """A group with no shots gives empty tables; one with no lanes gives
+        no table; neither draws from its generator."""
         specs = [
             ([(1100.0, DEFAULTS)], 0),
             ([], 30),
@@ -450,20 +554,20 @@ class TestSeedGroups:
             ([], 0),
         ]
         groups = self.groups(106, specs)
-        every_seed = np.concatenate([seeds for _, seeds in groups]).tolist()
-        gens = [CountingGenerator(seed) for seed in every_seed]
+        gens = [CountingGenerator(seed) for _, seed, _ in groups]
         tables = simulate_groups(groups, SCHEDULE, rngs=gens)
         assert [len(t) for t in tables] == [1, 0, 2, 1, 0]
         for table in (tables[0][0], tables[3][0]):
             assert len(table) == 0 and table.offsets.tolist() == [0]
         self.assert_groups_exact(groups, tables)
-        assert [gen.blocks for gen in gens[:30]] == [0] * 30
+        assert [len(gen.rounds) > 0 for gen in gens] == [False, False, True, False, False]
         assert simulate_groups([], SCHEDULE) == []
-        assert simulate_groups([([], [])], SCHEDULE) == [[]]
+        assert simulate_groups([([], 1, 0)], SCHEDULE) == [[]]
 
     def test_each_generator_draws_what_its_group_needs(self):
-        """Across groups in one chunk, a generator draws exactly the blocks
-        of the most demanding lane of its own group."""
+        """Across groups in one chunk, each group's generator draws, round
+        by round, a row for each of its shots that some lane of its own
+        group still needs."""
         specs = [
             ([(1100.0, DEFAULTS)], 40),
             ([(1100.0, DEFAULTS), (0.0, PAIR_LOSS)], 40),
@@ -471,17 +575,15 @@ class TestSeedGroups:
             ([(0.0, ABSORBING), (2200.0, DEFAULTS)], 40),
         ]
         groups = self.groups(107, specs)
-        every_seed = np.concatenate([seeds for _, seeds in groups]).tolist()
-        gens = [CountingGenerator(seed) for seed in every_seed]
-        blocks = self.assert_groups_exact(groups, simulate_groups(groups, SCHEDULE, rngs=gens))
-        want = [max(needs) for group_blocks in blocks for needs in zip(*group_blocks)]
-        assert [gen.blocks for gen in gens] == want
-        assert set(blocks[0][0]) == {1} and max(blocks[2][0]) >= 2
+        gens = [CountingGenerator(seed) for _, seed, _ in groups]
+        rows = self.assert_groups_exact(groups, simulate_groups(groups, SCHEDULE, rngs=gens))
+        assert [gen.rounds for gen in gens] == [rounds_drawn(group_rows) for group_rows in rows]
+        assert gens[0].rounds == [40] and len(gens[2].rounds) >= 2
 
 
 class TestShotsWithoutEvents:
     def test_absorbing_trap(self):
-        table = one_lane(0.0, ABSORBING, SCHEDULE, range(20))
+        table = one_lane(0.0, ABSORBING, SCHEDULE, 0, 20)
         assert len(table) == 20
         assert table.offsets.tolist() == [0] * 21
         assert len(table.time) == len(table.level) == len(table.kind) == 0
@@ -492,14 +594,14 @@ class TestShotsWithoutEvents:
         assert not count_means(table, cal, segment_map_for(SCHEDULE, cal.bin_s)).any()
 
     def test_no_shots(self):
-        table = one_lane(1100.0, DEFAULTS, SCHEDULE, [])
+        table = one_lane(1100.0, DEFAULTS, SCHEDULE, 0, 0)
         assert len(table) == 0 and table.offsets.tolist() == [0]
         assert table.levels_at([1.0]).shape == (0, 1)
         assert len(EventTable.from_trajectories([])) == 0
 
     def test_empty_rows_between_full_ones(self):
-        empty = one_lane(0.0, ABSORBING, SCHEDULE, [5, 6])
-        full = one_lane(1100.0, DEFAULTS, SCHEDULE, derive_seeds(64, 0, count=10))
+        empty = one_lane(0.0, ABSORBING, SCHEDULE, 5, 2)
+        full = one_lane(1100.0, DEFAULTS, SCHEDULE, derive_seed(64, 0), 10)
         table = EventTable.from_trajectories([*empty, *full, *empty, *full, *empty])
         assert table_rows(table) == (
             table_rows(empty) + table_rows(full) + table_rows(empty)
@@ -512,7 +614,7 @@ class TestShotsWithoutEvents:
     def test_synthesis_of_empty_shots(self):
         cal = DetectionCalibration()
         seg = segment_map_for(SCHEDULE, cal.bin_s)
-        table = one_lane(0.0, ABSORBING, SCHEDULE, [1, 2])
+        table = one_lane(0.0, ABSORBING, SCHEDULE, 1, 2)
         rows = synthesize_bin(table, cal, seg, np.random.default_rng(8))
         lists = synthesize_bin(list(table), cal, seg, np.random.default_rng(8))
         assert np.array_equal(rows, lists)
@@ -546,7 +648,7 @@ class TestCheckpointLevels:
     @pytest.mark.parametrize("params, n_rb", [(DEFAULTS, 1100.0), (PAIR_LOSS, 0.0)],
                              ids=["default", "pair_loss"])
     def test_levels_equal_bisect(self, params, n_rb):
-        table = one_lane(n_rb, params, SCHEDULE, derive_seeds(65, 0, count=200))
+        table = one_lane(n_rb, params, SCHEDULE, derive_seed(65, 0), 200)
         checkpoints = self.exact_checkpoints(table)
         got = table.levels_at(checkpoints)
         assert got.shape == (len(table), len(checkpoints))
@@ -554,7 +656,7 @@ class TestCheckpointLevels:
         assert table.final_levels().tolist() == [traj.n_final for traj in table]
 
     def test_levels_equal_trajectory_readback(self):
-        table = one_lane(2200.0, DEFAULTS, SCHEDULE, derive_seeds(66, 0, count=60))
+        table = one_lane(2200.0, DEFAULTS, SCHEDULE, derive_seed(66, 0), 60)
         checkpoints = self.exact_checkpoints(table)
         got = table.levels_at(checkpoints)
         for i, traj in enumerate(table):
@@ -562,31 +664,42 @@ class TestCheckpointLevels:
 
     def test_transient_ensemble_equals_per_trajectory_readback(self):
         runs, master = 300, 67
-        seeds = derive_seeds(master, TRANSIENT_STREAM, count=runs)
-        harvest = one_lane(1100.0, DEFAULTS, SCHEDULE, seeds)
+        # Fewer runs than a group: the one group of derive_seed(master,
+        # TRANSIENT_STREAM, 0).
+        assert runs < oracles._RUN_BLOCK
+        seed = derive_seed(master, TRANSIENT_STREAM, 0)
+        harvest = one_lane(1100.0, DEFAULTS, SCHEDULE, seed, runs)
         checkpoints = np.array(self.exact_checkpoints(harvest))
         assert checkpoints.max() == SCHEDULE.detect_s
         ((mean, se),) = transient_mean_ensembles([(1100.0, DEFAULTS)], checkpoints, runs, master)
         samples = np.empty((runs, len(checkpoints)))
-        for i, seed in enumerate(seeds.tolist()):
-            traj = simulate_trajectory(1100.0, DEFAULTS, SCHEDULE, seed)
+        for i, traj in enumerate(harvest):
             samples[i] = [traj.n_at(t) for t in checkpoints]
         assert np.array_equal(mean, samples.mean(axis=0))
         assert np.array_equal(se, samples.std(axis=0, ddof=1) / math.sqrt(runs))
 
 
 def whole_run_ensemble(n_rb, params, checkpoints, runs, master):
-    """Mean and se of one set from one one-lane group of all its runs."""
-    seeds = derive_seeds(master, TRANSIENT_STREAM, count=runs)
+    """Mean and se of one set from one simulate_groups call of all its
+    runs: one one-lane group per _RUN_BLOCK runs, group g seeded by
+    derive_seed(master, TRANSIENT_STREAM, g)."""
+    block = oracles._RUN_BLOCK
+    seeds = derive_seeds(master, TRANSIENT_STREAM, count=-(-runs // block)).tolist()
+    groups = [
+        ([(n_rb, params)], seed, min(block, runs - g * block)) for g, seed in enumerate(seeds)
+    ]
     schedule = ExperimentSchedule(detect_s=float(max(checkpoints)))
-    samples = one_lane(n_rb, params, schedule, seeds).levels_at(checkpoints).astype(float)
+    samples = np.concatenate(
+        [table.levels_at(checkpoints) for (table,) in simulate_groups(groups, schedule)]
+    ).astype(float)
+    assert len(samples) == runs
     return samples.mean(axis=0), samples.std(axis=0, ddof=1) / math.sqrt(runs)
 
 
 class TestTransientSetsAsLanes:
-    """transient_checks runs its sets as lanes, in blocks of seeds; each set's
-    mean and se must be exactly those of the set run alone, as its own
-    one-set ensembles and as one one-lane group on all its runs."""
+    """transient_checks runs its sets as the lanes of its groups of runs;
+    each set's mean and se must be exactly those of the set run alone, as
+    its own one-set ensembles and as one call of all its one-lane groups."""
 
     # The closed form needs beta_cscs = 0; set b still differs in params.
     FAST = PhysicalParams(
@@ -595,7 +708,8 @@ class TestTransientSetsAsLanes:
     )
     SETS = [("a", 1100.0, DEFAULTS), ("b", 0.0, FAST), ("c", 2200.0, DEFAULTS)]
 
-    @pytest.mark.parametrize("runs", [oracles._RUN_BLOCK + 1, gillespie._CHUNK - 1])
+    # Four whole groups and a one-run group; fewer runs than one chunk.
+    @pytest.mark.parametrize("runs", [4 * oracles._RUN_BLOCK + 1, gillespie._CHUNK - 1])
     def test_checks_take_the_per_set_ensembles(self, monkeypatch, runs):
         master, n_checkpoints = 91, 7
         seen = []
@@ -633,7 +747,7 @@ class TestTransientSetsAsLanes:
 
 class TestTrajectoryDump:
     def test_records_equal_the_per_trajectory_format(self):
-        table = one_lane(0.0, PAIR_LOSS, SCHEDULE, derive_seeds(68, 0, count=25))
+        table = one_lane(0.0, PAIR_LOSS, SCHEDULE, derive_seed(68, 0), 25)
         ids = [f"t{i}" for i in range(len(table))]
         for trace_id, record, traj in zip(ids, trajectory_records(ids, table), table):
             expected = {

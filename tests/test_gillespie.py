@@ -105,6 +105,15 @@ class TestNextEvent:
         assert abs(freq - 0.25) < 3 * sigma, f"freq={freq:.4f}"
 
 
+class StubBits:
+    """A bit generator whose state and position nothing reads."""
+
+    state = None
+
+    def advance(self, delta):
+        pass
+
+
 class StubGenerator:
     """Block draws of a shot that loads at once, then draws uniform second:
     waits 0.01, 0.01 and then 1e9, so the third step leaves the window;
@@ -112,10 +121,11 @@ class StubGenerator:
 
     def __init__(self, second):
         self.second = second
+        self.bit_generator = StubBits()
 
     def _block(self, first, rest, size, out):
-        block = np.full(size if out is None else len(out), rest)
-        block[:2] = first
+        block = np.full(size if out is None else out.shape, rest)
+        block[..., :2] = first
         if out is None:
             return block
         out[:] = block
@@ -194,7 +204,7 @@ class TestMatchesStepwiseReplay:
         assert top * rs.total >= (rs.load + rs.loss_bg) + rs.loss_rbcs
         schedule = ExperimentSchedule()
         want = [(EventKind.LOAD, 1), (EventKind.LOSS_RBCS, 0)]
-        table = one_lane(3080.0, DEFAULTS, schedule, [0], rngs=[StubGenerator(top)])
+        table = one_lane(3080.0, DEFAULTS, schedule, 0, 1, rngs=[StubGenerator(top)])
         assert [(kind, n) for _, kind, n in table[0].events] == want
         replay = replay_next_event(
             3080.0, DEFAULTS, schedule, 0, BlockDraws(StubGenerator(top))
@@ -221,7 +231,7 @@ class TestEnsemble:
         (ens,) = simulate_grid(GridSpec(0, 0), 1, DEFAULTS, master_seed=7)
         direct = simulate_trajectory(
             0.0, DEFAULTS, ExperimentSchedule(),
-            derive_seed(7, TRAJECTORY_STREAM, 0, 0),
+            derive_seed(7, TRAJECTORY_STREAM, 0),
         )
         assert len(ens) == 1
         assert ens[0].events == direct.events

@@ -20,21 +20,21 @@ GOLDEN = {
     # built-in defaults, 16 bins x 5 traces
     "defaults": (
         {},
-        "9a25b323390b6c07d02d94d60781fcf438f6f8cb604a13b461b8e0f8d2410111",
-        "ae81e1777b17c77ff287b807c44909aa509a4d4f47c5a608ff4fc25e5d1d6e56",
+        "079d0533ba25843bbf9026c723cb5b89e399d1ad23570270fe08e8620f56e1a6",
+        "eb6c7587a3a560f80fff7a74aba7be46656937a8d18ae857158b0f20e3ba632b",
     ),
     # a dark rate in the off segment, 16 bins x 5 traces: the off counts
     # are Poisson draws, not zeros, so their place in the draw order shows
     "dark_rate": (
         {"calibration": {"dark_rate_per_s": 2.0e3}},
-        "8769e408f48a7b479d29e214baed4dbf9941dba3c924cbaf3c6236a2a6a78177",
-        "ae81e1777b17c77ff287b807c44909aa509a4d4f47c5a608ff4fc25e5d1d6e56",
+        "69a824249ff0d2723395df62bef67cd4a1d3a226f87174d28184cba62b512b4a",
+        "eb6c7587a3a560f80fff7a74aba7be46656937a8d18ae857158b0f20e3ba632b",
     ),
     # few-atom regime with Cs-Cs pair loss, 16 bins x 5 traces
     "pair_loss": (
         {"physics": {"r0_per_s": 10.0, "beta_cscs_cm3_per_s": 2e-9}},
-        "17eb37186d98754283f2005ddaada7142a598e473e414ac2a1807213f67c9771",
-        "0aaac87fbb6ce08c0f1dd983fc50891dd28402633c1eb8e560f4a85942ebc28f",
+        "862ae354749947216abe483e15e1d9f0d18a8cf5e0b7d969408d2eca3774b10f",
+        "c7e4b961c296796417910a990da5092423ae25deadf251265503e84e378cbc39",
     ),
 }
 
@@ -57,8 +57,9 @@ def test_simulate_stream_is_pinned(tmp_path, name):
     assert sha256(tmp_path / "trajectories.jsonl") == trajectories_hash
 
 
-# The oracle seed paths (2, i) and (3, i), pinned by the exact stdout and
-# exit code of `oracle` at 300 runs; the pin is of the bytes, not a verdict.
+# The oracle seed paths (2, g) and (3, g), pinned by the exact stdout and
+# exit code of `oracle` at 300 runs (one group each); the pin is of the
+# bytes, not a verdict.
 # The overlap oracle takes no runs; its worst relative error and the radius
 # pair it occurs at are pinned as printed.
 GOLDEN_ORACLE = {
@@ -69,12 +70,12 @@ GOLDEN_ORACLE = {
         "and cubic form\n"
     )),
     "transient": (0, (
-        "PASS transient_mean[default-1100]: worst |z| 2.42 over 10 checkpoints, 300 runs (limit 3)\n"
-        "PASS transient_mean[default-2200]: worst |z| 2.18 over 10 checkpoints, 300 runs (limit 3)\n"
-        "PASS transient_mean[no-companion]: worst |z| 0.69 over 10 checkpoints, 300 runs (limit 3)\n"
+        "PASS transient_mean[default-1100]: worst |z| 1.62 over 10 checkpoints, 300 runs (limit 3)\n"
+        "PASS transient_mean[default-2200]: worst |z| 1.56 over 10 checkpoints, 300 runs (limit 3)\n"
+        "PASS transient_mean[no-companion]: worst |z| 1.95 over 10 checkpoints, 300 runs (limit 3)\n"
     )),
     "poisson": (0, (
-        "PASS stationary_occupancy_poisson: chi2 2.97 with 5 dof, p 0.705 against rate 2 "
+        "PASS stationary_occupancy_poisson: chi2 4.48 with 5 dof, p 0.482 against rate 2 "
         "(300 runs, need p > 0.01)\n"
     )),
 }
@@ -92,26 +93,26 @@ def test_oracle_stream_is_pinned(capsys, which):
 # seed 1234. The staircase, the histograms, the loading and beta fits, the
 # bootstrap and the CSV/JSON formatting all feed these bytes.
 GOLDEN_ANALYSIS = {
-    "analysis/bins.csv": "b49b5e77033f182b12d5e5aaadeec240d9da313fa93920532373d3247e68f87c",
-    "analysis/hist_nrb00000.csv": "6b9d25118e4c8dd1874eea2eb282314a0c4bea3c9fb2471888c248841ae0a483",
-    "analysis/hist_nrb00220.csv": "f23e4c515e69e2f35758eac0ac8e4bddd2f40ba0b28f724d78f6edea06557a7e",
-    "analysis/hist_nrb00440.csv": "53ba16804f2ae930b4256a78ef587e0a66e0e4898945c4d08e18093e18e03403",
-    "analysis/hist_nrb00660.csv": "d92a012f59a18830afb1cb15d85d7e6be3670d2d247e2859ac987d33ff75e35a",
-    "analysis/hist_nrb00880.csv": "9c97d88600bf15a5d9f713c9e0de7923d6371d0b96a4e85eb3728cb6b0b4979a",
-    "analysis/hist_nrb01100.csv": "303dafc5977636785af2aec52563e8630dd6adaf4a8908d57790b9c311e0aa78",
-    "analysis/hist_nrb01320.csv": "e6caab24f92bc445434d02fa8dcd5f03c4b27fbc7878d7430343fa2ee3e2264e",
-    "analysis/hist_nrb01540.csv": "2114cc66bd57da66d67e13d0cac461e0b801545de5997a75577a0fd12e3d23da",
-    "analysis/hist_nrb01760.csv": "213d5cacd828cf7c76043c53a45ae6137e969fa115d82922893b6b09898aef08",
-    "analysis/hist_nrb01980.csv": "190cf77b7c7ec988c4d6e44e926b43141acf3df7a2ca0297d7f7a7e81dc09735",
-    "analysis/hist_nrb02200.csv": "41fe65c621ad3db49d55ccd1b704e05861824bba9bc78007561e2ed252d46b80",
-    "analysis/hist_nrb02420.csv": "c85566b4f9b3aee63b80b630bc4ba935f596afe0110d223015bd4efcc77a9144",
-    "analysis/hist_nrb02640.csv": "8725d26fe20ad98a6fee6b5549e9cb83a0f69777f3ada28bc2c3c117df6a1976",
-    "analysis/hist_nrb02860.csv": "fb06d91f207d9d9a62937dcbf23720b52587420b0b1891783dca1cb2609220cc",
-    "analysis/hist_nrb03080.csv": "dcc18c1c6705236e52b58398d9ae5a31b8088ae53b585e297da7e4610c9413d4",
-    "analysis/hist_nrb03300.csv": "27adfe0591d796727b6baeca5facce2450f7f3622d2b9cc7b05290fbe429e2db",
-    "fit/fit_bins.csv": "97ad78204774937e1e88c9644f331a38adef08b6a1b27a8e6ebcab6587f1d688",
-    "fit/report.json": "112359baea626d0781eed69cb95680aee3156d3dcb6facc9ce1917810da07c6c",
-    "fit/steady_state_curve.csv": "7bd7df3efc22e868e5779f3eff25e889a8a1cf7dc4325d31f59010978a4069d8",
+    "analysis/bins.csv": "c2f3c3e2bd4102d5694f7bf32312759764666442faf7baa47952ccfc2f005716",
+    "analysis/hist_nrb00000.csv": "ee7b64306b3cd74eadb39ec02107077e3c2b195e5dcff09ade3a15eb773c19c3",
+    "analysis/hist_nrb00220.csv": "f5d986ee141ab9b412760249096583cbdfefc7124835d27cc20134d835ac8ed6",
+    "analysis/hist_nrb00440.csv": "df6e6719e39fc14a009a90ed267c7467a8447140df3e1824feacbe3a04f06dbf",
+    "analysis/hist_nrb00660.csv": "2279c6ca25c41b9e2bc37a4625ab2053e7f71a7286f7d654223f9e989e23289a",
+    "analysis/hist_nrb00880.csv": "7f78d6b82e7ea709e732eb5240d774c26681457ca8f43af05438c8643c46d457",
+    "analysis/hist_nrb01100.csv": "d1beb22eea027155d226f35e46decd8305a8a92a8ee386c9a56c0b5390691cbc",
+    "analysis/hist_nrb01320.csv": "a5fde29ec889761600005e79a1a7195d91df8c10b044804403e0ef196a8e8015",
+    "analysis/hist_nrb01540.csv": "29eead4c28e15a50d1cd15b364992f70d7bb4c414a70cc5c96311266ec0d13e5",
+    "analysis/hist_nrb01760.csv": "94f005b2c42a9a5f3207d7c589b01ea1393eea9d25cd61250add1e59463b358a",
+    "analysis/hist_nrb01980.csv": "c501e0180c53d5c63da58ec4373e87423548258025fb5e379958e4c27aec6f62",
+    "analysis/hist_nrb02200.csv": "dac4837cda42b081f647cc2548fbe236f3c64fc5ac989cf62b303442454173d9",
+    "analysis/hist_nrb02420.csv": "565ae832a5aa8171fa7cea567794c1ad5baa555c964ee1ba52f35201ed2a1861",
+    "analysis/hist_nrb02640.csv": "8db4134b5dd6247df426a383a9dab39850d22e25a0feaa2a45286ceb1a643aa0",
+    "analysis/hist_nrb02860.csv": "546f8c80b6c9b08241eda1b13cb8952ebfca540f255526efd594874285f050e9",
+    "analysis/hist_nrb03080.csv": "7cec081ad68bfd77395f90d40d5e7c89410938790fb04e547d106be198ebbefb",
+    "analysis/hist_nrb03300.csv": "c4afd5b73a79e0fa9a149d92d4f4e1eaa4e069ab64f28e1922b05439650bd3d2",
+    "fit/fit_bins.csv": "ef839113f86172629982268290c1eb1e25e9f8e7dc611b4ef3ee98d08f123ff6",
+    "fit/report.json": "c4328db0f3f5008b50d3e43d6d63044b9603a06626a41a2b2495ff4ebccf915b",
+    "fit/steady_state_curve.csv": "ea906be1bb93a45ae584096d8ad0ed3082830534b9b664d90cbfe01e61386c26",
 }
 
 

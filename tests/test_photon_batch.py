@@ -24,7 +24,6 @@ from motprobe.gillespie import (
     Trajectory,
     derive_seed,
     derive_seeds,
-    seeded_generators,
     simulate_trajectory,
 )
 from motprobe.inference import bin_by_nrb
@@ -425,10 +424,7 @@ ABSORBING_NRB = 7000.0
 
 def simulated(params, n_rb, sched, count=25, master=31):
     seeds = derive_seeds(master, 0, int(n_rb), count=count)
-    return [
-        simulate_trajectory(n_rb, params, sched, int(s), rng=g)
-        for s, g in zip(seeds, seeded_generators(seeds))
-    ]
+    return [simulate_trajectory(n_rb, params, sched, int(s)) for s in seeds]
 
 
 def crafted_trajectories():

@@ -1,14 +1,15 @@
 """Batched seeding against numpy's scalar seeding.
 
-derive_seeds must equal derive_seed element by element, and every Generator
-from seeded_generators must start in the state of np.random.default_rng of
-its seed. Masters of 2**32 and above take several entropy words; seeds below
-2**32 take one. A count must be an integer: a float or a bool is refused,
-never rounded. One prefix entry may be an array of indices below 2**32,
-giving one row of seeds per index. A campaign's two streams are seeded in
-one function of the package, photon.simulate_grid_bins, with a fixed
-number of hash passes per run of bins: one seed per trajectory, and one
-photon seed per bin, which carries no trace index.
+derive_seeds must equal derive_seed element by element, and the generator
+of every seed group simulate_groups steps must be np.random.default_rng of
+its seed, whatever the seed's size or type. Masters of 2**32 and above take
+several entropy words; seeds below 2**32 take one. A count must be an
+integer: a float or a bool is refused, never rounded. One prefix entry may
+be an array of indices below 2**32, giving one row of seeds per index. A
+campaign's two streams are seeded in one function of the package,
+photon.simulate_grid_bins, with a fixed number of hash passes per run of
+bins: one trajectory seed group and one photon seed per bin, neither of
+which carries a trace index.
 """
 
 import ast
@@ -26,9 +27,10 @@ from motprobe.gillespie import (
     TRAJECTORY_STREAM,
     derive_seed,
     derive_seeds,
-    seeded_generators,
+    simulate_groups,
 )
-from motprobe.photon import simulate_grid_bins, synthesize_bin
+from motprobe.photon import simulate_campaign, simulate_grid_bins, synthesize_bin
+from reference import replay_group
 
 MASTERS = [0, 1, 777, 1234, 4242, 2**32 - 1, 2**32, 2**64 - 1, 2**70 + 3]
 PREFIXES = [(0, 3), (1, 11), (2,), (3,), ()]
@@ -45,29 +47,25 @@ def test_derive_seeds_matches_scalar(master, prefix):
 
 
 def assert_same_as_default_rng(seeds):
-    generators = list(seeded_generators(seeds))
-    assert len(generators) == len(seeds)
-    for seed, rng in zip(seeds, generators):
-        reference = np.random.default_rng(int(seed))
-        assert rng.bit_generator.state == reference.bit_generator.state
-        assert rng.random(16).tolist() == reference.random(16).tolist()
+    """Each seed, as the seed of a two-shot group, gives the events of the
+    group replayed on np.random.default_rng(int(seed))."""
+    lanes = [(1100.0, SMALL.physics)]
+    tables = simulate_groups([(lanes, seed, 2) for seed in seeds], SMALL.schedule)
+    assert len(tables) == len(seeds)
+    for seed, (table,) in zip(seeds, tables):
+        assert table.seed.tolist() == [int(seed)] * 2
+        (want,) = replay_group(lanes, SMALL.schedule, int(seed), 2)
+        assert [traj.events for traj in table] == want
 
 
 @pytest.mark.parametrize("master", MASTERS)
 def test_generators_match_default_rng(master):
-    assert_same_as_default_rng(derive_seeds(master, 0, 3, count=200))
+    assert_same_as_default_rng(derive_seeds(master, 0, 3, count=50))
 
 
 def test_generators_at_edge_seeds():
     assert_same_as_default_rng(np.array(EDGE_SEEDS, dtype=np.uint64))
     assert_same_as_default_rng(EDGE_SEEDS)
-
-
-def test_generators_are_built_lazily():
-    it = seeded_generators(derive_seeds(1, 2, count=3))
-    first = next(it)
-    assert isinstance(first, np.random.Generator)
-    assert len(list(it)) == 2
 
 
 def test_negative_master_is_rejected_like_derive_seed():
@@ -80,7 +78,6 @@ def test_negative_master_is_rejected_like_derive_seed():
 def test_zero_count_yields_nothing():
     seeds = derive_seeds(1234, 0, 0, count=0)
     assert seeds.shape == (0,)
-    assert list(seeded_generators(seeds)) == []
 
 
 @pytest.mark.parametrize("count", [2.5, 3.0, True, False, np.bool_(True), "3", None])
@@ -145,8 +142,10 @@ def test_a_run_is_seeded_as_its_bins_alone():
     run = list(simulate_grid_bins(SMALL, [5, 2, 5]))
     assert [b.trace_ids[0] for b in run] == ["b05t0000", "b02t0000", "b05t0000"]
     for b, bi in zip(run, [5, 2, 5]):
-        want = [derive_seed(99, TRAJECTORY_STREAM, bi, ti) for ti in range(5)]
-        assert b.events.seed.tolist() == want
+        seed = derive_seed(99, TRAJECTORY_STREAM, bi)
+        assert b.events.seed.tolist() == [seed] * 5
+        (want,) = replay_group([(b.n_rb, SMALL.physics)], SMALL.schedule, seed, 5)
+        assert [traj.events for traj in b.events] == want
         rng = bin_photon_generator(99, bi)
         drawn = synthesize_bin(b.events, SMALL.calibration, b.segments, rng)
         np.testing.assert_array_equal(b.counts, drawn)
@@ -171,6 +170,21 @@ def test_a_bins_photon_seed_carries_no_trace_index(master):
         assert derive_seed(master, PHOTON_STREAM, 5) != derive_seed(master, PHOTON_STREAM, 5, 0)
 
 
+@pytest.mark.parametrize("master", [0, 1234, 2**32 - 1, 2**32, 2**64 - 1, 2**70 + 3])
+def test_a_bins_trajectory_seed_carries_no_trace_index(master):
+    """Bin bi's shots are the seed group of derive_seed(master,
+    TRAJECTORY_STREAM, bi): every shot carries that seed, and the bin's
+    events are the group's one-group call."""
+    cfg = replace(SMALL, master_seed=master, traces_per_bin=3)
+    run = [5, 2, 5]
+    for b, bi in zip(simulate_grid_bins(cfg, run), run):
+        seed = derive_seed(master, TRAJECTORY_STREAM, bi)
+        assert b.events.seed.tolist() == [seed] * 3
+        ((alone,),) = simulate_groups([([(b.n_rb, cfg.physics)], seed, 3)], cfg.schedule)
+        np.testing.assert_array_equal(b.events.time, alone.time)
+        np.testing.assert_array_equal(b.events.kind, alone.kind)
+
+
 def test_seed_hashing_does_not_grow_with_the_run(monkeypatch):
     """simulate_grid_bins hashes each stream's seeds of a whole run in a
     fixed number of passes, whatever the number of bins."""
@@ -189,6 +203,31 @@ def test_seed_hashing_does_not_grow_with_the_run(monkeypatch):
         assert len(bins) == len(run)
         per_run.append(len(calls))
     assert per_run == [per_run[0]] * 3
+
+
+def test_a_campaign_builds_at_most_two_generators_per_bin(monkeypatch):
+    """A default campaign builds one trajectory generator and one photon
+    generator per bin, whether by np.random.default_rng or by
+    np.random.Generator itself: a generator built per shot would show."""
+    built = []
+    default_rng = np.random.default_rng
+
+    class CountedGenerator(np.random.Generator):
+        def __init__(self, *args, **kwargs):
+            built.append("Generator")
+            super().__init__(*args, **kwargs)
+
+    def counted_default_rng(*args, **kwargs):
+        built.append("default_rng")
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted_default_rng)
+    monkeypatch.setattr(np.random, "Generator", CountedGenerator)
+    cfg = RunConfig.default()
+    table = simulate_campaign(cfg)
+    bins = len(cfg.grid.values())
+    assert len(table.trace_ids) == bins * cfg.traces_per_bin > 2 * bins
+    assert 0 < len(built) <= 2 * bins, built
 
 
 def test_a_fractional_trace_count_is_refused_at_replace():
