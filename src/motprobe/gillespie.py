@@ -421,8 +421,8 @@ _BLOCK = 32
 # The step of numpy's PCG64.jumped, (phi - 1) * 2**128 made odd: in round r
 # a group's shots after its first draw their waits on its generator jumped
 # 2 r + 1 times and their uniforms on it jumped 2 r + 2 times (see
-# _GroupDraws). A power of two would leave the streams' low state bits
-# equal, and PCG64's outputs correlated.
+# _GroupDraws). A power-of-two jump would leave the streams' low 64 state
+# bits equal, the case in which PCG64's outputs are known to correlate.
 _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 # Least number of shots stepped together by simulate_groups, in whole groups.
 # Any value gives the same output: each group's draws come from its own
