@@ -31,9 +31,10 @@ EventTable: float64 time, int64 level (the atom number after the event) and
 int8 kind, with offsets marking where each shot's events start. This
 module knows nothing of campaigns or bins: the seeds are its callers'. A
 campaign steps its run of bins as one group each (photon.simulate_grid_bins,
-which derives every seed of a campaign), the oracles their transient
-parameter sets as the lanes of one group per block of runs and their
-Poisson check as one-lane groups, one per block of runs. The photon layer
+which derives every seed of a campaign, two derive_seed calls per bin), the
+oracles their transient parameter sets as the lanes of one group per block
+of runs and their Poisson check as one-lane groups, one per block of runs,
+each group's seed one derive_seed call. The photon layer
 reads time and level per shot, and the oracles read the atom number at
 their checkpoints for all shots at once. A Trajectory, the list-of-events
 form of one shot, is built only when asked for; simulate_trajectory is the
@@ -47,7 +48,6 @@ import bisect
 import enum
 import functools
 import math
-import numbers
 import operator
 from array import array
 from collections.abc import Iterable, Sequence
@@ -63,7 +63,6 @@ __all__ = [
     "ExperimentSchedule",
     "Trajectory",
     "derive_seed",
-    "derive_seeds",
     "simulate_groups",
     "simulate_trajectory",
     "TRAJECTORY_STREAM",
@@ -259,17 +258,21 @@ class EventTable(Sequence):
         as Trajectory.n_at reads it with bisect_right.
         """
         times = np.asarray(times, dtype=float)
-        starts, stops = self.offsets[:-1], self.offsets[1:]
-        out = np.zeros((len(self), len(times)), dtype=np.int64)
-        # reached[k]: events among the first k of the table at or before t.
-        reached = np.zeros(len(self.time) + 1, dtype=np.int64)
-        for j, t in enumerate(times):
-            # A shot's times increase, so its events at or before t are the
-            # first count of its row.
-            np.cumsum(self.time <= t, out=reached[1:])
-            count = reached[stops] - reached[starts]
-            hit = count > 0
-            out[hit, j] = self.level[starts[hit] + count[hit] - 1]
+        shots, q = len(self), len(times)
+        order = np.argsort(times, kind="stable")
+        # Each event counts toward the first sorted time at or after it (q if
+        # none) and every later one: time <= t, with no float arithmetic.
+        first = np.searchsorted(times[order], self.time, side="left")
+        shot = np.repeat(np.arange(shots), np.diff(self.offsets))
+        per_time = np.bincount(shot * (q + 1) + first, minlength=shots * (q + 1))
+        # A shot's times increase, so its events at or before sorted time k
+        # are the first reached[:, k] of its row.
+        reached = per_time.reshape(shots, q + 1)[:, :q].cumsum(axis=1)
+        hit = reached > 0
+        levels = np.zeros((shots, q), dtype=np.int64)
+        levels[hit] = self.level[(self.offsets[:-1, np.newaxis] + reached - 1)[hit]]
+        out = np.empty_like(levels)
+        out[:, order] = levels
         return out
 
     def final_levels(self) -> np.ndarray:
@@ -283,136 +286,11 @@ def derive_seed(master_seed: int, *path: int) -> int:
     Uses numpy's SeedSequence over the tuple (master_seed, *path), so any
     (stream, group) coordinate maps to a stable 64-bit seed no matter
     how many worker processes are used or in which order traces are drawn.
-    The program uses derive_seeds, which the tests hold to this scalar form;
-    it stays because the benchmark tracer (bench/tracing.py) wraps it by name.
+    It is the package's one seed function: a campaign calls it twice per
+    bin (photon.simulate_grid_bins) and the oracles once per group of runs.
     """
     ss = np.random.SeedSequence([int(master_seed), *map(int, path)])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-# Constants of numpy's SeedSequence pool hash (numpy/random/bit_generator.pyx).
-# derive_seeds runs that hash on columns of uint32 words, one column per seed
-# sequence.
-_POOL_SIZE = 4
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_XSHIFT = 16
-_MASK32 = 0xFFFFFFFF
-
-
-def _int_words(value: int) -> list[int]:
-    """Little-endian uint32 words of a non-negative integer, split the way
-    SeedSequence splits each entry of its entropy."""
-    value = int(value)
-    if value < 0:
-        raise ValueError(f"seed entropy must be non-negative, got {value}")
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
-def _seed_state(entropy: list, n_words: int) -> list[np.ndarray]:
-    """SeedSequence(entropy).generate_state(n_words) on columns of words.
-
-    entropy holds uint32 words, each a scalar or an array; they broadcast,
-    and every element is one seed sequence. Returns n_words uint32 arrays.
-    Entropy shorter than the pool is padded with zero words, which is what
-    SeedSequence hashes into the unfilled pool slots when it has no spawn key.
-    """
-    words = [np.asarray(w, dtype=np.uint32) for w in entropy]
-    words += [np.zeros((), dtype=np.uint32)] * (_POOL_SIZE - len(words))
-    words = np.broadcast_arrays(*words)
-    hash_a = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_a
-        value = value ^ hash_a
-        hash_a = (hash_a * _MULT_A) & _MASK32
-        value = value * hash_a
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = x * _MIX_MULT_L - y * _MIX_MULT_R
-        return result ^ (result >> _XSHIFT)
-
-    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for word in words[_POOL_SIZE:]:
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = mix(pool[i_dst], hashmix(word))
-
-    hash_b = _INIT_B
-    out = []
-    for i in range(n_words):
-        value = pool[i % _POOL_SIZE] ^ hash_b
-        hash_b = (hash_b * _MULT_B) & _MASK32
-        value = value * hash_b
-        out.append(value ^ (value >> _XSHIFT))
-    return out
-
-
-def _join_words(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """uint64 words from little-endian pairs of uint32 words."""
-    return lo.astype(np.uint64) | (hi.astype(np.uint64) << 32)
-
-
-def _word_column(values) -> np.ndarray:
-    """A 1-D array prefix entry of derive_seeds as a column of uint32 words:
-    each entry must be an integer in [0, 2**32), so that it is one entropy
-    word of SeedSequence, as the scalar derive_seed splits it. An empty
-    entry (such as []) is taken whatever its dtype."""
-    column = np.asarray(values)
-    if column.ndim != 1 or (column.size and column.dtype.kind not in "iu"):
-        raise ValueError(
-            f"an array prefix entry must be a 1-D integer array, got {column.dtype} "
-            f"of shape {column.shape}"
-        )
-    bad = column[(column < 0) | (column > _MASK32)]
-    if bad.size:
-        raise ValueError(f"array prefix entries must be in [0, 2**32), got {bad[0].item()!r}")
-    return column.astype(np.uint32)[:, np.newaxis]
-
-
-def derive_seeds(master_seed: int, *prefix: "int | np.ndarray", count: int) -> np.ndarray:
-    """derive_seed(master_seed, *prefix, i) for i in range(count), as uint64.
-
-    Hashes all count seed sequences at once, with the same uint32 arithmetic
-    as SeedSequence, so every element equals the scalar derive_seed.
-    count must be an int (Python or numpy) >= 0; a float, even a whole one,
-    and a bool are refused rather than rounded.
-
-    One prefix entry may be a 1-D integer array, such as a run of bin
-    indices, in any order and with repeats: the result then has one row of
-    count seeds per entry, row r being the seeds with that entry's r-th
-    value in its place, all hashed in one pass. Its entries must lie in
-    [0, 2**32); a negative or larger one is refused, not wrapped.
-    """
-    if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-        raise ValueError(f"count must be an integer, got {count!r}")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count!r}")
-    words = _int_words(master_seed)
-    arrays = 0
-    for p in prefix:
-        if np.ndim(p) == 0:
-            words += _int_words(p)
-        else:
-            arrays += 1
-            words.append(_word_column(p))
-    if arrays > 1:
-        raise ValueError(f"at most one prefix entry may be an array, got {arrays}")
-    index = np.arange(count, dtype=np.uint32)
-    return _join_words(*_seed_state([*words, index], 2))
 
 
 # Each shot takes its waiting times and uniforms in rows of this many events,
@@ -770,16 +648,10 @@ def simulate_trajectory(
     params: PhysicalParams,
     schedule: ExperimentSchedule,
     seed: int,
-    *,
-    rng: np.random.Generator | None = None,
 ) -> Trajectory:
     """Simulate one shot from an empty trap: the one-shot, one-lane
     simulate_groups call, as a Trajectory. The program does not call it; it
     stays because the benchmark tracer (bench/tracing.py) wraps it by name.
-
-    rng, when given, must be np.random.default_rng(seed), fresh; by default
-    it is built here.
     """
-    rngs = None if rng is None else [rng]
-    ((table,),) = simulate_groups([([(n_rb, params)], seed, 1)], schedule, rngs=rngs)
+    ((table,),) = simulate_groups([([(n_rb, params)], seed, 1)], schedule)
     return table[0]

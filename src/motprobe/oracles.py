@@ -21,7 +21,7 @@ from .gillespie import (
     POISSON_STREAM,
     TRANSIENT_STREAM,
     ExperimentSchedule,
-    derive_seeds,
+    derive_seed,
     simulate_groups,
 )
 from .photon import chi2_sf, poisson_pmf, poisson_sf
@@ -140,9 +140,9 @@ def _run_groups(master_seed: int, stream: int, runs: int) -> list[tuple[int, int
     """(seed, shots) of each group of runs: group g holds runs g * _RUN_BLOCK
     on, at most _RUN_BLOCK of them, and is seeded by derive_seed(master_seed,
     stream, g)."""
-    seeds = derive_seeds(master_seed, stream, count=-(-runs // _RUN_BLOCK))
     return [
-        (seed, min(_RUN_BLOCK, runs - g * _RUN_BLOCK)) for g, seed in enumerate(seeds.tolist())
+        (derive_seed(master_seed, stream, g), min(_RUN_BLOCK, runs - start))
+        for g, start in enumerate(range(0, runs, _RUN_BLOCK))
     ]
 
 

@@ -6,8 +6,8 @@ shot. A bin of shots is synthesized at once from its EventTable (the event
 times and levels of all shots in flat columns): one occupancy matrix, one
 matrix of Poisson means and one rng.poisson call on the bin's generator.
 simulate_grid_bins runs a run of bins of a configured campaign and derives
-every seed a campaign uses, one per bin of each stream, all in one hash
-pass: it steps the run's shots as one gillespie.simulate_groups call, one
+every seed a campaign uses, one gillespie.derive_seed call per bin of each
+stream: it steps the run's shots as one gillespie.simulate_groups call, one
 seed group per bin, then draws each bin's counts as it is asked for.
 simulate_campaign stacks every bin into one TraceTable.
 Inverse direction: background subtraction, integer staircase estimation
@@ -46,7 +46,7 @@ from .gillespie import (
     EventTable,
     ExperimentSchedule,
     Trajectory,
-    derive_seeds,
+    derive_seed,
     simulate_groups,
 )
 
@@ -475,20 +475,13 @@ def synthesize_counts(
     schedule: ExperimentSchedule,
     seed: int,
     trace_id: str | None = None,
-    *,
-    rng: np.random.Generator | None = None,
 ) -> FluorescenceTrace:
-    """Draw Poisson photon counts for one shot: the one-row synthesize_bin.
-    The program does not call it; it stays because the benchmark tracer
-    (bench/tracing.py) wraps it by name.
-
-    rng, when given, must be np.random.default_rng(seed), fresh; by default
-    it is built here.
+    """Draw Poisson photon counts for one shot on np.random.default_rng(seed):
+    the one-row synthesize_bin. The program does not call it; it stays
+    because the benchmark tracer (bench/tracing.py) wraps it by name.
     """
     seg = segment_map_for(schedule, cal.bin_s)
-    if rng is None:
-        rng = np.random.default_rng(int(seed))
-    (counts,) = synthesize_bin([traj], cal, seg, rng)
+    (counts,) = synthesize_bin([traj], cal, seg, np.random.default_rng(int(seed)))
     if trace_id is None:
         trace_id = f"seed{traj.seed:020d}"
     return FluorescenceTrace(
@@ -523,11 +516,10 @@ def simulate_grid_bins(cfg: "RunConfig", bin_indices: "Sequence[int]") -> Iterat
     default_rng(derive_seed(master_seed, PHOTON_STREAM, bi)): neither seed
     carries a trace index. A campaign is seeded here and nowhere else, so a
     bin is the same whichever process computes it, in whatever run of
-    bins, and its first traces do not depend on traces_per_bin. Both
-    streams' seeds of the whole run are hashed in one derive_seeds pass,
-    so the seed hashing is a fixed number of passes whatever the run's
-    length. A bin index must be an integer (a bool, a float or a string is
-    refused, not converted) in the grid. The run's shots are stepped as
+    bins, and its first traces do not depend on traces_per_bin: each bin
+    of the run costs two derive_seed calls, one per stream. A bin index
+    must be an integer (a bool, a float or a string is refused, not
+    converted) in the grid. The run's shots are stepped as
     one simulate_groups call with one seed group per bin, so its chunks
     hold whole bins; each bin's counts are then drawn when it is asked
     for, and its event table is let go once it is yielded. Nothing is
@@ -544,13 +536,10 @@ def simulate_grid_bins(cfg: "RunConfig", bin_indices: "Sequence[int]") -> Iterat
     cal = cfg.calibration
     seg = segment_map_for(cfg.schedule, cal.bin_s)
     bins = [(float(values[bi]), bi) for bi in bin_indices]
-    # Bin bi's seed of each stream is entry bi of that stream's seeds over
-    # the grid: the bin index is the last word hashed, as in the scalar
-    # derive_seed.
-    seeds, photon_seeds = derive_seeds(
-        cfg.master_seed, np.array([TRAJECTORY_STREAM, PHOTON_STREAM]), count=len(values)
-    )[:, bin_indices]
-    groups = [([(n_rb, cfg.physics)], seed, traces) for (n_rb, _), seed in zip(bins, seeds)]
+    groups = [
+        ([(n_rb, cfg.physics)], derive_seed(cfg.master_seed, TRAJECTORY_STREAM, bi), traces)
+        for n_rb, bi in bins
+    ]
     tables = [table for (table,) in simulate_groups(groups, cfg.schedule)]
     # Let go of the seed groups, then reverse in place, before the first
     # yield: the peak RSS of repeated campaigns in one process is sensitive
@@ -558,9 +547,10 @@ def simulate_grid_bins(cfg: "RunConfig", bin_indices: "Sequence[int]") -> Iterat
     del groups
     # Taken from the end, so the list lets go of each table as it is yielded.
     tables.reverse()
-    for (n_rb, bi), seed in zip(bins, photon_seeds):
+    for n_rb, bi in bins:
         events = tables.pop()
-        counts = synthesize_bin(events, cal, seg, np.random.default_rng(int(seed)))
+        rng = np.random.default_rng(derive_seed(cfg.master_seed, PHOTON_STREAM, bi))
+        counts = synthesize_bin(events, cal, seg, rng)
         trace_ids = [f"b{bi:02d}t{ti:04d}" for ti in range(traces)]
         yield SimulatedBin(n_rb, trace_ids, seg, events, counts)
 

@@ -30,7 +30,6 @@ from motprobe.gillespie import (
     ExperimentSchedule,
     TRAJECTORY_STREAM,
     derive_seed,
-    derive_seeds,
     TRANSIENT_STREAM,
     simulate_groups,
     simulate_trajectory,
@@ -297,7 +296,7 @@ class TestOneShotGroups:
         (DEFAULTS, 1100.0), (PAIR_LOSS, 0.0), (ABSORBING, 0.0), (DEFAULTS, 7000.0),
     ], ids=["default", "pair_loss", "absorbing", "load-shielded"])
     def test_one_shot_groups_are_the_block_replay(self, params, n_rb):
-        seeds = derive_seeds(78, 0, count=40).tolist()
+        seeds = [derive_seed(78, 0, i) for i in range(40)]
         tables = simulate_groups([([(n_rb, params)], seed, 1) for seed in seeds], SCHEDULE)
         for seed, (table,) in zip(seeds, tables, strict=True):
             draws = BlockDraws(np.random.default_rng(seed))
@@ -650,6 +649,8 @@ class TestCheckpointLevels:
     def test_levels_equal_bisect(self, params, n_rb):
         table = one_lane(n_rb, params, SCHEDULE, derive_seed(65, 0), 200)
         checkpoints = self.exact_checkpoints(table)
+        # Repeats: t = 0, t_end and an event time, each a second time.
+        checkpoints += checkpoints[:3]
         got = table.levels_at(checkpoints)
         assert got.shape == (len(table), len(checkpoints))
         assert np.array_equal(got, bisect_levels(table, checkpoints))
@@ -684,9 +685,9 @@ def whole_run_ensemble(n_rb, params, checkpoints, runs, master):
     runs: one one-lane group per _RUN_BLOCK runs, group g seeded by
     derive_seed(master, TRANSIENT_STREAM, g)."""
     block = oracles._RUN_BLOCK
-    seeds = derive_seeds(master, TRANSIENT_STREAM, count=-(-runs // block)).tolist()
     groups = [
-        ([(n_rb, params)], seed, min(block, runs - g * block)) for g, seed in enumerate(seeds)
+        ([(n_rb, params)], derive_seed(master, TRANSIENT_STREAM, g), min(block, runs - start))
+        for g, start in enumerate(range(0, runs, block))
     ]
     schedule = ExperimentSchedule(detect_s=float(max(checkpoints)))
     samples = np.concatenate(

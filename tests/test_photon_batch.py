@@ -23,7 +23,6 @@ from motprobe.gillespie import (
     ExperimentSchedule,
     Trajectory,
     derive_seed,
-    derive_seeds,
     simulate_trajectory,
 )
 from motprobe.inference import bin_by_nrb
@@ -423,8 +422,8 @@ ABSORBING_NRB = 7000.0
 
 
 def simulated(params, n_rb, sched, count=25, master=31):
-    seeds = derive_seeds(master, 0, int(n_rb), count=count)
-    return [simulate_trajectory(n_rb, params, sched, int(s)) for s in seeds]
+    seeds = [derive_seed(master, 0, int(n_rb), i) for i in range(count)]
+    return [simulate_trajectory(n_rb, params, sched, s) for s in seeds]
 
 
 def crafted_trajectories():

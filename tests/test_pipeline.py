@@ -109,7 +109,7 @@ def test_fit_campaign_refuses_a_bootstrap_of_one_or_less(bootstrap, default_camp
 def test_cli_runs_no_layer_of_the_chain_itself():
     """The command handlers reach the chain only through the pipeline."""
     for name in (
-        "derive_seeds", "seeded_generators", "simulate_groups", "synthesize_bin",
+        "derive_seed", "simulate_groups", "synthesize_bin",
         "fit_loading_rate", "classify_steady_state", "fit_beta",
         "propagate_systematics", "bootstrap_stat_error",
     ):

@@ -1,15 +1,14 @@
-"""Batched seeding against numpy's scalar seeding.
+"""Seeding against numpy's.
 
-derive_seeds must equal derive_seed element by element, and the generator
-of every seed group simulate_groups steps must be np.random.default_rng of
-its seed, whatever the seed's size or type. Masters of 2**32 and above take
-several entropy words; seeds below 2**32 take one. A count must be an
-integer: a float or a bool is refused, never rounded. One prefix entry may
-be an array of indices below 2**32, giving one row of seeds per index. A
-campaign's two streams are seeded in one function of the package,
-photon.simulate_grid_bins, with a fixed number of hash passes per run of
-bins: one trajectory seed group and one photon seed per bin, neither of
-which carries a trace index.
+Every seed of the package comes from gillespie.derive_seed, numpy's
+SeedSequence over (master, *path), the only SeedSequence call of the
+package, and the generator of every seed group simulate_groups steps must
+be np.random.default_rng of its seed, whatever the seed's size or type.
+Masters of 2**32 and above take several entropy words; seeds below 2**32
+take one. A campaign's two streams are seeded in one function of the
+package, photon.simulate_grid_bins, with two derive_seed calls per bin:
+one trajectory seed group and one photon seed per bin, neither of which
+carries a trace index.
 """
 
 import ast
@@ -20,30 +19,19 @@ import numpy as np
 import pytest
 
 import motprobe
-from motprobe import gillespie
+from motprobe import photon
 from motprobe.config import ConfigError, RunConfig
 from motprobe.gillespie import (
     PHOTON_STREAM,
     TRAJECTORY_STREAM,
     derive_seed,
-    derive_seeds,
     simulate_groups,
 )
 from motprobe.photon import simulate_campaign, simulate_grid_bins, synthesize_bin
 from reference import replay_group
 
 MASTERS = [0, 1, 777, 1234, 4242, 2**32 - 1, 2**32, 2**64 - 1, 2**70 + 3]
-PREFIXES = [(0, 3), (1, 11), (2,), (3,), ()]
-COUNT = 1000
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
-
-
-@pytest.mark.parametrize("master", MASTERS)
-@pytest.mark.parametrize("prefix", PREFIXES)
-def test_derive_seeds_matches_scalar(master, prefix):
-    seeds = derive_seeds(master, *prefix, count=COUNT)
-    assert seeds.dtype == np.uint64
-    assert seeds.tolist() == [derive_seed(master, *prefix, i) for i in range(COUNT)]
 
 
 def assert_same_as_default_rng(seeds):
@@ -60,7 +48,7 @@ def assert_same_as_default_rng(seeds):
 
 @pytest.mark.parametrize("master", MASTERS)
 def test_generators_match_default_rng(master):
-    assert_same_as_default_rng(derive_seeds(master, 0, 3, count=50))
+    assert_same_as_default_rng([derive_seed(master, 0, 3, i) for i in range(50)])
 
 
 def test_generators_at_edge_seeds():
@@ -71,59 +59,6 @@ def test_generators_at_edge_seeds():
 def test_negative_master_is_rejected_like_derive_seed():
     with pytest.raises(ValueError):
         derive_seed(-1, 0)
-    with pytest.raises(ValueError):
-        derive_seeds(-1, 0, count=5)
-
-
-def test_zero_count_yields_nothing():
-    seeds = derive_seeds(1234, 0, 0, count=0)
-    assert seeds.shape == (0,)
-
-
-@pytest.mark.parametrize("count", [2.5, 3.0, True, False, np.bool_(True), "3", None])
-def test_count_that_is_not_an_integer_is_refused(count):
-    with pytest.raises(ValueError, match="count must be an integer"):
-        derive_seeds(1, 2, count=count)
-
-
-@pytest.mark.parametrize("count", [np.int64(3), np.uint32(3), np.intp(3)])
-def test_numpy_integer_count_is_taken(count):
-    assert derive_seeds(1, 2, count=count).tolist() == derive_seeds(1, 2, count=3).tolist()
-
-
-@pytest.mark.parametrize("master", [0, 1234, 2**32, 2**70 + 3])
-@pytest.mark.parametrize("index", [
-    [5, 2, 5], [0], [], [2**32 - 1, 0, 7, 2**31], np.array([3, 1, 3, 0], dtype=np.uint8),
-])
-def test_array_prefix_matches_scalar(master, index):
-    """Row r of an array-prefix call is the scalar form with index[r] in
-    the array's place, in any order and with repeats."""
-    for prefix in ([TRAJECTORY_STREAM, index], [PHOTON_STREAM, index, 9], [index]):
-        seeds = derive_seeds(master, *prefix, count=6)
-        assert seeds.dtype == np.uint64
-        assert seeds.shape == (len(index), 6)
-        for r, bi in enumerate(np.asarray(index).tolist()):
-            path = [bi if p is index else p for p in prefix]
-            assert seeds[r].tolist() == [derive_seed(master, *path, i) for i in range(6)]
-
-
-@pytest.mark.parametrize("index, match", [
-    ([1, -1], r"in \[0, 2\*\*32\), got -1"),
-    ([2**32], r"in \[0, 2\*\*32\), got 4294967296"),
-    (np.array([0, 2**40], dtype=np.int64), r"in \[0, 2\*\*32\), got 1099511627776"),
-    ([1.0, 2.0], "1-D integer array"),
-    ([True, False], "1-D integer array"),
-    ([[1, 2]], "1-D integer array"),
-    ([2**70], "1-D integer array"),
-])
-def test_bad_array_prefix_is_refused(index, match):
-    with pytest.raises(ValueError, match=match):
-        derive_seeds(1, 0, index, count=3)
-
-
-def test_two_array_prefixes_are_refused():
-    with pytest.raises(ValueError, match="at most one prefix entry may be an array"):
-        derive_seeds(1, [0, 1], [2, 3], count=3)
 
 
 SMALL = replace(RunConfig.default(), traces_per_bin=5, master_seed=99)
@@ -131,14 +66,14 @@ SMALL = replace(RunConfig.default(), traces_per_bin=5, master_seed=99)
 
 def bin_photon_generator(master, bi):
     """The generator a campaign bin's counts are drawn on: default_rng of
-    the scalar photon seed of its master seed and bin index."""
+    the photon seed of its master seed and bin index."""
     return np.random.default_rng(derive_seed(master, PHOTON_STREAM, bi))
 
 
 def test_a_run_is_seeded_as_its_bins_alone():
-    """A run with a repeat, out of order, gives each bin the scalar seeds of
-    its coordinates, counts drawn on the one generator of its scalar photon
-    seed, and the output of its own one-bin run."""
+    """A run with a repeat, out of order, gives each bin the seeds of its
+    coordinates, counts drawn on the one generator of its photon seed, and
+    the output of its own one-bin run."""
     run = list(simulate_grid_bins(SMALL, [5, 2, 5]))
     assert [b.trace_ids[0] for b in run] == ["b05t0000", "b02t0000", "b05t0000"]
     for b, bi in zip(run, [5, 2, 5]):
@@ -185,24 +120,24 @@ def test_a_bins_trajectory_seed_carries_no_trace_index(master):
         np.testing.assert_array_equal(b.events.kind, alone.kind)
 
 
-def test_seed_hashing_does_not_grow_with_the_run(monkeypatch):
-    """simulate_grid_bins hashes each stream's seeds of a whole run in a
-    fixed number of passes, whatever the number of bins."""
+def test_a_run_derives_two_seeds_per_bin(monkeypatch):
+    """simulate_grid_bins makes one derive_seed call per bin of each stream,
+    with the bin's coordinates and no trace index, whatever the run: a
+    seed derived per shot would show."""
     calls = []
-    real = gillespie._seed_state
 
-    def counted(entropy, n_words):
-        calls.append(n_words)
-        return real(entropy, n_words)
+    def counted(master_seed, *path):
+        calls.append((master_seed, *path))
+        return derive_seed(master_seed, *path)
 
-    monkeypatch.setattr(gillespie, "_seed_state", counted)
-    per_run = []
+    monkeypatch.setattr(photon, "derive_seed", counted)
+    cfg = replace(SMALL, traces_per_bin=2)
     for run in ([4], [0, 1, 2], list(range(16)) + [3, 3]):
         calls.clear()
-        bins = list(simulate_grid_bins(replace(SMALL, traces_per_bin=2), run))
+        bins = list(simulate_grid_bins(cfg, run))
         assert len(bins) == len(run)
-        per_run.append(len(calls))
-    assert per_run == [per_run[0]] * 3
+        want = [(99, stream, bi) for bi in run for stream in (TRAJECTORY_STREAM, PHOTON_STREAM)]
+        assert sorted(calls) == sorted(want)
 
 
 def test_a_campaign_builds_at_most_two_generators_per_bin(monkeypatch):
@@ -240,30 +175,49 @@ def test_a_fractional_trace_count_is_refused_at_replace():
 CAMPAIGN_STREAMS = {"TRAJECTORY_STREAM", "PHOTON_STREAM"}
 
 
-def campaign_seeding_calls(tree):
-    """Every derive_seed or derive_seeds call of a module's syntax tree that
-    is handed a campaign stream tag."""
-    for call in ast.walk(tree):
-        if not isinstance(call, ast.Call):
-            continue
-        name = getattr(call.func, "id", getattr(call.func, "attr", None))
-        names = {n.id for arg in call.args for n in ast.walk(arg) if isinstance(n, ast.Name)}
-        if name in ("derive_seed", "derive_seeds") and names & CAMPAIGN_STREAMS:
-            yield call
+def is_campaign_seeding_call(node):
+    """A derive_seed call that is handed a campaign stream tag."""
+    if not isinstance(node, ast.Call):
+        return False
+    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+    names = {n.id for arg in node.args for n in ast.walk(arg) if isinstance(n, ast.Name)}
+    return name == "derive_seed" and bool(names & CAMPAIGN_STREAMS)
 
 
-def test_campaign_streams_are_seeded_in_one_function():
-    """A campaign is seeded in photon.simulate_grid_bins and nowhere else:
-    no other function of the package, and no module-level code, hands
-    TRAJECTORY_STREAM or PHOTON_STREAM to derive_seeds."""
+def names_seed_sequence(node):
+    """Any reference to SeedSequence: an attribute, a bare name or an
+    imported name."""
+    return (
+        isinstance(node, ast.Attribute) and node.attr == "SeedSequence"
+        or isinstance(node, ast.Name) and node.id == "SeedSequence"
+        or isinstance(node, ast.ImportFrom) and any(a.name == "SeedSequence" for a in node.names)
+    )
+
+
+def package_homes(matches):
+    """(module, innermost enclosing function or None) of every node of the
+    package's modules for which matches holds."""
     homes = set()
     for path in sorted(Path(motprobe.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         funcs = [
             f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
         ]
-        for call in campaign_seeding_calls(tree):
-            around = [f for f in funcs if f.lineno <= call.lineno <= f.end_lineno]
+        for node in filter(matches, ast.walk(tree)):
+            around = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
             home = max(around, key=lambda f: f.lineno).name if around else None
             homes.add((path.stem, home))
-    assert homes == {("photon", "simulate_grid_bins")}
+    return homes
+
+
+def test_campaign_streams_are_seeded_in_one_function():
+    """A campaign is seeded in photon.simulate_grid_bins and nowhere else:
+    no other function of the package, and no module-level code, hands
+    TRAJECTORY_STREAM or PHOTON_STREAM to derive_seed."""
+    assert package_homes(is_campaign_seeding_call) == {("photon", "simulate_grid_bins")}
+
+
+def test_seed_sequence_is_used_in_one_function():
+    """numpy's SeedSequence appears in the package only inside
+    gillespie.derive_seed, so every seed of the package is derived there."""
+    assert package_homes(names_seed_sequence) == {("gillespie", "derive_seed")}
