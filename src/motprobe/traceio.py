@@ -3,20 +3,19 @@
 One JSON object per line keeps multi-thousand-trace campaigns streamable and
 diffable. Readers validate eagerly and report the offending line number.
 
-trace_lines formats a whole count matrix in one vectorized pass: each
-count below 2**16 is one 8-byte word of its text "k, ", NUL-padded, so a
-bin's rows are one gather of words and one bytes.translate that drops the
-padding; a row with any other count is written by json. Reading back,
-read_traces_jsonl parses a block of lines in that form with one numpy
-call for all their counts, and each distinct head after a plain trace_id
-once per block, as the lines of a bin differ only in trace_id; any other
-block is read line by line with json, each line's fields checked by
-_trace_fields and its counts by _count_row as soon as the line is parsed,
-so the first bad line is the first refused. A file holds one segment map
-and bin width, that of its first trace line, and the table one count
-matrix. The reader checks each line so that a refusal names it; the
-segment rules are SegmentMap's own, and the TraceTable it returns checks
-its whole matrix once more on construction.
+trace_lines writes each bin's counts right-aligned to one width, that of
+the bin's largest count ("[   0,  103, 1021]", JSON that json.loads reads
+as the same integers), and builds the text of a bin's counts as one uint8
+matrix. Reading back, read_traces_jsonl takes each run of equal-length
+lines in that form as one (lines x bytes) matrix: its head is parsed with
+json once, and the rows are checked and their counts parsed with a few
+numpy operations on the whole matrix. Any other line is read with json,
+its fields checked by _trace_fields and its counts by _count_row as soon as
+the line is parsed, so the first bad line is the first refused. A file
+holds one segment map and bin width, that of its first trace line, and the
+table one count matrix. The reader checks each line so that a refusal
+names it; the segment rules are SegmentMap's own, and the TraceTable it
+returns checks its whole matrix once more on construction.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import functools
 import itertools
 import json
 import math
-import warnings
 from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
@@ -80,25 +78,71 @@ def trace_record(
     }
 
 
-# Counts below _TABLE_COUNTS are formatted from a table of their text, built
-# on first use; a row holding any other count goes through json. The longest
-# text, "65535, ", fits one 8-byte word with a NUL to spare.
-_TABLE_COUNTS = 1 << 16
+@functools.lru_cache(maxsize=1)
+def _group_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The text of each count below 10**4 in four bytes, one uint32 word
+    each, built on first use: zero-padded ("0042"), and right-aligned with
+    spaces ("  42"). Both are read-only."""
+    k = np.arange(10**4, dtype=np.int16)[:, np.newaxis]
+    digits = (k // np.array([1000, 100, 10, 1], dtype=np.int16) % 10).astype(np.uint8)
+    digits += np.uint8(ord("0"))
+    shown = k >= np.array([1000, 100, 10, 0], dtype=np.int16)
+    spaced = np.where(shown, digits, np.uint8(ord(" ")))
+    tables = digits.view(np.uint32).ravel(), spaced.view(np.uint32).ravel()
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+# The widest count: _INT64_MAX has 19 digits.
+_MAX_WIDTH = 19
+# Column j of a count right-aligned to width w holds a digit, not a pad,
+# when the count is at least _FLOORS[-w:][j]: the units column always does.
+_FLOORS = np.array([10**k for k in range(_MAX_WIDTH - 1, 0, -1)] + [0], dtype=np.int64)
 # A trace_id json.dumps writes as no other part of a trace record.
 _ID_MARK = "\x00"
 
 
-@functools.lru_cache(maxsize=1)
-def _count_text_table() -> tuple[np.ndarray, np.ndarray]:
-    """The ASCII text of "k, " for every k below _TABLE_COUNTS as one uint64
-    word, left-aligned and padded with NUL bytes, and each text's length as
-    uint8; both read-only."""
-    texts = np.char.add(np.arange(_TABLE_COUNTS).astype("S5"), b", ")
-    words = texts.astype("S8").view(np.uint64)
-    lengths = np.char.str_len(texts).astype(np.uint8)
-    words.flags.writeable = False
-    lengths.flags.writeable = False
-    return words, lengths
+def _count_text(counts: np.ndarray, width: int) -> np.ndarray:
+    """The text that closes each line of an int64 count matrix, as a
+    (rows, bytes) uint8 matrix: the row's counts, each right-aligned with
+    spaces to width and followed by ", ", the last ", " replaced by
+    "]}\n".
+
+    Each count must be within 0 and 10**width - 1 to be spelt as itself;
+    any other value is spelt as something else, in digits and spaces, and
+    never fails. The digits come four at a time from _group_tables.
+    """
+    rows, n_bins = counts.shape
+    digit_groups, count_groups = _group_tables()
+    if width <= 4:
+        words = count_groups.take(counts, mode="clip")
+        digits = words.view(np.uint8).reshape(rows, n_bins, 4)[:, :, 4 - width:]
+    else:
+        groups = -(-width // 4)
+        words = np.empty((rows, n_bins, groups), dtype=np.uint32)
+        rest = counts
+        for g in range(groups - 1, -1, -1):
+            rest, low = np.divmod(rest, 10**4)
+            words[:, :, g] = digit_groups[low]
+        digits = np.where(
+            counts[:, :, np.newaxis] >= _FLOORS[-width:],
+            words.view(np.uint8).reshape(rows, n_bins, 4 * groups)[:, :, 4 * groups - width:],
+            np.uint8(ord(" ")),
+        )
+    # A line of no counts closes too; no segment map has no bins, but the
+    # matrix may.
+    text = np.empty((rows, max(n_bins * (width + 2), 2) + 1), dtype=np.uint8)
+    cells = text[:, :n_bins * (width + 2)].reshape(rows, n_bins, width + 2)
+    # Column by column: numpy copies a column of cells far faster than a
+    # block of a few bytes per cell.
+    for j in range(width):
+        cells[:, :, j] = digits[:, :, j]
+    cells[:, :, width] = ord(",")
+    cells[:, :, width + 1] = ord(" ")
+    text[:, -3:] = np.frombuffer(b"]}\n", dtype=np.uint8)
+    return text
 
 
 def trace_lines(
@@ -107,44 +151,42 @@ def trace_lines(
     """The JSON lines of traces that share n_rb, bin_s and segments, one
     per row of the (len(trace_ids), n_bins) count matrix.
 
-    Each line is byte for byte json.dumps(trace_record(...)) + "\n": the
-    text before the counts comes from json.dumps of trace_record, and the
-    integer counts below _TABLE_COUNTS are spelt from _count_text_table:
-    one gather of the rows' words, whose bytes lose their NUL padding in one
-    bytes.translate, and one cumulative sum of the rows' text lengths to
-    cut the result into lines. A row with a negative, larger or non-integer
-    count is written by json.dumps itself.
+    Each line is json.dumps(trace_record(...)) but for its counts, which
+    are right-aligned with spaces to the width of the matrix's largest
+    count, "[   0,  103, 1021]": json.loads reads it as the record, and
+    read_traces_jsonl reads a bin's lines as one byte matrix. The text
+    before the counts comes from json.dumps of trace_record, the rest of
+    every line from one _count_text matrix. The counts must be integers
+    within 0 and INT64_MAX: a matrix of another dtype is refused with a
+    ValueError, and one with a count out of bounds names its first row
+    that holds one.
     """
     counts = np.asarray(counts)
     if counts.ndim != 2 or len(counts) != len(trace_ids):
         raise ValueError(
             f"counts must be a ({len(trace_ids)}, n_bins) matrix, got shape {counts.shape}"
         )
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"counts must be integers, got a {counts.dtype} matrix")
+    # A uint64 count past int64 turns negative here, and is refused.
+    checked = counts.astype(np.int64, copy=False)
+    bad = np.flatnonzero((checked < 0).any(axis=1))
+    if len(bad):
+        row = bad[0]
+        raise ValueError(
+            f"trace {trace_ids[row]!r} (row {row}) has a count outside 0 to "
+            f"{_INT64_MAX}: {counts[row][checked[row] < 0][0]}"
+        )
     template = json.dumps(trace_record(_ID_MARK, n_rb, bin_s, segments, []))
     before, after = template.split(json.dumps(_ID_MARK))
     after = after.removesuffix("]}")
-    if counts.dtype.kind in "iu":
-        tabled = ((counts >= 0) & (counts < _TABLE_COUNTS)).all(axis=1)
-    else:
-        tabled = np.zeros(len(counts), dtype=bool)
-    words, lengths = _count_text_table()
-    rows = counts[tabled].astype(np.intp, copy=False)
-    body = words[rows].tobytes().translate(None, b"\0").decode("ascii")
-    # Each row's text ends in ", "; the "]}" of the line replaces it.
-    ends = np.cumsum(lengths[rows].sum(axis=1)).tolist()
-    starts = [0] + ends[:-1]
-    spans = iter(zip(starts, ends))
-    lines = []
-    for trace_id, fast, row in zip(trace_ids, tabled.tolist(), counts):
-        if fast:
-            start, end = next(spans)
-            lines.append(
-                f"{before}{json.dumps(trace_id)}{after}{body[start:max(start, end - 2)]}]}}\n"
-            )
-        else:
-            record = trace_record(trace_id, n_rb, bin_s, segments, row.tolist())
-            lines.append(json.dumps(record) + "\n")
-    return "".join(lines)
+    width = len(str(int(checked.max()))) if checked.size else 1
+    text = _count_text(checked, width)
+    body, step = text.tobytes().decode("ascii"), text.shape[1]
+    return "".join([
+        f"{before}{json.dumps(trace_id)}{after}{body[k * step:(k + 1) * step]}"
+        for k, trace_id in enumerate(trace_ids)
+    ])
 
 
 def trace_to_dict(trace: FluorescenceTrace) -> dict:
@@ -240,18 +282,17 @@ def _count_row(raw, n_bins: int) -> np.ndarray:
     return counts.astype(np.int64, copy=False)
 
 
-# Non-blank lines read as one block: the count texts of a block are parsed
-# together, and a block in another form is read line by line. It bounds the
-# text held at once, and is the count matrix's first capacity in rows.
+# Non-blank lines read as one block, whose runs of equal-length lines are
+# each parsed as one byte matrix. It bounds the text held at once, and is
+# the count matrix's first capacity in rows.
 _FILL_BLOCK = 64
 
-# What precedes the counts in a line trace_lines writes; the counts close
-# the line, with "]}" and optional whitespace.
-_COUNTS_KEY = ', "counts": ['
-_JSON_SPACE = " \t\n\r"
-_HEAD_DECODER = json.JSONDecoder()
-# How a line trace_lines writes opens, up to the text of its trace_id.
+# How a line trace_lines writes opens, up to the text of its trace_id; the
+# key its counts follow; and how it closes.
 _ID_OPEN = '{"trace_id": "'
+_COUNTS_KEY = ', "counts": ['
+_LINE_END = "]}\n"
+_HEAD_DECODER = json.JSONDecoder()
 
 
 def _parse_head(text: str) -> dict:
@@ -265,47 +306,36 @@ def _parse_head(text: str) -> dict:
     return head
 
 
-def _count_values(texts: "list[str]", n_bins: int) -> np.ndarray | None:
-    """The counts of the texts as an int64 (texts, n_bins) matrix; None
-    unless each text is n_bins integers in the form trace_lines writes.
+def _byte_matrix(lines: "list[str]") -> np.ndarray:
+    """Equal-length lines as a (lines, length) uint8 matrix of their ASCII
+    bytes; a line with any other character gets a NUL for its first byte,
+    which no line trace_lines writes opens with."""
+    text = "".join(lines)
+    if text.isascii():
+        return np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(len(lines), -1)
+    # "replace" spells each other character as one "?", keeping the length.
+    matrix = np.frombuffer(bytearray(text.encode("ascii", "replace")), dtype=np.uint8)
+    matrix = matrix.reshape(len(lines), -1)
+    matrix[[not line.isascii() for line in lines], 0] = 0
+    return matrix
 
-    That form is what np.fromstring reads the same as json: values of one
-    to 18 digits with no leading zero, each but the last followed by ", ".
-    np.fromstring alone reads an empty value as 0 and leading zeros as if
-    absent, and clamps past int64; numpy 1.x warns and stops short on a
-    text it cannot parse, where 2.x raises.
+
+def _parse_counts(text: np.ndarray, n_bins: int, width: int) -> np.ndarray:
+    """The (rows, n_bins) int64 counts of a matrix of count text, each count
+    width bytes and two more (", " or "]}"), read from the low four bits of
+    each byte: a digit's value, 0 for a pad.
+
+    Any other text reads as some number; _TableReader._read_fixed keeps a
+    row only if _count_text spells its numbers back as the row's text. Up to
+    7 columns of at most 15 sum to less than 2**24, exact in float32 (the
+    fastest product numpy has); wider counts are summed in uint64, where 19
+    columns cannot overflow, and a sum past int64 turns negative.
     """
-    joined = ", ".join(texts)
-    # Ending in a digit, the text has a character after each comma.
-    if not "0" <= joined[-1:] <= "9":
-        return None
-    try:
-        raw = np.frombuffer(joined.encode("ascii"), dtype=np.uint8)
-    except UnicodeEncodeError:
-        return None
-    commas = np.flatnonzero(raw == ord(","))
-    starts = np.append(0, commas + 2)
-    ends = np.append(commas, len(raw))
-    lengths = ends - starts
-    # Where each text ends in the joined one.
-    row_ends = np.cumsum([len(text) + 2 for text in texts]) - 2
-    if (
-        len(ends) != len(texts) * n_bins
-        or not np.array_equal(ends[n_bins - 1::n_bins], row_ends)
-        or np.count_nonzero((raw - ord("0")) < 10) != len(raw) - 2 * len(commas)
-        or (raw[commas + 1] != ord(" ")).any()
-        or lengths.min() < 1
-        or lengths.max() > 18
-        or ((raw[starts] == ord("0")) & (lengths > 1)).any()
-    ):
-        return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        try:
-            values = np.fromstring(joined, dtype=np.int64, sep=",")
-        except (ValueError, DeprecationWarning):
-            return None
-    return values.reshape(len(texts), n_bins) if len(values) == len(ends) else None
+    kind = np.float32 if width <= 7 else np.uint64
+    # The two bytes after each count have place value 0.
+    places = np.array([10**k for k in range(width - 1, -1, -1)] + [0, 0], dtype=kind)
+    nibbles = (text & np.uint8(0x0F)).astype(kind).reshape(len(text), n_bins, width + 2)
+    return (nibbles @ places).astype(np.int64)
 
 
 class _TableReader:
@@ -327,11 +357,14 @@ class _TableReader:
         self.first_line = 0
         self.counts = np.empty((0, 0), dtype=np.int64)
 
-    def _add(self, line_number: int, fields: "list[tuple]", rows: np.ndarray) -> None:
-        """Append checked rows and the ids and n_rb of their fields; the
-        first rows fix the layout, line_number being the first's line."""
+    def _add(
+        self, line_number: int, trace_ids: "list[str]", n_rb: "list[float]",
+        layout: tuple[SegmentMap, float], rows: np.ndarray,
+    ) -> None:
+        """Append checked rows with their ids and n_rb; the first rows fix
+        the layout, line_number being the first's line."""
         if self.layout is None:
-            self.layout = fields[0][2:]
+            self.layout = layout
             self.first_line = line_number
             self.counts = np.empty((_FILL_BLOCK, rows.shape[1]), dtype=np.int64)
         filled, n = len(self.trace_ids), len(rows)
@@ -339,77 +372,118 @@ class _TableReader:
             grown = max(filled + n, len(self.counts) * 3 // 2)
             self.counts.resize((grown, rows.shape[1]), refcheck=False)
         self.counts[filled:filled + n] = rows
-        for trace_id, n_rb, _, _ in fields:
-            self.trace_ids.append(trace_id)
-            self.n_rb.append(n_rb)
+        self.trace_ids.extend(trace_ids)
+        self.n_rb.extend(n_rb)
 
     def read_block(self, block: "list[tuple[int, str]]") -> None:
-        """Add the (line number, line) pairs of a block; raise the
-        TraceFileError of its first bad line, if it has one."""
-        if not self._read_block_fast(block):
-            self._read_block_lines(block)
+        """Add the (line number, line) pairs of a block, each line ending in
+        a newline; raise the TraceFileError of its first bad line, if it has
+        one. Each run of equal-length lines goes to _read_run."""
+        for _, run in itertools.groupby(block, key=lambda item: len(item[1])):
+            self._read_run(list(run))
 
-    def _read_block_fast(self, block: "list[tuple[int, str]]") -> bool:
-        """Add a block whose every line is in the form trace_lines writes
-        and in the table's layout: each head (the line before its last
-        _COUNTS_KEY) is checked by _head_fields, the count texts parsed
-        with one _count_values. Nothing is added, and False returned, when
-        any line is in another form or layout or fails a check."""
-        fields, texts = [], []
-        rests: dict[str, tuple[float, SegmentMap, float]] = {}
-        for _, line in block:
-            at = line.rfind(_COUNTS_KEY)
-            if at < 0:
-                return False
-            tail = line[at + len(_COUNTS_KEY):].rstrip(_JSON_SPACE)
-            if not tail.endswith("]}"):
-                return False
-            try:
-                fields.append(self._head_fields(line[:at], rests))
-            except (TypeError, ValueError, OverflowError):
-                return False
-            texts.append(tail[:-2])
-        layout = self.layout or fields[0][2:]
-        if any(f[2:] != layout for f in fields):
-            return False
-        rows = _count_values(texts, layout[0].n_bins)
-        if rows is None:
-            return False
-        self._add(block[0][0], fields, rows)
-        return True
+    def _read_run(self, run: "list[tuple[int, str]]") -> None:
+        """Add a run of equal-length lines in order: from each line that
+        opens a fixed-width stretch (_fixed_form), the rows _read_fixed
+        takes, and any other line with json (_read_block_lines). The run's
+        byte matrix is built once, when a stretch first needs it."""
+        matrix = None
+        i = 0
+        while i < len(run):
+            form = self._fixed_form(run[i][1])
+            taken = 0
+            if form is not None:
+                if matrix is None:
+                    matrix = _byte_matrix([line for _, line in run])
+                taken = self._read_fixed(run[i:], matrix[i:], *form)
+            if not taken:
+                self._read_block_lines(run[i:i + 1])
+                taken = 1
+            i += taken
 
-    def _head_fields(
-        self, head: str, rests: "dict[str, tuple[float, SegmentMap, float]]"
-    ) -> tuple[str, float, SegmentMap, float]:
-        """The fields of a head, checked by _trace_fields; raises what
-        json or the check raises.
+    def _fixed_form(self, line: str) -> "tuple | None":
+        """How a line in the form trace_lines writes lays out, in the
+        table's layout: its (n_rb, segments, bin_s), the column of the quote
+        that closes its trace_id, the column of its first count and the
+        width of its counts. None for any other line.
 
-        A head that opens with _ID_OPEN, then id text free of backslashes
-        and unprintable characters up to the next quote, then ", " is split
-        after the id: the rest, parsed as an object of its own, is checked
-        once and its (n_rb, segments, bin_s) kept in rests, the block's
-        cache, for every head that repeats it. A rest holding a trace_id
-        key (which json would let win over the first), and any other head,
-        are parsed whole.
+        The line must be ASCII, and its head (the text before the last
+        _COUNTS_KEY) open with _ID_OPEN and an id up to the next quote,
+        then ", "; the rest, parsed with json as an object of its own, must
+        hold no trace_id key (json would let a second one win over the
+        first) and pass _trace_fields. The counts must be segments.n_bins
+        cells of one width, at most _MAX_WIDTH, each followed by ", " (the
+        last by _LINE_END); _read_fixed checks their bytes.
         """
-        quote = head.find('"', len(_ID_OPEN))
-        trace_id, rest = head[len(_ID_OPEN):quote], head[quote + 1:]
-        if (
-            head.startswith(_ID_OPEN)
-            and quote > 0
-            and rest.startswith(', "')
-            and "\\" not in trace_id
-            and trace_id.isprintable()
+        quote = line.find('"', len(_ID_OPEN))
+        at = line.rfind(_COUNTS_KEY)
+        if not (
+            line.isascii()
+            and line.startswith(_ID_OPEN)
+            and line.endswith(_LINE_END)
+            and 0 < quote < at
+            and line.startswith(', "', quote + 1)
         ):
-            known = rests.get(rest)
-            if known is None:
-                obj = _parse_head("{" + rest[2:] + "}")
-                if "trace_id" in obj:
-                    return _trace_fields(_parse_head(head + "}"), self.segment_maps)
-                obj["trace_id"] = trace_id
-                known = rests[rest] = _trace_fields(obj, self.segment_maps)[1:]
-            return (trace_id, *known)
-        return _trace_fields(_parse_head(head + "}"), self.segment_maps)
+            return None
+        start = at + len(_COUNTS_KEY)
+        # Each count takes its width and two bytes more: ", ", or the "]}"
+        # that closes the line. Checked before the head, as it is cheaper.
+        text = line[start:-1]
+        cell = text.find(",") + 2
+        n_bins, rest = divmod(len(text), cell)
+        if (
+            not 3 <= cell <= _MAX_WIDTH + 2
+            or rest
+            or text[cell - 2::cell] != "," * (n_bins - 1) + "]"
+        ):
+            return None
+        try:
+            obj = _parse_head("{" + line[quote + 3:at] + "}")
+            if "trace_id" in obj:
+                return None
+            obj["trace_id"] = ""
+            _, n_rb, segments, bin_s = _trace_fields(obj, self.segment_maps)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        if self.layout not in (None, (segments, bin_s)) or segments.n_bins != n_bins:
+            return None
+        return (n_rb, segments, bin_s), quote, start, cell - 2
+
+    def _read_fixed(
+        self, run: "list[tuple[int, str]]", matrix: np.ndarray,
+        fields: tuple[float, SegmentMap, float], id_end: int, start: int, width: int,
+    ) -> int:
+        """Add the longest stretch of the run's lines, from its first, that
+        read as the first does but for trace_id and counts; return how many
+        it took (0 when the first line's own id or counts are not in form).
+
+        The lines' (lines, bytes) matrix is checked as a whole: every byte
+        before the counts but the ids' equal to the first line's, each id
+        printable ASCII with no quote or backslash (text json reads as
+        itself), and the text from the counts on exactly what _count_text
+        spells for the counts _parse_counts reads from it. Such a line is
+        what json reads as the first line's fields, with its own id and
+        counts.
+        """
+        n_rb, segments, bin_s = fields
+        rows, n_bins = len(matrix), segments.n_bins
+        head = matrix[:, :start]
+        same = head == head[0]
+        same[:, len(_ID_OPEN):id_end] = True
+        ok = same.all(axis=1)
+        ids = head[:, len(_ID_OPEN):id_end]
+        ok &= (
+            (ids - np.uint8(ord(" ")) < 0x5F) & (ids != ord('"')) & (ids != ord("\\"))
+        ).all(axis=1)
+        values = _parse_counts(matrix[:, start:-1], n_bins, width)
+        ok &= (matrix[:, start:] == _count_text(values, width)).all(axis=1)
+        taken = rows if ok.all() else int(np.argmin(ok))
+        if taken:
+            trace_ids = [line[len(_ID_OPEN):id_end] for _, line in run[:taken]]
+            self._add(
+                run[0][0], trace_ids, [n_rb] * taken, (segments, bin_s), values[:taken]
+            )
+        return taken
 
     def _read_block_lines(self, block: "list[tuple[int, str]]") -> None:
         """Add a block line by line: each line parsed with json, its fields
@@ -432,7 +506,7 @@ class _TableReader:
                 raise TraceFileError(f"not valid JSON ({exc.msg})", i) from exc
             except (TypeError, ValueError, OverflowError) as exc:
                 raise TraceFileError(str(exc), i) from exc
-            self._add(i, [(trace_id, n_rb, segments, bin_s)], counts[np.newaxis])
+            self._add(i, [trace_id], [n_rb], (segments, bin_s), counts[np.newaxis])
 
     def table(self) -> TraceTable:
         segments, bin_s = self.layout
@@ -443,20 +517,26 @@ class _TableReader:
 def read_traces_jsonl(path: "str | Path") -> TraceTable:
     """Read a traces file into a TraceTable.
 
-    The file is read in blocks of _FILL_BLOCK non-blank lines. A block in
-    the form trace_lines writes has each distinct head parsed with json
-    once (see _TableReader._head_fields) and its counts with one numpy
-    call; any other block, and any block not wholly in the layout of the
-    first trace line, is parsed line by line with json. Either way each
-    line's scalar fields and segment layout are checked, and its counts go
-    to the table's one int64 count matrix. Every line must have the
-    segments and bin_s of the first: a file that mixes segment maps or bin
-    widths is refused at the first line that differs. Any refusal names
-    the first bad line of the file.
+    The file is read in blocks of _FILL_BLOCK non-blank lines. A block's
+    lines in the form trace_lines writes (each count right-aligned to one
+    width) are read a stretch at a time: equal-length lines that differ
+    only in trace_id and counts are checked and parsed as one byte matrix,
+    with one json parse of the stretch's head (see _TableReader._read_fixed).
+    Any other line (variable-width counts, CRLF endings, reordered keys) is
+    parsed with json. Either way each line's scalar fields and segment
+    layout are checked, and its counts go to the table's one int64 count
+    matrix. Every line must have the segments and bin_s of the first: a
+    file that mixes segment maps or bin widths is refused at the first line
+    that differs. Any refusal names the first bad line of the file.
     """
     reader = _TableReader()
     with open(path) as fh:
-        lines = ((i, line) for i, line in enumerate(fh, start=1) if not line.isspace())
+        # Only the last line may lack its newline; with one, it reads alike.
+        lines = (
+            (i, line if line.endswith("\n") else line + "\n")
+            for i, line in enumerate(fh, start=1)
+            if not line.isspace()
+        )
         while block := list(itertools.islice(lines, _FILL_BLOCK)):
             reader.read_block(block)
     if not reader.trace_ids:

@@ -817,8 +817,10 @@ class TestWorkerRuns:
 
     def test_fewer_traces_are_the_first_of_each_bin(self, tmp_path, monkeypatch):
         """A bin's counts are one draw on the bin's generator, shot after
-        shot, so --traces 3 writes the first 3 traces of each bin of
-        --traces 5, and --workers 2 writes the --workers 1 bytes."""
+        shot, so --traces 3 writes the records of the first 3 traces of
+        each bin of --traces 5 (their counts spelt to the width of the
+        bin's own largest count), and --workers 2 writes the --workers 1
+        bytes."""
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         cfg = write_config(tmp_path, {"calibration": {"dark_rate_per_s": 2.0e3}})
         files = {}
@@ -835,7 +837,7 @@ class TestWorkerRuns:
             if int(json.loads(line)["trace_id"][-4:]) < 3
         ]
         assert len(head) == 16 * 3
-        assert b"".join(head) == files[3, 1]
+        assert list(map(json.loads, head)) == list(map(json.loads, files[3, 1].splitlines()))
 
     def test_runs_split_the_grid_in_order(self, tmp_path, monkeypatch):
         runs = []

@@ -20,20 +20,20 @@ GOLDEN = {
     # built-in defaults, 16 bins x 5 traces
     "defaults": (
         {},
-        "079d0533ba25843bbf9026c723cb5b89e399d1ad23570270fe08e8620f56e1a6",
+        "268f20bdd34557d081f8f3a79a43e83b70f175b09615274b652126e790f0b1c6",
         "eb6c7587a3a560f80fff7a74aba7be46656937a8d18ae857158b0f20e3ba632b",
     ),
     # a dark rate in the off segment, 16 bins x 5 traces: the off counts
     # are Poisson draws, not zeros, so their place in the draw order shows
     "dark_rate": (
         {"calibration": {"dark_rate_per_s": 2.0e3}},
-        "69a824249ff0d2723395df62bef67cd4a1d3a226f87174d28184cba62b512b4a",
+        "6e1bb0bb9085b91237e4144a0f717a36d3afb41afa4a48eeb551393b09052196",
         "eb6c7587a3a560f80fff7a74aba7be46656937a8d18ae857158b0f20e3ba632b",
     ),
     # few-atom regime with Cs-Cs pair loss, 16 bins x 5 traces
     "pair_loss": (
         {"physics": {"r0_per_s": 10.0, "beta_cscs_cm3_per_s": 2e-9}},
-        "862ae354749947216abe483e15e1d9f0d18a8cf5e0b7d969408d2eca3774b10f",
+        "08714c5e2d0123b294d3516047ab37b48508554d604b6f3a9ff692957168583d",
         "c7e4b961c296796417910a990da5092423ae25deadf251265503e84e378cbc39",
     ),
 }

@@ -415,25 +415,36 @@ class TestBlockRefusals:
             read_traces_jsonl(path)
         assert info.value.line_number == 78
 
-    # The default separators give the form trace_lines writes; the compact
-    # ones send every block to the line-by-line path.
+    # "default" writes each line as trace_lines does, which the reader
+    # parses as byte matrices; the compact separators send every line to
+    # the line-by-line path.
     @pytest.mark.parametrize(
-        "separators, line_blocks", [(None, 0), ((",", ":"), 4)], ids=["default", "compact"]
+        "separators, json_lines", [(None, 0), ((",", ":"), 200)], ids=["default", "compact"]
     )
-    def test_good_file_past_several_blocks(self, tmp_path, monkeypatch, separators, line_blocks):
+    def test_good_file_past_several_blocks(self, tmp_path, monkeypatch, separators, json_lines):
         objs = [dict(GOOD, trace_id=f"r{k}", n_rb=220.0 * (k % 3)) for k in range(200)]
         objs[150] = dict(GOOD, trace_id="true")
-        path = write_lines(tmp_path / "good.jsonl", objs, separators)
+        path = tmp_path / "good.jsonl"
+        if separators is None:
+            segments = SegmentMap(**{k: tuple(v) for k, v in GOOD["segments"].items()})
+            path.write_text("".join(
+                traceio.trace_lines(
+                    [obj["trace_id"]], obj["n_rb"], obj["bin_s"], segments, [obj["counts"]]
+                )
+                for obj in objs
+            ))
+        else:
+            write_lines(path, objs, separators)
         taken = []
         real = traceio._TableReader._read_block_lines
 
         def spy(self, block):
-            taken.append(block[0][0])
+            taken.extend(i for i, _ in block)
             real(self, block)
 
         monkeypatch.setattr(traceio._TableReader, "_read_block_lines", spy)
         table = read_traces_jsonl(path)
-        assert len(taken) == line_blocks
+        assert len(taken) == json_lines
         assert len(table) == 200
         # Past the first _FILL_BLOCK rows of the count matrix, twice grown.
         assert 200 > traceio._FILL_BLOCK * 3 // 2 * 3 // 2
