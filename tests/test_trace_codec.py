@@ -38,6 +38,23 @@ def count_tokens(line):
     return text[:-3].split(", ") if text != "]}\n" else []
 
 
+def reference_lines(trace_ids, n_rb, bin_s, segments, counts):
+    return "".join(
+        json.dumps(trace_record(t, n_rb, bin_s, segments, row)) + "\n"
+        for t, row in zip(trace_ids, np.asarray(counts).tolist())
+    )
+
+
+def unpadded(text):
+    """text with the spaces that right-align each count dropped."""
+    key = traceio._COUNTS_KEY
+    return "".join(
+        line.rsplit(key, 1)[0] + key
+        + ", ".join(token.lstrip(" ") for token in count_tokens(line)) + "]}\n"
+        for line in text.splitlines(keepends=True)
+    )
+
+
 def assert_lines_load_as_records(text, trace_ids, n_rb, bin_s, segments, counts):
     """Each line of text json.loads to the record of its row, and each
     count token is as wide as the matrix's largest count."""
@@ -100,6 +117,43 @@ class TestWriter:
             assert np.array_equal(table.counts, counts)
             assert (table.segments, table.bin_s) == (SEG, 0.02)
             assert table.n_rb.tolist() == [1320.0] * len(ids)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 5).flatmap(lambda rows: st.lists(
+            st.lists(COUNT, min_size=6, max_size=6), min_size=rows, max_size=rows
+        )),
+        st.text(max_size=8),
+    )
+    @example([EDGES[:6], EDGES[6:]], "b00t0000")
+    @example([], "none")
+    def test_matches_json_dumps(self, rows, prefix):
+        """With the padding of its counts dropped, each line is the line
+        json.dumps writes for its record, byte for byte."""
+        counts = np.array(rows, dtype=np.int64).reshape(len(rows), 6)
+        ids = [f"{prefix}{k}" for k in range(len(rows))]
+        got = trace_lines(ids, 1320.0, 0.02, SEG, counts)
+        assert unpadded(got) == reference_lines(ids, 1320.0, 0.02, SEG, counts)
+
+    def test_a_bin_interleaves_tabled_and_json_rows(self):
+        """One bin whose rows hold counts of every digit length from 1 to 5,
+        some with 65535 and some with 65536, so rows of one and of two
+        four-digit groups interleave: every count is padded to the bin's
+        width of five, and without the padding each line is json.dumps's."""
+        spread = [7, 42, 512, 4096, 30000]
+        counts = np.array([
+            spread + [65535],
+            spread + [65536],
+            [65535, 9, 65535, 10, 99999, 100],
+            [65536, 0, 1, 22, 333, 4444],
+            [1, 22, 333, 4444, 55555, 65535],
+            [0, 65536, 0, 65536, 0, 65536],
+        ], dtype=np.int64)
+        ids = [f"b07t{k:04d}" for k in range(len(counts))]
+        got = trace_lines(ids, 1540.0, 0.02, SEG, counts)
+        assert unpadded(got) == reference_lines(ids, 1540.0, 0.02, SEG, counts)
+        for line in got.splitlines(keepends=True):
+            assert {len(token) for token in count_tokens(line)} == {5}
 
     def test_table_spells_every_count_as_python_does(self):
         """Word k of the group tables is k in four bytes: zero-padded in
