@@ -23,15 +23,18 @@ the shot's row, and the step that leaves the window uses only its wait.
 Every stream starts at a fixed place, so a shot is a function of its
 group's seed, its index, the shots before it and its lane, not of the
 shots after it, and the group draws each round once for all its lanes.
-Whole groups are stepped together in chunks of at least 256 shots, and the
+Whole groups are stepped together in chunks of at least 2048 shots, and the
 shots of a chunk advance together in all their lanes, one event per numpy
 step, reading their states' rates from per-atom-number tables held as
-arrays; each lane's events go into typed buffers that become one flat
-EventTable: float64 time, int64 level (the atom number after the event) and
-int8 kind, with offsets marking where each shot's events start. This
-module knows nothing of campaigns or bins: the seeds are its callers'. A
-campaign steps its run of bins as one group each (photon.simulate_grid_bins,
-which derives every seed of a campaign, two derive_seed calls per bin), the
+arrays. Below about 2000 entries a step costs mostly numpy's fixed
+per-call overhead, so the number of steps, not of events, sets the loop's
+cost: the 16 bins of a default grid at 100 shots are one chunk. Each
+lane's events go into typed buffers that become one flat EventTable:
+float64 time, int64 level (the atom number after the event) and int8
+kind, with offsets marking where each shot's events start. This module
+knows nothing of campaigns or bins: the seeds are its callers'. A campaign
+steps its run of bins as one group each (photon.simulate_grid_bins, which
+derives every seed of a campaign, two derive_seed calls per bin), the
 oracles their transient parameter sets as the lanes of one group per block
 of runs and their Poisson check as one-lane groups, one per block of runs,
 each group's seed one derive_seed call. The photon layer
@@ -302,10 +305,15 @@ _BLOCK = 32
 # _GroupDraws). A power-of-two jump would leave the streams' low 64 state
 # bits equal, the case in which PCG64's outputs are known to correlate.
 _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
-# Least number of shots stepped together by simulate_groups, in whole groups.
-# Any value gives the same output: each group's draws come from its own
-# generator alone.
-_CHUNK = 256
+# Least number of shots stepped together by simulate_groups, in whole groups;
+# a larger group is a chunk of its own. Any value gives the same output:
+# each group's draws come from its own generator alone. Below about 2000
+# entries a numpy step costs mostly its fixed call overhead, so the loop's
+# cost follows its step count, the longest shot's events in each chunk:
+# at this size 16 bins of 100 pair-loss shots are one chunk of 86 steps.
+# A chunk's step record holds about steps x entries x 9 bytes twice, some
+# 3 MB at 2048 shots and 90 steps.
+_CHUNK = 2048
 # Change of the atom number for each EventTable.kind code.
 _STEP = np.array([_DELTA[kind] for kind in _KINDS], dtype=np.int64)
 
@@ -427,8 +435,11 @@ def simulate_groups(
     Whole groups, in order, are stepped together in chunks of at least
     _CHUNK shots, and the shots of a chunk take one event per numpy step
     together in all their groups' lanes, reading their states' rates from
-    the lanes' shared rate tables (see _step_chunk). A group's draws come
-    from its generator alone, so neither the chunk size nor the other
+    the lanes' shared rate tables (see _step_chunk). A step's cost is
+    mostly numpy's fixed per-call overhead below about 2000 entries, so it
+    is the number of steps, one per event of a chunk's longest shot, that
+    sets the loop's cost, and the fewer chunks the better. A group's draws
+    come from its generator alone, so neither the chunk size nor the other
     groups change it: a group's tables equal those of its own one-group
     call, and each lane's its own one-lane group. Events go into typed
     buffers, which become the columns of the returned tables: no Python

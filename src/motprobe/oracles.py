@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gillespie import (
-    _CHUNK,
     POISSON_STREAM,
     TRANSIENT_STREAM,
     ExperimentSchedule,
@@ -129,11 +128,14 @@ def overlap_checks(n_radii: int = 5) -> list[OracleCheck]:
     return checks
 
 
-# Runs per seed group of the oracles' ensembles, two simulator chunks. The
-# transient ensembles simulate one group per simulate_groups call and reduce
-# its tables to checkpoint levels before the next, so only one group's event
+# Runs per seed group of the oracles' ensembles. It is a seeding constant,
+# not a tuning one: the runs of group g are seeded by derive_seed(master,
+# stream, g), so another value changes every oracle draw. It is its own
+# literal, apart from gillespie._CHUNK, for that reason. The transient
+# ensembles simulate one group per simulate_groups call and reduce its
+# tables to checkpoint levels before the next, so only one group's event
 # tables are held at a time.
-_RUN_BLOCK = 2 * _CHUNK
+_RUN_BLOCK = 512
 
 
 def _run_groups(master_seed: int, stream: int, runs: int) -> list[tuple[int, int]]:

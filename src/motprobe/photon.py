@@ -593,13 +593,22 @@ def _whole_atoms(rates: np.ndarray, rate_per_atom: float) -> np.ndarray:
 def _staircase_rows(atoms: np.ndarray) -> np.ndarray:
     """Staircase of every row of whole-atom numbers: a 3-bin median with
     edges replicated, the median of (l, x, r) taken as
-    max(min(l, x), min(max(l, x), r)).
+    max(min(l, x), min(max(l, x), r)). With an edge replicated, the median
+    at either end is the end value itself. The filter runs in place over
+    the rows laid end to end, as contiguous 1-D arrays, and the edge
+    columns, whose windows there straddle two rows, are then copied in.
     """
-    padded = np.pad(atoms, ((0, 0), (1, 1)), mode="edge")
-    left, mid, right = padded[:, :-2], padded[:, 1:-1], padded[:, 2:]
-    return np.maximum(
-        np.minimum(left, mid), np.minimum(np.maximum(left, mid), right)
-    )
+    stair = np.empty(atoms.shape, dtype=atoms.dtype)
+    flat, out = atoms.ravel(), stair.ravel()
+    left, mid, right = flat[:-2], flat[1:-1], flat[2:]
+    upper = np.maximum(left, mid)
+    np.minimum(upper, right, out=upper)
+    inner = out[1:-1]
+    np.minimum(left, mid, out=inner)
+    np.maximum(inner, upper, out=inner)
+    stair[:, 0] = atoms[:, 0]
+    stair[:, -1] = atoms[:, -1]
+    return stair
 
 
 def estimate_staircase(
@@ -647,8 +656,18 @@ def summarize_staircases(
     same figures estimate_staircase gives trace by trace.
     """
     stair = _staircase_rows(TraceTable.from_traces(traces).whole_atoms(cal.rate_per_atom))
-    steps = np.diff(stair, axis=1, prepend=0)
-    return stair.mean(axis=1), int(steps[steps > 0].sum()), -int(steps[steps < 0].sum())
+    # Every row starts from 0, so its first up-step is its first column,
+    # which is never negative; its other up-steps are the rises of the rows
+    # laid end to end, less those across each boundary between rows. The
+    # steps of a row telescope to its last column, so the atoms lost are
+    # the loads less the last columns.
+    first, last = stair[:, 0], stair[:, -1]
+    rises = np.diff(stair.ravel())
+    np.maximum(rises, 0, out=rises)
+    across = first[1:] - last[:-1]
+    np.maximum(across, 0, out=across)
+    loads = int(rises.sum()) - int(across.sum()) + int(first.sum())
+    return stair.mean(axis=1), loads, loads - int(last.sum())
 
 
 # Minimum pooled samples rounding to an atom number before it is a peak.

@@ -25,6 +25,8 @@ import functools
 import itertools
 import json
 import math
+import os
+import stat
 from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
@@ -284,7 +286,8 @@ def _count_row(raw, n_bins: int) -> np.ndarray:
 
 # Non-blank lines read as one block, whose runs of equal-length lines are
 # each parsed as one byte matrix. It bounds the text held at once, and is
-# the count matrix's first capacity in rows.
+# the count matrix's first capacity in rows when the file's size gives no
+# estimate.
 _FILL_BLOCK = 64
 
 # How a line trace_lines writes opens, up to the text of its trace_id; the
@@ -343,18 +346,23 @@ class _TableReader:
     block of lines at a time.
 
     The layout (segments, bin_s) is that of the first trace line, and a
-    line with another is refused. counts grows in place (ndarray.resize)
-    by half its rows whenever the checked int64 rows added do not fit, and
-    is cut to the rows filled at the end; the file is read once, so a pipe
-    works as well as a file.
+    line with another is refused. counts is allocated once, when the first
+    rows come, for the rows file_bytes (a regular file's size, None for a
+    pipe) holds at the first line's length, plus a quarter for shorter
+    lines, or for _FILL_BLOCK rows without it. It grows in place
+    (ndarray.resize) by half its rows only when the checked int64 rows
+    added do not fit, and is cut in place to the rows filled at the end;
+    the file is read once, so a pipe works as well as a file.
     """
 
-    def __init__(self):
+    def __init__(self, file_bytes: "int | None" = None):
         self.trace_ids: list[str] = []
         self.n_rb: list[float] = []
         self.segment_maps: dict[tuple, SegmentMap] = {}
         self.layout: tuple[SegmentMap, float] | None = None
         self.first_line = 0
+        self.file_bytes = file_bytes
+        self.first_rows = _FILL_BLOCK
         self.counts = np.empty((0, 0), dtype=np.int64)
 
     def _add(
@@ -366,7 +374,7 @@ class _TableReader:
         if self.layout is None:
             self.layout = layout
             self.first_line = line_number
-            self.counts = np.empty((_FILL_BLOCK, rows.shape[1]), dtype=np.int64)
+            self.counts = np.empty((self.first_rows, rows.shape[1]), dtype=np.int64)
         filled, n = len(self.trace_ids), len(rows)
         if filled + n > len(self.counts):
             grown = max(filled + n, len(self.counts) * 3 // 2)
@@ -379,6 +387,9 @@ class _TableReader:
         """Add the (line number, line) pairs of a block, each line ending in
         a newline; raise the TraceFileError of its first bad line, if it has
         one. Each run of equal-length lines goes to _read_run."""
+        if self.layout is None and self.file_bytes is not None:
+            rows = self.file_bytes // len(block[0][1])
+            self.first_rows = max(_FILL_BLOCK, rows + rows // 4)
         for _, run in itertools.groupby(block, key=lambda item: len(item[1])):
             self._read_run(list(run))
 
@@ -529,8 +540,9 @@ def read_traces_jsonl(path: "str | Path") -> TraceTable:
     file that mixes segment maps or bin widths is refused at the first line
     that differs. Any refusal names the first bad line of the file.
     """
-    reader = _TableReader()
     with open(path) as fh:
+        info = os.fstat(fh.fileno())
+        reader = _TableReader(info.st_size if stat.S_ISREG(info.st_mode) else None)
         # Only the last line may lack its newline; with one, it reads alike.
         lines = (
             (i, line if line.endswith("\n") else line + "\n")
@@ -568,13 +580,14 @@ def trajectory_records(trace_ids: "Sequence[str]", table: EventTable) -> Iterato
 def write_histogram_csv(
     path: "str | Path", bin_edges: np.ndarray, occurrences: np.ndarray
 ) -> None:
-    """One row per histogram bin: its center and its occurrences."""
+    """One row per histogram bin: its center and its occurrences, in the
+    bytes csv.writer gives (CRLF line ends, each center as its repr, each
+    occurrence as an int). The cells are numbers, which csv never quotes,
+    so the rows are joined as text and written in one call."""
     centers = 0.5 * (bin_edges[:-1] + bin_edges[1:])
+    rows = zip(centers.tolist(), occurrences.astype(np.int64, copy=False).tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_center", "occurrences"])
-        for center, occ in zip(centers, occurrences):
-            writer.writerow([repr(float(center)), int(occ)])
+        fh.write("bin_center,occurrences\r\n" + "".join(f"{c!r},{n}\r\n" for c, n in rows))
 
 
 # The bins.csv record, one entry per column in file order: (column, NrbBin

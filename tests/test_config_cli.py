@@ -792,7 +792,7 @@ class TestWorkerRuns:
     one event loop, so chunks span bins; the files are still those of one
     worker, byte for byte."""
 
-    TRACES = 40
+    TRACES = 300
 
     @pytest.mark.parametrize("payload", [
         {"physics": {"r0_per_s": 10.0, "beta_cscs_cm3_per_s": 2e-9}},
@@ -800,7 +800,7 @@ class TestWorkerRuns:
     ], ids=["pair_loss", "dark_rate"])
     def test_two_workers_write_the_one_worker_bytes(self, tmp_path, monkeypatch, payload):
         # Two runs of 8 of the 16 default bins meet between bins 7 and 8;
-        # each run is 320 shots, so its first chunk ends inside its 7th bin.
+        # each run is 2400 shots, so its first chunk ends inside its 7th bin.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert 8 * self.TRACES > gillespie._CHUNK and gillespie._CHUNK % self.TRACES
         cfg = write_config(tmp_path, payload)

@@ -15,8 +15,10 @@ Every comparison asks for equality.
 """
 
 import bisect
+import importlib.util
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -179,6 +181,20 @@ def rounds_drawn(lanes_events):
     block = gillespie._BLOCK
     rounds = max(most, default=-1) // block + 1
     return [sum(events >= r * block for events in most) for r in range(rounds)]
+
+
+def spy_chunks(monkeypatch):
+    """Record the shots of each group of every _step_chunk call, one list
+    per call, in call order."""
+    sizes = []
+    real = gillespie._step_chunk
+
+    def recorded(parts, t_end):
+        sizes.append([shots for shots, _, _ in parts])
+        real(parts, t_end)
+
+    monkeypatch.setattr(gillespie, "_step_chunk", recorded)
+    return sizes
 
 
 class CountingGenerator:
@@ -398,7 +414,10 @@ class TestLanes:
         assert all(same_columns(a, b) for a, b in zip(chunked, whole, strict=True))
         self.assert_lanes_exact(self.MIXED, seed, chunked)
 
-    def test_explicit_generators(self):
+    def test_explicit_generators(self, monkeypatch):
+        # A group of more shots than a chunk; the chunk is pinned small, as
+        # the replay's cost grows with the shots.
+        monkeypatch.setattr(gillespie, "_CHUNK", 256)
         seed = derive_seed(85, 0)
         shots = gillespie._CHUNK + 3
         (given,) = simulate_groups(
@@ -455,22 +474,31 @@ class TestSeedGroups:
             rows.append(group_rows)
         return rows
 
-    def test_chunk_boundary_inside_a_group(self):
+    def test_chunk_boundary_inside_a_group(self, monkeypatch):
         """A chunk holds whole groups: it closes after the group that
-        takes it to _CHUNK shots or more."""
+        takes it to _CHUNK shots or more. The chunk is pinned small, as the
+        replay's cost grows with the shots."""
+        monkeypatch.setattr(gillespie, "_CHUNK", 256)
+        sizes = spy_chunks(monkeypatch)
         chunk = gillespie._CHUNK
         specs = [([(0.0, PAIR_LOSS)], chunk - 40), ([(1100.0, DEFAULTS)], 90)]
         groups = self.groups(101, specs)
         # The second group's shots straddle _CHUNK.
         assert specs[0][1] < chunk < specs[0][1] + specs[1][1]
-        self.assert_groups_exact(groups, simulate_groups(groups, SCHEDULE))
+        tables = simulate_groups(groups, SCHEDULE)
+        assert sizes == [[chunk - 40, 90]]
+        self.assert_groups_exact(groups, tables)
 
-    def test_groups_smaller_than_a_chunk(self):
-        """Seven bins of 100 shots: each chunk holds three whole bins."""
+    def test_groups_smaller_than_a_chunk(self, monkeypatch):
+        """Seven bins of 100 shots at a chunk of 256 shots: each chunk
+        holds three whole bins, the last the seventh alone."""
+        monkeypatch.setattr(gillespie, "_CHUNK", 256)
+        sizes = spy_chunks(monkeypatch)
         cfg = replace(RunConfig.default(), physics=PAIR_LOSS, traces_per_bin=100, master_seed=102)
         grid = cfg.grid.values()[:7].tolist()
         groups = self.groups(102, [([(n_rb, PAIR_LOSS)], 100) for n_rb in grid])
         tables = simulate_groups(groups, SCHEDULE)
+        assert sizes == [[100] * 3, [100] * 3, [100]]
         self.assert_groups_exact(groups, tables, replay=False)
         # simulate_grid_bins seeds bin bi as these groups are seeded, and a
         # run of bins gives each bin as its own one-bin run does.
@@ -480,6 +508,20 @@ class TestSeedGroups:
             alone = next(simulate_grid_bins(cfg, [bi]))
             assert same_columns(b.events, alone.events)
             assert b.trace_ids == alone.trace_ids and np.array_equal(b.counts, alone.counts)
+
+    @pytest.mark.parametrize("traces, chunks", [
+        (100, [[100] * 16]),
+        (200, [[200] * 11, [200] * 5]),
+    ], ids=["16x100", "16x200"])
+    def test_a_run_of_bins_fills_chunks_of_whole_bins(self, monkeypatch, traces, chunks):
+        """A run of the 16 default bins steps every bin of 100 shots in
+        one chunk; at 200 shots the first chunk closes at the eleventh bin,
+        the first to take it to _CHUNK shots or more."""
+        sizes = spy_chunks(monkeypatch)
+        cfg = replace(RunConfig.default(), physics=PAIR_LOSS, traces_per_bin=traces)
+        bins = list(simulate_grid_bins(cfg, range(len(cfg.grid.values()))))
+        assert len(bins) == 16
+        assert sizes == chunks
 
     def test_shared_group_beside_one_lane_groups(self):
         """A three-lane group between one-lane groups in the same chunk:
@@ -709,8 +751,8 @@ class TestTransientSetsAsLanes:
     )
     SETS = [("a", 1100.0, DEFAULTS), ("b", 0.0, FAST), ("c", 2200.0, DEFAULTS)]
 
-    # Four whole groups and a one-run group; fewer runs than one chunk.
-    @pytest.mark.parametrize("runs", [4 * oracles._RUN_BLOCK + 1, gillespie._CHUNK - 1])
+    # Four whole groups and a one-run group; fewer runs than one group.
+    @pytest.mark.parametrize("runs", [4 * oracles._RUN_BLOCK + 1, oracles._RUN_BLOCK // 2 - 1])
     def test_checks_take_the_per_set_ensembles(self, monkeypatch, runs):
         master, n_checkpoints = 91, 7
         seen = []
@@ -744,6 +786,35 @@ class TestTransientSetsAsLanes:
             for (n_rb, params), (mean, se) in zip(sets, ensembles, strict=True):
                 want_mean, want_se = whole_run_ensemble(n_rb, params, checkpoints, runs, 92)
                 assert np.array_equal(mean, want_mean) and np.array_equal(se, want_se)
+
+    def test_run_block_does_not_follow_the_chunk(self, monkeypatch):
+        """_RUN_BLOCK seeds the oracles' groups of runs, so it is not
+        derived from gillespie._CHUNK: a copy of the oracles module loaded
+        under another chunk size has the same _RUN_BLOCK, ensembles and
+        Poisson check."""
+        sets = [(1100.0, DEFAULTS), (0.0, PAIR_LOSS)]
+        checkpoints = [0.5, 1.5, 3.0]
+        runs = oracles._RUN_BLOCK + 3
+        want = oracles.transient_mean_ensembles(sets, checkpoints, runs, 93)
+        want_poisson = oracles.poisson_end_state_check(runs=3 * oracles._RUN_BLOCK, master_seed=94)
+        for chunk in (7, 256):
+            monkeypatch.setattr(gillespie, "_CHUNK", chunk)
+            spec = importlib.util.spec_from_file_location(
+                "motprobe._oracles_copy", oracles.__file__
+            )
+            copy = importlib.util.module_from_spec(spec)
+            monkeypatch.setitem(sys.modules, spec.name, copy)
+            spec.loader.exec_module(copy)
+            assert copy._RUN_BLOCK == oracles._RUN_BLOCK == 512
+            got = copy.transient_mean_ensembles(sets, checkpoints, runs, 93)
+            for (want_mean, want_se), (mean, se) in zip(want, got, strict=True):
+                assert np.array_equal(mean, want_mean) and np.array_equal(se, want_se)
+            got_poisson = copy.poisson_end_state_check(
+                runs=3 * oracles._RUN_BLOCK, master_seed=94
+            )
+            assert (got_poisson.passed, got_poisson.detail) == (
+                want_poisson.passed, want_poisson.detail
+            )
 
 
 class TestTrajectoryDump:

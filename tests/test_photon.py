@@ -24,9 +24,11 @@ from motprobe.photon import (
     TraceHistogram,
     TraceTable,
     _occupancy_rows,
+    _staircase_rows,
     build_histogram,
     estimate_staircase,
     segment_map_for,
+    summarize_staircases,
     synthesize_counts,
 )
 from motprobe.physics import PhysicalParams, steady_state_mean
@@ -260,6 +262,31 @@ class TestStaircase:
             correct += int((est.staircase == truth).sum())
             total += truth.size
         assert correct / total >= 0.99, f"bin accuracy {correct / total:.4f}"
+
+    @pytest.mark.parametrize("shape", [(5, 1), (5, 2), (5, 3), (1, 150), (7, 150), (0, 150)])
+    def test_rows_are_the_edge_padded_median(self, shape):
+        atoms = np.random.default_rng(shape[1]).integers(0, 4, size=shape)
+        padded = np.pad(atoms, ((0, 0), (1, 1)), mode="edge")
+        want = np.median(np.stack([padded[:, :-2], padded[:, 1:-1], padded[:, 2:]]), axis=0)
+        got = _staircase_rows(atoms)
+        assert got.dtype == atoms.dtype and np.array_equal(got, want)
+
+    def test_summary_is_the_per_trace_totals(self):
+        """summarize_staircases gives each trace's mean staircase and the
+        loads and losses summed over the traces, as estimate_staircase
+        gives them trace by trace; rows that end high or start after a
+        drop meet end to end in its kernel."""
+        traces = [synth_pair(n_rb, ti)[1] for n_rb in (0.0, 1100.0) for ti in range(20)]
+        for high in (500, 700):
+            detect = np.concatenate([np.full(10, high), np.full(140, 100)])
+            traces.append(make_trace(detect, np.zeros(25), np.full(10, 100)))
+            traces.append(make_trace(detect[::-1], np.zeros(25), np.full(10, 100)))
+        means, loads, losses = summarize_staircases(traces, CAL)
+        ests = [estimate_staircase(trace, CAL) for trace in traces]
+        assert np.array_equal(means, [est.staircase.mean() for est in ests])
+        assert loads == sum(len(est.load_events) for est in ests)
+        assert losses == sum(k for est in ests for _, k in est.loss_events)
+        assert loads > losses > 0
 
 
 class TestHistogram:

@@ -10,6 +10,8 @@ resulting list of traces; every comparison asks for equality, not
 closeness.
 """
 
+import csv
+import io
 import json
 import math
 import os
@@ -146,6 +148,36 @@ class TestReader:
         ref = reference_traces(trace_file)
         assert len(table) == len(ref)
         for got, want in zip(table, ref):
+            assert_same_trace(got, want)
+
+    @pytest.mark.parametrize("first_pad", [0, 3000], ids=["as_written", "long_first_line"])
+    def test_count_matrix_is_sized_from_the_file(
+        self, tmp_path, monkeypatch, trace_file, first_pad
+    ):
+        """A regular file's count matrix is allocated for the rows its size
+        holds at the first line's length, and a quarter more. A first line
+        far longer than the rest gives too few: the matrix then grows, and
+        the table is the same."""
+        lines = trace_file.read_text().splitlines(keepends=True)
+        lines[0] = lines[0].replace("{", "{" + " " * first_pad, 1)
+        path = tmp_path / "sized.jsonl"
+        path.write_text("".join(lines))
+        readers = []
+        real = traceio._TableReader.table
+
+        def spy(self):
+            readers.append(self)
+            return real(self)
+
+        monkeypatch.setattr(traceio._TableReader, "table", spy)
+        table = read_traces_jsonl(path)
+        (reader,) = readers
+        estimate = path.stat().st_size // len(lines[0])
+        assert reader.first_rows == max(traceio._FILL_BLOCK, estimate + estimate // 4)
+        assert (reader.first_rows >= N_TRACES) == (first_pad == 0)
+        assert table.counts.shape == (N_TRACES, table.segments.n_bins)
+        ref = reference_traces(trace_file)
+        for got, want in zip(table, ref, strict=True):
             assert_same_trace(got, want)
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
@@ -446,7 +478,8 @@ class TestBlockRefusals:
         table = read_traces_jsonl(path)
         assert len(taken) == json_lines
         assert len(table) == 200
-        # Past the first _FILL_BLOCK rows of the count matrix, twice grown.
+        # More rows than a count matrix of _FILL_BLOCK rows grown twice, as
+        # one sized without the file's size would be.
         assert 200 > traceio._FILL_BLOCK * 3 // 2 * 3 // 2
         assert table.counts.shape == (200, 6)
         for k, trace in enumerate(table):
@@ -622,3 +655,20 @@ class TestTableRefusals:
             TraceTable.from_traces([good, odd])
         with pytest.raises(ValueError, match=message):
             estimate_staircase(odd, CAL)
+
+
+@pytest.mark.parametrize("occurrences", [
+    np.array([0, 3, 12345, 7]), np.array([0.0, 3.0, 12345.0, 7.0]), np.array([1, 2, 3, 4], dtype=np.uint8),
+], ids=["int64", "float", "uint8"])
+def test_histogram_csv_is_the_csv_writer_bytes(tmp_path, occurrences):
+    """write_histogram_csv writes what csv.writer writes for its rows of
+    repr(center) and int(occurrences)."""
+    edges = np.array([-0.25, 0.1, 1.0 / 3.0, 2.5, 1e6])
+    path = tmp_path / "hist.csv"
+    traceio.write_histogram_csv(path, edges, occurrences)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["bin_center", "occurrences"])
+    for lo, hi, occ in zip(edges[:-1], edges[1:], occurrences):
+        writer.writerow([repr(float(0.5 * (lo + hi))), int(occ)])
+    assert path.read_bytes() == want.getvalue().encode()
