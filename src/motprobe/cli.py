@@ -85,7 +85,7 @@ def _replaced_on_success(path: Path):
     a partial file."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -119,8 +119,15 @@ def cmd_simulate(args) -> int:
     runs = [range(k * n_bins // workers, (k + 1) * n_bins // workers) for k in range(workers)]
 
     out_path = Path(args.out) if args.out else Path(cfg.out_dir) / "traces.jsonl"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     traj_path = out_path.with_name("trajectories.jsonl") if args.dump_trajectories else None
+    if traj_path == out_path:
+        print(
+            f"error: --out {out_path} is where --dump-trajectories writes the "
+            f"event dumps; give the traces another file name",
+            file=sys.stderr,
+        )
+        return 2
+    out_path.parent.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
     with ExitStack() as stack:

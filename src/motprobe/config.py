@@ -202,7 +202,7 @@ def load_config(path: "str | Path | None") -> RunConfig:
     """Read a JSON config file; None gives the built-in defaults."""
     if path is None:
         return RunConfig.default()
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -29,9 +29,10 @@ step, reading their states' rates from per-atom-number tables held as
 arrays. Below about 2000 entries a step costs mostly numpy's fixed
 per-call overhead, so the number of steps, not of events, sets the loop's
 cost: the 16 bins of a default grid at 100 shots are one chunk. Each
-lane's events go into typed buffers that become one flat EventTable:
-float64 time, int64 level (the atom number after the event) and int8
-kind, with offsets marking where each shot's events start. This module
+lane's events become one flat EventTable, built once from the step record
+of the chunk that stepped its group: float64 time, int64 level (the atom
+number after the event) and int8 kind, with offsets marking where each
+shot's events start. This module
 knows nothing of campaigns or bins: the seeds are its callers'. A campaign
 steps its run of bins as one group each (photon.simulate_grid_bins, which
 derives every seed of a campaign, two derive_seed calls per bin), the
@@ -52,7 +53,6 @@ import enum
 import functools
 import math
 import operator
-from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -374,35 +374,6 @@ def _rate_table(n_rb: float, params: PhysicalParams) -> _RateTable:
     return _RateTable(n_rb, params)
 
 
-class _LaneEvents:
-    """One lane of a seed group: the rate table it steps on and its events
-    so far, in typed buffers that grow chunk by chunk and become the
-    columns of its EventTable."""
-
-    def __init__(self, rates: _RateTable):
-        self.rates = rates
-        self.time, self.level, self.kind = array("d"), array("q"), array("b")
-        self.offsets = array("q", [0])
-
-    def extend(self, time: np.ndarray, level: np.ndarray, kind: np.ndarray, count: np.ndarray):
-        """Append the events of consecutive shots, count[i] of them for the
-        i-th, in shot order."""
-        for column, values in ((self.time, time), (self.level, level), (self.kind, kind)):
-            column.frombytes(values.tobytes())
-        self.offsets.frombytes((np.cumsum(count) + self.offsets[-1]).tobytes())
-
-    def table(self, n_rb: float, seed: int, shots: int, t_end: float) -> EventTable:
-        return EventTable(
-            time=np.frombuffer(self.time, dtype=np.float64),
-            level=np.frombuffer(self.level, dtype=np.int64),
-            kind=np.frombuffer(self.kind, dtype=np.int8),
-            offsets=np.frombuffer(self.offsets, dtype=np.int64),
-            n_rb=np.full(shots, n_rb, dtype=float),
-            seed=np.full(shots, seed, dtype=np.uint64),
-            t_end=np.full(shots, t_end, dtype=float),
-        )
-
-
 def simulate_groups(
     groups: "Sequence[tuple[Sequence[tuple[float, PhysicalParams]], int, int]]",
     schedule: ExperimentSchedule,
@@ -432,6 +403,12 @@ def simulate_groups(
     seed, its index and the shots before it, not on those after it, and a
     one-shot group is the one shot drawn alone on its seed.
 
+    Every lane of a shot reads the same rows, but a round's rows go out by
+    rank among the shots live in any lane: a shot that another lane keeps
+    inside the window shifts the rows of the later shots. So a lane equals
+    its own one-lane group when, in every round it still draws in, each
+    shot live in some lane is live in it too, and may differ otherwise.
+
     Whole groups, in order, are stepped together in chunks of at least
     _CHUNK shots, and the shots of a chunk take one event per numpy step
     together in all their groups' lanes, reading their states' rates from
@@ -441,8 +418,8 @@ def simulate_groups(
     sets the loop's cost, and the fewer chunks the better. A group's draws
     come from its generator alone, so neither the chunk size nor the other
     groups change it: a group's tables equal those of its own one-group
-    call, and each lane's its own one-lane group. Events go into typed
-    buffers, which become the columns of the returned tables: no Python
+    call. A group is never split across chunks, so each lane's table is
+    built once, from the columns its chunk's step record gives: no Python
     object is kept per event. Every shot's seed entry is its group's seed.
 
     rngs, when given, must yield np.random.default_rng(seed) for the seed
@@ -455,12 +432,12 @@ def simulate_groups(
             raise ValueError(f"a group's shots must be >= 0, got {shots}")
     rngs = None if rngs is None else iter(rngs)
     t_end = schedule.detect_s
-    events = [
-        [_LaneEvents(_rate_table(n_rb, params)) for n_rb, params in lanes]
-        for lanes, _, _ in groups
-    ]
+    # Looked up for every lane before any chunk runs: a lane's table
+    # validates its n_rb, in a group of no shots too.
+    tables = [[_rate_table(n_rb, params) for n_rb, params in lanes] for lanes, _, _ in groups]
+    stepped = []  # each stepped group's lane columns, in group order
     parts, size = [], 0  # the groups of the chunk being filled, and its shots
-    for (lanes, seed, shots), lane_events in zip(groups, events):
+    for (lanes, seed, shots), lane_tables in zip(groups, tables):
         if rngs is None:
             rng = None
         elif (rng := next(rngs, None)) is None:
@@ -468,18 +445,30 @@ def simulate_groups(
         # A group with no lanes or no shots draws nothing.
         if not (shots and lanes):
             continue
-        parts.append((shots, lane_events, np.random.default_rng(seed) if rng is None else rng))
+        parts.append((shots, lane_tables, np.random.default_rng(seed) if rng is None else rng))
         size += shots
         if size >= _CHUNK:
-            _step_chunk(parts, t_end)
+            stepped += _step_chunk(parts, t_end)
             parts, size = [], 0
     if parts:
-        _step_chunk(parts, t_end)
+        stepped += _step_chunk(parts, t_end)
     if rngs is not None and next(rngs, None) is not None:
         raise ValueError(f"rngs yields more generators than the {len(groups)} groups")
+    stepped = iter(stepped)
+    empty = ((), (), (), (0,))
     return [
-        [lane.table(n_rb, seed, shots, t_end) for (n_rb, _), lane in zip(lanes, lane_events)]
-        for (lanes, seed, shots), lane_events in zip(groups, events)
+        [
+            EventTable(
+                *columns,
+                n_rb=np.full(shots, n_rb, dtype=float),
+                seed=np.full(shots, seed, dtype=np.uint64),
+                t_end=np.full(shots, t_end, dtype=float),
+            )
+            for (n_rb, _), columns in zip(
+                lanes, next(stepped) if shots and lanes else [empty] * len(lanes)
+            )
+        ]
+        for lanes, seed, shots in groups
     ]
 
 
@@ -536,20 +525,21 @@ def _lane_columns(tables: "list[_RateTable]", top: int) -> tuple[int, np.ndarray
 
 
 def _step_chunk(
-    parts: "list[tuple[int, list[_LaneEvents], np.random.Generator]]",
+    parts: "list[tuple[int, list[_RateTable], np.random.Generator]]",
     t_end: float,
-) -> None:
+) -> "list[list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]]":
     """Step the shots of whole seed groups together in every lane of their
-    group until each has left the window, and append each lane's events,
-    shot by shot, to its _LaneEvents.
+    group until each has left the window; return each group's lanes'
+    event columns (time, level, kind, offsets), as EventTable holds them.
 
-    parts holds (shots, lanes, rng) for each group, in order: lanes are its
-    _LaneEvents, each of which runs all its shots on its rate table, and
-    rng its generator. At each round boundary a group draws one round of
-    rows for its shots still inside the window in any of its lanes, in
-    shot order, once for all its lanes. A lane whose shot has already left
-    reads those draws too, harmlessly: waits are >= 0, so its clock only
-    grows. So each lane steps exactly as it would alone.
+    parts holds (shots, lanes, rng) for each group, in order: lanes are the
+    rate tables its lanes run all its shots on, and rng its generator. At
+    each round boundary a group draws one round of rows for its shots still
+    inside the window in any of its lanes, in shot order, once for all its
+    lanes. A lane whose shot has already left reads those draws too,
+    harmlessly: waits are >= 0, so its clock only grows. So every lane of a
+    shot reads the same rows, and a shot kept inside by one lane can shift
+    the rows of later shots in the others (see simulate_groups).
 
     Every array of a step holds one entry per (lane, shot). Entry i, for i
     below the chunk's shots, is shot i in its group's first lane, whose
@@ -565,7 +555,7 @@ def _step_chunk(
     kinds' steps.
     """
     shots = sum(size for size, _, _ in parts)
-    tables = [lane.rates for _, lanes, _ in parts for lane in lanes]
+    tables = [table for _, lanes, _ in parts for table in lanes]
     lanes_total = len(tables)
     entries = sum(size * len(lanes) for size, lanes, _ in parts)
     draws = np.empty((2, entries, _BLOCK))
@@ -574,7 +564,7 @@ def _step_chunk(
     # row is n * lanes_total + lane, from n = 0; a change of n moves it
     # lanes_total-fold.
     row = np.empty(entries, dtype=np.int64)
-    spans = []  # (entries, events) of every lane
+    spans = []  # the entries of each lane of each group
     # (entries of the first lane, draws, the shots still inside in some
     # lane) of each group.
     heads = []
@@ -586,16 +576,13 @@ def _step_chunk(
     for size, lanes, rng in parts:
         head = slice(first, first + size)
         row[head] = lane
-        spans.append((head, lanes[0]))
         heads.append((head, _GroupDraws(rng), np.arange(size)))
+        spans.append([head])
         more = len(lanes) - 1
         if more:
             rest = slice(extra, extra + more * size)
             row[rest] = np.repeat(np.arange(lane + 1, lane + 1 + more), size)
-            spans += [
-                (slice(extra + k * size, extra + (k + 1) * size), lane_events)
-                for k, lane_events in enumerate(lanes[1:])
-            ]
+            spans[-1] += [slice(extra + k * size, extra + (k + 1) * size) for k in range(more)]
             wide.append((head, rest, size))
             extra += more * size
         first += size
@@ -642,16 +629,20 @@ def _step_chunk(
     steps = len(clocks)
     clocks = np.array(clocks).reshape(steps, entries)
     kinds = np.array(kinds, dtype=np.int8).reshape(steps, entries)
-    for span, lane_events in spans:
+
+    def lane(span):
         # Transposed, a lane's (step x shot) records are shot-major: row i
         # holds shot i's steps in order, and its clock only grows.
         time = clocks[:, span].T
         taken = time <= t_end
         kind = kinds[:, span].T[taken]
         count = np.count_nonzero(taken, axis=1)
+        offsets = np.concatenate(([0], np.cumsum(count)))
         level = np.cumsum(_STEP[kind])
-        level -= np.repeat(np.concatenate(([0], level))[np.cumsum(count) - count], count)
-        lane_events.extend(time[taken], level, kind, count)
+        level -= np.repeat(np.concatenate(([0], level))[offsets[:-1]], count)
+        return time[taken], level, kind, offsets
+
+    return [[lane(span) for span in group_spans] for group_spans in spans]
 
 
 def simulate_trajectory(

@@ -387,10 +387,6 @@ class TraceHistogram:
     peaks: list[GaussianPeak]
     poisson_lambda: float | None = None
 
-    @property
-    def bin_centers(self) -> np.ndarray:
-        return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
-
 
 def _occupancy_rows(
     trajectories: "Sequence[Trajectory]", n_bins: int, bin_s: float

@@ -396,7 +396,7 @@ class _TableReader:
     def _read_run(self, run: "list[tuple[int, str]]") -> None:
         """Add a run of equal-length lines in order: from each line that
         opens a fixed-width stretch (_fixed_form), the rows _read_fixed
-        takes, and any other line with json (_read_block_lines). The run's
+        takes, and any other line with json (_read_line). The run's
         byte matrix is built once, when a stretch first needs it."""
         matrix = None
         i = 0
@@ -408,7 +408,7 @@ class _TableReader:
                     matrix = _byte_matrix([line for _, line in run])
                 taken = self._read_fixed(run[i:], matrix[i:], *form)
             if not taken:
-                self._read_block_lines(run[i:i + 1])
+                self._read_line(*run[i])
                 taken = 1
             i += taken
 
@@ -496,28 +496,27 @@ class _TableReader:
             )
         return taken
 
-    def _read_block_lines(self, block: "list[tuple[int, str]]") -> None:
-        """Add a block line by line: each line parsed with json, its fields
-        checked by _trace_fields, its layout against the table's and its
-        counts converted by _count_row."""
-        for i, line in block:
-            try:
-                obj = json.loads(line)
-                trace_id, n_rb, segments, bin_s = _trace_fields(obj, self.segment_maps)
-                if self.layout not in (None, (segments, bin_s)):
-                    first_segments, first_bin_s = self.layout
-                    raise ValueError(
-                        f"{segments!r} and bin_s {bin_s!r} differ from line "
-                        f"{self.first_line}'s {first_segments!r} and bin_s "
-                        f"{first_bin_s!r}: a traces file holds one segment map "
-                        f"and bin width"
-                    )
-                counts = _count_row(obj["counts"], segments.n_bins)
-            except json.JSONDecodeError as exc:
-                raise TraceFileError(f"not valid JSON ({exc.msg})", i) from exc
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise TraceFileError(str(exc), i) from exc
-            self._add(i, [trace_id], [n_rb], (segments, bin_s), counts[np.newaxis])
+    def _read_line(self, line_number: int, line: str) -> None:
+        """Add one line, parsed with json: its fields checked by
+        _trace_fields, its layout against the table's and its counts
+        converted by _count_row."""
+        try:
+            obj = json.loads(line)
+            trace_id, n_rb, segments, bin_s = _trace_fields(obj, self.segment_maps)
+            if self.layout not in (None, (segments, bin_s)):
+                first_segments, first_bin_s = self.layout
+                raise ValueError(
+                    f"{segments!r} and bin_s {bin_s!r} differ from line "
+                    f"{self.first_line}'s {first_segments!r} and bin_s "
+                    f"{first_bin_s!r}: a traces file holds one segment map "
+                    f"and bin width"
+                )
+            counts = _count_row(obj["counts"], segments.n_bins)
+        except json.JSONDecodeError as exc:
+            raise TraceFileError(f"not valid JSON ({exc.msg})", line_number) from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise TraceFileError(str(exc), line_number) from exc
+        self._add(line_number, [trace_id], [n_rb], (segments, bin_s), counts[np.newaxis])
 
     def table(self) -> TraceTable:
         segments, bin_s = self.layout
@@ -540,7 +539,7 @@ def read_traces_jsonl(path: "str | Path") -> TraceTable:
     file that mixes segment maps or bin widths is refused at the first line
     that differs. Any refusal names the first bad line of the file.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         info = os.fstat(fh.fileno())
         reader = _TableReader(info.st_size if stat.S_ISREG(info.st_mode) else None)
         # Only the last line may lack its newline; with one, it reads alike.
@@ -586,7 +585,7 @@ def write_histogram_csv(
     so the rows are joined as text and written in one call."""
     centers = 0.5 * (bin_edges[:-1] + bin_edges[1:])
     rows = zip(centers.tolist(), occurrences.astype(np.int64, copy=False).tolist())
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("bin_center,occurrences\r\n" + "".join(f"{c!r},{n}\r\n" for c, n in rows))
 
 
@@ -636,7 +635,7 @@ def write_bins_csv(
             )
         header.append("state")
         rows = (row + [label] for row, label in zip(rows, labels))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -676,7 +675,7 @@ def read_bins_csv(path: "str | Path") -> BinnedDataset:
     """
     bins: list[NrbBin] = []
     center_lines: dict[float, int] = {}
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         missing = {column for column, *_ in _BIN_COLUMNS} - set(reader.fieldnames or [])
         if missing:
@@ -701,7 +700,7 @@ def read_bins_csv(path: "str | Path") -> BinnedDataset:
 
 def write_curve_csv(path: "str | Path", rows: Iterable[tuple[float, float, str]]) -> None:
     """Model curve for plotting: (n_rb, mean_n_cs, branch)."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n_rb", "mean_n_cs", "branch"])
         for n_rb, mean, branch in rows:
@@ -709,6 +708,6 @@ def write_curve_csv(path: "str | Path", rows: Iterable[tuple[float, float, str]]
 
 
 def write_report_json(path: "str | Path", report: dict) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")

@@ -88,7 +88,7 @@ class TestRunConfig:
 
     def test_readme_block_is_the_defaults(self):
         """The configuration JSON in README spells out every default."""
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         section = readme.split("## Configuration", 1)[1]
         block = section.split("```json\n", 1)[1].split("```", 1)[0]
         assert RunConfig.from_dict(json.loads(block)) == RunConfig.default()
@@ -898,6 +898,37 @@ def test_process_pool_is_imported_only_when_used(tmp_path):
     assert run.stdout.splitlines()[-2:] == ["False", "0 False"]
 
 
+def test_text_files_are_utf8_under_an_ascii_locale(tmp_path):
+    """Trace and config files are read as UTF-8 whatever the locale: under
+    the C locale, with no UTF-8 mode or locale coercion, a raw UTF-8
+    trace_id and config string read as they do in process, and analyze
+    writes the same bins."""
+    traces, cfg = tmp_path / "traces.jsonl", tmp_path / "config.json"
+    assert main(["simulate", "--traces", "2", "--out", str(traces), "--quiet"]) == 0
+    first, *rest = traces.read_text(encoding="utf-8").splitlines(keepends=True)
+    obj = json.loads(first)
+    obj["trace_id"] = "\u00e9t\u00e9-" + obj["trace_id"]
+    text = json.dumps(obj, ensure_ascii=False) + "\n" + "".join(rest)
+    traces.write_text(text, encoding="utf-8")
+    cfg.write_text(json.dumps({"out_dir": "r\u00e9sultats"}, ensure_ascii=False), encoding="utf-8")
+    assert not (text.isascii() or cfg.read_text(encoding="utf-8").isascii())
+    here = tmp_path / "in-process"
+    assert main(["analyze", str(traces), "--config", str(cfg), "--out", str(here)]) == 0
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [
+            sys.executable, "-m", "motprobe", "analyze", str(traces),
+            "--config", str(cfg), "--out", str(tmp_path / "c-locale"),
+        ],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "c-locale" / "bins.csv").read_bytes() == (here / "bins.csv").read_bytes()
+
+
 class TestFiniteValues:
     """Non-finite config values are refused, naming the key. Only objects
     and configs are built here: a simulation over an infinite window would
@@ -1138,6 +1169,19 @@ class TestAtomicSimulateOutput:
             with cli._replaced_on_success(target) as fh:
                 fh.write("{}\n")
         assert [p.name for p in tmp_path.iterdir()] == ["traces.jsonl"]
+
+    def test_traces_named_as_the_dumps_is_a_usage_error(self, tmp_path, capsys):
+        """--out naming trajectories.jsonl with --dump-trajectories would
+        send both outputs to one file; it is refused before any is opened."""
+        out = tmp_path / "run" / "trajectories.jsonl"
+        assert self._simulate(tmp_path, out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out ") and "--dump-trajectories" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+        # Without the dumps, the name is a traces file like any other.
+        cfg = tmp_path / "config.json"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        assert len(read_traces_jsonl(out)) == 12
 
     def test_directory_as_out_is_an_error_line(self, tmp_path, capsys):
         out = tmp_path / "traces.jsonl"

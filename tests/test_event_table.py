@@ -183,6 +183,21 @@ def rounds_drawn(lanes_events):
     return [sum(events >= r * block for events in most) for r in range(rounds)]
 
 
+def lanes_alone(lanes_rows):
+    """For each lane of a group's rows, whether in every round it still
+    draws in, each shot live in some lane is live in it too: such a lane
+    is its own one-lane group. A round's rows go out by rank among the
+    shots live in any lane, so otherwise a later shot's rows may shift.
+    A shot with e events in a lane draws in rounds 0 to e // _BLOCK."""
+    block = gillespie._BLOCK
+    rounds = [[len(shot) // block + 1 for shot in rows] for rows in lanes_rows]
+    most = [max(shot) for shot in zip(*rounds)]
+    return [
+        all(min(m, max(lane)) <= r for r, m in zip(lane, most)) if lane else True
+        for lane in rounds
+    ]
+
+
 def spy_chunks(monkeypatch):
     """Record the shots of each group of every _step_chunk call, one list
     per call, in call order."""
@@ -191,7 +206,7 @@ def spy_chunks(monkeypatch):
 
     def recorded(parts, t_end):
         sizes.append([shots for shots, _, _ in parts])
-        real(parts, t_end)
+        return real(parts, t_end)
 
     monkeypatch.setattr(gillespie, "_step_chunk", recorded)
     return sizes
@@ -340,23 +355,23 @@ class TestGroupPrefixes:
 
 
 class TestLanes:
-    """Every lane of a one-group simulate_groups call is its own one-lane
-    group at its (n_rb, params), and so its group's replay, in every
-    column."""
+    """Every lane of a one-group simulate_groups call is its group's
+    replay, in every column; a lane for which lanes_alone holds is also
+    its own one-lane group at its (n_rb, params)."""
 
     MIXED = [(1100.0, DEFAULTS), (0.0, PAIR_LOSS), (0.0, ABSORBING), (2200.0, DEFAULTS)]
 
     def assert_lanes_exact(self, lanes, seed, tables):
-        """Each lane equals its one-lane group and the group replay of all
-        the lanes together; returns each lane's rows."""
+        """Each lane equals the group replay of all the lanes together and,
+        when lanes_alone holds for it, its one-lane group; returns each
+        lane's rows."""
         assert len(tables) == len(lanes)
         shots = len(tables[0]) if tables else 0
-        want = replay_group(lanes, SCHEDULE, seed, shots)
-        rows = []
-        for (n_rb, params), table, lane_want in zip(lanes, tables, want, strict=True):
-            assert same_columns(table, one_lane(n_rb, params, SCHEDULE, seed, shots))
-            rows.append(table_rows(table))
-            assert rows[-1] == lane_want
+        rows = [table_rows(table) for table in tables]
+        assert rows == replay_group(lanes, SCHEDULE, seed, shots)
+        for (n_rb, params), table, alone in zip(lanes, tables, lanes_alone(rows), strict=True):
+            if alone:
+                assert same_columns(table, one_lane(n_rb, params, SCHEDULE, seed, shots))
         return rows
 
     def test_lanes_with_different_params(self):
@@ -387,6 +402,22 @@ class TestLanes:
         rows = self.assert_lanes_exact(lanes, seed, tables)
         assert gen.rounds == rounds_drawn(rows) and len(gen.rounds) >= 2
         assert rounds_drawn(rows[:2]) == [50]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_a_lane_outlived_in_some_shot_is_not_its_own_group(self, seed):
+        """Two busy lanes that each need several rounds: a shot that the
+        second lane keeps inside in a round the first still draws in
+        shifts the rows of the first lane's later shots, so the first lane
+        differs from its one-lane group, while the second, never outlived
+        so, equals its own. Both are the group's replay."""
+        busy = replace(DEFAULTS, r0=10.0, gamma=0.3)
+        lanes = [(0.0, busy), (0.0, replace(busy, r0=12.0))]
+        (tables,) = simulate_groups([(lanes, seed, 200)], SCHEDULE)
+        rows = self.assert_lanes_exact(lanes, seed, tables)
+        assert lanes_alone(rows) == [False, True]
+        alone = [one_lane(n_rb, params, SCHEDULE, seed, 200) for n_rb, params in lanes]
+        assert not same_columns(tables[0], alone[0])
+        assert same_columns(tables[1], alone[1])
 
     def test_absorbing_and_repeated_lanes(self):
         lanes = [*self.MIXED, (1100.0, DEFAULTS)]
@@ -451,8 +482,9 @@ class TestLanes:
 
 class TestSeedGroups:
     """simulate_groups steps whole groups together in chunks; every lane of
-    every group is still its own one-lane group on the group's seed, and
-    so its group's replay, in every column."""
+    every group is still its group's replay, in every column, and, when
+    lanes_alone holds for it, its own one-lane group on the group's
+    seed."""
 
     def groups(self, master, specs):
         """One group per (lanes, shots) of specs, each on its own seed."""
@@ -466,9 +498,11 @@ class TestSeedGroups:
         rows = []
         for (lanes, seed, shots), group_tables in zip(groups, tables, strict=True):
             assert len(group_tables) == len(lanes)
-            for (n_rb, params), table in zip(lanes, group_tables, strict=True):
-                assert same_columns(table, one_lane(n_rb, params, SCHEDULE, seed, shots))
             group_rows = [table_rows(table) for table in group_tables]
+            alone = lanes_alone(group_rows)
+            for (n_rb, params), table, lane_alone in zip(lanes, group_tables, alone, strict=True):
+                if lane_alone:
+                    assert same_columns(table, one_lane(n_rb, params, SCHEDULE, seed, shots))
             if replay:
                 assert group_rows == replay_group(lanes, SCHEDULE, seed, shots)
             rows.append(group_rows)
@@ -576,7 +610,7 @@ class TestSeedGroups:
         groups = self.groups(105, specs)
         seeds = [seed for _, seed, _ in groups]
         given = simulate_groups(groups, SCHEDULE, rngs=(np.random.default_rng(s) for s in seeds))
-        self.assert_groups_exact(groups, given, replay=False)
+        self.assert_groups_exact(groups, given)
         with pytest.raises(ValueError, match="fewer"):
             simulate_groups(groups, SCHEDULE, rngs=[np.random.default_rng(s) for s in seeds[:-1]])
         with pytest.raises(ValueError, match="more"):
@@ -604,6 +638,20 @@ class TestSeedGroups:
         assert [len(gen.rounds) > 0 for gen in gens] == [False, False, True, False, False]
         assert simulate_groups([], SCHEDULE) == []
         assert simulate_groups([([], 1, 0)], SCHEDULE) == [[]]
+
+    def test_bad_lane_is_refused_before_any_chunk(self, monkeypatch):
+        """Every lane's rate table is looked up before any chunk is
+        stepped, so a negative n_rb is refused in a group of no shots too,
+        and no group before it draws, even at a chunk of one shot."""
+        monkeypatch.setattr(gillespie, "_CHUNK", 1)
+        sizes = spy_chunks(monkeypatch)
+        groups = self.groups(109, [([(1100.0, DEFAULTS)], 30), ([(-1.0, DEFAULTS)], 0)])
+        gens = [CountingGenerator(seed) for _, seed, _ in groups]
+        with pytest.raises(ValueError, match="n_rb must be non-negative"):
+            simulate_groups(groups, SCHEDULE, rngs=gens)
+        assert sizes == [] and gens[0].shapes == []
+        with pytest.raises(ValueError, match="n_rb must be non-negative"):
+            simulate_groups([([(-1.0, DEFAULTS)], 1, 0)], SCHEDULE)
 
     def test_each_generator_draws_what_its_group_needs(self):
         """Across groups in one chunk, each group's generator draws, round
@@ -740,9 +788,11 @@ def whole_run_ensemble(n_rb, params, checkpoints, runs, master):
 
 
 class TestTransientSetsAsLanes:
-    """transient_checks runs its sets as the lanes of its groups of runs;
-    each set's mean and se must be exactly those of the set run alone, as
-    its own one-set ensembles and as one call of all its one-lane groups."""
+    """transient_checks runs its sets as the lanes of its groups of runs.
+    Only set b's runs reach a second round of draws, so no set keeps alive
+    a run another has left in a round that one still draws in, and each
+    set's mean and se must be exactly those of the set run alone, as its
+    own one-set ensembles and as one call of all its one-lane groups."""
 
     # The closed form needs beta_cscs = 0; set b still differs in params.
     FAST = PhysicalParams(

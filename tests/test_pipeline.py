@@ -149,7 +149,7 @@ def test_readme_in_process_block_runs_as_written(default_campaign):
     """The README's "In-process use" block, executed as written, fits the
     report that fit writes for the default campaign with the same
     bootstrap."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("### In-process use", 1)[1]
     (block,) = re.findall(r"```python\n(.*?)```", section.split("\n## ", 1)[0], re.S)
     namespace = {}

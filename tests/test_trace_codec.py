@@ -366,7 +366,7 @@ def reference_read(path):
     A line whose segments or bin_s differ from the first line's is refused
     once its fields pass, before its counts are checked."""
     rows, first = [], None
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for i, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -472,10 +472,10 @@ class TestReaderFastPath:
         path = simulated_file(tmp_path)
         want = reference_read(path)
 
-        def refuse(self, block):
-            raise AssertionError(f"line path taken at line {block[0][0]}")
+        def refuse(self, line_number, line):
+            raise AssertionError(f"line path taken at line {line_number}")
 
-        monkeypatch.setattr(traceio._TableReader, "_read_block_lines", refuse)
+        monkeypatch.setattr(traceio._TableReader, "_read_line", refuse)
         assert table_rows(read_traces_jsonl(path)) == want
 
     def test_each_distinct_head_is_checked_once_per_block(self, tmp_path, monkeypatch):
@@ -515,10 +515,10 @@ class TestReaderFastPath:
         path.write_text(path.read_text().rstrip("\n"))
         want = reference_read(path)
 
-        def refuse(self, block):
-            raise AssertionError(f"line path taken at line {block[0][0]}")
+        def refuse(self, line_number, line):
+            raise AssertionError(f"line path taken at line {line_number}")
 
-        monkeypatch.setattr(traceio._TableReader, "_read_block_lines", refuse)
+        monkeypatch.setattr(traceio._TableReader, "_read_line", refuse)
         assert table_rows(read_traces_jsonl(path)) == want
 
 

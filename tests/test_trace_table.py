@@ -468,13 +468,13 @@ class TestBlockRefusals:
         else:
             write_lines(path, objs, separators)
         taken = []
-        real = traceio._TableReader._read_block_lines
+        real = traceio._TableReader._read_line
 
-        def spy(self, block):
-            taken.extend(i for i, _ in block)
-            real(self, block)
+        def spy(self, line_number, line):
+            taken.append(line_number)
+            real(self, line_number, line)
 
-        monkeypatch.setattr(traceio._TableReader, "_read_block_lines", spy)
+        monkeypatch.setattr(traceio._TableReader, "_read_line", spy)
         table = read_traces_jsonl(path)
         assert len(taken) == json_lines
         assert len(table) == 200
